@@ -356,7 +356,7 @@ impl Fetcher {
                         .with_annotation(&format!("attempt={attempt}")),
                     );
                 }
-                parse(&outcome?.body_text())
+                parse(wire::body_text(&outcome?.body)?)
             },
             |e| transient(e) || matches!(e, NetError::Json { .. }),
             |err, delay| progress.record_retry(err, delay),
@@ -1479,6 +1479,45 @@ mod tests {
         assert!(text.contains("crawl_phase_duration_seconds_count{phase=\"census\"} 1"));
         assert!(text.contains("crawl_phase_duration_seconds_count{phase=\"harvest\"} 1"));
         assert!(text.contains("crawl_phase_duration_seconds_count{phase=\"catalog\"} 1"));
+    }
+
+    #[test]
+    fn non_utf8_body_is_retried_as_corrupt_not_read_lossily() {
+        use crate::service::ApiService;
+        use std::sync::atomic::AtomicBool;
+        use steam_net::http::{Request, Response};
+        use steam_net::{Handler, HttpServer};
+        // The first group page served carries a byte that is not UTF-8
+        // inside its name. Read lossily, it parses as a different name.
+        let original = tiny_world();
+        let service = ApiService::new(Arc::clone(&original), RateLimit::default());
+        let garbled = AtomicBool::new(false);
+        let handler: Arc<dyn Handler> = Arc::new(move |req: Request| {
+            let group_page = req.path.starts_with("/community/group/");
+            let mut resp: Response = service.handle(req);
+            if group_page && !garbled.swap(true, Ordering::SeqCst) {
+                let name = resp
+                    .body
+                    .windows(8)
+                    .position(|w| w == b"\"name\":\"")
+                    .expect("a group page carries a name");
+                resp.body[name + 8] = 0xff;
+            }
+            resp
+        });
+        let server = HttpServer::bind("127.0.0.1:0", 2, handler).unwrap();
+        let config = CrawlerConfig {
+            backoff: Backoff { base: Duration::from_millis(1), ..Backoff::default() },
+            ..CrawlerConfig::default()
+        };
+        let mut crawler = Crawler::new(server.addr(), config);
+        let crawled = crawler.crawl(original.collected_at).unwrap();
+        assert_eq!(crawler.stats().retries_corrupt, 1, "the bad body must be retried once");
+        assert!(!crawled.groups.is_empty());
+        for group in &crawled.groups {
+            let served = original.groups.iter().find(|g| g.id == group.id).unwrap();
+            assert_eq!(group.name, served.name, "group {:?}", group.id);
+        }
     }
 
     #[test]

@@ -370,7 +370,7 @@ impl RouterService {
         for (shard, outcome) in outcomes {
             match outcome {
                 Ok(resp) if resp.status == 200 => {
-                    match wire::parse_player_summaries(&resp.body_text()) {
+                    match wire::body_text(&resp.body).and_then(wire::parse_player_summaries) {
                         Ok(players) => {
                             for p in players {
                                 by_id.insert(p.id, p);

@@ -35,6 +35,15 @@ fn get_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, NetError> {
         .ok_or_else(|| NetError::Http(format!("field {key:?} is not a string")))
 }
 
+/// A response body as JSON text, borrowed in place. A body that is not
+/// UTF-8 cannot be JSON: it fails as [`NetError::Json`] at its first invalid
+/// byte, the corrupt-body error callers retry, instead of being read lossily
+/// as a different value.
+pub(crate) fn body_text(body: &[u8]) -> Result<&str, NetError> {
+    std::str::from_utf8(body)
+        .map_err(|e| NetError::Json { offset: e.valid_up_to(), message: "invalid utf-8".into() })
+}
+
 // --- player summaries -------------------------------------------------------
 
 /// One player object inside `GetPlayerSummaries`.

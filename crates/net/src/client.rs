@@ -8,7 +8,7 @@ use std::time::Duration;
 use steam_obs::{TraceContext, TRACE_HEADER};
 
 use crate::error::NetError;
-use crate::http::{read_response, write_request, Request, Response};
+use crate::http::{read_response, write_request_with, Request, Response};
 use crate::pool::{Conn, ConnectionPool};
 
 /// Stale-pooled-connection retries allowed per request. With a shared pool
@@ -93,8 +93,12 @@ impl HttpClient {
         self.reconnects
     }
 
-    fn send_on(conn: &mut Conn, req: &Request) -> Result<Response, NetError> {
-        write_request(&mut conn.writer, req)?;
+    fn send_on(
+        conn: &mut Conn,
+        req: &Request,
+        trace: Option<(&str, &str)>,
+    ) -> Result<Response, NetError> {
+        write_request_with(&mut conn.writer, req, trace)?;
         read_response(&mut conn.reader)
     }
 
@@ -105,25 +109,18 @@ impl HttpClient {
     /// Healthy connections go back to the pool unless the response forbids
     /// reuse (`Connection: close`).
     pub fn send(&mut self, req: &Request) -> Result<Response, NetError> {
-        // Trace injection clones the request once; a request that already
-        // carries the header (caller-stamped) is sent untouched.
-        let traced;
-        let req = match &self.trace {
-            Some(ctx) if req.header(TRACE_HEADER).is_none() => {
-                let mut stamped = req.clone();
-                stamped.headers.push((TRACE_HEADER.into(), ctx.header_value()));
-                traced = stamped;
-                &traced
-            }
-            _ => req,
-        };
+        // The trace header rides after the request's own headers; a request
+        // that already carries one (caller-stamped) is sent untouched.
+        let trace_value =
+            self.trace.filter(|_| req.header(TRACE_HEADER).is_none()).map(|ctx| ctx.header_value());
+        let trace = trace_value.as_deref().map(|v| (TRACE_HEADER, v));
         let mut reconnects_left = MAX_RECONNECTS_PER_REQUEST;
         loop {
             let (mut conn, pooled) = match self.pool.checkout(self.addr) {
                 Some(conn) => (conn, true),
                 None => (self.pool.connect(self.addr)?, false),
             };
-            match Self::send_on(&mut conn, req) {
+            match Self::send_on(&mut conn, req, trace) {
                 Ok(resp) => {
                     // The pool inspects the response's close intent itself;
                     // a `Connection: close` response is never parked.

@@ -37,10 +37,7 @@ use steam_obs::{
 
 use crate::error::NetError;
 use crate::fault::{FaultInjector, FaultKind};
-use crate::http::{
-    read_request, write_response, write_response_truncated, Request, Response, MAX_HEADER_BYTES,
-    MAX_LINE_BYTES,
-};
+use crate::http::{read_request, Request, Response, MAX_HEADER_BYTES, MAX_LINE_BYTES};
 use crate::server::{normalize_endpoint, Handler};
 
 /// The server side of the observability layer: pre-registered instruments
@@ -302,19 +299,6 @@ pub(crate) fn finalize_response(resp: &mut Response, close: bool) {
     if close && resp.header("connection").is_none() {
         resp.headers.push(("Connection".into(), "close".into()));
     }
-}
-
-/// Serializes a response to its exact wire bytes (the reactor's write
-/// queue holds serialized bytes, not `Response` values).
-pub(crate) fn serialize_response(resp: &Response, truncate: bool) -> Vec<u8> {
-    let mut wire = Vec::with_capacity(resp.body.len() + 128);
-    let result = if truncate {
-        write_response_truncated(&mut wire, resp)
-    } else {
-        write_response(&mut wire, resp)
-    };
-    debug_assert!(result.is_ok(), "writing to a Vec cannot fail");
-    wire
 }
 
 /// The 400 answered to an unparsable request; the connection closes after
@@ -711,12 +695,21 @@ mod tests {
 
     #[test]
     fn serialized_bytes_match_the_streaming_writer() {
+        // The reactor encodes each response onto the tail of its write
+        // queue, behind earlier pipelined responses still unsent.
+        use crate::http::{encode_response, write_response, write_response_truncated};
         let resp = Response::json("{\"ok\":true}".into());
-        let mut direct = Vec::new();
-        write_response(&mut direct, &resp).unwrap();
-        assert_eq!(serialize_response(&resp, false), direct);
-        let mut truncated = Vec::new();
-        write_response_truncated(&mut truncated, &resp).unwrap();
-        assert_eq!(serialize_response(&resp, true), truncated);
+        let queued = b"HTTP/1.1 200 OK\r\n".to_vec();
+        for truncate in [false, true] {
+            let mut direct = queued.clone();
+            if truncate {
+                write_response_truncated(&mut direct, &resp).unwrap();
+            } else {
+                write_response(&mut direct, &resp).unwrap();
+            }
+            let mut outbuf = queued.clone();
+            encode_response(&mut outbuf, &resp, truncate);
+            assert_eq!(outbuf, direct, "truncate = {truncate}");
+        }
     }
 }

@@ -320,8 +320,19 @@ fn read_body<R: BufRead>(
     Ok(body)
 }
 
-/// Writes a request (always with an explicit `Content-Length`).
+/// Writes a request (always with an explicit `Content-Length`) in one
+/// `write_all`.
 pub fn write_request<W: Write>(w: &mut W, req: &Request) -> Result<(), NetError> {
+    write_request_with(w, req, None)
+}
+
+/// [`write_request`] with one more header after the request's own: how the
+/// client stamps `X-Steam-Trace` without cloning the request.
+pub(crate) fn write_request_with<W: Write>(
+    w: &mut W,
+    req: &Request,
+    extra: Option<(&str, &str)>,
+) -> Result<(), NetError> {
     let mut target = crate::url::encode_path(&req.path);
     if !req.query.is_empty() {
         let pairs: Vec<(&str, String)> =
@@ -329,26 +340,24 @@ pub fn write_request<W: Write>(w: &mut W, req: &Request) -> Result<(), NetError>
         target.push('?');
         target.push_str(&crate::url::build_query(&pairs));
     }
-    write!(w, "{} {} {}\r\n", req.method, target, req.version.as_str())?;
-    for (k, v) in &req.headers {
-        write!(w, "{k}: {v}\r\n")?;
-    }
-    write!(w, "Content-Length: {}\r\n\r\n", req.body.len())?;
-    w.write_all(&req.body)?;
-    w.flush()?;
-    Ok(())
+    let mut wire = Vec::new();
+    encode_message(
+        &mut wire,
+        [&req.method, &target, req.version.as_str()],
+        &req.headers,
+        extra,
+        &req.body,
+        req.body.len(),
+    );
+    send(w, &wire)
 }
 
-/// Writes a response (always with an explicit `Content-Length`).
+/// Writes a response (always with an explicit `Content-Length`) in one
+/// `write_all`.
 pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> Result<(), NetError> {
-    write!(w, "{} {} {}\r\n", resp.version.as_str(), resp.status, reason(resp.status))?;
-    for (k, v) in &resp.headers {
-        write!(w, "{k}: {v}\r\n")?;
-    }
-    write!(w, "Content-Length: {}\r\n\r\n", resp.body.len())?;
-    w.write_all(&resp.body)?;
-    w.flush()?;
-    Ok(())
+    let mut wire = Vec::new();
+    encode_response(&mut wire, resp, false);
+    send(w, &wire)
 }
 
 /// Writes a response whose `Content-Length` promises the full body but whose
@@ -356,12 +365,58 @@ pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> Result<(), NetErr
 /// The caller must close the connection afterwards; the peer sees an
 /// unexpected EOF mid-body, exactly like a connection torn down mid-transfer.
 pub fn write_response_truncated<W: Write>(w: &mut W, resp: &Response) -> Result<(), NetError> {
-    write!(w, "{} {} {}\r\n", resp.version.as_str(), resp.status, reason(resp.status))?;
-    for (k, v) in &resp.headers {
-        write!(w, "{k}: {v}\r\n")?;
+    let mut wire = Vec::new();
+    encode_response(&mut wire, resp, true);
+    send(w, &wire)
+}
+
+/// Appends a response's exact wire bytes to `out` (the reactor encodes
+/// straight into a connection's write queue). `truncate` keeps only the
+/// first half of the body, as [`write_response_truncated`] sends it.
+pub(crate) fn encode_response(out: &mut Vec<u8>, resp: &Response, truncate: bool) {
+    let sent = if truncate { resp.body.len() / 2 } else { resp.body.len() };
+    encode_message(
+        out,
+        [resp.version.as_str(), &resp.status.to_string(), reason(resp.status)],
+        &resp.headers,
+        None,
+        &resp.body,
+        sent,
+    );
+}
+
+/// The one encoder behind every sender: the start line's three tokens, the
+/// headers in order (then `extra`), a `Content-Length` for the whole body,
+/// the blank line, and the first `sent` bytes of the body.
+fn encode_message(
+    out: &mut Vec<u8>,
+    start: [&str; 3],
+    headers: &[(String, String)],
+    extra: Option<(&str, &str)>,
+    body: &[u8],
+    sent: usize,
+) {
+    // Room for a typical head, so the body copy does not reallocate.
+    out.reserve(256 + sent);
+    out.extend_from_slice(start.join(" ").as_bytes());
+    out.extend_from_slice(b"\r\n");
+    let pairs = headers.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+    for (k, v) in pairs.chain(extra) {
+        out.extend_from_slice(k.as_bytes());
+        out.extend_from_slice(b": ");
+        out.extend_from_slice(v.as_bytes());
+        out.extend_from_slice(b"\r\n");
     }
-    write!(w, "Content-Length: {}\r\n\r\n", resp.body.len())?;
-    w.write_all(&resp.body[..resp.body.len() / 2])?;
+    out.extend_from_slice(b"Content-Length: ");
+    out.extend_from_slice(body.len().to_string().as_bytes());
+    out.extend_from_slice(b"\r\n\r\n");
+    out.extend_from_slice(&body[..sent]);
+}
+
+/// Hands one encoded message to the writer: one `write_all`, so a
+/// `TCP_NODELAY` socket sends it without a segment per header.
+fn send<W: Write>(w: &mut W, wire: &[u8]) -> Result<(), NetError> {
+    w.write_all(wire)?;
     w.flush()?;
     Ok(())
 }
@@ -610,6 +665,83 @@ mod tests {
         // Reading it back hits EOF mid-body: an Io error, never a short body.
         let mut reader = BufReader::new(&wire[..]);
         assert!(matches!(read_response(&mut reader), Err(NetError::Io(_))));
+    }
+
+    /// Records every `write` call: on a socket, each would be one
+    /// `write(2)` and, with `TCP_NODELAY`, one segment.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Runs one writer, checks it made exactly one `write`, returns the bytes.
+    fn one_write(send: impl FnOnce(&mut CountingWriter) -> Result<(), NetError>) -> String {
+        let mut w = CountingWriter::default();
+        send(&mut w).unwrap();
+        assert_eq!(w.writes, 1, "{:?}", String::from_utf8_lossy(&w.bytes));
+        String::from_utf8(w.bytes).unwrap()
+    }
+
+    #[test]
+    fn requests_leave_in_one_write() {
+        let mut req = Request::get("/ISteamUser/GetFriendList/v1?steamid=76561197960265728&key=K");
+        req.headers.push(("Host".into(), "localhost".into()));
+        assert_eq!(
+            one_write(|w| write_request(w, &req)),
+            "GET /ISteamUser/GetFriendList/v1?steamid=76561197960265728&key=K HTTP/1.1\r\n\
+             Host: localhost\r\nContent-Length: 0\r\n\r\n"
+        );
+        // The client's trace header goes after the request's own.
+        let trace = ("X-Steam-Trace", "00000000000000ab-00000000000000cd");
+        assert_eq!(
+            one_write(|w| write_request_with(w, &req, Some(trace))),
+            "GET /ISteamUser/GetFriendList/v1?steamid=76561197960265728&key=K HTTP/1.1\r\n\
+             Host: localhost\r\nX-Steam-Trace: 00000000000000ab-00000000000000cd\r\n\
+             Content-Length: 0\r\n\r\n"
+        );
+        let mut post = Request::get("/a b/c?q=x y");
+        post.method = "POST".into();
+        post.version = Version::Http10;
+        post.headers.push((trace.0.into(), trace.1.into()));
+        post.body = b"payload".to_vec();
+        assert_eq!(
+            one_write(|w| write_request(w, &post)),
+            "POST /a%20b/c?q=x%20y HTTP/1.0\r\n\
+             X-Steam-Trace: 00000000000000ab-00000000000000cd\r\n\
+             Content-Length: 7\r\n\r\npayload"
+        );
+    }
+
+    #[test]
+    fn responses_leave_in_one_write() {
+        let resp = Response::json("{\"ok\":true}".into())
+            .with_header("X-Steam-Trace", "00000000000000ab")
+            .with_header("Connection", "close");
+        let head = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                    X-Steam-Trace: 00000000000000ab\r\nConnection: close\r\n\
+                    Content-Length: 11\r\n\r\n";
+        assert_eq!(one_write(|w| write_response(w, &resp)), format!("{head}{{\"ok\":true}}"));
+        // Truncated: the head promises all 11 bytes, the wire carries 5.
+        assert_eq!(one_write(|w| write_response_truncated(w, &resp)), format!("{head}{{\"ok\""));
+        let error = Response::error(429, "rate limited");
+        assert_eq!(
+            one_write(|w| write_response(w, &error)),
+            "HTTP/1.1 429 Too Many Requests\r\nContent-Type: text/plain\r\n\
+             Content-Length: 12\r\n\r\nrate limited"
+        );
     }
 
     #[test]

@@ -89,12 +89,11 @@ impl Json {
     /// Parses JSON text (must be a single value with only trailing
     /// whitespace after it).
     pub fn parse(text: &str) -> Result<Json, NetError> {
-        let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != text.len() {
             return Err(p.err("trailing characters"));
         }
         Ok(v)
@@ -209,6 +208,9 @@ fn write_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes: every token boundary the parser stops at is ASCII,
+    /// so byte positions are always char boundaries of `text`.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -353,17 +355,18 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar. `peek()` saw a byte, so `rest`
-                    // cannot be empty — but fault-injected input is exactly
-                    // where "cannot" goes to die, so fail instead of unwrap.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("unexpected end of input"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain bytes up to the next
+                    // quote, backslash or control byte at once. Those stop
+                    // bytes are ASCII, so the run ends on a char boundary;
+                    // `get` still fails instead of panicking if it did not.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    let run =
+                        self.text.get(self.pos..end).ok_or_else(|| self.err("invalid utf-8"))?;
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -475,6 +478,56 @@ mod tests {
         );
         // Raw UTF-8 passes through.
         assert_eq!(Json::parse("\"héllo\"").unwrap(), Json::Str("héllo".into()));
+    }
+
+    #[test]
+    fn multibyte_text_and_surrogate_pairs_round_trip() {
+        // Plain runs of multibyte UTF-8 interleaved with escapes.
+        let text = r#""héllo \"wörld\" — 日本\u00e9\ud83d\ude00😀\n\t\\end""#;
+        let expected = "héllo \"wörld\" — 日本é😀😀\n\t\\end";
+        assert_eq!(Json::parse(text).unwrap(), Json::Str(expected.into()));
+        let value = Json::obj([("ключ", Json::from(expected)), ("😀", Json::from("\u{1}x"))]);
+        assert_eq!(Json::parse(&value.to_text()).unwrap(), value);
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        let long = "é".repeat(5000); // 10,000 bytes of two-byte chars
+        let body = 1 + long.len(); // the first byte after the run
+        let cases = [
+            (format!("\"{long}\u{1}\""), body, "control character in string"),
+            (format!("\"{long}\\x\""), body + 1, "invalid escape"),
+            (format!("\"{long}"), body, "unterminated string"),
+        ];
+        for (text, offset, message) in cases {
+            match Json::parse(&text) {
+                Err(NetError::Json { offset: o, message: m }) => {
+                    assert_eq!((o, m.as_str()), (offset, message));
+                }
+                other => panic!("expected {message:?} at {offset}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn parse_time_is_linear_in_string_bytes() {
+        // An app-list-shaped document of 50k objects, a few MB of mostly
+        // string bytes. Rescanning the rest of the input per character
+        // (the old scanner took 0.58 s on a 218 KB list) would take minutes.
+        let apps: Vec<Json> = (0..50_000u32)
+            .map(|i| {
+                let name = format!("Steam Application № {i} — The Long Subtitle Of Game {i}");
+                Json::obj([("appid", Json::from(i)), ("name", Json::from(name))])
+            })
+            .collect();
+        let doc = Json::obj([("applist", Json::obj([("apps", Json::Arr(apps))]))]);
+        let text = doc.to_text();
+        assert!(text.len() > 3_000_000, "{} bytes", text.len());
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let took = start.elapsed();
+        assert_eq!(parsed, doc);
+        assert!(took < std::time::Duration::from_secs(5), "parsing took {took:?}");
     }
 
     #[test]

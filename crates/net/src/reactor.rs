@@ -70,11 +70,11 @@ use std::time::{Duration, Instant};
 use steam_obs::{now_us, obs_debug, Counter, Gauge, Histogram, Registry};
 
 use crate::conn::{
-    bad_request_response, finalize_response, serialize_response, try_parse_request, ConnStat,
-    ConnState, Dispatcher, ObsCache, Outcome, ParseStep,
+    bad_request_response, finalize_response, try_parse_request, ConnStat, ConnState, Dispatcher,
+    ObsCache, Outcome, ParseStep,
 };
 use crate::error::NetError;
-use crate::http::Response;
+use crate::http::{encode_response, Response};
 use crate::server::{ServerConfig, POLL_SLICE};
 
 /// Minimal FFI shim over the epoll/eventfd syscall wrappers. These symbols
@@ -438,7 +438,7 @@ impl Conn {
             match try_parse_request(&self.inbuf) {
                 ParseStep::Incomplete => return,
                 ParseStep::Bad(e) => {
-                    self.queue(&bad_request_response(&e), false);
+                    encode_response(&mut self.outbuf, &bad_request_response(&e), false);
                     self.close_after_flush = true;
                     return;
                 }
@@ -453,14 +453,15 @@ impl Conn {
                         }
                         Outcome::Respond { mut resp, close, truncate, delay } => {
                             finalize_response(&mut resp, close);
-                            let wire = serialize_response(&resp, truncate);
                             match delay {
                                 Some(d) => {
+                                    let mut wire = Vec::new();
+                                    encode_response(&mut wire, &resp, truncate);
                                     self.stalled = Some((Instant::now() + d, wire, close));
                                     *stall_count += 1;
                                 }
                                 None => {
-                                    self.outbuf.extend_from_slice(&wire);
+                                    encode_response(&mut self.outbuf, &resp, truncate);
                                     if close {
                                         self.close_after_flush = true;
                                     }
@@ -471,12 +472,6 @@ impl Conn {
                 }
             }
         }
-    }
-
-    /// Appends a response to the write queue.
-    fn queue(&mut self, resp: &Response, truncate: bool) {
-        let wire = serialize_response(resp, truncate);
-        self.outbuf.extend_from_slice(&wire);
     }
 
     /// Writes until done or `WouldBlock`. `Err` means the socket is broken.
@@ -678,7 +673,7 @@ impl EventLoop {
             } else {
                 let mut resp = Response::error(408, "request read timed out");
                 finalize_response(&mut resp, true);
-                conn.queue(&resp, false);
+                encode_response(&mut conn.outbuf, &resp, false);
                 conn.close_after_flush = true;
                 self.pump(token, 0);
             }
