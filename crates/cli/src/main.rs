@@ -619,6 +619,38 @@ fn load_for_report(path: &str, in_memory: bool, jobs: usize) -> Result<Loaded, S
     Ok(Loaded::Mem(codec::read_snapshot_jobs(p, jobs).map_err(|e| e.to_string())?))
 }
 
+/// The `report --timings` pass table: for every streamed snapshot, full
+/// passes over each section (chunks decoded ÷ the section's chunk count),
+/// counted from open, so the context build is included. Empty when nothing
+/// streamed.
+fn render_passes(files: &[(&str, &Loaded)]) -> String {
+    let streamed: Vec<(&str, Vec<steam_model::SectionReads>)> = files
+        .iter()
+        .filter_map(|&(label, loaded)| match loaded {
+            Loaded::Stream(r) => Some((label, r.section_reads())),
+            Loaded::Mem(_) => None,
+        })
+        .collect();
+    let Some((_, first)) = streamed.first() else {
+        return String::new();
+    };
+    let mut out =
+        String::from("passes per section (chunks decoded / chunks, context build included)\n");
+    out.push_str(&format!("{:<12}", "section"));
+    for (label, _) in &streamed {
+        out.push_str(&format!("  {label:>10}"));
+    }
+    out.push('\n');
+    for (i, s) in first.iter().enumerate() {
+        out.push_str(&format!("{:<12}", s.section));
+        for (_, reads) in &streamed {
+            out.push_str(&format!("  {:>10.2}", reads[i].passes()));
+        }
+        out.push('\n');
+    }
+    out
+}
+
 fn report_ctx<'a>(loaded: &'a Loaded, jobs: usize) -> Result<Ctx<'a>, String> {
     match loaded {
         Loaded::Mem(s) => Ok(Ctx::new_with_jobs(s, jobs)),
@@ -657,11 +689,13 @@ fn cmd_report(args: &Args) -> Result<(), String> {
 
     let which = args.get_or("experiment", "all");
     let timings = args.has("timings");
+    let mut files = vec![("snapshot", &loaded)];
+    files.extend(second.as_ref().map(|l| ("second", l)));
     if which == "all" {
         if timings {
             let (text, t) = render_full_report_timed(&input, jobs);
             print!("{text}");
-            eprint!("{}", t.render_table());
+            eprint!("{}{}", t.render_table(), render_passes(&files));
         } else {
             print!("{}", render_full_report(&input, jobs));
         }
@@ -671,7 +705,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         if timings {
             let (rendered, t) = render_experiments_timed(&input, &[e], jobs);
             println!("{}", rendered[0].1);
-            eprint!("{}", t.render_table());
+            eprint!("{}{}", t.render_table(), render_passes(&files));
         } else {
             println!("{}", render_with_jobs(&input, e, jobs));
         }

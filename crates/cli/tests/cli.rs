@@ -265,6 +265,11 @@ fn report_timings_go_to_stderr_and_stdout_is_unchanged() {
     assert!(table.contains("experiment"), "{table}");
     assert!(table.contains("utilization"), "{table}");
     assert!(table.contains("table4"), "{table}");
+    // The v3 file streamed, so the pass table follows the experiment table.
+    let passes = table.split("passes per section").nth(1).unwrap_or_else(|| panic!("{table}"));
+    let friendships = passes.lines().find(|l| l.starts_with("friendships")).expect("row");
+    let n: f64 = friendships.split_whitespace().nth(1).unwrap().parse().unwrap();
+    assert!((2.0..=6.0).contains(&n), "{table}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

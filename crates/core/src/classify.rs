@@ -25,9 +25,11 @@ pub struct ClassifiedRow {
     pub discrete_alpha: Option<f64>,
 }
 
-/// The attribute vectors Table 4 classifies, from one snapshot's context.
-pub fn table4_attributes(ctx: &Ctx) -> Vec<(String, Vec<f64>)> {
-    let mut out: Vec<(String, Vec<f64>)> = vec![
+/// Table 4's re-crawled game-data attributes: the only rows that get a
+/// second-snapshot fit, exactly as in the paper's Table 4 (friendships and
+/// groups were not collected again). None of them walks a section.
+pub fn game_data_attributes(ctx: &Ctx) -> Vec<(String, Vec<f64>)> {
+    vec![
         (
             "Account market values".into(),
             ctx.value_cents.iter().map(|&c| c as f64 / 100.0).filter(|&v| v > 0.0).collect(),
@@ -36,18 +38,22 @@ pub fn table4_attributes(ctx: &Ctx) -> Vec<(String, Vec<f64>)> {
         ("Two-week playtime".into(), Ctx::nonzero_f64(&ctx.two_week_minutes)),
         ("Game ownership".into(), Ctx::nonzero_f64(&ctx.owned)),
         ("Played game ownership".into(), Ctx::nonzero_f64(&ctx.played)),
-        ("Group size".into(), Ctx::nonzero_f64(&group_sizes(ctx))),
-        ("Group membership per user".into(), Ctx::nonzero_f64(&ctx.group_count)),
-    ];
+    ]
+}
+
+/// The attribute vectors Table 4 classifies, from one snapshot's context.
+pub fn table4_attributes(ctx: &Ctx) -> Vec<(String, Vec<f64>)> {
+    let mut out = game_data_attributes(ctx);
+    out.push(("Group size".into(), Ctx::nonzero_f64(&group_sizes(ctx))));
+    out.push(("Group membership per user".into(), Ctx::nonzero_f64(&ctx.group_count)));
     // Friendship degree distributions, cumulative and per-year (Figure 2's
-    // series, classified like the paper's appendix).
+    // series, classified like the paper's appendix), from one edge pass.
+    let yearly = ctx.yearly_degrees(2009, 2013);
     for year in 2009..=2013 {
-        let deg = ctx.degrees_in_years(i32::MIN, year);
-        out.push((format!("Friendship (through {year})"), Ctx::nonzero_f64(&deg)));
+        out.push((format!("Friendship (through {year})"), Ctx::nonzero_f64(&yearly.through(year))));
     }
     for year in 2009..=2013 {
-        let deg = ctx.degrees_in_years(year, year);
-        out.push((format!("Friendship ({year} only)"), Ctx::nonzero_f64(&deg)));
+        out.push((format!("Friendship ({year} only)"), Ctx::nonzero_f64(yearly.year_only(year))));
     }
     out
 }
@@ -78,7 +84,7 @@ pub fn classify_all_jobs(
     jobs: usize,
 ) -> Vec<ClassifiedRow> {
     let attrs = table4_attributes(ctx);
-    let second_attrs = second.map(table4_attributes);
+    let second_attrs = second.map(game_data_attributes);
 
     if jobs <= 1 {
         return attrs
@@ -140,13 +146,11 @@ fn classify_row(
             .collect();
         (tail.len() >= opts.min_tail).then(|| fit_discrete_power_law(&tail, kmin).alpha)
     });
-    // Only the re-crawled game-data attributes get second-snapshot rows,
-    // exactly as in the paper's Table 4 (friendships and groups were not
-    // collected again).
-    let eligible = !attribute.starts_with("Friendship") && !attribute.starts_with("Group");
+    // The second snapshot carries only the game-data attributes, so every
+    // other row gets `Some(None)`.
     let second = second_attrs.map(|sa| {
         sa.iter()
-            .find(|(name, _)| *name == attribute && eligible)
+            .find(|(name, _)| *name == attribute)
             .and_then(|(_, data)| classify_tail_jobs(data, opts, jobs))
     });
     ClassifiedRow { attribute, n_sample, first, second, discrete_alpha }

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use steam_graph::{degrees_in_years_with, Csr};
+use steam_graph::{yearly_degrees_with, Csr, YearlyDegrees};
 use steam_model::{
     AppId, CountryCode, Friendship, ModelError, SimTime, Snapshot, SnapshotReader,
 };
@@ -168,10 +168,11 @@ impl<'a> Ctx<'a> {
         self.world.for_each_friendship(f);
     }
 
-    /// Per-node degree counting only edges created in `[from, to]` (by
-    /// calendar year), via one pass over the edges.
-    pub fn degrees_in_years(&self, from: i32, to: i32) -> Vec<u32> {
-        degrees_in_years_with(self.n_users(), |f| self.world.for_each_friendship(f), from, to)
+    /// Per-user friendship counts before `first` and in each calendar year
+    /// `first..=last`, via one pass over the edges: every "Y only" and
+    /// "through Y" degree vector of Figure 2 and Table 4.
+    pub fn yearly_degrees(&self, first: i32, last: i32) -> YearlyDegrees {
+        yearly_degrees_with(self.n_users(), |f| self.world.for_each_friendship(f), first, last)
     }
 
     /// Dollars from cents.
@@ -267,6 +268,30 @@ mod tests {
             assert_eq!(streamed.n_friendships(), mem.n_friendships());
             assert_eq!(streamed.n_owned_games(), mem.n_owned_games());
             assert_eq!(streamed.n_memberships(), mem.n_memberships());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn yearly_degrees_match_every_window_in_memory_and_streamed() {
+        let world = testworld::world();
+        let s = &world.snapshot;
+        let dir = std::env::temp_dir().join(format!("ctx-yearly-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("world.snap");
+        steam_model::codec::write_snapshot_v3(&path, s, 2).unwrap();
+        let reader = SnapshotReader::open(&path).unwrap();
+        let mem = Ctx::new(s);
+        let streamed = Ctx::from_reader(&reader, 2).unwrap();
+        for ctx in [&mem, &streamed] {
+            let yearly = ctx.yearly_degrees(2009, 2013);
+            for year in 2009..=2013 {
+                let only = steam_graph::degrees_in_years(s.n_users(), &s.friendships, year, year);
+                assert_eq!(yearly.year_only(year), only, "{year} only");
+                let through =
+                    steam_graph::degrees_in_years(s.n_users(), &s.friendships, i32::MIN, year);
+                assert_eq!(yearly.through(year), through, "through {year}");
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

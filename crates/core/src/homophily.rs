@@ -47,23 +47,39 @@ pub fn behavior_correlations(ctx: &Ctx) -> Vec<Correlation> {
     ]
 }
 
-/// The four §7 homophily correlations (user attribute vs. mean of their
-/// friends' attribute).
-pub fn homophily_correlations(ctx: &Ctx) -> Vec<Correlation> {
-    let value: Vec<f64> = (0..ctx.n_users()).map(|u| ctx.value_cents[u] as f64).collect();
-    let degree: Vec<f64> = ctx.degrees.iter().map(|&d| f64::from(d)).collect();
-    let total: Vec<f64> = ctx.total_minutes.iter().map(|&m| m as f64).collect();
-    let owned: Vec<f64> = ctx.owned.iter().map(|&o| f64::from(o)).collect();
+/// One §7 homophily correlation: a user attribute vs. the mean of their
+/// friends' attribute. The attribute column lives only inside this call.
+fn homophily(ctx: &Ctx, label: &str, attr: impl Fn(usize) -> f64, paper_rho: f64) -> Correlation {
+    let column: Vec<f64> = (0..ctx.n_users()).map(attr).collect();
+    let (own, friends) = homophily_pairs(&ctx.graph, &column);
+    drop(column);
+    corr(label, &own, &friends, paper_rho)
+}
 
-    let homo = |label: &str, attr: &[f64], paper: f64| {
-        let (own, friends) = homophily_pairs(&ctx.graph, attr);
-        corr(label, &own, &friends, paper)
-    };
+/// Market-value homophily, the correlation Figure 11 quotes.
+pub fn value_homophily(ctx: &Ctx) -> Correlation {
+    homophily(ctx, "market value vs friends' market value", |u| ctx.value_cents[u] as f64, 0.77)
+}
+
+/// The four §7 homophily correlations (user attribute vs. mean of their
+/// friends' attribute), computed one after another so only one attribute
+/// column is resident at a time.
+pub fn homophily_correlations(ctx: &Ctx) -> Vec<Correlation> {
     vec![
-        homo("market value vs friends' market value", &value, 0.77),
-        homo("friend count vs friends' friend count", &degree, 0.62),
-        homo("total playtime vs friends' total playtime", &total, 0.61),
-        homo("games owned vs friends' games owned", &owned, 0.45),
+        value_homophily(ctx),
+        homophily(
+            ctx,
+            "friend count vs friends' friend count",
+            |u| f64::from(ctx.degrees[u]),
+            0.62,
+        ),
+        homophily(
+            ctx,
+            "total playtime vs friends' total playtime",
+            |u| ctx.total_minutes[u] as f64,
+            0.61,
+        ),
+        homophily(ctx, "games owned vs friends' games owned", |u| f64::from(ctx.owned[u]), 0.45),
     ]
 }
 

@@ -511,10 +511,9 @@ fn figure10(ctx: &Ctx) -> String {
 }
 
 fn figure11(ctx: &Ctx) -> String {
-    let correlations = homophily::homophily_correlations(ctx);
+    let value = homophily::value_homophily(ctx);
     let (own, friends) = homophily::figure11_scatter(ctx);
     let mut out = String::new();
-    let value = &correlations[0];
     let _ = writeln!(
         out,
         "Figure 11: market value vs friends' mean market value (ρ={:.2}, paper: 0.77)",

@@ -76,11 +76,11 @@ pub struct DegreeSeries {
 /// Figure 2: degree distributions per year plus the full network.
 pub fn degree_distributions(ctx: &Ctx) -> Vec<DegreeSeries> {
     let mut out = Vec::new();
+    let yearly = ctx.yearly_degrees(2009, 2013);
     for year in 2009..=2013 {
-        let deg = ctx.degrees_in_years(year, year);
         out.push(DegreeSeries {
             label: format!("{year} only"),
-            points: frequency_u32(&deg)
+            points: frequency_u32(yearly.year_only(year))
                 .into_iter()
                 .filter(|&(d, _)| d > 0)
                 .collect(),

@@ -94,40 +94,95 @@ where
 
 /// Per-node degree counting only edges created in `[from, to]` (inclusive,
 /// by calendar year). Passing `i32::MIN` as `from` gives the "through year"
-/// cumulative variant of Figure 2.
+/// cumulative variant of Figure 2. The reference for [`YearlyDegrees`],
+/// which answers every such window from one pass.
 pub fn degrees_in_years(
     n_nodes: usize,
     friendships: &[Friendship],
     from: i32,
     to: i32,
 ) -> Vec<u32> {
-    degrees_in_years_with(
-        n_nodes,
-        |f| {
-            for e in friendships {
-                f(e);
-            }
-        },
-        from,
-        to,
-    )
-}
-
-/// [`degrees_in_years`] with edges supplied by a visitor instead of a slice
-/// (see [`yearly_evolution_with`]).
-pub fn degrees_in_years_with<F>(n_nodes: usize, visit_edges: F, from: i32, to: i32) -> Vec<u32>
-where
-    F: Fn(&mut dyn FnMut(&Friendship)),
-{
     let mut deg = vec![0u32; n_nodes];
-    visit_edges(&mut |e| {
+    for e in friendships {
         let y = e.created_at.year();
         if y >= from && y <= to {
             deg[e.a as usize] += 1;
             deg[e.b as usize] += 1;
         }
-    });
+    }
     deg
+}
+
+/// Per-node friendship counts by creation year: every "Y only" and every
+/// "through Y" degree vector of Figure 2 and Table 4 for `first..=last`,
+/// built by [`yearly_degrees_with`] in one pass over the edges.
+#[derive(Clone, Debug, PartialEq)]
+pub struct YearlyDegrees {
+    first: i32,
+    /// Friendships created before `first`, per node.
+    before: Vec<u32>,
+    /// `per_year[i][u]`: friendships of `u` created in year `first + i`;
+    /// every vector is as long as `before`.
+    per_year: Vec<Vec<u32>>,
+}
+
+impl YearlyDegrees {
+    fn index(&self, year: i32) -> usize {
+        let i = year - self.first;
+        assert!(
+            (0..self.per_year.len() as i32).contains(&i),
+            "year {year} outside the counted years"
+        );
+        i as usize
+    }
+
+    /// Degrees counting only friendships created in `year`.
+    pub fn year_only(&self, year: i32) -> &[u32] {
+        &self.per_year[self.index(year)]
+    }
+
+    /// Degrees counting friendships created in or before `year`: the
+    /// running sum of the yearly counts.
+    pub fn through(&self, year: i32) -> Vec<u32> {
+        let mut deg = self.before.clone();
+        for counts in &self.per_year[..=self.index(year)] {
+            for (d, &c) in deg.iter_mut().zip(counts) {
+                *d += c;
+            }
+        }
+        deg
+    }
+}
+
+/// Counts each node's friendships created before `first` and in each year
+/// `first..=last` (edges after `last` are skipped), with edges supplied by
+/// a visitor (see [`yearly_evolution_with`]) — one pass for every yearly
+/// degree vector instead of one pass per window.
+pub fn yearly_degrees_with<F>(
+    n_nodes: usize,
+    visit_edges: F,
+    first: i32,
+    last: i32,
+) -> YearlyDegrees
+where
+    F: Fn(&mut dyn FnMut(&Friendship)),
+{
+    assert!(first <= last);
+    let mut before = vec![0u32; n_nodes];
+    let mut per_year = vec![vec![0u32; n_nodes]; (last - first + 1) as usize];
+    visit_edges(&mut |e| {
+        let y = e.created_at.year();
+        let deg = if y < first {
+            &mut before
+        } else if y <= last {
+            &mut per_year[(y - first) as usize]
+        } else {
+            return;
+        };
+        deg[e.a as usize] += 1;
+        deg[e.b as usize] += 1;
+    });
+    YearlyDegrees { first, before, per_year }
 }
 
 #[cfg(test)]
@@ -182,6 +237,33 @@ mod tests {
         assert_eq!(degrees_in_years(3, &edges, i32::MIN, 2010), vec![2, 1, 1]);
         // Everything.
         assert_eq!(degrees_in_years(3, &edges, i32::MIN, i32::MAX), vec![2, 2, 2]);
+    }
+
+    #[test]
+    fn one_pass_yearly_degrees_match_every_window() {
+        let edges: Vec<Friendship> = (0..60u32)
+            .map(|i| Friendship::new(i % 7, (i * 3 + 1) % 11, t(2006 + (i as i32 % 10))))
+            .collect();
+        let passes = std::cell::Cell::new(0);
+        let yearly = yearly_degrees_with(
+            11,
+            |f| {
+                passes.set(passes.get() + 1);
+                for e in &edges {
+                    f(e);
+                }
+            },
+            2009,
+            2013,
+        );
+        assert_eq!(passes.get(), 1);
+        for year in 2009..=2013 {
+            let only = degrees_in_years(11, &edges, year, year);
+            assert_eq!(yearly.year_only(year), only, "{year} only");
+            let through = degrees_in_years(11, &edges, i32::MIN, year);
+            assert_eq!(yearly.through(year), through, "through {year}");
+        }
+        assert_eq!(yearly.before, degrees_in_years(11, &edges, i32::MIN, 2008));
     }
 
     #[test]

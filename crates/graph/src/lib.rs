@@ -27,7 +27,8 @@ pub mod smallworld;
 pub use components::{connected_components, Components};
 pub use csr::{Csr, EdgeChunks};
 pub use evolution::{
-    degrees_in_years, degrees_in_years_with, yearly_evolution, yearly_evolution_with, YearPoint,
+    degrees_in_years, yearly_degrees_with, yearly_evolution, yearly_evolution_with, YearPoint,
+    YearlyDegrees,
 };
 pub use neighbors::{
     degree_assortativity, degree_assortativity_jobs, homophily_pairs, neighbor_mean,

