@@ -17,29 +17,37 @@
 //! failures (429/5xx, dropped connections, corrupt response bodies) with
 //! exponential backoff.
 //!
+//! Each unit of work the journal records goes out as one HTTP exchange:
+//! a user's three reads, or an app's two, are written together on one
+//! connection and their responses read back in order. Each read is still
+//! its own logical fetch, with its own trace and its own retries.
+//!
 //! With a [`CrawlerConfig::checkpoint_dir`] set, every unit of completed
 //! work is journaled through [`crate::checkpoint::CheckpointStore`]; with
 //! [`CrawlerConfig::resume`] a crawl replays the journal first and
 //! re-fetches only what is missing, so a killed crawl loses at most the
 //! unflushed journal tail.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use steam_model::{Friendship, Group, GroupId, Snapshot, SteamId};
+use steam_model::{
+    Account, AppId, Friendship, Game, Group, GroupId, SimTime, Snapshot, SteamId,
+};
 use steam_net::backoff::{transient, Backoff};
-use steam_net::client::HttpClient;
+use steam_net::client::{check_status, HttpClient, Reply};
+use steam_net::http::Request;
 use steam_net::pool::ConnectionPool;
 use steam_net::ratelimit::TokenBucket;
 use steam_net::NetError;
 use steam_obs::{
     mint_trace_id, next_span_id, now_us, record_span, Counter, Gauge, Histogram, Registry,
-    SpanId, SpanKind, SpanRecord, TraceContext,
+    SpanId, SpanKind, SpanRecord, TraceContext, TraceId,
 };
 
 use crate::checkpoint::{CheckpointStore, Record, Replay, UserRecord};
@@ -104,7 +112,12 @@ impl Default for CrawlerConfig {
 /// is the sum of the per-cause counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CrawlStats {
+    /// Logical fetches: one per API read, however many attempts it took.
     pub requests: u64,
+    /// Round trips: one write of one or more requests, then their
+    /// responses. A user's three reads and an app's two share one; every
+    /// retry is one more.
+    pub exchanges: u64,
     pub profiles_found: u64,
     pub ids_scanned: u64,
     pub retries_observed: u64,
@@ -136,6 +149,7 @@ pub struct CrawlStats {
 #[derive(Clone)]
 pub struct CrawlProgress {
     requests: Arc<Counter>,
+    exchanges: Arc<Counter>,
     retries_429: Arc<Counter>,
     retries_5xx: Arc<Counter>,
     retries_io: Arc<Counter>,
@@ -162,6 +176,10 @@ pub struct CrawlProgress {
 impl CrawlProgress {
     fn new(registry: &Registry) -> Self {
         registry.describe("crawl_requests_total", "API requests issued by the crawler");
+        registry.describe(
+            "crawl_exchanges_total",
+            "HTTP round trips: one write of one or more requests",
+        );
         registry.describe("crawl_retries_total", "Retries after transient failures, by cause");
         registry.describe("crawl_census_batches_total", "Phase-1 ID batches fetched");
         registry.describe("crawl_users_harvested_total", "Phase-2 accounts fully harvested");
@@ -193,6 +211,7 @@ impl CrawlProgress {
         );
         CrawlProgress {
             requests: registry.counter("crawl_requests_total", &[]),
+            exchanges: registry.counter("crawl_exchanges_total", &[]),
             retries_429: registry.counter("crawl_retries_total", &[("cause", "429")]),
             retries_5xx: registry.counter("crawl_retries_total", &[("cause", "5xx")]),
             retries_io: registry.counter("crawl_retries_total", &[("cause", "io")]),
@@ -249,6 +268,7 @@ impl CrawlProgress {
         let retries_corrupt = self.retries_corrupt.get();
         CrawlStats {
             requests: self.requests.get(),
+            exchanges: self.exchanges.get(),
             profiles_found: self.profiles_found.get().max(0) as u64,
             ids_scanned: self.ids_scanned.get().max(0) as u64,
             retries_observed: retries_429 + retries_5xx + retries_io + retries_corrupt,
@@ -298,45 +318,155 @@ struct Fetcher {
     trace: bool,
 }
 
+/// A logical fetch whose first attempt went out in an exchange, waiting for
+/// [`Fetcher::finish`].
+struct Started {
+    target: String,
+    trace: Option<TraceId>,
+    /// When the exchange was written: the fetch's latency runs from here.
+    sent: Instant,
+    first: Reply,
+}
+
 impl Fetcher {
-    /// Fetches `target` and parses the body *inside* the retry loop: a
-    /// response that parses as garbage (an injected corruption, a truncated
-    /// proxy body) is retried like any other transient fault instead of
-    /// killing a crawl that may be months in.
+    /// Starts one logical fetch per target and sends them all as one
+    /// exchange. The throttle takes one token per request before anything
+    /// is written, and with tracing on each fetch mints its own trace id.
+    /// Returns every fetch's first attempt, for [`finish`](Self::finish).
+    fn start<const N: usize>(&mut self, targets: [String; N]) -> [Started; N] {
+        if let Some(t) = self.throttle.as_ref() {
+            for _ in 0..N {
+                let waited = t.acquire();
+                if !waited.is_zero() {
+                    self.progress.throttle_wait.add_duration(waited);
+                }
+            }
+        }
+        self.progress.requests.add(N as u64);
+        let traces = [(); N].map(|()| self.trace.then(mint_trace_id));
+        let sent = Instant::now();
+        let mut replies = Self::exchange(&mut self.client, &targets, &traces, 1).into_iter();
+        self.progress.exchanges.inc();
+        self.sync_reconnects();
+        let mut traces = traces.into_iter();
+        targets.map(|target| Started {
+            target,
+            trace: traces.next().flatten(),
+            sent,
+            first: replies.next().expect("one reply per request"),
+        })
+    }
+
+    /// Completes a [`start`](Self::start)ed fetch, parsing the body *inside*
+    /// the retry loop: a response that parses as garbage (an injected
+    /// corruption, a truncated proxy body) is retried like any other
+    /// transient fault instead of killing a crawl that may be months in.
+    /// The exchange's reply is the first of `Backoff::attempts`; every
+    /// retry goes out alone.
     ///
     /// With tracing on, the whole logical fetch shares one trace id; each
     /// attempt gets its own span id (propagated via `X-Steam-Trace`) and a
     /// client span annotated `attempt=N` — so a fetch that survived two
     /// injected faults shows up on `/debug/spans` as one trace with three
     /// client hops, the last joined to a server span.
-    fn get_parsed<T>(
+    fn finish<T>(
         &mut self,
-        target: &str,
+        started: Started,
         parse: impl Fn(&str) -> Result<T, NetError>,
     ) -> Result<T, NetError> {
-        if let Some(t) = self.throttle.as_ref() {
-            let waited = t.acquire();
-            if !waited.is_zero() {
-                self.progress.throttle_wait.add_duration(waited);
-            }
-        }
-        self.progress.requests.inc();
-        let trace_id = if self.trace { Some(mint_trace_id()) } else { None };
+        let Started { target, trace, sent, first } = started;
+        let mut first = Some(first);
+        let mut attempt = 1u32;
+        let mut end = sent;
         let client = &mut self.client;
         let progress = &self.progress;
-        let mut attempt = 0u32;
-        let start = std::time::Instant::now();
         let result = self.backoff.run_observed(
             || {
-                attempt += 1;
-                let ctx = trace_id
-                    .map(|trace| TraceContext { trace, span: next_span_id() });
-                client.set_trace(ctx);
-                let start_us = now_us();
-                let t0 = std::time::Instant::now();
-                let outcome = client.get(target);
+                let reply = first.take().unwrap_or_else(|| {
+                    attempt += 1;
+                    let target = std::slice::from_ref(&target);
+                    let mut one = Self::exchange(client, target, &[trace], attempt);
+                    one.pop().expect("one reply per request")
+                });
+                end = reply.at;
+                parse(wire::body_text(&reply.result?.body)?)
+            },
+            |e| transient(e) || matches!(e, NetError::Json { .. }),
+            |err, delay| progress.record_retry(err, delay),
+        );
+        self.progress.exchanges.add(u64::from(attempt - 1));
+        self.progress.request_latency.record_duration(end.duration_since(sent));
+        self.sync_reconnects();
+        result
+    }
+
+    /// One logical fetch on its own: the one-target case of
+    /// [`start`](Self::start) and [`finish`](Self::finish).
+    fn get_parsed<T>(
+        &mut self,
+        target: String,
+        parse: impl Fn(&str) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
+        let [started] = self.start([target]);
+        self.finish(started, parse)
+    }
+
+    /// One account's three phase-2 reads — friend list, owned games and
+    /// group list — in one exchange.
+    fn harvest_user(&mut self, key: &str, index: u32, id: SteamId) -> Result<UserRecord, NetError> {
+        let [friends, games, groups] = self.start([
+            format!("/ISteamUser/GetFriendList/v1?key={key}&steamid={id}"),
+            format!("/IPlayerService/GetOwnedGames/v1?key={key}&steamid={id}"),
+            format!("/ISteamUser/GetUserGroupList/v1?key={key}&steamid={id}"),
+        ]);
+        Ok(UserRecord {
+            index,
+            friends: self.finish(friends, wire::parse_friend_list)?,
+            games: self.finish(games, wire::parse_owned_games)?,
+            groups: self.finish(groups, wire::parse_group_list)?,
+        })
+    }
+
+    /// One catalog product's two phase-3 reads — store details and global
+    /// achievement percentages — in one exchange.
+    fn fetch_app(&mut self, app: AppId) -> Result<Game, NetError> {
+        let [details, achievements] = self.start([
+            format!("/api/appdetails?appids={}", app.0),
+            format!("/ISteamUserStats/GetGlobalAchievementPercentagesForApp/v2?gameid={}", app.0),
+        ]);
+        let mut game = self.finish(details, |body| wire::parse_app_details(app, body))?;
+        game.achievements = self.finish(achievements, wire::parse_achievement_percentages)?;
+        Ok(game)
+    }
+
+    /// One exchange of GETs, attempt number `attempt` of each fetch. Each
+    /// request carries a fresh span id under its fetch's trace and records
+    /// a client span that ends when its own response has been read; non-2xx
+    /// statuses become [`NetError::Status`].
+    fn exchange(
+        client: &mut HttpClient,
+        targets: &[String],
+        traces: &[Option<TraceId>],
+        attempt: u32,
+    ) -> Vec<Reply> {
+        let requests: Vec<Request> = targets.iter().map(|t| Request::get(t)).collect();
+        let contexts: Vec<Option<TraceContext>> = traces
+            .iter()
+            .map(|t| t.map(|trace| TraceContext { trace, span: next_span_id() }))
+            .collect();
+        let slots: Vec<(&Request, Option<TraceContext>)> =
+            requests.iter().zip(contexts.iter().copied()).collect();
+        let start_us = now_us();
+        let t0 = Instant::now();
+        let replies = client.exchange(&slots);
+        replies
+            .into_iter()
+            .zip(contexts)
+            .zip(targets)
+            .map(|((Reply { result, at }, ctx), target)| {
+                let result = result.and_then(check_status);
                 if let Some(ctx) = ctx {
-                    let status = match &outcome {
+                    let status = match &result {
                         Ok(resp) => resp.status,
                         Err(NetError::Status { code, .. }) => *code,
                         // Dropped connection, timeout: no status line arrived.
@@ -351,25 +481,22 @@ impl Fetcher {
                             "crawl",
                             target,
                         )
-                        .with_timing(start_us, t0.elapsed().as_micros() as u64)
+                        .with_timing(start_us, at.duration_since(t0).as_micros() as u64)
                         .with_status(status)
                         .with_annotation(&format!("attempt={attempt}")),
                     );
                 }
-                parse(wire::body_text(&outcome?.body)?)
-            },
-            |e| transient(e) || matches!(e, NetError::Json { .. }),
-            |err, delay| progress.record_retry(err, delay),
-        );
-        // Leave no context behind: the next fetch mints its own.
-        self.client.set_trace(None);
-        self.progress.request_latency.record_duration(start.elapsed());
+                Reply { result, at }
+            })
+            .collect()
+    }
+
+    fn sync_reconnects(&mut self) {
         let reconnects = self.client.reconnects();
         if reconnects > self.synced_reconnects {
             self.progress.reconnects.add(reconnects - self.synced_reconnects);
             self.synced_reconnects = reconnects;
         }
-        result
     }
 }
 
@@ -453,87 +580,8 @@ impl Crawler {
 
     /// Phase 1: census of the ID space. Returns accounts sorted by ID and
     /// the scanned ID-space size.
-    pub fn census(&mut self) -> Result<(Vec<steam_model::Account>, u64), NetError> {
-        self.census_inner(None, &Replay::default())
-    }
-
-    fn census_inner(
-        &mut self,
-        journal: Option<&Mutex<CheckpointStore>>,
-        replay: &Replay,
-    ) -> Result<(Vec<steam_model::Account>, u64), NetError> {
-        let _timer = steam_obs::span("crawl", "census")
-            .with_histogram(Arc::clone(&self.progress.phase_census));
-        let mut accounts = Vec::new();
-        let mut next_index: u64 = 0;
-        let mut empty_run = 0usize;
-        let mut last_valid: Option<u64> = None;
-
-        // Replay the contiguous prefix of journaled batches; the fetch loop
-        // below continues where they end. (When the journal also has the
-        // census-complete marker, every batch before it survived — damage
-        // tolerance is strictly tail-shaped — so nothing is re-fetched.)
-        while let Some(batch) = replay.census_batches.get(&next_index) {
-            self.progress.resume_skipped.inc();
-            if batch.is_empty() {
-                empty_run += 1;
-            } else {
-                empty_run = 0;
-                for p in batch {
-                    last_valid = Some(p.id.index().max(last_valid.unwrap_or(0)));
-                    accounts.push(p.clone());
-                }
-                self.progress.profiles_found.set(accounts.len() as i64);
-            }
-            next_index += MAX_BATCH_IDS as u64;
-            self.progress.ids_scanned.set(next_index as i64);
-        }
-
-        if let Some(scanned) = replay.census_complete {
-            accounts.sort_by_key(|a| a.id);
-            self.progress.profiles_found.set(accounts.len() as i64);
-            return Ok((accounts, scanned));
-        }
-
-        while empty_run < self.config.empty_batches_to_stop {
-            let ids: Vec<String> = (next_index..next_index + MAX_BATCH_IDS as u64)
-                .map(|i| SteamId::from_index(i).to_string())
-                .collect();
-            let players = self.fetcher.get_parsed(
-                &format!(
-                    "/ISteamUser/GetPlayerSummaries/v2?key={}&steamids={}",
-                    self.config.api_key,
-                    ids.join(",")
-                ),
-                wire::parse_player_summaries,
-            )?;
-            self.progress.census_batches.inc();
-            if let Some(j) = journal {
-                j.lock().append(&Record::CensusBatch {
-                    start_index: next_index,
-                    accounts: players.clone(),
-                })?;
-            }
-            if players.is_empty() {
-                empty_run += 1;
-            } else {
-                empty_run = 0;
-                for p in players {
-                    last_valid = Some(p.id.index().max(last_valid.unwrap_or(0)));
-                    accounts.push(p);
-                }
-                self.progress.profiles_found.set(accounts.len() as i64);
-            }
-            next_index += MAX_BATCH_IDS as u64;
-            self.progress.ids_scanned.set(next_index as i64);
-        }
-        accounts.sort_by_key(|a| a.id);
-        self.progress.profiles_found.set(accounts.len() as i64);
-        let scanned = last_valid.map_or(0, |v| v + 1);
-        if let Some(j) = journal {
-            j.lock().append(&Record::CensusComplete { scanned_id_space: scanned })?;
-        }
-        Ok((accounts, scanned))
+    pub fn census(&mut self) -> Result<(Vec<Account>, u64), NetError> {
+        self.shard_census(0, 1, None, &Replay::default())
     }
 
     /// Collects the week panel for the given snapshot's users, probing the
@@ -541,14 +589,13 @@ impl Crawler {
     /// 0.5% of users; only sampled accounts answer).
     pub fn crawl_panel(
         &mut self,
-        accounts: &[steam_model::Account],
+        accounts: &[Account],
     ) -> Result<steam_model::WeekPanel, NetError> {
         let key = self.config.api_key.clone();
         let mut panel = steam_model::WeekPanel::default();
         for (u, acct) in accounts.iter().enumerate() {
-            let target =
-                format!("/reproduction/panel?key={key}&steamid={}", acct.id);
-            match self.fetcher.get_parsed(&target, wire::parse_panel) {
+            let target = format!("/reproduction/panel?key={key}&steamid={}", acct.id);
+            match self.fetcher.get_parsed(target, wire::parse_panel) {
                 Ok(days) => {
                     panel.users.push(u as u32);
                     panel.daily_minutes.push(days);
@@ -560,7 +607,8 @@ impl Crawler {
         Ok(panel)
     }
 
-    /// Runs all three phases and assembles the snapshot.
+    /// Runs all three phases and assembles the snapshot: the one-shard case
+    /// of [`crawl_sharded`].
     ///
     /// `collected_at` stamps the result (the crawler has no other way to
     /// know the nominal collection instant).
@@ -568,257 +616,44 @@ impl Crawler {
     /// With [`CrawlerConfig::checkpoint_dir`] set, completed work is
     /// journaled as it happens and the journal is flushed on *every* exit
     /// path — a crawl that dies mid-phase leaves a resumable journal behind.
-    pub fn crawl(&mut self, collected_at: steam_model::SimTime) -> Result<Snapshot, NetError> {
-        let (journal, replay) = match self.config.checkpoint_dir.clone() {
-            Some(dir) => {
-                let (store, replay) = if self.config.resume {
-                    CheckpointStore::resume(&dir)?
-                } else {
-                    (CheckpointStore::create(&dir)?, Replay::default())
-                };
-                let store =
-                    store.with_counter(Arc::clone(&self.progress.checkpoint_records));
-                (Some(Mutex::new(store)), replay)
-            }
-            None => (None, Replay::default()),
-        };
-        let result = self.crawl_phases(collected_at, journal.as_ref(), &replay);
-        if let Some(j) = &journal {
-            let flushed = j.lock().flush();
-            if result.is_ok() {
-                // A failed final flush matters only on success; on the error
-                // path the original failure is the story (the journal keeps
-                // whatever did make it to disk).
-                flushed?;
-            }
-        }
-        result
-    }
-
-    fn crawl_phases(
-        &mut self,
-        collected_at: steam_model::SimTime,
-        journal: Option<&Mutex<CheckpointStore>>,
-        replay: &Replay,
-    ) -> Result<Snapshot, NetError> {
-        // --- phase 1 ---------------------------------------------------------
-        let (accounts, scanned_id_space) = self.census_inner(journal, replay)?;
-        let index_of: HashMap<SteamId, u32> = accounts
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a.id, i as u32))
-            .collect();
-
-        // --- phase 2 ---------------------------------------------------------
-        // Per-user harvest, optionally on several worker threads. Workers
-        // claim the next unharvested account from a shared atomic cursor (no
-        // static chunking: a straggler can't strand the rest of its chunk),
-        // and results land in per-user slots merged in index order, so the
-        // reconstructed snapshot is identical for any worker count.
-        let harvest_timer = steam_obs::span("crawl", "harvest")
-            .with_histogram(Arc::clone(&self.progress.phase_harvest));
-        let key = self.config.api_key.clone();
-
-        let mut user_records: Vec<Option<UserRecord>> = (0..accounts.len() as u32)
-            .map(|u| replay.users.get(&u).cloned())
-            .collect();
-        let replayed = user_records.iter().filter(|r| r.is_some()).count();
-        self.progress.resume_skipped.add(replayed as u64);
-        let todo: Vec<u32> = (0..accounts.len() as u32)
-            .filter(|&u| user_records[u as usize].is_none())
-            .collect();
-
-        let harvest_user = |fetcher: &mut Fetcher, u: u32| -> Result<UserRecord, NetError> {
-            let id = accounts[u as usize].id;
-            let friends = fetcher.get_parsed(
-                &format!("/ISteamUser/GetFriendList/v1?key={key}&steamid={id}"),
-                wire::parse_friend_list,
-            )?;
-            let games = fetcher.get_parsed(
-                &format!("/IPlayerService/GetOwnedGames/v1?key={key}&steamid={id}"),
-                wire::parse_owned_games,
-            )?;
-            let groups = fetcher.get_parsed(
-                &format!("/ISteamUser/GetUserGroupList/v1?key={key}&steamid={id}"),
-                wire::parse_group_list,
-            )?;
-            Ok(UserRecord { index: u, friends, games, groups })
-        };
-        let cursor = AtomicUsize::new(0);
-        let run_worker = |fetcher: &mut Fetcher| -> Result<Vec<UserRecord>, NetError> {
-            let mut out = Vec::new();
-            loop {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&u) = todo.get(k) else { break };
-                let rec = harvest_user(fetcher, u)?;
-                // Journal only fully harvested users: all three fetches
-                // landed, so resume can skip this account entirely.
-                if let Some(j) = journal {
-                    j.lock().append(&Record::User(rec.clone()))?;
-                }
-                fetcher.progress.users_harvested.inc();
-                out.push(rec);
-            }
-            Ok(out)
-        };
-
-        let workers = self.config.workers.max(1).min(todo.len().max(1));
-        let results: Vec<Result<Vec<UserRecord>, NetError>> = if workers <= 1 {
-            vec![run_worker(&mut self.fetcher)]
-        } else {
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for _ in 0..workers {
-                    let mut fetcher = self.new_fetcher();
-                    let run = &run_worker;
-                    handles.push(scope.spawn(move || run(&mut fetcher)));
-                }
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-            })
-        };
-        for result in results {
-            for rec in result? {
-                let slot = rec.index as usize;
-                user_records[slot] = Some(rec);
-            }
-        }
-
-        // Merge in index order; replayed and freshly fetched users take the
-        // same path, including the friendship filter (each reciprocal edge
-        // is reported from both endpoints; keep it when reported by the
-        // lower-index side).
-        let mut friendships: Vec<Friendship> = Vec::new();
-        let mut ownerships = Vec::with_capacity(accounts.len());
-        let mut raw_memberships: Vec<Vec<GroupId>> = Vec::with_capacity(accounts.len());
-        for rec in &user_records {
-            let rec = rec.as_ref().expect("every user harvested or replayed");
-            for &(fid, since) in &rec.friends {
-                if let Some(&v) = index_of.get(&fid) {
-                    if rec.index < v {
-                        friendships.push(Friendship::new(rec.index, v, since));
-                    }
-                }
-            }
-        }
-        for rec in user_records.into_iter().flatten() {
-            ownerships.push(rec.games);
-            raw_memberships.push(rec.groups);
-        }
-        let mut seen_groups: BTreeMap<GroupId, ()> = BTreeMap::new();
-        for gids in &raw_memberships {
-            for g in gids {
-                seen_groups.insert(*g, ());
-            }
-        }
-
-        // Group metadata via the community-page analog. BTreeMap gives the
-        // groups in ascending gid order, which becomes their dense index.
-        let mut groups: Vec<Group> = Vec::with_capacity(seen_groups.len());
-        let mut group_index: HashMap<GroupId, u32> = HashMap::with_capacity(seen_groups.len());
-        for (gid, ()) in seen_groups {
-            let page = if let Some(g) = replay.groups.get(&gid) {
-                self.progress.resume_skipped.inc();
-                g.clone()
-            } else {
-                let page = self.fetcher.get_parsed(
-                    &format!("/community/group/{}", gid.0),
-                    wire::parse_group_page,
-                )?;
-                if let Some(j) = journal {
-                    j.lock().append(&Record::GroupPage(page.clone()))?;
-                }
-                self.progress.groups_fetched.inc();
-                page
-            };
-            group_index.insert(gid, groups.len() as u32);
-            groups.push(page);
-        }
-        let memberships: Vec<Vec<u32>> = raw_memberships
-            .into_iter()
-            .map(|gids| {
-                let mut m: Vec<u32> = gids.iter().map(|g| group_index[g]).collect();
-                m.sort_unstable();
-                m
-            })
-            .collect();
-
-        drop(harvest_timer);
-
-        // --- phase 3 ---------------------------------------------------------
-        let catalog_timer = steam_obs::span("crawl", "catalog")
-            .with_histogram(Arc::clone(&self.progress.phase_catalog));
-        let app_ids = if let Some(list) = &replay.app_list {
-            self.progress.resume_skipped.inc();
-            list.clone()
-        } else {
-            let list = self
-                .fetcher
-                .get_parsed("/ISteamApps/GetAppList/v2", wire::parse_app_list)?;
-            if let Some(j) = journal {
-                j.lock().append(&Record::AppList(list.clone()))?;
-            }
-            list
-        };
-        let mut catalog = Vec::with_capacity(app_ids.len());
-        for app in app_ids {
-            if let Some(game) = replay.apps.get(&app) {
-                self.progress.resume_skipped.inc();
-                catalog.push(game.clone());
-                continue;
-            }
-            let mut game = self.fetcher.get_parsed(
-                &format!("/api/appdetails?appids={}", app.0),
-                |body| wire::parse_app_details(app, body),
-            )?;
-            game.achievements = self.fetcher.get_parsed(
-                &format!(
-                    "/ISteamUserStats/GetGlobalAchievementPercentagesForApp/v2?gameid={}",
-                    app.0
-                ),
-                wire::parse_achievement_percentages,
-            )?;
-            if let Some(j) = journal {
-                j.lock().append(&Record::App(game.clone()))?;
-            }
-            catalog.push(game);
-            self.progress.apps_fetched.inc();
-        }
-        catalog.sort_by_key(|g| g.app_id);
-        drop(catalog_timer);
-
-        friendships.sort_by_key(|e| (e.a, e.b));
-        Ok(Snapshot {
+    pub fn crawl(&mut self, collected_at: SimTime) -> Result<Snapshot, NetError> {
+        let dir = self.config.checkpoint_dir.clone();
+        let (journal, replay) = open_journal(dir.as_deref(), self.config.resume, &self.progress)?;
+        let journals = [journal];
+        let result = crawl_fleet(
+            std::slice::from_mut(self),
+            &journals,
+            std::slice::from_ref(&replay),
             collected_at,
-            scanned_id_space,
-            accounts,
-            friendships,
-            ownerships,
-            groups,
-            memberships,
-            catalog,
-        })
+        );
+        flush_journals(&journals, result)
     }
 
     /// Phase 1 against one shard of a mod-`n` fleet: walks the shard's
     /// residue class (global indices `shard`, `shard + n`, `shard + 2n`, …)
-    /// in batches of up to [`MAX_BATCH_IDS`] *owned* IDs.
+    /// in batches of up to [`MAX_BATCH_IDS`] *owned* IDs. An unsharded
+    /// census is shard 0 of 1.
     ///
     /// The stop rule counts consecutive empty owned batches, so each stop
     /// window spans `n×` the ID positions of the unsharded rule — a shard
     /// can never give up before the unsharded census would have. Returned
-    /// `scanned` is the shard's last valid *global* index + 1; the fleet's
-    /// scanned space is the max over shards.
+    /// accounts are sorted by ID; `scanned` is the shard's last valid
+    /// *global* index + 1, and the fleet's scanned space is the max over
+    /// shards.
     ///
     /// Journaled batches are keyed by the global index of their first owned
     /// ID, so a resumed sharded crawl replays its own journal and an `n = 1`
-    /// "fleet" journal is record-compatible with an unsharded one.
+    /// "fleet" journal is record-compatible with an unsharded one. Batches
+    /// journaled before the census-complete marker all survived (damage
+    /// tolerance is strictly tail-shaped), so with the marker nothing is
+    /// re-fetched.
     fn shard_census(
         &mut self,
         shard: u64,
         n: u64,
         journal: Option<&Mutex<CheckpointStore>>,
         replay: &Replay,
-    ) -> Result<(Vec<steam_model::Account>, u64), NetError> {
+    ) -> Result<(Vec<Account>, u64), NetError> {
         let _timer = steam_obs::span("crawl", "census")
             .with_histogram(Arc::clone(&self.progress.phase_census));
         let mut accounts = Vec::new();
@@ -836,6 +671,7 @@ impl Crawler {
                 empty_run = 0;
                 for p in batch {
                     last_valid = Some(p.id.index().max(last_valid.unwrap_or(0)));
+                    self.progress.profiles_found.inc();
                     accounts.push(p.clone());
                 }
             }
@@ -854,7 +690,7 @@ impl Crawler {
                 .map(|j| SteamId::from_index(first + j * n).to_string())
                 .collect();
             let players = self.fetcher.get_parsed(
-                &format!(
+                format!(
                     "/ISteamUser/GetPlayerSummaries/v2?key={}&steamids={}",
                     self.config.api_key,
                     ids.join(",")
@@ -874,6 +710,7 @@ impl Crawler {
                 empty_run = 0;
                 for p in players {
                     last_valid = Some(p.id.index().max(last_valid.unwrap_or(0)));
+                    self.progress.profiles_found.inc();
                     accounts.push(p);
                 }
             }
@@ -887,6 +724,39 @@ impl Crawler {
         }
         Ok((accounts, scanned))
     }
+}
+
+/// Opens the checkpoint journal in `dir` — replaying it first when `resume`
+/// is set — with appends counted in `progress`. No directory, no journal.
+fn open_journal(
+    dir: Option<&Path>,
+    resume: bool,
+    progress: &CrawlProgress,
+) -> Result<(Option<Mutex<CheckpointStore>>, Replay), NetError> {
+    let Some(dir) = dir else { return Ok((None, Replay::default())) };
+    let (store, replay) = if resume {
+        CheckpointStore::resume(dir)?
+    } else {
+        (CheckpointStore::create(dir)?, Replay::default())
+    };
+    let store = store.with_counter(Arc::clone(&progress.checkpoint_records));
+    Ok((Some(Mutex::new(store)), replay))
+}
+
+/// Flushes every journal, on every exit path. A failed final flush matters
+/// only on success; on the error path the original failure is the story
+/// (the journal keeps whatever did make it to disk).
+fn flush_journals(
+    journals: &[Option<Mutex<CheckpointStore>>],
+    result: Result<Snapshot, NetError>,
+) -> Result<Snapshot, NetError> {
+    for journal in journals.iter().flatten() {
+        let flushed = journal.lock().flush();
+        if result.is_ok() {
+            flushed?;
+        }
+    }
+    result
 }
 
 /// Crawls a sharded fleet into one merged snapshot, byte-identical to an
@@ -909,7 +779,7 @@ impl Crawler {
 pub fn crawl_sharded(
     addrs: &[SocketAddr],
     config: &CrawlerConfig,
-    collected_at: steam_model::SimTime,
+    collected_at: SimTime,
 ) -> Result<Snapshot, NetError> {
     crawl_sharded_observed(addrs, config, collected_at, Arc::new(Registry::new()))
 }
@@ -919,54 +789,37 @@ pub fn crawl_sharded(
 pub fn crawl_sharded_observed(
     addrs: &[SocketAddr],
     config: &CrawlerConfig,
-    collected_at: steam_model::SimTime,
+    collected_at: SimTime,
     registry: Arc<Registry>,
 ) -> Result<Snapshot, NetError> {
     assert!(!addrs.is_empty(), "crawl_sharded needs at least one shard address");
     let n = addrs.len();
     let mut crawlers = Vec::with_capacity(n);
-    let mut journals: Vec<Option<Mutex<CheckpointStore>>> = Vec::with_capacity(n);
-    let mut replays: Vec<Replay> = Vec::with_capacity(n);
+    let mut journals = Vec::with_capacity(n);
+    let mut replays = Vec::with_capacity(n);
     for (i, &addr) in addrs.iter().enumerate() {
         // Journals are managed here (one per shard), not by Crawler::crawl.
-        let mut shard_config = config.clone();
-        shard_config.checkpoint_dir = None;
+        let shard_config = CrawlerConfig { checkpoint_dir: None, ..config.clone() };
         let crawler = Crawler::with_registry(addr, shard_config, Arc::clone(&registry));
-        let (journal, replay) = match &config.checkpoint_dir {
-            Some(dir) => {
-                let sub = dir.join(format!("shard-{i}-of-{n}"));
-                let (store, replay) = if config.resume {
-                    CheckpointStore::resume(&sub)?
-                } else {
-                    (CheckpointStore::create(&sub)?, Replay::default())
-                };
-                let store =
-                    store.with_counter(Arc::clone(&crawler.progress.checkpoint_records));
-                (Some(Mutex::new(store)), replay)
-            }
-            None => (None, Replay::default()),
-        };
+        let dir = config.checkpoint_dir.as_ref().map(|d| d.join(format!("shard-{i}-of-{n}")));
+        let (journal, replay) = open_journal(dir.as_deref(), config.resume, &crawler.progress)?;
         crawlers.push(crawler);
         journals.push(journal);
         replays.push(replay);
     }
-    let result = crawl_sharded_phases(&mut crawlers, &journals, &replays, collected_at);
-    for journal in journals.iter().flatten() {
-        let flushed = journal.lock().flush();
-        if result.is_ok() {
-            // As in Crawler::crawl: a failed final flush only matters on the
-            // success path.
-            flushed?;
-        }
-    }
-    result
+    let result = crawl_fleet(&mut crawlers, &journals, &replays, collected_at);
+    flush_journals(&journals, result)
 }
 
-fn crawl_sharded_phases(
+/// The three phases over one crawler per shard, with each shard's journal
+/// and replay; a direct crawl is the one-shard fleet. Every fetch goes to
+/// the shard that owns its id, and users, groups and apps merge in global
+/// order, so the snapshot is the same bytes for any shard or worker count.
+fn crawl_fleet(
     crawlers: &mut [Crawler],
     journals: &[Option<Mutex<CheckpointStore>>],
     replays: &[Replay],
-    collected_at: steam_model::SimTime,
+    collected_at: SimTime,
 ) -> Result<Snapshot, NetError> {
     let n = crawlers.len();
 
@@ -974,25 +827,21 @@ fn crawl_sharded_phases(
     // classes partition the ID space, so the union is exactly the unsharded
     // census; sorting by ID reproduces its order, and the fleet's scanned
     // space is the max of the per-shard last-valid watermarks.
-    let census: Vec<Result<(Vec<steam_model::Account>, u64), NetError>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = crawlers
-                .iter_mut()
-                .zip(journals)
-                .zip(replays)
-                .enumerate()
-                .map(|(i, ((crawler, journal), replay))| {
-                    scope.spawn(move || {
-                        crawler.shard_census(i as u64, n as u64, journal.as_ref(), replay)
-                    })
+    let census: Vec<Result<(Vec<Account>, u64), NetError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = crawlers
+            .iter_mut()
+            .zip(journals)
+            .zip(replays)
+            .enumerate()
+            .map(|(i, ((crawler, journal), replay))| {
+                scope.spawn(move || {
+                    crawler.shard_census(i as u64, n as u64, journal.as_ref(), replay)
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("census thread panicked"))
-                .collect()
-        });
-    let mut accounts: Vec<steam_model::Account> = Vec::new();
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("census thread panicked")).collect()
+    });
+    let mut accounts: Vec<Account> = Vec::new();
     let mut scanned_id_space = 0u64;
     for result in census {
         let (shard_accounts, shard_scanned) = result?;
@@ -1002,83 +851,62 @@ fn crawl_sharded_phases(
     accounts.sort_by_key(|a| a.id);
     let progress = crawlers[0].progress.clone();
     progress.profiles_found.set(accounts.len() as i64);
-    let index_of: HashMap<SteamId, u32> = accounts
-        .iter()
-        .enumerate()
-        .map(|(i, a)| (a.id, i as u32))
-        .collect();
+    let index_of: HashMap<SteamId, u32> =
+        accounts.iter().enumerate().map(|(i, a)| (a.id, i as u32)).collect();
 
-    // --- phase 2: per-shard harvest, all shards concurrent, each shard
-    // fanning out over its own worker threads and atomic cursor. Results
-    // land in per-user slots keyed by *global* index, so the merge below is
-    // the same code path as the unsharded crawl.
-    let harvest_timer = steam_obs::span("crawl", "harvest")
-        .with_histogram(Arc::clone(&progress.phase_harvest));
+    // --- phase 2: per-shard harvest, all shards concurrent. Workers claim
+    // the next unharvested account of their shard from a shared atomic
+    // cursor (no static chunking: a straggler can't strand the rest of its
+    // chunk), and results land in per-user slots keyed by *global* index.
+    let harvest_timer =
+        steam_obs::span("crawl", "harvest").with_histogram(Arc::clone(&progress.phase_harvest));
     let key = crawlers[0].config.api_key.clone();
     let mut user_records: Vec<Option<UserRecord>> = (0..accounts.len() as u32)
         .map(|u| replays.iter().find_map(|r| r.users.get(&u)).cloned())
         .collect();
     let replayed = user_records.iter().filter(|r| r.is_some()).count();
     progress.resume_skipped.add(replayed as u64);
-    let mut todo_per_shard: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut todo: Vec<Vec<u32>> = vec![Vec::new(); n];
     for u in 0..accounts.len() as u32 {
         if user_records[u as usize].is_none() {
-            todo_per_shard[shard_of(accounts[u as usize].id, n)].push(u);
+            todo[shard_of(accounts[u as usize].id, n)].push(u);
         }
     }
     let cursors: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-    let worker_results: Vec<Result<Vec<UserRecord>, NetError>> =
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (i, crawler) in crawlers.iter().enumerate() {
-                let todo = &todo_per_shard[i];
-                let cursor = &cursors[i];
-                let journal = journals[i].as_ref();
-                let key = &key;
-                let accounts = &accounts;
-                let workers = crawler.config.workers.max(1).min(todo.len().max(1));
+    let harvest = |shard: usize, fetcher: &mut Fetcher| -> Result<Vec<UserRecord>, NetError> {
+        let mut out = Vec::new();
+        loop {
+            let k = cursors[shard].fetch_add(1, Ordering::Relaxed);
+            let Some(&u) = todo[shard].get(k) else { break };
+            let rec = fetcher.harvest_user(&key, u, accounts[u as usize].id)?;
+            // Journal only fully harvested users: all three reads parsed,
+            // so resume can skip this account entirely.
+            if let Some(j) = &journals[shard] {
+                j.lock().append(&Record::User(rec.clone()))?;
+            }
+            fetcher.progress.users_harvested.inc();
+            out.push(rec);
+        }
+        Ok(out)
+    };
+    let worker_results: Vec<Result<Vec<UserRecord>, NetError>> = std::thread::scope(|scope| {
+        let harvest = &harvest;
+        let mut handles = Vec::new();
+        for (shard, crawler) in crawlers.iter_mut().enumerate() {
+            let workers = crawler.config.workers.max(1).min(todo[shard].len().max(1));
+            if workers == 1 {
+                // A lone worker harvests on the crawler's own fetcher.
+                let fetcher = &mut crawler.fetcher;
+                handles.push(scope.spawn(move || harvest(shard, fetcher)));
+            } else {
                 for _ in 0..workers {
                     let mut fetcher = crawler.new_fetcher();
-                    handles.push(scope.spawn(move || -> Result<Vec<UserRecord>, NetError> {
-                        let mut out = Vec::new();
-                        loop {
-                            let k = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&u) = todo.get(k) else { break };
-                            let id = accounts[u as usize].id;
-                            let friends = fetcher.get_parsed(
-                                &format!(
-                                    "/ISteamUser/GetFriendList/v1?key={key}&steamid={id}"
-                                ),
-                                wire::parse_friend_list,
-                            )?;
-                            let games = fetcher.get_parsed(
-                                &format!(
-                                    "/IPlayerService/GetOwnedGames/v1?key={key}&steamid={id}"
-                                ),
-                                wire::parse_owned_games,
-                            )?;
-                            let groups = fetcher.get_parsed(
-                                &format!(
-                                    "/ISteamUser/GetUserGroupList/v1?key={key}&steamid={id}"
-                                ),
-                                wire::parse_group_list,
-                            )?;
-                            let rec = UserRecord { index: u, friends, games, groups };
-                            if let Some(j) = journal {
-                                j.lock().append(&Record::User(rec.clone()))?;
-                            }
-                            fetcher.progress.users_harvested.inc();
-                            out.push(rec);
-                        }
-                        Ok(out)
-                    }));
+                    handles.push(scope.spawn(move || harvest(shard, &mut fetcher)));
                 }
             }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("harvest worker panicked"))
-                .collect()
-        });
+        }
+        handles.into_iter().map(|h| h.join().expect("harvest worker panicked")).collect()
+    });
     for result in worker_results {
         for rec in result? {
             let slot = rec.index as usize;
@@ -1086,13 +914,15 @@ fn crawl_sharded_phases(
         }
     }
 
-    // Merge in global index order — the same sequence (and so the same
-    // bytes) as Crawler::crawl_phases.
+    // Merge in global index order; replayed and freshly fetched users take
+    // the same path, including the friendship filter (each reciprocal edge
+    // is reported from both endpoints; keep it when reported by the
+    // lower-index side).
     let mut friendships: Vec<Friendship> = Vec::new();
     let mut ownerships = Vec::with_capacity(accounts.len());
     let mut raw_memberships: Vec<Vec<GroupId>> = Vec::with_capacity(accounts.len());
-    for rec in &user_records {
-        let rec = rec.as_ref().expect("every user harvested or replayed");
+    for rec in user_records {
+        let rec = rec.expect("every user harvested or replayed");
         for &(fid, since) in &rec.friends {
             if let Some(&v) = index_of.get(&fid) {
                 if rec.index < v {
@@ -1100,36 +930,29 @@ fn crawl_sharded_phases(
                 }
             }
         }
-    }
-    for rec in user_records.into_iter().flatten() {
         ownerships.push(rec.games);
         raw_memberships.push(rec.groups);
     }
-    let mut seen_groups: BTreeMap<GroupId, ()> = BTreeMap::new();
-    for gids in &raw_memberships {
-        for g in gids {
-            seen_groups.insert(*g, ());
-        }
-    }
+    let seen_groups: BTreeSet<GroupId> = raw_memberships.iter().flatten().copied().collect();
 
-    // Group metadata, ascending gid (the dense index order), each page from
-    // the shard that owns the gid.
+    // Group metadata via the community-page analog, each page from the
+    // shard that owns the gid. The BTreeSet gives the groups in ascending
+    // gid order, which becomes their dense index.
     let mut groups: Vec<Group> = Vec::with_capacity(seen_groups.len());
     let mut group_index: HashMap<GroupId, u32> = HashMap::with_capacity(seen_groups.len());
-    for (gid, ()) in seen_groups {
+    for gid in seen_groups {
         let page = if let Some(g) = replays.iter().find_map(|r| r.groups.get(&gid)) {
             progress.resume_skipped.inc();
             g.clone()
         } else {
             let s = shard_of_group(gid, n);
-            let page = crawlers[s].fetcher.get_parsed(
-                &format!("/community/group/{}", gid.0),
-                wire::parse_group_page,
-            )?;
+            let page = crawlers[s]
+                .fetcher
+                .get_parsed(format!("/community/group/{}", gid.0), wire::parse_group_page)?;
             if let Some(j) = &journals[s] {
                 j.lock().append(&Record::GroupPage(page.clone()))?;
             }
-            crawlers[s].progress.groups_fetched.inc();
+            progress.groups_fetched.inc();
             page
         };
         group_index.insert(gid, groups.len() as u32);
@@ -1147,17 +970,17 @@ fn crawl_sharded_phases(
     drop(harvest_timer);
 
     // --- phase 3: the catalog is replicated to every shard; the app list
-    // comes from shard 0 and per-app details from the shard that owns the
+    // comes from shard 0 and per-app reads from the shard that owns the
     // app id (pure load spreading — any shard could answer).
-    let catalog_timer = steam_obs::span("crawl", "catalog")
-        .with_histogram(Arc::clone(&progress.phase_catalog));
+    let catalog_timer =
+        steam_obs::span("crawl", "catalog").with_histogram(Arc::clone(&progress.phase_catalog));
     let app_ids = if let Some(list) = &replays[0].app_list {
         progress.resume_skipped.inc();
         list.clone()
     } else {
         let list = crawlers[0]
             .fetcher
-            .get_parsed("/ISteamApps/GetAppList/v2", wire::parse_app_list)?;
+            .get_parsed("/ISteamApps/GetAppList/v2".into(), wire::parse_app_list)?;
         if let Some(j) = &journals[0] {
             j.lock().append(&Record::AppList(list.clone()))?;
         }
@@ -1171,22 +994,11 @@ fn crawl_sharded_phases(
             continue;
         }
         let s = shard_of_app(app, n);
-        let crawler = &mut crawlers[s];
-        let mut game = crawler.fetcher.get_parsed(
-            &format!("/api/appdetails?appids={}", app.0),
-            |body| wire::parse_app_details(app, body),
-        )?;
-        game.achievements = crawler.fetcher.get_parsed(
-            &format!(
-                "/ISteamUserStats/GetGlobalAchievementPercentagesForApp/v2?gameid={}",
-                app.0
-            ),
-            wire::parse_achievement_percentages,
-        )?;
+        let game = crawlers[s].fetcher.fetch_app(app)?;
         if let Some(j) = &journals[s] {
             j.lock().append(&Record::App(game.clone()))?;
         }
-        crawler.progress.apps_fetched.inc();
+        progress.apps_fetched.inc();
         catalog.push(game);
     }
     catalog.sort_by_key(|g| g.app_id);
@@ -1210,6 +1022,7 @@ mod tests {
     use super::*;
     use crate::service::{serve, RateLimit};
     use std::sync::Arc;
+    use steam_net::http::Response;
     use steam_synth::{Generator, SynthConfig};
 
     fn tiny_world() -> Arc<Snapshot> {
@@ -1479,6 +1292,184 @@ mod tests {
         assert!(text.contains("crawl_phase_duration_seconds_count{phase=\"census\"} 1"));
         assert!(text.contains("crawl_phase_duration_seconds_count{phase=\"harvest\"} 1"));
         assert!(text.contains("crawl_phase_duration_seconds_count{phase=\"catalog\"} 1"));
+    }
+
+    #[test]
+    fn journaled_crawl_makes_one_exchange_per_record_but_census_complete() {
+        let original = tiny_world();
+        let (server, _service) =
+            serve(Arc::clone(&original), "127.0.0.1:0", 2, RateLimit::default()).unwrap();
+        let dir = std::env::temp_dir().join(format!("crawl-exchanges-{}", std::process::id()));
+        let config = CrawlerConfig {
+            workers: 2,
+            checkpoint_dir: Some(dir.clone()),
+            ..CrawlerConfig::default()
+        };
+        let mut crawler = Crawler::new(server.addr(), config);
+        crawler.crawl(original.collected_at).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        // Every record but CensusComplete is one unit of work fetched in one
+        // exchange: a census batch, a user, a group page, the app list or an
+        // app.
+        let stats = crawler.stats();
+        assert_eq!(stats.retries_observed, 0, "a fault-free crawl: {stats:?}");
+        assert_eq!(stats.exchanges, stats.checkpoint_records - 1, "{stats:?}");
+    }
+
+    /// Serves `original` through `wrap`, which sees each request and may
+    /// rewrite the service's response to it.
+    fn serve_wrapped(
+        original: &Arc<Snapshot>,
+        wrap: impl Fn(&steam_net::http::Request, Response) -> Response + Send + Sync + 'static,
+    ) -> steam_net::HttpServer {
+        let service = crate::service::ApiService::new(Arc::clone(original), RateLimit::default());
+        let handler: Arc<dyn steam_net::Handler> =
+            Arc::new(move |req: steam_net::http::Request| {
+                let seen = req.clone();
+                wrap(&seen, steam_net::Handler::handle(&service, req))
+            });
+        steam_net::HttpServer::bind("127.0.0.1:0", 2, handler).unwrap()
+    }
+
+    fn fast_backoff(attempts: u32) -> Backoff {
+        Backoff { base: Duration::from_millis(1), max: Duration::from_millis(20), attempts }
+    }
+
+    #[test]
+    fn reads_behind_an_early_close_are_retried_alone_without_changing_bytes() {
+        let original = tiny_world();
+        let (server, _service) =
+            serve(Arc::clone(&original), "127.0.0.1:0", 2, RateLimit::default()).unwrap();
+        let clean = Crawler::new(server.addr(), CrawlerConfig::default())
+            .crawl(original.collected_at)
+            .unwrap();
+        // The first five friend lists close their connection: the owned
+        // games and group list queued behind each never get an answer.
+        let closed = AtomicUsize::new(0);
+        let server = serve_wrapped(&original, move |req, resp| {
+            let friends = req.path.ends_with("/GetFriendList/v1");
+            if friends && closed.fetch_add(1, Ordering::SeqCst) < 5 {
+                resp.with_header("Connection", "close")
+            } else {
+                resp
+            }
+        });
+        let config = CrawlerConfig { backoff: fast_backoff(6), ..CrawlerConfig::default() };
+        let mut crawler = Crawler::new(server.addr(), config);
+        let crawled = crawler.crawl(original.collected_at).unwrap();
+        assert_eq!(
+            steam_model::codec::encode_snapshot(&crawled),
+            steam_model::codec::encode_snapshot(&clean),
+            "an early close must not change the crawled bytes"
+        );
+        let stats = crawler.stats();
+        assert_eq!(stats.retries_io, 10, "two reads behind each of five closes: {stats:?}");
+        assert_eq!(stats.retries_observed, 10, "{stats:?}");
+        assert_eq!(stats.reconnects, 0, "a closed connection is not stale: {stats:?}");
+    }
+
+    /// Harvests the tiny world's first account from a server whose n-th
+    /// owned-games answer (counting from 1) goes through `games`. Returns
+    /// the outcome, every path the server saw, and the crawler's counters.
+    fn harvest_first_user(
+        attempts: u32,
+        games: impl Fn(usize, Response) -> Response + Send + Sync + 'static,
+    ) -> (Result<UserRecord, NetError>, Vec<String>, CrawlStats) {
+        let original = tiny_world();
+        let seen: Arc<Mutex<Vec<String>>> = Arc::default();
+        let log = Arc::clone(&seen);
+        let server = serve_wrapped(&original, move |req, resp| {
+            let mut log = log.lock();
+            log.push(req.path.clone());
+            let n = log.iter().filter(|p| p.ends_with("/GetOwnedGames/v1")).count();
+            if req.path.ends_with("/GetOwnedGames/v1") {
+                games(n, resp)
+            } else {
+                resp
+            }
+        });
+        let config = CrawlerConfig { backoff: fast_backoff(attempts), ..CrawlerConfig::default() };
+        let mut crawler = Crawler::new(server.addr(), config);
+        let key = crawler.config.api_key.clone();
+        let outcome = crawler.fetcher.harvest_user(&key, 0, original.accounts[0].id);
+        let paths = seen.lock().clone();
+        (outcome, paths, crawler.stats())
+    }
+
+    fn hits(paths: &[String], suffix: &str) -> usize {
+        paths.iter().filter(|p| p.ends_with(suffix)).count()
+    }
+
+    #[test]
+    fn a_429_mid_exchange_is_retried_alone_and_the_other_reads_are_kept() {
+        let (outcome, paths, stats) = harvest_first_user(4, |n, resp| {
+            if n == 1 {
+                Response::error(429, "slow down").with_header("Retry-After", "1")
+            } else {
+                resp
+            }
+        });
+        assert_eq!(outcome.unwrap().games, tiny_world().ownerships[0]);
+        assert_eq!(hits(&paths, "/GetFriendList/v1"), 1, "the friend list was kept");
+        assert_eq!(hits(&paths, "/GetUserGroupList/v1"), 1, "the group list was kept");
+        assert_eq!(hits(&paths, "/GetOwnedGames/v1"), 2, "only the 429 went again");
+        assert_eq!((stats.requests, stats.exchanges, stats.retries_429), (3, 2, 1), "{stats:?}");
+        // The one-second hint was honored only up to the policy's max.
+        assert!(stats.backoff_wait <= Duration::from_millis(20), "{stats:?}");
+    }
+
+    #[test]
+    fn a_read_that_always_fails_reaches_the_server_attempts_times() {
+        let (outcome, paths, stats) =
+            harvest_first_user(3, |_, _| Response::error(503, "down"));
+        let err = outcome.unwrap_err();
+        assert!(matches!(err, NetError::RetriesExhausted { attempts: 3, .. }), "{err}");
+        assert_eq!(hits(&paths, "/GetOwnedGames/v1"), 3, "the exchange is the first attempt");
+        assert_eq!(hits(&paths, "/GetFriendList/v1"), 1);
+        assert_eq!(stats.exchanges, 3, "{stats:?}");
+    }
+
+    #[test]
+    fn each_read_of_an_exchange_has_its_own_trace_and_span_end() {
+        let original = tiny_world();
+        let seen: Arc<Mutex<Vec<String>>> = Arc::default();
+        let log = Arc::clone(&seen);
+        let server = serve_wrapped(&original, move |req, resp| {
+            log.lock().push(req.header("x-steam-trace").unwrap_or("none").to_string());
+            resp
+        });
+        let mut crawler = Crawler::new(server.addr(), CrawlerConfig::default());
+        let (key, id) = (crawler.config.api_key.clone(), original.accounts[0].id);
+        let started = crawler.fetcher.start([
+            format!("/ISteamUser/GetFriendList/v1?key={key}&steamid={id}"),
+            format!("/IPlayerService/GetOwnedGames/v1?key={key}&steamid={id}"),
+            format!("/ISteamUser/GetUserGroupList/v1?key={key}&steamid={id}"),
+        ]);
+        let traces: Vec<TraceId> =
+            started.iter().map(|s| s.trace.expect("tracing is on by default")).collect();
+        let headers = seen.lock().clone();
+        assert_eq!(headers.len(), 3);
+        for (header, trace) in headers.iter().zip(&traces) {
+            let ctx = TraceContext::parse(header).expect("every request carries a context");
+            assert_eq!(ctx.trace, *trace);
+        }
+        assert!(traces[0] != traces[1] && traces[1] != traces[2] && traces[0] != traces[2]);
+        // One client span per request, all started with the exchange, each
+        // ending at its own response: in slot order, ends never decrease.
+        let spans = steam_obs::recent_spans();
+        let mine: Vec<&SpanRecord> = traces
+            .iter()
+            .map(|t| {
+                let mut of_trace =
+                    spans.iter().filter(|s| s.kind == SpanKind::Client && s.trace == *t);
+                let span = of_trace.next().expect("a client span per request");
+                assert!(of_trace.next().is_none(), "one client span per request");
+                span
+            })
+            .collect();
+        assert!(mine.iter().all(|s| s.start_us == mine[0].start_us), "one exchange, one start");
+        let ends: Vec<u64> = mine.iter().map(|s| s.start_us + s.duration_us).collect();
+        assert!(ends.windows(2).all(|w| w[0] <= w[1]), "span ends {ends:?}");
     }
 
     #[test]

@@ -15,9 +15,9 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 
 use steam_api::{
-    crawl_sharded, serve_router_config, serve_service_faulty, serve_shard_config,
-    shard_of, split_snapshot, ApiService, Crawler, CrawlerConfig, RateLimit, RouterConfig,
-    RouterService, ShardService,
+    crawl_sharded, crawl_sharded_observed, serve_router_config, serve_service_faulty,
+    serve_shard_config, shard_of, split_snapshot, ApiService, CrawlProgress, Crawler,
+    CrawlerConfig, RateLimit, RouterConfig, RouterService, ShardService,
 };
 use steam_model::{codec, Snapshot};
 use steam_net::{Backoff, FaultInjector, FaultPlan, HttpClient, NetError, ServerConfig};
@@ -128,6 +128,29 @@ fn sharded_fleet_crawl_merges_byte_identical_snapshot() {
         baseline,
         "direct fleet crawl produced different bytes"
     );
+}
+
+#[test]
+fn fleet_crawl_makes_one_exchange_per_journal_record_but_each_census_end() {
+    let original = tiny_snapshot(609);
+    let (_servers, addrs) = bind_fleet(&original, &[]);
+    let dir = std::env::temp_dir().join(format!("steam-shard-exchanges-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = CrawlerConfig {
+        empty_batches_to_stop: 2,
+        workers: 2,
+        checkpoint_dir: Some(dir.clone()),
+        ..CrawlerConfig::default()
+    };
+    let registry = Arc::new(steam_obs::Registry::new());
+    let progress = CrawlProgress::attach(&registry);
+    crawl_sharded_observed(&addrs, &config, original.collected_at, registry).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let stats = progress.stats();
+    assert_eq!(stats.retries_observed, 0, "a fault-free crawl: {stats:?}");
+    // Each shard journals one CensusComplete, the only record without a
+    // request; every other record was fetched in one exchange.
+    assert_eq!(stats.exchanges, stats.checkpoint_records - SHARDS as u64, "{stats:?}");
 }
 
 #[test]

@@ -504,9 +504,10 @@ fn cmd_crawl(args: &Args) -> Result<(), String> {
 
     let stats = progress.stats();
     eprintln!(
-        "crawled {} users with {} requests in {:.1?}",
+        "crawled {} users with {} requests in {} exchanges in {:.1?}",
         stats.profiles_found,
         stats.requests,
+        stats.exchanges,
         started.elapsed()
     );
     eprintln!(

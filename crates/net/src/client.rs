@@ -1,20 +1,32 @@
 //! A blocking HTTP client with connection reuse — what the crawler uses to
 //! talk to the emulated Steam Web API.
 
+use std::io::Write;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use steam_obs::{TraceContext, TRACE_HEADER};
 
 use crate::error::NetError;
-use crate::http::{read_response, write_request_with, Request, Response};
+use crate::http::{encode_request, read_response, Request, Response};
 use crate::pool::{Conn, ConnectionPool};
 
-/// Stale-pooled-connection retries allowed per request. With a shared pool
+/// Stale-pooled-connection retries allowed per exchange. With a shared pool
 /// several parked connections can have gone stale at once (server restart),
 /// so a couple of silent retries are allowed before the error surfaces.
 const MAX_RECONNECTS_PER_REQUEST: u32 = 2;
+
+/// What one request of an [`HttpClient::exchange`] came back with.
+#[derive(Debug)]
+pub struct Reply {
+    /// The response, or why none arrived. A response that the connection
+    /// broke or closed before is a retryable [`NetError::Io`].
+    pub result: Result<Response, NetError>,
+    /// When this request's own response had been read, or found missing.
+    /// Later requests of one exchange never end earlier than earlier ones.
+    pub at: Instant,
+}
 
 /// Upper bound on an honored `Retry-After` hint, matching the default
 /// backoff policy's `max` (asserted in sync by a test). A misbehaving
@@ -31,7 +43,7 @@ pub const MAX_RETRY_AFTER: Duration = Duration::from_secs(5);
 /// router's per-shard clients share one address-keyed pool across the fleet.
 /// Reconnects transparently when a pooled connection has gone stale —
 /// counting every reconnect (see [`reconnects`](Self::reconnects)) and
-/// capping attempts per request so a flapping server can never trap a
+/// capping attempts per exchange so a flapping server can never trap a
 /// request in a silent reconnect loop.
 /// Not `Sync` — each thread owns its own client; the pool behind it is the
 /// shared part.
@@ -93,67 +105,134 @@ impl HttpClient {
         self.reconnects
     }
 
-    fn send_on(
-        conn: &mut Conn,
-        req: &Request,
-        trace: Option<(&str, &str)>,
-    ) -> Result<Response, NetError> {
-        write_request_with(&mut conn.writer, req, trace)?;
-        read_response(&mut conn.reader)
-    }
-
-    /// Sends a request, reusing a pooled connection when possible. A stale
-    /// pooled connection gets a transparent retry on another connection, at
-    /// most [`MAX_RECONNECTS_PER_REQUEST`] times per request; failures on a
-    /// freshly opened connection are real errors and propagate immediately.
-    /// Healthy connections go back to the pool unless the response forbids
-    /// reuse (`Connection: close`).
-    pub fn send(&mut self, req: &Request) -> Result<Response, NetError> {
-        // The trace header rides after the request's own headers; a request
-        // that already carries one (caller-stamped) is sent untouched.
-        let trace_value =
-            self.trace.filter(|_| req.header(TRACE_HEADER).is_none()).map(|ctx| ctx.header_value());
-        let trace = trace_value.as_deref().map(|v| (TRACE_HEADER, v));
+    /// Sends `reqs` as one exchange on one connection: a single write of
+    /// every request, each stamped with its own trace context, then the
+    /// responses read back in order. Returns one [`Reply`] per request.
+    ///
+    /// A response that does not arrive — the connection broke, or an
+    /// earlier response carried `Connection: close` — is a retryable
+    /// [`NetError::Io`] in its own slot; the responses that did arrive are
+    /// kept. A pooled connection that yields no response at all is stale:
+    /// the exchange goes again on another connection, at most
+    /// [`MAX_RECONNECTS_PER_REQUEST`] times. Failures on a freshly opened
+    /// connection are real errors. The connection goes back to the pool
+    /// only when every response arrived and none forbids reuse.
+    ///
+    /// One exchange must stay small (a few requests): the whole write
+    /// completes before the first response is read, so requests that
+    /// outgrow the socket buffers while the server's answers fill the
+    /// other direction would deadlock.
+    pub fn exchange(&mut self, reqs: &[(&Request, Option<TraceContext>)]) -> Vec<Reply> {
+        if reqs.is_empty() {
+            return Vec::new();
+        }
+        let mut wire = Vec::new();
+        for (req, trace) in reqs {
+            // The trace header rides after the request's own headers; a
+            // request that already carries one (caller-stamped) is sent
+            // untouched.
+            let value =
+                trace.filter(|_| req.header(TRACE_HEADER).is_none()).map(|ctx| ctx.header_value());
+            encode_request(&mut wire, req, value.as_deref().map(|v| (TRACE_HEADER, v)));
+        }
         let mut reconnects_left = MAX_RECONNECTS_PER_REQUEST;
         loop {
             let (mut conn, pooled) = match self.pool.checkout(self.addr) {
                 Some(conn) => (conn, true),
-                None => (self.pool.connect(self.addr)?, false),
+                None => match self.pool.connect(self.addr) {
+                    Ok(conn) => (conn, false),
+                    Err(e) => return Self::unanswered(Vec::new(), Err(e), reqs.len()),
+                },
             };
-            match Self::send_on(&mut conn, req, trace) {
-                Ok(resp) => {
-                    // The pool inspects the response's close intent itself;
-                    // a `Connection: close` response is never parked.
-                    self.pool.checkin(conn, &resp);
-                    return Ok(resp);
-                }
-                Err(_stale) if pooled && reconnects_left > 0 => {
-                    // Stale pooled connection — drop it and retry on another.
-                    reconnects_left -= 1;
-                    self.reconnects += 1;
-                }
-                Err(e) => return Err(e),
+            let replies = Self::exchange_on(&mut conn, &wire, reqs.len());
+            if replies[0].result.is_err() && pooled && reconnects_left > 0 {
+                // Stale pooled connection — drop it and go again on another.
+                reconnects_left -= 1;
+                self.reconnects += 1;
+                continue;
             }
+            // Reading stops at the first failure or close intent, so when
+            // every response arrived only the last can forbid reuse; the
+            // pool checks it.
+            if replies.iter().all(|r| r.result.is_ok()) {
+                if let Some(Reply { result: Ok(last), .. }) = replies.last() {
+                    self.pool.checkin(conn, last);
+                }
+            }
+            return replies;
         }
     }
 
-    /// GET a target; non-2xx statuses become [`NetError::Status`], carrying
-    /// any `Retry-After` header the server sent. The hint is parsed as whole
-    /// seconds and clamped to [`MAX_RETRY_AFTER`]; non-numeric forms (the
-    /// HTTP-date variant) yield no hint — the retry itself is unaffected,
-    /// the backoff schedule just falls back to its own delays.
-    pub fn get(&mut self, target: &str) -> Result<Response, NetError> {
-        let resp = self.send(&Request::get(target))?;
-        if resp.is_success() {
-            Ok(resp)
-        } else {
-            let retry_after = resp
-                .header("retry-after")
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .map(|secs| Duration::from_secs(secs).min(MAX_RETRY_AFTER));
-            Err(NetError::Status { code: resp.status, body: resp.body_text(), retry_after })
+    /// Writes an encoded exchange and reads its `n` responses in order.
+    /// After the first failure or close intent nothing more is read.
+    fn exchange_on(conn: &mut Conn, wire: &[u8], n: usize) -> Vec<Reply> {
+        if let Err(e) = conn.writer.write_all(wire) {
+            return Self::unanswered(Vec::new(), Err(e.into()), n);
         }
+        let mut replies = Vec::with_capacity(n);
+        while replies.len() < n {
+            let result = read_response(&mut conn.reader);
+            if !result.as_ref().is_ok_and(Response::keep_alive) {
+                return Self::unanswered(replies, result, n);
+            }
+            replies.push(Reply { result, at: Instant::now() });
+        }
+        replies
     }
+
+    /// Completes `replies` to `n` slots after `last`, the outcome that ended
+    /// the exchange: the slots behind it get an I/O error naming it, so a
+    /// retry policy treats each as a transient failure of its own.
+    fn unanswered(
+        mut replies: Vec<Reply>,
+        last: Result<Response, NetError>,
+        n: usize,
+    ) -> Vec<Reply> {
+        let cause = match &last {
+            Ok(_) => "an earlier response closed the connection".to_string(),
+            Err(e) => e.to_string(),
+        };
+        let at = Instant::now();
+        replies.push(Reply { result: last, at });
+        while replies.len() < n {
+            let err = std::io::Error::new(
+                std::io::ErrorKind::ConnectionAborted,
+                format!("no response: {cause}"),
+            );
+            replies.push(Reply { result: Err(err.into()), at });
+        }
+        replies
+    }
+
+    /// Sends one request under the client's trace context: the
+    /// one-request case of [`exchange`](Self::exchange).
+    pub fn send(&mut self, req: &Request) -> Result<Response, NetError> {
+        let trace = self.trace;
+        self.exchange(&[(req, trace)]).pop().expect("one reply per request").result
+    }
+
+    /// GET a target; non-2xx statuses become [`NetError::Status`] (see
+    /// [`check_status`]).
+    pub fn get(&mut self, target: &str) -> Result<Response, NetError> {
+        self.send(&Request::get(target)).and_then(check_status)
+    }
+}
+
+/// Passes a 2xx response through and turns any other status into
+/// [`NetError::Status`], carrying the `Retry-After` header the server sent.
+/// The hint is parsed as whole seconds and clamped to [`MAX_RETRY_AFTER`];
+/// non-numeric forms (the HTTP-date variant) yield no hint — the retry
+/// itself is unaffected, the backoff schedule just falls back to its own
+/// delays.
+pub fn check_status(resp: Response) -> Result<Response, NetError> {
+    if resp.is_success() {
+        return Ok(resp);
+    }
+    let retry_after = resp
+        .header("retry-after")
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .map(|secs| Duration::from_secs(secs).min(MAX_RETRY_AFTER));
+    Err(NetError::Status { code: resp.status, body: resp.body_text(), retry_after })
 }
 
 #[cfg(test)]
@@ -418,6 +497,119 @@ mod tests {
         client.set_trace(None);
         let resp = client.get("/plain").unwrap();
         assert!(resp.body_text().contains("\"trace\":\"none\""));
+    }
+
+    /// A one-connection server that reads all `n` requests before it
+    /// answers any, then writes `answers` (perhaps fewer than `n`) and
+    /// hangs up. A client that waited for each response before sending the
+    /// next would time out against it. The handle yields the raw bytes
+    /// the server received.
+    fn read_all_then_answer(
+        n: usize,
+        answers: Vec<Response>,
+    ) -> (SocketAddr, std::thread::JoinHandle<Vec<u8>>) {
+        use std::io::Read;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            // Every request is a body-less GET, so each ends at its blank line.
+            let mut received = Vec::new();
+            let mut buf = [0u8; 4096];
+            while received.windows(4).filter(|w| w == b"\r\n\r\n").count() < n {
+                let k = stream.read(&mut buf).expect("all requests before any answer");
+                assert!(k > 0, "client hung up before sending every request");
+                received.extend_from_slice(&buf[..k]);
+            }
+            let mut wire = Vec::new();
+            for resp in &answers {
+                crate::http::write_response(&mut wire, resp).unwrap();
+            }
+            stream.write_all(&wire).unwrap();
+            received
+        });
+        (addr, server)
+    }
+
+    fn traced(n: u64) -> Vec<Option<TraceContext>> {
+        use steam_obs::{SpanId, TraceId};
+        (1..=n).map(|s| Some(TraceContext { trace: TraceId(0x7e), span: SpanId(s) })).collect()
+    }
+
+    #[test]
+    fn exchange_writes_every_request_before_reading_a_response() {
+        let answers = (0..3).map(|i| Response::json(format!("{{\"i\":{i}}}"))).collect();
+        let (addr, server) = read_all_then_answer(3, answers);
+        let mut client = HttpClient::new(addr).with_timeout(Duration::from_secs(2));
+        let reqs = [Request::get("/a"), Request::get("/b?x=1"), Request::get("/c")];
+        let slots: Vec<_> = reqs.iter().zip(traced(3)).collect();
+        let replies = client.exchange(&slots);
+        let received = server.join().unwrap();
+        for (i, reply) in replies.iter().enumerate() {
+            let resp = reply.result.as_ref().expect("every request answered");
+            assert_eq!(resp.body_text(), format!("{{\"i\":{i}}}"), "answers come back in order");
+        }
+        assert!(replies.windows(2).all(|w| w[0].at <= w[1].at), "each ends at its own response");
+        // The wire carried the single-request encodings, concatenated, each
+        // with its own trace header.
+        let mut expected = Vec::new();
+        for (req, ctx) in &slots {
+            let value = ctx.expect("traced").header_value();
+            crate::http::write_request_with(&mut expected, req, Some((TRACE_HEADER, &value)))
+                .unwrap();
+        }
+        assert_eq!(String::from_utf8(received).unwrap(), String::from_utf8(expected).unwrap());
+        assert_eq!(client.pool().idle_len(), 1, "a fully answered exchange parks its connection");
+    }
+
+    #[test]
+    fn unanswered_slots_are_retryable_io_errors_and_answered_ones_are_kept() {
+        // The first answer closes the connection on purpose; or the server
+        // hangs up after a keep-alive answer, mid-exchange.
+        let closing = Response::json("{\"i\":0}".into()).with_header("Connection", "close");
+        let kept = Response::json("{\"i\":0}".into());
+        for first in [closing, kept] {
+            let (addr, server) = read_all_then_answer(3, vec![first]);
+            let mut client = HttpClient::new(addr).with_timeout(Duration::from_secs(2));
+            let reqs = [Request::get("/a"), Request::get("/b"), Request::get("/c")];
+            let slots: Vec<_> = reqs.iter().zip(traced(3)).collect();
+            let replies = client.exchange(&slots);
+            server.join().unwrap();
+            assert_eq!(replies[0].result.as_ref().unwrap().body_text(), "{\"i\":0}");
+            for reply in &replies[1..] {
+                match &reply.result {
+                    Err(e @ NetError::Io(_)) => assert!(crate::backoff::transient(e)),
+                    other => panic!("expected a retryable io error, got {other:?}"),
+                }
+            }
+            assert_eq!(client.pool().idle_len(), 0, "a cut-short connection is never parked");
+            assert_eq!(client.reconnects(), 0, "a fresh connection is never resent");
+        }
+    }
+
+    #[test]
+    fn stale_pooled_connection_resends_the_exchange_once_on_a_fresh_one() {
+        let (mut server, _) = counting_server();
+        let addr = server.addr();
+        let mut client = HttpClient::new(addr);
+        client.get("/park").unwrap();
+        server.shutdown();
+        let hits = Arc::new(AtomicU32::new(0));
+        let h2 = Arc::clone(&hits);
+        let handler: Arc<dyn Handler> = Arc::new(move |req: Request| {
+            h2.fetch_add(1, Ordering::Relaxed);
+            Response::json(format!("{{\"path\":\"{}\"}}", req.path))
+        });
+        let _server2 = HttpServer::bind(&addr.to_string(), 1, handler).unwrap();
+        let reqs = [Request::get("/a"), Request::get("/b"), Request::get("/c")];
+        let slots: Vec<_> = reqs.iter().zip(traced(3)).collect();
+        let replies = client.exchange(&slots);
+        for (reply, req) in replies.iter().zip(&reqs) {
+            assert!(reply.result.as_ref().unwrap().body_text().contains(&req.path));
+        }
+        assert_eq!(client.reconnects(), 1, "one stale connection, one resend");
+        assert_eq!(hits.load(Ordering::Relaxed), 3, "the fresh connection saw each request once");
     }
 
     #[test]

@@ -272,14 +272,20 @@ pub(crate) fn try_parse_request(buf: &[u8]) -> ParseStep {
 
 /// Byte offset just past the header block's terminating empty line, if the
 /// block is complete. Lines may end in `\r\n` or bare `\n` (the parser
-/// accepts both), so the terminator is `\n\r\n` or `\n\n`.
+/// accepts both), so the terminator is `\n\r\n` or `\n\n`: whichever
+/// comes first, found in one forward scan that stops there. Bytes queued
+/// behind the block (pipelined requests) are never looked at.
 fn find_header_end(buf: &[u8]) -> Option<usize> {
-    let crlf = buf.windows(3).position(|w| w == b"\n\r\n").map(|p| p + 3);
-    let lf = buf.windows(2).position(|w| w == b"\n\n").map(|p| p + 2);
-    match (crlf, lf) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
+    let mut from = 0;
+    while let Some(p) = buf[from..].iter().position(|&b| b == b'\n') {
+        let nl = from + p;
+        match &buf[nl + 1..] {
+            [b'\n', ..] => return Some(nl + 2),
+            [b'\r', b'\n', ..] => return Some(nl + 3),
+            _ => from = nl + 1,
+        }
     }
+    None
 }
 
 /// What the connection driver should do with one parsed request.
@@ -666,6 +672,19 @@ mod tests {
             try_parse_request(b"GET / HTTP/1.1\n\n"),
             ParseStep::Request { .. }
         ));
+    }
+
+    #[test]
+    fn header_end_is_the_first_terminator_of_either_kind() {
+        let crlf_then_lf = b"GET /a HTTP/1.1\r\nHost: x\r\n\r\nGET /b HTTP/1.1\n\n";
+        assert_eq!(find_header_end(crlf_then_lf), Some(28));
+        let lf_then_crlf = b"GET /a HTTP/1.1\nHost: x\n\nGET /b HTTP/1.1\r\n\r\n";
+        assert_eq!(find_header_end(lf_then_crlf), Some(25));
+        // Mixed inside one block: a bare-LF line, then a CRLF blank line.
+        assert_eq!(find_header_end(b"GET / HTTP/1.1\nHost: x\n\r\nrest"), Some(25));
+        assert_eq!(find_header_end(b"GET / HTTP/1.1\r\n\n"), Some(17));
+        assert_eq!(find_header_end(b"GET / HTTP/1.1\r\nHost: x\r\n\r"), None);
+        assert_eq!(find_header_end(b"\n"), None);
     }
 
     #[test]

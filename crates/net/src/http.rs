@@ -333,6 +333,14 @@ pub(crate) fn write_request_with<W: Write>(
     req: &Request,
     extra: Option<(&str, &str)>,
 ) -> Result<(), NetError> {
+    let mut wire = Vec::new();
+    encode_request(&mut wire, req, extra);
+    send(w, &wire)
+}
+
+/// Appends a request's exact wire bytes, `extra` header included, to `out`
+/// (the client encodes every request of an exchange into one buffer).
+pub(crate) fn encode_request(out: &mut Vec<u8>, req: &Request, extra: Option<(&str, &str)>) {
     let mut target = crate::url::encode_path(&req.path);
     if !req.query.is_empty() {
         let pairs: Vec<(&str, String)> =
@@ -340,16 +348,14 @@ pub(crate) fn write_request_with<W: Write>(
         target.push('?');
         target.push_str(&crate::url::build_query(&pairs));
     }
-    let mut wire = Vec::new();
     encode_message(
-        &mut wire,
+        out,
         [&req.method, &target, req.version.as_str()],
         &req.headers,
         extra,
         &req.body,
         req.body.len(),
     );
-    send(w, &wire)
 }
 
 /// Writes a response (always with an explicit `Content-Length`) in one

@@ -1,8 +1,9 @@
 //! A thread-safe keep-alive connection pool keyed by server address.
 //!
 //! [`HttpClient`](crate::client::HttpClient) checks a connection out, runs
-//! one request/response exchange, and checks it back in if the exchange
-//! succeeded and the response allows reuse. Sharing one `Arc<ConnectionPool>`
+//! one exchange on it (one or more requests written together, their
+//! responses read back in order), and checks it back in if every response
+//! arrived and none forbids reuse. Sharing one `Arc<ConnectionPool>`
 //! across the crawler's phase-2 workers lets N worker threads drive the
 //! whole crawl over at most `max_idle` sockets per address (plus short-lived
 //! overflow connections when every pooled one is checked out at once)
@@ -31,7 +32,7 @@ use crate::http::Response;
 /// One pooled connection: a writer handle and a buffered reader over the
 /// same socket, stamped with the address it was opened against. Crossing
 /// request/response pairs is impossible because a connection is owned by
-/// exactly one request between checkout and checkin; crossing *addresses*
+/// exactly one exchange between checkout and checkin; crossing *addresses*
 /// is impossible because checkin files the connection under `addr`.
 pub struct Conn {
     pub(crate) writer: TcpStream,
@@ -172,12 +173,13 @@ impl ConnectionPool {
     }
 
     /// Parks a connection for reuse after a successful exchange — unless
-    /// `resp` carries the server's close intent (`Connection: close`, sent
-    /// ahead of every server-side close: errors, truncations, idle reaps).
-    /// Parking such a connection would hand a half-closed socket to the next
-    /// checkout. Also drops the connection when the address's idle stack is
-    /// already full. The connection is filed under the address it was opened
-    /// against, never anywhere else.
+    /// `resp`, the exchange's last response, carries the server's close
+    /// intent (`Connection: close`, sent ahead of every server-side close:
+    /// errors, truncations, idle reaps). Parking such a connection would
+    /// hand a half-closed socket to the next checkout. Also drops the
+    /// connection when the address's idle stack is already full. The
+    /// connection is filed under the address it was opened against, never
+    /// anywhere else.
     pub(crate) fn checkin(&self, conn: Conn, resp: &Response) {
         if !resp.keep_alive() {
             return; // server is closing this connection: never park it
