@@ -1,6 +1,6 @@
 //! Wire-response cache for the API service.
 //!
-//! The snapshot behind [`ApiService`](crate::service::ApiService) is
+//! The store behind [`ApiService`](crate::service::ApiService) is
 //! immutable for the lifetime of the service, so any successful JSON body is
 //! valid forever — no invalidation protocol, just a bounded LRU per shard to
 //! keep the long tail (per-user endpoints over millions of users) from

@@ -1020,7 +1020,7 @@ fn crawl_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{serve, RateLimit};
+    use crate::service::{serve, serve_service_config, ApiService, RateLimit};
     use std::sync::Arc;
     use steam_net::http::Response;
     use steam_synth::{Generator, SynthConfig};
@@ -1157,8 +1157,9 @@ mod tests {
             RateLimit::default(),
         )
         .with_panel(world.panel.clone());
+        let config = steam_net::ServerConfig { workers: 2, ..Default::default() };
         let (server, _service) =
-            crate::service::serve_service(service, "127.0.0.1:0", 2).unwrap();
+            serve_service_config(service, "127.0.0.1:0", config, None, None).unwrap();
         let mut crawler = Crawler::new(server.addr(), CrawlerConfig::default());
         let crawled = crawler.crawl_panel(&snapshot.accounts).unwrap();
         // The generated panel is ordered by day-one playtime, the crawl by
@@ -1212,12 +1213,12 @@ mod tests {
         let crawl_with = |pool_size: Option<usize>| {
             // Fresh server per crawl so connection counts aren't conflated.
             let registry = Arc::new(steam_obs::Registry::new());
-            let (server, _service) = crate::service::serve_observed(
-                Arc::clone(&original),
+            let (server, _service) = serve_service_config(
+                ApiService::new(Arc::clone(&original), RateLimit::default()),
                 "127.0.0.1:0",
-                WORKERS + 1,
-                RateLimit::default(),
-                Arc::clone(&registry),
+                steam_net::ServerConfig { workers: WORKERS + 1, ..Default::default() },
+                Some(Arc::clone(&registry)),
+                None,
             )
             .unwrap();
             let config = CrawlerConfig {

@@ -4,13 +4,14 @@
 //! the crawler that reconstructs a [`steam_model::Snapshot`] from it.
 //!
 //! * [`wire`] — the JSON shapes of each endpoint, with parsers;
-//! * [`service`] — the HTTP service over a snapshot, with per-key
-//!   token-bucket rate limiting and the batch-100 profile endpoint;
+//! * [`service`] — the one HTTP service, over a shard store (a whole
+//!   snapshot is shard 0 of 1), with per-key token-bucket rate limiting and
+//!   the batch-100 profile endpoint;
 //! * [`crawler`] — the three-phase collection pipeline (ID-space census →
 //!   per-user harvest → catalog), self-throttled to a configurable rate and
 //!   retrying transient failures with exponential backoff;
-//! * [`shard`] — per-shard snapshot stores (`shard-split`) and the
-//!   shard-side service;
+//! * [`shard`] — the stores the service serves: a snapshot split one or N
+//!   ways (`shard-split`), and the CSHD shard file codec;
 //! * [`router`] — the scatter-gather front door over a shard fleet.
 //!
 //! The integration tests (and the `crawl_api` example) demonstrate the key
@@ -31,12 +32,8 @@ pub use crawler::{
     crawl_sharded, crawl_sharded_observed, CrawlProgress, CrawlStats, Crawler, CrawlerConfig,
 };
 pub use router::{serve_router_config, RouterConfig, RouterService};
-pub use service::{
-    serve, serve_observed, serve_service, serve_service_config, serve_service_faulty,
-    serve_service_observed,
-    ApiService, RateLimit,
-};
+pub use service::{serve, serve_service_config, ApiService, RateLimit, ShardService};
 pub use shard::{
-    decode_shard, encode_shard, read_shard, serve_shard_config, shard_of, shard_of_app,
-    shard_of_group, split_snapshot, write_shard, ShardService, ShardStore, StreamSplitter,
+    decode_shard, encode_shard, read_shard, shard_of, shard_of_app, shard_of_group,
+    split_snapshot, write_shard, ShardStore, StreamSplitter,
 };

@@ -1,8 +1,8 @@
 //! The scatter-gather router: one front door over a fleet of shard servers.
 //!
 //! The router owns no snapshot data. It classifies each request by the
-//! entity it names, consistent-hashes that entity to its shard (the same
-//! residue-class ring `shard-split` used — see [`crate::shard`]), and
+//! entity it names, maps that entity to its shard by residue class (the
+//! same `id % N` rule `shard-split` used — see [`crate::shard`]), and
 //! proxies over pooled keep-alive connections from one address-keyed
 //! [`ConnectionPool`]. The batch `GetPlayerSummaries` endpoint is the
 //! interesting case: its id list is split per shard, the sub-batches fan

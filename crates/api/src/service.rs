@@ -1,8 +1,9 @@
 //! The emulated Steam Web API service.
 //!
-//! Serves a [`Snapshot`] through the endpoint surface the paper crawled
-//! (§3.1), with per-key token-bucket rate limiting in the spirit of Valve's
-//! terms of service:
+//! Serves a [`ShardStore`] — a whole snapshot as shard 0 of 1, or one shard
+//! of a fleet — through the endpoint surface the paper crawled (§3.1), with
+//! per-key token-bucket rate limiting in the spirit of Valve's terms of
+//! service:
 //!
 //! | Endpoint | Notes |
 //! |---|---|
@@ -18,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use steam_model::{AppId, SimTime, Snapshot, SteamId, WeekPanel};
+use steam_model::{AppId, Snapshot, SteamId, WeekPanel};
 use steam_net::http::{Request, Response};
 use steam_net::ratelimit::KeyedLimiter;
 use steam_net::server::{Handler, HttpServer};
@@ -26,6 +27,7 @@ use steam_net::NetError;
 use steam_obs::Gauge;
 
 use crate::cache::{CacheKey, WireCache};
+use crate::shard::ShardStore;
 use crate::wire;
 
 /// Maximum Steam IDs accepted by the batch profile endpoint.
@@ -48,22 +50,21 @@ impl Default for RateLimit {
     }
 }
 
-/// The API service state. Wrap in [`Arc`] and serve with [`serve`].
+/// The API service state. Wrap in [`Arc`] and serve with [`serve`] or
+/// [`serve_service_config`].
 pub struct ApiService {
-    snapshot: Arc<Snapshot>,
+    store: ShardStore,
     /// Sharded per-key token buckets, bounded with idle-key LRU eviction
     /// (an adversary cycling random `key=` values can no longer grow the
     /// map without bound).
     limiter: KeyedLimiter,
-    /// Cached serialized response bodies — safe because the snapshot is
+    /// Cached serialized response bodies — safe because the store is
     /// immutable; `None` only for baseline benchmarking (`--no-cache`).
     cache: Option<WireCache>,
     /// Live limiter-key gauge, bound when a metrics registry is attached.
     limiter_keys: OnceLock<Arc<Gauge>>,
-    /// index of account by steam id
+    /// store slot of each owned account, by steam id
     by_id: HashMap<SteamId, u32>,
-    /// adjacency: per user, (friend index, since)
-    adjacency: Vec<Vec<(u32, SimTime)>>,
     /// app id -> catalog index
     app_index: HashMap<AppId, u32>,
     /// group id -> group index (the community-page endpoint is hit once per
@@ -75,36 +76,27 @@ pub struct ApiService {
     panel: Option<(WeekPanel, HashMap<u32, usize>)>,
 }
 
+/// Another name for [`ApiService`], kept only because the repository
+/// benchmark (`perfbench/`) spells it. Everything else names `ApiService`.
+pub type ShardService = ApiService;
+
 impl ApiService {
-    pub fn new(snapshot: Arc<Snapshot>, limits: RateLimit) -> Self {
-        let by_id: HashMap<SteamId, u32> = snapshot
-            .accounts
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a.id, i as u32))
-            .collect();
-        let mut adjacency: Vec<Vec<(u32, SimTime)>> = vec![Vec::new(); snapshot.n_users()];
-        for e in &snapshot.friendships {
-            adjacency[e.a as usize].push((e.b, e.created_at));
-            adjacency[e.b as usize].push((e.a, e.created_at));
-        }
-        for list in &mut adjacency {
-            list.sort_by_key(|(v, _)| *v);
-        }
-        let app_index = snapshot.catalog_index();
-        let group_index = snapshot
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (g.id.0, i as u32))
-            .collect();
+    /// A service over `store`. An `Arc<Snapshot>` converts as the 1-of-1
+    /// split (see `ShardStore`'s `From` impl).
+    pub fn new(store: impl Into<ShardStore>, limits: RateLimit) -> Self {
+        let store = store.into();
+        let by_id =
+            store.accounts.iter().enumerate().map(|(i, a)| (a.id, i as u32)).collect();
+        let app_index =
+            store.catalog.iter().enumerate().map(|(i, g)| (g.app_id, i as u32)).collect();
+        let group_index =
+            store.groups.iter().enumerate().map(|(i, g)| (g.id.0, i as u32)).collect();
         ApiService {
-            snapshot,
+            store,
             limiter: KeyedLimiter::new(limits.per_key_rps, limits.burst),
             cache: Some(WireCache::new()),
             limiter_keys: OnceLock::new(),
             by_id,
-            adjacency,
             app_index,
             group_index,
             panel: None,
@@ -129,17 +121,24 @@ impl ApiService {
     }
 
     /// Binds cache hit/miss counters and the `api_rate_limiter_keys` gauge
-    /// to `registry`. Called automatically by the `serve_*` helpers when a
-    /// registry is passed.
+    /// to `registry`, the gauge labeled with the store's shard index so a
+    /// fleet scraping into one place stays tellable apart. Called by
+    /// [`serve_service_config`] when a registry is passed.
     pub fn attach_registry(&self, registry: &steam_obs::Registry) {
         if let Some(cache) = &self.cache {
             cache.attach_registry(registry);
         }
-        let _ = self.limiter_keys.set(registry.gauge("api_rate_limiter_keys", &[]));
+        let shard = self.store.shard_index.to_string();
+        let _ = self
+            .limiter_keys
+            .set(registry.gauge("api_rate_limiter_keys", &[("shard", shard.as_str())]));
     }
 
     /// Attaches a week panel; enables the `/reproduction/panel` endpoint.
+    /// Panel rows name global account indices, which are store slots only
+    /// in a 1-of-1 store.
     pub fn with_panel(mut self, panel: WeekPanel) -> Self {
+        assert_eq!(self.store.shard_count, 1, "a week panel needs the 1-of-1 store");
         let index = panel
             .users
             .iter()
@@ -150,9 +149,9 @@ impl ApiService {
         self
     }
 
-    /// The snapshot being served.
-    pub fn snapshot(&self) -> &Snapshot {
-        &self.snapshot
+    /// The store being served.
+    pub fn snapshot(&self) -> &ShardStore {
+        &self.store
     }
 
     fn check_rate(&self, req: &Request) -> Result<(), Response> {
@@ -230,28 +229,16 @@ impl ApiService {
             }
         }
         let key = CacheKey::Summaries(ids.iter().map(|id| id.as_u64()).collect());
-        if let Some(cache) = &self.cache {
-            if let Some(body) = cache.lookup(&key) {
-                return Response::json_bytes(body.as_ref().clone());
-            }
-        }
-        let mut found = Vec::new();
-        for id in ids {
+        self.cached(key, || {
             // Unknown ids are silently absent from the response, exactly how
             // the crawler discovers the ID space's density (§3.1).
-            if let Some(&idx) = self.by_id.get(&id) {
-                found.push(&self.snapshot.accounts[idx as usize]);
-            }
-        }
-        let text = wire::player_summaries_response(&found).to_text();
-        match &self.cache {
-            Some(cache) => {
-                let bytes = text.into_bytes();
-                cache.store(key, bytes.clone());
-                Response::json_bytes(bytes)
-            }
-            None => Response::json(text),
-        }
+            let found: Vec<_> = ids
+                .iter()
+                .filter_map(|id| self.by_id.get(id))
+                .map(|&idx| &self.store.accounts[idx as usize])
+                .collect();
+            wire::player_summaries_response(&found).to_text()
+        })
     }
 
     fn get_friend_list(&self, req: &Request) -> Response {
@@ -260,11 +247,7 @@ impl ApiService {
             Err(resp) => return resp,
         };
         self.cached(CacheKey::Friends(idx), || {
-            let friends: Vec<(SteamId, SimTime)> = self.adjacency[idx as usize]
-                .iter()
-                .map(|&(v, since)| (self.snapshot.accounts[v as usize].id, since))
-                .collect();
-            wire::friend_list_response(&friends).to_text()
+            wire::friend_list_response(&self.store.friends[idx as usize]).to_text()
         })
     }
 
@@ -274,7 +257,7 @@ impl ApiService {
             Err(resp) => return resp,
         };
         self.cached(CacheKey::Games(idx), || {
-            wire::owned_games_response(&self.snapshot.ownerships[idx as usize]).to_text()
+            wire::owned_games_response(&self.store.games[idx as usize]).to_text()
         })
     }
 
@@ -284,18 +267,12 @@ impl ApiService {
             Err(resp) => return resp,
         };
         self.cached(CacheKey::Groups(idx), || {
-            let gids: Vec<steam_model::GroupId> = self.snapshot.memberships[idx as usize]
-                .iter()
-                .map(|&g| self.snapshot.groups[g as usize].id)
-                .collect();
-            wire::group_list_response(&gids).to_text()
+            wire::group_list_response(&self.store.member_gids[idx as usize]).to_text()
         })
     }
 
     fn get_app_list(&self) -> Response {
-        self.cached(CacheKey::AppList, || {
-            wire::app_list_response(&self.snapshot.catalog).to_text()
-        })
+        self.cached(CacheKey::AppList, || wire::app_list_response(&self.store.catalog).to_text())
     }
 
     fn get_app_details(&self, req: &Request) -> Response {
@@ -305,7 +282,7 @@ impl ApiService {
         };
         match self.app_index.get(&app) {
             Some(&gi) => self.cached(CacheKey::AppDetails(gi), || {
-                wire::app_details_response(&self.snapshot.catalog[gi as usize]).to_text()
+                wire::app_details_response(&self.store.catalog[gi as usize]).to_text()
             }),
             None => Response::error(404, "unknown app"),
         }
@@ -319,7 +296,7 @@ impl ApiService {
         match self.app_index.get(&app) {
             Some(&gi) => self.cached(CacheKey::Achievements(gi), || {
                 wire::achievement_percentages_response(
-                    &self.snapshot.catalog[gi as usize].achievements,
+                    &self.store.catalog[gi as usize].achievements,
                 )
                 .to_text()
             }),
@@ -377,7 +354,7 @@ impl ApiService {
         };
         match self.group_index.get(&gid) {
             Some(&gi) => self.cached(CacheKey::GroupPage(gi), || {
-                wire::group_page_response(&self.snapshot.groups[gi as usize]).to_text()
+                wire::group_page_response(&self.store.groups[gi as usize]).to_text()
             }),
             None => Response::error(404, "unknown group"),
         }
@@ -418,67 +395,27 @@ impl Handler for ApiService {
     }
 }
 
-/// Binds an HTTP server serving the snapshot. Port 0 picks an ephemeral
-/// port; read it back from [`HttpServer::addr`].
+/// Binds an HTTP server serving the snapshot as shard 0 of 1. Port 0 picks
+/// an ephemeral port; read it back from [`HttpServer::addr`].
 pub fn serve(
     snapshot: Arc<Snapshot>,
     addr: &str,
     workers: usize,
     limits: RateLimit,
 ) -> Result<(HttpServer, Arc<ApiService>), NetError> {
-    serve_service(ApiService::new(snapshot, limits), addr, workers)
-}
-
-/// Like [`serve`], with a metrics registry: the server records per-endpoint
-/// request/latency metrics and exposes `GET /metrics` + `GET /healthz`.
-pub fn serve_observed(
-    snapshot: Arc<Snapshot>,
-    addr: &str,
-    workers: usize,
-    limits: RateLimit,
-    registry: Arc<steam_obs::Registry>,
-) -> Result<(HttpServer, Arc<ApiService>), NetError> {
-    serve_service_observed(ApiService::new(snapshot, limits), addr, workers, Some(registry))
-}
-
-/// Binds an HTTP server around a pre-built service (e.g. one with a week
-/// panel attached via [`ApiService::with_panel`]).
-pub fn serve_service(
-    service: ApiService,
-    addr: &str,
-    workers: usize,
-) -> Result<(HttpServer, Arc<ApiService>), NetError> {
-    serve_service_observed(service, addr, workers, None)
-}
-
-/// [`serve_service`] with an optional metrics registry.
-pub fn serve_service_observed(
-    service: ApiService,
-    addr: &str,
-    workers: usize,
-    registry: Option<Arc<steam_obs::Registry>>,
-) -> Result<(HttpServer, Arc<ApiService>), NetError> {
-    serve_service_faulty(service, addr, workers, registry, None)
-}
-
-/// [`serve_service_observed`] with an optional fault injector: the server
-/// then misbehaves per the injector's seeded plan (drop connections, inject
-/// 5xx, truncate/corrupt bodies, stall) — see `steam_net::fault`.
-pub fn serve_service_faulty(
-    service: ApiService,
-    addr: &str,
-    workers: usize,
-    registry: Option<Arc<steam_obs::Registry>>,
-    faults: Option<Arc<steam_net::FaultInjector>>,
-) -> Result<(HttpServer, Arc<ApiService>), NetError> {
     let config = steam_net::ServerConfig { workers, ..Default::default() };
-    serve_service_config(service, addr, config, registry, faults)
+    serve_service_config(ApiService::new(snapshot, limits), addr, config, None, None)
 }
 
-/// The fully general entry point: every other `serve_*` delegates here.
-/// `config` picks the server mode ([`ServerMode::Epoll`] reactor vs
+/// Binds an HTTP server around a built service (one shard's store, or one
+/// with a week panel attached via [`ApiService::with_panel`]). `config`
+/// picks the server mode ([`ServerMode::Epoll`] reactor vs
 /// [`ServerMode::Threaded`] worker pool — both serve byte-identical
-/// responses) and the idle timeout.
+/// responses) and the idle timeout. A `registry` gets per-endpoint
+/// request/latency metrics plus `GET /metrics` and `GET /healthz`; a
+/// `faults` injector makes the server misbehave per its seeded plan (drop
+/// connections, inject 5xx, truncate/corrupt bodies, stall) — see
+/// `steam_net::fault`.
 ///
 /// [`ServerMode::Epoll`]: steam_net::ServerMode::Epoll
 /// [`ServerMode::Threaded`]: steam_net::ServerMode::Threaded

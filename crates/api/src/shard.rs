@@ -1,12 +1,13 @@
-//! Sharded snapshot stores and the shard-side API service.
+//! Shard stores: what the API service serves, cut from a snapshot one or
+//! N ways.
 //!
-//! A [`Snapshot`] cannot be cut into N servable pieces directly: its
+//! A [`Snapshot`] cannot be served piece by piece as it stands: its
 //! friendship edges are *account-index* pairs, and an edge endpoint usually
-//! lives on another shard. `shard-split` therefore resolves every
-//! cross-account reference while the whole snapshot is still in one piece —
-//! each account's friend list becomes `(SteamId, since)` pairs in exactly
-//! the order [`ApiService`](crate::service::ApiService) would serve them —
-//! and writes one self-contained [`ShardStore`] per shard.
+//! lives on another shard. The split therefore resolves every cross-account
+//! reference while the whole snapshot is still in one piece — each
+//! account's friend list becomes `(SteamId, since)` pairs in serve order —
+//! and yields one self-contained [`ShardStore`] per shard. An unsharded
+//! server serves shard 0 of 1.
 //!
 //! Assignment is residue-class by SteamID: account `id` lives on shard
 //! `id.index() % n`, groups on `gid % n`, apps on `app_id % n` (the catalog
@@ -24,25 +25,17 @@
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use steam_model::codec::{
-    checksum32, get_account, get_game, get_group, get_vari64, get_varu64, put_account, put_game,
-    put_group, put_vari64, put_varu64, write_atomic,
+    checksum32, get_account, get_game, get_group, get_len, get_vari64, get_varu64, put_account,
+    put_game, put_group, put_vari64, put_varu64, write_atomic,
 };
 use steam_model::{
-    Account, AppId, Game, Group, GroupId, ModelError, OwnedGame, SimTime, Snapshot, SteamId,
+    Account, AppId, Friendship, Game, Group, GroupId, ModelError, OwnedGame, SimTime, Snapshot,
+    SteamId,
 };
-use steam_net::http::{Request, Response};
-use steam_net::ratelimit::KeyedLimiter;
-use steam_net::server::{Handler, HttpServer};
-use steam_net::NetError;
-use steam_obs::Gauge;
-
-use crate::cache::{CacheKey, WireCache};
-use crate::service::{RateLimit, MAX_BATCH_IDS};
-use crate::wire;
 
 /// Magic prefix of a shard store file.
 pub const SHARD_MAGIC: &[u8; 4] = b"CSHD";
@@ -76,13 +69,12 @@ pub struct ShardStore {
     pub scanned_id_space: u64,
     /// Accounts owned by this shard, sorted by id.
     pub accounts: Vec<Account>,
-    /// Per owned account: friend `(id, since)` pairs, in the order the
-    /// unsharded service serves them (ascending global account index).
+    /// Per owned account: friend `(id, since)` pairs in serve order
+    /// (ascending global account index).
     pub friends: Vec<Vec<(SteamId, SimTime)>>,
     /// Per owned account: owned games, snapshot order.
     pub games: Vec<Vec<OwnedGame>>,
-    /// Per owned account: member group ids, in the order the unsharded
-    /// service serves them (ascending global group index).
+    /// Per owned account: member group ids, in membership order.
     pub member_gids: Vec<Vec<GroupId>>,
     /// Groups owned by this shard (`gid % n == shard_index`).
     pub groups: Vec<Group>,
@@ -90,53 +82,144 @@ pub struct ShardStore {
     pub catalog: Vec<Game>,
 }
 
-/// Cuts a snapshot into `n_shards` self-contained stores. Every account,
-/// group, and catalog byte the unsharded service would emit is reachable
-/// from exactly the shard the router would ask.
-pub fn split_snapshot(snap: &Snapshot, n_shards: usize) -> Vec<ShardStore> {
+/// The 1-of-1 split of an in-process world: what an unsharded server
+/// serves. Handing over the only `Arc` moves the records; otherwise they
+/// are cloned first.
+///
+/// # Panics
+///
+/// On a dangling friend or group reference. A world read from a file goes
+/// through [`split_snapshot`] instead, which returns that as an error.
+impl From<Arc<Snapshot>> for ShardStore {
+    fn from(snap: Arc<Snapshot>) -> Self {
+        split_snapshot(Arc::unwrap_or_clone(snap), 1)
+            .expect("an in-process world has no dangling reference")
+            .pop()
+            .expect("a 1-way split yields one store")
+    }
+}
+
+fn check_edge(e: &Friendship, n_users: usize) -> Result<(), ModelError> {
+    if e.a as usize >= n_users || e.b as usize >= n_users {
+        return Err(ModelError::DanglingReference(format!(
+            "friendship ({}, {}) names an account past the {n_users} in the snapshot",
+            e.a, e.b
+        )));
+    }
+    Ok(())
+}
+
+/// Puts each adjacency list in serve order — a stable sort by the friend's
+/// global index, so repeated friends keep edge order — and resolves each
+/// friend to its SteamId in the list's own allocation.
+fn resolve_friends(
+    adjacency: Vec<Vec<(u32, SimTime)>>,
+    ids: &[SteamId],
+) -> Vec<Vec<(SteamId, SimTime)>> {
+    adjacency
+        .into_iter()
+        .map(|mut list| {
+            list.sort_by_key(|&(v, _)| v);
+            list.into_iter().map(|(v, since)| (ids[v as usize], since)).collect()
+        })
+        .collect()
+}
+
+/// Resolves one account's group indices to group ids, in membership order.
+fn resolve_groups(memberships: Vec<u32>, groups: &[Group]) -> Result<Vec<GroupId>, ModelError> {
+    memberships
+        .into_iter()
+        .map(|g| {
+            groups.get(g as usize).map(|group| group.id).ok_or_else(|| {
+                ModelError::DanglingReference(format!(
+                    "membership in group {g} of the {} in the snapshot",
+                    groups.len()
+                ))
+            })
+        })
+        .collect()
+}
+
+/// Cuts a snapshot into `n_shards` self-contained stores. Each account's
+/// records move into the store that owns it; only the catalog is copied,
+/// once per extra shard. Every account, group, and catalog byte the service
+/// emits is reachable from exactly the shard the router would ask.
+///
+/// A friendship or membership that names no account or group is a
+/// [`ModelError::DanglingReference`]: a snapshot file can carry one, and
+/// nothing short of [`Snapshot::validate`] rejects it on read.
+pub fn split_snapshot(snap: Snapshot, n_shards: usize) -> Result<Vec<ShardStore>, ModelError> {
     assert!(n_shards >= 1, "need at least one shard");
-    // Adjacency in service order: both edge directions, sorted by the
-    // friend's global account index (what ApiService serves).
-    let mut adjacency: Vec<Vec<(u32, SimTime)>> = vec![Vec::new(); snap.n_users()];
-    for e in &snap.friendships {
+    let Snapshot {
+        collected_at,
+        scanned_id_space,
+        accounts,
+        friendships,
+        ownerships,
+        groups,
+        memberships,
+        catalog,
+    } = snap;
+    let n = accounts.len();
+    // Every decoder checks this; the zip below would silently drop accounts.
+    assert!(
+        ownerships.len() == n && memberships.len() == n,
+        "snapshot's per-account arrays differ in length"
+    );
+    // Every list sized before it is filled: at 30k users this builds the
+    // friend lists in half the time that growing them push by push takes.
+    let mut degree = vec![0; n];
+    for e in &friendships {
+        check_edge(e, n)?;
+        degree[e.a as usize] += 1;
+        degree[e.b as usize] += 1;
+    }
+    let mut adjacency: Vec<Vec<(u32, SimTime)>> =
+        degree.into_iter().map(Vec::with_capacity).collect();
+    for e in &friendships {
         adjacency[e.a as usize].push((e.b, e.created_at));
         adjacency[e.b as usize].push((e.a, e.created_at));
     }
-    for list in &mut adjacency {
-        list.sort_by_key(|(v, _)| *v);
+    drop(friendships);
+    let ids: Vec<SteamId> = accounts.iter().map(|a| a.id).collect();
+    let friends = resolve_friends(adjacency, &ids);
+    // Exact capacities here too; growing the store vectors by doubling left
+    // the allocator slower for the next snapshot read in the same process.
+    let mut owned = vec![0; n_shards];
+    for id in &ids {
+        owned[shard_of(*id, n_shards)] += 1;
     }
     let mut shards: Vec<ShardStore> = (0..n_shards)
         .map(|i| ShardStore {
             shard_index: i as u32,
             shard_count: n_shards as u32,
-            collected_at: snap.collected_at,
-            scanned_id_space: snap.scanned_id_space,
-            accounts: Vec::new(),
-            friends: Vec::new(),
-            games: Vec::new(),
-            member_gids: Vec::new(),
+            collected_at,
+            scanned_id_space,
+            accounts: Vec::with_capacity(owned[i]),
+            friends: Vec::with_capacity(owned[i]),
+            games: Vec::with_capacity(owned[i]),
+            member_gids: Vec::with_capacity(owned[i]),
             groups: Vec::new(),
-            catalog: snap.catalog.clone(),
+            catalog: Vec::new(),
         })
         .collect();
-    for (u, acct) in snap.accounts.iter().enumerate() {
-        let shard = &mut shards[shard_of(acct.id, n_shards)];
-        shard.accounts.push(acct.clone());
-        shard.friends.push(
-            adjacency[u]
-                .iter()
-                .map(|&(v, since)| (snap.accounts[v as usize].id, since))
-                .collect(),
-        );
-        shard.games.push(snap.ownerships[u].clone());
-        shard.member_gids.push(
-            snap.memberships[u].iter().map(|&g| snap.groups[g as usize].id).collect(),
-        );
+    let records = accounts.into_iter().zip(friends).zip(ownerships).zip(memberships);
+    for (((account, friends), games), memberships) in records {
+        let member_gids = resolve_groups(memberships, &groups)?;
+        let shard = &mut shards[shard_of(account.id, n_shards)];
+        shard.accounts.push(account);
+        shard.friends.push(friends);
+        shard.games.push(games);
+        shard.member_gids.push(member_gids);
     }
-    for g in &snap.groups {
-        shards[shard_of_group(g.id, n_shards)].groups.push(g.clone());
+    for g in groups {
+        shards[shard_of_group(g.id, n_shards)].groups.push(g);
     }
-    shards
+    for shard in &mut shards[1..] {
+        shard.catalog = catalog.clone();
+    }
+    shards[0].catalog = catalog;
+    Ok(shards)
 }
 
 /// Streaming shard-split over a chunked (v3) snapshot file: builds one
@@ -186,7 +269,8 @@ impl<'a> StreamSplitter<'a> {
     }
 
     /// Builds shard `index` with four chunk passes (accounts, friendships,
-    /// libraries, memberships).
+    /// libraries, memberships). A dangling friend or group reference is a
+    /// [`ModelError::DanglingReference`], as in [`split_snapshot`].
     pub fn shard(&self, index: usize) -> Result<ShardStore, ModelError> {
         assert!(index < self.n_shards);
         let r = self.reader;
@@ -203,12 +287,13 @@ impl<'a> StreamSplitter<'a> {
             }
         }
 
-        // Adjacency in service order: both edge directions in edge order,
-        // then a stable sort by the friend's global index — exactly what
-        // `split_snapshot` computes, restricted to owned endpoints.
+        // Both edge directions in edge order, restricted to owned
+        // endpoints; `resolve_friends` then sorts exactly as
+        // `split_snapshot` does.
         let mut adjacency: Vec<Vec<(u32, SimTime)>> = vec![Vec::new(); accounts.len()];
         for k in 0..r.n_friendship_chunks() {
             for e in r.friendship_chunk(k)? {
+                check_edge(&e, self.ids.len())?;
                 if let Some(&s) = slot_of.get(&e.a) {
                     adjacency[s as usize].push((e.b, e.created_at));
                 }
@@ -217,13 +302,7 @@ impl<'a> StreamSplitter<'a> {
                 }
             }
         }
-        let friends: Vec<Vec<(SteamId, SimTime)>> = adjacency
-            .into_iter()
-            .map(|mut list| {
-                list.sort_by_key(|(v, _)| *v);
-                list.into_iter().map(|(v, since)| (self.ids[v as usize], since)).collect()
-            })
-            .collect();
+        let friends = resolve_friends(adjacency, &self.ids);
 
         let mut games: Vec<Vec<OwnedGame>> = vec![Vec::new(); accounts.len()];
         for k in 0..r.n_library_chunks() {
@@ -240,8 +319,7 @@ impl<'a> StreamSplitter<'a> {
             let base = r.membership_chunk_start(k);
             for (i, ms) in r.membership_chunk(k)?.into_iter().enumerate() {
                 if let Some(&s) = slot_of.get(&((base + i) as u32)) {
-                    member_gids[s as usize] =
-                        ms.iter().map(|&g| self.groups[g as usize].id).collect();
+                    member_gids[s as usize] = resolve_groups(ms, &self.groups)?;
                 }
             }
         }
@@ -287,12 +365,13 @@ fn get_section(buf: &mut Bytes, want: u8) -> Result<Bytes, ModelError> {
     if id != want {
         return Err(ModelError::Codec(format!("expected shard section {want}, found {id}")));
     }
-    let len = get_varu64(buf)? as usize;
-    if buf.remaining() < 4 + len {
+    // `len` comes from the file: compare it without computing `4 + len`.
+    let len = get_varu64(buf)?;
+    if buf.remaining().checked_sub(4).is_none_or(|left| len > left as u64) {
         return Err(ModelError::Codec(format!("truncated shard section {want}")));
     }
     let want_sum = buf.get_u32_le();
-    let payload = buf.split_to(len);
+    let payload = buf.split_to(len as usize);
     if checksum32(&payload) != want_sum {
         return Err(ModelError::Codec(format!("shard section {want} checksum mismatch")));
     }
@@ -370,14 +449,15 @@ pub fn decode_shard(mut buf: Bytes) -> Result<ShardStore, ModelError> {
     let scanned_id_space = get_varu64(&mut buf)?;
 
     let mut accounts_buf = get_section(&mut buf, SECTION_ACCOUNTS)?;
-    let n = get_varu64(&mut accounts_buf)? as usize;
+    // An account entry is a record of at least 7 bytes and three counts.
+    let n = get_len(&mut accounts_buf, 10, "shard account")?;
     let mut accounts = Vec::with_capacity(n);
     let mut friends = Vec::with_capacity(n);
     let mut games = Vec::with_capacity(n);
     let mut member_gids = Vec::with_capacity(n);
     for _ in 0..n {
         accounts.push(get_account(&mut accounts_buf)?);
-        let nf = get_varu64(&mut accounts_buf)? as usize;
+        let nf = get_len(&mut accounts_buf, 2, "friend")?;
         let mut fl = Vec::with_capacity(nf);
         for _ in 0..nf {
             let id = SteamId::from_index(get_varu64(&mut accounts_buf)?);
@@ -385,7 +465,7 @@ pub fn decode_shard(mut buf: Bytes) -> Result<ShardStore, ModelError> {
             fl.push((id, since));
         }
         friends.push(fl);
-        let ng = get_varu64(&mut accounts_buf)? as usize;
+        let ng = get_len(&mut accounts_buf, 3, "owned game")?;
         let mut gl = Vec::with_capacity(ng);
         for _ in 0..ng {
             let app_id = AppId(
@@ -403,7 +483,7 @@ pub fn decode_shard(mut buf: Bytes) -> Result<ShardStore, ModelError> {
             });
         }
         games.push(gl);
-        let nm = get_varu64(&mut accounts_buf)? as usize;
+        let nm = get_len(&mut accounts_buf, 1, "membership")?;
         let mut ml = Vec::with_capacity(nm);
         for _ in 0..nm {
             ml.push(GroupId(
@@ -415,14 +495,14 @@ pub fn decode_shard(mut buf: Bytes) -> Result<ShardStore, ModelError> {
     }
 
     let mut groups_buf = get_section(&mut buf, SECTION_GROUPS)?;
-    let n = get_varu64(&mut groups_buf)? as usize;
+    let n = get_len(&mut groups_buf, 3, "group")?;
     let mut groups = Vec::with_capacity(n);
     for _ in 0..n {
         groups.push(get_group(&mut groups_buf)?);
     }
 
     let mut catalog_buf = get_section(&mut buf, SECTION_CATALOG)?;
-    let n = get_varu64(&mut catalog_buf)? as usize;
+    let n = get_len(&mut catalog_buf, 10, "catalog")?;
     let mut catalog = Vec::with_capacity(n);
     for _ in 0..n {
         catalog.push(get_game(&mut catalog_buf)?);
@@ -452,324 +532,40 @@ pub fn read_shard(path: &Path) -> Result<ShardStore, ModelError> {
     decode_shard(Bytes::from(std::fs::read(path)?))
 }
 
-// --- shard-side service -----------------------------------------------------
-
-/// Serves one [`ShardStore`] over the same endpoint surface as the
-/// unsharded [`ApiService`](crate::service::ApiService). Every response for
-/// an entity this shard owns is byte-identical to what the unsharded
-/// service would produce — the store carries references pre-resolved in
-/// service order precisely so this holds.
-pub struct ShardService {
-    store: ShardStore,
-    limiter: KeyedLimiter,
-    cache: Option<WireCache>,
-    limiter_keys: OnceLock<Arc<Gauge>>,
-    by_id: HashMap<SteamId, u32>,
-    app_index: HashMap<AppId, u32>,
-    group_index: HashMap<u32, u32>,
-}
-
-impl ShardService {
-    pub fn new(store: ShardStore, limits: RateLimit) -> Self {
-        let by_id =
-            store.accounts.iter().enumerate().map(|(i, a)| (a.id, i as u32)).collect();
-        let app_index =
-            store.catalog.iter().enumerate().map(|(i, g)| (g.app_id, i as u32)).collect();
-        let group_index =
-            store.groups.iter().enumerate().map(|(i, g)| (g.id.0, i as u32)).collect();
-        ShardService {
-            store,
-            limiter: KeyedLimiter::new(limits.per_key_rps, limits.burst),
-            cache: Some(WireCache::new()),
-            limiter_keys: OnceLock::new(),
-            by_id,
-            app_index,
-            group_index,
-        }
-    }
-
-    /// Disables the wire-response cache.
-    pub fn without_cache(mut self) -> Self {
-        self.cache = None;
-        self
-    }
-
-    /// The store being served.
-    pub fn store(&self) -> &ShardStore {
-        &self.store
-    }
-
-    /// Binds cache counters and the limiter gauge to `registry`, labeled
-    /// with this shard's index so a fleet scraping into one place stays
-    /// tellable apart.
-    pub fn attach_registry(&self, registry: &steam_obs::Registry) {
-        if let Some(cache) = &self.cache {
-            cache.attach_registry(registry);
-        }
-        let shard = self.store.shard_index.to_string();
-        let _ = self
-            .limiter_keys
-            .set(registry.gauge("api_rate_limiter_keys", &[("shard", shard.as_str())]));
-    }
-
-    fn check_rate(&self, req: &Request) -> Result<(), Response> {
-        let key = req.query_param("key").unwrap_or("anonymous");
-        let bucket = self.limiter.bucket(key);
-        if let Some(g) = self.limiter_keys.get() {
-            g.set(self.limiter.len() as i64);
-        }
-        if bucket.try_acquire() {
-            Ok(())
-        } else {
-            let secs = bucket.time_until_available().as_secs_f64().ceil().max(1.0) as u64;
-            Err(Response::error(429, "rate limit exceeded")
-                .with_header("Retry-After", &secs.to_string()))
-        }
-    }
-
-    fn cached(&self, key: CacheKey, build: impl FnOnce() -> String) -> Response {
-        match &self.cache {
-            Some(cache) => {
-                if let Some(body) = cache.lookup(&key) {
-                    return Response::json_bytes(body.as_ref().clone());
-                }
-                let bytes = build().into_bytes();
-                cache.store(key, bytes.clone());
-                Response::json_bytes(bytes)
-            }
-            None => Response::json(build()),
-        }
-    }
-
-    fn user_index(&self, req: &Request) -> Result<u32, Response> {
-        let raw = match req.query_param("steamid") {
-            Some(raw) => raw,
-            None => return Err(Response::error(400, "missing steamid")),
-        };
-        let id: SteamId = match raw.parse() {
-            Ok(id) => id,
-            Err(_) => return Err(Response::error(400, "malformed steamid")),
-        };
-        match self.by_id.get(&id) {
-            Some(&idx) => Ok(idx),
-            None => Err(Response::error(404, "no such account")),
-        }
-    }
-
-    fn get_player_summaries(&self, req: &Request) -> Response {
-        let raw = match req.query_param("steamids") {
-            Some(raw) => raw,
-            None => return Response::error(400, "missing steamids"),
-        };
-        let segments: Vec<&str> = raw.split(',').filter(|s| !s.is_empty()).collect();
-        if segments.len() > MAX_BATCH_IDS {
-            return Response::error(400, "too many steamids (max 100)");
-        }
-        let mut ids: Vec<SteamId> = Vec::with_capacity(segments.len());
-        for s in segments {
-            let id: SteamId = match s.parse() {
-                Ok(id) => id,
-                Err(_) => return Response::error(400, "malformed steamid"),
-            };
-            if !ids.contains(&id) {
-                ids.push(id);
-            }
-        }
-        let key = CacheKey::Summaries(ids.iter().map(|id| id.as_u64()).collect());
-        if let Some(cache) = &self.cache {
-            if let Some(body) = cache.lookup(&key) {
-                return Response::json_bytes(body.as_ref().clone());
-            }
-        }
-        let mut found = Vec::new();
-        for id in ids {
-            if let Some(&idx) = self.by_id.get(&id) {
-                found.push(&self.store.accounts[idx as usize]);
-            }
-        }
-        let text = wire::player_summaries_response(&found).to_text();
-        match &self.cache {
-            Some(cache) => {
-                let bytes = text.into_bytes();
-                cache.store(key, bytes.clone());
-                Response::json_bytes(bytes)
-            }
-            None => Response::json(text),
-        }
-    }
-
-    fn get_friend_list(&self, req: &Request) -> Response {
-        let idx = match self.user_index(req) {
-            Ok(i) => i,
-            Err(resp) => return resp,
-        };
-        self.cached(CacheKey::Friends(idx), || {
-            wire::friend_list_response(&self.store.friends[idx as usize]).to_text()
-        })
-    }
-
-    fn get_owned_games(&self, req: &Request) -> Response {
-        let idx = match self.user_index(req) {
-            Ok(i) => i,
-            Err(resp) => return resp,
-        };
-        self.cached(CacheKey::Games(idx), || {
-            wire::owned_games_response(&self.store.games[idx as usize]).to_text()
-        })
-    }
-
-    fn get_group_list(&self, req: &Request) -> Response {
-        let idx = match self.user_index(req) {
-            Ok(i) => i,
-            Err(resp) => return resp,
-        };
-        self.cached(CacheKey::Groups(idx), || {
-            wire::group_list_response(&self.store.member_gids[idx as usize]).to_text()
-        })
-    }
-
-    fn get_app_list(&self) -> Response {
-        self.cached(CacheKey::AppList, || {
-            wire::app_list_response(&self.store.catalog).to_text()
-        })
-    }
-
-    fn get_app_details(&self, req: &Request) -> Response {
-        let app = match req.query_param("appids").and_then(|s| s.parse::<u32>().ok()) {
-            Some(a) => AppId(a),
-            None => return Response::error(400, "missing or malformed appids"),
-        };
-        match self.app_index.get(&app) {
-            Some(&gi) => self.cached(CacheKey::AppDetails(gi), || {
-                wire::app_details_response(&self.store.catalog[gi as usize]).to_text()
-            }),
-            None => Response::error(404, "unknown app"),
-        }
-    }
-
-    fn get_achievements(&self, req: &Request) -> Response {
-        let app = match req.query_param("gameid").and_then(|s| s.parse::<u32>().ok()) {
-            Some(a) => AppId(a),
-            None => return Response::error(400, "missing or malformed gameid"),
-        };
-        match self.app_index.get(&app) {
-            Some(&gi) => self.cached(CacheKey::Achievements(gi), || {
-                wire::achievement_percentages_response(
-                    &self.store.catalog[gi as usize].achievements,
-                )
-                .to_text()
-            }),
-            None => Response::error(404, "unknown app"),
-        }
-    }
-
-    fn get_group_page(&self, gid_str: &str) -> Response {
-        let gid: u32 = match gid_str.parse() {
-            Ok(g) => g,
-            Err(_) => return Response::error(400, "malformed gid"),
-        };
-        match self.group_index.get(&gid) {
-            Some(&gi) => self.cached(CacheKey::GroupPage(gi), || {
-                wire::group_page_response(&self.store.groups[gi as usize]).to_text()
-            }),
-            None => Response::error(404, "unknown group"),
-        }
-    }
-
-    fn debug_cache(&self) -> Response {
-        let body = match &self.cache {
-            Some(cache) => format!(
-                "{{\"enabled\":true,\"entries\":{},\"capacity\":{},\"hits\":{},\"misses\":{}}}",
-                cache.len(),
-                cache.capacity(),
-                cache.hits(),
-                cache.misses()
-            ),
-            None => "{\"enabled\":false,\"entries\":0,\"capacity\":0,\"hits\":0,\"misses\":0}"
-                .to_string(),
-        };
-        Response::json(body)
-    }
-
-    fn debug_limiter(&self) -> Response {
-        Response::json(format!(
-            "{{\"keys\":{},\"max_keys\":{}}}",
-            self.limiter.len(),
-            self.limiter.capacity()
-        ))
-    }
-}
-
-impl Handler for ShardService {
-    fn handle(&self, req: Request) -> Response {
-        if req.method != "GET" {
-            return Response::error(400, "only GET is supported");
-        }
-        match req.path.as_str() {
-            "/debug/cache" => return self.debug_cache(),
-            "/debug/limiter" => return self.debug_limiter(),
-            _ => {}
-        }
-        if let Err(resp) = self.check_rate(&req) {
-            return resp;
-        }
-        if let Some(gid) = req.path.strip_prefix("/community/group/") {
-            return self.get_group_page(gid);
-        }
-        match req.path.as_str() {
-            "/ISteamUser/GetPlayerSummaries/v2" => self.get_player_summaries(&req),
-            "/ISteamUser/GetFriendList/v1" => self.get_friend_list(&req),
-            "/IPlayerService/GetOwnedGames/v1" => self.get_owned_games(&req),
-            "/ISteamUser/GetUserGroupList/v1" => self.get_group_list(&req),
-            "/ISteamApps/GetAppList/v2" => self.get_app_list(),
-            "/api/appdetails" => self.get_app_details(&req),
-            "/ISteamUserStats/GetGlobalAchievementPercentagesForApp/v2" => {
-                self.get_achievements(&req)
-            }
-            // Shard stores carry no week panel; mirrors the unsharded
-            // service when none is attached.
-            "/reproduction/panel" => Response::error(404, "no panel attached to this service"),
-            _ => Response::error(404, "unknown endpoint"),
-        }
-    }
-}
-
-/// Binds an HTTP server serving one shard, with optional metrics registry
-/// and fault injector (same contract as the unsharded `serve_*` helpers).
-pub fn serve_shard_config(
-    service: ShardService,
-    addr: &str,
-    config: steam_net::ServerConfig,
-    registry: Option<Arc<steam_obs::Registry>>,
-    faults: Option<Arc<steam_net::FaultInjector>>,
-) -> Result<(HttpServer, Arc<ShardService>), NetError> {
-    if let Some(registry) = &registry {
-        service.attach_registry(registry);
-    }
-    let service = Arc::new(service);
-    let handler: Arc<dyn Handler> = Arc::clone(&service) as Arc<dyn Handler>;
-    let server = HttpServer::bind_config(addr, config, handler, registry, faults)?;
-    Ok((server, service))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::ApiService;
+    use crate::service::{ApiService, RateLimit};
+    use crate::wire;
+    use steam_model::codec::{read_snapshot, write_snapshot_v3};
+    use steam_model::SnapshotReader;
+    use steam_net::http::Request;
+    use steam_net::json::Json;
+    use steam_net::server::Handler;
     use steam_synth::{Generator, SynthConfig};
 
-    fn tiny_snapshot() -> Arc<Snapshot> {
+    fn world(n_users: usize, n_products: usize, n_groups: usize) -> Snapshot {
         let mut cfg = SynthConfig::small(77);
-        cfg.n_users = 400;
-        cfg.n_products = 120;
-        cfg.n_groups = 30;
-        Arc::new(Generator::new(cfg).generate())
+        cfg.n_users = n_users;
+        cfg.n_products = n_products;
+        cfg.n_groups = n_groups;
+        Generator::new(cfg).generate()
+    }
+
+    fn tiny_snapshot() -> Snapshot {
+        world(400, 120, 30)
+    }
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("shard-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
     fn split_covers_every_account_group_exactly_once() {
         let snap = tiny_snapshot();
-        let shards = split_snapshot(&snap, 4);
+        let shards = split_snapshot(snap.clone(), 4).unwrap();
         assert_eq!(shards.iter().map(|s| s.accounts.len()).sum::<usize>(), snap.n_users());
         assert_eq!(
             shards.iter().map(|s| s.groups.len()).sum::<usize>(),
@@ -788,13 +584,12 @@ mod tests {
     #[test]
     fn streamed_split_matches_in_memory_split_byte_for_byte() {
         let snap = tiny_snapshot();
-        let dir = std::env::temp_dir().join(format!("shard-stream-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("stream");
         let path = dir.join("world.snap");
-        steam_model::codec::write_snapshot_v3(&path, &snap, 2).unwrap();
-        let reader = steam_model::SnapshotReader::open(&path).unwrap();
+        write_snapshot_v3(&path, &snap, 2).unwrap();
+        let reader = SnapshotReader::open(&path).unwrap();
         for n in [1usize, 3] {
-            let in_memory = split_snapshot(&snap, n);
+            let in_memory = split_snapshot(snap.clone(), n).unwrap();
             let splitter = StreamSplitter::new(&reader, n).unwrap();
             for (i, expected) in in_memory.iter().enumerate() {
                 let streamed = splitter.shard(i).unwrap();
@@ -810,9 +605,34 @@ mod tests {
     }
 
     #[test]
+    fn dangling_references_are_typed_errors_in_both_builders() {
+        // `read_snapshot` accepts both files; only `validate` would object.
+        let good = world(60, 30, 8);
+        let mut bad_group = good.clone();
+        bad_group.memberships[0] = vec![good.groups.len() as u32 + 5];
+        let mut bad_edge = good.clone();
+        let past_end = good.n_users() as u32 + 3;
+        bad_edge.friendships.push(Friendship { a: 1, b: past_end, created_at: good.collected_at });
+        let dir = temp_dir("dangling");
+        // Each file with the account whose records hold the bad reference.
+        for (tag, snap, account) in [("group", bad_group, 0), ("edge", bad_edge, 1)] {
+            let path = dir.join(format!("{tag}.snap"));
+            write_snapshot_v3(&path, &snap, 1).unwrap();
+            let read = read_snapshot(&path).unwrap();
+            let split = split_snapshot(read, 2);
+            assert!(matches!(split, Err(ModelError::DanglingReference(_))), "{tag}: {split:?}");
+            let reader = SnapshotReader::open(&path).unwrap();
+            let splitter = StreamSplitter::new(&reader, 2).unwrap();
+            let shard = splitter.shard(shard_of(good.accounts[account].id, 2));
+            assert!(matches!(shard, Err(ModelError::DanglingReference(_))), "{tag}: {shard:?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn shard_store_roundtrips_through_the_codec() {
         let snap = tiny_snapshot();
-        for store in split_snapshot(&snap, 3) {
+        for store in split_snapshot(snap, 3).unwrap() {
             let decoded = decode_shard(encode_shard(&store)).unwrap();
             assert_eq!(decoded, store);
         }
@@ -820,64 +640,190 @@ mod tests {
 
     #[test]
     fn corrupt_shard_bytes_fail_loudly() {
-        let snap = tiny_snapshot();
-        let store = &split_snapshot(&snap, 2)[0];
+        let snap = world(30, 20, 5);
+        let store = &split_snapshot(snap, 2).unwrap()[0];
         let bytes = encode_shard(store);
         // Flip one byte mid-payload: a section checksum must catch it.
         let mut corrupt = bytes.to_vec();
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0xff;
         assert!(decode_shard(Bytes::from(corrupt)).is_err());
-        // Truncation fails too.
-        let short = bytes.slice(0..bytes.len() - 3);
-        assert!(decode_shard(short).is_err());
+        // No flipped byte anywhere may panic (a header flip can still decode).
+        for i in 0..bytes.len() {
+            let mut flipped = bytes.to_vec();
+            flipped[i] ^= 0xff;
+            let _ = decode_shard(Bytes::from(flipped));
+        }
+        // Every truncation fails.
+        for len in 0..bytes.len() {
+            assert!(decode_shard(bytes.slice(0..len)).is_err(), "truncated at {len}");
+        }
     }
 
     #[test]
-    fn shard_service_serves_the_same_bytes_as_the_unsharded_service() {
+    fn crafted_lengths_with_valid_checksums_fail_without_allocating() {
+        // The checksum is not keyed, so anyone can write a file whose
+        // counts are huge and whose sections still check out.
+        fn header() -> BytesMut {
+            let mut buf = BytesMut::new();
+            buf.put_slice(SHARD_MAGIC);
+            buf.put_u8(SHARD_VERSION);
+            put_varu64(&mut buf, 0); // shard index
+            put_varu64(&mut buf, 1); // shard count
+            put_vari64(&mut buf, 0); // collected at
+            put_varu64(&mut buf, 0); // scanned id space
+            buf
+        }
+        fn file(sections: [&BytesMut; 3]) -> Bytes {
+            let mut buf = header();
+            let ids = [SECTION_ACCOUNTS, SECTION_GROUPS, SECTION_CATALOG];
+            for (id, payload) in ids.into_iter().zip(sections) {
+                put_section(&mut buf, id, payload);
+            }
+            buf.freeze()
+        }
+        fn varints(values: &[u64]) -> BytesMut {
+            let mut buf = BytesMut::new();
+            for &v in values {
+                put_varu64(&mut buf, v);
+            }
+            buf
+        }
+        let snap = world(30, 20, 5);
+        // One account followed by its friend, game and member counts.
+        let account = |counts: &[u64]| {
+            let mut buf = varints(&[1]);
+            put_account(&mut buf, &snap.accounts[0]);
+            buf.put_slice(&varints(counts));
+            buf
+        };
+        let none = varints(&[0]);
+        assert!(decode_shard(file([&account(&[0, 0, 0]), &none, &none])).is_ok());
+
+        let huge = 1u64 << 40;
+        let cases = [
+            ("accounts", file([&varints(&[1 << 58]), &none, &none])),
+            ("friends", file([&account(&[huge]), &none, &none])),
+            ("games", file([&account(&[0, huge]), &none, &none])),
+            ("members", file([&account(&[0, 0, huge]), &none, &none])),
+            ("groups", file([&none, &varints(&[huge]), &none])),
+            ("catalog", file([&none, &none, &varints(&[huge])])),
+        ];
+        for (what, bytes) in cases {
+            assert!(decode_shard(bytes).is_err(), "{what} count");
+        }
+
+        // A section length of u64::MAX must not overflow the bounds check.
+        let mut buf = header();
+        buf.put_u8(SECTION_ACCOUNTS);
+        put_varu64(&mut buf, u64::MAX);
+        buf.put_u32_le(0);
+        assert!(decode_shard(buf.freeze()).is_err());
+    }
+
+    /// The served bytes, rebuilt from the snapshot with the wire builders
+    /// alone: friend lists in ascending friend index, group lists in
+    /// membership order, summaries in first-occurrence order. The service
+    /// over the 1-of-1 store and over each of 4 shards must serve exactly
+    /// these for every account, group and app.
+    #[test]
+    fn every_store_serves_the_bytes_rebuilt_from_the_snapshot() {
         let snap = tiny_snapshot();
-        let unsharded = ApiService::new(Arc::clone(&snap), RateLimit::default());
-        let n = 4;
-        let services: Vec<ShardService> = split_snapshot(&snap, n)
-            .into_iter()
-            .map(|s| ShardService::new(s, RateLimit::default()))
-            .collect();
-        let ask = |svc: &dyn Handler, target: &str| svc.handle(Request::get(target));
-        for acct in snap.accounts.iter().take(40) {
-            let shard = &services[shard_of(acct.id, n)];
-            for target in [
-                format!("/ISteamUser/GetPlayerSummaries/v2?steamids={}", acct.id),
-                format!("/ISteamUser/GetFriendList/v1?steamid={}", acct.id),
-                format!("/IPlayerService/GetOwnedGames/v1?steamid={}", acct.id),
-                format!("/ISteamUser/GetUserGroupList/v1?steamid={}", acct.id),
-            ] {
-                let a = ask(&unsharded, &target);
-                let b = ask(shard, &target);
-                assert_eq!(a.status, b.status, "{target}");
-                assert_eq!(a.body, b.body, "{target}");
+        let friends_of = |u: u32| -> Vec<(SteamId, SimTime)> {
+            let mut list: Vec<(u32, SimTime)> = snap
+                .friendships
+                .iter()
+                .filter_map(|e| match (e.a == u, e.b == u) {
+                    (true, _) => Some((e.b, e.created_at)),
+                    (_, true) => Some((e.a, e.created_at)),
+                    _ => None,
+                })
+                .collect();
+            list.sort_by_key(|&(v, _)| v);
+            list.into_iter().map(|(v, since)| (snap.accounts[v as usize].id, since)).collect()
+        };
+        let bogus = SteamId::from_index(snap.scanned_id_space + 7);
+        for n in [1, 4] {
+            // Thousands of requests on one key: the limiter is not under test.
+            let unlimited = RateLimit { per_key_rps: 1e12, burst: 1e12 };
+            let services: Vec<ApiService> = split_snapshot(snap.clone(), n)
+                .unwrap()
+                .into_iter()
+                .map(|s| ApiService::new(s, unlimited))
+                .collect();
+            let check = |shard: usize, target: &str, expected: Json| {
+                let resp = services[shard].handle(Request::get(target));
+                assert_eq!(resp.status, 200, "{target} on shard {shard}/{n}");
+                assert_eq!(
+                    resp.body_text(),
+                    expected.to_text(),
+                    "{target} on shard {shard}/{n}"
+                );
+            };
+            for (u, acct) in snap.accounts.iter().enumerate() {
+                let owner = shard_of(acct.id, n);
+                let id = acct.id;
+                check(
+                    owner,
+                    &format!("/ISteamUser/GetPlayerSummaries/v2?steamids={id}"),
+                    wire::player_summaries_response(&[acct]),
+                );
+                check(
+                    owner,
+                    &format!("/ISteamUser/GetFriendList/v1?steamid={id}"),
+                    wire::friend_list_response(&friends_of(u as u32)),
+                );
+                check(
+                    owner,
+                    &format!("/IPlayerService/GetOwnedGames/v1?steamid={id}"),
+                    wire::owned_games_response(&snap.ownerships[u]),
+                );
+                let gids: Vec<GroupId> =
+                    snap.memberships[u].iter().map(|&g| snap.groups[g as usize].id).collect();
+                check(
+                    owner,
+                    &format!("/ISteamUser/GetUserGroupList/v1?steamid={id}"),
+                    wire::group_list_response(&gids),
+                );
             }
-        }
-        for g in snap.groups.iter().take(10) {
-            let target = format!("/community/group/{}", g.id.0);
-            let shard = &services[shard_of_group(g.id, n)];
-            assert_eq!(ask(&unsharded, &target).body, ask(shard, &target).body, "{target}");
-        }
-        for game in snap.catalog.iter().take(10) {
-            let shard = &services[shard_of_app(game.app_id, n)];
-            for target in [
-                format!("/api/appdetails?appids={}", game.app_id.0),
-                format!(
-                    "/ISteamUserStats/GetGlobalAchievementPercentagesForApp/v2?gameid={}",
-                    game.app_id.0
-                ),
-            ] {
-                assert_eq!(ask(&unsharded, &target).body, ask(shard, &target).body, "{target}");
+            // Batches in reverse id order with a repeat and a miss: each
+            // store answers its own accounts, first occurrence first.
+            for chunk in snap.accounts.rchunks(10) {
+                let mut batch: Vec<SteamId> = chunk.iter().rev().map(|a| a.id).collect();
+                batch.extend([chunk[chunk.len() / 2].id, bogus]);
+                let list: Vec<String> = batch.iter().map(|id| id.to_string()).collect();
+                let target =
+                    format!("/ISteamUser/GetPlayerSummaries/v2?steamids={}", list.join(","));
+                for shard in 0..n {
+                    let owned: Vec<&Account> =
+                        chunk.iter().rev().filter(|a| shard_of(a.id, n) == shard).collect();
+                    check(shard, &target, wire::player_summaries_response(&owned));
+                }
             }
-        }
-        // Any shard serves the full app list, byte-identical.
-        let target = "/ISteamApps/GetAppList/v2";
-        for shard in &services {
-            assert_eq!(ask(&unsharded, target).body, ask(shard, target).body);
+            for g in &snap.groups {
+                let target = format!("/community/group/{}", g.id.0);
+                check(shard_of_group(g.id, n), &target, wire::group_page_response(g));
+            }
+            for game in &snap.catalog {
+                let shard = shard_of_app(game.app_id, n);
+                let app = game.app_id.0;
+                check(
+                    shard,
+                    &format!("/api/appdetails?appids={app}"),
+                    wire::app_details_response(game),
+                );
+                check(
+                    shard,
+                    &format!(
+                        "/ISteamUserStats/GetGlobalAchievementPercentagesForApp/v2?gameid={app}"
+                    ),
+                    wire::achievement_percentages_response(&game.achievements),
+                );
+            }
+            // Any shard serves the full app list.
+            for shard in 0..n {
+                check(shard, "/ISteamApps/GetAppList/v2", wire::app_list_response(&snap.catalog));
+            }
         }
     }
 }

@@ -11,9 +11,9 @@
 
 use std::sync::Arc;
 
-use steam_api::{serve_service_faulty, ApiService, Crawler, CrawlerConfig, RateLimit};
+use steam_api::{serve_service_config, ApiService, Crawler, CrawlerConfig, RateLimit};
 use steam_model::{codec, Snapshot};
-use steam_net::{Backoff, FaultInjector, FaultPlan};
+use steam_net::{Backoff, FaultInjector, FaultPlan, ServerConfig};
 use steam_synth::{Generator, SynthConfig};
 
 fn tiny_snapshot(seed: u64) -> Arc<Snapshot> {
@@ -50,10 +50,10 @@ fn run_kill_resume(workers: usize, fault_seed: u64, world_seed: u64, tag: &str) 
     let original = tiny_snapshot(world_seed);
 
     // Baseline: a clean crawl against a fault-free server.
-    let (clean_server, _s) = serve_service_faulty(
+    let (clean_server, _s) = serve_service_config(
         ApiService::new(Arc::clone(&original), RateLimit::default()),
         "127.0.0.1:0",
-        2,
+        ServerConfig { workers: 2, ..Default::default() },
         None,
         None,
     )
@@ -73,10 +73,10 @@ fn run_kill_resume(workers: usize, fault_seed: u64, world_seed: u64, tag: &str) 
     .unwrap();
     let registry = Arc::new(steam_obs::Registry::new());
     let injector = Arc::new(FaultInjector::new(plan, Some(&registry)));
-    let (server, _service) = serve_service_faulty(
+    let (server, _service) = serve_service_config(
         ApiService::new(Arc::clone(&original), RateLimit::default()),
         "127.0.0.1:0",
-        2,
+        ServerConfig { workers: 2, ..Default::default() },
         Some(registry),
         Some(Arc::clone(&injector)),
     )
@@ -150,10 +150,10 @@ fn checkpointed_crawl_without_kill_matches_plain_crawl() {
     // The journal must be a pure observer: checkpointing on a healthy
     // server changes nothing about the result.
     let original = tiny_snapshot(503);
-    let (server, _service) = serve_service_faulty(
+    let (server, _service) = serve_service_config(
         ApiService::new(Arc::clone(&original), RateLimit::default()),
         "127.0.0.1:0",
-        2,
+        ServerConfig { workers: 2, ..Default::default() },
         None,
         None,
     )

@@ -118,10 +118,10 @@ fn crawl_survives_seeded_fault_plan() {
     .unwrap();
     let registry = Arc::new(steam_obs::Registry::new());
     let injector = Arc::new(FaultInjector::new(plan, Some(&registry)));
-    let (server, _service) = steam_api::serve_service_faulty(
+    let (server, _service) = steam_api::serve_service_config(
         ApiService::new(Arc::clone(&original), RateLimit::default()),
         "127.0.0.1:0",
-        2,
+        steam_net::ServerConfig { workers: 2, ..Default::default() },
         Some(Arc::clone(&registry)),
         Some(Arc::clone(&injector)),
     )

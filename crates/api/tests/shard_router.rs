@@ -15,9 +15,9 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 
 use steam_api::{
-    crawl_sharded, crawl_sharded_observed, serve_router_config, serve_service_faulty,
-    serve_shard_config, shard_of, split_snapshot, ApiService, CrawlProgress, Crawler,
-    CrawlerConfig, RateLimit, RouterConfig, RouterService, ShardService,
+    crawl_sharded, crawl_sharded_observed, serve_router_config, serve_service_config, shard_of,
+    split_snapshot, ApiService, CrawlProgress, Crawler, CrawlerConfig, RateLimit, RouterConfig,
+    RouterService,
 };
 use steam_model::{codec, Snapshot};
 use steam_net::{Backoff, FaultInjector, FaultPlan, HttpClient, NetError, ServerConfig};
@@ -36,10 +36,10 @@ fn tiny_snapshot(seed: u64) -> Arc<Snapshot> {
 /// Crawl of the unsharded server: the byte baseline every fleet variant
 /// must reproduce.
 fn baseline_bytes(original: &Arc<Snapshot>) -> Vec<u8> {
-    let (server, _s) = serve_service_faulty(
+    let (server, _s) = serve_service_config(
         ApiService::new(Arc::clone(original), RateLimit::default()),
         "127.0.0.1:0",
-        2,
+        ServerConfig { workers: 2, ..Default::default() },
         None,
         None,
     )
@@ -56,10 +56,10 @@ fn bind_fleet(
 ) -> (Vec<steam_net::HttpServer>, Vec<SocketAddr>) {
     let mut servers = Vec::with_capacity(SHARDS);
     let mut addrs = Vec::with_capacity(SHARDS);
-    for (i, store) in split_snapshot(original, SHARDS).into_iter().enumerate() {
-        let service = ShardService::new(store, RateLimit::default());
+    for (i, store) in split_snapshot(original.clone(), SHARDS).unwrap().into_iter().enumerate() {
+        let service = ApiService::new(store, RateLimit::default());
         let config = ServerConfig { workers: 4, ..Default::default() };
-        let (server, _s) = serve_shard_config(
+        let (server, _s) = serve_service_config(
             service,
             "127.0.0.1:0",
             config,
@@ -371,17 +371,17 @@ fn killed_sharded_crawl_resumes_to_identical_snapshot() {
 #[test]
 fn single_shard_fleet_routes_byte_identical_to_unsharded_service() {
     let original = tiny_snapshot(608);
-    let (direct_server, _s) = serve_service_faulty(
+    let (direct_server, _s) = serve_service_config(
         ApiService::new(Arc::clone(&original), RateLimit::default()),
         "127.0.0.1:0",
-        2,
+        ServerConfig { workers: 2, ..Default::default() },
         None,
         None,
     )
     .unwrap();
-    let store = split_snapshot(&original, 1).pop().unwrap();
-    let (shard_server, _sh) = serve_shard_config(
-        ShardService::new(store, RateLimit::default()),
+    let store = split_snapshot((*original).clone(), 1).unwrap().pop().unwrap();
+    let (shard_server, _sh) = serve_service_config(
+        ApiService::new(store, RateLimit::default()),
         "127.0.0.1:0",
         ServerConfig { workers: 2, ..Default::default() },
         None,

@@ -28,10 +28,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use steam_api::service::{serve_service, ApiService, RateLimit};
+use steam_api::service::{serve_service_config, ApiService, RateLimit};
 use steam_api::{Crawler, CrawlerConfig};
 use steam_model::{codec, Snapshot};
-use steam_net::Json;
+use steam_net::{Json, ServerConfig};
 use steam_synth::{Generator, SynthConfig};
 
 struct Run {
@@ -117,13 +117,13 @@ fn main() {
     // The server needs a worker per concurrent client connection (each
     // worker owns its connection until close), plus one for the crawler's
     // main fetcher.
-    let server_workers = workers + 1;
+    let config = ServerConfig { workers: workers + 1, ..Default::default() };
 
     // Baseline: cache off, no pool — the pre-fast-path serve→crawl loop.
     let baseline_service =
         ApiService::new(Arc::clone(&original), RateLimit::default()).without_cache();
     let (baseline_server, _svc) =
-        serve_service(baseline_service, "127.0.0.1:0", server_workers).expect("bind");
+        serve_service_config(baseline_service, "127.0.0.1:0", config, None, None).expect("bind");
     let (baseline_snap, baseline) =
         crawl_once("baseline", baseline_server.addr(), workers, false, true, &original);
     drop(baseline_server);
@@ -132,7 +132,7 @@ fn main() {
     // cold one populated.
     let cached_service = ApiService::new(Arc::clone(&original), RateLimit::default());
     let (cached_server, service) =
-        serve_service(cached_service, "127.0.0.1:0", server_workers).expect("bind");
+        serve_service_config(cached_service, "127.0.0.1:0", config, None, None).expect("bind");
     let (cold_snap, cold) =
         crawl_once("cold", cached_server.addr(), workers, true, true, &original);
     let (warm_snap, warm) =
@@ -162,7 +162,7 @@ fn main() {
         let service =
             ApiService::new(Arc::clone(&original), RateLimit::default()).without_cache();
         let (server, _svc) =
-            serve_service(service, "127.0.0.1:0", server_workers).expect("bind");
+            serve_service_config(service, "127.0.0.1:0", config, None, None).expect("bind");
         let (off_snap, off) =
             crawl_once("untraced", server.addr(), workers, false, false, &original);
         let (on_snap, on) =

@@ -23,10 +23,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use steam_api::service::{serve_service_config, ApiService, RateLimit};
-use steam_api::{
-    serve_router_config, serve_shard_config, split_snapshot, RouterConfig, RouterService,
-    ShardService,
-};
+use steam_api::{serve_router_config, split_snapshot, RouterConfig, RouterService};
 use steam_model::Snapshot;
 use steam_net::http::{read_response, write_request, Request};
 use steam_net::{Json, ServerConfig};
@@ -248,9 +245,10 @@ fn main() {
     eprintln!("# splitting {shards} ways and binding the fleet...");
     let mut shard_servers = Vec::with_capacity(shards);
     let mut shard_addrs = Vec::with_capacity(shards);
-    for store in split_snapshot(&snapshot, shards) {
-        let (server, _s) = serve_shard_config(
-            ShardService::new(store, limits),
+    let stores = split_snapshot((*snapshot).clone(), shards).expect("generated world");
+    for store in stores {
+        let (server, _s) = serve_service_config(
+            ApiService::new(store, limits),
             "127.0.0.1:0",
             config,
             None,

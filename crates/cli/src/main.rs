@@ -119,7 +119,8 @@ COMMANDS
                                count, but served bytes are identical
              --shard I/N       serve one shard file written by shard-split
                                (--snapshot then names the shard file; the
-                               file's recorded index/count must match)
+                               file's recorded index/count must match);
+                               without it the snapshot is served as 0/1
              Also serves GET /metrics (Prometheus text exposition with
              per-endpoint request counts and latency histograms),
              GET /healthz (liveness), and GET /debug/spans|slow|conns|
@@ -315,41 +316,39 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let registry = Arc::new(Registry::new());
     let config = server_config(args);
 
-    if let Some(spec) = args.get("shard") {
+    let store = match args.get("shard") {
         // `--shard I/N`: --snapshot names a shard file from shard-split.
-        let (index, count) = spec
-            .split_once('/')
-            .and_then(|(i, n)| Some((i.parse::<u32>().ok()?, n.parse::<u32>().ok()?)))
-            .ok_or_else(|| format!("bad --shard {spec:?} (expected I/N, e.g. 0/4)"))?;
-        let store = steam_api::read_shard(Path::new(path)).map_err(|e| e.to_string())?;
-        if (store.shard_index, store.shard_count) != (index, count) {
-            return Err(format!(
-                "{path} is shard {}/{} but --shard asked for {index}/{count}",
-                store.shard_index, store.shard_count
-            ));
+        Some(spec) => {
+            let (index, count) = spec
+                .split_once('/')
+                .and_then(|(i, n)| Some((i.parse::<u32>().ok()?, n.parse::<u32>().ok()?)))
+                .ok_or_else(|| format!("bad --shard {spec:?} (expected I/N, e.g. 0/4)"))?;
+            let store = steam_api::read_shard(Path::new(path)).map_err(|e| e.to_string())?;
+            if (store.shard_index, store.shard_count) != (index, count) {
+                return Err(format!(
+                    "{path} is shard {}/{} but --shard asked for {index}/{count}",
+                    store.shard_index, store.shard_count
+                ));
+            }
+            store
         }
-        eprintln!(
-            "serving shard {index}/{count} ({} accounts, {} groups) from {path}",
-            store.accounts.len(),
-            store.groups.len()
-        );
-        let faults = parse_faults(args, &registry)?;
-        let mut service = steam_api::ShardService::new(store, limits);
-        if args.has("no-cache") {
-            eprintln!("wire-response cache disabled");
-            service = service.without_cache();
+        // A whole snapshot is shard 0 of 1, split as `shard-split` does.
+        None => {
+            let snapshot = codec::read_snapshot(Path::new(path)).map_err(|e| e.to_string())?;
+            let mut stores =
+                steam_api::split_snapshot(snapshot, 1).map_err(|e| e.to_string())?;
+            stores.pop().expect("a 1-way split yields one store")
         }
-        let (server, _service) =
-            steam_api::serve_shard_config(service, addr, config, Some(registry), faults)
-                .map_err(|e| e.to_string())?;
-        serve_forever(&server);
-    }
-
-    let snapshot =
-        Arc::new(codec::read_snapshot(Path::new(path)).map_err(|e| e.to_string())?);
-    eprintln!("serving {} users from {path}", snapshot.n_users());
+    };
+    eprintln!(
+        "serving shard {}/{} ({} accounts, {} groups) from {path}",
+        store.shard_index,
+        store.shard_count,
+        store.accounts.len(),
+        store.groups.len()
+    );
     let faults = parse_faults(args, &registry)?;
-    let mut service = ApiService::new(snapshot, limits);
+    let mut service = ApiService::new(store, limits);
     if args.has("no-cache") {
         eprintln!("wire-response cache disabled");
         service = service.without_cache();
@@ -394,7 +393,7 @@ fn cmd_shard_split(args: &Args) -> Result<(), String> {
     }
     let snapshot = codec::read_snapshot(p).map_err(|e| e.to_string())?;
     eprintln!("splitting {} users {n} ways...", snapshot.n_users());
-    for store in steam_api::split_snapshot(&snapshot, n) {
+    for store in steam_api::split_snapshot(snapshot, n).map_err(|e| e.to_string())? {
         write(&store)?;
     }
     Ok(())

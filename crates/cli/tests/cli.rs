@@ -140,6 +140,57 @@ fn validate_rejects_corrupt_snapshot() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A v3 file that reads back fine but names a group past the end: both
+/// commands that build a shard store must refuse it with the typed error
+/// rather than panic (or serve a store that panics on the first request).
+#[test]
+fn shard_split_and_serve_reject_a_dangling_group_reference() {
+    let dir = temp_dir("dangling");
+    let snap_path = dir.join("dangling.bin");
+    let mut cfg = steam_synth::SynthConfig::small(3);
+    cfg.n_users = 60;
+    cfg.n_products = 30;
+    cfg.n_groups = 8;
+    let mut snap = steam_synth::Generator::new(cfg).generate();
+    snap.memberships[0] = vec![snap.groups.len() as u32 + 5];
+    steam_model::codec::write_snapshot_v3(&snap_path, &snap, 1).unwrap();
+    let snap_arg = snap_path.to_str().unwrap();
+
+    let prefix = dir.join("shard");
+    let out = bin()
+        .args(["shard-split", "--snapshot", snap_arg, "--shards", "2"])
+        .args(["--out", prefix.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("dangling reference"), "{stderr}");
+
+    // `serve` fails before it binds; the deadline only guards the test.
+    let mut server = bin()
+        .args(["serve", "--snapshot", snap_arg, "--addr", "127.0.0.1:0"])
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = server.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            server.kill().ok();
+            server.wait().ok();
+            panic!("serve kept running on a dangling reference");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    assert!(!status.success());
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut server.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert!(stderr.contains("dangling reference"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn serve_then_crawl_round_trips() {
     let dir = temp_dir("crawl");

@@ -219,10 +219,12 @@ pub fn get_str<B: Buf>(buf: &mut B) -> Result<String, ModelError> {
     String::from_utf8(raw).map_err(|_| err("invalid utf-8 in string"))
 }
 
-fn get_len<B: Buf>(buf: &mut B, per_item_min: usize, what: &str) -> Result<usize, ModelError> {
+/// Reads an item count, rejecting one that cannot fit in the bytes left
+/// when every item takes at least `per_item_min` bytes. Read counts with
+/// this before allocating for them: a corrupt or crafted count then fails
+/// as a typed error instead of a huge allocation.
+pub fn get_len<B: Buf>(buf: &mut B, per_item_min: usize, what: &str) -> Result<usize, ModelError> {
     let n = get_varu64(buf)? as usize;
-    // Reject lengths that cannot possibly fit in the remaining buffer; this
-    // bounds allocations when fed corrupt data.
     if per_item_min > 0 && n > buf.remaining() / per_item_min {
         return Err(err(format!("implausible {what} count {n}")));
     }
