@@ -32,8 +32,9 @@ use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use steam_model::codec::{
-    append_record, decode_segment, get_account, get_game, get_group, get_vari64, get_varu64,
-    new_segment, put_account, put_game, put_group, put_vari64, put_varu64, write_atomic,
+    append_record, decode_segment, get_account, get_game, get_group, get_steam_id, get_vari64,
+    get_varu64, new_segment, put_account, put_game, put_group, put_vari64, put_varu64,
+    write_atomic,
 };
 use steam_model::{Account, AppId, Game, Group, GroupId, ModelError, OwnedGame, SimTime, SteamId};
 use steam_net::NetError;
@@ -165,7 +166,7 @@ impl Record {
                 let n = get_varu64(&mut payload)? as usize;
                 let mut friends = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    let fid = SteamId::from_index(get_varu64(&mut payload)?);
+                    let fid = get_steam_id(&mut payload)?;
                     let since = SimTime::from_unix(get_vari64(&mut payload)?);
                     friends.push((fid, since));
                 }
@@ -436,6 +437,7 @@ mod tests {
     use steam_model::account::Visibility;
     use steam_model::game::{Achievement, AppType, GenreSet};
     use steam_model::group::GroupKind;
+    use steam_model::id::STEAM_ID_BASE;
 
     fn dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("steam-ckpt-{tag}-{}", std::process::id()));
@@ -512,6 +514,31 @@ mod tests {
         let full = sample_records().pop().unwrap().encode();
         for cut in 0..full.len() {
             assert!(Record::decode(full.slice(..cut)).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn journaled_friend_ids_decode_up_to_u64_max_and_fail_past_it() {
+        // A user record with one friend, written as the raw index `friend`.
+        let user = |friend: u64| {
+            let mut buf = BytesMut::new();
+            buf.put_u8(TAG_USER);
+            put_varu64(&mut buf, 3); // user index
+            put_varu64(&mut buf, 1); // friends
+            put_varu64(&mut buf, friend);
+            put_vari64(&mut buf, 0);
+            put_varu64(&mut buf, 0); // games
+            put_varu64(&mut buf, 0); // groups
+            buf.freeze()
+        };
+        let last = u64::MAX - STEAM_ID_BASE;
+        match Record::decode(user(last)).unwrap() {
+            Record::User(u) => assert_eq!(u.friends[0].0.as_u64(), u64::MAX),
+            other => panic!("decoded {other:?}"),
+        }
+        for friend in [last + 1, u64::MAX] {
+            let decoded = Record::decode(user(friend));
+            assert!(matches!(decoded, Err(ModelError::InvalidSteamId(_))), "{decoded:?}");
         }
     }
 

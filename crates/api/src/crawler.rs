@@ -1200,8 +1200,12 @@ mod tests {
         parallel.validate().unwrap();
     }
 
+    /// The fast path (wire cache and connection pool) must not change a
+    /// crawled byte: a crawl of an uncached server without a pool, a
+    /// pooled crawl of a cached server, and a warm re-crawl of that server
+    /// all reconstruct the same snapshot.
     #[test]
-    fn pooled_crawl_reuses_sockets_and_matches_unpooled_bytes() {
+    fn pooled_cached_crawls_reuse_sockets_hit_on_recrawl_and_match_baseline_bytes() {
         let original = {
             let mut cfg = SynthConfig::small(97);
             cfg.n_users = 250;
@@ -1210,52 +1214,63 @@ mod tests {
             Arc::new(Generator::new(cfg).generate())
         };
         const WORKERS: usize = 4;
-        let crawl_with = |pool_size: Option<usize>| {
-            // Fresh server per crawl so connection counts aren't conflated.
+        // A fresh server per configuration, so connection counts aren't
+        // conflated.
+        let serve_with = |cached: bool| {
             let registry = Arc::new(steam_obs::Registry::new());
-            let (server, _service) = serve_service_config(
-                ApiService::new(Arc::clone(&original), RateLimit::default()),
+            let service = ApiService::new(Arc::clone(&original), RateLimit::default());
+            let (server, service) = serve_service_config(
+                if cached { service } else { service.without_cache() },
                 "127.0.0.1:0",
                 steam_net::ServerConfig { workers: WORKERS + 1, ..Default::default() },
                 Some(Arc::clone(&registry)),
                 None,
             )
             .unwrap();
+            let connections = move || registry.counter("http_connections_total", &[]).get();
+            (server, service, connections)
+        };
+        let crawl = |addr: SocketAddr, pool_size: Option<usize>| {
             let config = CrawlerConfig {
                 empty_batches_to_stop: 2,
                 workers: WORKERS,
                 pool_size,
                 ..CrawlerConfig::default()
             };
-            let mut crawler = Crawler::new(server.addr(), config);
+            let mut crawler = Crawler::new(addr, config);
             let crawled = crawler.crawl(original.collected_at).unwrap();
-            let connections =
-                registry.counter("http_connections_total", &[]).get();
-            (crawled, connections, crawler)
+            (steam_model::codec::encode_snapshot(&crawled), crawler)
         };
 
-        let (pooled, pooled_conns, crawler) = crawl_with(Some(WORKERS));
-        let (unpooled, unpooled_conns, _) = crawl_with(None);
-
-        // The reconstructed snapshot is byte-identical either way.
-        assert_eq!(
-            steam_model::codec::encode_snapshot(&pooled),
-            steam_model::codec::encode_snapshot(&unpooled),
-            "pooling must not change the crawled bytes"
-        );
-        // The whole pooled crawl fits in pool-size sockets; the unpooled one
-        // needs a socket per fetcher (main + workers).
-        assert!(
-            pooled_conns <= WORKERS as u64,
-            "pooled crawl opened {pooled_conns} server connections (pool is {WORKERS})"
-        );
+        // Baseline: no cache, and a socket per fetcher (main + workers).
+        let (server, _service, connections) = serve_with(false);
+        let (baseline, _) = crawl(server.addr(), None);
+        let unpooled_conns = connections();
         assert!(
             unpooled_conns > WORKERS as u64,
             "unpooled crawl was expected to open a socket per fetcher, got {unpooled_conns}"
         );
+
+        // Cache and pool: the whole crawl fits in pool-size sockets.
+        let (server, service, connections) = serve_with(true);
+        let (cold, crawler) = crawl(server.addr(), Some(WORKERS));
+        let pooled_conns = connections();
+        assert!(
+            pooled_conns <= WORKERS as u64,
+            "pooled crawl opened {pooled_conns} server connections (pool is {WORKERS})"
+        );
         let pool = crawler.pool().expect("pooled crawl must expose its pool");
         assert_eq!(pool.connects(), pooled_conns, "client and server disagree on sockets");
         assert!(pool.reuses() > 0, "pooled crawl never reused a connection");
+
+        // A re-crawl of the same server finds the bodies already cached.
+        let cache = service.cache().expect("cached service");
+        let cold_hits = cache.hits();
+        let (warm, _) = crawl(server.addr(), Some(WORKERS));
+        assert!(cache.hits() > cold_hits, "warm re-crawl got no cache hits");
+
+        assert_eq!(cold, baseline, "pool and cache changed the crawled bytes");
+        assert_eq!(warm, baseline, "the warm re-crawl changed the crawled bytes");
     }
 
     #[test]

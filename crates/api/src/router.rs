@@ -14,8 +14,8 @@
 //! deduplicated list and picking each id's account from whichever shard
 //! returned it reconstructs exactly that interleaving. A single-shard
 //! fleet (and the single-id endpoints) skip the scatter entirely and
-//! forward on the caller's thread — `BENCH_shard.json` showed the
-//! per-request `thread::scope` spawn dominating routing overhead.
+//! forward on the caller's thread: a per-request `thread::scope` spawn was
+//! a large slice of routing overhead (DESIGN.md, "Sharded serving").
 //!
 //! Failure policy: a sub-request that keeps failing after bounded retries
 //! never yields a partially merged 200 — the client gets a clean 502

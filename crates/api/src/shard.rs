@@ -29,8 +29,8 @@ use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use steam_model::codec::{
-    checksum32, get_account, get_game, get_group, get_len, get_vari64, get_varu64, put_account,
-    put_game, put_group, put_vari64, put_varu64, write_atomic,
+    checksum32, get_account, get_game, get_group, get_len, get_steam_id, get_vari64, get_varu64,
+    put_account, put_game, put_group, put_vari64, put_varu64, write_atomic,
 };
 use steam_model::{
     Account, AppId, Friendship, Game, Group, GroupId, ModelError, OwnedGame, SimTime, Snapshot,
@@ -460,7 +460,7 @@ pub fn decode_shard(mut buf: Bytes) -> Result<ShardStore, ModelError> {
         let nf = get_len(&mut accounts_buf, 2, "friend")?;
         let mut fl = Vec::with_capacity(nf);
         for _ in 0..nf {
-            let id = SteamId::from_index(get_varu64(&mut accounts_buf)?);
+            let id = get_steam_id(&mut accounts_buf)?;
             let since = SimTime::from_unix(get_vari64(&mut accounts_buf)?);
             fl.push((id, since));
         }
@@ -538,6 +538,7 @@ mod tests {
     use crate::service::{ApiService, RateLimit};
     use crate::wire;
     use steam_model::codec::{read_snapshot, write_snapshot_v3};
+    use steam_model::id::STEAM_ID_BASE;
     use steam_model::SnapshotReader;
     use steam_net::http::Request;
     use steam_net::json::Json;
@@ -660,35 +661,38 @@ mod tests {
         }
     }
 
+    // Crafted shard files. The checksum is not keyed, so anyone can write a
+    // file whose sections check out whatever they hold.
+    fn crafted_header() -> BytesMut {
+        let mut buf = BytesMut::new();
+        buf.put_slice(SHARD_MAGIC);
+        buf.put_u8(SHARD_VERSION);
+        put_varu64(&mut buf, 0); // shard index
+        put_varu64(&mut buf, 1); // shard count
+        put_vari64(&mut buf, 0); // collected at
+        put_varu64(&mut buf, 0); // scanned id space
+        buf
+    }
+
+    fn crafted_file(sections: [&BytesMut; 3]) -> Bytes {
+        let mut buf = crafted_header();
+        let ids = [SECTION_ACCOUNTS, SECTION_GROUPS, SECTION_CATALOG];
+        for (id, payload) in ids.into_iter().zip(sections) {
+            put_section(&mut buf, id, payload);
+        }
+        buf.freeze()
+    }
+
+    fn varints(values: &[u64]) -> BytesMut {
+        let mut buf = BytesMut::new();
+        for &v in values {
+            put_varu64(&mut buf, v);
+        }
+        buf
+    }
+
     #[test]
     fn crafted_lengths_with_valid_checksums_fail_without_allocating() {
-        // The checksum is not keyed, so anyone can write a file whose
-        // counts are huge and whose sections still check out.
-        fn header() -> BytesMut {
-            let mut buf = BytesMut::new();
-            buf.put_slice(SHARD_MAGIC);
-            buf.put_u8(SHARD_VERSION);
-            put_varu64(&mut buf, 0); // shard index
-            put_varu64(&mut buf, 1); // shard count
-            put_vari64(&mut buf, 0); // collected at
-            put_varu64(&mut buf, 0); // scanned id space
-            buf
-        }
-        fn file(sections: [&BytesMut; 3]) -> Bytes {
-            let mut buf = header();
-            let ids = [SECTION_ACCOUNTS, SECTION_GROUPS, SECTION_CATALOG];
-            for (id, payload) in ids.into_iter().zip(sections) {
-                put_section(&mut buf, id, payload);
-            }
-            buf.freeze()
-        }
-        fn varints(values: &[u64]) -> BytesMut {
-            let mut buf = BytesMut::new();
-            for &v in values {
-                put_varu64(&mut buf, v);
-            }
-            buf
-        }
         let snap = world(30, 20, 5);
         // One account followed by its friend, game and member counts.
         let account = |counts: &[u64]| {
@@ -698,27 +702,56 @@ mod tests {
             buf
         };
         let none = varints(&[0]);
-        assert!(decode_shard(file([&account(&[0, 0, 0]), &none, &none])).is_ok());
+        assert!(decode_shard(crafted_file([&account(&[0, 0, 0]), &none, &none])).is_ok());
 
         let huge = 1u64 << 40;
         let cases = [
-            ("accounts", file([&varints(&[1 << 58]), &none, &none])),
-            ("friends", file([&account(&[huge]), &none, &none])),
-            ("games", file([&account(&[0, huge]), &none, &none])),
-            ("members", file([&account(&[0, 0, huge]), &none, &none])),
-            ("groups", file([&none, &varints(&[huge]), &none])),
-            ("catalog", file([&none, &none, &varints(&[huge])])),
+            ("accounts", crafted_file([&varints(&[1 << 58]), &none, &none])),
+            ("friends", crafted_file([&account(&[huge]), &none, &none])),
+            ("games", crafted_file([&account(&[0, huge]), &none, &none])),
+            ("members", crafted_file([&account(&[0, 0, huge]), &none, &none])),
+            ("groups", crafted_file([&none, &varints(&[huge]), &none])),
+            ("catalog", crafted_file([&none, &none, &varints(&[huge])])),
         ];
         for (what, bytes) in cases {
             assert!(decode_shard(bytes).is_err(), "{what} count");
         }
 
         // A section length of u64::MAX must not overflow the bounds check.
-        let mut buf = header();
+        let mut buf = crafted_header();
         buf.put_u8(SECTION_ACCOUNTS);
         put_varu64(&mut buf, u64::MAX);
         buf.put_u32_le(0);
         assert!(decode_shard(buf.freeze()).is_err());
+    }
+
+    #[test]
+    fn crafted_ids_decode_up_to_u64_max_and_fail_past_it() {
+        let snap = world(30, 20, 5);
+        // One account and its one friend, each written as a raw index.
+        let accounts = |account: u64, friend: u64| {
+            let mut record = BytesMut::new();
+            // Index 0 is a one-byte varint, so the rest of the record is `[1..]`.
+            put_account(&mut record, &Account { id: SteamId::from_index(0), ..snap.accounts[0] });
+            let mut buf = varints(&[1, account]);
+            buf.put_slice(&record[1..]);
+            buf.put_slice(&varints(&[1, friend]));
+            put_vari64(&mut buf, 0);
+            buf.put_slice(&varints(&[0, 0])); // games, memberships
+            buf
+        };
+        let none = varints(&[0]);
+        let last = u64::MAX - STEAM_ID_BASE;
+        let store = decode_shard(crafted_file([&accounts(last, last), &none, &none])).unwrap();
+        assert_eq!(store.accounts[0].id.as_u64(), u64::MAX);
+        assert_eq!(store.friends[0][0].0.as_u64(), u64::MAX);
+        for (account, friend) in [(last + 1, 0), (0, last + 1), (u64::MAX, 0), (0, u64::MAX)] {
+            let decoded = decode_shard(crafted_file([&accounts(account, friend), &none, &none]));
+            assert!(
+                matches!(decoded, Err(ModelError::InvalidSteamId(_))),
+                "account {account}, friend {friend}"
+            );
+        }
     }
 
     /// The served bytes, rebuilt from the snapshot with the wire builders

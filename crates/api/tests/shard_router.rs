@@ -11,7 +11,8 @@
 //! * A dead or fault-injected shard yields a clean 502/503 with a
 //!   `Retry-After` hint — never a partially-merged 200.
 
-use std::net::SocketAddr;
+use std::io::Read;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 use steam_api::{
@@ -19,7 +20,8 @@ use steam_api::{
     split_snapshot, ApiService, CrawlProgress, Crawler, CrawlerConfig, RateLimit, RouterConfig,
     RouterService,
 };
-use steam_model::{codec, Snapshot};
+use steam_model::{codec, Snapshot, SteamId};
+use steam_net::http::{write_request, Request};
 use steam_net::{Backoff, FaultInjector, FaultPlan, HttpClient, NetError, ServerConfig};
 use steam_synth::{Generator, SynthConfig};
 
@@ -49,14 +51,16 @@ fn baseline_bytes(original: &Arc<Snapshot>) -> Vec<u8> {
     codec::encode_snapshot(&snapshot).to_vec()
 }
 
-/// Binds one server per shard; `faults[i]` arms shard `i`'s injector.
+/// Binds one server per shard of a `shards`-way split; `faults[i]` arms
+/// shard `i`'s injector.
 fn bind_fleet(
     original: &Snapshot,
+    shards: usize,
     faults: &[Option<Arc<FaultInjector>>],
 ) -> (Vec<steam_net::HttpServer>, Vec<SocketAddr>) {
-    let mut servers = Vec::with_capacity(SHARDS);
-    let mut addrs = Vec::with_capacity(SHARDS);
-    for (i, store) in split_snapshot(original.clone(), SHARDS).unwrap().into_iter().enumerate() {
+    let mut servers = Vec::with_capacity(shards);
+    let mut addrs = Vec::with_capacity(shards);
+    for (i, store) in split_snapshot(original.clone(), shards).unwrap().into_iter().enumerate() {
         let service = ApiService::new(store, RateLimit::default());
         let config = ServerConfig { workers: 4, ..Default::default() };
         let (server, _s) = serve_service_config(
@@ -95,7 +99,7 @@ fn dead_addr() -> SocketAddr {
 fn crawl_through_router_is_byte_identical_to_direct_crawl() {
     let original = tiny_snapshot(601);
     let baseline = baseline_bytes(&original);
-    let (_servers, addrs) = bind_fleet(&original, &[]);
+    let (_servers, addrs) = bind_fleet(&original, SHARDS, &[]);
     let (router, _r) = bind_router(addrs, RouterConfig::default());
 
     let config = CrawlerConfig {
@@ -116,7 +120,7 @@ fn crawl_through_router_is_byte_identical_to_direct_crawl() {
 fn sharded_fleet_crawl_merges_byte_identical_snapshot() {
     let original = tiny_snapshot(602);
     let baseline = baseline_bytes(&original);
-    let (_servers, addrs) = bind_fleet(&original, &[]);
+    let (_servers, addrs) = bind_fleet(&original, SHARDS, &[]);
     let config = CrawlerConfig {
         empty_batches_to_stop: 2,
         workers: 2,
@@ -133,7 +137,7 @@ fn sharded_fleet_crawl_merges_byte_identical_snapshot() {
 #[test]
 fn fleet_crawl_makes_one_exchange_per_journal_record_but_each_census_end() {
     let original = tiny_snapshot(609);
-    let (_servers, addrs) = bind_fleet(&original, &[]);
+    let (_servers, addrs) = bind_fleet(&original, SHARDS, &[]);
     let dir = std::env::temp_dir().join(format!("steam-shard-exchanges-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let config = CrawlerConfig {
@@ -156,7 +160,7 @@ fn fleet_crawl_makes_one_exchange_per_journal_record_but_each_census_end() {
 #[test]
 fn dead_shard_yields_clean_errors_never_partial_200() {
     let original = tiny_snapshot(603);
-    let (_servers, mut addrs) = bind_fleet(&original, &[]);
+    let (_servers, mut addrs) = bind_fleet(&original, SHARDS, &[]);
     const DEAD: usize = 2;
     addrs[DEAD] = dead_addr();
     let config = RouterConfig {
@@ -227,7 +231,7 @@ fn fault_injected_shard_gives_up_with_503_and_retry_after() {
     let mut faults: Vec<Option<Arc<FaultInjector>>> = vec![None; SHARDS];
     const SICK: usize = 1;
     faults[SICK] = Some(injector);
-    let (_servers, addrs) = bind_fleet(&original, &faults);
+    let (_servers, addrs) = bind_fleet(&original, SHARDS, &faults);
     let config = RouterConfig {
         backoff: Backoff {
             base: std::time::Duration::from_millis(1),
@@ -266,7 +270,7 @@ fn routed_crawl_survives_fault_injected_shard_byte_identical() {
     let injector = Arc::new(FaultInjector::new(plan, Some(&registry)));
     let mut faults: Vec<Option<Arc<FaultInjector>>> = vec![None; SHARDS];
     faults[0] = Some(Arc::clone(&injector));
-    let (_servers, addrs) = bind_fleet(&original, &faults);
+    let (_servers, addrs) = bind_fleet(&original, SHARDS, &faults);
     // Router retries transport faults and 5xx; the crawler's own backoff
     // retries whatever still leaks through as a terminal 502/503.
     let (router, _r) = bind_router(addrs, RouterConfig::default());
@@ -310,7 +314,7 @@ fn killed_sharded_crawl_resumes_to_identical_snapshot() {
         injectors.push(Arc::clone(&injector));
         faults.push(Some(injector));
     }
-    let (_servers, addrs) = bind_fleet(&original, &faults);
+    let (_servers, addrs) = bind_fleet(&original, SHARDS, &faults);
 
     let dir = std::env::temp_dir()
         .join(format!("steam-shard-resume-{}", std::process::id()));
@@ -363,64 +367,91 @@ fn killed_sharded_crawl_resumes_to_identical_snapshot() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Regression test for the single-shard fast path: a one-shard fleet
-/// behind the router forwards batches verbatim on the caller's thread
-/// (no id parse, no `thread::scope`), and that shortcut must stay
-/// byte-identical to the unsharded service — including for duplicate
-/// ids, misses, single ids, and malformed batches.
-#[test]
-fn single_shard_fleet_routes_byte_identical_to_unsharded_service() {
-    let original = tiny_snapshot(608);
-    let (direct_server, _s) = serve_service_config(
-        ApiService::new(Arc::clone(&original), RateLimit::default()),
-        "127.0.0.1:0",
-        ServerConfig { workers: 2, ..Default::default() },
-        None,
-        None,
-    )
-    .unwrap();
-    let store = split_snapshot((*original).clone(), 1).unwrap().pop().unwrap();
-    let (shard_server, _sh) = serve_service_config(
-        ApiService::new(store, RateLimit::default()),
-        "127.0.0.1:0",
-        ServerConfig { workers: 2, ..Default::default() },
-        None,
-        None,
-    )
-    .unwrap();
-    let (router, _r) = bind_router(vec![shard_server.addr()], RouterConfig::default());
+/// One request with `Connection: close` and no trace header: the raw
+/// response, status line and headers included.
+fn fetch_raw(addr: SocketAddr, target: &str) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut req = Request::get(target);
+    req.headers.push(("Connection".into(), "close".into()));
+    write_request(&mut stream, &req).unwrap();
+    let mut bytes = Vec::new();
+    stream.read_to_end(&mut bytes).unwrap();
+    bytes
+}
 
-    let mut via_router = HttpClient::new(router.addr());
-    let mut via_direct = HttpClient::new(direct_server.addr());
-    let ids: Vec<String> =
-        original.accounts.iter().take(6).map(|a| a.id.to_string()).collect();
-    let targets = [
-        format!("/ISteamUser/GetPlayerSummaries/v2?steamids={}", ids.join(",")),
+/// A routed fleet must put the unsharded service's bytes on the wire. With
+/// one shard the router forwards batches verbatim on the caller's thread
+/// (no id parse, no `thread::scope`); with four it splits, fans out and
+/// merges them. The probe set: batches of 10 consecutive accounts, which
+/// name every shard of four; friend, games and group-list reads; group
+/// pages; app details; the app list; and batches out of id order, with
+/// duplicate ids, misses, single ids or malformed ids.
+#[test]
+fn fleets_of_one_and_four_shards_route_raw_bytes_identical_to_unsharded_service() {
+    let original = tiny_snapshot(608);
+    let ids: Vec<_> = original.accounts.iter().map(|a| a.id).collect();
+    let batches: Vec<Vec<_>> = (0..8)
+        .map(|k| (0..10).map(|j| ids[(k * ids.len() / 8 + j) % ids.len()]).collect())
+        .collect();
+    for batch in &batches {
+        let shards: std::collections::BTreeSet<_> =
+            batch.iter().map(|&id| shard_of(id, SHARDS)).collect();
+        assert_eq!(shards.len(), SHARDS, "batch {batch:?} misses a shard");
+    }
+    let join = |batch: &[SteamId]| {
+        batch.iter().map(|id| id.to_string()).collect::<Vec<_>>().join(",")
+    };
+    let mut targets: Vec<String> = batches
+        .iter()
+        .map(|batch| format!("/ISteamUser/GetPlayerSummaries/v2?steamids={}", join(batch)))
+        .collect();
+    for (k, id) in ids.iter().enumerate().take(32) {
+        targets.push(match k % 3 {
+            0 => format!("/ISteamUser/GetFriendList/v1?steamid={id}"),
+            1 => format!("/IPlayerService/GetOwnedGames/v1?steamid={id}"),
+            _ => format!("/ISteamUser/GetUserGroupList/v1?steamid={id}"),
+        });
+    }
+    for g in original.groups.iter().take(8) {
+        targets.push(format!("/community/group/{}", g.id.0));
+    }
+    for g in original.catalog.iter().take(8) {
+        targets.push(format!("/api/appdetails?appids={}", g.app_id.0));
+    }
+    targets.extend([
+        "/ISteamApps/GetAppList/v2".to_string(),
+        format!("/ISteamUser/GetPlayerSummaries/v2?steamids={},{},999999999999", ids[0], ids[0]),
+        // Out of id order, with a duplicate and an id no account holds.
         format!(
-            "/ISteamUser/GetPlayerSummaries/v2?steamids={},{},999999999999",
-            ids[0], ids[0]
+            "/ISteamUser/GetPlayerSummaries/v2?steamids={},{},{},{}",
+            ids[9],
+            ids[0],
+            ids[9],
+            SteamId::from_index(original.scanned_id_space + 7)
         ),
         format!("/ISteamUser/GetPlayerSummaries/v2?steamids={}", ids[2]),
         "/ISteamUser/GetPlayerSummaries/v2?steamids=notanumber".to_string(),
         "/ISteamUser/GetPlayerSummaries/v2".to_string(),
-        format!("/ISteamUser/GetFriendList/v1?steamid={}", ids[0]),
-    ];
-    for target in &targets {
-        match (via_router.get(target), via_direct.get(target)) {
-            (Ok(routed), Ok(direct)) => {
-                assert_eq!(routed.status, direct.status, "{target}");
-                assert_eq!(routed.body, direct.body, "routed bytes diverged for {target}");
-            }
-            (
-                Err(NetError::Status { code: rc, body: rb, .. }),
-                Err(NetError::Status { code: dc, body: db, .. }),
-            ) => {
-                assert_eq!(rc, dc, "{target}");
-                assert_eq!(rb, db, "routed error bytes diverged for {target}");
-            }
-            (routed, direct) => {
-                panic!("outcome shape diverged for {target}: {routed:?} vs {direct:?}")
-            }
+    ]);
+
+    for shards in [1, SHARDS] {
+        // A server mints the trace id it echoes on an untraced request from
+        // its own request count, so both front doors start fresh.
+        let (direct_server, _s) = serve_service_config(
+            ApiService::new(Arc::clone(&original), RateLimit::default()),
+            "127.0.0.1:0",
+            ServerConfig { workers: 2, ..Default::default() },
+            None,
+            None,
+        )
+        .unwrap();
+        let (_servers, addrs) = bind_fleet(&original, shards, &[]);
+        let (router, _r) = bind_router(addrs, RouterConfig::default());
+        for target in &targets {
+            let routed = fetch_raw(router.addr(), target);
+            let direct = fetch_raw(direct_server.addr(), target);
+            assert!(routed.starts_with(b"HTTP/1.1 "), "{shards} shards: {target}");
+            assert_eq!(routed, direct, "{shards} shards: {target}");
         }
     }
 }
@@ -428,7 +459,7 @@ fn single_shard_fleet_routes_byte_identical_to_unsharded_service() {
 #[test]
 fn routed_request_joins_client_router_and_shard_spans() {
     let original = tiny_snapshot(607);
-    let (_servers, addrs) = bind_fleet(&original, &[]);
+    let (_servers, addrs) = bind_fleet(&original, SHARDS, &[]);
     let (router, _r) = bind_router(addrs, RouterConfig::default());
 
     let trace = steam_obs::mint_trace_id();

@@ -2,13 +2,14 @@
 //! path can sustain with a large fleet of keep-alive connections, the
 //! regime the epoll reactor exists for.
 //!
-//! Unlike `crawl_bench` (closed-loop: the crawler only sends the next
-//! request after the previous response), this bench schedules request
-//! *arrivals* at a fixed rate and measures each latency from the request's
-//! **scheduled** arrival time, not from when the generator got around to
-//! sending it — the standard coordinated-omission correction, so a server
-//! that stalls shows the stall in its tail percentiles instead of silently
-//! slowing the generator down.
+//! Unlike perfbench's `crawl` and `routed` workloads (closed-loop: each
+//! caller only sends the next request after the previous response), this
+//! bench schedules request *arrivals* at a fixed rate and measures each
+//! latency from the request's **scheduled** arrival time, not from when
+//! the generator got around to sending it — the standard
+//! coordinated-omission correction, so a server that stalls shows the
+//! stall in its tail percentiles instead of silently slowing the
+//! generator down.
 //!
 //! Per mode measured:
 //!

@@ -1,1 +1,2 @@
-//! Criterion benches and the reproduction harness live in benches/ and src/bin/.
+//! The reproduction harness (`repro`), the ablation studies (`ablations`)
+//! and the open-loop serve load generator (`serve_bench`) live in src/bin/.

@@ -86,7 +86,7 @@ use crate::country::CountryCode;
 use crate::error::ModelError;
 use crate::game::{Achievement, AppId, AppType, Game, GenreSet};
 use crate::group::{Group, GroupId, GroupKind};
-use crate::id::SteamId;
+use crate::id::{SteamId, STEAM_ID_BASE};
 use crate::ownership::OwnedGame;
 use crate::snapshot::{Friendship, Snapshot, WeekPanel};
 use crate::time::SimTime;
@@ -257,9 +257,20 @@ pub fn put_account(buf: &mut BytesMut, a: &Account) {
     buf.put_u8(u8::from(a.facebook_linked));
 }
 
+/// Reads a Steam id written as its account index (`put_varu64(id.index())`).
+/// An index whose id would pass `u64::MAX` is
+/// [`ModelError::InvalidSteamId`], carrying the wrapped value below the base.
+pub fn get_steam_id<B: Buf>(buf: &mut B) -> Result<SteamId, ModelError> {
+    let index = get_varu64(buf)?;
+    let raw = STEAM_ID_BASE
+        .checked_add(index)
+        .ok_or(ModelError::InvalidSteamId(STEAM_ID_BASE.wrapping_add(index)))?;
+    SteamId::from_u64(raw)
+}
+
 /// Reads an account written by [`put_account`].
 pub fn get_account<B: Buf>(buf: &mut B) -> Result<Account, ModelError> {
-    let id = SteamId::from_index(get_varu64(buf)?);
+    let id = get_steam_id(buf)?;
     let created_at = SimTime::from_unix(get_vari64(buf)?);
     let visibility =
         Visibility::from_tag(get_byte(buf, "account")?).ok_or_else(|| err("bad visibility tag"))?;
@@ -2017,6 +2028,33 @@ mod tests {
             on_both!(&[0x80], get_str).0.unwrap_err(),
             "snapshot codec error: truncated varint"
         );
+    }
+
+    /// An account record whose id is written as the raw account index
+    /// `index`, which may lie past the last representable id.
+    fn account_with_index(index: u64) -> BytesMut {
+        let mut record = BytesMut::new();
+        // Index 0 is a one-byte varint, so the rest of the record is `[1..]`.
+        put_account(&mut record, &sample_snapshot().accounts[0]);
+        let mut buf = BytesMut::new();
+        put_varu64(&mut buf, index);
+        buf.put_slice(&record[1..]);
+        buf
+    }
+
+    #[test]
+    fn account_ids_decode_up_to_u64_max_and_fail_past_it() {
+        let last = u64::MAX - STEAM_ID_BASE;
+        let (top, rest) = on_both!(&account_with_index(last), get_account);
+        assert_eq!(top.unwrap().id.as_u64(), u64::MAX);
+        assert_eq!(rest, 0);
+        // Past the top the id would wrap below the base.
+        for (index, wrapped) in [(last + 1, 0), (u64::MAX, STEAM_ID_BASE - 1)] {
+            assert_eq!(
+                on_both!(&account_with_index(index), get_account).0.unwrap_err(),
+                ModelError::InvalidSteamId(wrapped).to_string()
+            );
+        }
     }
 
     /// A buffer that shows at most `step` bytes per chunk, so values

@@ -38,7 +38,7 @@ pub use flight::{
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::Registry;
-pub use rss::{peak_rss_bytes, reset_peak_rss};
+pub use rss::peak_rss_bytes;
 pub use trace::{
     enabled, level, recent_events, set_level, set_sink, span, Event, Level, Sink, SpanTimer,
     StderrSink,

@@ -1,12 +1,12 @@
 //! Peak-RSS introspection: the kernel's resident-set high-water mark.
 //!
-//! The out-of-core benchmarks (`BENCH_gen.json`, `BENCH_report.json`) and
-//! the CI `rss-smoke` job need one number: the most physical memory this
-//! process ever held. Linux tracks exactly that as `VmHWM` in
-//! `/proc/self/status` — no sampling thread, no allocator hooks, and it
-//! captures transient spikes a poller would miss. Off Linux both entry
-//! points degrade to no-ops (`None`/`false`) so callers can emit the field
-//! as optional instead of carrying their own `cfg` forks.
+//! The server's `peak_rss_bytes` gauge and the repository benchmark's
+//! `peak_rss_mb` need one number: the most physical memory this process
+//! ever held. Linux tracks exactly that as `VmHWM` in `/proc/self/status`
+//! — no sampling thread, no allocator hooks, and it captures transient
+//! spikes a poller would miss. Off Linux the reader returns `None`, so
+//! callers can emit the field as optional instead of carrying their own
+//! `cfg` forks.
 
 /// Peak resident set size of this process in bytes (`VmHWM` × 1024), or
 /// `None` off Linux / when procfs is unavailable. Sandboxed kernels (e.g.
@@ -14,21 +14,6 @@
 /// RSS is returned as a lower bound so the gauge stays meaningful.
 pub fn peak_rss_bytes() -> Option<u64> {
     read_vm_hwm_kb().map(|kb| kb * 1024)
-}
-
-/// Resets the kernel's peak-RSS water mark (writes `5` to
-/// `/proc/self/clear_refs`), so a benchmark can measure phases
-/// independently: reset, run the phase, read [`peak_rss_bytes`]. Returns
-/// whether the reset took effect; `false` off Linux.
-pub fn reset_peak_rss() -> bool {
-    #[cfg(target_os = "linux")]
-    {
-        std::fs::write("/proc/self/clear_refs", "5").is_ok()
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        false
-    }
 }
 
 #[cfg(target_os = "linux")]
