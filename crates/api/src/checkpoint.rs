@@ -32,9 +32,9 @@ use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use steam_model::codec::{
-    append_record, decode_segment, get_account, get_game, get_group, get_steam_id, get_vari64,
-    get_varu64, new_segment, put_account, put_game, put_group, put_vari64, put_varu64,
-    write_atomic,
+    append_record, decode_segment, get_account, get_friends, get_game, get_group, get_group_ids,
+    get_library, get_list, get_u32, get_varu64, new_segment, put_account, put_friends, put_game,
+    put_group, put_group_ids, put_library, put_list, put_varu64, write_atomic,
 };
 use steam_model::{Account, AppId, Game, Group, GroupId, ModelError, OwnedGame, SimTime, SteamId};
 use steam_net::NetError;
@@ -94,10 +94,7 @@ impl Record {
             Record::CensusBatch { start_index, accounts } => {
                 buf.put_u8(TAG_CENSUS_BATCH);
                 put_varu64(&mut buf, *start_index);
-                put_varu64(&mut buf, accounts.len() as u64);
-                for a in accounts {
-                    put_account(&mut buf, a);
-                }
+                put_list(&mut buf, accounts, put_account);
             }
             Record::CensusComplete { scanned_id_space } => {
                 buf.put_u8(TAG_CENSUS_COMPLETE);
@@ -106,21 +103,9 @@ impl Record {
             Record::User(u) => {
                 buf.put_u8(TAG_USER);
                 put_varu64(&mut buf, u64::from(u.index));
-                put_varu64(&mut buf, u.friends.len() as u64);
-                for (fid, since) in &u.friends {
-                    put_varu64(&mut buf, fid.index());
-                    put_vari64(&mut buf, since.unix());
-                }
-                put_varu64(&mut buf, u.games.len() as u64);
-                for g in &u.games {
-                    put_varu64(&mut buf, u64::from(g.app_id.0));
-                    put_varu64(&mut buf, u64::from(g.playtime_forever_min));
-                    put_varu64(&mut buf, u64::from(g.playtime_2weeks_min));
-                }
-                put_varu64(&mut buf, u.groups.len() as u64);
-                for g in &u.groups {
-                    put_varu64(&mut buf, u64::from(g.0));
-                }
+                put_friends(&mut buf, &u.friends);
+                put_library(&mut buf, &u.games);
+                put_group_ids(&mut buf, &u.groups);
             }
             Record::GroupPage(g) => {
                 buf.put_u8(TAG_GROUP_PAGE);
@@ -128,10 +113,7 @@ impl Record {
             }
             Record::AppList(apps) => {
                 buf.put_u8(TAG_APP_LIST);
-                put_varu64(&mut buf, apps.len() as u64);
-                for a in apps {
-                    put_varu64(&mut buf, u64::from(a.0));
-                }
+                put_list(&mut buf, apps, |buf, a| put_varu64(buf, u64::from(a.0)));
             }
             Record::App(game) => {
                 buf.put_u8(TAG_APP);
@@ -150,62 +132,22 @@ impl Record {
         let rec = match tag {
             TAG_CENSUS_BATCH => {
                 let start_index = get_varu64(&mut payload)?;
-                let n = get_varu64(&mut payload)? as usize;
-                let mut accounts = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    accounts.push(get_account(&mut payload)?);
-                }
+                let accounts = get_list(&mut payload, 7, "account", get_account)?;
                 Record::CensusBatch { start_index, accounts }
             }
             TAG_CENSUS_COMPLETE => {
                 Record::CensusComplete { scanned_id_space: get_varu64(&mut payload)? }
             }
-            TAG_USER => {
-                let index = u32::try_from(get_varu64(&mut payload)?)
-                    .map_err(|_| err("user index overflow"))?;
-                let n = get_varu64(&mut payload)? as usize;
-                let mut friends = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let fid = get_steam_id(&mut payload)?;
-                    let since = SimTime::from_unix(get_vari64(&mut payload)?);
-                    friends.push((fid, since));
-                }
-                let n = get_varu64(&mut payload)? as usize;
-                let mut games = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let app_id = AppId(
-                        u32::try_from(get_varu64(&mut payload)?).map_err(|_| err("app id"))?,
-                    );
-                    let forever =
-                        u32::try_from(get_varu64(&mut payload)?).map_err(|_| err("playtime"))?;
-                    let two_weeks =
-                        u32::try_from(get_varu64(&mut payload)?).map_err(|_| err("playtime"))?;
-                    games.push(OwnedGame {
-                        app_id,
-                        playtime_forever_min: forever,
-                        playtime_2weeks_min: two_weeks,
-                    });
-                }
-                let n = get_varu64(&mut payload)? as usize;
-                let mut groups = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    groups.push(GroupId(
-                        u32::try_from(get_varu64(&mut payload)?).map_err(|_| err("group id"))?,
-                    ));
-                }
-                Record::User(UserRecord { index, friends, games, groups })
-            }
+            TAG_USER => Record::User(UserRecord {
+                index: get_u32(&mut payload, "user index overflow")?,
+                friends: get_friends(&mut payload)?,
+                games: get_library(&mut payload)?,
+                groups: get_group_ids(&mut payload)?,
+            }),
             TAG_GROUP_PAGE => Record::GroupPage(get_group(&mut payload)?),
-            TAG_APP_LIST => {
-                let n = get_varu64(&mut payload)? as usize;
-                let mut apps = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    apps.push(AppId(
-                        u32::try_from(get_varu64(&mut payload)?).map_err(|_| err("app id"))?,
-                    ));
-                }
-                Record::AppList(apps)
-            }
+            TAG_APP_LIST => Record::AppList(get_list(&mut payload, 1, "app", |buf| {
+                Ok(AppId(get_u32(buf, "app id")?))
+            })?),
             TAG_APP => Record::App(get_game(&mut payload)?),
             other => return Err(err(format!("unknown checkpoint record tag {other}"))),
         };
@@ -435,6 +377,7 @@ impl CheckpointStore {
 mod tests {
     use super::*;
     use steam_model::account::Visibility;
+    use steam_model::codec::put_vari64;
     use steam_model::game::{Achievement, AppType, GenreSet};
     use steam_model::group::GroupKind;
     use steam_model::id::STEAM_ID_BASE;
@@ -539,6 +482,32 @@ mod tests {
         for friend in [last + 1, u64::MAX] {
             let decoded = Record::decode(user(friend));
             assert!(matches!(decoded, Err(ModelError::InvalidSteamId(_))), "{decoded:?}");
+        }
+    }
+
+    #[test]
+    fn crafted_record_length_ends_replay_at_the_records_before_it() {
+        for len in [u64::MAX, u64::MAX - 1, u64::MAX - 3] {
+            let d = dir("crafted");
+            let mut store = CheckpointStore::create(&d).unwrap().with_flush_every(3);
+            for rec in sample_records() {
+                store.append(&rec).unwrap();
+            }
+            store.flush().unwrap();
+            // The last segment (holding the App record) ends in a record
+            // whose length runs past the end of any file.
+            let path = segment_path(&d, 2);
+            let mut raw = BytesMut::new();
+            raw.put_slice(&std::fs::read(&path).unwrap());
+            put_varu64(&mut raw, len);
+            raw.put_u32_le(0);
+            raw.put_slice(b"tail");
+            std::fs::write(&path, &raw[..]).unwrap();
+
+            let (_store, replay) = CheckpointStore::resume(&d).unwrap();
+            assert_eq!(replay.len(), 7, "length {len}");
+            assert!(replay.apps.contains_key(&AppId(10)), "length {len}");
+            std::fs::remove_dir_all(&d).ok();
         }
     }
 

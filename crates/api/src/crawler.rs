@@ -1068,12 +1068,12 @@ mod tests {
         assert_eq!(stats.profiles_found, original.n_users() as u64);
     }
 
-    /// Cross-version read-equivalence for crawl output: the CLI now lands
-    /// crawled snapshots in the chunked v3 container, but archives of v1
-    /// (and v2) crawl files must stay loadable — and all three containers
-    /// must decode to the same world.
+    /// A crawl lands in the chunked v3 container, the only one the program
+    /// writes, and every reader gives back the crawled world: the file
+    /// decode at 1 and 4 jobs and the streaming reader. Archived v1 and v2
+    /// files stay readable through the golden files in `steam-model`.
     #[test]
-    fn crawled_snapshot_round_trips_identically_through_every_container_version() {
+    fn crawled_snapshot_round_trips_identically_through_the_v3_file() {
         let original = tiny_world();
         let (server, _service) =
             serve(Arc::clone(&original), "127.0.0.1:0", 2, RateLimit::default()).unwrap();
@@ -1083,25 +1083,47 @@ mod tests {
         let dir = std::env::temp_dir()
             .join(format!("crawl-versions-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let v1 = dir.join("crawl-v1.bin");
-        let v2 = dir.join("crawl-v2.bin");
         let v3 = dir.join("crawl-v3.bin");
-        steam_model::codec::write_snapshot(&v1, &crawled).unwrap();
-        steam_model::codec::write_snapshot_jobs(&v2, &crawled, 2).unwrap();
         steam_model::codec::write_snapshot_v3(&v3, &crawled, 2).unwrap();
-        assert_eq!(steam_model::codec::snapshot_file_version(&v1).unwrap(), 1);
         assert_eq!(
             steam_model::codec::snapshot_file_version(&v3).unwrap(),
             steam_model::codec::VERSION_CHUNKED
         );
-        let baseline = steam_model::codec::encode_snapshot(&crawled).to_vec();
-        for path in [&v1, &v2, &v3] {
-            let read = steam_model::codec::read_snapshot(path).unwrap();
+        let baseline = steam_model::codec::encode_snapshot_v3(&crawled, 1).to_vec();
+        assert_eq!(std::fs::read(&v3).unwrap(), baseline, "the file is the in-memory encoding");
+        let streamed = {
+            let reader = steam_model::SnapshotReader::open(&v3).unwrap();
+            let mut s = steam_model::Snapshot {
+                collected_at: reader.collected_at(),
+                scanned_id_space: reader.scanned_id_space(),
+                groups: reader.groups().unwrap(),
+                catalog: reader.catalog().unwrap(),
+                ..Default::default()
+            };
+            for k in 0..reader.n_account_chunks() {
+                s.accounts.extend(reader.account_chunk(k).unwrap());
+            }
+            for k in 0..reader.n_library_chunks() {
+                s.ownerships.extend(reader.library_chunk(k).unwrap());
+            }
+            for k in 0..reader.n_membership_chunks() {
+                s.memberships.extend(reader.membership_chunk(k).unwrap());
+            }
+            for k in 0..reader.n_friendship_chunks() {
+                s.friendships.extend(reader.friendship_chunk(k).unwrap());
+            }
+            s
+        };
+        let reads = [
+            ("read_snapshot", steam_model::codec::read_snapshot(&v3).unwrap()),
+            ("read_snapshot_jobs", steam_model::codec::read_snapshot_jobs(&v3, 4).unwrap()),
+            ("SnapshotReader", streamed),
+        ];
+        for (how, read) in reads {
             assert_eq!(
-                steam_model::codec::encode_snapshot(&read).to_vec(),
+                steam_model::codec::encode_snapshot_v3(&read, 1).to_vec(),
                 baseline,
-                "container {:?} did not round-trip the crawl",
-                path.file_name()
+                "{how} did not round-trip the crawl"
             );
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -1239,7 +1261,7 @@ mod tests {
             };
             let mut crawler = Crawler::new(addr, config);
             let crawled = crawler.crawl(original.collected_at).unwrap();
-            (steam_model::codec::encode_snapshot(&crawled), crawler)
+            (steam_model::codec::encode_snapshot_v3(&crawled, 1), crawler)
         };
 
         // Baseline: no cache, and a socket per fetcher (main + workers).
@@ -1374,8 +1396,8 @@ mod tests {
         let mut crawler = Crawler::new(server.addr(), config);
         let crawled = crawler.crawl(original.collected_at).unwrap();
         assert_eq!(
-            steam_model::codec::encode_snapshot(&crawled),
-            steam_model::codec::encode_snapshot(&clean),
+            steam_model::codec::encode_snapshot_v3(&crawled, 1),
+            steam_model::codec::encode_snapshot_v3(&clean, 1),
             "an early close must not change the crawled bytes"
         );
         let stats = crawler.stats();
@@ -1592,8 +1614,8 @@ mod tests {
         let traced = crawl_with(true);
         let untraced = crawl_with(false);
         assert_eq!(
-            steam_model::codec::encode_snapshot(&traced),
-            steam_model::codec::encode_snapshot(&untraced),
+            steam_model::codec::encode_snapshot_v3(&traced, 1),
+            steam_model::codec::encode_snapshot_v3(&untraced, 1),
             "tracing must not change the crawled bytes"
         );
         // The server ran in-process, so the flight recorder holds both sides

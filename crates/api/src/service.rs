@@ -710,7 +710,7 @@ mod tests {
         // The service can serve a decoded snapshot (catalog indexes etc.
         // survive the round trip).
         let snap = tiny_snapshot();
-        let bytes = codec::encode_snapshot(&snap);
+        let bytes = codec::encode_snapshot_v3(&snap, 1);
         let decoded = Arc::new(codec::decode_snapshot(bytes).unwrap());
         let service = ApiService::new(decoded, RateLimit::default());
         assert_eq!(request(&service, "/ISteamApps/GetAppList/v2").status, 200);

@@ -29,8 +29,9 @@ use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use steam_model::codec::{
-    checksum32, get_account, get_game, get_group, get_len, get_steam_id, get_vari64, get_varu64,
-    put_account, put_game, put_group, put_vari64, put_varu64, write_atomic,
+    checksum32, get_account, get_friends, get_game, get_group, get_group_ids, get_len, get_library,
+    get_list, get_u32, get_vari64, get_varu64, put_account, put_friends, put_game, put_group,
+    put_group_ids, put_library, put_list, put_vari64, put_varu64, write_atomic, GAME_MIN_LEN,
 };
 use steam_model::{
     Account, AppId, Friendship, Game, Group, GroupId, ModelError, OwnedGame, SimTime, Snapshot,
@@ -392,36 +393,18 @@ pub fn encode_shard(s: &ShardStore) -> Bytes {
     put_varu64(&mut accounts, s.accounts.len() as u64);
     for (u, a) in s.accounts.iter().enumerate() {
         put_account(&mut accounts, a);
-        put_varu64(&mut accounts, s.friends[u].len() as u64);
-        for &(id, since) in &s.friends[u] {
-            put_varu64(&mut accounts, id.index());
-            put_vari64(&mut accounts, since.unix());
-        }
-        put_varu64(&mut accounts, s.games[u].len() as u64);
-        for g in &s.games[u] {
-            put_varu64(&mut accounts, u64::from(g.app_id.0));
-            put_varu64(&mut accounts, u64::from(g.playtime_forever_min));
-            put_varu64(&mut accounts, u64::from(g.playtime_2weeks_min));
-        }
-        put_varu64(&mut accounts, s.member_gids[u].len() as u64);
-        for gid in &s.member_gids[u] {
-            put_varu64(&mut accounts, u64::from(gid.0));
-        }
+        put_friends(&mut accounts, &s.friends[u]);
+        put_library(&mut accounts, &s.games[u]);
+        put_group_ids(&mut accounts, &s.member_gids[u]);
     }
     put_section(&mut buf, SECTION_ACCOUNTS, &accounts);
 
     let mut groups = BytesMut::new();
-    put_varu64(&mut groups, s.groups.len() as u64);
-    for g in &s.groups {
-        put_group(&mut groups, g);
-    }
+    put_list(&mut groups, &s.groups, put_group);
     put_section(&mut buf, SECTION_GROUPS, &groups);
 
     let mut catalog = BytesMut::new();
-    put_varu64(&mut catalog, s.catalog.len() as u64);
-    for g in &s.catalog {
-        put_game(&mut catalog, g);
-    }
+    put_list(&mut catalog, &s.catalog, put_game);
     put_section(&mut buf, SECTION_CATALOG, &catalog);
 
     buf.freeze()
@@ -436,10 +419,8 @@ pub fn decode_shard(mut buf: Bytes) -> Result<ShardStore, ModelError> {
     if version != SHARD_VERSION {
         return Err(ModelError::Codec(format!("unsupported shard version {version}")));
     }
-    let shard_index = u32::try_from(get_varu64(&mut buf)?)
-        .map_err(|_| ModelError::Codec("shard index overflow".into()))?;
-    let shard_count = u32::try_from(get_varu64(&mut buf)?)
-        .map_err(|_| ModelError::Codec("shard count overflow".into()))?;
+    let shard_index = get_u32(&mut buf, "shard index overflow")?;
+    let shard_count = get_u32(&mut buf, "shard count overflow")?;
     if shard_count == 0 || shard_index >= shard_count {
         return Err(ModelError::Codec(format!(
             "invalid shard header {shard_index}/{shard_count}"
@@ -457,56 +438,14 @@ pub fn decode_shard(mut buf: Bytes) -> Result<ShardStore, ModelError> {
     let mut member_gids = Vec::with_capacity(n);
     for _ in 0..n {
         accounts.push(get_account(&mut accounts_buf)?);
-        let nf = get_len(&mut accounts_buf, 2, "friend")?;
-        let mut fl = Vec::with_capacity(nf);
-        for _ in 0..nf {
-            let id = get_steam_id(&mut accounts_buf)?;
-            let since = SimTime::from_unix(get_vari64(&mut accounts_buf)?);
-            fl.push((id, since));
-        }
-        friends.push(fl);
-        let ng = get_len(&mut accounts_buf, 3, "owned game")?;
-        let mut gl = Vec::with_capacity(ng);
-        for _ in 0..ng {
-            let app_id = AppId(
-                u32::try_from(get_varu64(&mut accounts_buf)?)
-                    .map_err(|_| ModelError::Codec("app id overflow".into()))?,
-            );
-            let forever = u32::try_from(get_varu64(&mut accounts_buf)?)
-                .map_err(|_| ModelError::Codec("playtime overflow".into()))?;
-            let recent = u32::try_from(get_varu64(&mut accounts_buf)?)
-                .map_err(|_| ModelError::Codec("playtime overflow".into()))?;
-            gl.push(OwnedGame {
-                app_id,
-                playtime_forever_min: forever,
-                playtime_2weeks_min: recent,
-            });
-        }
-        games.push(gl);
-        let nm = get_len(&mut accounts_buf, 1, "membership")?;
-        let mut ml = Vec::with_capacity(nm);
-        for _ in 0..nm {
-            ml.push(GroupId(
-                u32::try_from(get_varu64(&mut accounts_buf)?)
-                    .map_err(|_| ModelError::Codec("group id overflow".into()))?,
-            ));
-        }
-        member_gids.push(ml);
+        friends.push(get_friends(&mut accounts_buf)?);
+        games.push(get_library(&mut accounts_buf)?);
+        member_gids.push(get_group_ids(&mut accounts_buf)?);
     }
-
     let mut groups_buf = get_section(&mut buf, SECTION_GROUPS)?;
-    let n = get_len(&mut groups_buf, 3, "group")?;
-    let mut groups = Vec::with_capacity(n);
-    for _ in 0..n {
-        groups.push(get_group(&mut groups_buf)?);
-    }
-
+    let groups = get_list(&mut groups_buf, 3, "group", get_group)?;
     let mut catalog_buf = get_section(&mut buf, SECTION_CATALOG)?;
-    let n = get_len(&mut catalog_buf, 10, "catalog")?;
-    let mut catalog = Vec::with_capacity(n);
-    for _ in 0..n {
-        catalog.push(get_game(&mut catalog_buf)?);
-    }
+    let catalog = get_list(&mut catalog_buf, GAME_MIN_LEN, "catalog", get_game)?;
 
     Ok(ShardStore {
         shard_index,
@@ -539,7 +478,7 @@ mod tests {
     use crate::wire;
     use steam_model::codec::{read_snapshot, write_snapshot_v3};
     use steam_model::id::STEAM_ID_BASE;
-    use steam_model::SnapshotReader;
+    use steam_model::{AppType, GenreSet, SnapshotReader};
     use steam_net::http::Request;
     use steam_net::json::Json;
     use steam_net::server::Handler;
@@ -637,6 +576,25 @@ mod tests {
             let decoded = decode_shard(encode_shard(&store)).unwrap();
             assert_eq!(decoded, store);
         }
+    }
+
+    #[test]
+    fn shortest_catalog_entries_round_trip() {
+        // Nine one-byte fields: the shortest game the codec writes.
+        let game = Game {
+            app_id: AppId(0),
+            name: String::new(),
+            app_type: AppType::Game,
+            genres: GenreSet::EMPTY,
+            price_cents: 0,
+            multiplayer: false,
+            release_date: SimTime::from_unix(0),
+            metacritic: None,
+            achievements: Vec::new(),
+        };
+        let mut store = split_snapshot(world(30, 20, 5), 1).unwrap().remove(0);
+        store.catalog = vec![game; 3];
+        assert_eq!(decode_shard(encode_shard(&store)).unwrap(), store);
     }
 
     #[test]

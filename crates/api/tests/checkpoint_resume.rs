@@ -62,7 +62,7 @@ fn run_kill_resume(workers: usize, fault_seed: u64, world_seed: u64, tag: &str) 
         CrawlerConfig { empty_batches_to_stop: 2, workers, ..CrawlerConfig::default() };
     let mut clean_crawler = Crawler::new(clean_server.addr(), clean_config);
     let baseline = clean_crawler.crawl(original.collected_at).unwrap();
-    let baseline_bytes = codec::encode_snapshot(&baseline);
+    let baseline_bytes = codec::encode_snapshot_v3(&baseline, 1);
 
     // The faulty server: every kind of fault, each request a potential
     // abort point for the retry-less crawler below.
@@ -117,7 +117,7 @@ fn run_kill_resume(workers: usize, fault_seed: u64, world_seed: u64, tag: &str) 
 
     // Byte-identical reconstruction.
     assert_eq!(
-        codec::encode_snapshot(&resumed),
+        codec::encode_snapshot_v3(&resumed, 1),
         baseline_bytes,
         "resumed snapshot differs from the uninterrupted baseline"
     );
@@ -170,7 +170,7 @@ fn checkpointed_crawl_without_kill_matches_plain_crawl() {
     };
     let mut crawler = Crawler::new(server.addr(), config);
     let checkpointed = crawler.crawl(original.collected_at).unwrap();
-    assert_eq!(codec::encode_snapshot(&checkpointed), codec::encode_snapshot(&plain));
+    assert_eq!(codec::encode_snapshot_v3(&checkpointed, 1), codec::encode_snapshot_v3(&plain, 1));
     assert!(crawler.stats().checkpoint_records > 0);
 
     // And resuming a *complete* journal refetches nothing at all.
@@ -182,7 +182,7 @@ fn checkpointed_crawl_without_kill_matches_plain_crawl() {
     };
     let mut resumer = Crawler::new(server.addr(), resume_config);
     let replayed = resumer.crawl(original.collected_at).unwrap();
-    assert_eq!(codec::encode_snapshot(&replayed), codec::encode_snapshot(&plain));
+    assert_eq!(codec::encode_snapshot_v3(&replayed, 1), codec::encode_snapshot_v3(&plain, 1));
     let stats = resumer.stats();
     assert_eq!(stats.users_harvested, 0, "complete journal must not refetch users");
     assert_eq!(stats.groups_fetched, 0);

@@ -62,7 +62,7 @@ fn plain_round_trip_is_identical_across_modes() {
         let crawled = Crawler::new(server.addr(), crawl_config(4))
             .crawl(original.collected_at)
             .unwrap();
-        snapshots.push((mode, codec::encode_snapshot(&crawled)));
+        snapshots.push((mode, codec::encode_snapshot_v3(&crawled, 1)));
     }
     let (_, reference) = &snapshots[0];
     for (mode, bytes) in &snapshots {
@@ -98,7 +98,7 @@ fn faulty_round_trip_is_identical_across_modes() {
             .crawl(original.collected_at)
             .unwrap();
         assert!(injector.injected_total() > 0, "{}: no faults injected", mode.label());
-        snapshots.push((mode, codec::encode_snapshot(&crawled)));
+        snapshots.push((mode, codec::encode_snapshot_v3(&crawled, 1)));
     }
     let (_, reference) = &snapshots[0];
     for (mode, bytes) in &snapshots {
@@ -244,7 +244,7 @@ fn checkpoint_resume_round_trip_is_identical_across_modes() {
     let baseline = Crawler::new(clean_server.addr(), crawl_config(2))
         .crawl(original.collected_at)
         .unwrap();
-    let baseline_bytes = codec::encode_snapshot(&baseline);
+    let baseline_bytes = codec::encode_snapshot_v3(&baseline, 1);
     drop(clean_server);
 
     for mode in modes() {
@@ -284,7 +284,7 @@ fn checkpoint_resume_round_trip_is_identical_across_modes() {
         let resumed = finished.expect("crawl must complete across resumes");
         assert!(aborted > 0, "{}: the fault plan never killed a run", mode.label());
         assert_eq!(
-            codec::encode_snapshot(&resumed),
+            codec::encode_snapshot_v3(&resumed, 1),
             baseline_bytes,
             "{}: resumed snapshot differs from the clean baseline",
             mode.label()

@@ -48,7 +48,7 @@ fn baseline_bytes(original: &Arc<Snapshot>) -> Vec<u8> {
     .unwrap();
     let config = CrawlerConfig { empty_batches_to_stop: 2, ..CrawlerConfig::default() };
     let snapshot = Crawler::new(server.addr(), config).crawl(original.collected_at).unwrap();
-    codec::encode_snapshot(&snapshot).to_vec()
+    codec::encode_snapshot_v3(&snapshot, 1).to_vec()
 }
 
 /// Binds one server per shard of a `shards`-way split; `faults[i]` arms
@@ -110,7 +110,7 @@ fn crawl_through_router_is_byte_identical_to_direct_crawl() {
     let mut crawler = Crawler::new(router.addr(), config);
     let routed = crawler.crawl(original.collected_at).unwrap();
     assert_eq!(
-        codec::encode_snapshot(&routed).to_vec(),
+        codec::encode_snapshot_v3(&routed, 1).to_vec(),
         baseline,
         "crawl through the router produced different bytes"
     );
@@ -128,7 +128,7 @@ fn sharded_fleet_crawl_merges_byte_identical_snapshot() {
     };
     let merged = crawl_sharded(&addrs, &config, original.collected_at).unwrap();
     assert_eq!(
-        codec::encode_snapshot(&merged).to_vec(),
+        codec::encode_snapshot_v3(&merged, 1).to_vec(),
         baseline,
         "direct fleet crawl produced different bytes"
     );
@@ -288,7 +288,7 @@ fn routed_crawl_survives_fault_injected_shard_byte_identical() {
     let routed = crawler.crawl(original.collected_at).unwrap();
     assert!(injector.injected_total() > 0, "no faults were actually injected");
     assert_eq!(
-        codec::encode_snapshot(&routed).to_vec(),
+        codec::encode_snapshot_v3(&routed, 1).to_vec(),
         baseline,
         "faults changed the crawled bytes"
     );
@@ -353,7 +353,7 @@ fn killed_sharded_crawl_resumes_to_identical_snapshot() {
         "no faults were actually injected"
     );
     assert_eq!(
-        codec::encode_snapshot(&resumed).to_vec(),
+        codec::encode_snapshot_v3(&resumed, 1).to_vec(),
         baseline,
         "resumed fleet crawl differs from the uninterrupted baseline"
     );

@@ -5,6 +5,15 @@
 //! a simple length-prefixed, varint-based format (no self-description, no
 //! compression) with a magic header and version byte.
 //!
+//! **One record codec.** Each record kind has one encoder and one decoder,
+//! and every format calls them: [`put_account`], [`put_game`],
+//! [`put_group`], [`put_friendship`], and the per-account lists
+//! [`put_library`] (owned games), [`put_group_indices`] (memberships),
+//! [`put_friends`] (`(SteamId, since)` pairs) and [`put_group_ids`], each
+//! with its `get_` twin. The three snapshot containers, `steam-api`'s CSHD
+//! shard files and its checkpoint journal differ only in how they frame
+//! and count these records.
+//!
 //! Beyond the snapshot format, the module provides the building blocks the
 //! crawler's checkpoint journal is made of (see `steam-api`'s `checkpoint`
 //! module): [`write_atomic`] (sibling temp file + fsync + rename, so a crash
@@ -13,14 +22,21 @@
 //! [FNV-1a checksum](checksum32), decoded tolerantly so a torn tail loses
 //! only the damaged records, never the segment.
 //!
-//! Layout of version 1 (all integers varint-encoded unless noted):
+//! The program writes only version 3. Versions 1 and 2 are read-only: older
+//! files stay readable through [`decode_snapshot`], which dispatches on the
+//! version byte, and golden files under `tests/fixtures/` pin their layout.
+//! All three hold the same six sections, and one section-records decoder
+//! serves them all: v1 calls it with its own counts and section order, v2
+//! with each section's leading count, v3 with the count in its directory.
+//!
+//! Layout of version 1 (read-only; all integers varint-encoded unless noted):
 //!
 //! ```text
 //! "CSTM" u8(1)
 //! collected_at:i64(zigzag) scanned_id_space
 //! n_accounts  { id_index, created_at, vis, country(+1 or 0), city(+1 or 0),
 //!               level, facebook }
-//! n_edges     { a_delta-encoded?, no — a, b, created_at }   (a,b varint)
+//! n_edges     { a, b, created_at }
 //! n_catalog   { app_id, name, type, genre_bits, price, mp, release,
 //!               metacritic(+1 or 0), n_ach { name, pct(f32 le) } }
 //! per-account library { n { app_id, forever, 2weeks } }
@@ -28,10 +44,9 @@
 //! per-account memberships { n { group_index } }
 //! ```
 //!
-//! Version 2 is the *sectioned* container: the same record encodings, but
-//! grouped into six independent, checksummed blocks so encode and decode
-//! fan out over worker threads and a damaged section is pinpointed instead
-//! of scrambling the whole decode:
+//! Version 2 (read-only) is the *sectioned* container: the same records,
+//! grouped into six independent, checksummed blocks so a damaged section is
+//! pinpointed instead of scrambling the whole decode:
 //!
 //! ```text
 //! "CSTM" u8(2)
@@ -46,12 +61,10 @@
 //! 3 groups, 4 memberships, 5 catalog. Every section payload carries its
 //! own leading count, so each decodes independently of the others. The
 //! trailer mirrors the block headers; [`decode_snapshot`] cross-checks the
-//! two, which makes truncation at *any* byte detectable. Version-1 inputs
-//! remain fully readable — [`decode_snapshot`] dispatches on the version
-//! byte.
+//! two, which makes truncation at *any* byte detectable.
 //!
 //! Version 3 is the *chunked columnar* container for out-of-core work: the
-//! same record encodings and section ids, but each section is split into
+//! same records and section ids, but each section is split into
 //! fixed-record-count chunks, every chunk independently framed and
 //! checksummed, with a seekable chunk directory in the trailer:
 //!
@@ -71,11 +84,14 @@
 //! live in the frame header and the directory, which the decoder cross-checks
 //! so corruption is pinned to a section *and* chunk. Every chunk except a
 //! section's last holds exactly `chunk_cap` records, so record `i` lives in
-//! chunk `i / cap` without scanning. A [`SnapshotReader`](crate::reader)
-//! opens v3 files via mmap/pread and serves individual chunks without
-//! materializing the world; [`decode_snapshot`] still fully materializes any
-//! version.
+//! chunk `i / cap` without scanning. [`encode_snapshot_v3`] and
+//! [`write_snapshot_v3`] run one chunk loop, into memory or into a file. A
+//! [`SnapshotReader`] opens v3 files via mmap/pread and serves individual
+//! chunks without materializing the world; [`decode_snapshot`] of v3 bytes
+//! is the same reader over the bytes, decoding every chunk.
 
+use std::io::Write;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -88,6 +104,7 @@ use crate::game::{Achievement, AppId, AppType, Game, GenreSet};
 use crate::group::{Group, GroupId, GroupKind};
 use crate::id::{SteamId, STEAM_ID_BASE};
 use crate::ownership::OwnedGame;
+use crate::reader::SnapshotReader;
 use crate::snapshot::{Friendship, Snapshot, WeekPanel};
 use crate::time::SimTime;
 
@@ -176,6 +193,13 @@ fn cold_err(msg: &'static str) -> ModelError {
     err(msg)
 }
 
+/// Reads a varint that must fit in a `u32`; `what` is the error when it
+/// does not.
+#[inline]
+pub fn get_u32<B: Buf>(buf: &mut B, what: &'static str) -> Result<u32, ModelError> {
+    u32::try_from(get_varu64(buf)?).map_err(|_| cold_err(what))
+}
+
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
@@ -225,10 +249,16 @@ pub fn get_str<B: Buf>(buf: &mut B) -> Result<String, ModelError> {
 /// as a typed error instead of a huge allocation.
 pub fn get_len<B: Buf>(buf: &mut B, per_item_min: usize, what: &str) -> Result<usize, ModelError> {
     let n = get_varu64(buf)? as usize;
-    if per_item_min > 0 && n > buf.remaining() / per_item_min {
+    check_len(buf.remaining(), n, per_item_min, what)?;
+    Ok(n)
+}
+
+/// Rejects `n` items of at least `per_item_min` bytes each in `left` bytes.
+fn check_len(left: usize, n: usize, per_item_min: usize, what: &str) -> Result<(), ModelError> {
+    if per_item_min > 0 && n > left / per_item_min {
         return Err(err(format!("implausible {what} count {n}")));
     }
-    Ok(n)
+    Ok(())
 }
 
 /// Reads one raw byte; `what` names the record in the truncation error.
@@ -238,9 +268,46 @@ fn get_byte<B: Buf>(buf: &mut B, what: &str) -> Result<u8, ModelError> {
     Ok(b)
 }
 
-// --- entity encoders --------------------------------------------------------
+/// Appends a count, then each item with `put`.
+pub fn put_list<T>(buf: &mut BytesMut, items: &[T], mut put: impl FnMut(&mut BytesMut, &T)) {
+    put_varu64(buf, items.len() as u64);
+    for item in items {
+        put(buf, item);
+    }
+}
 
-/// Appends one account record (the same encoding the snapshot body uses).
+/// Reads a list written by [`put_list`], each item with `get`. The count
+/// goes through [`get_len`]: every item takes at least `per_item_min` bytes.
+#[inline]
+pub fn get_list<B: Buf, T>(
+    buf: &mut B,
+    per_item_min: usize,
+    what: &str,
+    get: impl FnMut(&mut B) -> Result<T, ModelError>,
+) -> Result<Vec<T>, ModelError> {
+    let n = get_len(buf, per_item_min, what)?;
+    get_n(buf, n, get)
+}
+
+/// Reads `n` items with `get`, allocating for them once.
+#[inline]
+fn get_n<B: Buf, T>(
+    buf: &mut B,
+    n: usize,
+    mut get: impl FnMut(&mut B) -> Result<T, ModelError>,
+) -> Result<Vec<T>, ModelError> {
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        items.push(get(buf)?);
+    }
+    Ok(items)
+}
+
+// --- record codecs ----------------------------------------------------------
+//
+// One encoder and one decoder per record kind; every container calls these.
+
+/// Appends one account record.
 pub fn put_account(buf: &mut BytesMut, a: &Account) {
     put_varu64(buf, a.id.index());
     put_vari64(buf, a.created_at.unix());
@@ -292,7 +359,7 @@ pub fn get_account<B: Buf>(buf: &mut B) -> Result<Account, ModelError> {
     Ok(Account { id, created_at, visibility, country, city, level, facebook_linked })
 }
 
-/// Appends one catalog entry (the same encoding the snapshot body uses).
+/// Appends one catalog entry.
 pub fn put_game(buf: &mut BytesMut, g: &Game) {
     put_varu64(buf, u64::from(g.app_id.0));
     put_str(buf, &g.name);
@@ -315,14 +382,18 @@ pub fn put_game(buf: &mut BytesMut, g: &Game) {
     }
 }
 
+/// Fewest bytes a [`put_game`] entry takes: nine one-byte fields (an empty
+/// name, no metacritic score, no achievements).
+pub const GAME_MIN_LEN: usize = 9;
+
 /// Reads a catalog entry written by [`put_game`].
 pub fn get_game<B: Buf>(buf: &mut B) -> Result<Game, ModelError> {
-    let app_id = AppId(u32::try_from(get_varu64(buf)?).map_err(|_| err("app id overflow"))?);
+    let app_id = AppId(get_u32(buf, "app id overflow")?);
     let name = get_str(buf)?;
     let app_type = AppType::from_tag(get_byte(buf, "game")?).ok_or_else(|| err("bad app type"))?;
     let genres =
         GenreSet::from_bits(u16::try_from(get_varu64(buf)?).map_err(|_| err("genre bits"))?);
-    let price_cents = u32::try_from(get_varu64(buf)?).map_err(|_| err("price overflow"))?;
+    let price_cents = get_u32(buf, "price overflow")?;
     let multiplayer = get_byte(buf, "game")? != 0;
     let release_date = SimTime::from_unix(get_vari64(buf)?);
     let metacritic = match get_byte(buf, "game")? {
@@ -351,7 +422,7 @@ pub fn get_game<B: Buf>(buf: &mut B) -> Result<Game, ModelError> {
     })
 }
 
-/// Appends one group record (the same encoding the snapshot body uses).
+/// Appends one group record.
 pub fn put_group(buf: &mut BytesMut, g: &Group) {
     put_varu64(buf, u64::from(g.id.0));
     buf.put_u8(g.kind.tag());
@@ -360,10 +431,162 @@ pub fn put_group(buf: &mut BytesMut, g: &Group) {
 
 /// Reads a group written by [`put_group`].
 pub fn get_group<B: Buf>(buf: &mut B) -> Result<Group, ModelError> {
-    let id = GroupId(u32::try_from(get_varu64(buf)?).map_err(|_| err("group id"))?);
+    let id = GroupId(get_u32(buf, "group id")?);
     let kind = GroupKind::from_tag(get_byte(buf, "group")?).ok_or_else(|| err("bad group kind"))?;
     let name = get_str(buf)?;
     Ok(Group { id, kind, name })
+}
+
+/// Appends one friendship edge: both account indices, then the date.
+pub fn put_friendship(buf: &mut BytesMut, e: &Friendship) {
+    put_varu64(buf, u64::from(e.a));
+    put_varu64(buf, u64::from(e.b));
+    put_vari64(buf, e.created_at.unix());
+}
+
+/// Reads an edge written by [`put_friendship`].
+pub fn get_friendship<B: Buf>(buf: &mut B) -> Result<Friendship, ModelError> {
+    let a = get_u32(buf, "edge endpoint")?;
+    let b = get_u32(buf, "edge endpoint")?;
+    let created_at = SimTime::from_unix(get_vari64(buf)?);
+    Ok(Friendship { a, b, created_at })
+}
+
+/// Appends one account's owned-game list.
+pub fn put_library(buf: &mut BytesMut, games: &[OwnedGame]) {
+    put_list(buf, games, |buf, g| {
+        put_varu64(buf, u64::from(g.app_id.0));
+        put_varu64(buf, u64::from(g.playtime_forever_min));
+        put_varu64(buf, u64::from(g.playtime_2weeks_min));
+    });
+}
+
+/// Reads an owned-game list written by [`put_library`].
+pub fn get_library<B: Buf>(buf: &mut B) -> Result<Vec<OwnedGame>, ModelError> {
+    get_list(buf, 3, "owned game", |buf| {
+        Ok(OwnedGame {
+            app_id: AppId(get_u32(buf, "app id")?),
+            playtime_forever_min: get_u32(buf, "playtime")?,
+            playtime_2weeks_min: get_u32(buf, "playtime")?,
+        })
+    })
+}
+
+/// Appends one account's memberships, as indices into the snapshot's groups.
+pub fn put_group_indices(buf: &mut BytesMut, groups: &[u32]) {
+    put_list(buf, groups, |buf, &g| put_varu64(buf, u64::from(g)));
+}
+
+/// Reads a membership list written by [`put_group_indices`].
+pub fn get_group_indices<B: Buf>(buf: &mut B) -> Result<Vec<u32>, ModelError> {
+    get_list(buf, 1, "membership", |buf| get_u32(buf, "group index"))
+}
+
+/// Appends one account's friend list: `(friend id, friends since)` pairs.
+pub fn put_friends(buf: &mut BytesMut, friends: &[(SteamId, SimTime)]) {
+    put_list(buf, friends, |buf, (id, since)| {
+        put_varu64(buf, id.index());
+        put_vari64(buf, since.unix());
+    });
+}
+
+/// Reads a friend list written by [`put_friends`].
+pub fn get_friends<B: Buf>(buf: &mut B) -> Result<Vec<(SteamId, SimTime)>, ModelError> {
+    get_list(buf, 2, "friend", |buf| Ok((get_steam_id(buf)?, SimTime::from_unix(get_vari64(buf)?))))
+}
+
+/// Appends a list of group ids.
+pub fn put_group_ids(buf: &mut BytesMut, ids: &[GroupId]) {
+    put_list(buf, ids, |buf, g| put_varu64(buf, u64::from(g.0)));
+}
+
+/// Reads a group-id list written by [`put_group_ids`].
+pub fn get_group_ids<B: Buf>(buf: &mut B) -> Result<Vec<GroupId>, ModelError> {
+    get_list(buf, 1, "membership", |buf| Ok(GroupId(get_u32(buf, "group id")?)))
+}
+
+// --- snapshot sections ------------------------------------------------------
+
+/// One decoded section's typed contents: the whole section, or one chunk.
+pub(crate) enum Section {
+    Accounts(Vec<Account>),
+    Friendships(Vec<Friendship>),
+    Ownerships(Vec<Vec<OwnedGame>>),
+    Groups(Vec<Group>),
+    Memberships(Vec<Vec<u32>>),
+    Catalog(Vec<Game>),
+}
+
+/// Appends records `range` of section `id`, back to back.
+fn encode_records(buf: &mut BytesMut, s: &Snapshot, id: u8, range: Range<usize>) {
+    match id {
+        SECTION_ACCOUNTS => s.accounts[range].iter().for_each(|a| put_account(buf, a)),
+        SECTION_FRIENDSHIPS => s.friendships[range].iter().for_each(|e| put_friendship(buf, e)),
+        SECTION_OWNERSHIPS => s.ownerships[range].iter().for_each(|l| put_library(buf, l)),
+        SECTION_GROUPS => s.groups[range].iter().for_each(|g| put_group(buf, g)),
+        SECTION_MEMBERSHIPS => s.memberships[range].iter().for_each(|m| put_group_indices(buf, m)),
+        SECTION_CATALOG => s.catalog[range].iter().for_each(|g| put_game(buf, g)),
+        _ => unreachable!("unknown section id {id}"),
+    }
+}
+
+/// Rejects `n` records of section `id` in `left` bytes when they cannot
+/// fit: each takes at least a known number of bytes.
+fn check_records(left: usize, n: usize, id: u8) -> Result<(), ModelError> {
+    let (min, what) = match id {
+        SECTION_ACCOUNTS => (7, "account"),
+        SECTION_FRIENDSHIPS => (3, "edge"),
+        SECTION_OWNERSHIPS => (1, "library"),
+        SECTION_GROUPS => (3, "group"),
+        SECTION_MEMBERSHIPS => (1, "membership list"),
+        SECTION_CATALOG => (GAME_MIN_LEN, "catalog"),
+        _ => return Err(err(format!("unknown section id {id}"))),
+    };
+    check_len(left, n, min, what)
+}
+
+/// Decodes `n` records of section `id` from the front of `buf`. A count
+/// the bytes left cannot hold is an error before anything is allocated.
+pub(crate) fn decode_records(buf: &mut &[u8], id: u8, n: usize) -> Result<Section, ModelError> {
+    check_records(buf.len(), n, id)?;
+    Ok(match id {
+        SECTION_ACCOUNTS => Section::Accounts(get_n(buf, n, get_account)?),
+        SECTION_FRIENDSHIPS => Section::Friendships(get_n(buf, n, get_friendship)?),
+        SECTION_OWNERSHIPS => Section::Ownerships(get_n(buf, n, get_library)?),
+        SECTION_GROUPS => Section::Groups(get_n(buf, n, get_group)?),
+        SECTION_MEMBERSHIPS => Section::Memberships(get_n(buf, n, get_group_indices)?),
+        _ => Section::Catalog(get_n(buf, n, get_game)?),
+    })
+}
+
+/// Decodes a v1/v2 section: a leading count, then that many records.
+fn decode_counted(buf: &mut &[u8], id: u8) -> Result<Section, ModelError> {
+    let n = get_varu64(buf)?;
+    decode_records(buf, id, usize::try_from(n).unwrap_or(usize::MAX))
+}
+
+/// Appends decoded sections — each whole, or chunk by chunk in record
+/// order — to `s`, then checks that the per-account sections line up.
+pub(crate) fn assemble(mut s: Snapshot, sections: Vec<Section>) -> Result<Snapshot, ModelError> {
+    for section in sections {
+        match section {
+            Section::Accounts(v) => s.accounts.extend(v),
+            Section::Friendships(v) => s.friendships.extend(v),
+            Section::Ownerships(v) => s.ownerships.extend(v),
+            Section::Groups(v) => s.groups.extend(v),
+            Section::Memberships(v) => s.memberships.extend(v),
+            Section::Catalog(v) => s.catalog.extend(v),
+        }
+    }
+    if s.ownerships.len() != s.accounts.len() || s.memberships.len() != s.accounts.len() {
+        return Err(err(format!(
+            "per-account sections disagree: {} accounts, {} libraries, {} membership lists",
+            s.accounts.len(),
+            s.ownerships.len(),
+            s.memberships.len()
+        )));
+    }
+    Ok(s)
 }
 
 // --- checkpoint segments ----------------------------------------------------
@@ -426,12 +649,12 @@ pub fn decode_segment(mut seg: Bytes) -> Result<(Vec<Bytes>, bool), ModelError> 
         // before we know it is whole.
         let mut probe = seg.clone();
         let Ok(len) = get_varu64(&mut probe) else { return Ok((records, false)) };
-        let Ok(len) = usize::try_from(len) else { return Ok((records, false)) };
-        if probe.remaining() < 4 + len {
+        // `len` comes from the file: compare it without computing `4 + len`.
+        if probe.remaining().checked_sub(4).is_none_or(|left| len > left as u64) {
             return Ok((records, false));
         }
         let sum = probe.get_u32_le();
-        let payload = probe.split_to(len);
+        let payload = probe.split_to(len as usize);
         if checksum32(&payload) != sum {
             return Ok((records, false));
         }
@@ -451,14 +674,23 @@ pub fn decode_segment(mut seg: Bytes) -> Result<(Vec<Bytes>, bool), ModelError> 
 /// writers to the same target never share a temp file: each rename installs
 /// one writer's complete bytes (last rename wins), never an interleaving.
 pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<(), ModelError> {
-    use std::io::Write;
+    write_atomic_with(path, |f| f.write_all(bytes))
+}
+
+/// [`write_atomic`] for contents that `fill` streams into the temp file.
+/// On any error the temp file is removed and `path` is left as it was.
+fn write_atomic_with(
+    path: &std::path::Path,
+    fill: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
+) -> Result<(), ModelError> {
     let tmp = temp_sibling(path);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    if let Err(e) = std::fs::rename(&tmp, path) {
+    let written = (|| {
+        let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+        fill(&mut f)?;
+        f.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+        std::fs::rename(&tmp, path)
+    })();
+    if let Err(e) = written {
         std::fs::remove_file(&tmp).ok();
         return Err(e.into());
     }
@@ -490,162 +722,63 @@ fn fsync_parent(path: &std::path::Path) {
 
 // --- snapshot ---------------------------------------------------------------
 
-/// Serializes a snapshot into a byte buffer.
-pub fn encode_snapshot(s: &Snapshot) -> Bytes {
-    let mut buf = BytesMut::with_capacity(
-        64 + s.accounts.len() * 12 + s.friendships.len() * 10 + s.n_owned_games() * 8,
-    );
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    put_vari64(&mut buf, s.collected_at.unix());
-    put_varu64(&mut buf, s.scanned_id_space);
-
-    put_varu64(&mut buf, s.accounts.len() as u64);
-    for a in &s.accounts {
-        put_account(&mut buf, a);
-    }
-
-    put_varu64(&mut buf, s.friendships.len() as u64);
-    for e in &s.friendships {
-        put_varu64(&mut buf, u64::from(e.a));
-        put_varu64(&mut buf, u64::from(e.b));
-        put_vari64(&mut buf, e.created_at.unix());
-    }
-
-    put_varu64(&mut buf, s.catalog.len() as u64);
-    for g in &s.catalog {
-        put_game(&mut buf, g);
-    }
-
-    for lib in &s.ownerships {
-        put_varu64(&mut buf, lib.len() as u64);
-        for o in lib {
-            put_varu64(&mut buf, u64::from(o.app_id.0));
-            put_varu64(&mut buf, u64::from(o.playtime_forever_min));
-            put_varu64(&mut buf, u64::from(o.playtime_2weeks_min));
-        }
-    }
-
-    put_varu64(&mut buf, s.groups.len() as u64);
-    for g in &s.groups {
-        put_group(&mut buf, g);
-    }
-
-    for ms in &s.memberships {
-        put_varu64(&mut buf, ms.len() as u64);
-        for &g in ms {
-            put_varu64(&mut buf, u64::from(g));
-        }
-    }
-
-    buf.freeze()
-}
-
-/// Deserializes a snapshot written by [`encode_snapshot`] (v1) or
-/// [`encode_snapshot_jobs`] (v2) — dispatches on the version byte.
+/// Deserializes a snapshot in any container version — dispatches on the
+/// version byte.
 pub fn decode_snapshot(buf: Bytes) -> Result<Snapshot, ModelError> {
     decode_snapshot_jobs(buf, 1)
 }
 
-/// Like [`decode_snapshot`], decoding v2 sections on up to `jobs` worker
-/// threads. v1 inputs decode on the calling thread regardless of `jobs`.
-pub fn decode_snapshot_jobs(mut buf: Bytes, jobs: usize) -> Result<Snapshot, ModelError> {
-    let full = buf.clone();
-    if buf.remaining() < 5 || &buf.split_to(4)[..] != MAGIC {
+/// Like [`decode_snapshot`], decoding v3 chunks on up to `jobs` worker
+/// threads. v1 and v2 inputs decode on the calling thread regardless of
+/// `jobs`.
+pub fn decode_snapshot_jobs(buf: Bytes, jobs: usize) -> Result<Snapshot, ModelError> {
+    if buf.len() < 5 || &buf[..4] != MAGIC {
         return Err(err("bad magic"));
     }
-    match buf.get_u8() {
-        VERSION => decode_snapshot_v1(buf),
-        VERSION_SECTIONED => decode_snapshot_v2(full, jobs),
-        VERSION_CHUNKED => decode_snapshot_v3(full, jobs),
+    match buf[4] {
+        VERSION => decode_snapshot_v1(&buf[5..]),
+        VERSION_SECTIONED => decode_snapshot_v2(&buf),
+        VERSION_CHUNKED => SnapshotReader::from_bytes(buf)?.snapshot(jobs),
         version => Err(err(format!("unsupported snapshot version {version}"))),
     }
 }
 
 /// Decodes the v1 body (everything after magic + version).
-fn decode_snapshot_v1(mut buf: Bytes) -> Result<Snapshot, ModelError> {
+fn decode_snapshot_v1(mut buf: &[u8]) -> Result<Snapshot, ModelError> {
     let collected_at = SimTime::from_unix(get_vari64(&mut buf)?);
     let scanned_id_space = get_varu64(&mut buf)?;
-
-    let n_accounts = get_len(&mut buf, 7, "account")?;
-    let mut accounts = Vec::with_capacity(n_accounts);
-    for _ in 0..n_accounts {
-        accounts.push(get_account(&mut buf)?);
-    }
-
-    let n_edges = get_len(&mut buf, 3, "edge")?;
-    let mut friendships = Vec::with_capacity(n_edges);
-    for _ in 0..n_edges {
-        let a = u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("edge endpoint"))?;
-        let b = u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("edge endpoint"))?;
-        let created_at = SimTime::from_unix(get_vari64(&mut buf)?);
-        friendships.push(Friendship { a, b, created_at });
-    }
-
-    let n_catalog = get_len(&mut buf, 10, "catalog")?;
-    let mut catalog = Vec::with_capacity(n_catalog);
-    for _ in 0..n_catalog {
-        catalog.push(get_game(&mut buf)?);
-    }
-
-    let mut ownerships = Vec::with_capacity(n_accounts);
-    for _ in 0..n_accounts {
-        let n = get_len(&mut buf, 3, "owned game")?;
-        let mut lib = Vec::with_capacity(n);
-        for _ in 0..n {
-            let app_id =
-                AppId(u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("app id"))?);
-            let forever =
-                u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("playtime"))?;
-            let two_weeks =
-                u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("playtime"))?;
-            lib.push(OwnedGame {
-                app_id,
-                playtime_forever_min: forever,
-                playtime_2weeks_min: two_weeks,
-            });
+    // v1 lays the sections out in its own order, and the per-account ones
+    // carry no count of their own.
+    let order = [
+        SECTION_ACCOUNTS,
+        SECTION_FRIENDSHIPS,
+        SECTION_CATALOG,
+        SECTION_OWNERSHIPS,
+        SECTION_GROUPS,
+        SECTION_MEMBERSHIPS,
+    ];
+    let mut sections = Vec::with_capacity(order.len());
+    let mut n_accounts = 0;
+    for id in order {
+        let section = match id {
+            SECTION_OWNERSHIPS | SECTION_MEMBERSHIPS => decode_records(&mut buf, id, n_accounts)?,
+            _ => decode_counted(&mut buf, id)?,
+        };
+        if let Section::Accounts(accounts) = &section {
+            n_accounts = accounts.len();
         }
-        ownerships.push(lib);
+        sections.push(section);
     }
-
-    let n_groups = get_len(&mut buf, 3, "group")?;
-    let mut groups = Vec::with_capacity(n_groups);
-    for _ in 0..n_groups {
-        groups.push(get_group(&mut buf)?);
-    }
-
-    let mut memberships = Vec::with_capacity(n_accounts);
-    for _ in 0..n_accounts {
-        let n = get_len(&mut buf, 1, "membership")?;
-        let mut ms = Vec::with_capacity(n);
-        for _ in 0..n {
-            ms.push(u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("group index"))?);
-        }
-        memberships.push(ms);
-    }
-
     if buf.has_remaining() {
         return Err(err(format!("{} trailing bytes", buf.remaining())));
     }
-
-    Ok(Snapshot {
-        collected_at,
-        scanned_id_space,
-        accounts,
-        friendships,
-        ownerships,
-        groups,
-        memberships,
-        catalog,
-    })
+    assemble(Snapshot { collected_at, scanned_id_space, ..Snapshot::default() }, sections)
 }
-
-// --- sectioned snapshot container (v2) --------------------------------------
 
 /// Runs `f(0..n)` on up to `jobs` scoped workers, returning results in
 /// index order. The codec's local copy of the synth crate's chunk runner
 /// (the dependency points the other way).
-fn map_parallel<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
+pub(crate) fn map_parallel<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -678,210 +811,7 @@ where
         .collect()
 }
 
-/// Encodes one section's payload (leading count + records).
-fn encode_section_payload(s: &Snapshot, id: u8) -> BytesMut {
-    match id {
-        SECTION_ACCOUNTS => {
-            let mut buf = BytesMut::with_capacity(8 + s.accounts.len() * 12);
-            put_varu64(&mut buf, s.accounts.len() as u64);
-            for a in &s.accounts {
-                put_account(&mut buf, a);
-            }
-            buf
-        }
-        SECTION_FRIENDSHIPS => {
-            let mut buf = BytesMut::with_capacity(8 + s.friendships.len() * 10);
-            put_varu64(&mut buf, s.friendships.len() as u64);
-            for e in &s.friendships {
-                put_varu64(&mut buf, u64::from(e.a));
-                put_varu64(&mut buf, u64::from(e.b));
-                put_vari64(&mut buf, e.created_at.unix());
-            }
-            buf
-        }
-        SECTION_OWNERSHIPS => {
-            let mut buf = BytesMut::with_capacity(8 + s.n_owned_games() * 8);
-            put_varu64(&mut buf, s.ownerships.len() as u64);
-            for lib in &s.ownerships {
-                put_varu64(&mut buf, lib.len() as u64);
-                for o in lib {
-                    put_varu64(&mut buf, u64::from(o.app_id.0));
-                    put_varu64(&mut buf, u64::from(o.playtime_forever_min));
-                    put_varu64(&mut buf, u64::from(o.playtime_2weeks_min));
-                }
-            }
-            buf
-        }
-        SECTION_GROUPS => {
-            let mut buf = BytesMut::with_capacity(8 + s.groups.len() * 24);
-            put_varu64(&mut buf, s.groups.len() as u64);
-            for g in &s.groups {
-                put_group(&mut buf, g);
-            }
-            buf
-        }
-        SECTION_MEMBERSHIPS => {
-            let mut buf = BytesMut::with_capacity(8 + s.n_memberships() * 2);
-            put_varu64(&mut buf, s.memberships.len() as u64);
-            for ms in &s.memberships {
-                put_varu64(&mut buf, ms.len() as u64);
-                for &g in ms {
-                    put_varu64(&mut buf, u64::from(g));
-                }
-            }
-            buf
-        }
-        SECTION_CATALOG => {
-            let mut buf = BytesMut::with_capacity(8 + s.catalog.len() * 64);
-            put_varu64(&mut buf, s.catalog.len() as u64);
-            for g in &s.catalog {
-                put_game(&mut buf, g);
-            }
-            buf
-        }
-        _ => unreachable!("unknown section id {id}"),
-    }
-}
-
-/// One decoded section's typed contents.
-pub(crate) enum Section {
-    Accounts(Vec<Account>),
-    Friendships(Vec<Friendship>),
-    Ownerships(Vec<Vec<OwnedGame>>),
-    Groups(Vec<Group>),
-    Memberships(Vec<Vec<u32>>),
-    Catalog(Vec<Game>),
-}
-
-/// Decodes one section payload; requires full consumption.
-fn decode_section(id: u8, mut buf: Bytes) -> Result<Section, ModelError> {
-    let out = match id {
-        SECTION_ACCOUNTS => {
-            let n = get_len(&mut buf, 7, "account")?;
-            let mut accounts = Vec::with_capacity(n);
-            for _ in 0..n {
-                accounts.push(get_account(&mut buf)?);
-            }
-            Section::Accounts(accounts)
-        }
-        SECTION_FRIENDSHIPS => {
-            let n = get_len(&mut buf, 3, "edge")?;
-            let mut friendships = Vec::with_capacity(n);
-            for _ in 0..n {
-                let a = u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("edge endpoint"))?;
-                let b = u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("edge endpoint"))?;
-                let created_at = SimTime::from_unix(get_vari64(&mut buf)?);
-                friendships.push(Friendship { a, b, created_at });
-            }
-            Section::Friendships(friendships)
-        }
-        SECTION_OWNERSHIPS => {
-            let n_users = get_len(&mut buf, 1, "library")?;
-            let mut ownerships = Vec::with_capacity(n_users);
-            for _ in 0..n_users {
-                let n = get_len(&mut buf, 3, "owned game")?;
-                let mut lib = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let app_id =
-                        AppId(u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("app id"))?);
-                    let forever =
-                        u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("playtime"))?;
-                    let two_weeks =
-                        u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("playtime"))?;
-                    lib.push(OwnedGame {
-                        app_id,
-                        playtime_forever_min: forever,
-                        playtime_2weeks_min: two_weeks,
-                    });
-                }
-                ownerships.push(lib);
-            }
-            Section::Ownerships(ownerships)
-        }
-        SECTION_GROUPS => {
-            let n = get_len(&mut buf, 3, "group")?;
-            let mut groups = Vec::with_capacity(n);
-            for _ in 0..n {
-                groups.push(get_group(&mut buf)?);
-            }
-            Section::Groups(groups)
-        }
-        SECTION_MEMBERSHIPS => {
-            let n_users = get_len(&mut buf, 1, "membership list")?;
-            let mut memberships = Vec::with_capacity(n_users);
-            for _ in 0..n_users {
-                let n = get_len(&mut buf, 1, "membership")?;
-                let mut ms = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ms.push(
-                        u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("group index"))?,
-                    );
-                }
-                memberships.push(ms);
-            }
-            Section::Memberships(memberships)
-        }
-        SECTION_CATALOG => {
-            let n = get_len(&mut buf, 10, "catalog")?;
-            let mut catalog = Vec::with_capacity(n);
-            for _ in 0..n {
-                catalog.push(get_game(&mut buf)?);
-            }
-            Section::Catalog(catalog)
-        }
-        _ => return Err(err(format!("unknown section id {id}"))),
-    };
-    if buf.has_remaining() {
-        return Err(err(format!(
-            "{} trailing bytes in {} section",
-            buf.remaining(),
-            section_name(id)
-        )));
-    }
-    Ok(out)
-}
-
-/// Serializes a snapshot into the sectioned v2 container, encoding the six
-/// sections on up to `jobs` worker threads. Output is byte-identical for
-/// every `jobs >= 1`.
-pub fn encode_snapshot_jobs(s: &Snapshot, jobs: usize) -> Bytes {
-    let payloads = map_parallel(jobs, SECTION_IDS.len(), |i| {
-        let payload = encode_section_payload(s, SECTION_IDS[i]);
-        let sum = checksum32(&payload);
-        (payload, sum)
-    });
-
-    let body: usize = payloads.iter().map(|(p, _)| p.len() + 16).sum();
-    let mut buf = BytesMut::with_capacity(64 + body);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION_SECTIONED);
-    put_vari64(&mut buf, s.collected_at.unix());
-    put_varu64(&mut buf, s.scanned_id_space);
-    let header_sum = checksum32(&buf);
-
-    let mut index: Vec<(u8, u64, u64, u32)> = Vec::with_capacity(SECTION_IDS.len());
-    for (i, (payload, sum)) in payloads.iter().enumerate() {
-        index.push((SECTION_IDS[i], buf.len() as u64, payload.len() as u64, *sum));
-        buf.put_u8(SECTION_IDS[i]);
-        put_varu64(&mut buf, payload.len() as u64);
-        buf.put_u32_le(*sum);
-        buf.put_slice(payload);
-    }
-
-    let trailer_offset = buf.len() as u64;
-    put_varu64(&mut buf, index.len() as u64);
-    for (id, offset, len, sum) in index {
-        buf.put_u8(id);
-        put_varu64(&mut buf, offset);
-        put_varu64(&mut buf, len);
-        buf.put_u32_le(sum);
-    }
-    // Checksum of everything before the first block (magic, version, shared
-    // header) — the only bytes no section checksum covers.
-    buf.put_u32_le(header_sum);
-    buf.put_u64_le(trailer_offset);
-    buf.freeze()
-}
+// --- sectioned snapshot container (v2, read-only) ---------------------------
 
 struct SectionEntry {
     id: u8,
@@ -890,16 +820,15 @@ struct SectionEntry {
     sum: u32,
 }
 
-/// Decodes a v2 container from the *full* buffer (magic included), fanning
-/// section verification + decoding out over up to `jobs` workers.
-fn decode_snapshot_v2(full: Bytes, jobs: usize) -> Result<Snapshot, ModelError> {
+/// Decodes a v2 container from the *full* buffer (magic included).
+fn decode_snapshot_v2(full: &[u8]) -> Result<Snapshot, ModelError> {
     let total = full.len();
     if total < 5 + 8 {
         return Err(err("sectioned snapshot too short"));
     }
 
     // Shared header.
-    let mut head = full.slice(5..total - 8);
+    let mut head = &full[5..total - 8];
     let head_len = head.remaining();
     let collected_at = SimTime::from_unix(get_vari64(&mut head)?);
     let scanned_id_space = get_varu64(&mut head)?;
@@ -907,13 +836,13 @@ fn decode_snapshot_v2(full: Bytes, jobs: usize) -> Result<Snapshot, ModelError> 
 
     // Trailer pointer (final 8 bytes) and trailer index.
     let trailer_offset = {
-        let mut tail = full.slice(total - 8..);
+        let mut tail = &full[total - 8..];
         usize::try_from(tail.get_u64_le()).map_err(|_| err("trailer offset overflow"))?
     };
     if trailer_offset < first_block || trailer_offset > total - 8 {
         return Err(err("trailer offset out of bounds"));
     }
-    let mut trailer = full.slice(trailer_offset..total - 8);
+    let mut trailer = &full[trailer_offset..total - 8];
     let n_sections = get_varu64(&mut trailer)? as usize;
     if n_sections != SECTION_IDS.len() {
         return Err(err(format!("expected {} sections, got {n_sections}", SECTION_IDS.len())));
@@ -948,7 +877,7 @@ fn decode_snapshot_v2(full: Bytes, jobs: usize) -> Result<Snapshot, ModelError> 
     // Walk the blocks sequentially and cross-check against the trailer:
     // framing and index must agree byte-for-byte, so truncation or a
     // spliced block is caught before any payload is parsed.
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n_sections);
+    let mut payloads: Vec<&[u8]> = Vec::with_capacity(n_sections);
     let mut pos = first_block;
     for (i, e) in entries.iter().enumerate() {
         if e.id != SECTION_IDS[i] {
@@ -961,7 +890,7 @@ fn decode_snapshot_v2(full: Bytes, jobs: usize) -> Result<Snapshot, ModelError> 
                 e.offset
             )));
         }
-        let mut blk = full.slice(pos..trailer_offset);
+        let mut blk = &full[pos..trailer_offset];
         let blk_len = blk.remaining();
         if !blk.has_remaining() {
             return Err(err("truncated section header"));
@@ -989,57 +918,28 @@ fn decode_snapshot_v2(full: Bytes, jobs: usize) -> Result<Snapshot, ModelError> 
             return Err(err(format!("truncated {} section", section_name(e.id))));
         }
         let payload_start = pos + (blk_len - blk.remaining());
-        payloads.push(full.slice(payload_start..payload_start + len));
+        payloads.push(&full[payload_start..payload_start + len]);
         pos = payload_start + len;
     }
     if pos != trailer_offset {
         return Err(err(format!("{} unindexed bytes before trailer", trailer_offset - pos)));
     }
 
-    // Verify checksums and parse payloads, section-parallel.
-    let decoded = map_parallel(jobs, n_sections, |i| {
-        let e = &entries[i];
-        if checksum32(&payloads[i]) != e.sum {
+    let mut sections = Vec::with_capacity(n_sections);
+    for (e, mut payload) in entries.iter().zip(payloads) {
+        if checksum32(payload) != e.sum {
             return Err(err(format!("checksum mismatch in {} section", section_name(e.id))));
         }
-        decode_section(e.id, payloads[i].clone())
-    });
-
-    let mut accounts = Vec::new();
-    let mut friendships = Vec::new();
-    let mut ownerships = Vec::new();
-    let mut groups = Vec::new();
-    let mut memberships = Vec::new();
-    let mut catalog = Vec::new();
-    for section in decoded {
-        match section? {
-            Section::Accounts(v) => accounts = v,
-            Section::Friendships(v) => friendships = v,
-            Section::Ownerships(v) => ownerships = v,
-            Section::Groups(v) => groups = v,
-            Section::Memberships(v) => memberships = v,
-            Section::Catalog(v) => catalog = v,
+        sections.push(decode_counted(&mut payload, e.id)?);
+        if payload.has_remaining() {
+            return Err(err(format!(
+                "{} trailing bytes in {} section",
+                payload.remaining(),
+                section_name(e.id)
+            )));
         }
     }
-    if ownerships.len() != accounts.len() || memberships.len() != accounts.len() {
-        return Err(err(format!(
-            "per-account sections disagree: {} accounts, {} libraries, {} membership lists",
-            accounts.len(),
-            ownerships.len(),
-            memberships.len()
-        )));
-    }
-
-    Ok(Snapshot {
-        collected_at,
-        scanned_id_space,
-        accounts,
-        friendships,
-        ownerships,
-        groups,
-        memberships,
-        catalog,
-    })
+    assemble(Snapshot { collected_at, scanned_id_space, ..Snapshot::default() }, sections)
 }
 
 // --- chunked columnar snapshot container (v3) --------------------------------
@@ -1111,8 +1011,8 @@ fn section_records(s: &Snapshot, id: u8) -> usize {
     }
 }
 
-/// `(section_id, first_record, one_past_last)` for every chunk, in file order.
-fn v3_chunk_specs(s: &Snapshot, cap: fn(u8) -> u64) -> Vec<(u8, usize, usize)> {
+/// `(section_id, records)` for every chunk, in file order.
+fn v3_chunk_specs(s: &Snapshot, cap: fn(u8) -> u64) -> Vec<(u8, Range<usize>)> {
     let mut specs = Vec::new();
     for &id in &SECTION_IDS {
         let total = section_records(s, id);
@@ -1120,71 +1020,11 @@ fn v3_chunk_specs(s: &Snapshot, cap: fn(u8) -> u64) -> Vec<(u8, usize, usize)> {
         let mut start = 0;
         while start < total {
             let end = (start + cap).min(total);
-            specs.push((id, start, end));
+            specs.push((id, start..end));
             start = end;
         }
     }
     specs
-}
-
-/// Encodes records `[start, end)` of one section as a v3 chunk payload:
-/// records back-to-back, no leading count (counts live in the directory).
-fn encode_v3_chunk_payload(s: &Snapshot, id: u8, start: usize, end: usize) -> BytesMut {
-    let mut buf = BytesMut::with_capacity((end - start) * 12 + 16);
-    match id {
-        SECTION_ACCOUNTS => {
-            for a in &s.accounts[start..end] {
-                put_account(&mut buf, a);
-            }
-        }
-        SECTION_FRIENDSHIPS => {
-            for e in &s.friendships[start..end] {
-                put_varu64(&mut buf, u64::from(e.a));
-                put_varu64(&mut buf, u64::from(e.b));
-                put_vari64(&mut buf, e.created_at.unix());
-            }
-        }
-        SECTION_OWNERSHIPS => {
-            for lib in &s.ownerships[start..end] {
-                put_varu64(&mut buf, lib.len() as u64);
-                for o in lib {
-                    put_varu64(&mut buf, u64::from(o.app_id.0));
-                    put_varu64(&mut buf, u64::from(o.playtime_forever_min));
-                    put_varu64(&mut buf, u64::from(o.playtime_2weeks_min));
-                }
-            }
-        }
-        SECTION_GROUPS => {
-            for g in &s.groups[start..end] {
-                put_group(&mut buf, g);
-            }
-        }
-        SECTION_MEMBERSHIPS => {
-            for ms in &s.memberships[start..end] {
-                put_varu64(&mut buf, ms.len() as u64);
-                for &g in ms {
-                    put_varu64(&mut buf, u64::from(g));
-                }
-            }
-        }
-        SECTION_CATALOG => {
-            for g in &s.catalog[start..end] {
-                put_game(&mut buf, g);
-            }
-        }
-        _ => unreachable!("unknown section id {id}"),
-    }
-    buf
-}
-
-/// Magic, version, and shared header of a v3 file.
-fn encode_v3_header(s: &Snapshot) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(32);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION_CHUNKED);
-    put_vari64(&mut buf, s.collected_at.unix());
-    put_varu64(&mut buf, s.scanned_id_space);
-    buf
 }
 
 /// Appends the v3 trailer (directory + header/trailer checksums + offset
@@ -1211,27 +1051,25 @@ fn append_v3_trailer(buf: &mut BytesMut, dirs: &[SectionDir], header_sum: u32, t
     buf.put_u64_le(trailer_offset);
 }
 
-/// Serializes a snapshot into the chunked v3 container in memory, encoding
-/// chunks on up to `jobs` workers. Byte-identical for every `jobs >= 1`, and
-/// to what [`write_snapshot_v3`] streams to disk.
-pub fn encode_snapshot_v3(s: &Snapshot, jobs: usize) -> Bytes {
-    encode_snapshot_v3_caps(s, jobs, default_chunk_cap)
-}
+/// Streams a snapshot into `out` as a v3 container. Chunks are encoded in
+/// windows of `4 × jobs` on up to `jobs` workers and written in file order,
+/// so peak transient memory is one window of encoded chunks, not the file.
+/// The bytes do not depend on `jobs`.
+fn write_v3(
+    out: &mut impl Write,
+    s: &Snapshot,
+    jobs: usize,
+    cap: fn(u8) -> u64,
+) -> std::io::Result<()> {
+    let mut header = BytesMut::with_capacity(32);
+    header.put_slice(MAGIC);
+    header.put_u8(VERSION_CHUNKED);
+    put_vari64(&mut header, s.collected_at.unix());
+    put_varu64(&mut header, s.scanned_id_space);
+    out.write_all(&header)?;
+    let mut offset = header.len() as u64;
 
-pub(crate) fn encode_snapshot_v3_caps(s: &Snapshot, jobs: usize, cap: fn(u8) -> u64) -> Bytes {
     let specs = v3_chunk_specs(s, cap);
-    let payloads = map_parallel(jobs, specs.len(), |i| {
-        let (id, start, end) = specs[i];
-        let payload = encode_v3_chunk_payload(s, id, start, end);
-        let sum = checksum32(&payload);
-        (payload, sum)
-    });
-
-    let body: usize = payloads.iter().map(|(p, _)| p.len() + 24).sum();
-    let mut buf = BytesMut::with_capacity(body + 64);
-    buf.put_slice(&encode_v3_header(s));
-    let header_sum = checksum32(&buf);
-
     let mut dirs: Vec<SectionDir> = SECTION_IDS
         .iter()
         .map(|&id| SectionDir {
@@ -1241,105 +1079,63 @@ pub(crate) fn encode_snapshot_v3_caps(s: &Snapshot, jobs: usize, cap: fn(u8) -> 
             chunks: Vec::new(),
         })
         .collect();
-    for (i, (payload, sum)) in payloads.iter().enumerate() {
-        let (id, start, end) = specs[i];
-        dirs[id as usize].chunks.push(ChunkEntry {
-            offset: buf.len() as u64,
-            len: payload.len() as u64,
-            n_records: (end - start) as u64,
-            sum: *sum,
+    for window in specs.chunks(jobs.max(1) * 4) {
+        let payloads = map_parallel(jobs, window.len(), |j| {
+            let (id, records) = &window[j];
+            let mut payload = BytesMut::with_capacity(records.len() * 12 + 16);
+            encode_records(&mut payload, s, *id, records.clone());
+            let sum = checksum32(&payload);
+            (payload, sum)
         });
-        buf.put_u8(id);
-        put_varu64(&mut buf, (end - start) as u64);
-        put_varu64(&mut buf, payload.len() as u64);
-        buf.put_u32_le(*sum);
-        buf.put_slice(payload);
+        for ((id, records), (payload, sum)) in window.iter().zip(payloads) {
+            let e = ChunkEntry {
+                offset,
+                len: payload.len() as u64,
+                n_records: records.len() as u64,
+                sum,
+            };
+            let mut frame = BytesMut::with_capacity(24);
+            frame.put_u8(*id);
+            put_varu64(&mut frame, e.n_records);
+            put_varu64(&mut frame, e.len);
+            frame.put_u32_le(e.sum);
+            out.write_all(&frame)?;
+            out.write_all(&payload)?;
+            offset += (frame.len() + payload.len()) as u64;
+            dirs[*id as usize].chunks.push(e);
+        }
     }
 
-    let trailer_offset = buf.len() as u64;
-    append_v3_trailer(&mut buf, &dirs, header_sum, trailer_offset);
-    buf.freeze()
+    let mut trailer = BytesMut::with_capacity(64 + specs.len() * 24);
+    append_v3_trailer(&mut trailer, &dirs, checksum32(&header), offset);
+    out.write_all(&trailer)
+}
+
+/// Serializes a snapshot into the chunked v3 container in memory, encoding
+/// chunks on up to `jobs` workers. Byte-identical for every `jobs >= 1`, and
+/// to what [`write_snapshot_v3`] streams to disk.
+pub fn encode_snapshot_v3(s: &Snapshot, jobs: usize) -> Bytes {
+    encode_snapshot_v3_caps(s, jobs, default_chunk_cap)
+}
+
+pub(crate) fn encode_snapshot_v3_caps(s: &Snapshot, jobs: usize, cap: fn(u8) -> u64) -> Bytes {
+    let mut out = Vec::with_capacity(
+        64 + s.accounts.len() * 12 + s.friendships.len() * 10 + s.n_owned_games() * 8,
+    );
+    write_v3(&mut out, s, jobs, cap).expect("writing to a Vec cannot fail");
+    Bytes::from(out)
 }
 
 /// Writes a snapshot in the chunked v3 container without ever materializing
-/// the full encoding: chunks are encoded in bounded parallel windows and
-/// streamed to a sibling temp file, then fsync + rename as in
-/// [`write_atomic`]. Output bytes are identical to [`encode_snapshot_v3`]
-/// for any `jobs`.
+/// the full encoding: the chunk loop of [`encode_snapshot_v3`] streams to a
+/// sibling temp file, then fsync + rename as in [`write_atomic`]. Output
+/// bytes are identical to [`encode_snapshot_v3`] for any `jobs`.
 pub fn write_snapshot_v3(
     path: &std::path::Path,
     s: &Snapshot,
     jobs: usize,
 ) -> Result<(), ModelError> {
-    use std::io::Write;
-    let tmp = temp_sibling(path);
-    let written = (|| -> Result<(), ModelError> {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        let header = encode_v3_header(s);
-        let header_sum = checksum32(&header);
-        f.write_all(&header)?;
-        let mut offset = header.len() as u64;
-
-        let specs = v3_chunk_specs(s, default_chunk_cap);
-        let mut dirs: Vec<SectionDir> = SECTION_IDS
-            .iter()
-            .map(|&id| SectionDir {
-                id,
-                cap: default_chunk_cap(id),
-                total_records: section_records(s, id) as u64,
-                chunks: Vec::new(),
-            })
-            .collect();
-
-        // Encode a window of chunks in parallel, drain it to disk, repeat —
-        // peak transient memory is one window of encoded chunks, not the file.
-        let window = jobs.max(1) * 4;
-        let mut i = 0;
-        while i < specs.len() {
-            let end = (i + window).min(specs.len());
-            let encoded = map_parallel(jobs, end - i, |j| {
-                let (id, start, stop) = specs[i + j];
-                let payload = encode_v3_chunk_payload(s, id, start, stop);
-                let sum = checksum32(&payload);
-                (payload, sum)
-            });
-            for (j, (payload, sum)) in encoded.iter().enumerate() {
-                let (id, start, stop) = specs[i + j];
-                let mut hdr = BytesMut::with_capacity(24);
-                hdr.put_u8(id);
-                put_varu64(&mut hdr, (stop - start) as u64);
-                put_varu64(&mut hdr, payload.len() as u64);
-                hdr.put_u32_le(*sum);
-                f.write_all(&hdr)?;
-                f.write_all(payload)?;
-                dirs[id as usize].chunks.push(ChunkEntry {
-                    offset,
-                    len: payload.len() as u64,
-                    n_records: (stop - start) as u64,
-                    sum: *sum,
-                });
-                offset += hdr.len() as u64 + payload.len() as u64;
-            }
-            i = end;
-        }
-
-        let mut trailer = BytesMut::with_capacity(64 + specs.len() * 24);
-        append_v3_trailer(&mut trailer, &dirs, header_sum, offset);
-        f.write_all(&trailer)?;
-        let f = f.into_inner().map_err(|e| err(format!("snapshot flush failed: {e}")))?;
-        f.sync_all()?;
-        Ok(())
-    })();
-    if let Err(e) = written {
-        std::fs::remove_file(&tmp).ok();
-        return Err(e);
-    }
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        std::fs::remove_file(&tmp).ok();
-        return Err(e.into());
-    }
-    fsync_parent(path);
-    Ok(())
+    write_atomic_with(path, |f| write_v3(f, s, jobs, default_chunk_cap))
 }
 
 /// Parses the v3 shared header from a prefix of the file; returns collected
@@ -1427,19 +1223,26 @@ pub(crate) fn parse_v3_directory(
                 )));
             }
             records_left -= n_records;
+            // Counts bounded by the bytes that hold them, so nothing sized
+            // from the directory outgrows the file.
+            check_records(usize::try_from(len).unwrap_or(usize::MAX), n_records as usize, id)
+                .map_err(|e| err(format!("{} section chunk {k}: {e}", section_name(id))))?;
             if offset != pos {
                 return Err(err(format!(
                     "{} section chunk {k} at offset {pos}, directory says {offset}",
                     section_name(id)
                 )));
             }
-            pos += 1 + varu64_len(n_records) + varu64_len(len) + 4 + len;
-            if pos > trailer_offset {
-                return Err(err(format!(
-                    "{} section chunk {k} overruns the trailer",
-                    section_name(id)
-                )));
-            }
+            // `len` comes from the file: the frame's end is checked, never
+            // wrapped, before it becomes the next chunk's offset.
+            let frame = 1 + varu64_len(n_records) + varu64_len(len) + 4;
+            pos = pos
+                .checked_add(frame)
+                .and_then(|p| p.checked_add(len))
+                .filter(|&end| end <= trailer_offset)
+                .ok_or_else(|| {
+                    err(format!("{} section chunk {k} overruns the trailer", section_name(id)))
+                })?;
             chunks.push(ChunkEntry { offset, len, n_records, sum });
         }
         sections.push(SectionDir { id, cap, total_records, chunks });
@@ -1495,83 +1298,8 @@ pub(crate) fn decode_v3_chunk(
     n: usize,
     mut buf: &[u8],
 ) -> Result<Section, ModelError> {
-    let out = (|| -> Result<Section, ModelError> {
-        Ok(match id {
-            SECTION_ACCOUNTS => {
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(get_account(&mut buf)?);
-                }
-                Section::Accounts(v)
-            }
-            SECTION_FRIENDSHIPS => {
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let a = u32::try_from(get_varu64(&mut buf)?)
-                        .map_err(|_| err("edge endpoint"))?;
-                    let b = u32::try_from(get_varu64(&mut buf)?)
-                        .map_err(|_| err("edge endpoint"))?;
-                    let created_at = SimTime::from_unix(get_vari64(&mut buf)?);
-                    v.push(Friendship { a, b, created_at });
-                }
-                Section::Friendships(v)
-            }
-            SECTION_OWNERSHIPS => {
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let m = get_len(&mut buf, 3, "owned game")?;
-                    let mut lib = Vec::with_capacity(m);
-                    for _ in 0..m {
-                        let app_id = AppId(
-                            u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("app id"))?,
-                        );
-                        let forever =
-                            u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("playtime"))?;
-                        let two_weeks =
-                            u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("playtime"))?;
-                        lib.push(OwnedGame {
-                            app_id,
-                            playtime_forever_min: forever,
-                            playtime_2weeks_min: two_weeks,
-                        });
-                    }
-                    v.push(lib);
-                }
-                Section::Ownerships(v)
-            }
-            SECTION_GROUPS => {
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(get_group(&mut buf)?);
-                }
-                Section::Groups(v)
-            }
-            SECTION_MEMBERSHIPS => {
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let m = get_len(&mut buf, 1, "membership")?;
-                    let mut ms = Vec::with_capacity(m);
-                    for _ in 0..m {
-                        ms.push(
-                            u32::try_from(get_varu64(&mut buf)?)
-                                .map_err(|_| err("group index"))?,
-                        );
-                    }
-                    v.push(ms);
-                }
-                Section::Memberships(v)
-            }
-            SECTION_CATALOG => {
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(get_game(&mut buf)?);
-                }
-                Section::Catalog(v)
-            }
-            _ => return Err(err(format!("unknown section id {id}"))),
-        })
-    })();
-    let out = out.map_err(|e| err(format!("{} section chunk {k}: {e}", section_name(id))))?;
+    let out = decode_records(&mut buf, id, n)
+        .map_err(|e| err(format!("{} section chunk {k}: {e}", section_name(id))))?;
     if buf.has_remaining() {
         return Err(err(format!(
             "{} trailing bytes in {} section chunk {k}",
@@ -1582,95 +1310,9 @@ pub(crate) fn decode_v3_chunk(
     Ok(out)
 }
 
-/// Decodes a v3 container from the *full* buffer (magic included), fanning
-/// chunk verification + decoding out over up to `jobs` workers.
-fn decode_snapshot_v3(full: Bytes, jobs: usize) -> Result<Snapshot, ModelError> {
-    let total = full.len();
-    if total < 5 + 8 + 9 {
-        return Err(err("chunked snapshot too short"));
-    }
-    let (collected_at, scanned_id_space, first_chunk) =
-        parse_v3_header(full.slice(..total.min(64)))?;
-    let trailer_offset = {
-        let mut tail = full.slice(total - 8..);
-        usize::try_from(tail.get_u64_le()).map_err(|_| err("trailer offset overflow"))?
-    };
-    if trailer_offset < first_chunk || trailer_offset > total - 8 {
-        return Err(err("trailer offset out of bounds"));
-    }
-    let dir = parse_v3_directory(
-        full.slice(trailer_offset..total - 8),
-        first_chunk as u64,
-        trailer_offset as u64,
-    )?;
-    if checksum32(&full[..first_chunk]) != dir.header_sum {
-        return Err(err("checksum mismatch in snapshot header"));
-    }
-
-    let chunks: Vec<(u8, usize, ChunkEntry)> = dir
-        .sections
-        .iter()
-        .flat_map(|d| d.chunks.iter().enumerate().map(|(k, &c)| (d.id, k, c)))
-        .collect();
-    let decoded = map_parallel(jobs, chunks.len(), |i| {
-        let (id, k, e) = chunks[i];
-        let frame_start = e.offset as usize;
-        let hdr_len = parse_v3_chunk_header(
-            &full[frame_start..trailer_offset.min(frame_start + 32)],
-            id,
-            k,
-            &e,
-        )?;
-        let payload = &full[frame_start + hdr_len..frame_start + hdr_len + e.len as usize];
-        if checksum32(payload) != e.sum {
-            return Err(err(format!(
-                "checksum mismatch in {} section chunk {k}",
-                section_name(id)
-            )));
-        }
-        decode_v3_chunk(id, k, e.n_records as usize, payload)
-    });
-
-    let mut accounts = Vec::with_capacity(dir.sections[0].total_records as usize);
-    let mut friendships = Vec::with_capacity(dir.sections[1].total_records as usize);
-    let mut ownerships = Vec::with_capacity(dir.sections[2].total_records as usize);
-    let mut groups = Vec::with_capacity(dir.sections[3].total_records as usize);
-    let mut memberships = Vec::with_capacity(dir.sections[4].total_records as usize);
-    let mut catalog = Vec::with_capacity(dir.sections[5].total_records as usize);
-    for chunk in decoded {
-        match chunk? {
-            Section::Accounts(v) => accounts.extend(v),
-            Section::Friendships(v) => friendships.extend(v),
-            Section::Ownerships(v) => ownerships.extend(v),
-            Section::Groups(v) => groups.extend(v),
-            Section::Memberships(v) => memberships.extend(v),
-            Section::Catalog(v) => catalog.extend(v),
-        }
-    }
-    if ownerships.len() != accounts.len() || memberships.len() != accounts.len() {
-        return Err(err(format!(
-            "per-account sections disagree: {} accounts, {} libraries, {} membership lists",
-            accounts.len(),
-            ownerships.len(),
-            memberships.len()
-        )));
-    }
-
-    Ok(Snapshot {
-        collected_at,
-        scanned_id_space,
-        accounts,
-        friendships,
-        ownerships,
-        groups,
-        memberships,
-        catalog,
-    })
-}
-
 /// Reads just the magic + version byte of a snapshot file, without loading
 /// or validating the body — how callers decide between the streaming
-/// [`SnapshotReader`](crate::reader) (v3) and a full decode (v1/v2).
+/// [`SnapshotReader`] (v3) and a full decode (v1/v2).
 pub fn snapshot_file_version(path: &std::path::Path) -> Result<u8, ModelError> {
     use std::io::Read;
     let mut head = [0u8; 5];
@@ -1723,30 +1365,13 @@ pub fn decode_panel(mut buf: Bytes) -> Result<WeekPanel, ModelError> {
     Ok(panel)
 }
 
-/// Writes a snapshot to a file atomically (temp + fsync + rename), so a
-/// crash mid-write can never leave a truncated snapshot under `path`.
-pub fn write_snapshot(path: &std::path::Path, s: &Snapshot) -> Result<(), ModelError> {
-    write_atomic(path, &encode_snapshot(s))
-}
-
-/// Reads a snapshot from a file (either container version).
+/// Reads a snapshot from a file (any container version).
 pub fn read_snapshot(path: &std::path::Path) -> Result<Snapshot, ModelError> {
-    let raw = std::fs::read(path)?;
-    decode_snapshot(Bytes::from(raw))
+    read_snapshot_jobs(path, 1)
 }
 
-/// Writes a snapshot in the sectioned v2 container, encoding sections on up
-/// to `jobs` workers; atomic like [`write_snapshot`].
-pub fn write_snapshot_jobs(
-    path: &std::path::Path,
-    s: &Snapshot,
-    jobs: usize,
-) -> Result<(), ModelError> {
-    write_atomic(path, &encode_snapshot_jobs(s, jobs))
-}
-
-/// Reads a snapshot from a file (either container version), decoding v2
-/// sections on up to `jobs` workers.
+/// Reads a snapshot from a file (any container version), decoding v3
+/// chunks on up to `jobs` workers.
 pub fn read_snapshot_jobs(path: &std::path::Path, jobs: usize) -> Result<Snapshot, ModelError> {
     let raw = std::fs::read(path)?;
     decode_snapshot_jobs(Bytes::from(raw), jobs)
@@ -1887,10 +1512,57 @@ mod tests {
         }
     }
 
+    /// Golden v1 and v2 files of `sample_snapshot()` and
+    /// `synthetic_snapshot(17)`, written by the v1 and v2 encoders before
+    /// the program stopped writing those versions. Only readers remain.
+    fn fixture(name: &str) -> Bytes {
+        Bytes::from_static(match name {
+            "sample.v1" => include_bytes!("../tests/fixtures/sample.v1"),
+            "sample.v2" => include_bytes!("../tests/fixtures/sample.v2"),
+            "synthetic17.v1" => include_bytes!("../tests/fixtures/synthetic17.v1"),
+            "synthetic17.v2" => include_bytes!("../tests/fixtures/synthetic17.v2"),
+            _ => panic!("no fixture {name}"),
+        })
+    }
+
+    const FIXTURES: [&str; 4] = ["sample.v1", "sample.v2", "synthetic17.v1", "synthetic17.v2"];
+
+    /// The world a fixture was written from.
+    fn fixture_world(name: &str) -> Snapshot {
+        if name.starts_with("sample") {
+            sample_snapshot()
+        } else {
+            synthetic_snapshot(17)
+        }
+    }
+
+    fn assert_same_world(d: &Snapshot, s: &Snapshot) {
+        assert_eq!(d.collected_at, s.collected_at);
+        assert_eq!(d.scanned_id_space, s.scanned_id_space);
+        assert_eq!(d.accounts, s.accounts);
+        assert_eq!(d.friendships, s.friendships);
+        assert_eq!(d.ownerships, s.ownerships);
+        assert_eq!(d.groups, s.groups);
+        assert_eq!(d.memberships, s.memberships);
+        assert_eq!(d.catalog, s.catalog);
+    }
+
+    #[test]
+    fn fixtures_decode_to_the_worlds_they_were_written_from() {
+        for name in FIXTURES {
+            let raw = fixture(name);
+            let version = if name.ends_with("v1") { VERSION } else { VERSION_SECTIONED };
+            assert_eq!(raw[4], version, "{name}");
+            let d = decode_snapshot(raw).unwrap();
+            assert_same_world(&d, &fixture_world(name));
+            d.validate().unwrap();
+        }
+    }
+
     #[test]
     fn snapshot_round_trips() {
         let s = sample_snapshot();
-        let bytes = encode_snapshot(&s);
+        let bytes = fixture("sample.v1");
         let d = decode_snapshot(bytes).unwrap();
         assert_eq!(d.collected_at, s.collected_at);
         assert_eq!(d.scanned_id_space, s.scanned_id_space);
@@ -1915,25 +1587,34 @@ mod tests {
 
     #[test]
     fn rejects_bad_version() {
-        let mut raw = encode_snapshot(&sample_snapshot()).to_vec();
-        raw[4] = 99;
-        assert!(decode_snapshot(Bytes::from(raw)).is_err());
+        for clean in [fixture("sample.v1"), encode_snapshot_v3(&sample_snapshot(), 1)] {
+            let mut raw = clean.to_vec();
+            raw[4] = 99;
+            assert!(decode_snapshot(Bytes::from(raw)).is_err());
+        }
     }
 
     #[test]
     fn rejects_truncation_anywhere() {
-        let raw = encode_snapshot(&sample_snapshot());
-        // Chopping the buffer at any point must produce an error, not a panic
-        // or a silently-wrong snapshot.
-        for cut in 0..raw.len() {
-            let r = decode_snapshot(raw.slice(..cut));
-            assert!(r.is_err(), "cut at {cut} decoded successfully");
+        for name in ["sample.v1", "synthetic17.v1"] {
+            let raw = fixture(name);
+            // Chopping the buffer at any point must produce an error, not a
+            // panic or a silently-wrong snapshot.
+            for cut in 0..raw.len() {
+                let r = decode_snapshot(raw.slice(..cut));
+                assert!(r.is_err(), "{name}: cut at {cut} decoded successfully");
+            }
         }
     }
 
     #[test]
     fn rejects_trailing_bytes() {
-        let mut raw = encode_snapshot(&sample_snapshot()).to_vec();
+        for name in FIXTURES {
+            let mut raw = fixture(name).to_vec();
+            raw.push(0);
+            assert!(decode_snapshot(Bytes::from(raw)).is_err(), "{name}");
+        }
+        let mut raw = encode_snapshot_v3(&sample_snapshot(), 1).to_vec();
         raw.push(0);
         assert!(decode_snapshot(Bytes::from(raw)).is_err());
     }
@@ -2229,36 +1910,19 @@ mod tests {
     #[test]
     fn sectioned_snapshot_round_trips() {
         let s = sample_snapshot();
-        for jobs in [1, 4] {
-            let bytes = encode_snapshot_jobs(&s, jobs);
-            assert_eq!(bytes[4], VERSION_SECTIONED);
-            for decode_jobs in [1, 4] {
-                let d = decode_snapshot_jobs(bytes.clone(), decode_jobs).unwrap();
-                assert_eq!(d.collected_at, s.collected_at);
-                assert_eq!(d.scanned_id_space, s.scanned_id_space);
-                assert_eq!(d.accounts, s.accounts);
-                assert_eq!(d.friendships, s.friendships);
-                assert_eq!(d.ownerships, s.ownerships);
-                assert_eq!(d.groups, s.groups);
-                assert_eq!(d.memberships, s.memberships);
-                assert_eq!(d.catalog, s.catalog);
-                d.validate().unwrap();
-            }
+        let bytes = fixture("sample.v2");
+        assert_eq!(bytes[4], VERSION_SECTIONED);
+        for decode_jobs in [1, 4] {
+            let d = decode_snapshot_jobs(bytes.clone(), decode_jobs).unwrap();
+            assert_same_world(&d, &s);
+            d.validate().unwrap();
         }
-    }
-
-    #[test]
-    fn sectioned_encode_is_jobs_invariant() {
-        let s = sample_snapshot();
-        let serial = encode_snapshot_jobs(&s, 1);
-        let parallel = encode_snapshot_jobs(&s, 6);
-        assert_eq!(serial, parallel);
     }
 
     #[test]
     fn v1_remains_readable_through_the_dispatcher() {
         let s = sample_snapshot();
-        let v1 = encode_snapshot(&s);
+        let v1 = fixture("sample.v1");
         let d = decode_snapshot_jobs(v1, 4).unwrap();
         assert_eq!(d.accounts, s.accounts);
         assert_eq!(d.ownerships, s.ownerships);
@@ -2266,41 +1930,40 @@ mod tests {
 
     #[test]
     fn sectioned_rejects_truncation_anywhere() {
-        let raw = encode_snapshot_jobs(&sample_snapshot(), 1);
-        for cut in 0..raw.len() {
-            let r = decode_snapshot(raw.slice(..cut));
-            assert!(r.is_err(), "cut at {cut} decoded successfully");
+        for name in ["sample.v2", "synthetic17.v2"] {
+            let raw = fixture(name);
+            for cut in 0..raw.len() {
+                let r = decode_snapshot(raw.slice(..cut));
+                assert!(r.is_err(), "{name}: cut at {cut} decoded successfully");
+            }
         }
     }
 
     #[test]
     fn sectioned_rejects_corrupt_section_byte() {
-        let clean = encode_snapshot_jobs(&sample_snapshot(), 1);
-        // Flip every byte in turn; decode must error (never panic) except
-        // when the flip lands somewhere genuinely immaterial — there is no
-        // such place in this format, so all flips must fail.
-        for at in 0..clean.len() {
-            let mut raw = clean.to_vec();
-            raw[at] ^= 0x01;
-            let r = decode_snapshot(Bytes::from(raw));
-            assert!(r.is_err(), "flip at {at} decoded successfully");
+        for name in ["sample.v2", "synthetic17.v2"] {
+            let clean = fixture(name);
+            // Flip every byte in turn; decode must error (never panic)
+            // except when the flip lands somewhere genuinely immaterial —
+            // there is no such place in this format, so all flips must fail.
+            for at in 0..clean.len() {
+                let mut raw = clean.to_vec();
+                raw[at] ^= 0x01;
+                let r = decode_snapshot(Bytes::from(raw));
+                assert!(r.is_err(), "{name}: flip at {at} decoded successfully");
+            }
         }
     }
 
     #[test]
     fn sectioned_names_the_corrupt_section() {
-        let s = sample_snapshot();
-        let clean = encode_snapshot_jobs(&s, 1);
-        // Corrupt one payload byte inside the catalog section (the last
-        // section before the trailer) while keeping its framing intact:
-        // recompute nothing, so the stored checksum no longer matches.
-        let catalog_payload = encode_section_payload(&s, SECTION_CATALOG);
-        let pos = clean
-            .windows(catalog_payload.len())
-            .position(|w| w == &catalog_payload[..])
-            .expect("catalog payload not found");
+        let clean = fixture("sample.v2");
+        // Corrupt the last payload byte of the catalog section (the last
+        // section, right before the trailer) while keeping its framing
+        // intact: the stored checksum no longer matches.
+        let trailer_offset = (&clean[clean.len() - 8..]).get_u64_le() as usize;
         let mut raw = clean.to_vec();
-        raw[pos + catalog_payload.len() - 1] ^= 0xff;
+        raw[trailer_offset - 1] ^= 0xff;
         let e = decode_snapshot(Bytes::from(raw)).unwrap_err();
         assert!(
             e.to_string().contains("catalog"),
@@ -2308,13 +1971,19 @@ mod tests {
         );
     }
 
+    /// Writes `bytes` to a fresh file named `name` in a per-test directory.
+    fn temp_file(tag: &str, name: &str, bytes: &[u8]) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("steam-model-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
     #[test]
     fn file_round_trip_sectioned() {
-        let dir = std::env::temp_dir().join("steam-model-test-v2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.bin");
+        let path = temp_file("test-v2", "snap.bin", &fixture("sample.v2"));
         let s = sample_snapshot();
-        write_snapshot_jobs(&path, &s, 4).unwrap();
         let d = read_snapshot_jobs(&path, 4).unwrap();
         assert_eq!(d.n_users(), s.n_users());
         // The generic reader handles v2 files too.
@@ -2325,11 +1994,8 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("steam-model-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.bin");
+        let path = temp_file("test-v1", "snap.bin", &fixture("sample.v1"));
         let s = sample_snapshot();
-        write_snapshot(&path, &s).unwrap();
         let d = read_snapshot(&path).unwrap();
         assert_eq!(d.n_users(), s.n_users());
         std::fs::remove_file(&path).ok();
@@ -2455,15 +2121,151 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("steam-model-ver-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let s = sample_snapshot();
-        let p1 = dir.join("v1.bin");
-        let p2 = dir.join("v2.bin");
+        let p1 = temp_file("ver", "v1.bin", &fixture("sample.v1"));
+        let p2 = temp_file("ver", "v2.bin", &fixture("sample.v2"));
         let p3 = dir.join("v3.bin");
-        write_snapshot(&p1, &s).unwrap();
-        write_snapshot_jobs(&p2, &s, 1).unwrap();
         write_snapshot_v3(&p3, &s, 1).unwrap();
         assert_eq!(snapshot_file_version(&p1).unwrap(), VERSION);
         assert_eq!(snapshot_file_version(&p2).unwrap(), VERSION_SECTIONED);
         assert_eq!(snapshot_file_version(&p3).unwrap(), VERSION_CHUNKED);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A v3 file that holds `body` between its header and its trailer, with
+    /// `accounts` as the accounts section's chunks of `cap` records and
+    /// every other section empty. Header and trailer checksums are valid:
+    /// they are not keyed, so a crafted file passes them whatever its
+    /// directory says.
+    fn crafted_v3(body: &[u8], cap: u64, accounts: Vec<ChunkEntry>) -> Bytes {
+        let mut buf = BytesMut::new();
+        buf.put_slice(MAGIC);
+        buf.put_u8(VERSION_CHUNKED);
+        put_vari64(&mut buf, 0); // collected at
+        put_varu64(&mut buf, 0); // scanned id space
+        let header_sum = checksum32(&buf);
+        buf.put_slice(body);
+        let trailer_offset = buf.len() as u64;
+        let dirs: Vec<SectionDir> = SECTION_IDS
+            .iter()
+            .map(|&id| {
+                let chunks = if id == SECTION_ACCOUNTS { accounts.clone() } else { Vec::new() };
+                let total_records = chunks.iter().map(|c| c.n_records).sum();
+                SectionDir { id, cap, total_records, chunks }
+            })
+            .collect();
+        append_v3_trailer(&mut buf, &dirs, header_sum, trailer_offset);
+        buf.freeze()
+    }
+
+    #[test]
+    fn crafted_chunk_length_is_an_error_in_both_v3_decoders() {
+        // One 16-byte accounts frame whose length runs the offset past
+        // u64::MAX, back to 0, where a second accounts chunk lands the
+        // offset on the trailer again.
+        let first_chunk = 7;
+        let trailer_offset = first_chunk + 16;
+        let len = 0u64.wrapping_sub(trailer_offset);
+        let mut frame = BytesMut::new();
+        frame.put_u8(SECTION_ACCOUNTS);
+        put_varu64(&mut frame, 1);
+        put_varu64(&mut frame, len);
+        frame.put_u32_le(0);
+        assert_eq!(frame.len() as u64, 16);
+        let raw = crafted_v3(
+            &frame,
+            1,
+            vec![
+                ChunkEntry { offset: first_chunk, len, n_records: 1, sum: 0 },
+                ChunkEntry { offset: 0, len: trailer_offset - 7, n_records: 1, sum: 0 },
+            ],
+        );
+        // The frame sits right after the 7-byte header.
+        let (_, _, header_len) = parse_v3_header(raw.clone()).unwrap();
+        assert_eq!(header_len as u64, first_chunk);
+
+        assert!(decode_snapshot(raw.clone()).is_err());
+        let path = temp_file("crafted-v3", "snap.v3", &raw);
+        assert!(SnapshotReader::open(&path).is_err());
+        assert!(SnapshotReader::open_pread(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn crafted_record_counts_are_an_error_at_open() {
+        // One empty accounts chunk whose directory claims 2^40 records: a
+        // reader that sized a buffer from the directory would abort.
+        let n_records = 1u64 << 40;
+        let sum = checksum32(&[]);
+        let mut frame = BytesMut::new();
+        frame.put_u8(SECTION_ACCOUNTS);
+        put_varu64(&mut frame, n_records);
+        put_varu64(&mut frame, 0);
+        frame.put_u32_le(sum);
+        let chunk = ChunkEntry { offset: 7, len: 0, n_records, sum };
+        let raw = crafted_v3(&frame, n_records, vec![chunk]);
+        let msg = decode_snapshot(raw.clone()).unwrap_err().to_string();
+        assert!(msg.contains("implausible account count"), "{msg}");
+        let path = temp_file("crafted-count", "snap.v3", &raw);
+        assert!(SnapshotReader::open(&path).is_err());
+        assert!(SnapshotReader::open_pread(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn crafted_record_lengths_end_the_segment() {
+        for len in [u64::MAX, u64::MAX - 1, u64::MAX - 3] {
+            let mut seg = new_segment();
+            append_record(&mut seg, b"good");
+            put_varu64(&mut seg, len);
+            seg.put_u32_le(0);
+            seg.put_slice(b"tail");
+            let (records, clean) = decode_segment(seg.freeze()).unwrap();
+            assert_eq!(records.len(), 1, "length {len}");
+            assert_eq!(&records[0][..], b"good");
+            assert!(!clean, "length {len}");
+        }
+    }
+
+    #[test]
+    fn smallest_records_decode_in_every_section() {
+        // Every record at its shortest encoding: a game of nine one-byte
+        // fields, a group with an empty name, an account of seven bytes.
+        let s = Snapshot {
+            accounts: vec![Account {
+                id: SteamId::from_index(0),
+                created_at: SimTime::from_unix(0),
+                visibility: Visibility::Public,
+                country: None,
+                city: None,
+                level: 0,
+                facebook_linked: false,
+            }],
+            ownerships: vec![vec![]],
+            memberships: vec![vec![]],
+            groups: vec![Group {
+                id: GroupId(0),
+                kind: GroupKind::GameServer,
+                name: String::new(),
+            }],
+            catalog: (0..3)
+                .map(|i| Game {
+                    app_id: AppId(i),
+                    name: String::new(),
+                    app_type: AppType::Game,
+                    genres: GenreSet::EMPTY,
+                    price_cents: 0,
+                    multiplayer: false,
+                    release_date: SimTime::from_unix(0),
+                    metacritic: None,
+                    achievements: Vec::new(),
+                })
+                .collect(),
+            ..Snapshot::default()
+        };
+        let mut game = BytesMut::new();
+        put_game(&mut game, &s.catalog[0]);
+        assert_eq!(game.len(), GAME_MIN_LEN);
+        let d = decode_snapshot(encode_snapshot_v3(&s, 1)).unwrap();
+        assert_same_world(&d, &s);
     }
 }

@@ -20,8 +20,14 @@
 //! reach a decoded record. The copy is bounded by one chunk, decoded
 //! structures never alias the mapping and survive it, and the buffers go
 //! back to the pool for the next chunk instead of being reallocated.
+//!
+//! A reader can also sit on bytes already in memory, which cannot change:
+//! their payloads decode in place, without the copy. That is how
+//! [`codec::decode_snapshot`] decodes v3 — the same header, directory and
+//! chunk checks, every chunk fanned out over worker threads.
 
 use std::fs::File;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -34,7 +40,7 @@ use crate::error::ModelError;
 use crate::game::Game;
 use crate::group::Group;
 use crate::ownership::OwnedGame;
-use crate::snapshot::Friendship;
+use crate::snapshot::{Friendship, Snapshot};
 use crate::time::SimTime;
 
 #[cfg(target_os = "linux")]
@@ -58,7 +64,8 @@ mod mm {
     }
 }
 
-/// Where the bytes come from: a read-only mapping or positional file reads.
+/// Where the bytes come from: a read-only mapping, positional file reads,
+/// or bytes already in memory.
 enum Backing {
     #[cfg(target_os = "linux")]
     Map {
@@ -66,10 +73,12 @@ enum Backing {
         len: usize,
     },
     File(File),
+    Bytes(Bytes),
 }
 
-// The raw pointer is to an immutable PROT_READ mapping owned by this value;
-// concurrent reads through it are safe.
+// SAFETY: the raw pointer is to an immutable PROT_READ mapping owned by this
+// value, so concurrent reads through it are safe; `File` and `Bytes` are
+// `Send + Sync` themselves.
 unsafe impl Send for Backing {}
 unsafe impl Sync for Backing {}
 
@@ -127,24 +136,44 @@ impl Backing {
 
     /// Fills `dst` with the bytes at `offset`.
     fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<(), ModelError> {
-        match self {
+        let all: &[u8] = match self {
             #[cfg(target_os = "linux")]
-            Backing::Map { ptr, len: map_len } => {
-                let off = usize::try_from(offset).map_err(|_| codec::err("offset overflow"))?;
-                let end =
-                    off.checked_add(dst.len()).ok_or_else(|| codec::err("offset overflow"))?;
-                if end > *map_len {
-                    return Err(codec::err("read past end of snapshot map"));
-                }
-                // SAFETY: `off + dst.len() <= map_len` was checked above, and
-                // the read-only mapping stays valid until `self` drops.
-                let src = unsafe { std::slice::from_raw_parts(ptr.add(off), dst.len()) };
-                dst.copy_from_slice(src);
-                Ok(())
-            }
-            Backing::File(f) => read_exact_at(f, dst, offset),
-        }
+            // SAFETY: the read-only mapping stays valid until `self` drops.
+            Backing::Map { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
+            Backing::Bytes(b) => b,
+            Backing::File(f) => return read_exact_at(f, dst, offset),
+        };
+        dst.copy_from_slice(&all[span(offset, dst.len(), all.len())?]);
+        Ok(())
     }
+
+    /// The `len` bytes at `offset`, to verify and decode. Bytes in memory
+    /// cannot change, so they are lent in place. A map or a file is copied
+    /// into `buf` first, so a byte that changes in the file after the
+    /// checksum cannot reach a decoded record.
+    fn payload<'a>(
+        &'a self,
+        offset: u64,
+        len: usize,
+        buf: &'a mut Vec<u8>,
+    ) -> Result<&'a [u8], ModelError> {
+        if let Backing::Bytes(b) = self {
+            return Ok(&b[span(offset, len, b.len())?]);
+        }
+        buf.resize(len, 0);
+        self.read_at(offset, buf)?;
+        Ok(buf)
+    }
+}
+
+/// `offset..offset + len`, checked to lie within `total` bytes.
+fn span(offset: u64, len: usize, total: usize) -> Result<Range<usize>, ModelError> {
+    let start = usize::try_from(offset).map_err(|_| codec::err("offset overflow"))?;
+    let end = start.checked_add(len).ok_or_else(|| codec::err("offset overflow"))?;
+    if end > total {
+        return Err(codec::err("read past end of snapshot"));
+    }
+    Ok(start..end)
 }
 
 #[cfg(unix)]
@@ -219,11 +248,21 @@ impl SnapshotReader {
     fn open_backed(path: &Path, try_map: bool) -> Result<Self, ModelError> {
         let file = File::open(path)?;
         let file_len = file.metadata()?.len();
+        Self::new(Backing::new(file, file_len, try_map), file_len)
+    }
+
+    /// Opens v3 bytes already in memory.
+    pub(crate) fn from_bytes(bytes: Bytes) -> Result<Self, ModelError> {
+        let len = bytes.len() as u64;
+        Self::new(Backing::Bytes(bytes), len)
+    }
+
+    /// Verifies the header, the trailer and the chunk directory of the
+    /// `file_len` bytes behind `backing`.
+    fn new(backing: Backing, file_len: u64) -> Result<Self, ModelError> {
         if file_len < 5 + 8 + 9 {
             return Err(codec::err("chunked snapshot too short"));
         }
-        let backing = Backing::new(file, file_len, try_map);
-
         let head = backing.read(0, file_len.min(64) as usize)?;
         let (collected_at, scanned_id_space, first_chunk) = codec::parse_v3_header(head)?;
         let trailer_offset = {
@@ -343,15 +382,15 @@ impl SnapshotReader {
         let hdr_len = codec::parse_v3_chunk_header(hdr, id, k, &e)? as u64;
 
         let mut buf = self.pool().pop().unwrap_or_default();
-        buf.resize(e.len as usize, 0);
-        let decoded = self.backing.read_at(e.offset + hdr_len, &mut buf).and_then(|()| {
-            if codec::checksum32(&buf) != e.sum {
+        let payload = self.backing.payload(e.offset + hdr_len, e.len as usize, &mut buf);
+        let decoded = payload.and_then(|payload| {
+            if codec::checksum32(payload) != e.sum {
                 return Err(codec::err(format!(
                     "checksum mismatch in {} section chunk {k}",
                     codec::section_name(id)
                 )));
             }
-            codec::decode_v3_chunk(id, k, e.n_records as usize, &buf)
+            codec::decode_v3_chunk(id, k, e.n_records as usize, payload)
         });
         {
             let mut pool = self.pool();
@@ -416,6 +455,33 @@ impl SnapshotReader {
         Ok(out)
     }
 
+    /// Decodes every chunk, on up to `jobs` workers, into the whole snapshot.
+    pub(crate) fn snapshot(&self, jobs: usize) -> Result<Snapshot, ModelError> {
+        let chunks: Vec<(u8, usize)> = self
+            .sections
+            .iter()
+            .flat_map(|d| (0..d.chunks.len()).map(move |k| (d.id, k)))
+            .collect();
+        let sections = codec::map_parallel(jobs, chunks.len(), |i| {
+            let (id, k) = chunks[i];
+            self.chunk(id, k)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        let len = |id: u8| self.dir(id).total_records as usize;
+        let s = Snapshot {
+            collected_at: self.collected_at,
+            scanned_id_space: self.scanned_id_space,
+            accounts: Vec::with_capacity(len(codec::SECTION_ACCOUNTS)),
+            friendships: Vec::with_capacity(len(codec::SECTION_FRIENDSHIPS)),
+            ownerships: Vec::with_capacity(len(codec::SECTION_OWNERSHIPS)),
+            groups: Vec::with_capacity(len(codec::SECTION_GROUPS)),
+            memberships: Vec::with_capacity(len(codec::SECTION_MEMBERSHIPS)),
+            catalog: Vec::with_capacity(len(codec::SECTION_CATALOG)),
+        };
+        codec::assemble(s, sections)
+    }
+
     /// Decodes the whole catalog (small next to the per-user data).
     pub fn catalog(&self) -> Result<Vec<Game>, ModelError> {
         let n_chunks = self.dir(codec::SECTION_CATALOG).chunks.len();
@@ -433,7 +499,7 @@ impl SnapshotReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{synthetic_snapshot, write_snapshot_jobs, write_snapshot_v3};
+    use crate::codec::{synthetic_snapshot, write_snapshot_v3};
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("steam-model-reader-{}", std::process::id()));
@@ -489,9 +555,9 @@ mod tests {
 
     #[test]
     fn reader_rejects_non_v3_files() {
-        let s = synthetic_snapshot(5);
+        // A v2 file written by the v2 encoder before it was removed.
         let path = temp_path("old.v2");
-        write_snapshot_jobs(&path, &s, 1).unwrap();
+        std::fs::write(&path, include_bytes!("../tests/fixtures/synthetic17.v2")).unwrap();
         let e = match SnapshotReader::open(&path) {
             Err(e) => e.to_string(),
             Ok(_) => panic!("v2 file opened as v3"),

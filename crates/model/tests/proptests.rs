@@ -6,8 +6,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use steam_model::codec::{
-    decode_panel, decode_snapshot, decode_snapshot_jobs, encode_panel, encode_snapshot,
-    encode_snapshot_jobs,
+    decode_panel, decode_snapshot, decode_snapshot_jobs, encode_panel, encode_snapshot_v3,
 };
 use steam_model::{
     Account, Achievement, AppId, AppType, CountryCode, Friendship, Game, Genre, GenreSet, Group,
@@ -62,7 +61,7 @@ fn arb_game(app: u32) -> impl Strategy<Value = Game> {
 }
 
 /// A deterministic snapshot whose shape is driven by the inputs; shared by
-/// the v1 and v2 (sectioned) round-trip properties.
+/// the v3 round-trip and corruption properties.
 fn build_snapshot(accounts: &[u8], n_games: u32, seed: u64) -> Snapshot {
     let n = accounts.len() as u32;
     let mut snap = Snapshot {
@@ -146,7 +145,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let snap = build_snapshot(&accounts, n_games, seed);
-        let bytes = encode_snapshot(&snap);
+        let bytes = encode_snapshot_v3(&snap, 1);
         let d = decode_snapshot(bytes).unwrap();
         prop_assert_eq!(d.n_users(), snap.n_users());
         prop_assert_eq!(d.friendships, snap.friendships);
@@ -161,16 +160,16 @@ proptest! {
     }
 
     #[test]
-    fn sectioned_codec_roundtrip(
+    fn chunked_codec_roundtrip(
         accounts in vec(any::<u8>(), 1..12),
         n_games in 1u32..6,
         seed in any::<u64>(),
         jobs in 1usize..5,
     ) {
         let snap = build_snapshot(&accounts, n_games, seed);
-        let bytes = encode_snapshot_jobs(&snap, jobs);
+        let bytes = encode_snapshot_v3(&snap, jobs);
         // Parallel encode is byte-identical to serial encode.
-        prop_assert_eq!(&bytes, &encode_snapshot_jobs(&snap, 1));
+        prop_assert_eq!(&bytes, &encode_snapshot_v3(&snap, 1));
         let d = decode_snapshot_jobs(bytes, jobs).unwrap();
         prop_assert_eq!(d.n_users(), snap.n_users());
         prop_assert_eq!(d.accounts, snap.accounts);
@@ -184,34 +183,14 @@ proptest! {
     }
 
     #[test]
-    fn v1_and_v2_decode_identically(
-        accounts in vec(any::<u8>(), 1..12),
-        n_games in 1u32..6,
-        seed in any::<u64>(),
-    ) {
-        // Cross-read: a v1 file and a v2 file of the same snapshot decode
-        // to the same value through the same entry point.
-        let snap = build_snapshot(&accounts, n_games, seed);
-        let from_v1 = decode_snapshot(encode_snapshot(&snap)).unwrap();
-        let from_v2 = decode_snapshot(encode_snapshot_jobs(&snap, 2)).unwrap();
-        prop_assert_eq!(from_v1.accounts, from_v2.accounts);
-        prop_assert_eq!(from_v1.friendships, from_v2.friendships);
-        prop_assert_eq!(from_v1.ownerships, from_v2.ownerships);
-        prop_assert_eq!(from_v1.memberships, from_v2.memberships);
-        prop_assert_eq!(from_v1.groups, from_v2.groups);
-        prop_assert_eq!(from_v1.catalog, from_v2.catalog);
-        prop_assert_eq!(from_v1.collected_at, from_v2.collected_at);
-    }
-
-    #[test]
-    fn sectioned_rejects_any_corrupted_byte(
+    fn chunked_rejects_any_corrupted_byte(
         accounts in vec(any::<u8>(), 1..6),
         seed in any::<u64>(),
         at_frac in 0.0f64..1.0,
         flip in 1u8..=255,
     ) {
         let snap = build_snapshot(&accounts, 2, seed);
-        let clean = encode_snapshot_jobs(&snap, 1);
+        let clean = encode_snapshot_v3(&snap, 1);
         let mut raw = clean.to_vec();
         let at = ((raw.len() - 1) as f64 * at_frac) as usize;
         raw[at] ^= flip;
@@ -222,10 +201,13 @@ proptest! {
     fn decode_arbitrary_bytes_never_panics(data in vec(any::<u8>(), 0..256)) {
         // Corrupt input must produce Err, never panic or huge allocation.
         let _ = decode_snapshot(Bytes::from(data.clone()));
-        // Same bytes presented as a sectioned container body.
-        let mut v2 = b"CSTM\x02".to_vec();
-        v2.extend_from_slice(&data);
-        let _ = decode_snapshot(Bytes::from(v2));
+        // Same bytes presented as a sectioned (v2) and a chunked (v3)
+        // container body.
+        for header in [b"CSTM\x02", b"CSTM\x03"] {
+            let mut raw = header.to_vec();
+            raw.extend_from_slice(&data);
+            let _ = decode_snapshot(Bytes::from(raw));
+        }
         let _ = decode_panel(Bytes::from(data));
     }
 
@@ -237,7 +219,7 @@ proptest! {
             g.app_id = AppId(i as u32);
             snap.catalog.push(g);
         }
-        let d = decode_snapshot(encode_snapshot(&snap)).unwrap();
+        let d = decode_snapshot(encode_snapshot_v3(&snap, 1)).unwrap();
         prop_assert_eq!(d.catalog, snap.catalog);
     }
 
@@ -248,7 +230,7 @@ proptest! {
         snap.ownerships.push(vec![]);
         snap.memberships.push(vec![]);
         snap.scanned_id_space = 10;
-        let d = decode_snapshot(encode_snapshot(&snap)).unwrap();
+        let d = decode_snapshot(encode_snapshot_v3(&snap, 1)).unwrap();
         prop_assert_eq!(d.accounts[0].city, acct.city);
         prop_assert_eq!(d.accounts[0].country, acct.country);
         prop_assert_eq!(d.accounts[0].created_at, acct.created_at);

@@ -61,7 +61,7 @@ fn snapshot_survives_disk_round_trip_at_scale() {
     let dir = std::env::temp_dir().join("condensing-steam-it");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("snap.bin");
-    codec::write_snapshot(&path, &world.snapshot).unwrap();
+    codec::write_snapshot_v3(&path, &world.snapshot, 1).unwrap();
     let loaded = codec::read_snapshot(&path).unwrap();
     std::fs::remove_file(&path).ok();
 
