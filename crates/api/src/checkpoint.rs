@@ -268,8 +268,9 @@ impl CheckpointStore {
     }
 
     /// Opens an existing journal in `dir` and replays it. Replay stops at
-    /// the first damaged record or segment (tail-tolerance); segments after
-    /// a damaged one are discarded, and new segments continue the sequence.
+    /// the first damaged record or segment (tail-tolerance): the records
+    /// before the damage are rewritten as that segment, segments after it
+    /// are discarded, and new segments continue the sequence.
     pub fn resume(dir: &Path) -> Result<(CheckpointStore, Replay), NetError> {
         std::fs::create_dir_all(dir)?;
         let mut replay = Replay::default();
@@ -287,25 +288,35 @@ impl CheckpointStore {
             let raw = std::fs::read(segment_path(dir, seq))?;
             match decode_segment(Bytes::from(raw)) {
                 Ok((payloads, clean)) => {
-                    let mut record_damage = false;
-                    for payload in payloads {
-                        match Record::decode(payload) {
+                    let mut good = 0;
+                    for payload in &payloads {
+                        match Record::decode(payload.clone()) {
                             Ok(rec) => replay.absorb(rec),
                             Err(e) => {
                                 obs_warn!(
                                     "checkpoint",
                                     "segment {seq:08}: undecodable record ({e}); dropping tail"
                                 );
-                                record_damage = true;
                                 break;
                             }
                         }
+                        good += 1;
                     }
-                    if !clean || record_damage {
+                    if !clean || good < payloads.len() {
                         obs_warn!("checkpoint", "segment {seq:08} has a damaged tail");
                         damaged = true;
-                        std::fs::remove_file(segment_path(dir, seq))?;
-                        continue;
+                        if good == 0 {
+                            std::fs::remove_file(segment_path(dir, seq))?;
+                            continue;
+                        }
+                        // Rewrite the records before the damage as segment
+                        // `seq`, so a second interruption cannot lose them.
+                        let mut salvaged = new_segment();
+                        for payload in &payloads[..good] {
+                            append_record(&mut salvaged, payload);
+                        }
+                        write_atomic(&segment_path(dir, seq), &salvaged)
+                            .map_err(|e| storage_err("salvage", e))?;
                     }
                 }
                 Err(e) => {
@@ -569,10 +580,14 @@ mod tests {
         assert_eq!(replay.len(), 6);
         assert!(replay.apps.is_empty());
         assert_eq!(replay.census_complete, Some(4));
-        // The damaged segment was dropped; new writes land at seq 0 again.
-        store2.append(&Record::CensusComplete { scanned_id_space: 9 }).unwrap();
+        // The damaged segment was rewritten with the 6 salvaged records. The
+        // re-fetched App lands after it, and a second resume replays all 7.
+        store2.append(&sample_records().pop().unwrap()).unwrap();
         store2.flush().unwrap();
-        assert_eq!(segment_seqs(&d).unwrap(), vec![0]);
+        assert_eq!(segment_seqs(&d).unwrap(), vec![0, 1]);
+        let (_store3, replay) = CheckpointStore::resume(&d).unwrap();
+        assert_eq!(replay.len(), 7);
+        assert!(replay.apps.contains_key(&AppId(10)));
         std::fs::remove_dir_all(&d).ok();
     }
 

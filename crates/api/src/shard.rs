@@ -379,6 +379,13 @@ fn get_section(buf: &mut Bytes, want: u8) -> Result<Bytes, ModelError> {
     Ok(payload)
 }
 
+fn no_trailing_bytes(buf: &Bytes, place: &str) -> Result<(), ModelError> {
+    match buf.remaining() {
+        0 => Ok(()),
+        n => Err(ModelError::Codec(format!("{n} trailing bytes {place}"))),
+    }
+}
+
 /// Serializes a shard store.
 pub fn encode_shard(s: &ShardStore) -> Bytes {
     let mut buf = BytesMut::with_capacity(64 + s.accounts.len() * 48 + s.catalog.len() * 64);
@@ -442,10 +449,14 @@ pub fn decode_shard(mut buf: Bytes) -> Result<ShardStore, ModelError> {
         games.push(get_library(&mut accounts_buf)?);
         member_gids.push(get_group_ids(&mut accounts_buf)?);
     }
+    no_trailing_bytes(&accounts_buf, "in the shard accounts section")?;
     let mut groups_buf = get_section(&mut buf, SECTION_GROUPS)?;
     let groups = get_list(&mut groups_buf, 3, "group", get_group)?;
+    no_trailing_bytes(&groups_buf, "in the shard groups section")?;
     let mut catalog_buf = get_section(&mut buf, SECTION_CATALOG)?;
     let catalog = get_list(&mut catalog_buf, GAME_MIN_LEN, "catalog", get_game)?;
+    no_trailing_bytes(&catalog_buf, "in the shard catalog section")?;
+    no_trailing_bytes(&buf, "after the shard catalog section")?;
 
     Ok(ShardStore {
         shard_index,
@@ -681,6 +692,38 @@ mod tests {
         put_varu64(&mut buf, u64::MAX);
         buf.put_u32_le(0);
         assert!(decode_shard(buf.freeze()).is_err());
+    }
+
+    #[test]
+    fn trailing_bytes_in_a_section_or_after_the_file_fail() {
+        let none = varints(&[0]);
+        // An empty record list, then one byte no record claims.
+        let extra = varints(&[0, 0]);
+        for (section, bytes) in [
+            ("accounts", crafted_file([&extra, &none, &none])),
+            ("groups", crafted_file([&none, &extra, &none])),
+            ("catalog", crafted_file([&none, &none, &extra])),
+        ] {
+            let err = decode_shard(bytes).expect_err(section).to_string();
+            assert!(
+                err.contains(&format!("1 trailing bytes in the shard {section}")),
+                "{err}"
+            );
+        }
+
+        let dir = temp_dir("trailing");
+        let path = dir.join("shard.bin");
+        write_shard(&path, &split_snapshot(world(30, 20, 5), 2).unwrap()[0]).unwrap();
+        assert!(read_shard(&path).is_ok());
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(b"garbage");
+        std::fs::write(&path, bytes).unwrap();
+        let err = read_shard(&path).expect_err("7 bytes appended").to_string();
+        assert!(
+            err.contains("7 trailing bytes after the shard catalog section"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

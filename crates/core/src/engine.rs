@@ -5,7 +5,7 @@
 //! that experiment costs span four orders of magnitude (Table 4 runs the
 //! whole heavy-tail fitting pipeline; Figure 10 is three divisions). Static
 //! chunking would leave most workers idle behind Table 4, so workers pull
-//! the next experiment index from a shared atomic cursor, and the expensive
+//! the next experiment from `steam_par::map`'s shared cursor, and the expensive
 //! kernels additionally fan out internally (see
 //! [`render_with_jobs`](crate::report::render_with_jobs)).
 //!
@@ -13,9 +13,8 @@
 //!
 //! The parallel report renders **byte-identical** text for any `jobs` value:
 //!
-//! * results land in per-experiment slots that are concatenated in
-//!   `Experiment::ALL` order after the scope joins — scheduling order never
-//!   reaches the output;
+//! * `steam_par::map` returns one text per experiment in `Experiment::ALL`
+//!   order — scheduling order never reaches the output;
 //! * every parallel kernel underneath reduces per-chunk results in index
 //!   order with the serial rule (x_min scan), merges exact integer-valued
 //!   f64 sums (assortativity), sorts away fill races (CSR rows), or derives
@@ -24,8 +23,6 @@
 //!
 //! [`Ctx`]: crate::context::Ctx
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::report::{render_with_jobs, Experiment, ReportInput};
@@ -112,8 +109,8 @@ pub fn render_experiments(
 }
 
 /// [`render_experiments`] plus a timing breakdown. Timing collection writes
-/// only to per-slot state and the returned struct — the rendered text is
-/// byte-identical to the untimed path.
+/// only to each experiment's result and the returned struct — the rendered
+/// text is byte-identical to the untimed path.
 pub fn render_experiments_timed(
     input: &ReportInput,
     experiments: &[Experiment],
@@ -121,45 +118,14 @@ pub fn render_experiments_timed(
 ) -> (Vec<(Experiment, String)>, ReportTimings) {
     let jobs = jobs.max(1);
     let run_start = Instant::now();
-    if jobs == 1 || experiments.len() <= 1 {
-        let mut rendered = Vec::with_capacity(experiments.len());
-        let mut per_experiment = Vec::with_capacity(experiments.len());
-        for &e in experiments {
-            let _span = steam_obs::span("report", e.name());
-            let start = Instant::now();
-            rendered.push((e, render_with_jobs(input, e, jobs)));
-            per_experiment.push(ExperimentTiming { experiment: e, wall: start.elapsed() });
-        }
-        let timings = ReportTimings { jobs, wall: run_start.elapsed(), per_experiment };
-        return (rendered, timings);
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<(String, Duration)>>> =
-        experiments.iter().map(|_| Mutex::new(None)).collect();
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..jobs.min(experiments.len()) {
-            scope.spawn(|_| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= experiments.len() {
-                    break;
-                }
-                let _span = steam_obs::span("report", experiments[i].name());
-                let start = Instant::now();
-                let text = render_with_jobs(input, experiments[i], jobs);
-                *slots[i].lock().expect("slot poisoned") = Some((text, start.elapsed()));
-            });
-        }
+    let (rendered, per_experiment) = steam_par::map(jobs, experiments, |&e| {
+        let _span = steam_obs::span("report", e.name());
+        let start = Instant::now();
+        let text = render_with_jobs(input, e, jobs);
+        ((e, text), ExperimentTiming { experiment: e, wall: start.elapsed() })
     })
-    .expect("report worker panicked");
-    let mut rendered = Vec::with_capacity(experiments.len());
-    let mut per_experiment = Vec::with_capacity(experiments.len());
-    for (&e, slot) in experiments.iter().zip(slots) {
-        let (text, wall) =
-            slot.into_inner().expect("slot poisoned").expect("every index was claimed");
-        rendered.push((e, text));
-        per_experiment.push(ExperimentTiming { experiment: e, wall });
-    }
+    .into_iter()
+    .unzip();
     let timings = ReportTimings { jobs, wall: run_start.elapsed(), per_experiment };
     (rendered, timings)
 }

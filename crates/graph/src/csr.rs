@@ -3,9 +3,7 @@
 //! The paper's graph has 108.7 M nodes and 196.4 M undirected edges; CSR
 //! keeps neighbor iteration cache-friendly with two flat arrays.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-
-use crate::par;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// A source of undirected edges grouped into independently readable chunks —
 /// the shape in which the streaming snapshot reader exposes the friendships
@@ -16,29 +14,6 @@ pub trait EdgeChunks: Sync {
     /// must yield the same edges every time it is visited (the CSR build
     /// reads the source twice).
     fn for_each(&self, k: usize, f: &mut dyn FnMut(u32, u32));
-}
-
-/// Runs `f(0..n)` on up to `jobs` scoped workers claiming indices through an
-/// atomic cursor.
-fn claim_chunks(jobs: usize, n: usize, f: impl Fn(usize) + Sync) {
-    if jobs <= 1 || n <= 1 {
-        for k in 0..n {
-            f(k);
-        }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..jobs.min(n) {
-            s.spawn(|| loop {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                if k >= n {
-                    break;
-                }
-                f(k);
-            });
-        }
-    });
 }
 
 /// An undirected graph in CSR form. Each undirected edge appears in both
@@ -100,7 +75,7 @@ impl Csr {
         }
 
         // Pass 1: per-chunk degree counts.
-        let chunk_counts = par::map_chunks(edges.len(), jobs, |range| {
+        let chunk_counts = steam_par::map(jobs, steam_par::split(edges.len(), jobs), |range| {
             let mut deg = vec![0u64; n_nodes];
             for &(a, b) in &edges[range] {
                 assert!((a as usize) < n_nodes && (b as usize) < n_nodes, "edge out of range");
@@ -122,7 +97,7 @@ impl Csr {
         let cursors: Vec<AtomicU64> =
             offsets[..n_nodes].iter().map(|&o| AtomicU64::new(o)).collect();
         let slots: Vec<AtomicU32> = (0..acc as usize).map(|_| AtomicU32::new(0)).collect();
-        par::map_chunks(edges.len(), jobs, |range| {
+        steam_par::map(jobs, steam_par::split(edges.len(), jobs), |range| {
             for &(a, b) in &edges[range] {
                 let ia = cursors[a as usize].fetch_add(1, Ordering::Relaxed) as usize;
                 slots[ia].store(b, Ordering::Relaxed);
@@ -133,35 +108,33 @@ impl Csr {
         let mut neighbors: Vec<u32> = slots.into_iter().map(AtomicU32::into_inner).collect();
 
         // Pass 3: sort each adjacency list.
-        sort_rows(&offsets, &mut neighbors, n_nodes, jobs);
+        sort_rows(&offsets, &mut neighbors, jobs);
 
         Csr { offsets, neighbors, n_edges: edges.len() }
     }
 
     /// Builds CSR from chunked edges in two passes — shared atomic degree
     /// counting, then fill through per-node atomic cursors — with chunks
-    /// claimed by an atomic cursor on up to `jobs` threads. Reads the source
-    /// twice and never materializes the full edge list, so resident memory is
-    /// the CSR itself plus `O(n_nodes)` counters, independent of how the
-    /// chunks are stored. The result is identical to [`Csr::from_edges`]
+    /// claimed by up to `jobs` workers through `steam_par::map`. Reads the
+    /// source twice and never materializes the full edge list, so resident
+    /// memory is the CSR itself plus `O(n_nodes)` counters, independent of
+    /// how the chunks are stored. The result is identical to [`Csr::from_edges`]
     /// over the same edges, for any `jobs`: degree sums are order-independent,
     /// and the canonical per-row sort erases fill-order races.
     pub fn from_edge_chunks(n_nodes: usize, src: &dyn EdgeChunks, jobs: usize) -> Self {
-        let jobs = jobs.max(1);
-        let n_chunks = src.n_chunks();
+        let chunks = 0..src.n_chunks();
 
         // Pass 1: degree counts (u32: degrees are capped far below 2^32).
         let deg: Vec<AtomicU32> = (0..n_nodes).map(|_| AtomicU32::new(0)).collect();
-        let edge_count = AtomicU64::new(0);
-        claim_chunks(jobs, n_chunks, |k| {
-            let mut in_chunk = 0u64;
+        let chunk_edges = steam_par::map(jobs, chunks.clone(), |k| {
+            let mut in_chunk = 0usize;
             src.for_each(k, &mut |a, b| {
                 assert!((a as usize) < n_nodes && (b as usize) < n_nodes, "edge out of range");
                 deg[a as usize].fetch_add(1, Ordering::Relaxed);
                 deg[b as usize].fetch_add(1, Ordering::Relaxed);
                 in_chunk += 1;
             });
-            edge_count.fetch_add(in_chunk, Ordering::Relaxed);
+            in_chunk
         });
         let mut offsets = Vec::with_capacity(n_nodes + 1);
         offsets.push(0u64);
@@ -178,7 +151,7 @@ impl Csr {
         let cursors: Vec<AtomicU64> =
             offsets[..n_nodes].iter().map(|&o| AtomicU64::new(o)).collect();
         let slots: Vec<AtomicU32> = (0..acc as usize).map(|_| AtomicU32::new(0)).collect();
-        claim_chunks(jobs, n_chunks, |k| {
+        steam_par::map(jobs, chunks, |k| {
             src.for_each(k, &mut |a, b| {
                 let ia = cursors[a as usize].fetch_add(1, Ordering::Relaxed) as usize;
                 slots[ia].store(b, Ordering::Relaxed);
@@ -188,10 +161,9 @@ impl Csr {
         });
         let mut neighbors: Vec<u32> = slots.into_iter().map(AtomicU32::into_inner).collect();
 
-        sort_rows(&offsets, &mut neighbors, n_nodes, jobs);
+        sort_rows(&offsets, &mut neighbors, jobs);
 
-        let n_edges = edge_count.into_inner() as usize;
-        Csr { offsets, neighbors, n_edges }
+        Csr { offsets, neighbors, n_edges: chunk_edges.iter().sum() }
     }
 
     pub fn n_nodes(&self) -> usize {
@@ -235,38 +207,20 @@ impl Csr {
     }
 }
 
-/// Sorts every adjacency row ascending, threads owning disjoint contiguous
-/// node ranges (rows are contiguous in node order).
-fn sort_rows(offsets: &[u64], neighbors: &mut [u32], n_nodes: usize, jobs: usize) {
-    if jobs <= 1 {
-        for u in 0..n_nodes {
-            let (s, e) = (offsets[u] as usize, offsets[u + 1] as usize);
-            neighbors[s..e].sort_unstable();
-        }
-        return;
-    }
-    let per = n_nodes.div_ceil(jobs);
-    let mut tail: &mut [u32] = neighbors;
-    let mut consumed = 0u64;
-    std::thread::scope(|scope| {
-        for j in 0..jobs {
-            let lo = (j * per).min(n_nodes);
-            let hi = ((j + 1) * per).min(n_nodes);
-            if lo >= hi {
-                continue;
-            }
-            let len = (offsets[hi] - consumed) as usize;
-            let (head, rest) = std::mem::take(&mut tail).split_at_mut(len);
-            tail = rest;
-            consumed = offsets[hi];
-            let base = offsets[lo];
-            scope.spawn(move || {
-                for u in lo..hi {
-                    let s = (offsets[u] - base) as usize;
-                    let e = (offsets[u + 1] - base) as usize;
-                    head[s..e].sort_unstable();
-                }
-            });
+/// Sorts every adjacency row ascending, each of up to `jobs` workers owning
+/// the rows of one contiguous node range (rows are contiguous in node order).
+fn sort_rows(offsets: &[u64], neighbors: &mut [u32], jobs: usize) {
+    let mut rest = neighbors;
+    let parts = steam_par::split(offsets.len() - 1, jobs).map(move |nodes| {
+        let len = (offsets[nodes.end] - offsets[nodes.start]) as usize;
+        let (rows, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        (nodes, rows)
+    });
+    steam_par::map(jobs, parts, |(nodes, rows)| {
+        let base = offsets[nodes.start];
+        for u in nodes {
+            rows[(offsets[u] - base) as usize..(offsets[u + 1] - base) as usize].sort_unstable();
         }
     });
 }

@@ -20,7 +20,6 @@ pub mod components;
 pub mod csr;
 pub mod evolution;
 pub mod neighbors;
-pub mod par;
 pub mod sampling;
 pub mod smallworld;
 

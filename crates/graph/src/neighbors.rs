@@ -2,7 +2,6 @@
 //! paper's homophily findings (§7, Figure 11).
 
 use crate::csr::Csr;
-use crate::par;
 
 /// For every node with at least one neighbor, the mean of `attr` over its
 /// neighbors; isolated nodes get `None`.
@@ -18,7 +17,7 @@ pub fn neighbor_mean(g: &Csr, attr: &[f64]) -> Vec<Option<f64>> {
 /// chunks concatenate in node order, so output is identical for any `jobs`.
 pub fn neighbor_mean_jobs(g: &Csr, attr: &[f64], jobs: usize) -> Vec<Option<f64>> {
     assert_eq!(attr.len(), g.n_nodes(), "attribute vector must be parallel");
-    par::map_chunks(g.n_nodes(), jobs, |range| {
+    steam_par::map(jobs, steam_par::split(g.n_nodes(), jobs), |range| {
         range
             .map(|u| {
                 let ns = g.neighbors(u as u32);
@@ -61,7 +60,7 @@ pub fn degree_assortativity(g: &Csr) -> Option<f64> {
 /// any graph this workspace handles); exact sums are associative, so the
 /// chunked merge reproduces the serial result bit-for-bit.
 pub fn degree_assortativity_jobs(g: &Csr, jobs: usize) -> Option<f64> {
-    let partials = par::map_chunks(g.n_nodes(), jobs, |range| {
+    let partials = steam_par::map(jobs, steam_par::split(g.n_nodes(), jobs), |range| {
         let mut n = 0u64;
         let mut s = [0.0f64; 5]; // sx, sy, sxx, syy, sxy
         for u in range {
@@ -165,6 +164,9 @@ mod tests {
     fn empty_graph_returns_none() {
         let g = Csr::from_edges(3, std::iter::empty());
         assert!(degree_assortativity(&g).is_none());
+        let g = Csr::from_edges(0, std::iter::empty());
+        assert!(degree_assortativity_jobs(&g, 4).is_none());
+        assert!(neighbor_mean_jobs(&g, &[], 4).is_empty());
     }
 
     #[test]

@@ -92,8 +92,7 @@
 
 use std::io::Write;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -775,42 +774,6 @@ fn decode_snapshot_v1(mut buf: &[u8]) -> Result<Snapshot, ModelError> {
     assemble(Snapshot { collected_at, scanned_id_space, ..Snapshot::default() }, sections)
 }
 
-/// Runs `f(0..n)` on up to `jobs` scoped workers, returning results in
-/// index order. The codec's local copy of the synth crate's chunk runner
-/// (the dependency points the other way).
-pub(crate) fn map_parallel<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if jobs <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    crossbeam::thread::scope(|s| {
-        for _ in 0..jobs.min(n) {
-            s.spawn(|_| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = f(i);
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-            });
-        }
-    })
-    .expect("codec worker panicked");
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every index claimed exactly once")
-        })
-        .collect()
-}
-
 // --- sectioned snapshot container (v2, read-only) ---------------------------
 
 struct SectionEntry {
@@ -1080,8 +1043,7 @@ fn write_v3(
         })
         .collect();
     for window in specs.chunks(jobs.max(1) * 4) {
-        let payloads = map_parallel(jobs, window.len(), |j| {
-            let (id, records) = &window[j];
+        let payloads = steam_par::map(jobs, window, |(id, records)| {
             let mut payload = BytesMut::with_capacity(records.len() * 12 + 16);
             encode_records(&mut payload, s, *id, records.clone());
             let sum = checksum32(&payload);

@@ -462,12 +462,9 @@ impl SnapshotReader {
             .iter()
             .flat_map(|d| (0..d.chunks.len()).map(move |k| (d.id, k)))
             .collect();
-        let sections = codec::map_parallel(jobs, chunks.len(), |i| {
-            let (id, k) = chunks[i];
-            self.chunk(id, k)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+        let sections = steam_par::map(jobs, &chunks, |&(id, k)| self.chunk(id, k))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
         let len = |id: u8| self.dir(id).total_records as usize;
         let s = Snapshot {
             collected_at: self.collected_at,
@@ -647,9 +644,9 @@ mod tests {
         let n = r.n_account_chunks();
         let cursor = AtomicUsize::new(0);
         let counted = std::sync::Mutex::new(0usize);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..4 {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let k = cursor.fetch_add(1, Ordering::Relaxed);
                     if k >= n {
                         break;
@@ -659,8 +656,7 @@ mod tests {
                     *counted.lock().unwrap() += chunk.len();
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(*counted.lock().unwrap(), s.n_users());
         assert_eq!(r.section_reads()[0].decoded, n as u64);
         assert!(r.pool().len() <= POOL_MAX.min(4));

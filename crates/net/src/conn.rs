@@ -604,7 +604,8 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::write_request;
+    use crate::http::{read_response, write_request};
+    use std::io::Cursor;
 
     fn wire(req: &Request) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -640,6 +641,70 @@ mod tests {
             }
         }
         assert!(matches!(try_parse_request(&bytes), ParseStep::Request { .. }));
+    }
+
+    /// The bytes the mutation suite writes over each input byte: the
+    /// framing characters, a length digit, and bytes UTF-8 rejects.
+    const SUBSTITUTES: [u8; 7] = [0x00, b'\r', b'\n', b':', b' ', b'9', 0xff];
+
+    /// Every single-byte change of `input` (each byte set to each of
+    /// `SUBSTITUTES`), then every proper prefix, flagged `true`.
+    fn mutations(input: &[u8]) -> impl Iterator<Item = (bool, Vec<u8>)> + '_ {
+        let changes = (0..input.len()).flat_map(move |at| {
+            SUBSTITUTES.iter().map(move |&byte| {
+                let mut changed = input.to_vec();
+                changed[at] = byte;
+                (false, changed)
+            })
+        });
+        changes.chain((0..input.len()).map(move |len| (true, input[..len].to_vec())))
+    }
+
+    /// The only errors a parser may return for bad bytes.
+    fn is_parse_error(e: &NetError) -> bool {
+        matches!(e, NetError::Http(_) | NetError::Io(_))
+    }
+
+    #[test]
+    fn mutated_requests_parse_or_fail_typed_in_both_parsers() {
+        let get =
+            &b"GET /ISteamUser/GetFriendList/v1?steamid=76561197960265729&relationship=friend \
+            HTTP/1.1\r\nHost: localhost\r\n\r\n"[..];
+        let post = &b"POST /IPlayerService/GetOwnedGames/v1 HTTP/1.1\r\nHost: localhost\r\n\
+            Content-Length: 11\r\n\r\nsteamid=123"[..];
+        for input in [get, post] {
+            assert!(matches!(read_request(&mut Cursor::new(input)), Ok(Some(_))));
+            for (_, bytes) in mutations(input) {
+                let shown = String::from_utf8_lossy(&bytes);
+                if let Err(e) = read_request(&mut Cursor::new(&bytes)) {
+                    assert!(is_parse_error(&e), "{e:?} for {shown:?}");
+                }
+                match try_parse_request(&bytes) {
+                    ParseStep::Request { consumed, .. } => {
+                        assert!(consumed <= bytes.len(), "consumed {consumed} of {shown:?}")
+                    }
+                    ParseStep::Bad(e) => assert!(is_parse_error(&e), "{e:?} for {shown:?}"),
+                    ParseStep::Incomplete => {}
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_responses_fail_typed_and_every_prefix_fails() {
+        let response = &b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+            Content-Length: 13\r\n\r\n{\"games\":[1]}"[..];
+        assert_eq!(
+            read_response(&mut Cursor::new(response)).unwrap().body,
+            b"{\"games\":[1]}"
+        );
+        for (prefix, bytes) in mutations(response) {
+            let shown = String::from_utf8_lossy(&bytes);
+            match read_response(&mut Cursor::new(&bytes)) {
+                Ok(_) => assert!(!prefix, "proper prefix {shown:?} parsed"),
+                Err(e) => assert!(is_parse_error(&e), "{e:?} for {shown:?}"),
+            }
+        }
     }
 
     #[test]

@@ -10,16 +10,17 @@
 //!   Python `powerlaw` package's fits and likelihood-ratio tests (§3.3,
 //!   Appendix, Table 4);
 //! * [`summary`] — means/medians/modes (§9's achievement statistics);
-//! * [`special`] — the special functions the fitters need;
-//! * [`par`] — the scoped-thread fan-out behind the `_jobs` kernel variants
-//!   (deterministic: chunk results always reduce in index order).
+//! * [`special`] — the special functions the fitters need.
 //!
-//! All of it is deterministic, dependency-free (std only) and tested against
-//! closed-form cases and synthetic samples with known parameters.
+//! The `_jobs` kernel variants fan out through `steam_par::map` and reduce
+//! per-range results in index order, so they match the serial kernels.
+//!
+//! All of it is deterministic, std-only apart from `rand` (the bootstrap and
+//! the tail-model samplers) and `steam-par`, and tested against closed-form
+//! cases and synthetic samples with known parameters.
 
 pub mod ecdf;
 pub mod hist;
-pub mod par;
 pub mod pareto;
 pub mod special;
 pub mod spearman;

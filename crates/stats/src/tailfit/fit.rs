@@ -181,7 +181,7 @@ pub fn scan_xmin_jobs(
         return None;
     }
 
-    let per_chunk = crate::par::map_chunks(candidates.len(), jobs, |range| {
+    let per_chunk = steam_par::map(jobs, steam_par::split(candidates.len(), jobs), |range| {
         candidates[range]
             .iter()
             .map(|&xmin| eval_candidate(data, xmin, min_tail))

@@ -67,7 +67,7 @@ pub fn bootstrap_power_law_jobs(
     sorted.sort_by(f64::total_cmp);
     let empirical = ks_distance(&sorted, fit);
 
-    let counts = crate::par::map_chunks(rounds, jobs, |range| {
+    let counts = steam_par::map(jobs, steam_par::split(rounds, jobs), |range| {
         let mut synth = vec![0.0f64; tail.len()];
         let mut worse = 0usize;
         for round in range {

@@ -158,8 +158,8 @@ impl Generator {
         // workers they run concurrently; each stage still fans out
         // internally over its own chunk streams.
         let (catalog_model, population, t_cat, t_pop) = if jobs > 1 {
-            crossbeam::thread::scope(|s| {
-                let handle = s.spawn(|_| {
+            std::thread::scope(|s| {
+                let handle = s.spawn(|| {
                     let t = Instant::now();
                     let c = generate_catalog(cfg, jobs);
                     (c, t.elapsed())
@@ -167,10 +167,11 @@ impl Generator {
                 let t = Instant::now();
                 let population = generate_population(cfg, jobs);
                 let t_pop = t.elapsed();
-                let (catalog_model, t_cat) = handle.join().expect("catalog stage panicked");
+                let (catalog_model, t_cat) = handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
                 (catalog_model, population, t_cat, t_pop)
             })
-            .expect("catalog/population stage panicked")
         } else {
             let t = Instant::now();
             let catalog_model = generate_catalog(cfg, jobs);

@@ -1,16 +1,12 @@
-//! Fixed-chunk parallel fan-out for the generator stages.
+//! Fixed-chunk decomposition for the generator stages.
 //!
 //! The decomposition contract: every stage splits its item range into chunks
 //! of a **compile-time size** (never a function of the worker count), gives
 //! each chunk its own seed stream (see [`crate::seed`]), and merges chunk
-//! outputs in chunk-index order. Workers claim chunks through an atomic
-//! cursor — the same pattern as `steam-analysis::engine` and the crawler's
-//! phase-2 harvest — so the schedule balances load while the output stays
-//! byte-identical for any `jobs`, including `jobs = 1`, which runs inline
-//! without spawning.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! outputs in chunk-index order. [`run_chunks`] hands the chunks to
+//! `steam_par::map`, whose workers claim them from a shared cursor, so the
+//! schedule balances load while the output stays byte-identical for any
+//! `jobs`, including `jobs = 1`, which runs inline without spawning.
 
 /// Users per chunk in the per-user stages (accounts, ownership, groups,
 /// evolve). Changing this re-baselines every seed-sensitive assertion.
@@ -25,46 +21,17 @@ pub const EDGES_CHUNK: usize = 16_384;
 pub const PANEL_CHUNK: usize = 1_024;
 
 /// Splits `0..n_items` into `chunk_size`-sized chunks, runs `f(chunk_idx,
-/// range)` for each, and returns the results in chunk order. `jobs <= 1`
-/// runs inline; otherwise up to `jobs` scoped workers claim chunks through
-/// an atomic cursor.
+/// range)` for each on up to `jobs` workers, and returns the results in
+/// chunk order.
 pub fn run_chunks<T, F>(jobs: usize, n_items: usize, chunk_size: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, std::ops::Range<usize>) -> T + Sync,
 {
     assert!(chunk_size > 0, "chunk_size must be positive");
-    let n_chunks = n_items.div_ceil(chunk_size);
-    let range = |c: usize| c * chunk_size..((c + 1) * chunk_size).min(n_items);
-    if jobs <= 1 || n_chunks <= 1 {
-        return (0..n_chunks).map(|c| f(c, range(c))).collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-    let workers = jobs.min(n_chunks);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                if c >= n_chunks {
-                    break;
-                }
-                let out = f(c, range(c));
-                *slots[c].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-            });
-        }
+    steam_par::map(jobs, 0..n_items.div_ceil(chunk_size), |c| {
+        f(c, c * chunk_size..((c + 1) * chunk_size).min(n_items))
     })
-    .expect("chunk worker panicked");
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every chunk claimed exactly once")
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -81,22 +48,7 @@ mod tests {
                 assert_eq!(*lo, i * 64);
                 assert_eq!(*hi, (1000).min((i + 1) * 64));
             }
+            assert!(run_chunks(jobs, 0, 64, |c, _| c).is_empty());
         }
-    }
-
-    #[test]
-    fn jobs_invariant_results() {
-        let work = |c: usize, r: std::ops::Range<usize>| -> u64 {
-            r.map(|i| (i as u64).wrapping_mul(c as u64 + 1)).sum()
-        };
-        let serial = run_chunks(1, 10_000, 128, work);
-        let parallel = run_chunks(8, 10_000, 128, work);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn empty_input_yields_no_chunks() {
-        let out = run_chunks(4, 0, 64, |c, _| c);
-        assert!(out.is_empty());
     }
 }
