@@ -13,7 +13,8 @@
 //! * [`Dispatcher`] — everything that happens between a parsed request and
 //!   the serialized response: operational endpoints (`/metrics`,
 //!   `/healthz`), fault injection, per-endpoint metrics, the application
-//!   handler, and the close-intent decision.
+//!   handler, and the close-intent decision. A panicking handler answers
+//!   500 and the connection and server keep serving.
 //!
 //! ## Close intent
 //!
@@ -26,6 +27,7 @@
 //! half-closed connections instead of discovering them later.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -46,6 +48,7 @@ pub(crate) struct ServerObs {
     pub(crate) registry: Arc<Registry>,
     pub(crate) in_flight: Arc<Gauge>,
     pub(crate) connections: Arc<Counter>,
+    pub(crate) handler_panics: Arc<Counter>,
 }
 
 impl ServerObs {
@@ -58,9 +61,14 @@ impl ServerObs {
             .describe("http_request_duration_seconds", "Request handling latency, by endpoint");
         registry.describe("http_requests_in_flight", "Requests currently being handled");
         registry.describe("http_connections_total", "TCP connections accepted");
+        registry.describe(
+            "http_handler_panics_total",
+            "Requests whose handler panicked (answered 500)",
+        );
         ServerObs {
             in_flight: registry.gauge("http_requests_in_flight", &[]),
             connections: registry.counter("http_connections_total", &[]),
+            handler_panics: registry.counter("http_handler_panics_total", &[]),
             registry,
         }
     }
@@ -547,7 +555,7 @@ impl Dispatcher {
             // Remaining operational paths belong to the application layer
             // (e.g. the API service's `/debug/cache` and `/debug/limiter`):
             // still uninstrumented, untraced, and unstamped.
-            let resp = self.handler.handle(req);
+            let resp = self.call_handler(req).unwrap_or_else(panic_response);
             let close = !keep_alive || !resp.keep_alive();
             return Outcome::Respond { resp, close, truncate: false, delay };
         }
@@ -557,19 +565,28 @@ impl Dispatcher {
         Outcome::Respond { resp, close, truncate: false, delay }
     }
 
+    /// The application handler's response, or `None` if it panicked. The
+    /// panic is counted in `http_handler_panics_total`; it unwinds no
+    /// further, so neither the connection nor the reactor thread dies.
+    fn call_handler(&self, req: Request) -> Option<Response> {
+        let resp = catch_unwind(AssertUnwindSafe(|| self.handler.handle(req))).ok();
+        if let (None, Some(obs)) = (&resp, &self.obs) {
+            obs.handler_panics.inc();
+        }
+        resp
+    }
+
     /// Runs the application handler, instrumented when observed; the hop is
     /// recorded into the flight recorder whenever it runs under a trace
     /// (always, except operational endpoints) — span recording is not gated
-    /// by the log level or the presence of a registry.
+    /// by the log level or the presence of a registry. A panicking handler
+    /// answers 500, and its span is annotated `panic`.
     fn handle_app(
         &self,
         req: Request,
         cache: &mut ObsCache,
         trace: Option<&RequestTrace>,
     ) -> Response {
-        if trace.is_none() && self.obs.is_none() {
-            return self.handler.handle(req);
-        }
         let endpoint = normalize_endpoint(&req.path);
         let method = req.method.clone();
         if let Some(obs) = &self.obs {
@@ -577,28 +594,34 @@ impl Dispatcher {
         }
         let start = Instant::now();
         let start_us = now_us();
-        let resp = self.handler.handle(req);
+        let handled = self.call_handler(req);
         let elapsed = start.elapsed();
+        let panicked = handled.is_none();
+        let resp = handled.unwrap_or_else(panic_response);
         if let Some(obs) = &self.obs {
             obs.in_flight.dec();
             cache.record(obs, &method, &endpoint, resp.status, elapsed);
         }
         if let Some(t) = trace {
-            record_span(
-                SpanRecord::new(
-                    t.trace,
-                    next_span_id(),
-                    t.parent,
-                    SpanKind::Server,
-                    "http",
-                    &endpoint,
-                )
-                .with_timing(start_us, elapsed.as_micros() as u64)
-                .with_status(resp.status),
-            );
+            let span = SpanRecord::new(
+                t.trace,
+                next_span_id(),
+                t.parent,
+                SpanKind::Server,
+                "http",
+                &endpoint,
+            )
+            .with_timing(start_us, elapsed.as_micros() as u64)
+            .with_status(resp.status);
+            record_span(if panicked { span.with_annotation("panic") } else { span });
         }
         resp
     }
+}
+
+/// What a request whose handler panicked answers.
+fn panic_response() -> Response {
+    Response::error(500, "handler panicked")
 }
 
 #[cfg(test)]

@@ -29,8 +29,10 @@
 //! [`HttpServer::bind_observed`] attaches a [`steam_obs::Registry`]: the
 //! server then records per-endpoint request counts
 //! (`http_requests_total{endpoint,method,status}`), latency histograms
-//! (`http_request_duration_seconds{endpoint}`), an in-flight gauge, and a
-//! connection counter — and serves two operational endpoints of its own,
+//! (`http_request_duration_seconds{endpoint}`), an in-flight gauge, a
+//! connection counter and a handler-panic counter
+//! (`http_handler_panics_total`; a panicking handler answers 500 and the
+//! server keeps serving) — and serves two operational endpoints of its own,
 //! `GET /metrics` (Prometheus text exposition) and `GET /healthz`, ahead of
 //! the application handler (so neither is subject to application-level rate
 //! limiting). Path segments that are purely numeric are normalized to `:id`
@@ -913,6 +915,55 @@ mod tests {
             // /metrics and /healthz must not instrument themselves.
             assert!(!body.contains("endpoint=\"/metrics\""));
             assert!(!body.contains("endpoint=\"/healthz\""));
+        }
+    }
+
+    #[test]
+    fn handler_panic_answers_500_and_the_server_keeps_serving() {
+        for (i, mode) in modes().into_iter().enumerate() {
+            let registry = Arc::new(Registry::new());
+            let handler: Arc<dyn Handler> = Arc::new(|req: Request| {
+                if req.path.ends_with("/panic") {
+                    panic!("handler bug on {}", req.path);
+                }
+                Response::json("{}".into())
+            });
+            let config = ServerConfig { workers: 2, mode, ..ServerConfig::default() };
+            let server = HttpServer::bind_config(
+                "127.0.0.1:0",
+                config,
+                handler,
+                Some(Arc::clone(&registry)),
+                None,
+            )
+            .unwrap();
+            let trace = format!("00000000000000{:02x}", 0xe0 + i);
+            let stream = TcpStream::connect(server.addr()).unwrap();
+            // A server whose serving thread died must fail the test, not hang it.
+            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            // An app path under a trace, then an application-layer
+            // operational path; each panics, and the connection serves on.
+            let mut req = Request::get("/app/panic");
+            req.headers.push(("X-Steam-Trace".into(), format!("{trace}-0000000000000001")));
+            for req in [req, Request::get("/debug/panic")] {
+                write_request(&mut writer, &req).unwrap();
+                let resp = read_response(&mut reader).unwrap();
+                assert_eq!(resp.status, 500, "{} {}", mode.label(), req.path);
+                assert_eq!(resp.header("connection"), None, "{}", mode.label());
+                write_request(&mut writer, &Request::get("/fine")).unwrap();
+                let resp = read_response(&mut reader).unwrap();
+                assert_eq!(resp.status, 200, "{} after {}", mode.label(), req.path);
+            }
+            assert_eq!(raw_get(server.addr(), "/fine", true).status, 200, "{}", mode.label());
+            assert_eq!(registry.counter("http_handler_panics_total", &[]).get(), 2);
+            let trace = steam_obs::TraceId::from_hex(&trace).unwrap();
+            let span = steam_obs::recent_spans()
+                .into_iter()
+                .find(|s| s.trace == trace)
+                .unwrap_or_else(|| panic!("{}: no span for the panicked request", mode.label()));
+            assert_eq!((span.status, span.annotation()), (500, "panic"), "{}", mode.label());
         }
     }
 
