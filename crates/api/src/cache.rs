@@ -2,16 +2,14 @@
 //!
 //! The store behind [`ApiService`](crate::service::ApiService) is
 //! immutable for the lifetime of the service, so any successful JSON body is
-//! valid forever — no invalidation protocol, just a bounded LRU per shard to
-//! keep the long tail (per-user endpoints over millions of users) from
-//! holding every body in memory at once. Keys are `(endpoint, id)`; the hot
+//! valid forever — no invalidation protocol, just one bounded LRU to keep
+//! the long tail (per-user endpoints over millions of users) from holding
+//! every body in memory at once. Keys are `(endpoint, id)`; the hot
 //! batch endpoint is keyed by its parsed, order-preserving id list so
 //! repeated census sweeps hit too — and so equivalent batches that differ
 //! only in encoding share one entry.
 
-use std::collections::hash_map::RandomState;
-use std::hash::BuildHasher;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -106,49 +104,34 @@ impl CacheMetrics {
     }
 }
 
-const DEFAULT_SHARDS: usize = 16;
-
-/// Default total cached bodies across all shards. At typical body sizes
-/// (tens of bytes to a few KB) this bounds the cache to single-digit MB.
+/// Default cap on cached bodies. At typical body sizes (tens of bytes to a
+/// few KB) this bounds the cache to single-digit MB.
 pub const DEFAULT_MAX_ENTRIES: usize = 8192;
 
-/// A sharded, bounded cache of serialized response bodies. All hot-path
-/// state is per-shard or atomic; the only global lock is the one-time
-/// metrics attachment.
-type Shard = Mutex<LruCache<CacheKey, Arc<Vec<u8>>>>;
-
+/// A bounded cache of serialized response bodies: one least-recently-used
+/// map behind one lock, plus lifetime hit/miss totals. The default epoll
+/// server calls the handler from its single reactor thread; the threaded
+/// server's workers take the lock for a lookup, and again for a store on a
+/// miss.
 pub struct WireCache {
-    shards: Box<[Shard]>,
-    hasher: RandomState,
+    bodies: Mutex<LruCache<CacheKey, Arc<Vec<u8>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    live: AtomicUsize,
-    capacity: usize,
     metrics: OnceLock<CacheMetrics>,
 }
 
 impl WireCache {
-    /// A cache with the default shape (16 shards, 8192 entries total).
+    /// A cache holding at most [`DEFAULT_MAX_ENTRIES`] bodies.
     pub fn new() -> Self {
-        Self::with_shape(DEFAULT_SHARDS, DEFAULT_MAX_ENTRIES)
+        Self::with_capacity(DEFAULT_MAX_ENTRIES)
     }
 
-    /// A cache with `shards` shards holding `max_entries` bodies in total.
-    pub fn with_shape(shards: usize, max_entries: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard = max_entries.div_ceil(shards).max(1);
-        let capacity = per_shard * shards;
-        let shards = (0..shards)
-            .map(|_| Mutex::new(LruCache::new(per_shard)))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+    /// A cache holding at most `max_entries` bodies (clamped to at least 1).
+    pub fn with_capacity(max_entries: usize) -> Self {
         WireCache {
-            shards,
-            hasher: RandomState::new(),
+            bodies: Mutex::new(LruCache::new(max_entries)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            live: AtomicUsize::new(0),
-            capacity,
             metrics: OnceLock::new(),
         }
     }
@@ -160,14 +143,9 @@ impl WireCache {
         let _ = self.metrics.set(CacheMetrics::new(registry));
     }
 
-    fn shard_for(&self, key: &CacheKey) -> usize {
-        (self.hasher.hash_one(key) as usize) % self.shards.len()
-    }
-
     /// Looks `key` up, counting a hit or a miss.
     pub fn lookup(&self, key: &CacheKey) -> Option<Arc<Vec<u8>>> {
-        let shard = self.shard_for(key);
-        let got = self.shards[shard].lock().get(key).map(Arc::clone);
+        let got = self.bodies.lock().get(key).map(Arc::clone);
         let hit = got.is_some();
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -184,19 +162,14 @@ impl WireCache {
     /// [`lookup`](Self::lookup)). Racing stores of the same key are
     /// idempotent: bodies are deterministic serializations.
     pub fn store(&self, key: CacheKey, body: Vec<u8>) -> Arc<Vec<u8>> {
-        let shard = self.shard_for(&key);
         let body = Arc::new(body);
-        let grew = {
-            let mut cache = self.shards[shard].lock();
-            let before = cache.len();
-            cache.insert(key, Arc::clone(&body));
-            cache.len() > before
+        let len = {
+            let mut bodies = self.bodies.lock();
+            bodies.insert(key, Arc::clone(&body));
+            bodies.len()
         };
-        if grew {
-            self.live.fetch_add(1, Ordering::Relaxed);
-        }
         if let Some(m) = self.metrics.get() {
-            m.entries.set(self.live.load(Ordering::Relaxed) as i64);
+            m.entries.set(len as i64);
         }
         body
     }
@@ -209,9 +182,9 @@ impl WireCache {
         }
     }
 
-    /// Live cached bodies across all shards.
+    /// Live cached bodies.
     pub fn len(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
+        self.bodies.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -228,11 +201,10 @@ impl WireCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Total bodies the cache can hold before LRU eviction (summed across
-    /// shards; per-shard rounding may lift it slightly above the requested
-    /// `max_entries`).
+    /// Bodies the cache holds before LRU eviction: the requested
+    /// `max_entries`.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.bodies.lock().capacity()
     }
 }
 
@@ -267,27 +239,14 @@ mod tests {
 
     #[test]
     fn bounded_by_shape() {
-        let cache = WireCache::with_shape(4, 64);
+        let cache = WireCache::with_capacity(63);
         for i in 0..10_000u32 {
             cache.get_or_insert(CacheKey::AppDetails(i), || vec![0u8; 16]);
         }
-        assert!(cache.len() <= 64 + 3, "len {} exceeds shaped bound", cache.len());
+        assert_eq!(cache.capacity(), 63);
+        assert_eq!(cache.len(), 63);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 10_000);
-    }
-
-    #[test]
-    fn live_count_survives_eviction_churn() {
-        let cache = WireCache::with_shape(2, 8);
-        for round in 0..50u32 {
-            for i in 0..8 {
-                cache.get_or_insert(CacheKey::Friends(round * 8 + i), || b"x".to_vec());
-            }
-        }
-        let live = cache.len();
-        // Count the truth directly off the shards.
-        let actual: usize = cache.shards.iter().map(|s| s.lock().len()).sum();
-        assert_eq!(live, actual, "live counter drifted from shard contents");
     }
 
     #[test]

@@ -54,9 +54,9 @@ impl Default for RateLimit {
 /// [`serve_service_config`].
 pub struct ApiService {
     store: ShardStore,
-    /// Sharded per-key token buckets, bounded with idle-key LRU eviction
-    /// (an adversary cycling random `key=` values can no longer grow the
-    /// map without bound).
+    /// Per-key token buckets, bounded with idle-key LRU eviction (an
+    /// adversary cycling random `key=` values cannot grow the map without
+    /// bound).
     limiter: KeyedLimiter,
     /// Cached serialized response bodies — safe because the store is
     /// immutable; `None` only for baseline benchmarking (`--no-cache`).
@@ -156,17 +156,20 @@ impl ApiService {
 
     fn check_rate(&self, req: &Request) -> Result<(), Response> {
         let key = req.query_param("key").unwrap_or("anonymous");
-        let bucket = self.limiter.bucket(key);
+        let (bucket, live_keys) = self.limiter.bucket(key);
         if let Some(g) = self.limiter_keys.get() {
-            g.set(self.limiter.len() as i64);
+            g.set(live_keys as i64);
         }
         if bucket.try_acquire() {
             Ok(())
         } else {
             // Tell the client when to come back, like real rate-limited APIs
-            // do. Whole seconds, rounded up, at least 1 — the crawler's
-            // backoff honors this over its own exponential schedule.
-            let secs = bucket.time_until_available().as_secs_f64().ceil().max(1.0) as u64;
+            // do: whole seconds, rounded up — the crawler's backoff honors a
+            // non-zero hint over its own exponential schedule. A token less
+            // than a second away is sent as 0, so the client keeps its own
+            // sub-second schedule instead of parking for a full second.
+            let wait = bucket.time_until_available().as_secs_f64();
+            let secs = if wait < 1.0 { 0 } else { wait.ceil() as u64 };
             Err(Response::error(429, "rate limit exceeded")
                 .with_header("Retry-After", &secs.to_string()))
         }
@@ -598,21 +601,74 @@ mod tests {
     }
 
     #[test]
+    fn sub_second_wait_is_sent_as_retry_after_zero() {
+        // At 100 req/s the next token is 10ms away: a whole-second hint
+        // would park the client 100 times longer than needed.
+        let snap = tiny_snapshot();
+        let service = ApiService::new(snap, RateLimit { per_key_rps: 100.0, burst: 1.0 });
+        // Back-to-back requests outrun 100 req/s within a few tries, however
+        // the test threads are scheduled.
+        let limited = (0..1000)
+            .map(|_| request(&service, "/ISteamApps/GetAppList/v2"))
+            .find(|resp| resp.status == 429)
+            .expect("a 100 req/s key must refuse a back-to-back burst");
+        assert_eq!(limited.header("retry-after"), Some("0"));
+    }
+
+    #[test]
     fn bucket_map_growth_is_bounded() {
-        // Regression: pre-sharding, every unseen `key=` grew the bucket map
-        // forever, so a client cycling random keys exhausted memory.
+        // Regression: every unseen `key=` once grew the bucket map forever,
+        // so a client cycling random keys exhausted memory. The limiter now
+        // fills to exactly its cap, and every view of it says so.
+        use steam_net::ratelimit::DEFAULT_MAX_KEYS;
         let snap = tiny_snapshot();
         let service = ApiService::new(snap, RateLimit::default());
+        let registry = steam_obs::Registry::new();
+        service.attach_registry(&registry);
         for i in 0..20_000 {
             let resp = request(&service, &format!("/ISteamApps/GetAppList/v2?key=k{i}"));
             assert_eq!(resp.status, 200);
         }
-        assert!(
-            service.rate_limiter_keys() <= steam_net::ratelimit::DEFAULT_MAX_KEYS,
-            "limiter holds {} keys, bound is {}",
-            service.rate_limiter_keys(),
-            steam_net::ratelimit::DEFAULT_MAX_KEYS
+        assert_eq!(service.rate_limiter_keys(), DEFAULT_MAX_KEYS);
+        let debug = request(&service, "/debug/limiter").body_text();
+        assert_eq!(
+            debug,
+            format!("{{\"keys\":{DEFAULT_MAX_KEYS},\"max_keys\":{DEFAULT_MAX_KEYS}}}")
         );
+        let gauge = registry.gauge("api_rate_limiter_keys", &[("shard", "0")]).get();
+        assert_eq!(gauge, DEFAULT_MAX_KEYS as i64);
+    }
+
+    #[test]
+    fn cache_growth_is_bounded() {
+        // The cache twin of the limiter bound: distinct batches of unknown
+        // ids each answer 200 with an empty player list and are cached, so
+        // a client cycling ids fills the cache to exactly its cap.
+        use crate::cache::DEFAULT_MAX_ENTRIES;
+        let snap = tiny_snapshot();
+        let unlimited = RateLimit { per_key_rps: 1e12, burst: 1e12 };
+        let service = ApiService::new(snap, unlimited);
+        let registry = steam_obs::Registry::new();
+        service.attach_registry(&registry);
+        for i in 0..10_000 {
+            let ghost = SteamId::from_index(900_000_000 + i);
+            let resp =
+                request(&service, &format!("/ISteamUser/GetPlayerSummaries/v2?steamids={ghost}"));
+            assert_eq!(resp.status, 200);
+        }
+        let cache = service.cache().unwrap();
+        assert_eq!(cache.len(), DEFAULT_MAX_ENTRIES);
+        assert_eq!(cache.capacity(), DEFAULT_MAX_ENTRIES);
+        let debug = request(&service, "/debug/cache").body_text();
+        assert_eq!(
+            debug,
+            format!(
+                "{{\"enabled\":true,\"entries\":{DEFAULT_MAX_ENTRIES},\
+                 \"capacity\":{DEFAULT_MAX_ENTRIES},\"hits\":0,\"misses\":10000}}"
+            )
+        );
+        let gauge = registry.gauge("api_cache_entries", &[]).get();
+        assert_eq!(gauge, DEFAULT_MAX_ENTRIES as i64);
     }
 
     #[test]

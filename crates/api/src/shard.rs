@@ -224,11 +224,12 @@ pub fn split_snapshot(snap: Snapshot, n_shards: usize) -> Result<Vec<ShardStore>
 }
 
 /// Streaming shard-split over a chunked (v3) snapshot file: builds one
-/// [`ShardStore`] at a time from a [`SnapshotReader`] without ever decoding
-/// the full snapshot. Resident state between shards is only the SteamId
-/// column (8 bytes/user) plus the small replicated sections (groups,
-/// catalog); each `shard()` call streams the account, friendship, library
-/// and membership chunks once and keeps just the records the shard owns.
+/// [`ShardStore`] at a time from a
+/// [`SnapshotReader`](steam_model::SnapshotReader) without ever decoding the
+/// full snapshot. Resident state between shards is only the SteamId column
+/// (8 bytes/user) plus the small replicated sections (groups, catalog); each
+/// `shard()` call streams the account, friendship, library and membership
+/// chunks once and keeps just the records the shard owns.
 ///
 /// Every store is byte-identical (through [`encode_shard`]) to the
 /// corresponding element of [`split_snapshot`]: accounts are visited in

@@ -7,7 +7,7 @@
 //! chunking would leave most workers idle behind Table 4, so workers pull
 //! the next experiment from `steam_par::map`'s shared cursor, and the expensive
 //! kernels additionally fan out internally (see
-//! [`render_with_jobs`](crate::report::render_with_jobs)).
+//! [`render_with_jobs`]).
 //!
 //! ## Determinism contract
 //!

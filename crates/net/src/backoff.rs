@@ -29,25 +29,6 @@ impl Backoff {
         self.base.saturating_mul(factor).min(self.max)
     }
 
-    /// Like [`delay`](Self::delay), but scaled by a deterministic pseudo-random
-    /// fraction in `[0.5, 1.5)` derived from `(attempt, salt)` — full-throttle
-    /// retry storms desynchronize across workers while tests stay
-    /// reproducible. The jittered delay never exceeds `max`, even when the
-    /// fraction pushes a near-cap delay past it.
-    pub fn delay_jittered(&self, attempt: u32, salt: u64) -> Duration {
-        // SplitMix64 finalizer over (attempt, salt): cheap, stateless, and
-        // well-mixed enough for a jitter fraction.
-        let mut z = salt
-            .wrapping_add(u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            .wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        let frac = 0.5 + (z >> 11) as f64 / (1u64 << 53) as f64; // [0.5, 1.5)
-        let secs = self.delay(attempt).as_secs_f64() * frac;
-        Duration::try_from_secs_f64(secs).unwrap_or(self.max).min(self.max)
-    }
-
     /// Runs `op` until it succeeds or the policy is exhausted, sleeping
     /// between attempts. `retryable` decides which errors warrant a retry
     /// (e.g. 429/5xx yes, 404 no).
@@ -66,8 +47,10 @@ impl Backoff {
     ///   the delay about to be slept (`Duration::ZERO` on the final,
     ///   unslept attempt) — the crawler's retry-by-cause and wait-time
     ///   metrics hang off this;
-    /// * a server-sent `Retry-After` hint on the error overrides the
-    ///   computed exponential delay (capped at `max`, like every delay).
+    /// * a non-zero server-sent `Retry-After` hint on the error overrides
+    ///   the computed exponential delay (capped at `max`, like every
+    ///   delay). A zero hint ("retry now") counts as no hint: the computed
+    ///   delay still spaces the retries.
     pub fn run_observed<T>(
         &self,
         mut op: impl FnMut() -> Result<T, NetError>,
@@ -81,8 +64,8 @@ impl Backoff {
                 Err(e) if retryable(&e) => {
                     let delay = if attempt + 1 < self.attempts {
                         match e.retry_after() {
-                            Some(hint) => hint.min(self.max),
-                            None => self.delay(attempt),
+                            Some(hint) if !hint.is_zero() => hint.min(self.max),
+                            _ => self.delay(attempt),
                         }
                     } else {
                         Duration::ZERO
@@ -184,31 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn jitter_never_exceeds_cap() {
-        let b = fast();
-        for attempt in 0..32 {
-            for salt in 0..64 {
-                assert!(b.delay_jittered(attempt, salt) <= b.max);
-            }
-        }
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_spread() {
-        let b = fast();
-        assert_eq!(b.delay_jittered(1, 42), b.delay_jittered(1, 42));
-        // Different salts should not all collapse to one delay.
-        let distinct: std::collections::HashSet<Duration> =
-            (0..16).map(|salt| b.delay_jittered(0, salt)).collect();
-        assert!(distinct.len() > 1, "jitter produced a constant delay");
-        // And every jittered delay stays within [0.5, 1.5)·delay (pre-cap).
-        for salt in 0..64 {
-            let d = b.delay_jittered(0, salt);
-            assert!(d >= b.delay(0) / 2 && d < b.delay(0) * 3 / 2 + Duration::from_nanos(1));
-        }
-    }
-
-    #[test]
     fn retry_after_hint_overrides_exponential_delay() {
         let b = Backoff {
             base: Duration::from_millis(64),
@@ -259,6 +217,32 @@ mod tests {
         )
         .unwrap();
         assert_eq!(observed, Duration::from_millis(4));
+    }
+
+    #[test]
+    fn zero_retry_after_hint_sleeps_the_computed_delay() {
+        // A server whose next token is under a second away answers
+        // `Retry-After: 0`; the retry must still wait its own schedule.
+        let b = fast();
+        let mut delays = Vec::new();
+        let calls = AtomicU32::new(0);
+        b.run_observed(
+            || {
+                if calls.fetch_add(1, Ordering::Relaxed) < 2 {
+                    Err(NetError::Status {
+                        code: 429,
+                        body: "slow".into(),
+                        retry_after: Some(Duration::ZERO),
+                    })
+                } else {
+                    Ok(())
+                }
+            },
+            transient,
+            |_, delay| delays.push(delay),
+        )
+        .unwrap();
+        assert_eq!(delays, vec![b.delay(0), b.delay(1)]);
     }
 
     #[test]

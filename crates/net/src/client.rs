@@ -114,7 +114,7 @@ impl HttpClient {
     /// [`NetError::Io`] in its own slot; the responses that did arrive are
     /// kept. A pooled connection that yields no response at all is stale:
     /// the exchange goes again on another connection, at most
-    /// [`MAX_RECONNECTS_PER_REQUEST`] times. Failures on a freshly opened
+    /// `MAX_RECONNECTS_PER_REQUEST` times. Failures on a freshly opened
     /// connection are real errors. The connection goes back to the pool
     /// only when every response arrived and none forbids reuse.
     ///

@@ -40,6 +40,7 @@ use steam_obs::{
 use crate::error::NetError;
 use crate::fault::{FaultInjector, FaultKind};
 use crate::http::{read_request, Request, Response, MAX_HEADER_BYTES, MAX_LINE_BYTES};
+use crate::json::write_string;
 use crate::server::{normalize_endpoint, Handler};
 
 /// The server side of the observability layer: pre-registered instruments
@@ -336,38 +337,28 @@ pub(crate) struct RequestTrace {
     parent: SpanId,
 }
 
-/// Minimal JSON string escaping for span names/annotations (which may carry
-/// request-path bytes) — quotes, backslashes, and control characters.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
+/// One span as a JSON object. Span targets, names and annotations may carry
+/// request-path bytes, so they go through the JSON string writer.
 fn span_json(out: &mut String, s: &SpanRecord) {
     use std::fmt::Write;
     let _ = write!(
         out,
-        "{{\"trace\":\"{}\",\"span\":\"{}\",\"parent\":\"{}\",\"kind\":\"{}\",\"target\":\"{}\",\
-         \"name\":\"{}\",\"start_us\":{},\"duration_us\":{},\"status\":{},\"annotation\":\"{}\"}}",
+        "{{\"trace\":\"{}\",\"span\":\"{}\",\"parent\":\"{}\",\"kind\":\"{}\",\"target\":",
         s.trace.to_hex(),
         s.span.to_hex(),
         s.parent.to_hex(),
         s.kind.as_str(),
-        json_escape(s.target),
-        json_escape(s.name()),
-        s.start_us,
-        s.duration_us,
-        s.status,
-        json_escape(s.annotation()),
     );
+    write_string(s.target, out);
+    out.push_str(",\"name\":");
+    write_string(s.name(), out);
+    let _ = write!(
+        out,
+        ",\"start_us\":{},\"duration_us\":{},\"status\":{},\"annotation\":",
+        s.start_us, s.duration_us, s.status,
+    );
+    write_string(s.annotation(), out);
+    out.push('}');
 }
 
 fn spans_json(key: &str, spans: &[SpanRecord], filter: Option<TraceId>) -> String {
@@ -634,6 +625,22 @@ mod tests {
         let mut buf = Vec::new();
         write_request(&mut buf, req).unwrap();
         buf
+    }
+
+    #[test]
+    fn span_strings_round_trip_through_the_json_writer() {
+        // Targets, names and annotations may carry request-path bytes: every
+        // character JSON must escape reads back unchanged.
+        const AWKWARD: &str = "q\"b\\s\nc\u{1}";
+        let span =
+            SpanRecord::new(TraceId(1), SpanId(2), SpanId(0), SpanKind::Server, AWKWARD, AWKWARD)
+                .with_annotation(AWKWARD);
+        let body = spans_json("spans", &[span], None);
+        let json = crate::json::Json::parse(&body).expect("span body must be valid JSON");
+        let spans = json.get("spans").and_then(|v| v.as_arr()).expect("span array");
+        for field in ["target", "name", "annotation"] {
+            assert_eq!(spans[0].get(field).and_then(|v| v.as_str()), Some(AWKWARD), "{body}");
+        }
     }
 
     #[test]

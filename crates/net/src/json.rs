@@ -194,7 +194,7 @@ fn write_number(n: f64, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

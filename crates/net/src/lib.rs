@@ -11,9 +11,10 @@
 //!   a nonblocking epoll reactor (Linux default) and a thread pool;
 //! * [`client`] — a blocking keep-alive client;
 //! * [`pool`] — a shared keep-alive connection pool behind the client;
-//! * [`lru`] — a bounded least-recently-used map (wire-response cache);
+//! * [`lru`] — a bounded least-recently-used map (wire-response cache and
+//!   per-key limiter);
 //! * [`ratelimit`] — token buckets (the API's quota and the crawler's
-//!   85%-of-quota self-throttle from §3.1), plus the sharded per-key
+//!   85%-of-quota self-throttle from §3.1), plus the bounded per-key
 //!   [`KeyedLimiter`] the API server uses;
 //! * [`backoff`] — retry with exponential backoff;
 //! * [`fault`] — deterministic, seeded fault injection for the server

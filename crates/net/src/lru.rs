@@ -1,10 +1,12 @@
 //! A bounded least-recently-used map.
 //!
-//! Backing store for the API server's wire-response cache: a `HashMap` from
-//! key to slab index plus an intrusive doubly-linked recency list threaded
-//! through the slab, so get/insert are O(1) and eviction always removes the
-//! entry untouched for longest. No unsafe, no external crates.
+//! Backing store for the API server's wire-response cache and its per-key
+//! rate limiter: a `HashMap` from key to slab index plus an intrusive
+//! doubly-linked recency list threaded through the slab, so get/insert are
+//! O(1) and eviction always removes the entry untouched for longest. No
+//! unsafe, no external crates.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -29,16 +31,16 @@ pub struct LruCache<K, V> {
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
-    /// A cache holding at most `capacity` entries (minimum 1).
+    /// A cache holding at most `capacity` entries (minimum 1). Storage
+    /// grows with use, not with the bound: an idle cache costs nothing.
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         LruCache {
-            map: HashMap::with_capacity(capacity),
-            slab: Vec::with_capacity(capacity),
+            map: HashMap::new(),
+            slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            capacity,
+            capacity: capacity.max(1),
         }
     }
 
@@ -97,8 +99,13 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// Looks up `key`, marking it most recently used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    /// Looks up `key` (any borrowed form, such as `&str` for `Arc<str>`
+    /// keys), marking it most recently used on a hit.
+    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let idx = *self.map.get(key)?;
         if idx != self.head {
             self.unlink(idx);
@@ -197,6 +204,15 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.insert("c", 3), None, "removal must free a slot");
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn shared_str_keys_are_found_by_str() {
+        use std::sync::Arc;
+        let mut cache: LruCache<Arc<str>, u32> = LruCache::new(2);
+        cache.insert(Arc::from("alpha"), 1);
+        assert_eq!(cache.get("alpha"), Some(&1));
+        assert_eq!(cache.get("beta"), None);
     }
 
     #[test]

@@ -4,20 +4,16 @@
 //! request quota (Valve's terms of service), and the crawler throttles itself
 //! to ~85% of that quota "to reduce strain on the Steam infrastructure".
 //!
-//! [`KeyedLimiter`] maps API keys to buckets through a sharded, read-mostly
-//! table: steady-state lookups take one shard read lock (no writer
-//! contention across shards), and the key population is capped — the
-//! least-recently-used key in a full shard is evicted — so a client cycling
-//! random keys cannot grow the map without bound.
+//! [`KeyedLimiter`] maps API keys to buckets through one bounded
+//! least-recently-used map, so a client cycling random keys cannot grow it
+//! without bound.
 
-use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
+
+use crate::lru::LruCache;
 
 /// A thread-safe token bucket.
 ///
@@ -131,120 +127,69 @@ fn wait_for_token(tokens: f64, rate: f64) -> Duration {
     Duration::try_from_secs_f64((1.0 - tokens) / rate).unwrap_or(Duration::MAX)
 }
 
-/// One key's slot in a [`KeyedLimiter`] shard. `last_used` is a tick from
-/// the limiter's logical clock (strictly increasing, so recency never ties),
-/// updated with a relaxed store on every lookup — the read path writes
-/// nothing but that one atomic.
-struct KeyEntry {
-    bucket: Arc<TokenBucket>,
-    last_used: AtomicU64,
-}
-
-/// A sharded map of rate-limit key → [`TokenBucket`].
+/// A bounded map of rate-limit key → [`TokenBucket`]: one
+/// least-recently-used map behind one lock.
 ///
-/// Every key deterministically hashes to one shard, so a key's tokens live
-/// in exactly one bucket and sharding cannot over-grant. The hot path (key
-/// already known) takes one shard *read* lock; only the first sighting of a
-/// key takes that shard's write lock. Each shard holds at most
-/// `max_keys / shards` keys — inserting into a full shard evicts its
-/// least-recently-used key — which bounds memory against key-cycling
-/// clients. (An evicted key that returns starts from a fresh, full bucket;
-/// with capacity ≫ active-key count that only affects abusive traffic.)
+/// A key's tokens live in exactly one bucket, so concurrent lookups of one
+/// key cannot over-grant. The map holds at most `max_keys` keys; a new key
+/// in a full map evicts the least-recently-used one, which bounds memory
+/// against key-cycling clients, but not their rate: an evicted key that
+/// returns starts from a fresh, full bucket, so a client cycling more than
+/// `max_keys` distinct keys is not rate-limited at all (ROADMAP item 7).
+/// The lock is held for one map lookup, not for the token arithmetic. The
+/// default epoll server calls the handler from its single reactor thread;
+/// the threaded server's workers each take the lock once per request.
 pub struct KeyedLimiter {
-    shards: Box<[RwLock<HashMap<String, KeyEntry>>]>,
+    buckets: Mutex<LruCache<Arc<str>, Arc<TokenBucket>>>,
     rate: f64,
     burst: f64,
-    per_shard_cap: usize,
-    live: AtomicUsize,
-    clock: AtomicU64,
-    hasher: RandomState,
 }
 
-/// Shard count: enough that worker threads rarely contend on one lock,
-/// small enough that an empty limiter is a few hundred bytes.
-const DEFAULT_SHARDS: usize = 16;
-/// Default cap on distinct live keys across all shards.
+/// Default cap on distinct live keys.
 pub const DEFAULT_MAX_KEYS: usize = 4096;
 
 impl KeyedLimiter {
     /// A limiter granting each key `rate` tokens/sec with `burst` capacity,
-    /// with [`DEFAULT_MAX_KEYS`] live keys across [`DEFAULT_SHARDS`] shards.
+    /// holding at most [`DEFAULT_MAX_KEYS`] live keys.
     pub fn new(rate: f64, burst: f64) -> Self {
-        Self::with_shape(rate, burst, DEFAULT_SHARDS, DEFAULT_MAX_KEYS)
+        Self::with_max_keys(rate, burst, DEFAULT_MAX_KEYS)
     }
 
-    /// Full control over shard count and the live-key cap (both are clamped
-    /// to at least 1; the cap is rounded up to a multiple of the shard
-    /// count).
-    pub fn with_shape(rate: f64, burst: f64, shards: usize, max_keys: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard_cap = max_keys.max(1).div_ceil(shards);
-        KeyedLimiter {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
-            rate,
-            burst,
-            per_shard_cap,
-            live: AtomicUsize::new(0),
-            clock: AtomicU64::new(0),
-            hasher: RandomState::new(),
-        }
+    /// Like [`new`](Self::new), holding at most `max_keys` live keys
+    /// (clamped to at least 1).
+    pub fn with_max_keys(rate: f64, burst: f64, max_keys: usize) -> Self {
+        KeyedLimiter { buckets: Mutex::new(LruCache::new(max_keys)), rate, burst }
     }
 
-    fn shard_of(&self, key: &str) -> usize {
-        let mut h = self.hasher.build_hasher();
-        h.write(key.as_bytes());
-        (h.finish() as usize) % self.shards.len()
-    }
-
-    /// The bucket for `key`, created on first sight (and possibly evicting
-    /// the shard's least-recently-used key to make room).
-    pub fn bucket(&self, key: &str) -> Arc<TokenBucket> {
-        let shard = &self.shards[self.shard_of(key)];
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        {
-            let map = shard.read();
-            if let Some(entry) = map.get(key) {
-                entry.last_used.store(now, Ordering::Relaxed);
-                return Arc::clone(&entry.bucket);
+    /// The bucket for `key`, created on first sight (evicting the
+    /// least-recently-used key when the map is full), and the number of
+    /// live keys after the lookup, read under the same lock so a caller
+    /// that feeds a gauge takes the lock once per request.
+    pub fn bucket(&self, key: &str) -> (Arc<TokenBucket>, usize) {
+        let mut buckets = self.buckets.lock();
+        let bucket = match buckets.get(key) {
+            Some(bucket) => Arc::clone(bucket),
+            None => {
+                let bucket = Arc::new(TokenBucket::new(self.rate, self.burst));
+                buckets.insert(Arc::from(key), Arc::clone(&bucket));
+                bucket
             }
-        }
-        let mut map = shard.write();
-        // Double-check: another thread may have inserted while we waited.
-        if let Some(entry) = map.get(key) {
-            entry.last_used.store(now, Ordering::Relaxed);
-            return Arc::clone(&entry.bucket);
-        }
-        if map.len() >= self.per_shard_cap {
-            let victim = map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| k.clone());
-            if let Some(victim) = victim {
-                map.remove(&victim);
-                self.live.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-        let bucket = Arc::new(TokenBucket::new(self.rate, self.burst));
-        map.insert(
-            key.to_string(),
-            KeyEntry { bucket: Arc::clone(&bucket), last_used: AtomicU64::new(now) },
-        );
-        self.live.fetch_add(1, Ordering::Relaxed);
-        bucket
+        };
+        (bucket, buckets.len())
     }
 
-    /// Number of live keys (feeds the service's bucket-count gauge).
+    /// Number of live keys.
     pub fn len(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
+        self.buckets.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Hard ceiling on live keys (`per-shard cap × shards`).
+    /// Hard ceiling on live keys: the requested `max_keys`.
     pub fn capacity(&self) -> usize {
-        self.per_shard_cap * self.shards.len()
+        self.buckets.lock().capacity()
     }
 }
 
@@ -365,20 +310,23 @@ mod tests {
     #[test]
     fn keyed_limiter_same_key_same_bucket() {
         let l = KeyedLimiter::new(1000.0, 5.0);
-        let a = l.bucket("alpha");
-        let b = l.bucket("alpha");
+        let (a, live) = l.bucket("alpha");
+        assert_eq!(live, 1);
+        let (b, live) = l.bucket("alpha");
         assert!(Arc::ptr_eq(&a, &b), "repeat lookups must share one bucket");
-        let c = l.bucket("beta");
+        assert_eq!(live, 1);
+        let (c, live) = l.bucket("beta");
         assert!(!Arc::ptr_eq(&a, &c), "distinct keys get distinct buckets");
+        assert_eq!(live, 2);
         assert_eq!(l.len(), 2);
     }
 
     #[test]
     fn keyed_limiter_grants_exactly_burst_across_threads() {
         // 8 threads hammer the same key through fresh lookups: total grants
-        // must equal the burst exactly — sharding must never route one key
-        // to two buckets and over-grant.
-        let l = Arc::new(KeyedLimiter::with_shape(1e-6, 40.0, 16, 1024));
+        // must equal the burst exactly — one key never lands in two buckets
+        // and over-grants.
+        let l = Arc::new(KeyedLimiter::with_max_keys(1e-6, 40.0, 1024));
         let granted = Arc::new(std::sync::atomic::AtomicU32::new(0));
         let mut handles = Vec::new();
         for _ in 0..8 {
@@ -386,7 +334,7 @@ mod tests {
             let granted = Arc::clone(&granted);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..50 {
-                    if l.bucket("shared-key").try_acquire() {
+                    if l.bucket("shared-key").0.try_acquire() {
                         granted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     }
                 }
@@ -402,43 +350,41 @@ mod tests {
     fn keyed_limiter_keys_are_independent() {
         // Draining one key leaves every other key's burst intact.
         let l = KeyedLimiter::new(1e-6, 3.0);
-        let hog = l.bucket("hog");
+        let (hog, _) = l.bucket("hog");
         while hog.try_acquire() {}
         for key in ["a", "b", "c"] {
-            assert!(l.bucket(key).try_acquire(), "key {key:?} starved by another key");
+            assert!(l.bucket(key).0.try_acquire(), "key {key:?} starved by another key");
         }
     }
 
     #[test]
     fn keyed_limiter_eviction_caps_live_keys() {
-        // A client cycling random keys must not grow the map past its cap.
-        let l = KeyedLimiter::with_shape(1000.0, 5.0, 4, 64);
+        // A client cycling random keys fills the map to exactly its cap and
+        // no further; the cap is the requested number, not a rounding of it.
+        let l = KeyedLimiter::with_max_keys(1000.0, 5.0, 63);
+        let mut live = 0;
         for i in 0..10_000 {
-            l.bucket(&format!("key-{i}"));
+            live = l.bucket(&format!("key-{i}")).1;
         }
-        assert!(
-            l.len() <= l.capacity(),
-            "live keys {} exceed capacity {}",
-            l.len(),
-            l.capacity()
-        );
-        assert!(l.capacity() <= 64 + 4, "cap should stay near the requested 64");
+        assert_eq!(l.capacity(), 63);
+        assert_eq!(l.len(), 63);
+        assert_eq!(live, 63, "the count returned with a bucket matches len()");
     }
 
     #[test]
     fn keyed_limiter_evicts_the_idle_key_not_the_active_one() {
-        // One shard, capacity 2: keep key "hot" fresh while churning others;
-        // the hot bucket must survive (same Arc) the whole time.
-        let l = KeyedLimiter::with_shape(1000.0, 5.0, 1, 2);
-        let hot = l.bucket("hot");
+        // Capacity 2: keep key "hot" fresh while churning others; the hot
+        // bucket must survive (same Arc) the whole time.
+        let l = KeyedLimiter::with_max_keys(1000.0, 5.0, 2);
+        let (hot, _) = l.bucket("hot");
         for i in 0..32 {
-            // Each new key fills the shard and forces an eviction; "hot" was
+            // Each new key fills the map and forces an eviction; "hot" was
             // touched more recently than the previous churn key.
             l.bucket(&format!("churn-{i}"));
-            let again = l.bucket("hot");
+            let (again, _) = l.bucket("hot");
             assert!(Arc::ptr_eq(&hot, &again), "hot key evicted at churn {i}");
         }
-        assert!(l.len() <= 2);
+        assert_eq!(l.len(), 2);
     }
 
     #[test]
@@ -446,7 +392,7 @@ mod tests {
         // Concurrent first-sight inserts across many keys: the live count
         // must match the distinct-key count (no double insert, no lost
         // entry) as long as the cap is not hit.
-        let l = Arc::new(KeyedLimiter::with_shape(1000.0, 5.0, 8, 1024));
+        let l = Arc::new(KeyedLimiter::with_max_keys(1000.0, 5.0, 1024));
         let mut handles = Vec::new();
         for t in 0..4 {
             let l = Arc::clone(&l);

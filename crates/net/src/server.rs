@@ -2,7 +2,7 @@
 //! one API:
 //!
 //! * [`ServerMode::Epoll`] (default on Linux) — a nonblocking epoll reactor
-//!   ([`reactor`](crate::reactor)): one event-loop thread multiplexes every
+//!   (the private `reactor` module): one event-loop thread multiplexes every
 //!   connection, so concurrency is bounded by file descriptors, not worker
 //!   threads. This is what lets one process hold 10k+ keep-alive
 //!   connections from a fleet of crawl workers.
@@ -10,9 +10,9 @@
 //!   worker pool. Simple, portable, and still the right tool when the
 //!   client count is small; concurrency is capped at the worker count.
 //!
-//! Both modes route every request through the same
-//! [`Dispatcher`](crate::conn::Dispatcher), so responses are byte-identical
-//! across modes — `serve_bench` and the mode-parity suite assert it.
+//! Both modes route every request through the same dispatcher (`Dispatcher`
+//! in the private `conn` module), so responses are byte-identical across
+//! modes — `serve_bench` and the mode-parity suite assert it.
 //!
 //! ## Connection lifecycle
 //!
@@ -26,7 +26,7 @@
 //!
 //! ## Observability
 //!
-//! [`HttpServer::bind_observed`] attaches a [`steam_obs::Registry`]: the
+//! [`HttpServer::bind_config`] attaches a [`steam_obs::Registry`]: the
 //! server then records per-endpoint request counts
 //! (`http_requests_total{endpoint,method,status}`), latency histograms
 //! (`http_request_duration_seconds{endpoint}`), an in-flight gauge, a
@@ -173,40 +173,20 @@ enum Inner {
 
 impl HttpServer {
     /// Binds to `addr` (use port 0 for an ephemeral port) and starts serving
-    /// in the default mode. `n_workers` sizes the pool in threaded mode.
+    /// in the default mode, without metrics or faults. `n_workers` sizes the
+    /// pool in threaded mode.
     pub fn bind(addr: &str, n_workers: usize, handler: Arc<dyn Handler>) -> Result<Self, NetError> {
-        Self::bind_observed(addr, n_workers, handler, None)
-    }
-
-    /// Like [`bind`](Self::bind), with an optional metrics registry. When
-    /// present, the server records per-endpoint request/latency metrics and
-    /// answers `GET /metrics` and `GET /healthz` itself (see module docs).
-    pub fn bind_observed(
-        addr: &str,
-        n_workers: usize,
-        handler: Arc<dyn Handler>,
-        registry: Option<Arc<Registry>>,
-    ) -> Result<Self, NetError> {
-        Self::bind_faulty(addr, n_workers, handler, registry, None)
-    }
-
-    /// Like [`bind_observed`](Self::bind_observed), with an optional
-    /// [`FaultInjector`] that decides, per request, whether to misbehave
-    /// (drop the connection, inject 5xx, truncate or corrupt the body,
-    /// stall). Operational endpoints (`/metrics`, `/healthz`) are never
-    /// faulted — observability must stay trustworthy during fault drills.
-    pub fn bind_faulty(
-        addr: &str,
-        n_workers: usize,
-        handler: Arc<dyn Handler>,
-        registry: Option<Arc<Registry>>,
-        faults: Option<Arc<FaultInjector>>,
-    ) -> Result<Self, NetError> {
         let config = ServerConfig { workers: n_workers, ..ServerConfig::default() };
-        Self::bind_config(addr, config, handler, registry, faults)
+        Self::bind_config(addr, config, handler, None, None)
     }
 
-    /// The fully general constructor: every other `bind_*` delegates here.
+    /// The fully general constructor. A `registry` makes the server record
+    /// per-endpoint request/latency metrics and answer `GET /metrics` and
+    /// `GET /healthz` itself (see module docs). A [`FaultInjector`] decides,
+    /// per request, whether to misbehave (drop the connection, inject 5xx,
+    /// truncate or corrupt the body, stall). Operational endpoints
+    /// (`/metrics`, `/healthz`) are never faulted — observability must stay
+    /// trustworthy during fault drills.
     pub fn bind_config(
         addr: &str,
         config: ServerConfig,

@@ -12,8 +12,8 @@
 //! * [`registry`] — a named, labeled metric [`Registry`] with Prometheus
 //!   text exposition (what `GET /metrics` serves);
 //! * [`trace`] — leveled structured events and `span`-style RAII timers,
-//!   buffered in per-thread rings, with a pluggable [`Sink`] (stderr text
-//!   formatter included, honoring `--log-level`);
+//!   delivered to a pluggable [`Sink`] (stderr text formatter included,
+//!   honoring `--log-level`);
 //! * [`flight`] — request-scoped [`TraceId`]/[`SpanId`] propagation
 //!   (`X-Steam-Trace`) and the always-on, lock-free flight recorder behind
 //!   the server's `/debug/spans` and `/debug/slow` endpoints.
@@ -40,6 +40,5 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::Registry;
 pub use rss::peak_rss_bytes;
 pub use trace::{
-    enabled, level, recent_events, set_level, set_sink, span, Event, Level, Sink, SpanTimer,
-    StderrSink,
+    enabled, level, set_level, set_sink, span, Event, Level, Sink, SpanTimer, StderrSink,
 };

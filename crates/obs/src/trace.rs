@@ -1,18 +1,15 @@
-//! Leveled, structured tracing: events, `span`-style RAII timers,
-//! per-thread ring buffers, and a pluggable sink.
+//! Leveled, structured tracing: events, `span`-style RAII timers, and a
+//! pluggable sink.
 //!
 //! The hot path is two relaxed atomic loads (level check, sink-installed
 //! check); a disabled event costs nothing beyond that — message formatting
 //! is gated behind [`enabled`] by the logging macros. Enabled events are
-//! pushed into the calling thread's ring buffer (a per-thread mutex that is
-//! only ever contended by a diagnostic snapshot) and forwarded to the
-//! installed [`Sink`], if any.
+//! forwarded to the installed [`Sink`], if any, and otherwise dropped.
 //!
 //! Nothing here writes to stdout; the bundled [`StderrSink`] formats to
 //! stderr, keeping report output byte-identical with tracing enabled.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -107,7 +104,7 @@ pub struct Event {
     pub message: String,
 }
 
-/// Where enabled events go, beyond the per-thread ring buffers.
+/// Where enabled events go.
 pub trait Sink: Send + Sync {
     fn emit(&self, event: &Event);
 }
@@ -153,48 +150,18 @@ pub fn set_sink(sink: Arc<dyn Sink>) {
     SINK_INSTALLED.store(true, Ordering::Release);
 }
 
-/// Events retained per thread.
-pub const RING_CAPACITY: usize = 256;
-
-type SharedRing = Arc<Mutex<VecDeque<Event>>>;
-
-/// All threads' ring buffers, for diagnostic snapshots.
-static RINGS: Mutex<Vec<SharedRing>> = Mutex::new(Vec::new());
-
-thread_local! {
-    static LOCAL_RING: SharedRing = {
-        let ring = Arc::new(Mutex::new(VecDeque::with_capacity(RING_CAPACITY)));
-        let mut rings = RINGS.lock().expect("ring registry poisoned");
-        // A ring whose only owner is the registry belongs to an exited
-        // thread; prune here (and in `recent_events`) so thread churn
-        // cannot grow the registry without bound.
-        rings.retain(|r| Arc::strong_count(r) > 1);
-        rings.push(Arc::clone(&ring));
-        ring
-    };
-}
-
-/// Records one event (if `level` is enabled): pushed into the calling
-/// thread's ring buffer and forwarded to the sink. Prefer the macros
-/// (`obs_info!` etc.), which skip message formatting when disabled.
+/// Records one event (if `level` is enabled): forwarded to the sink, if one
+/// is installed. Prefer the macros (`obs_info!` etc.), which skip message
+/// formatting when disabled.
 pub fn event(level: Level, target: &'static str, message: String) {
     if !enabled(level) {
         return;
     }
     let event = Event { elapsed: epoch().elapsed(), level, target, message };
-    // `try_with` so late events during thread teardown are dropped, not
-    // panicking.
-    let _ = LOCAL_RING.try_with(|ring| {
-        let mut ring = ring.lock().expect("ring poisoned");
-        if ring.len() == RING_CAPACITY {
-            ring.pop_front();
-        }
-        ring.push_back(event.clone());
-    });
     if SINK_INSTALLED.load(Ordering::Acquire) {
         let gen = SINK_GEN.load(Ordering::Acquire);
-        // `try_with` mirrors the ring above: events during thread teardown
-        // fall back to a one-off mutex read instead of panicking.
+        // `try_with`: events during thread teardown fall back to a one-off
+        // mutex read instead of panicking.
         let cached = SINK_CACHE.try_with(|cache| {
             let mut cache = cache.borrow_mut();
             if cache.0 != gen {
@@ -212,32 +179,18 @@ pub fn event(level: Level, target: &'static str, message: String) {
     }
 }
 
-/// Snapshot of every live thread's recent events, oldest first. Rings of
-/// exited threads are pruned first — their events age out with them.
-pub fn recent_events() -> Vec<Event> {
-    let mut rings = RINGS.lock().expect("ring registry poisoned");
-    rings.retain(|r| Arc::strong_count(r) > 1);
-    let mut events: Vec<Event> = rings
-        .iter()
-        .flat_map(|ring| ring.lock().expect("ring poisoned").iter().cloned().collect::<Vec<_>>())
-        .collect();
-    events.sort_by_key(|e| e.elapsed);
-    events
-}
-
-/// An RAII span timer: emits a `name took 12.3ms` event on drop and,
-/// optionally, records the duration into a [`Histogram`].
+/// An RAII span timer: emits a `Debug` event `name took 12.3ms` on drop
+/// and, optionally, records the duration into a [`Histogram`].
 pub struct SpanTimer {
     target: &'static str,
     name: String,
-    level: Level,
     start: Instant,
     histogram: Option<Arc<Histogram>>,
 }
 
-/// Starts a span. Default event level is `Debug`.
+/// Starts a span.
 pub fn span(target: &'static str, name: impl Into<String>) -> SpanTimer {
-    SpanTimer { target, name: name.into(), level: Level::Debug, start: Instant::now(), histogram: None }
+    SpanTimer { target, name: name.into(), start: Instant::now(), histogram: None }
 }
 
 impl SpanTimer {
@@ -247,16 +200,6 @@ impl SpanTimer {
         self.histogram = Some(histogram);
         self
     }
-
-    /// Overrides the completion event's level.
-    pub fn at_level(mut self, level: Level) -> Self {
-        self.level = level;
-        self
-    }
-
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
 }
 
 impl Drop for SpanTimer {
@@ -265,8 +208,8 @@ impl Drop for SpanTimer {
         if let Some(h) = &self.histogram {
             h.record_duration(elapsed);
         }
-        if enabled(self.level) {
-            event(self.level, self.target, format!("{} took {:.3?}", self.name, elapsed));
+        if enabled(Level::Debug) {
+            event(Level::Debug, self.target, format!("{} took {:.3?}", self.name, elapsed));
         }
     }
 }
@@ -323,20 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_buffer_keeps_recent_events() {
-        let _guard = LEVEL_LOCK.lock().unwrap();
-        set_level(Level::Trace);
-        for i in 0..(RING_CAPACITY + 10) {
-            event(Level::Trace, "test-ring", format!("event {i}"));
-        }
-        let mine: Vec<Event> =
-            recent_events().into_iter().filter(|e| e.target == "test-ring").collect();
-        assert!(mine.len() <= RING_CAPACITY);
-        assert!(mine.iter().any(|e| e.message == format!("event {}", RING_CAPACITY + 9)));
-        set_level(Level::Warn);
-    }
-
-    #[test]
     fn span_records_into_histogram_even_when_disabled() {
         let _guard = LEVEL_LOCK.lock().unwrap();
         set_level(Level::Error);
@@ -350,52 +279,44 @@ mod tests {
         set_level(Level::Warn);
     }
 
-    #[test]
-    fn disabled_events_are_dropped() {
-        let _guard = LEVEL_LOCK.lock().unwrap();
-        set_level(Level::Warn);
-        event(Level::Debug, "test-disabled", "invisible".into());
-        assert!(recent_events().iter().all(|e| e.target != "test-disabled"));
-    }
-
-    #[test]
-    fn ring_registry_prunes_exited_threads() {
-        let _guard = LEVEL_LOCK.lock().unwrap();
-        set_level(Level::Warn);
-        // Sequential spawn+join keeps at most a couple of churn threads
-        // alive at once; without pruning this leaks 200 rings.
-        for i in 0..200 {
-            std::thread::spawn(move || {
-                event(Level::Warn, "test-churn", format!("thread {i}"));
-            })
-            .join()
-            .unwrap();
-        }
-        let _ = recent_events();
-        let live = RINGS.lock().unwrap().len();
-        // Loose bound: other tests in the harness own live rings too, but
-        // nowhere near the 200 this test would leak unpruned.
-        assert!(live < 64, "registry retained {live} rings after 200 exited threads");
-    }
-
+    /// Counts the events of one target that reach it.
     struct CountingSink {
+        target: &'static str,
         hits: AtomicU64,
+    }
+
+    impl CountingSink {
+        fn new(target: &'static str) -> Arc<CountingSink> {
+            Arc::new(CountingSink { target, hits: AtomicU64::new(0) })
+        }
     }
 
     impl Sink for CountingSink {
         fn emit(&self, event: &Event) {
-            if event.target == "test-sink-swap" {
+            if event.target == self.target {
                 self.hits.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
     #[test]
+    fn disabled_events_are_dropped() {
+        let _guard = LEVEL_LOCK.lock().unwrap();
+        set_level(Level::Warn);
+        let sink = CountingSink::new("test-disabled");
+        set_sink(Arc::clone(&sink) as Arc<dyn Sink>);
+        event(Level::Debug, "test-disabled", "invisible".into());
+        assert_eq!(sink.hits.load(Ordering::Relaxed), 0, "a disabled event reached the sink");
+        event(Level::Warn, "test-disabled", "visible".into());
+        assert_eq!(sink.hits.load(Ordering::Relaxed), 1, "an enabled event missed the sink");
+    }
+
+    #[test]
     fn concurrent_emit_with_sink_swap_loses_nothing() {
         let _guard = LEVEL_LOCK.lock().unwrap();
         set_level(Level::Warn);
-        let first = Arc::new(CountingSink { hits: AtomicU64::new(0) });
-        let second = Arc::new(CountingSink { hits: AtomicU64::new(0) });
+        let first = CountingSink::new("test-sink-swap");
+        let second = CountingSink::new("test-sink-swap");
         set_sink(Arc::clone(&first) as Arc<dyn Sink>);
 
         const THREADS: u64 = 4;
