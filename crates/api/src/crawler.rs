@@ -90,12 +90,6 @@ pub struct CrawlerConfig {
     /// fetcher. Size it to the phase-2 worker count — smaller starves
     /// concurrent workers into opening throwaway connections.
     pub pool_size: Option<usize>,
-    /// Propagate a trace context (`X-Steam-Trace`) on every request and
-    /// record a client span per attempt in the flight recorder. Every
-    /// attempt of one logical fetch shares a trace id, so a retried request
-    /// reads as one trace on the server's `/debug/spans`. Tracing never
-    /// changes the crawled bytes; `false` exists for overhead measurement.
-    pub trace: bool,
 }
 
 impl Default for CrawlerConfig {
@@ -109,7 +103,6 @@ impl Default for CrawlerConfig {
             checkpoint_dir: None,
             resume: false,
             pool_size: None,
-            trace: true,
         }
     }
 }
@@ -334,16 +327,13 @@ struct Fetcher {
     progress: CrawlProgress,
     /// `client.reconnects()` at the last sync into the shared counter.
     synced_reconnects: u64,
-    /// Mint and propagate a trace per logical fetch (see
-    /// [`CrawlerConfig::trace`]).
-    trace: bool,
 }
 
 /// A logical fetch whose first attempt went out in an exchange, waiting for
 /// [`Fetcher::finish`].
 struct Started {
     target: String,
-    trace: Option<TraceId>,
+    trace: TraceId,
     /// When the exchange was written: the fetch's latency runs from here.
     sent: Instant,
     first: Reply,
@@ -352,7 +342,7 @@ struct Started {
 impl Fetcher {
     /// Starts one logical fetch per target and sends them all as one
     /// exchange. The throttle takes one token per request before anything
-    /// is written, and with tracing on each fetch mints its own trace id.
+    /// is written, and each fetch mints its own trace id.
     /// Returns every fetch's first attempt, for [`finish`](Self::finish).
     fn start<const N: usize>(&mut self, targets: [String; N]) -> [Started; N] {
         if let Some(t) = self.throttle.as_ref() {
@@ -364,7 +354,7 @@ impl Fetcher {
             }
         }
         self.progress.requests.add(N as u64);
-        let traces = [(); N].map(|()| self.trace.then(mint_trace_id));
+        let traces = [(); N].map(|()| mint_trace_id());
         let sent = Instant::now();
         let mut replies = Self::exchange(&mut self.client, &targets, &traces, 1).into_iter();
         self.progress.exchanges.inc();
@@ -372,7 +362,7 @@ impl Fetcher {
         let mut traces = traces.into_iter();
         targets.map(|target| Started {
             target,
-            trace: traces.next().flatten(),
+            trace: traces.next().expect("one trace per request"),
             sent,
             first: replies.next().expect("one reply per request"),
         })
@@ -385,7 +375,7 @@ impl Fetcher {
     /// The exchange's reply is the first of `Backoff::attempts`; every
     /// retry goes out alone.
     ///
-    /// With tracing on, the whole logical fetch shares one trace id; each
+    /// The whole logical fetch shares one trace id; each
     /// attempt gets its own span id (propagated via `X-Steam-Trace`) and a
     /// client span annotated `attempt=N` — so a fetch that survived two
     /// injected faults shows up on `/debug/spans` as one trace with three
@@ -467,16 +457,14 @@ impl Fetcher {
     fn exchange(
         client: &mut HttpClient,
         targets: &[String],
-        traces: &[Option<TraceId>],
+        traces: &[TraceId],
         attempt: u32,
     ) -> Vec<Reply> {
         let requests: Vec<Request> = targets.iter().map(|t| Request::get(t)).collect();
-        let contexts: Vec<Option<TraceContext>> = traces
-            .iter()
-            .map(|t| t.map(|trace| TraceContext { trace, span: next_span_id() }))
-            .collect();
+        let contexts: Vec<TraceContext> =
+            traces.iter().map(|&trace| TraceContext { trace, span: next_span_id() }).collect();
         let slots: Vec<(&Request, Option<TraceContext>)> =
-            requests.iter().zip(contexts.iter().copied()).collect();
+            requests.iter().zip(contexts.iter().copied().map(Some)).collect();
         let start_us = now_us();
         let t0 = Instant::now();
         let replies = client.exchange(&slots);
@@ -486,27 +474,18 @@ impl Fetcher {
             .zip(targets)
             .map(|((Reply { result, at }, ctx), target)| {
                 let result = result.and_then(check_status);
-                if let Some(ctx) = ctx {
-                    let status = match &result {
-                        Ok(resp) => resp.status,
-                        Err(NetError::Status { code, .. }) => *code,
-                        // Dropped connection, timeout: no status line arrived.
-                        Err(_) => 0,
-                    };
-                    record_span(
-                        SpanRecord::new(
-                            ctx.trace,
-                            ctx.span,
-                            SpanId(0),
-                            SpanKind::Client,
-                            "crawl",
-                            target,
-                        )
+                let status = match &result {
+                    Ok(resp) => resp.status,
+                    Err(NetError::Status { code, .. }) => *code,
+                    // Dropped connection, timeout: no status line arrived.
+                    Err(_) => 0,
+                };
+                record_span(
+                    SpanRecord::new(ctx.trace, ctx.span, SpanId(0), SpanKind::Client, "crawl", target)
                         .with_timing(start_us, at.duration_since(t0).as_micros() as u64)
                         .with_status(status)
                         .with_annotation(&format!("attempt={attempt}")),
-                    );
-                }
+                );
                 Reply { result, at }
             })
             .collect()
@@ -560,7 +539,6 @@ impl Crawler {
             throttle: Arc::clone(&throttle),
             progress: progress.clone(),
             synced_reconnects: 0,
-            trace: config.trace,
         };
         Crawler { addr, fetcher, config, throttle, registry, progress, pool }
     }
@@ -598,7 +576,6 @@ impl Crawler {
             throttle: Arc::clone(&self.throttle),
             progress: self.progress.clone(),
             synced_reconnects: 0,
-            trace: self.config.trace,
         }
     }
 
@@ -1060,14 +1037,8 @@ mod tests {
         Arc::new(Generator::new(cfg).generate())
     }
 
-    #[test]
-    fn crawl_reconstructs_snapshot() {
-        let original = tiny_world();
-        let (server, _service) =
-            serve(Arc::clone(&original), "127.0.0.1:0", 2, RateLimit::default()).unwrap();
-        let mut crawler = Crawler::new(server.addr(), CrawlerConfig::default());
-        let crawled = crawler.crawl(original.collected_at).unwrap();
-
+    /// Asserts that a crawl of `original` gave back the served world.
+    fn assert_reconstructs(crawled: &Snapshot, original: &Snapshot) {
         crawled.validate().unwrap();
         assert_eq!(crawled.n_users(), original.n_users());
         assert_eq!(crawled.scanned_id_space, original.scanned_id_space);
@@ -1090,6 +1061,16 @@ mod tests {
             let og: Vec<GroupId> = om.iter().map(|&g| original.groups[g as usize].id).collect();
             assert_eq!(cg, og);
         }
+    }
+
+    #[test]
+    fn crawl_reconstructs_snapshot() {
+        let original = tiny_world();
+        let (server, _service) =
+            serve(Arc::clone(&original), "127.0.0.1:0", 2, RateLimit::default()).unwrap();
+        let mut crawler = Crawler::new(server.addr(), CrawlerConfig::default());
+        let crawled = crawler.crawl(original.collected_at).unwrap();
+        assert_reconstructs(&crawled, &original);
         let stats = crawler.stats();
         assert!(stats.requests > original.n_users() as u64 * 3);
         assert_eq!(stats.profiles_found, original.n_users() as u64);
@@ -1510,8 +1491,7 @@ mod tests {
             format!("/IPlayerService/GetOwnedGames/v1?key={key}&steamid={id}"),
             format!("/ISteamUser/GetUserGroupList/v1?key={key}&steamid={id}"),
         ]);
-        let traces: Vec<TraceId> =
-            started.iter().map(|s| s.trace.expect("tracing is on by default")).collect();
+        let traces: Vec<TraceId> = started.iter().map(|s| s.trace).collect();
         let headers = seen.lock().clone();
         assert_eq!(headers.len(), 3);
         for (header, trace) in headers.iter().zip(&traces) {
@@ -1627,24 +1607,11 @@ mod tests {
             cfg.n_groups = 6;
             Arc::new(Generator::new(cfg).generate())
         };
-        let crawl_with = |trace: bool| {
-            let (server, _service) =
-                serve(Arc::clone(&original), "127.0.0.1:0", 2, RateLimit::default()).unwrap();
-            let config = CrawlerConfig {
-                empty_batches_to_stop: 2,
-                trace,
-                ..CrawlerConfig::default()
-            };
-            let mut crawler = Crawler::new(server.addr(), config);
-            crawler.crawl(original.collected_at).unwrap()
-        };
-        let traced = crawl_with(true);
-        let untraced = crawl_with(false);
-        assert_eq!(
-            steam_model::codec::encode_snapshot_v3(&traced, 1),
-            steam_model::codec::encode_snapshot_v3(&untraced, 1),
-            "tracing must not change the crawled bytes"
-        );
+        let (server, _service) =
+            serve(Arc::clone(&original), "127.0.0.1:0", 2, RateLimit::default()).unwrap();
+        let config = CrawlerConfig { empty_batches_to_stop: 2, ..CrawlerConfig::default() };
+        let traced = Crawler::new(server.addr(), config).crawl(original.collected_at).unwrap();
+        assert_reconstructs(&traced, &original);
         // The server ran in-process, so the flight recorder holds both sides
         // of every recent hop: find a crawl-issued client span whose trace id
         // also tagged a server span — a complete joined trace.

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use args::Args;
 use steam_analysis::{
     render_experiments_timed, render_full_report, render_full_report_timed, render_with_jobs,
-    Ctx, Experiment, ReportInput,
+    Ctx, Experiment, ReportInput, WorldView,
 };
 use steam_api::{ApiService, CrawlProgress, Crawler, CrawlerConfig, RateLimit};
 use steam_net::{FaultInjector, FaultPlan};
@@ -162,9 +162,6 @@ COMMANDS
              --checkpoint-dir DIR  journal completed work for crash recovery
              --resume          replay DIR's journal and fetch only the rest
              --trace-slow N    print the N slowest recorded spans at exit
-             --no-trace        don't propagate X-Steam-Trace or record
-                               client spans (overhead measurement; the
-                               crawled bytes are identical either way)
   trace      Render one trace from a server's flight recorder as a span tree
              --id TRACE_ID     16-hex-char trace id (as echoed in the
                                X-Steam-Trace response header or listed by
@@ -199,15 +196,15 @@ GLOBAL FLAGS
                      to stderr (default warn)
 ";
 
-/// Wires `--log-level` to the tracing layer: events at or above the level
-/// go to stderr, stdout (report text) is never touched.
+/// Wires `--log-level` (default warn) to the tracing layer: events at or
+/// above the level go to stderr, stdout (report text) is never touched.
 fn init_tracing(args: &Args) -> Result<(), String> {
     if let Some(raw) = args.get("log-level") {
         let level: steam_obs::Level =
             raw.parse().map_err(|_| format!("bad --log-level {raw:?} (error|warn|info|debug|trace)"))?;
         steam_obs::set_level(level);
-        steam_obs::set_sink(std::sync::Arc::new(steam_obs::StderrSink));
     }
+    steam_obs::set_sink(Arc::new(steam_obs::StderrSink));
     Ok(())
 }
 
@@ -457,7 +454,6 @@ fn cmd_crawl(args: &Args) -> Result<(), String> {
     if config.resume && config.checkpoint_dir.is_none() {
         return Err("--resume requires --checkpoint-dir".into());
     }
-    config.trace = !args.has("no-trace");
     let trace_slow = args.get_parse("trace-slow", 0usize)?;
     let resuming = config.resume;
     let registry = Arc::new(Registry::new());
@@ -658,7 +654,7 @@ fn render_passes(files: &[(&str, &Loaded)]) -> String {
 
 fn report_ctx<'a>(loaded: &'a Loaded, jobs: usize) -> Result<Ctx<'a>, String> {
     match loaded {
-        Loaded::Mem(s) => Ok(Ctx::new_with_jobs(s, jobs)),
+        Loaded::Mem(s) => Ctx::from_world(WorldView::mem(s), jobs).map_err(|e| e.to_string()),
         Loaded::Stream(r) => Ctx::from_reader(r, jobs).map_err(|e| e.to_string()),
     }
 }
@@ -729,7 +725,7 @@ fn cmd_export(args: &Args) -> Result<(), String> {
         }
         None => None,
     };
-    let ctx = Ctx::new(&snapshot);
+    let ctx = Ctx::from_world(WorldView::mem(&snapshot), 1).map_err(|e| e.to_string())?;
     let written = steam_analysis::export::write_all(&ctx, panel.as_ref(), Path::new(dir))
         .map_err(|e| e.to_string())?;
     for p in written {

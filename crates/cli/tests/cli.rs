@@ -191,6 +191,81 @@ fn shard_split_and_serve_reject_a_dangling_group_reference() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A damaged or dangling world fails `report` (streamed and in memory) and
+/// `export` with exit 1 and an `error:` line: the context build returns
+/// the fault instead of panicking on it.
+#[test]
+fn report_and_export_refuse_a_damaged_or_dangling_world() {
+    let dir = temp_dir("untrusted");
+    let mut cfg = steam_synth::SynthConfig::small(3);
+    cfg.n_users = 60;
+    cfg.n_products = 30;
+    cfg.n_groups = 8;
+    let clean = steam_synth::Generator::new(cfg).generate();
+    let encode = |s: &steam_model::Snapshot| steam_model::codec::encode_snapshot_v3(s, 1).to_vec();
+
+    // The first byte where a change to account 0 shows lies in accounts
+    // chunk 0 (the accounts section comes first).
+    let mut raw = encode(&clean);
+    let mut changed = clean.clone();
+    changed.accounts[0].level ^= 1;
+    let at = raw.iter().zip(encode(&changed)).position(|(a, b)| *a != b).unwrap();
+    raw[at] ^= 0x01;
+    let mut edge = clean.clone();
+    let past = clean.n_users() as u32 + 3;
+    edge.friendships.push(steam_model::Friendship::new(1, past, clean.collected_at));
+    let mut membership = clean.clone();
+    membership.memberships[0] = vec![clean.groups.len() as u32 + 5];
+
+    let files = [("flipped", raw), ("edge", encode(&edge)), ("membership", encode(&membership))];
+    for (tag, bytes) in files {
+        let path = dir.join(format!("{tag}.bin"));
+        std::fs::write(&path, bytes).unwrap();
+        let snap = path.to_str().unwrap();
+        let figures = dir.join("figures");
+        let runs: [&[&str]; 3] = [
+            &["report", "--snapshot", snap, "--experiment", "table3"],
+            &["report", "--snapshot", snap, "--experiment", "table3", "--in-memory"],
+            &["export", "--snapshot", snap, "--dir", figures.to_str().unwrap()],
+        ];
+        for args in runs {
+            let out = bin().args(args).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{tag} {args:?}: {stderr}");
+            assert!(stderr.lines().any(|l| l.starts_with("error: ")), "{tag} {args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{tag} {args:?}: {stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Warnings reach stderr at the default level: `crawl --resume` says it
+/// dropped an unreadable journal segment before the crawl itself fails on
+/// an address nothing listens on; `--log-level error` hides the warning.
+#[test]
+fn crawl_resume_warns_about_an_unreadable_segment_by_default() {
+    let dir = temp_dir("resume-warn");
+    let journal = dir.join("journal");
+    let out_path = dir.join("crawled.bin");
+    for (level, shown) in [(None, true), (Some("error"), false)] {
+        std::fs::create_dir_all(&journal).unwrap();
+        std::fs::write(journal.join("seg-00000000.log"), b"not a segment").unwrap();
+        let mut cmd = bin();
+        cmd.args(["crawl", "--addr", "127.0.0.1:1", "--resume"])
+            .args(["--checkpoint-dir", journal.to_str().unwrap()])
+            .args(["--out", out_path.to_str().unwrap()]);
+        if let Some(level) = level {
+            cmd.args(["--log-level", level]);
+        }
+        let out = cmd.output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{stderr}");
+        let warned = stderr.contains("segment 00000000 unreadable");
+        assert_eq!(warned, shown, "--log-level {level:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn serve_then_crawl_round_trips() {
     let dir = temp_dir("crawl");

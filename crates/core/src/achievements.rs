@@ -21,7 +21,7 @@ pub struct AchievementCountStats {
 fn game_playtime_and_achievements(ctx: &Ctx) -> Vec<(u32, f64)> {
     let catalog = ctx.world.catalog();
     let mut playtime = vec![0u64; catalog.len()];
-    ctx.world.for_each_library(&mut |_, lib| {
+    ctx.visit_libraries(&mut |_, lib| {
         for o in lib {
             if let Some(&gi) = ctx.app_index.get(&o.app_id) {
                 playtime[gi as usize] += u64::from(o.playtime_forever_min);

@@ -194,6 +194,18 @@ mod tests {
     }
 
     #[test]
+    fn game_data_attributes_nonempty_in_both_snapshots() {
+        let world = testworld::world();
+        for snapshot in [&world.snapshot, &world.second_snapshot] {
+            let attrs = game_data_attributes(&Ctx::new(snapshot));
+            assert_eq!(attrs.len(), 5);
+            for (label, data) in &attrs {
+                assert!(!data.is_empty(), "{label} empty");
+            }
+        }
+    }
+
+    #[test]
     fn second_snapshot_classes_are_stable() {
         let world = testworld::world();
         let c1 = Ctx::new(&world.snapshot);

@@ -4,10 +4,14 @@ use std::collections::HashMap;
 
 use steam_graph::{yearly_degrees_with, Csr, YearlyDegrees};
 use steam_model::{
-    AppId, CountryCode, Friendship, ModelError, SimTime, Snapshot, SnapshotReader,
+    AppId, CountryCode, Friendship, ModelError, OwnedGame, SimTime, Snapshot, SnapshotReader,
 };
 
-use crate::world::{FriendshipChunks, WorldView};
+use crate::world::WorldView;
+
+/// Visitor for [`Ctx::visit_membership_libs`]: receives the user index, that
+/// user's group indices, and their library.
+pub type MembershipLibVisitor<'a> = dyn FnMut(usize, &[u32], &[OwnedGame]) + 'a;
 
 /// Precomputed view over a world: per-user degree, library sizes, playtimes
 /// and market value, plus the friendship graph in CSR form and the resident
@@ -52,11 +56,18 @@ impl<'a> Ctx<'a> {
         Self::new_with_jobs(snapshot, 1)
     }
 
-    /// [`Ctx::new`] with the CSR build (the dominant cost at scale)
-    /// parallelized over `jobs` threads. The resulting context is identical
-    /// for any `jobs` value.
+    /// [`Ctx::new`] with the CSR rows sorted on `jobs` threads. The
+    /// resulting context is identical for any `jobs` value.
+    ///
+    /// # Panics
+    ///
+    /// On a friendship or membership that names no account or group, which
+    /// a world generated in this process never holds; a world read from a
+    /// file goes through [`Ctx::from_world`] or [`Ctx::from_reader`], which
+    /// return that as an error.
     pub fn new_with_jobs(snapshot: &'a Snapshot, jobs: usize) -> Self {
         Self::from_world(WorldView::mem(snapshot), jobs)
+            .unwrap_or_else(|e| panic!("an in-process world is consistent: {e}"))
     }
 
     /// Builds a context directly from a chunked-snapshot reader without ever
@@ -64,13 +75,18 @@ impl<'a> Ctx<'a> {
     /// over the friendship chunks, and the per-user columns by one pass over
     /// the account/library/membership chunks.
     pub fn from_reader(reader: &'a SnapshotReader, jobs: usize) -> Result<Self, ModelError> {
-        Ok(Self::from_world(WorldView::stream(reader)?, jobs))
+        Self::from_world(WorldView::stream(reader)?, jobs)
     }
 
     /// The shared build: identical aggregation loops for both world
     /// backings, so a streamed context is byte-for-byte the same as an
-    /// in-memory one.
-    pub fn from_world(world: WorldView<'a>, jobs: usize) -> Self {
+    /// in-memory one. It reads every chunk of all six sections, the
+    /// friendships twice.
+    ///
+    /// A friendship endpoint past the accounts or a membership past the
+    /// groups is a [`ModelError::DanglingReference`]; a chunk that fails
+    /// its checksum or decode returns the reader's error.
+    pub fn from_world(world: WorldView<'a>, jobs: usize) -> Result<Self, ModelError> {
         let n = world.n_users();
         let catalog = world.catalog();
         let mut app_index = HashMap::with_capacity(catalog.len());
@@ -79,35 +95,24 @@ impl<'a> Ctx<'a> {
         }
         let price_cents: Vec<u32> = catalog.iter().map(|g| g.price_cents).collect();
 
-        let graph = match &world {
-            WorldView::Mem(s) => {
-                if jobs > 1 {
-                    let edges: Vec<(u32, u32)> =
-                        s.friendships.iter().map(|e| (e.a, e.b)).collect();
-                    Csr::from_edge_list(n, &edges, jobs)
-                } else {
-                    Csr::from_edges(n, s.friendships.iter().map(|e| (e.a, e.b)))
-                }
-            }
-            WorldView::Stream(v) => Csr::from_edge_chunks(n, &FriendshipChunks(v.reader), jobs),
-        };
+        let graph = Csr::from_walk(n, |f| world.for_each_friendship(|e| f(e.a, e.b)), jobs)?;
         let degrees = graph.degrees();
 
         let mut created_at = Vec::with_capacity(n);
         let mut country = Vec::with_capacity(n);
         let mut city = Vec::with_capacity(n);
-        world.for_each_account(&mut |_, a| {
+        world.for_each_account(|_, a| {
             created_at.push(a.created_at);
             country.push(a.country);
             city.push(a.city);
-        });
+        })?;
 
         let mut owned = vec![0u32; n];
         let mut played = vec![0u32; n];
         let mut total_minutes = vec![0u64; n];
         let mut two_week_minutes = vec![0u64; n];
         let mut value_cents = vec![0u64; n];
-        world.for_each_library(&mut |u, lib| {
+        world.for_each_library(|u, lib| {
             owned[u] = lib.len() as u32;
             for o in lib {
                 if o.played() {
@@ -119,14 +124,24 @@ impl<'a> Ctx<'a> {
                     value_cents[u] += u64::from(price_cents[gi as usize]);
                 }
             }
-        });
+        })?;
 
+        let n_groups = world.groups().len();
         let mut group_count = vec![0u32; n];
-        world.for_each_memberships(&mut |u, ms| {
+        let mut dangling = None;
+        world.for_each_memberships(|u, ms| {
             group_count[u] = ms.len() as u32;
-        });
+            if let Some(&g) = ms.iter().find(|&&g| g as usize >= n_groups) {
+                dangling.get_or_insert((u, g));
+            }
+        })?;
+        if let Some((u, g)) = dangling {
+            return Err(ModelError::DanglingReference(format!(
+                "user {u} is a member of group {g}, past the {n_groups} in the snapshot"
+            )));
+        }
 
-        Ctx {
+        Ok(Ctx {
             world,
             degrees,
             owned,
@@ -140,7 +155,7 @@ impl<'a> Ctx<'a> {
             city,
             app_index,
             graph,
-        }
+        })
     }
 
     pub fn n_users(&self) -> usize {
@@ -165,14 +180,29 @@ impl<'a> Ctx<'a> {
 
     /// Calls `f` for every friendship edge, streaming chunks in stream mode.
     pub fn visit_friendships(&self, f: &mut dyn FnMut(&Friendship)) {
-        self.world.for_each_friendship(f);
+        intact(self.world.for_each_friendship(f));
+    }
+
+    /// Calls `f(u, &library)` for every user in index order.
+    pub fn visit_libraries(&self, f: &mut dyn FnMut(usize, &[OwnedGame])) {
+        intact(self.world.for_each_library(f));
+    }
+
+    /// Calls `f(u, &group_indices)` for every user in index order.
+    pub fn visit_memberships(&self, f: &mut dyn FnMut(usize, &[u32])) {
+        intact(self.world.for_each_memberships(f));
+    }
+
+    /// Calls `f(u, &group_indices, &library)` for every user in index order.
+    pub fn visit_membership_libs(&self, f: &mut MembershipLibVisitor<'_>) {
+        intact(self.world.for_each_membership_lib(f));
     }
 
     /// Per-user friendship counts before `first` and in each calendar year
     /// `first..=last`, via one pass over the edges: every "Y only" and
     /// "through Y" degree vector of Figure 2 and Table 4.
     pub fn yearly_degrees(&self, first: i32, last: i32) -> YearlyDegrees {
-        yearly_degrees_with(self.n_users(), |f| self.world.for_each_friendship(f), first, last)
+        yearly_degrees_with(self.n_users(), |f| self.visit_friendships(f), first, last)
     }
 
     /// Dollars from cents.
@@ -188,6 +218,16 @@ impl<'a> Ctx<'a> {
             .map(|&x| x.into() as f64)
             .filter(|&x| x > 0.0)
             .collect()
+    }
+}
+
+/// Ends an experiment's pass over a chunk that failed to read. The context
+/// build read every chunk of the world without error, so only a file changed
+/// under a running analysis gets here, and no partial result is worth
+/// salvaging.
+fn intact(pass: Result<(), ModelError>) {
+    if let Err(e) = pass {
+        panic!("a pass over the world failed after the context build read it whole: {e}");
     }
 }
 
@@ -292,6 +332,56 @@ mod tests {
                     steam_graph::degrees_in_years(s.n_users(), &s.friendships, i32::MIN, year);
                 assert_eq!(yearly.through(year), through, "through {year}");
             }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A 60-user world: small enough to flip every byte of its v3 file.
+    fn tiny_snapshot() -> Snapshot {
+        let mut cfg = steam_synth::SynthConfig::small(3);
+        cfg.n_users = 60;
+        cfg.n_products = 30;
+        cfg.n_groups = 8;
+        steam_synth::Generator::new(cfg).generate()
+    }
+
+    #[test]
+    fn every_byte_flip_fails_the_open_or_the_build() {
+        let clean = steam_model::codec::encode_snapshot_v3(&tiny_snapshot(), 1);
+        let dir = std::env::temp_dir().join(format!("ctx-flip-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("world.snap");
+        for at in 0..clean.len() {
+            let mut raw = clean.to_vec();
+            raw[at] ^= 0x01;
+            std::fs::write(&path, &raw).unwrap();
+            let built =
+                SnapshotReader::open(&path).and_then(|r| Ctx::from_reader(&r, 2).map(|_| ()));
+            assert!(built.is_err(), "flip at {at} of {} built a context", clean.len());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn dangling_references_are_errors_through_both_backings() {
+        let clean = tiny_snapshot();
+        let mut edge = clean.clone();
+        edge.friendships.push(Friendship::new(1, clean.n_users() as u32 + 3, clean.collected_at));
+        let mut membership = clean.clone();
+        membership.memberships[0] = vec![clean.groups.len() as u32 + 5];
+        let dir = std::env::temp_dir().join(format!("ctx-dangling-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (tag, s) in [("edge", &edge), ("membership", &membership)] {
+            let mem = Ctx::from_world(WorldView::mem(s), 2).err();
+            assert!(matches!(mem, Some(ModelError::DanglingReference(_))), "{tag}: {mem:?}");
+            let path = dir.join(format!("{tag}.snap"));
+            steam_model::codec::write_snapshot_v3(&path, s, 1).unwrap();
+            let reader = SnapshotReader::open(&path).unwrap();
+            let streamed = Ctx::from_reader(&reader, 2).err();
+            assert!(
+                matches!(streamed, Some(ModelError::DanglingReference(_))),
+                "{tag} streamed: {streamed:?}"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }

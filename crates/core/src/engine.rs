@@ -16,10 +16,8 @@
 //! * `steam_par::map` returns one text per experiment in `Experiment::ALL`
 //!   order — scheduling order never reaches the output;
 //! * every parallel kernel underneath reduces per-chunk results in index
-//!   order with the serial rule (x_min scan), merges exact integer-valued
-//!   f64 sums (assortativity), sorts away fill races (CSR rows), or derives
-//!   per-task RNG streams from the master seed (bootstrap) — so each
-//!   experiment's text is itself thread-count invariant.
+//!   order with the serial rule (x_min scan) or sorts whole rows (CSR), so
+//!   each experiment's text is itself thread-count invariant.
 //!
 //! [`Ctx`]: crate::context::Ctx
 

@@ -1,6 +1,6 @@
 //! §8 — evolution across snapshots, and Figure 12's week panel.
 
-use steam_model::{Snapshot, WeekPanel};
+use steam_model::WeekPanel;
 use steam_stats::Ecdf;
 
 use crate::context::Ctx;
@@ -97,37 +97,6 @@ pub fn panel_view(panel: &WeekPanel) -> PanelView {
     PanelView { rows }
 }
 
-/// Distribution classifications must be stable across snapshots (§8: "the
-/// distribution classifications remain unchanged"). Returns the attribute
-/// vectors for both snapshots for Table 4's second-snapshot rows.
-pub fn paired_attributes(first: &Snapshot, second: &Snapshot) -> Vec<(String, Vec<f64>, Vec<f64>)> {
-    let c1 = Ctx::new(first);
-    let c2 = Ctx::new(second);
-    vec![
-        (
-            "account market values".into(),
-            c1.value_cents.iter().map(|&c| c as f64 / 100.0).filter(|&v| v > 0.0).collect(),
-            c2.value_cents.iter().map(|&c| c as f64 / 100.0).filter(|&v| v > 0.0).collect(),
-        ),
-        (
-            "total playtime".into(),
-            Ctx::nonzero_f64(&c1.total_minutes),
-            Ctx::nonzero_f64(&c2.total_minutes),
-        ),
-        (
-            "two-week playtime".into(),
-            Ctx::nonzero_f64(&c1.two_week_minutes),
-            Ctx::nonzero_f64(&c2.two_week_minutes),
-        ),
-        ("game ownership".into(), Ctx::nonzero_f64(&c1.owned), Ctx::nonzero_f64(&c2.owned)),
-        (
-            "played game ownership".into(),
-            Ctx::nonzero_f64(&c1.played),
-            Ctx::nonzero_f64(&c2.played),
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,16 +134,5 @@ mod tests {
             heavy >= light,
             "heavy day-one half should stay heavier: {light} vs {heavy}"
         );
-    }
-
-    #[test]
-    fn paired_attributes_nonempty() {
-        let world = testworld::world();
-        let pairs = paired_attributes(&world.snapshot, &world.second_snapshot);
-        assert_eq!(pairs.len(), 5);
-        for (label, a, b) in &pairs {
-            assert!(!a.is_empty(), "{label} first snapshot empty");
-            assert!(!b.is_empty(), "{label} second snapshot empty");
-        }
     }
 }

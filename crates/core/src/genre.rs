@@ -76,7 +76,7 @@ pub fn genre_breakdown(ctx: &Ctx) -> GenreBreakdown {
 
     let mut total_playtime = 0u64;
     let mut total_value = 0u64;
-    ctx.world.for_each_library(&mut |_, lib| {
+    ctx.visit_libraries(&mut |_, lib| {
         for o in lib {
             let Some(&gi) = ctx.app_index.get(&o.app_id) else { continue };
             let game = &catalog[gi as usize];

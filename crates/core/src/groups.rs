@@ -17,7 +17,7 @@ pub struct GroupTypeBreakdown {
 /// Sizes of all groups (member counts), indexed like the groups section.
 pub fn group_sizes(ctx: &Ctx) -> Vec<u64> {
     let mut sizes = vec![0u64; ctx.world.groups().len()];
-    ctx.world.for_each_memberships(&mut |_, ms| {
+    ctx.visit_memberships(&mut |_, ms| {
         for &g in ms {
             sizes[g as usize] += 1;
         }
@@ -75,7 +75,7 @@ pub fn group_game_diversity(ctx: &Ctx, min_members: u64) -> GroupGameDiversity {
         .map(|(slot, &g)| (g, slot))
         .collect();
 
-    ctx.world.for_each_membership_lib(&mut |_, ms, lib| {
+    ctx.visit_membership_libs(&mut |_, ms, lib| {
         if ms.is_empty() {
             return;
         }

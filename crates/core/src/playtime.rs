@@ -120,7 +120,7 @@ pub fn multiplayer_shares(ctx: &Ctx) -> MultiplayerShares {
     let mut total_mp = 0u64;
     let mut recent = 0u64;
     let mut recent_mp = 0u64;
-    ctx.world.for_each_library(&mut |_, lib| {
+    ctx.visit_libraries(&mut |_, lib| {
         for o in lib {
             let Some(&gi) = ctx.app_index.get(&o.app_id) else { continue };
             let mp = catalog[gi as usize].multiplayer;

@@ -1,28 +1,29 @@
 //! A uniform view over a snapshot's six sections: fully materialized in
 //! memory, or streamed chunk-by-chunk from a chunked (v3) container file.
 //!
-//! Every analysis that walks a whole section does it through a visitor on
-//! [`WorldView`], so the in-memory and streaming paths share one loop body
-//! and produce byte-identical results. In streaming mode only the small
-//! shared sections (catalog, groups) are cached; the per-user sections
-//! (accounts, libraries, memberships) and the friendship edges are decoded
-//! one chunk at a time and dropped, bounding resident memory by one chunk
-//! per concurrent pass instead of the whole section.
+//! Every analysis that walks a whole section does it through a pass on
+//! [`WorldView`], and each pass is written once, over per-section chunk
+//! accessors: a decoded snapshot is one borrowed chunk per section, and a
+//! streamed section decodes one chunk at a time and drops it. In streaming
+//! mode only the small shared sections (catalog, groups) are cached, which
+//! bounds resident memory by one chunk per concurrent pass instead of the
+//! whole section, and both backings produce byte-identical results.
 //!
-//! Chunk reads that fail mid-pass abort the process with a message naming
-//! the failing section and chunk. The reader validates the header, the
-//! chunk directory, and both container checksums at open time, so a
-//! mid-pass failure means the file was corrupted or truncated underneath a
-//! running analysis — there is no useful partial result to salvage.
+//! A pass returns a chunk that fails to read or decode as an error. The
+//! context build reads every chunk of every section through these passes
+//! and returns that error; the experiments then walk through
+//! [`Ctx`](crate::Ctx)'s visitors, which panic on it, since after the build
+//! a chunk can fail only if the file changed under a running analysis.
 
-use steam_graph::EdgeChunks;
+use std::borrow::Cow;
+
 use steam_model::{
     Account, Friendship, Game, Group, ModelError, OwnedGame, Snapshot, SnapshotReader,
 };
 
-/// Visitor for [`WorldView::for_each_membership_lib`]: receives the user
-/// index, that user's group indices, and their library.
-pub type MembershipLibVisitor<'a> = dyn FnMut(usize, &[u32], &[OwnedGame]) + 'a;
+/// One chunk of a per-user or edge section: the index of its first record,
+/// and its records, borrowed from a decoded snapshot or decoded from the file.
+type Chunk<'w, T> = (usize, Cow<'w, [T]>);
 
 /// A borrowed world: either a fully decoded [`Snapshot`] or a chunk-streaming
 /// [`SnapshotReader`] over a v3 file.
@@ -34,31 +35,25 @@ pub enum WorldView<'a> {
 /// The streaming side of [`WorldView`]: the open reader plus the cached
 /// small sections.
 pub struct StreamView<'a> {
-    pub reader: &'a SnapshotReader,
+    reader: &'a SnapshotReader,
     catalog: Vec<Game>,
     groups: Vec<Group>,
 }
 
-/// Adapter exposing a reader's friendship section as [`EdgeChunks`] for the
-/// two-pass chunked CSR build.
-pub struct FriendshipChunks<'a>(pub &'a SnapshotReader);
-
-impl EdgeChunks for FriendshipChunks<'_> {
-    fn n_chunks(&self) -> usize {
-        self.0.n_friendship_chunks()
-    }
-
-    fn for_each(&self, k: usize, f: &mut dyn FnMut(u32, u32)) {
-        for e in &chunk_or_die(self.0.friendship_chunk(k), "friendships", k) {
-            f(e.a, e.b);
+/// Calls `f(i, &record)` for every record of a section in index order,
+/// reading chunks `0..n_chunks` through `chunk`.
+fn walk<'w, T: Clone + 'w>(
+    n_chunks: usize,
+    chunk: impl Fn(usize) -> Result<Chunk<'w, T>, ModelError>,
+    mut f: impl FnMut(usize, &T),
+) -> Result<(), ModelError> {
+    for k in 0..n_chunks {
+        let (base, records) = chunk(k)?;
+        for (i, r) in records.iter().enumerate() {
+            f(base + i, r);
         }
     }
-}
-
-fn chunk_or_die<T>(r: Result<T, ModelError>, section: &str, k: usize) -> T {
-    r.unwrap_or_else(|e| {
-        panic!("streaming pass over {section} section failed at chunk {k}: {e}")
-    })
+    Ok(())
 }
 
 impl<'a> WorldView<'a> {
@@ -106,117 +101,102 @@ impl<'a> WorldView<'a> {
         }
     }
 
-    /// Calls `f(u, &account)` for every user in index order.
-    pub fn for_each_account(&self, f: &mut dyn FnMut(usize, &Account)) {
+    /// Chunks in one section, counted for a file by `in_file`; a decoded
+    /// snapshot holds each section as one chunk.
+    fn n_chunks(&self, in_file: fn(&SnapshotReader) -> usize) -> usize {
         match self {
-            WorldView::Mem(s) => {
-                for (u, a) in s.accounts.iter().enumerate() {
-                    f(u, a);
-                }
-            }
-            WorldView::Stream(v) => {
-                for k in 0..v.reader.n_account_chunks() {
-                    let base = v.reader.account_chunk_start(k);
-                    let chunk = chunk_or_die(v.reader.account_chunk(k), "accounts", k);
-                    for (i, a) in chunk.iter().enumerate() {
-                        f(base + i, a);
-                    }
-                }
-            }
+            WorldView::Mem(_) => 1,
+            WorldView::Stream(v) => in_file(v.reader),
         }
+    }
+
+    fn accounts(&self, k: usize) -> Result<Chunk<'_, Account>, ModelError> {
+        Ok(match self {
+            WorldView::Mem(s) => (0, s.accounts.as_slice().into()),
+            WorldView::Stream(v) => {
+                (v.reader.account_chunk_start(k), v.reader.account_chunk(k)?.into())
+            }
+        })
+    }
+
+    fn friendships(&self, k: usize) -> Result<Chunk<'_, Friendship>, ModelError> {
+        Ok(match self {
+            WorldView::Mem(s) => (0, s.friendships.as_slice().into()),
+            WorldView::Stream(v) => {
+                (v.reader.friendship_chunk_start(k), v.reader.friendship_chunk(k)?.into())
+            }
+        })
+    }
+
+    fn libraries(&self, k: usize) -> Result<Chunk<'_, Vec<OwnedGame>>, ModelError> {
+        Ok(match self {
+            WorldView::Mem(s) => (0, s.ownerships.as_slice().into()),
+            WorldView::Stream(v) => {
+                (v.reader.library_chunk_start(k), v.reader.library_chunk(k)?.into())
+            }
+        })
+    }
+
+    fn memberships(&self, k: usize) -> Result<Chunk<'_, Vec<u32>>, ModelError> {
+        Ok(match self {
+            WorldView::Mem(s) => (0, s.memberships.as_slice().into()),
+            WorldView::Stream(v) => {
+                (v.reader.membership_chunk_start(k), v.reader.membership_chunk(k)?.into())
+            }
+        })
+    }
+
+    /// Calls `f(u, &account)` for every user in index order.
+    pub fn for_each_account(&self, f: impl FnMut(usize, &Account)) -> Result<(), ModelError> {
+        let n = self.n_chunks(SnapshotReader::n_account_chunks);
+        walk(n, |k| self.accounts(k), f)
     }
 
     /// Calls `f(&edge)` for every friendship in file order.
-    pub fn for_each_friendship(&self, f: &mut dyn FnMut(&Friendship)) {
-        match self {
-            WorldView::Mem(s) => {
-                for e in &s.friendships {
-                    f(e);
-                }
-            }
-            WorldView::Stream(v) => {
-                for k in 0..v.reader.n_friendship_chunks() {
-                    for e in &chunk_or_die(v.reader.friendship_chunk(k), "friendships", k) {
-                        f(e);
-                    }
-                }
-            }
-        }
+    pub fn for_each_friendship(&self, mut f: impl FnMut(&Friendship)) -> Result<(), ModelError> {
+        let n = self.n_chunks(SnapshotReader::n_friendship_chunks);
+        walk(n, |k| self.friendships(k), |_, e| f(e))
     }
 
     /// Calls `f(u, &library)` for every user in index order.
-    pub fn for_each_library(&self, f: &mut dyn FnMut(usize, &[OwnedGame])) {
-        match self {
-            WorldView::Mem(s) => {
-                for (u, lib) in s.ownerships.iter().enumerate() {
-                    f(u, lib);
-                }
-            }
-            WorldView::Stream(v) => {
-                for k in 0..v.reader.n_library_chunks() {
-                    let base = v.reader.library_chunk_start(k);
-                    let chunk = chunk_or_die(v.reader.library_chunk(k), "ownerships", k);
-                    for (i, lib) in chunk.iter().enumerate() {
-                        f(base + i, lib);
-                    }
-                }
-            }
-        }
+    pub fn for_each_library(
+        &self,
+        mut f: impl FnMut(usize, &[OwnedGame]),
+    ) -> Result<(), ModelError> {
+        let n = self.n_chunks(SnapshotReader::n_library_chunks);
+        walk(n, |k| self.libraries(k), |u, lib| f(u, lib))
     }
 
     /// Calls `f(u, &group_indices)` for every user in index order.
-    pub fn for_each_memberships(&self, f: &mut dyn FnMut(usize, &[u32])) {
-        match self {
-            WorldView::Mem(s) => {
-                for (u, ms) in s.memberships.iter().enumerate() {
-                    f(u, ms);
-                }
-            }
-            WorldView::Stream(v) => {
-                for k in 0..v.reader.n_membership_chunks() {
-                    let base = v.reader.membership_chunk_start(k);
-                    let chunk = chunk_or_die(v.reader.membership_chunk(k), "memberships", k);
-                    for (i, ms) in chunk.iter().enumerate() {
-                        f(base + i, ms);
-                    }
-                }
-            }
-        }
+    pub fn for_each_memberships(
+        &self,
+        mut f: impl FnMut(usize, &[u32]),
+    ) -> Result<(), ModelError> {
+        let n = self.n_chunks(SnapshotReader::n_membership_chunks);
+        walk(n, |k| self.memberships(k), |u, ms| f(u, ms))
     }
 
     /// Calls `f(u, &group_indices, &library)` for every user in index order.
     /// The memberships and ownerships sections may be chunked on different
-    /// boundaries, so the streaming path advances two chunk cursors in
-    /// lockstep — at most one chunk of each section is resident.
-    pub fn for_each_membership_lib(&self, f: &mut MembershipLibVisitor<'_>) {
-        match self {
-            WorldView::Mem(s) => {
-                for (u, ms) in s.memberships.iter().enumerate() {
-                    f(u, ms, &s.ownerships[u]);
+    /// boundaries, so the library chunk advances whenever the next user lies
+    /// past it: at most one chunk of each section is resident.
+    pub fn for_each_membership_lib(
+        &self,
+        mut f: impl FnMut(usize, &[u32], &[OwnedGame]),
+    ) -> Result<(), ModelError> {
+        let mut libs: Chunk<'_, Vec<OwnedGame>> = (0, Cow::Borrowed(&[]));
+        let mut next_lib = 0;
+        for k in 0..self.n_chunks(SnapshotReader::n_membership_chunks) {
+            let (base, chunk) = self.memberships(k)?;
+            for (i, ms) in chunk.iter().enumerate() {
+                let u = base + i;
+                if u >= libs.0 + libs.1.len() {
+                    libs = self.libraries(next_lib)?;
+                    next_lib += 1;
                 }
-            }
-            WorldView::Stream(v) => {
-                let n = v.reader.n_users();
-                let mut ms_buf: Vec<Vec<u32>> = Vec::new();
-                let mut ms_base = 0usize;
-                let mut ms_k = 0usize;
-                let mut lib_buf: Vec<Vec<OwnedGame>> = Vec::new();
-                let mut lib_base = 0usize;
-                let mut lib_k = 0usize;
-                for u in 0..n {
-                    while u >= ms_base + ms_buf.len() {
-                        ms_base = v.reader.membership_chunk_start(ms_k);
-                        ms_buf = chunk_or_die(v.reader.membership_chunk(ms_k), "memberships", ms_k);
-                        ms_k += 1;
-                    }
-                    while u >= lib_base + lib_buf.len() {
-                        lib_base = v.reader.library_chunk_start(lib_k);
-                        lib_buf = chunk_or_die(v.reader.library_chunk(lib_k), "ownerships", lib_k);
-                        lib_k += 1;
-                    }
-                    f(u, &ms_buf[u - ms_base], &lib_buf[u - lib_base]);
-                }
+                f(u, ms, &libs.1[u - libs.0]);
             }
         }
+        Ok(())
     }
 }

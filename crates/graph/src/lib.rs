@@ -24,14 +24,11 @@ pub mod sampling;
 pub mod smallworld;
 
 pub use components::{connected_components, Components};
-pub use csr::{Csr, EdgeChunks};
+pub use csr::Csr;
 pub use evolution::{
     degrees_in_years, yearly_degrees_with, yearly_evolution, yearly_evolution_with, YearPoint,
     YearlyDegrees,
 };
-pub use neighbors::{
-    degree_assortativity, degree_assortativity_jobs, homophily_pairs, neighbor_mean,
-    neighbor_mean_jobs,
-};
+pub use neighbors::{degree_assortativity, homophily_pairs, neighbor_mean};
 pub use sampling::{bfs_crawl, census_sample, sample_degree_stats};
 pub use smallworld::{local_clustering, mean_clustering, small_world, SmallWorld};

@@ -9,27 +9,17 @@ use crate::csr::Csr;
 /// §7 correlates a user's market value / playtime / degree / library size
 /// against exactly this quantity.
 pub fn neighbor_mean(g: &Csr, attr: &[f64]) -> Vec<Option<f64>> {
-    neighbor_mean_jobs(g, attr, 1)
-}
-
-/// [`neighbor_mean`] with the node range chunked over `jobs` scoped
-/// threads. Each node's mean is computed exactly as in the serial pass and
-/// chunks concatenate in node order, so output is identical for any `jobs`.
-pub fn neighbor_mean_jobs(g: &Csr, attr: &[f64], jobs: usize) -> Vec<Option<f64>> {
     assert_eq!(attr.len(), g.n_nodes(), "attribute vector must be parallel");
-    steam_par::map(jobs, steam_par::split(g.n_nodes(), jobs), |range| {
-        range
-            .map(|u| {
-                let ns = g.neighbors(u as u32);
-                if ns.is_empty() {
-                    None
-                } else {
-                    Some(ns.iter().map(|&v| attr[v as usize]).sum::<f64>() / ns.len() as f64)
-                }
-            })
-            .collect::<Vec<_>>()
-    })
-    .concat()
+    (0..g.n_nodes() as u32)
+        .map(|u| {
+            let ns = g.neighbors(u);
+            if ns.is_empty() {
+                None
+            } else {
+                Some(ns.iter().map(|&v| attr[v as usize]).sum::<f64>() / ns.len() as f64)
+            }
+        })
+        .collect()
 }
 
 /// Pairs `(attr[u], mean attr of u's friends)` for all non-isolated nodes —
@@ -51,43 +41,21 @@ pub fn homophily_pairs(g: &Csr, attr: &[f64]) -> (Vec<f64>, Vec<f64>) {
 /// each edge (Newman 2002). Positive values mean highly connected users
 /// befriend other highly connected users.
 pub fn degree_assortativity(g: &Csr) -> Option<f64> {
-    degree_assortativity_jobs(g, 1)
-}
-
-/// [`degree_assortativity`] with the node range chunked over `jobs` scoped
-/// threads. Degrees are u32-valued, so every accumulated term is an
-/// integer-valued f64 and the running sums stay exact (far below 2^53 for
-/// any graph this workspace handles); exact sums are associative, so the
-/// chunked merge reproduces the serial result bit-for-bit.
-pub fn degree_assortativity_jobs(g: &Csr, jobs: usize) -> Option<f64> {
-    let partials = steam_par::map(jobs, steam_par::split(g.n_nodes(), jobs), |range| {
-        let mut n = 0u64;
-        let mut s = [0.0f64; 5]; // sx, sy, sxx, syy, sxy
-        for u in range {
-            let du = f64::from(g.degree(u as u32));
-            for &v in g.neighbors(u as u32) {
-                // Each undirected edge contributes both (du,dv) and (dv,du),
-                // which symmetrizes the correlation.
-                let dv = f64::from(g.degree(v));
-                n += 1;
-                s[0] += du;
-                s[1] += dv;
-                s[2] += du * du;
-                s[3] += dv * dv;
-                s[4] += du * dv;
-            }
-        }
-        (n, s)
-    });
     let mut n = 0u64;
     let (mut sx, mut sy, mut sxx, mut syy, mut sxy) = (0.0, 0.0, 0.0, 0.0, 0.0);
-    for (pn, s) in partials {
-        n += pn;
-        sx += s[0];
-        sy += s[1];
-        sxx += s[2];
-        syy += s[3];
-        sxy += s[4];
+    for u in 0..g.n_nodes() as u32 {
+        let du = f64::from(g.degree(u));
+        for &v in g.neighbors(u) {
+            // Each undirected edge contributes both (du,dv) and (dv,du),
+            // which symmetrizes the correlation.
+            let dv = f64::from(g.degree(v));
+            n += 1;
+            sx += du;
+            sy += dv;
+            sxx += du * du;
+            syy += dv * dv;
+            sxy += du * dv;
+        }
     }
     if n == 0 {
         return None;
@@ -165,28 +133,8 @@ mod tests {
         let g = Csr::from_edges(3, std::iter::empty());
         assert!(degree_assortativity(&g).is_none());
         let g = Csr::from_edges(0, std::iter::empty());
-        assert!(degree_assortativity_jobs(&g, 4).is_none());
-        assert!(neighbor_mean_jobs(&g, &[], 4).is_empty());
-    }
-
-    #[test]
-    fn parallel_passes_match_serial_bitwise() {
-        use rand::prelude::*;
-        let n_nodes = 500u32;
-        let mut rng = StdRng::seed_from_u64(7);
-        let edges: Vec<(u32, u32)> = (0..3_000)
-            .map(|_| (rng.gen_range(0..n_nodes), rng.gen_range(0..n_nodes)))
-            .collect();
-        let g = Csr::from_edges(n_nodes as usize, edges.iter().copied());
-        let attr: Vec<f64> = (0..n_nodes).map(|u| (u as f64).sqrt()).collect();
-
-        let serial_r = degree_assortativity(&g).unwrap();
-        let serial_m = neighbor_mean(&g, &attr);
-        for jobs in [2, 3, 8] {
-            let r = degree_assortativity_jobs(&g, jobs).unwrap();
-            assert_eq!(r.to_bits(), serial_r.to_bits(), "jobs={jobs}");
-            assert_eq!(neighbor_mean_jobs(&g, &attr, jobs), serial_m, "jobs={jobs}");
-        }
+        assert!(degree_assortativity(&g).is_none());
+        assert!(neighbor_mean(&g, &[]).is_empty());
     }
 
     #[test]

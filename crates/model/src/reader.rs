@@ -278,6 +278,18 @@ impl SnapshotReader {
         if codec::checksum32(&header) != dir.header_sum {
             return Err(codec::err("checksum mismatch in snapshot header"));
         }
+        let total = |id: u8| dir.sections[id as usize].total_records;
+        let (users, libraries, lists) = (
+            total(codec::SECTION_ACCOUNTS),
+            total(codec::SECTION_OWNERSHIPS),
+            total(codec::SECTION_MEMBERSHIPS),
+        );
+        if libraries != users || lists != users {
+            return Err(codec::err(format!(
+                "per-account sections disagree: {users} accounts, {libraries} libraries, \
+                 {lists} membership lists"
+            )));
+        }
         Ok(SnapshotReader {
             backing,
             file_len,
@@ -341,6 +353,11 @@ impl SnapshotReader {
     /// Index of the first account in account chunk `k`.
     pub fn account_chunk_start(&self, k: usize) -> usize {
         (self.dir(codec::SECTION_ACCOUNTS).cap as usize) * k
+    }
+
+    /// Index of the first edge in friendship chunk `k`.
+    pub fn friendship_chunk_start(&self, k: usize) -> usize {
+        (self.dir(codec::SECTION_FRIENDSHIPS).cap as usize) * k
     }
 
     /// Index of the first user in library chunk `k`.
@@ -576,6 +593,27 @@ mod tests {
         }
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&cut).ok();
+    }
+
+    /// Per-user passes index their columns by account: a file whose library
+    /// or membership count differs from its account count is refused at
+    /// open, as the full decode refuses it.
+    #[test]
+    fn reader_rejects_per_account_sections_that_disagree() {
+        for extra_library in [true, false] {
+            let mut s = synthetic_snapshot(30);
+            if extra_library {
+                s.ownerships.push(Vec::new());
+            } else {
+                s.memberships.pop();
+            }
+            let path = temp_path("disagree.v3");
+            write_snapshot_v3(&path, &s, 1).unwrap();
+            let e = SnapshotReader::open(&path).err().expect("opened");
+            assert!(e.to_string().contains("per-account sections disagree"), "{e}");
+            assert!(codec::read_snapshot(&path).is_err());
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

@@ -43,10 +43,10 @@ use std::io::BufRead;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
 use steam_obs::Registry;
 
@@ -248,7 +248,7 @@ struct ThreadedServer {
     stop: Arc<AtomicBool>,
     acceptor: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    conn_tx: Option<Sender<TcpStream>>,
+    conn_tx: Option<SyncSender<TcpStream>>,
     /// Live connections, so shutdown can force-close sockets that workers
     /// are blocked reading from.
     conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
@@ -261,13 +261,15 @@ impl ThreadedServer {
         dispatcher: Arc<Dispatcher>,
     ) -> Result<Self, NetError> {
         let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = bounded::<TcpStream>(config.workers * 4);
+        let (tx, rx) = sync_channel::<TcpStream>(config.workers * 4);
+        // Workers take turns waiting on the one receiver.
+        let rx = Arc::new(Mutex::new(rx));
         let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
         let next_conn_id = Arc::new(AtomicU64::new(0));
 
         let mut workers = Vec::with_capacity(config.workers);
         for i in 0..config.workers {
-            let rx = rx.clone();
+            let rx = Arc::clone(&rx);
             let dispatcher = Arc::clone(&dispatcher);
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
@@ -275,28 +277,24 @@ impl ThreadedServer {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("http-worker-{i}"))
-                    .spawn(move || {
-                        while let Ok(stream) = rx.recv() {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let id = next_conn_id.fetch_add(1, Ordering::Relaxed);
-                            if let Ok(clone) = stream.try_clone() {
-                                conns.lock().insert(id, clone);
-                            }
-                            if let Some(obs) = dispatcher.obs() {
-                                obs.connections.inc();
-                            }
-                            // Individual connection failures must not kill
-                            // the worker.
-                            let _ = serve_connection(
-                                stream,
-                                &dispatcher,
-                                &stop,
-                                config.idle_timeout,
-                            );
-                            conns.lock().remove(&id);
+                    .spawn(move || loop {
+                        // The guard drops at the end of this statement, so
+                        // a worker never holds the receiver while serving.
+                        let Ok(stream) = rx.lock().recv() else { break };
+                        if stop.load(Ordering::Relaxed) {
+                            break;
                         }
+                        let id = next_conn_id.fetch_add(1, Ordering::Relaxed);
+                        if let Ok(clone) = stream.try_clone() {
+                            conns.lock().insert(id, clone);
+                        }
+                        if let Some(obs) = dispatcher.obs() {
+                            obs.connections.inc();
+                        }
+                        // Individual connection failures must not kill the
+                        // worker.
+                        let _ = serve_connection(stream, &dispatcher, &stop, config.idle_timeout);
+                        conns.lock().remove(&id);
                     })
                     .expect("spawn worker"),
             );

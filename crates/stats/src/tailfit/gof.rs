@@ -33,8 +33,8 @@ impl GofResult {
 
 /// Derives the RNG seed for one bootstrap round from the master seed: a
 /// SplitMix64 finalizer over `master + round·φ`. Each round gets its own
-/// stream, so rounds are independent of execution order and a parallel run
-/// draws exactly the streams the serial run draws.
+/// stream, so no round's draws depend on how many values an earlier round
+/// took.
 fn round_seed(master: u64, round: u64) -> u64 {
     let mut z = master.wrapping_add(round.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -49,41 +49,24 @@ fn round_seed(master: u64, round: u64) -> u64 {
 /// re-fits α by MLE, and records the KS distance; the p-value is the share
 /// of rounds at least as distant as the data.
 pub fn bootstrap_power_law(tail: &[f64], fit: &PowerLaw, rounds: usize, seed: u64) -> GofResult {
-    bootstrap_power_law_jobs(tail, fit, rounds, seed, 1)
-}
-
-/// [`bootstrap_power_law`] with the rounds spread over `jobs` scoped
-/// threads. The per-round seed streams make the p-value identical for any
-/// `jobs` value.
-pub fn bootstrap_power_law_jobs(
-    tail: &[f64],
-    fit: &PowerLaw,
-    rounds: usize,
-    seed: u64,
-    jobs: usize,
-) -> GofResult {
     assert!(rounds > 0, "need at least one bootstrap round");
     let mut sorted = tail.to_vec();
     sorted.sort_by(f64::total_cmp);
     let empirical = ks_distance(&sorted, fit);
 
-    let counts = steam_par::map(jobs, steam_par::split(rounds, jobs), |range| {
-        let mut synth = vec![0.0f64; tail.len()];
-        let mut worse = 0usize;
-        for round in range {
-            let mut rng = StdRng::seed_from_u64(round_seed(seed, round as u64));
-            for x in synth.iter_mut() {
-                *x = fit.sample(&mut rng);
-            }
-            synth.sort_by(f64::total_cmp);
-            let refit = fit_power_law(&synth, fit.xmin);
-            if ks_distance(&synth, &refit) >= empirical {
-                worse += 1;
-            }
+    let mut synth = vec![0.0f64; tail.len()];
+    let mut worse = 0usize;
+    for round in 0..rounds {
+        let mut rng = StdRng::seed_from_u64(round_seed(seed, round as u64));
+        for x in synth.iter_mut() {
+            *x = fit.sample(&mut rng);
         }
-        worse
-    });
-    let worse: usize = counts.iter().sum();
+        synth.sort_by(f64::total_cmp);
+        let refit = fit_power_law(&synth, fit.xmin);
+        if ks_distance(&synth, &refit) >= empirical {
+            worse += 1;
+        }
+    }
     GofResult { ks: empirical, p_value: worse as f64 / rounds as f64, rounds }
 }
 
@@ -127,20 +110,5 @@ mod tests {
         assert_eq!(a.p_value, b.p_value);
         assert_eq!(a.ks, b.ks);
         assert_eq!(a.rounds, 50);
-    }
-
-    #[test]
-    fn job_count_invariant() {
-        let mut rng = StdRng::seed_from_u64(34);
-        let data: Vec<f64> = (0..800)
-            .map(|_| (1.0 - rng.gen::<f64>()).powf(-1.0 / 1.4))
-            .collect();
-        let fit = fit_power_law(&data, 1.0);
-        let serial = bootstrap_power_law(&data, &fit, 60, 11);
-        for jobs in [2, 4, 60] {
-            let par = bootstrap_power_law_jobs(&data, &fit, 60, 11, jobs);
-            assert_eq!(par.p_value, serial.p_value, "jobs={jobs}");
-            assert_eq!(par.ks, serial.ks, "jobs={jobs}");
-        }
     }
 }

@@ -37,6 +37,6 @@ pub use fit::{
     scan_xmin, scan_xmin_jobs, XminScan,
 };
 pub use discrete::{fit_discrete_power_law, hurwitz_zeta, DiscretePowerLaw};
-pub use gof::{bootstrap_power_law, bootstrap_power_law_jobs, GofResult};
+pub use gof::{bootstrap_power_law, GofResult};
 pub use llr::{compare_nested, compare_non_nested, Comparison};
 pub use sample::SampleTail;
