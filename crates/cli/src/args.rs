@@ -1,44 +1,45 @@
 //! Minimal command-line argument parsing (no external dependencies): a
 //! subcommand followed by `--flag value` / `--flag` pairs.
 
-use std::collections::HashMap;
-
 /// Parsed command line: subcommand plus flags.
 #[derive(Clone, Debug, Default)]
 pub struct Args {
     pub command: String,
-    flags: HashMap<String, String>,
-    /// Flags present without a value.
-    switches: Vec<String>,
+    /// `--name value` and bare `--name` flags, in command-line order.
+    flags: Vec<(String, Option<String>)>,
 }
 
 impl Args {
     /// Parses from an iterator of arguments (excluding the binary name).
     pub fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         let command = argv.next().unwrap_or_default();
-        let mut flags = HashMap::new();
-        let mut switches = Vec::new();
-        let mut pending: Option<String> = None;
+        let mut flags: Vec<(String, Option<String>)> = Vec::new();
         for arg in argv {
             if let Some(name) = arg.strip_prefix("--") {
-                if let Some(prev) = pending.take() {
-                    switches.push(prev);
-                }
-                pending = Some(name.to_string());
-            } else if let Some(name) = pending.take() {
-                flags.insert(name, arg);
+                flags.push((name.to_string(), None));
+            } else if let Some((_, value @ None)) = flags.last_mut() {
+                *value = Some(arg);
             } else {
                 return Err(format!("unexpected positional argument {arg:?}"));
             }
         }
-        if let Some(prev) = pending.take() {
-            switches.push(prev);
-        }
-        Ok(Args { command, flags, switches })
+        Ok(Args { command, flags })
     }
 
+    /// Fails naming the first flag that is not in `known`.
+    pub fn check_flags(&self, known: &[&str]) -> Result<(), String> {
+        match self.flags.iter().find(|(name, _)| !known.contains(&name.as_str())) {
+            Some((name, _)) => Err(format!(
+                "unknown flag --{name} for {:?}; try `steam-cli help`",
+                self.command
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// The value of the last `--name value` given.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.flags.get(name).map(String::as_str)
+        self.flags.iter().rev().find_map(|(n, v)| if n == name { v.as_deref() } else { None })
     }
 
     pub fn get_or<'a>(&'a self, name: &str, default: &'a str) -> &'a str {
@@ -56,7 +57,7 @@ impl Args {
 
     /// Whether a boolean switch (e.g. `--timings`) was given.
     pub fn has(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name) || self.flags.contains_key(name)
+        self.flags.iter().any(|(n, _)| n == name)
     }
 }
 

@@ -9,7 +9,7 @@
 //!                    [--faults SPEC --fault-seed N] [--threaded] [--shard I/N]
 //! steam-cli shard-split --snapshot snap.bin --shards 4 --out shard
 //! steam-cli route    --shards 127.0.0.1:9001,127.0.0.1:9002,…
-//!                    [--addr 127.0.0.1:8570] [--pool N]
+//!                    [--addr 127.0.0.1:8570] [--pool N] [--threaded]
 //! steam-cli crawl    --addr 127.0.0.1:8571 --out crawled.bin [--rps 1000]
 //!                    [--shards ADDR,ADDR,…] [--checkpoint-dir DIR [--resume]]
 //!                    [--trace-slow N]
@@ -21,7 +21,8 @@
 //! ```
 //!
 //! Every command accepts `--log-level error|warn|info|debug|trace`
-//! (structured trace events to stderr; default warn). `serve` additionally
+//! (structured trace events to stderr; default warn); any flag a command
+//! does not read is an error. `serve` additionally
 //! exposes `GET /metrics` (Prometheus text) and `GET /healthz`.
 
 mod args;
@@ -51,7 +52,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Err(e) = init_tracing(&args) {
+    if let Err(e) = check_flags(&args).and_then(|()| init_tracing(&args)) {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
@@ -141,6 +142,8 @@ COMMANDS
              --addr HOST:PORT  bind address (default 127.0.0.1:8570)
              --pool N          idle keep-alive connections per shard
                                (default 4)
+             --threaded        use the blocking worker-pool server, as for
+                               serve
              Single-id endpoints proxy to the owning shard; batch
              GetPlayerSummaries splits per shard, fans out, and merges in
              request order. X-Steam-Trace propagates through, so a routed
@@ -194,7 +197,50 @@ COMMANDS
 GLOBAL FLAGS
   --log-level LEVEL  error|warn|info|debug|trace — structured trace events
                      to stderr (default warn)
+  Any other flag a command does not list above is an error.
 ";
+
+/// The flags each command reads, besides the global `--log-level`; `None`
+/// for an unknown command.
+fn command_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "generate" => {
+            &["scale", "users", "seed", "out", "second-out", "panel-out", "jobs", "timings"]
+        }
+        "serve" => {
+            &["snapshot", "addr", "rps", "faults", "fault-seed", "no-cache", "threaded", "shard"]
+        }
+        "shard-split" => &["snapshot", "shards", "out"],
+        "route" => &["shards", "addr", "pool", "threaded"],
+        "crawl" => &[
+            "addr",
+            "shards",
+            "out",
+            "rps",
+            "workers",
+            "pool",
+            "checkpoint-dir",
+            "resume",
+            "trace-slow",
+        ],
+        "trace" => &["id", "addr"],
+        "report" => &["snapshot", "second", "panel", "experiment", "jobs", "in-memory", "timings"],
+        "export" => &["snapshot", "panel", "dir"],
+        "validate" => &["snapshot"],
+        "" | "help" | "--help" => &[],
+        _ => return None,
+    })
+}
+
+/// Refuses any flag the command does not read, before it does any work: a
+/// misspelt or retired option would otherwise be ignored and the run go on
+/// with the default. An unknown command is left to the dispatch.
+fn check_flags(args: &Args) -> Result<(), String> {
+    match command_flags(&args.command) {
+        Some(known) => args.check_flags(&[known, &["log-level"]].concat()),
+        None => Ok(()),
+    }
+}
 
 /// Wires `--log-level` (default warn) to the tracing layer: events at or
 /// above the level go to stderr, stdout (report text) is never touched.
@@ -611,9 +657,8 @@ fn load_for_report(path: &str, in_memory: bool, jobs: usize) -> Result<Loaded, S
     if version == codec::VERSION_CHUNKED && !in_memory {
         let reader = steam_model::SnapshotReader::open(p).map_err(|e| e.to_string())?;
         eprintln!(
-            "streaming {} users from {path} ({}; --in-memory forces a full decode)",
-            reader.n_users(),
-            if reader.is_mapped() { "mmap" } else { "pread" },
+            "streaming {} users from {path} (--in-memory forces a full decode)",
+            reader.n_users()
         );
         return Ok(Loaded::Stream(reader));
     }
@@ -747,4 +792,57 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
         snapshot.catalog.len()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `--flag` names in `text`, in order.
+    fn flags_in(text: &str) -> Vec<&str> {
+        text.split("--")
+            .skip(1)
+            .map(|rest| {
+                let end = rest.find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+                &rest[..end.unwrap_or(rest.len())]
+            })
+            .filter(|name| !name.is_empty())
+            .collect()
+    }
+
+    /// `HELP` split into its command sections: (command, section text).
+    fn help_sections() -> Vec<(&'static str, String)> {
+        let body = HELP.split("COMMANDS\n").nth(1).unwrap().split("GLOBAL FLAGS").next().unwrap();
+        let mut sections: Vec<(&str, String)> = Vec::new();
+        for line in body.lines() {
+            match line.strip_prefix("  ") {
+                Some(rest) if !rest.starts_with(' ') => {
+                    let command = rest.split_whitespace().next().unwrap();
+                    sections.push((command, line[2 + command.len()..].to_string()));
+                }
+                _ => sections.last_mut().unwrap().1.push_str(line),
+            }
+        }
+        sections
+    }
+
+    /// The help text and the flag lists cannot drift: every flag listed
+    /// under a command is one it accepts, and every flag it accepts is
+    /// listed under it.
+    #[test]
+    fn help_lists_exactly_the_flags_each_command_accepts() {
+        let sections = help_sections();
+        assert_eq!(sections.len(), 9, "{sections:?}");
+        for (command, text) in sections {
+            let known = command_flags(command).unwrap_or_else(|| panic!("{command} unknown"));
+            let listed = flags_in(&text);
+            for flag in &listed {
+                assert!(known.contains(flag), "help lists --{flag} under {command}");
+            }
+            for flag in known {
+                assert!(listed.contains(flag), "{command} accepts --{flag}, help omits it");
+            }
+        }
+        assert_eq!(flags_in(HELP.split("GLOBAL FLAGS").nth(1).unwrap()), ["log-level"]);
+    }
 }

@@ -101,6 +101,29 @@ fn generate_rejects_bad_flags() {
     assert!(!out.status.success());
     let out = bin().args(["generate", "--users", "banana"]).output().unwrap();
     assert!(!out.status.success());
+
+    // A flag the command does not read fails the run before any work.
+    let dir = temp_dir("unknown-flag");
+    let snap = dir.join("x.bin");
+    let out = bin()
+        .args(["generate", "--users", "600", "--seed", "5", "--out", snap.to_str().unwrap()])
+        .args(["--jobz", "3", "--no-such-flag"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--jobz"), "{stderr}");
+    assert!(!snap.exists(), "a snapshot was written");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A retired flag is an error, not a no-op.
+#[test]
+fn crawl_rejects_the_retired_no_trace_flag() {
+    let out = bin().args(["crawl", "--addr", "127.0.0.1:1", "--no-trace"]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--no-trace"), "{stderr}");
 }
 
 #[test]
@@ -351,6 +374,92 @@ fn serve_then_crawl_round_trips() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("300 users"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A child process that is killed and reaped when dropped, so a failing
+/// test leaves no server behind.
+struct Killed(std::process::Child);
+
+impl Drop for Killed {
+    fn drop(&mut self) {
+        self.0.kill().ok();
+        self.0.wait().ok();
+    }
+}
+
+/// A server limited to 48 descriptors gets 60 keep-alive connections, each
+/// sending one `GET /healthz`, and must answer them all: the test closes
+/// each connection once it is answered, which frees a descriptor for the
+/// next queued one, and opens no further connection to wake the server.
+fn answers_every_connection_after_running_out_of_descriptors(extra: &[&str]) {
+    use std::io::{BufRead, Read, Write};
+    let dir = temp_dir(&format!("fds{}", extra.len()));
+    let snap = dir.join("snap.bin");
+    let out = bin()
+        .args(["generate", "--users", "300", "--seed", "9", "--out", snap.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let mut server = Killed(
+        Command::new("sh")
+            .args(["-c", "ulimit -n 48; exec \"$0\" \"$@\""])
+            .arg(env!("CARGO_BIN_EXE_steam-cli"))
+            .args(["serve", "--snapshot", snap.to_str().unwrap(), "--addr", "127.0.0.1:0"])
+            .args(extra)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
+    // Keeps the server's stderr open until the end of the test.
+    let mut stderr = std::io::BufReader::new(server.0.stderr.take().unwrap());
+    let mut line = String::new();
+    let addr = loop {
+        line.clear();
+        assert_ne!(stderr.read_line(&mut line).unwrap(), 0, "serve exited before listening");
+        if let Some(rest) = line.strip_prefix("listening on http://") {
+            break rest.split_whitespace().next().unwrap().to_string();
+        }
+    };
+
+    let mut open: Vec<(usize, std::net::TcpStream, Vec<u8>)> = (0..60)
+        .map(|i| {
+            let mut s = std::net::TcpStream::connect(&addr)
+                .unwrap_or_else(|e| panic!("{extra:?}: connection {i} failed: {e}"));
+            write!(s, "GET /healthz HTTP/1.1\r\nHost: {addr}\r\n\r\n").unwrap();
+            s.set_nonblocking(true).unwrap();
+            (i, s, Vec::new())
+        })
+        .collect();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let mut chunk = [0u8; 1024];
+    while !open.is_empty() && std::time::Instant::now() < deadline {
+        open.retain_mut(|(i, s, got)| {
+            match s.read(&mut chunk) {
+                Ok(0) => panic!("{extra:?}: connection {i} closed unanswered"),
+                Ok(n) => got.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(e) => panic!("{extra:?}: connection {i}: {e}"),
+            }
+            // Answered: drop the socket, which closes it.
+            !got.ends_with(b"ok\n")
+        });
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+    let left: Vec<usize> = open.iter().map(|(i, ..)| *i).collect();
+    assert!(left.is_empty(), "{extra:?}: {} of 60 unanswered after 20 s: {left:?}", left.len());
+}
+
+#[test]
+fn epoll_server_keeps_accepting_after_running_out_of_descriptors() {
+    answers_every_connection_after_running_out_of_descriptors(&[]);
+}
+
+#[test]
+fn threaded_server_keeps_accepting_after_running_out_of_descriptors() {
+    answers_every_connection_after_running_out_of_descriptors(&["--threaded"]);
 }
 
 /// One `Connection: close` GET over a raw TCP socket; returns the full

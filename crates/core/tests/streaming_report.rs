@@ -1,9 +1,9 @@
 //! The out-of-core contract at report level: the full report, Table 4 and a
 //! second snapshot included, renders the same text from decoded snapshots
-//! and from v3 files streamed through either reader backing, for any worker
-//! count; and a streamed report keeps to its budget of friendship passes.
+//! and from v3 files streamed through the reader, for any worker count; and
+//! a streamed report keeps to its budget of friendship passes.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use steam_analysis::{render_full_report, Ctx, ReportInput};
@@ -40,15 +40,13 @@ fn render(first: &Ctx, second: &Ctx, jobs: usize) -> String {
     render_full_report(&ReportInput { ctx: first, second: Some(second), panel }, jobs)
 }
 
-/// Renders the full report from both snapshots streamed through readers
-/// made by `open`; returns the text and the friendship passes of the first
-/// and second snapshot.
-fn render_streamed(
-    open: fn(&Path) -> Result<SnapshotReader, steam_model::ModelError>,
-    jobs: usize,
-) -> (String, f64, f64) {
+/// Renders the full report from both snapshots streamed through readers;
+/// returns the text and the friendship passes of the first and second
+/// snapshot.
+fn render_streamed(jobs: usize) -> (String, f64, f64) {
     let f = fixture();
-    let (ra, rb) = (open(&f.first).unwrap(), open(&f.second).unwrap());
+    let open = |path: &PathBuf| SnapshotReader::open(path).unwrap();
+    let (ra, rb) = (open(&f.first), open(&f.second));
     let text = {
         let (ca, cb) = (Ctx::from_reader(&ra, jobs).unwrap(), Ctx::from_reader(&rb, jobs).unwrap());
         render(&ca, &cb, jobs)
@@ -60,7 +58,7 @@ fn render_streamed(
 }
 
 #[test]
-fn full_report_is_identical_in_memory_and_streamed_on_both_backings() {
+fn full_report_is_identical_in_memory_and_streamed() {
     let f = fixture();
     let render_mem = |jobs: usize| {
         let ca = Ctx::new_with_jobs(&f.world.snapshot, jobs);
@@ -75,10 +73,8 @@ fn full_report_is_identical_in_memory_and_streamed_on_both_backings() {
         if jobs > 1 {
             assert_eq!(render_mem(jobs), reference, "in memory, jobs={jobs}");
         }
-        let (mapped, ..) = render_streamed(SnapshotReader::open, jobs);
-        assert_eq!(mapped, reference, "mmap, jobs={jobs}");
-        let (pread, ..) = render_streamed(SnapshotReader::open_pread, jobs);
-        assert_eq!(pread, reference, "pread, jobs={jobs}");
+        let (streamed, ..) = render_streamed(jobs);
+        assert_eq!(streamed, reference, "streamed, jobs={jobs}");
     }
 }
 
@@ -86,7 +82,7 @@ fn full_report_is_identical_in_memory_and_streamed_on_both_backings() {
 fn streamed_report_keeps_its_friendship_pass_budget() {
     // First snapshot: two passes for the CSR, then one each for Figure 1,
     // Figure 2, Table 4 and locality. Second snapshot: the CSR only.
-    let (_, first, second) = render_streamed(SnapshotReader::open, 2);
+    let (_, first, second) = render_streamed(2);
     assert!(first <= 6.0, "first snapshot read its friendships {first} times");
     assert!(second <= 2.0, "second snapshot read its friendships {second} times");
 }

@@ -86,9 +86,9 @@
 //! section's last holds exactly `chunk_cap` records, so record `i` lives in
 //! chunk `i / cap` without scanning. [`encode_snapshot_v3`] and
 //! [`write_snapshot_v3`] run one chunk loop, into memory or into a file. A
-//! [`SnapshotReader`] opens v3 files via mmap/pread and serves individual
-//! chunks without materializing the world; [`decode_snapshot`] of v3 bytes
-//! is the same reader over the bytes, decoding every chunk.
+//! [`SnapshotReader`] opens v3 files for positional reads and serves
+//! individual chunks without materializing the world; [`decode_snapshot`] of
+//! v3 bytes is the same reader over the bytes, decoding every chunk.
 
 use std::io::Write;
 use std::ops::Range;
@@ -2148,7 +2148,7 @@ mod tests {
         assert!(decode_snapshot(raw.clone()).is_err());
         let path = temp_file("crafted-v3", "snap.v3", &raw);
         assert!(SnapshotReader::open(&path).is_err());
-        assert!(SnapshotReader::open_pread(&path).is_err());
+        assert!(SnapshotReader::from_bytes(raw.clone()).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -2169,7 +2169,7 @@ mod tests {
         assert!(msg.contains("implausible account count"), "{msg}");
         let path = temp_file("crafted-count", "snap.v3", &raw);
         assert!(SnapshotReader::open(&path).is_err());
-        assert!(SnapshotReader::open_pread(&path).is_err());
+        assert!(SnapshotReader::from_bytes(raw.clone()).is_err());
         std::fs::remove_file(&path).ok();
     }
 

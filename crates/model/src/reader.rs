@@ -1,25 +1,20 @@
 //! Streaming access to chunked (v3) snapshot files — the out-of-core path.
 //!
-//! [`SnapshotReader::open`] maps the file read-only with `mmap` (a std-only
-//! FFI shim in the same spirit as steam-net's epoll shim) and falls back to
-//! plain `pread` when mapping is unavailable. Opening verifies the header
-//! and trailer checksums plus the full chunk directory (section order, chunk
-//! counts, byte-range contiguity), so a torn or spliced file is rejected
-//! before any payload is touched. Each chunk's payload checksum is then
-//! verified lazily at access time: a pass over one section reads only that
-//! section's bytes, and resident memory stays bounded by one chunk per
-//! worker instead of the whole world.
+//! [`SnapshotReader::open`] reads the file with positional reads (`pread`).
+//! Opening verifies the header and trailer checksums plus the full chunk
+//! directory (section order, chunk counts, byte-range contiguity), so a torn
+//! or spliced file is rejected before any payload is touched. Each chunk's
+//! payload checksum is then verified lazily at access time: a pass over one
+//! section reads only that section's bytes, and resident memory stays
+//! bounded by one chunk per worker instead of the whole world.
 //!
-//! Safety argument for the mmap path: the mapping is `PROT_READ` +
-//! `MAP_PRIVATE`, so nothing in this process can write through it, and the
-//! pointer/length pair is fixed for the reader's lifetime (unmapped on
-//! drop). Chunk payloads are *copied* out of the map (or `pread` from the
-//! file) into a private buffer taken from a small pool the reader owns; the
-//! checksum is computed over that buffer and the decoder reads the same
-//! buffer, so a byte that changes in the file after the check can never
-//! reach a decoded record. The copy is bounded by one chunk, decoded
-//! structures never alias the mapping and survive it, and the buffers go
-//! back to the pool for the next chunk instead of being reallocated.
+//! Chunk payloads are read into a private buffer taken from a small pool the
+//! reader owns; the checksum is computed over that buffer and the decoder
+//! reads the same buffer, so a byte that changes in the file after the check
+//! can never reach a decoded record, and a file that shrinks under an open
+//! reader fails the next read of the missing bytes with an error. The copy
+//! is bounded by one chunk, and the buffers go back to the pool for the next
+//! chunk instead of being reallocated.
 //!
 //! A reader can also sit on bytes already in memory, which cannot change:
 //! their payloads decode in place, without the copy. That is how
@@ -43,90 +38,14 @@ use crate::ownership::OwnedGame;
 use crate::snapshot::{Friendship, Snapshot};
 use crate::time::SimTime;
 
-#[cfg(target_os = "linux")]
-mod mm {
-    use std::ffi::c_void;
-
-    pub const PROT_READ: i32 = 0x1;
-    pub const MAP_PRIVATE: i32 = 0x02;
-    pub const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
-
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            length: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, length: usize) -> i32;
-    }
-}
-
-/// Where the bytes come from: a read-only mapping, positional file reads,
-/// or bytes already in memory.
+/// Where the bytes come from: positional reads of a file, or bytes already
+/// in memory.
 enum Backing {
-    #[cfg(target_os = "linux")]
-    Map {
-        ptr: *const u8,
-        len: usize,
-    },
     File(File),
     Bytes(Bytes),
 }
 
-// SAFETY: the raw pointer is to an immutable PROT_READ mapping owned by this
-// value, so concurrent reads through it are safe; `File` and `Bytes` are
-// `Send + Sync` themselves.
-unsafe impl Send for Backing {}
-unsafe impl Sync for Backing {}
-
-impl Drop for Backing {
-    fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        if let Backing::Map { ptr, len } = *self {
-            unsafe {
-                mm::munmap(ptr as *mut _, len);
-            }
-        }
-    }
-}
-
 impl Backing {
-    fn new(file: File, len: u64, try_map: bool) -> Self {
-        #[cfg(target_os = "linux")]
-        if try_map && len > 0 {
-            use std::os::unix::io::AsRawFd;
-            if let Ok(l) = usize::try_from(len) {
-                let ptr = unsafe {
-                    mm::mmap(
-                        std::ptr::null_mut(),
-                        l,
-                        mm::PROT_READ,
-                        mm::MAP_PRIVATE,
-                        file.as_raw_fd(),
-                        0,
-                    )
-                };
-                if ptr != mm::MAP_FAILED {
-                    // The fd can close; the mapping outlives it.
-                    return Backing::Map { ptr: ptr as *const u8, len: l };
-                }
-            }
-        }
-        let _ = try_map;
-        Backing::File(file)
-    }
-
-    fn is_mapped(&self) -> bool {
-        #[cfg(target_os = "linux")]
-        if matches!(self, Backing::Map { .. }) {
-            return true;
-        }
-        false
-    }
-
     /// Reads `len` bytes at `offset` into an owned buffer.
     fn read(&self, offset: u64, len: usize) -> Result<Bytes, ModelError> {
         let mut v = vec![0u8; len];
@@ -136,21 +55,19 @@ impl Backing {
 
     /// Fills `dst` with the bytes at `offset`.
     fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<(), ModelError> {
-        let all: &[u8] = match self {
-            #[cfg(target_os = "linux")]
-            // SAFETY: the read-only mapping stays valid until `self` drops.
-            Backing::Map { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
-            Backing::Bytes(b) => b,
-            Backing::File(f) => return read_exact_at(f, dst, offset),
-        };
-        dst.copy_from_slice(&all[span(offset, dst.len(), all.len())?]);
-        Ok(())
+        match self {
+            Backing::File(f) => read_exact_at(f, dst, offset),
+            Backing::Bytes(b) => {
+                dst.copy_from_slice(&b[span(offset, dst.len(), b.len())?]);
+                Ok(())
+            }
+        }
     }
 
     /// The `len` bytes at `offset`, to verify and decode. Bytes in memory
-    /// cannot change, so they are lent in place. A map or a file is copied
-    /// into `buf` first, so a byte that changes in the file after the
-    /// checksum cannot reach a decoded record.
+    /// cannot change, so they are lent in place. A file is read into `buf`
+    /// first, so a byte that changes in the file after the checksum cannot
+    /// reach a decoded record.
     fn payload<'a>(
         &'a self,
         offset: u64,
@@ -221,7 +138,6 @@ impl SectionReads {
 /// just to take or return a buffer, and the relaxed decode counters.
 pub struct SnapshotReader {
     backing: Backing,
-    file_len: u64,
     trailer_offset: u64,
     collected_at: SimTime,
     scanned_id_space: u64,
@@ -234,21 +150,11 @@ pub struct SnapshotReader {
 }
 
 impl SnapshotReader {
-    /// Opens a v3 snapshot file, preferring mmap, falling back to pread.
+    /// Opens a v3 snapshot file for positional reads.
     pub fn open(path: &Path) -> Result<Self, ModelError> {
-        Self::open_backed(path, true)
-    }
-
-    /// Opens with the positional-read backing, never mapping — for tests and
-    /// for environments where address space is tighter than page cache.
-    pub fn open_pread(path: &Path) -> Result<Self, ModelError> {
-        Self::open_backed(path, false)
-    }
-
-    fn open_backed(path: &Path, try_map: bool) -> Result<Self, ModelError> {
         let file = File::open(path)?;
         let file_len = file.metadata()?.len();
-        Self::new(Backing::new(file, file_len, try_map), file_len)
+        Self::new(Backing::File(file), file_len)
     }
 
     /// Opens v3 bytes already in memory.
@@ -292,7 +198,6 @@ impl SnapshotReader {
         }
         Ok(SnapshotReader {
             backing,
-            file_len,
             trailer_offset,
             collected_at,
             scanned_id_space,
@@ -300,16 +205,6 @@ impl SnapshotReader {
             decoded: Default::default(),
             pool: Mutex::new(Vec::new()),
         })
-    }
-
-    /// Whether the file is mmap-backed (as opposed to pread fallback).
-    pub fn is_mapped(&self) -> bool {
-        self.backing.is_mapped()
-    }
-
-    /// Total file size in bytes.
-    pub fn file_len(&self) -> u64 {
-        self.file_len
     }
 
     pub fn collected_at(&self) -> SimTime {
@@ -521,6 +416,13 @@ mod tests {
         dir.join(name)
     }
 
+    /// The file at `path` behind both backings: positional reads of the
+    /// file, and its bytes in memory.
+    fn both_backings(path: &Path) -> [SnapshotReader; 2] {
+        let bytes = Bytes::from(std::fs::read(path).unwrap());
+        [SnapshotReader::open(path).unwrap(), SnapshotReader::from_bytes(bytes).unwrap()]
+    }
+
     fn reassemble(r: &SnapshotReader) -> crate::snapshot::Snapshot {
         let mut s = crate::snapshot::Snapshot {
             collected_at: r.collected_at(),
@@ -552,8 +454,7 @@ mod tests {
         let s = synthetic_snapshot(100);
         let path = temp_path("stream.v3");
         write_snapshot_v3(&path, &s, 2).unwrap();
-        for reader in [SnapshotReader::open(&path).unwrap(), SnapshotReader::open_pread(&path).unwrap()]
-        {
+        for reader in both_backings(&path) {
             assert_eq!(reader.n_users(), s.n_users());
             assert_eq!(reader.n_friendships(), s.n_friendships() as u64);
             let d = reassemble(&reader);
@@ -616,6 +517,22 @@ mod tests {
         }
     }
 
+    /// A file that shrinks under an open reader fails the next chunk read
+    /// with an error; the process goes on.
+    #[test]
+    fn a_file_truncated_under_an_open_reader_fails_the_next_read() {
+        let s = synthetic_snapshot(60);
+        let path = temp_path("shrink.v3");
+        write_snapshot_v3(&path, &s, 1).unwrap();
+        let r = SnapshotReader::open(&path).unwrap();
+        assert_eq!(r.account_chunk(0).unwrap()[0], s.accounts[0]);
+        std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(0).unwrap();
+        let e = r.account_chunk(0).unwrap_err();
+        assert!(matches!(e, ModelError::Io(_)), "{e}");
+        assert!(r.friendship_chunk(0).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn payload_corruption_detected_lazily_and_named() {
         let s = synthetic_snapshot(60);
@@ -630,8 +547,7 @@ mod tests {
         drop(clean);
         std::fs::write(&path, &raw).unwrap();
         // Directory still verifies, so open succeeds on both backings...
-        let backings = [SnapshotReader::open(&path), SnapshotReader::open_pread(&path)];
-        for r in backings.map(Result::unwrap) {
+        for r in both_backings(&path) {
             assert_eq!(r.n_users(), s.n_users());
             // ...and the damaged chunk is caught at access time, by name,
             // every time (the pooled buffer it was read into is reused).
@@ -653,8 +569,7 @@ mod tests {
         let s = synthetic_snapshot(100);
         let path = temp_path("counts.v3");
         write_snapshot_v3(&path, &s, 1).unwrap();
-        let backings = [SnapshotReader::open(&path), SnapshotReader::open_pread(&path)];
-        for reader in backings.map(Result::unwrap) {
+        for reader in both_backings(&path) {
             assert!(reader.section_reads().iter().all(|r| r.decoded == 0));
             reassemble(&reader);
             reassemble(&reader);

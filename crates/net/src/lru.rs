@@ -119,6 +119,12 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.map.get(key).map(|&idx| &self.entry(idx).value)
     }
 
+    /// The least-recently-used value, the one the next insert into a full
+    /// cache evicts, without touching recency.
+    pub fn peek_oldest(&self) -> Option<&V> {
+        (self.tail != NIL).then(|| &self.entry(self.tail).value)
+    }
+
     /// Inserts or replaces `key`, evicting the least-recently-used entry if
     /// the cache is full. Returns the evicted `(key, value)` pair, if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
@@ -173,11 +179,14 @@ mod tests {
     #[test]
     fn evicts_least_recently_used() {
         let mut cache = LruCache::new(2);
+        assert_eq!(cache.peek_oldest(), None);
         cache.insert("a", 1);
         cache.insert("b", 2);
         cache.get(&"a"); // refresh a: b is now LRU
+        assert_eq!(cache.peek_oldest(), Some(&2));
         let evicted = cache.insert("c", 3);
         assert_eq!(evicted, Some(("b", 2)));
+        assert_eq!(cache.peek_oldest(), Some(&1));
         assert!(cache.peek(&"a").is_some());
         assert!(cache.peek(&"b").is_none());
         assert!(cache.peek(&"c").is_some());

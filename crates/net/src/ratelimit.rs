@@ -5,8 +5,8 @@
 //! to ~85% of that quota "to reduce strain on the Steam infrastructure".
 //!
 //! [`KeyedLimiter`] maps API keys to buckets through one bounded
-//! least-recently-used map, so a client cycling random keys cannot grow it
-//! without bound.
+//! least-recently-used map, so a client cycling random keys can grow it
+//! neither without bound nor past its quota.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -131,16 +131,20 @@ fn wait_for_token(tokens: f64, rate: f64) -> Duration {
 /// least-recently-used map behind one lock.
 ///
 /// A key's tokens live in exactly one bucket, so concurrent lookups of one
-/// key cannot over-grant. The map holds at most `max_keys` keys; a new key
-/// in a full map evicts the least-recently-used one, which bounds memory
-/// against key-cycling clients, but not their rate: an evicted key that
-/// returns starts from a fresh, full bucket, so a client cycling more than
-/// `max_keys` distinct keys is not rate-limited at all (ROADMAP item 7).
+/// key cannot over-grant. The map holds at most `max_keys` keys. A new key
+/// in a full map evicts the least-recently-used one only if that key's
+/// bucket has refilled to its burst: a key that returns after eviction then
+/// starts from the full bucket it would have had anyway. Otherwise the new
+/// key is charged to one shared overflow bucket with the same rate and
+/// burst and is not inserted, so a client cycling more than `max_keys`
+/// distinct keys gets one extra bucket, not a fresh bucket per request.
 /// The lock is held for one map lookup, not for the token arithmetic. The
 /// default epoll server calls the handler from its single reactor thread;
 /// the threaded server's workers each take the lock once per request.
 pub struct KeyedLimiter {
     buckets: Mutex<LruCache<Arc<str>, Arc<TokenBucket>>>,
+    /// Charged for new keys while the map is full of keys still in use.
+    overflow: Arc<TokenBucket>,
     rate: f64,
     burst: f64,
 }
@@ -158,22 +162,31 @@ impl KeyedLimiter {
     /// Like [`new`](Self::new), holding at most `max_keys` live keys
     /// (clamped to at least 1).
     pub fn with_max_keys(rate: f64, burst: f64, max_keys: usize) -> Self {
-        KeyedLimiter { buckets: Mutex::new(LruCache::new(max_keys)), rate, burst }
+        KeyedLimiter {
+            buckets: Mutex::new(LruCache::new(max_keys)),
+            overflow: Arc::new(TokenBucket::new(rate, burst)),
+            rate,
+            burst,
+        }
     }
 
-    /// The bucket for `key`, created on first sight (evicting the
-    /// least-recently-used key when the map is full), and the number of
-    /// live keys after the lookup, read under the same lock so a caller
-    /// that feeds a gauge takes the lock once per request.
+    /// The bucket for `key`, created on first sight, and the number of live
+    /// keys after the lookup, read under the same lock so a caller that
+    /// feeds a gauge takes the lock once per request. A new key in a full
+    /// map takes the place of the least-recently-used key if that key's
+    /// bucket is full again, and gets the shared overflow bucket if not.
     pub fn bucket(&self, key: &str) -> (Arc<TokenBucket>, usize) {
         let mut buckets = self.buckets.lock();
-        let bucket = match buckets.get(key) {
-            Some(bucket) => Arc::clone(bucket),
-            None => {
+        let bucket = match buckets.get(key).map(Arc::clone) {
+            Some(bucket) => bucket,
+            None if buckets.len() < buckets.capacity()
+                || buckets.peek_oldest().is_some_and(|b| b.available() >= b.capacity) =>
+            {
                 let bucket = Arc::new(TokenBucket::new(self.rate, self.burst));
                 buckets.insert(Arc::from(key), Arc::clone(&bucket));
                 bucket
             }
+            None => Arc::clone(&self.overflow),
         };
         (bucket, buckets.len())
     }
@@ -385,6 +398,23 @@ mod tests {
             assert!(Arc::ptr_eq(&hot, &again), "hot key evicted at churn {i}");
         }
         assert_eq!(l.len(), 2);
+    }
+
+    #[test]
+    fn cycling_more_keys_than_the_map_holds_stays_rate_limited() {
+        // Every key of a full map is still draining, so each new key is
+        // charged to the one overflow bucket instead of evicting a key that
+        // comes round again with a fresh bucket.
+        let max_keys = 64;
+        let l = KeyedLimiter::with_max_keys(1e-6, 1.0, max_keys);
+        let mut granted = 0;
+        for _ in 0..3 {
+            for i in 0..=max_keys {
+                granted += usize::from(l.bucket(&format!("key-{i}")).0.try_acquire());
+            }
+        }
+        assert!(granted <= max_keys + 1, "{granted} requests granted");
+        assert_eq!(l.len(), max_keys);
     }
 
     #[test]

@@ -297,6 +297,7 @@ impl Reactor {
                         next_token: FIRST_CONN_TOKEN,
                         cache: ObsCache::default(),
                         stall_count: 0,
+                        accept_pending: false,
                         obs,
                     }
                     .run()
@@ -509,6 +510,10 @@ struct EventLoop {
     cache: ObsCache,
     /// Connections with a parked stall response (tightens the poll timeout).
     stall_count: usize,
+    /// The last accept failed with an error other than `WouldBlock` (most
+    /// often fd exhaustion), so connections may still be queued that the
+    /// edge-triggered listener will not report again.
+    accept_pending: bool,
     /// Event-loop health instruments; `None` when the server is unobserved.
     obs: Option<ReactorObs>,
 }
@@ -548,6 +553,11 @@ impl EventLoop {
                 self.sweep_idle();
                 last_sweep = Instant::now();
             }
+            // After this tick's closes, and at least every POLL_SLICE while
+            // descriptors stay exhausted.
+            if self.accept_pending {
+                self.accept_all();
+            }
             if let Some(obs) = &self.obs {
                 obs.iter_latency.record_duration(iter_start.elapsed());
                 obs.active_conns.set(self.conns.len() as i64);
@@ -558,7 +568,9 @@ impl EventLoop {
     }
 
     /// Accepts until `WouldBlock` (edge-triggered listener: one edge, all
-    /// pending connections).
+    /// pending connections). Any other error leaves `accept_pending` set,
+    /// and the loop retries on every tick until an accept reaches
+    /// `WouldBlock`.
     fn accept_all(&mut self) {
         loop {
             match self.listener.accept() {
@@ -583,9 +595,18 @@ impl EventLoop {
                         self.dispatcher.conns().register(stream.as_raw_fd());
                     self.conns.insert(token, Conn::new(stream, track_id, stat));
                 }
-                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    self.accept_pending = false;
+                    return;
+                }
                 Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return,
+                Err(e) => {
+                    if !self.accept_pending {
+                        obs_debug!("reactor", "accept failed, retrying every tick: {e}");
+                    }
+                    self.accept_pending = true;
+                    return;
+                }
             }
         }
     }

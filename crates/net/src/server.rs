@@ -319,10 +319,10 @@ impl ThreadedServer {
                                 break;
                             }
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => break,
+                        // Nothing queued, or no descriptor to take the next
+                        // connection with (it stays queued until one
+                        // closes): wait and retry until `stop`.
+                        Err(_) => std::thread::sleep(Duration::from_millis(2)),
                     }
                 })
                 .expect("spawn acceptor")
@@ -400,10 +400,13 @@ fn serve_connection_tracked(
     idle_timeout: Duration,
     stat: &ConnStat,
 ) -> Result<(), NetError> {
-    let mut writer = stream.try_clone()?;
     // Sliced read timeout: blocked reads wake every POLL_SLICE to check the
     // idle deadline and the shutdown flag.
     stream.set_read_timeout(Some(POLL_SLICE))?;
+    // Responses go out through `reader.get_ref()` (`&TcpStream` is
+    // `Write`), not a cloned socket, so serving a connection takes no
+    // descriptor beyond the accepted one, and a server out of descriptors
+    // still serves what it accepted.
     let mut reader = BufReader::new(stream);
     let mut cache = ObsCache::default();
     loop {
@@ -440,12 +443,12 @@ fn serve_connection_tracked(
                 // mid-request case: answer 408 with close intent and drop.
                 let mut resp = Response::error(408, "request read timed out");
                 finalize_response(&mut resp, true);
-                let _ = write_response(&mut writer, &resp);
+                let _ = write_response(&mut reader.get_ref(), &resp);
                 return Ok(());
             }
             Err(e) => {
                 // Malformed request: answer 400 and drop the connection.
-                let _ = write_response(&mut writer, &bad_request_response(&e));
+                let _ = write_response(&mut reader.get_ref(), &bad_request_response(&e));
                 return Err(e);
             }
         };
@@ -460,9 +463,9 @@ fn serve_connection_tracked(
                 stat.set_state(ConnState::Writing);
                 finalize_response(&mut resp, close);
                 if truncate {
-                    write_response_truncated(&mut writer, &resp)?;
+                    write_response_truncated(&mut reader.get_ref(), &resp)?;
                 } else {
-                    write_response(&mut writer, &resp)?;
+                    write_response(&mut reader.get_ref(), &resp)?;
                 }
                 stat.touch();
                 if close {
