@@ -174,14 +174,6 @@ impl WireCache {
         body
     }
 
-    /// Returns the cached body for `key`, building and caching it on a miss.
-    pub fn get_or_insert(&self, key: CacheKey, build: impl FnOnce() -> Vec<u8>) -> Arc<Vec<u8>> {
-        match self.lookup(&key) {
-            Some(body) => body,
-            None => self.store(key, build()),
-        }
-    }
-
     /// Live cached bodies.
     pub fn len(&self) -> usize {
         self.bodies.lock().len()
@@ -221,8 +213,9 @@ mod tests {
     #[test]
     fn hit_returns_identical_bytes() {
         let cache = WireCache::new();
-        let first = cache.get_or_insert(CacheKey::Friends(7), || b"{\"a\":1}".to_vec());
-        let second = cache.get_or_insert(CacheKey::Friends(7), || unreachable!("must hit"));
+        assert!(cache.lookup(&CacheKey::Friends(7)).is_none());
+        let first = cache.store(CacheKey::Friends(7), b"{\"a\":1}".to_vec());
+        let second = cache.lookup(&CacheKey::Friends(7)).expect("must hit");
         assert!(Arc::ptr_eq(&first, &second), "hit must return the same allocation");
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
@@ -231,9 +224,11 @@ mod tests {
     #[test]
     fn distinct_keys_do_not_collide() {
         let cache = WireCache::new();
-        let friends = cache.get_or_insert(CacheKey::Friends(7), || b"friends".to_vec());
-        let games = cache.get_or_insert(CacheKey::Games(7), || b"games".to_vec());
-        assert_ne!(&**friends, &**games, "same id, different endpoint");
+        cache.store(CacheKey::Friends(7), b"friends".to_vec());
+        cache.store(CacheKey::Games(7), b"games".to_vec());
+        // Same id, different endpoint: each key finds its own body.
+        assert_eq!(&**cache.lookup(&CacheKey::Friends(7)).unwrap(), b"friends");
+        assert_eq!(&**cache.lookup(&CacheKey::Games(7)).unwrap(), b"games");
         assert_eq!(cache.len(), 2);
     }
 
@@ -241,7 +236,9 @@ mod tests {
     fn bounded_by_shape() {
         let cache = WireCache::with_capacity(63);
         for i in 0..10_000u32 {
-            cache.get_or_insert(CacheKey::AppDetails(i), || vec![0u8; 16]);
+            let key = CacheKey::AppDetails(i);
+            assert!(cache.lookup(&key).is_none());
+            cache.store(key, vec![0u8; 16]);
         }
         assert_eq!(cache.capacity(), 63);
         assert_eq!(cache.len(), 63);
@@ -254,9 +251,11 @@ mod tests {
         let registry = Registry::new();
         let cache = WireCache::new();
         cache.attach_registry(&registry);
-        cache.get_or_insert(CacheKey::AppList, || b"apps".to_vec());
-        cache.get_or_insert(CacheKey::AppList, || unreachable!());
-        cache.get_or_insert(CacheKey::Friends(1), || b"f".to_vec());
+        assert!(cache.lookup(&CacheKey::AppList).is_none());
+        cache.store(CacheKey::AppList, b"apps".to_vec());
+        assert!(cache.lookup(&CacheKey::AppList).is_some());
+        assert!(cache.lookup(&CacheKey::Friends(1)).is_none());
+        cache.store(CacheKey::Friends(1), b"f".to_vec());
         let text = registry.render_prometheus();
         assert!(
             text.contains("api_cache_hits_total{endpoint=\"applist\"} 1"),

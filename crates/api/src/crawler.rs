@@ -1101,25 +1101,18 @@ mod tests {
         assert_eq!(std::fs::read(&v3).unwrap(), baseline, "the file is the in-memory encoding");
         let streamed = {
             let reader = steam_model::SnapshotReader::open(&v3).unwrap();
+            let world = steam_model::WorldView::stream(&reader).unwrap();
             let mut s = steam_model::Snapshot {
-                collected_at: reader.collected_at(),
-                scanned_id_space: reader.scanned_id_space(),
-                groups: reader.groups().unwrap(),
-                catalog: reader.catalog().unwrap(),
+                collected_at: world.collected_at(),
+                scanned_id_space: world.scanned_id_space(),
+                groups: world.groups().to_vec(),
+                catalog: world.catalog().to_vec(),
                 ..Default::default()
             };
-            for k in 0..reader.n_account_chunks() {
-                s.accounts.extend(reader.account_chunk(k).unwrap());
-            }
-            for k in 0..reader.n_library_chunks() {
-                s.ownerships.extend(reader.library_chunk(k).unwrap());
-            }
-            for k in 0..reader.n_membership_chunks() {
-                s.memberships.extend(reader.membership_chunk(k).unwrap());
-            }
-            for k in 0..reader.n_friendship_chunks() {
-                s.friendships.extend(reader.friendship_chunk(k).unwrap());
-            }
+            world.for_each_account(|_, a| s.accounts.push(a.clone())).unwrap();
+            world.for_each_library(|_, lib| s.ownerships.push(lib.to_vec())).unwrap();
+            world.for_each_memberships(|_, ms| s.memberships.push(ms.to_vec())).unwrap();
+            world.for_each_friendship(|e| s.friendships.push(*e)).unwrap();
             s
         };
         let reads = [

@@ -10,8 +10,9 @@
 //! * [`crawler`] — the three-phase collection pipeline (ID-space census →
 //!   per-user harvest → catalog), self-throttled to a configurable rate and
 //!   retrying transient failures with exponential backoff;
-//! * [`shard`] — the stores the service serves: a snapshot split one or N
-//!   ways (`shard-split`), and the CSHD shard file codec;
+//! * [`shard`] — the stores the service serves: the one splitter that cuts
+//!   a world N ways (`shard-split`), the 1-of-1 store an unsharded server
+//!   moves out of its snapshot, and the CSHD shard file codec;
 //! * [`router`] — the scatter-gather front door over a shard fleet.
 //!
 //! The integration tests (and the `crawl_api` example) demonstrate the key
@@ -34,6 +35,6 @@ pub use crawler::{
 pub use router::{serve_router_config, RouterConfig, RouterService};
 pub use service::{serve, serve_service_config, ApiService, RateLimit, ShardService};
 pub use shard::{
-    decode_shard, encode_shard, read_shard, shard_of, shard_of_app, shard_of_group,
-    split_snapshot, write_shard, ShardStore, StreamSplitter,
+    decode_shard, encode_shard, read_shard, shard_of, shard_of_app, shard_of_group, write_shard,
+    ShardStore, StreamSplitter,
 };

@@ -81,8 +81,8 @@ pub struct ApiService {
 pub type ShardService = ApiService;
 
 impl ApiService {
-    /// A service over `store`. An `Arc<Snapshot>` converts as the 1-of-1
-    /// split (see `ShardStore`'s `From` impl).
+    /// A service over `store`. An `Arc<Snapshot>` converts to the 1-of-1
+    /// store (see `ShardStore`'s `From` impl).
     pub fn new(store: impl Into<ShardStore>, limits: RateLimit) -> Self {
         let store = store.into();
         let by_id =

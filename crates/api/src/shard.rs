@@ -1,13 +1,16 @@
-//! Shard stores: what the API service serves, cut from a snapshot one or
-//! N ways.
+//! Shard stores: what the API service serves, cut from a world one or N
+//! ways.
 //!
 //! A [`Snapshot`] cannot be served piece by piece as it stands: its
 //! friendship edges are *account-index* pairs, and an edge endpoint usually
-//! lives on another shard. The split therefore resolves every cross-account
-//! reference while the whole snapshot is still in one piece — each
-//! account's friend list becomes `(SteamId, since)` pairs in serve order —
-//! and yields one self-contained [`ShardStore`] per shard. An unsharded
-//! server serves shard 0 of 1.
+//! lives on another shard. A split therefore resolves every cross-account
+//! reference while it can still see the whole world — each account's friend
+//! list becomes `(SteamId, since)` pairs in serve order — and yields one
+//! self-contained [`ShardStore`] per shard. Two builders make stores:
+//! [`StreamSplitter`] cuts a world N ways through [`WorldView`]'s passes,
+//! streamed from a v3 file or over a decoded v1/v2 world, and
+//! [`ShardStore::try_from`] moves a decoded snapshot's records into the one
+//! store an unsharded server serves, shard 0 of 1.
 //!
 //! Assignment is residue-class by SteamID: account `id` lives on shard
 //! `id.index() % n`, groups on `gid % n`, apps on `app_id % n` (the catalog
@@ -23,7 +26,6 @@
 //! bit-rotten shard file fails loudly at load time instead of serving
 //! silently wrong bytes.
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -35,7 +37,7 @@ use steam_model::codec::{
 };
 use steam_model::{
     Account, AppId, Friendship, Game, Group, GroupId, ModelError, OwnedGame, SimTime, Snapshot,
-    SteamId,
+    SnapshotReader, SteamId, WorldView,
 };
 
 /// Magic prefix of a shard store file.
@@ -83,20 +85,83 @@ pub struct ShardStore {
     pub catalog: Vec<Game>,
 }
 
-/// The 1-of-1 split of an in-process world: what an unsharded server
-/// serves. Handing over the only `Arc` moves the records; otherwise they
-/// are cloned first.
+/// The 1-of-1 store of a decoded world: what an unsharded server serves.
+/// Accounts, libraries, groups and the catalog move in; only the friend and
+/// member lists are built, in the order [`StreamSplitter`] gives them, so
+/// this store equals the splitter's shard 0 of 1.
+///
+/// A friendship or membership that names no account or group is a
+/// [`ModelError::DanglingReference`]: a snapshot file can carry one, and
+/// nothing short of [`Snapshot::validate`] rejects it on read.
+impl TryFrom<Snapshot> for ShardStore {
+    type Error = ModelError;
+
+    fn try_from(snap: Snapshot) -> Result<Self, ModelError> {
+        let Snapshot {
+            collected_at,
+            scanned_id_space,
+            accounts,
+            friendships,
+            ownerships,
+            groups,
+            memberships,
+            catalog,
+        } = snap;
+        let n = accounts.len();
+        // Every decoder checks this; the store indexes all four by account.
+        assert!(
+            ownerships.len() == n && memberships.len() == n,
+            "snapshot's per-account arrays differ in length"
+        );
+        // Every list sized before it is filled: at 30k users this builds the
+        // friend lists in half the time that growing them push by push takes.
+        let mut degree = vec![0; n];
+        for e in &friendships {
+            check_edge(e, n)?;
+            degree[e.a as usize] += 1;
+            degree[e.b as usize] += 1;
+        }
+        let mut adjacency: Vec<Vec<(u32, SimTime)>> =
+            degree.into_iter().map(Vec::with_capacity).collect();
+        for e in &friendships {
+            adjacency[e.a as usize].push((e.b, e.created_at));
+            adjacency[e.b as usize].push((e.a, e.created_at));
+        }
+        drop(friendships);
+        let ids: Vec<SteamId> = accounts.iter().map(|a| a.id).collect();
+        // Each membership list is freed as soon as it is resolved: holding
+        // them all to the end left the next snapshot read in the same
+        // process about 2 ms slower at 30k users.
+        let mut member_gids = Vec::with_capacity(n);
+        for ms in memberships {
+            member_gids.push(resolve_groups(&ms, &groups)?);
+        }
+        Ok(ShardStore {
+            shard_index: 0,
+            shard_count: 1,
+            collected_at,
+            scanned_id_space,
+            friends: resolve_friends(adjacency, &ids),
+            member_gids,
+            accounts,
+            games: ownerships,
+            groups,
+            catalog,
+        })
+    }
+}
+
+/// The 1-of-1 store of an in-process world. Handing over the only `Arc`
+/// moves the records; otherwise they are cloned first.
 ///
 /// # Panics
 ///
 /// On a dangling friend or group reference. A world read from a file goes
-/// through [`split_snapshot`] instead, which returns that as an error.
+/// through [`ShardStore::try_from`] instead, which returns that as an error.
 impl From<Arc<Snapshot>> for ShardStore {
     fn from(snap: Arc<Snapshot>) -> Self {
-        split_snapshot(Arc::unwrap_or_clone(snap), 1)
+        ShardStore::try_from(Arc::unwrap_or_clone(snap))
             .expect("an in-process world has no dangling reference")
-            .pop()
-            .expect("a 1-way split yields one store")
     }
 }
 
@@ -127,10 +192,10 @@ fn resolve_friends(
 }
 
 /// Resolves one account's group indices to group ids, in membership order.
-fn resolve_groups(memberships: Vec<u32>, groups: &[Group]) -> Result<Vec<GroupId>, ModelError> {
+fn resolve_groups(memberships: &[u32], groups: &[Group]) -> Result<Vec<GroupId>, ModelError> {
     memberships
-        .into_iter()
-        .map(|g| {
+        .iter()
+        .map(|&g| {
             groups.get(g as usize).map(|group| group.id).ok_or_else(|| {
                 ModelError::DanglingReference(format!(
                     "membership in group {g} of the {} in the snapshot",
@@ -141,207 +206,118 @@ fn resolve_groups(memberships: Vec<u32>, groups: &[Group]) -> Result<Vec<GroupId
         .collect()
 }
 
-/// Cuts a snapshot into `n_shards` self-contained stores. Each account's
-/// records move into the store that owns it; only the catalog is copied,
-/// once per extra shard. Every account, group, and catalog byte the service
-/// emits is reachable from exactly the shard the router would ask.
-///
-/// A friendship or membership that names no account or group is a
-/// [`ModelError::DanglingReference`]: a snapshot file can carry one, and
-/// nothing short of [`Snapshot::validate`] rejects it on read.
-pub fn split_snapshot(snap: Snapshot, n_shards: usize) -> Result<Vec<ShardStore>, ModelError> {
-    assert!(n_shards >= 1, "need at least one shard");
-    let Snapshot {
-        collected_at,
-        scanned_id_space,
-        accounts,
-        friendships,
-        ownerships,
-        groups,
-        memberships,
-        catalog,
-    } = snap;
-    let n = accounts.len();
-    // Every decoder checks this; the zip below would silently drop accounts.
-    assert!(
-        ownerships.len() == n && memberships.len() == n,
-        "snapshot's per-account arrays differ in length"
-    );
-    // Every list sized before it is filled: at 30k users this builds the
-    // friend lists in half the time that growing them push by push takes.
-    let mut degree = vec![0; n];
-    for e in &friendships {
-        check_edge(e, n)?;
-        degree[e.a as usize] += 1;
-        degree[e.b as usize] += 1;
-    }
-    let mut adjacency: Vec<Vec<(u32, SimTime)>> =
-        degree.into_iter().map(Vec::with_capacity).collect();
-    for e in &friendships {
-        adjacency[e.a as usize].push((e.b, e.created_at));
-        adjacency[e.b as usize].push((e.a, e.created_at));
-    }
-    drop(friendships);
-    let ids: Vec<SteamId> = accounts.iter().map(|a| a.id).collect();
-    let friends = resolve_friends(adjacency, &ids);
-    // Exact capacities here too; growing the store vectors by doubling left
-    // the allocator slower for the next snapshot read in the same process.
-    let mut owned = vec![0; n_shards];
-    for id in &ids {
-        owned[shard_of(*id, n_shards)] += 1;
-    }
-    let mut shards: Vec<ShardStore> = (0..n_shards)
-        .map(|i| ShardStore {
-            shard_index: i as u32,
-            shard_count: n_shards as u32,
-            collected_at,
-            scanned_id_space,
-            accounts: Vec::with_capacity(owned[i]),
-            friends: Vec::with_capacity(owned[i]),
-            games: Vec::with_capacity(owned[i]),
-            member_gids: Vec::with_capacity(owned[i]),
-            groups: Vec::new(),
-            catalog: Vec::new(),
-        })
-        .collect();
-    let records = accounts.into_iter().zip(friends).zip(ownerships).zip(memberships);
-    for (((account, friends), games), memberships) in records {
-        let member_gids = resolve_groups(memberships, &groups)?;
-        let shard = &mut shards[shard_of(account.id, n_shards)];
-        shard.accounts.push(account);
-        shard.friends.push(friends);
-        shard.games.push(games);
-        shard.member_gids.push(member_gids);
-    }
-    for g in groups {
-        shards[shard_of_group(g.id, n_shards)].groups.push(g);
-    }
-    for shard in &mut shards[1..] {
-        shard.catalog = catalog.clone();
-    }
-    shards[0].catalog = catalog;
-    Ok(shards)
-}
+/// Marks a global account index whose account another shard owns.
+const NOT_OWNED: u32 = u32::MAX;
 
-/// Streaming shard-split over a chunked (v3) snapshot file: builds one
-/// [`ShardStore`] at a time from a
-/// [`SnapshotReader`](steam_model::SnapshotReader) without ever decoding the
-/// full snapshot. Resident state between shards is only the SteamId column
-/// (8 bytes/user) plus the small replicated sections (groups, catalog); each
-/// `shard()` call streams the account, friendship, library and membership
-/// chunks once and keeps just the records the shard owns.
+/// The one builder that cuts a world into `n_shards` stores: a v3 file
+/// streamed chunk by chunk ([`new`](Self::new)), or a decoded v1/v2 world
+/// ([`from_world`](Self::from_world)). It builds one [`ShardStore`] per
+/// [`shard`](Self::shard) call, from one pass each over the world's
+/// accounts, friendships, libraries and memberships, and clones only the
+/// records that shard owns.
 ///
-/// Every store is byte-identical (through [`encode_shard`]) to the
-/// corresponding element of [`split_snapshot`]: accounts are visited in
-/// global index order, adjacency is accumulated in edge order and stably
-/// sorted by the friend's global index — the same order the in-memory split
-/// produces.
+/// Resident between calls: the SteamId column, 8 bytes per user, plus the
+/// groups and catalog the streamed view caches. A call adds a 4-byte slot
+/// per user and the shard's own store.
+///
+/// Accounts are kept in global index order; each adjacency list gathers
+/// both directions of its edges in edge order and is then stably sorted by
+/// the friend's global index; member ids keep membership order. That is the
+/// order [`ShardStore::try_from`] gives a whole snapshot, so shard 0 of 1
+/// equals the 1-of-1 store, and both backings give byte-identical stores.
 pub struct StreamSplitter<'a> {
-    reader: &'a steam_model::SnapshotReader,
+    world: WorldView<'a>,
     n_shards: usize,
     /// SteamId per global account index (friend lists reference these).
     ids: Vec<SteamId>,
-    groups: Vec<Group>,
-    catalog: Vec<Game>,
 }
 
 impl<'a> StreamSplitter<'a> {
-    pub fn new(
-        reader: &'a steam_model::SnapshotReader,
-        n_shards: usize,
-    ) -> Result<Self, ModelError> {
+    /// Splits the v3 file behind `reader`, streaming its chunks.
+    pub fn new(reader: &'a SnapshotReader, n_shards: usize) -> Result<Self, ModelError> {
+        Self::from_world(WorldView::stream(reader)?, n_shards)
+    }
+
+    /// Splits any world: decoded in memory, or streamed.
+    pub fn from_world(world: WorldView<'a>, n_shards: usize) -> Result<Self, ModelError> {
         assert!(n_shards >= 1, "need at least one shard");
-        let mut ids = Vec::with_capacity(reader.n_users());
-        for k in 0..reader.n_account_chunks() {
-            for a in reader.account_chunk(k)? {
-                ids.push(a.id);
-            }
-        }
-        Ok(StreamSplitter {
-            reader,
-            n_shards,
-            ids,
-            groups: reader.groups()?,
-            catalog: reader.catalog()?,
-        })
+        let mut ids = Vec::with_capacity(world.n_users());
+        world.for_each_account(|_, a| ids.push(a.id))?;
+        Ok(StreamSplitter { world, n_shards, ids })
     }
 
-    pub fn n_shards(&self) -> usize {
-        self.n_shards
-    }
-
-    /// Builds shard `index` with four chunk passes (accounts, friendships,
-    /// libraries, memberships). A dangling friend or group reference is a
-    /// [`ModelError::DanglingReference`], as in [`split_snapshot`].
+    /// Builds shard `index`. A dangling friend or group reference is a
+    /// [`ModelError::DanglingReference`], as from [`ShardStore::try_from`].
     pub fn shard(&self, index: usize) -> Result<ShardStore, ModelError> {
         assert!(index < self.n_shards);
-        let r = self.reader;
+        let w = &self.world;
+        let mut slot = vec![NOT_OWNED; self.ids.len()];
         let mut accounts = Vec::new();
-        // Slot of each owned account, keyed by global index.
-        let mut slot_of: HashMap<u32, u32> = HashMap::new();
-        for k in 0..r.n_account_chunks() {
-            let base = r.account_chunk_start(k);
-            for (i, a) in r.account_chunk(k)?.into_iter().enumerate() {
-                if shard_of(a.id, self.n_shards) == index {
-                    slot_of.insert((base + i) as u32, accounts.len() as u32);
-                    accounts.push(a);
-                }
+        w.for_each_account(|u, a| {
+            if shard_of(a.id, self.n_shards) == index {
+                slot[u] = accounts.len() as u32;
+                accounts.push(a.clone());
             }
-        }
+        })?;
 
-        // Both edge directions in edge order, restricted to owned
-        // endpoints; `resolve_friends` then sorts exactly as
-        // `split_snapshot` does.
+        // Both edge directions in edge order, restricted to owned endpoints.
+        // A pass cannot stop early, so it keeps the first dangling reference
+        // and skips the rest; that fault wins over a later chunk's read error.
         let mut adjacency: Vec<Vec<(u32, SimTime)>> = vec![Vec::new(); accounts.len()];
-        for k in 0..r.n_friendship_chunks() {
-            for e in r.friendship_chunk(k)? {
-                check_edge(&e, self.ids.len())?;
-                if let Some(&s) = slot_of.get(&e.a) {
-                    adjacency[s as usize].push((e.b, e.created_at));
-                }
-                if let Some(&s) = slot_of.get(&e.b) {
-                    adjacency[s as usize].push((e.a, e.created_at));
+        let mut fault = None;
+        let walked = w.for_each_friendship(|e| {
+            if fault.is_some() {
+                return;
+            }
+            if let Err(err) = check_edge(e, slot.len()) {
+                fault = Some(err);
+                return;
+            }
+            for (me, friend) in [(e.a, e.b), (e.b, e.a)] {
+                let s = slot[me as usize];
+                if s != NOT_OWNED {
+                    adjacency[s as usize].push((friend, e.created_at));
                 }
             }
-        }
-        let friends = resolve_friends(adjacency, &self.ids);
+        });
+        fault.map_or(walked, Err)?;
 
-        let mut games: Vec<Vec<OwnedGame>> = vec![Vec::new(); accounts.len()];
-        for k in 0..r.n_library_chunks() {
-            let base = r.library_chunk_start(k);
-            for (i, lib) in r.library_chunk(k)?.into_iter().enumerate() {
-                if let Some(&s) = slot_of.get(&((base + i) as u32)) {
-                    games[s as usize] = lib;
+        // Libraries and membership lists come in account order, so the
+        // owned ones line up with `accounts`.
+        let mut games = Vec::with_capacity(accounts.len());
+        w.for_each_library(|u, lib| {
+            if slot[u] != NOT_OWNED {
+                games.push(lib.to_vec());
+            }
+        })?;
+        let mut member_gids = Vec::with_capacity(accounts.len());
+        let mut fault = None;
+        let walked = w.for_each_memberships(|u, ms| {
+            if slot[u] != NOT_OWNED && fault.is_none() {
+                match resolve_groups(ms, w.groups()) {
+                    Ok(gids) => member_gids.push(gids),
+                    Err(err) => fault = Some(err),
                 }
             }
-        }
-
-        let mut member_gids: Vec<Vec<GroupId>> = vec![Vec::new(); accounts.len()];
-        for k in 0..r.n_membership_chunks() {
-            let base = r.membership_chunk_start(k);
-            for (i, ms) in r.membership_chunk(k)?.into_iter().enumerate() {
-                if let Some(&s) = slot_of.get(&((base + i) as u32)) {
-                    member_gids[s as usize] = resolve_groups(ms, &self.groups)?;
-                }
-            }
-        }
+        });
+        fault.map_or(walked, Err)?;
 
         Ok(ShardStore {
             shard_index: index as u32,
             shard_count: self.n_shards as u32,
-            collected_at: r.collected_at(),
-            scanned_id_space: r.scanned_id_space(),
+            collected_at: w.collected_at(),
+            scanned_id_space: w.scanned_id_space(),
             accounts,
-            friends,
+            friends: resolve_friends(adjacency, &self.ids),
             games,
             member_gids,
-            groups: self
-                .groups
+            groups: w
+                .groups()
                 .iter()
                 .filter(|g| shard_of_group(g.id, self.n_shards) == index)
                 .cloned()
                 .collect(),
-            catalog: self.catalog.clone(),
+            catalog: w.catalog().to_vec(),
         })
     }
 }
@@ -490,7 +466,7 @@ mod tests {
     use crate::wire;
     use steam_model::codec::{read_snapshot, write_snapshot_v3};
     use steam_model::id::STEAM_ID_BASE;
-    use steam_model::{AppType, GenreSet, SnapshotReader};
+    use steam_model::{AppType, GenreSet};
     use steam_net::http::Request;
     use steam_net::json::Json;
     use steam_net::server::Handler;
@@ -514,10 +490,16 @@ mod tests {
         dir
     }
 
+    /// Every store of an `n`-way split of a decoded world.
+    fn split(snap: &Snapshot, n: usize) -> Vec<ShardStore> {
+        let splitter = StreamSplitter::from_world(WorldView::mem(snap), n).unwrap();
+        (0..n).map(|i| splitter.shard(i).unwrap()).collect()
+    }
+
     #[test]
     fn split_covers_every_account_group_exactly_once() {
         let snap = tiny_snapshot();
-        let shards = split_snapshot(snap.clone(), 4).unwrap();
+        let shards = split(&snap, 4);
         assert_eq!(shards.iter().map(|s| s.accounts.len()).sum::<usize>(), snap.n_users());
         assert_eq!(
             shards.iter().map(|s| s.groups.len()).sum::<usize>(),
@@ -533,6 +515,8 @@ mod tests {
         }
     }
 
+    /// The splitter over the decoded world and over the v3 file gives equal
+    /// stores and bytes; split 1 way, both equal the 1-of-1 move.
     #[test]
     fn streamed_split_matches_in_memory_split_byte_for_byte() {
         let snap = tiny_snapshot();
@@ -541,7 +525,7 @@ mod tests {
         write_snapshot_v3(&path, &snap, 2).unwrap();
         let reader = SnapshotReader::open(&path).unwrap();
         for n in [1usize, 3] {
-            let in_memory = split_snapshot(snap.clone(), n).unwrap();
+            let in_memory = split(&snap, n);
             let splitter = StreamSplitter::new(&reader, n).unwrap();
             for (i, expected) in in_memory.iter().enumerate() {
                 let streamed = splitter.shard(i).unwrap();
@@ -552,6 +536,44 @@ mod tests {
                     "shard {i}/{n} encoded bytes"
                 );
             }
+            if n == 1 {
+                let moved = ShardStore::try_from(snap.clone()).unwrap();
+                assert_eq!(moved, in_memory[0], "1-of-1 move");
+                assert_eq!(encode_shard(&moved), encode_shard(&in_memory[0]), "1-of-1 move bytes");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Pass budget of a split: the id column reads the accounts once, each
+    /// shard reads the accounts, the edges, the libraries and the
+    /// memberships once, and the streamed view reads groups and catalog
+    /// once.
+    #[test]
+    fn a_split_reads_each_section_a_pinned_number_of_times() {
+        let snap = world(5000, 120, 30);
+        let dir = temp_dir("passes");
+        let path = dir.join("world.snap");
+        write_snapshot_v3(&path, &snap, 2).unwrap();
+        for n in [1usize, 3] {
+            let reader = SnapshotReader::open(&path).unwrap();
+            let splitter = StreamSplitter::new(&reader, n).unwrap();
+            for i in 0..n {
+                splitter.shard(i).unwrap();
+            }
+            let reads = reader.section_reads();
+            assert!(reads[0].chunks > 1, "accounts span {} chunks", reads[0].chunks);
+            let passes: Vec<(&str, f64)> = reads.iter().map(|r| (r.section, r.passes())).collect();
+            let n = n as f64;
+            let budget = [
+                ("accounts", 1.0 + n),
+                ("friendships", n),
+                ("ownerships", n),
+                ("groups", 1.0),
+                ("memberships", n),
+                ("catalog", 1.0),
+            ];
+            assert_eq!(passes, budget, "{n} shards");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -571,11 +593,66 @@ mod tests {
             let path = dir.join(format!("{tag}.snap"));
             write_snapshot_v3(&path, &snap, 1).unwrap();
             let read = read_snapshot(&path).unwrap();
-            let split = split_snapshot(read, 2);
-            assert!(matches!(split, Err(ModelError::DanglingReference(_))), "{tag}: {split:?}");
+            let moved = ShardStore::try_from(read.clone());
+            assert!(matches!(moved, Err(ModelError::DanglingReference(_))), "{tag}: {moved:?}");
             let reader = SnapshotReader::open(&path).unwrap();
-            let splitter = StreamSplitter::new(&reader, 2).unwrap();
-            let shard = splitter.shard(shard_of(good.accounts[account].id, 2));
+            let splitters = [
+                ("decoded", StreamSplitter::from_world(WorldView::mem(&read), 2).unwrap()),
+                ("streamed", StreamSplitter::new(&reader, 2).unwrap()),
+            ];
+            for (how, splitter) in splitters {
+                let shard = splitter.shard(shard_of(good.accounts[account].id, 2));
+                assert!(
+                    matches!(shard, Err(ModelError::DanglingReference(_))),
+                    "{tag} {how}: {shard:?}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_first_dangling_reference_wins_over_a_later_unreadable_chunk() {
+        // Enough users for two friendship chunks and three membership chunks.
+        let good = world(12_000, 120, 30);
+        let mut edge = good.clone();
+        let past_end = good.n_users() as u32 + 3;
+        edge.friendships.insert(0, Friendship { a: 1, b: past_end, created_at: good.collected_at });
+        let mut group = good.clone();
+        group.memberships[0] = vec![good.groups.len() as u32 + 5];
+        let dir = temp_dir("first-fault");
+        // Each file holds its fault in the section's first chunk; a byte of
+        // the section's last chunk is then flipped. A twin file that differs
+        // only in the section's last record locates that chunk: the two files
+        // first differ inside it.
+        for (tag, bad, section) in [("edge", edge, 1), ("group", group, 4)] {
+            let mut twin = bad.clone();
+            if tag == "edge" {
+                let last = twin.friendships.last_mut().unwrap();
+                last.created_at = SimTime::from_unix(last.created_at.unix() - 1);
+            } else {
+                twin.memberships.last_mut().unwrap().push(0);
+            }
+            let path = dir.join(format!("{tag}.snap"));
+            let twin_path = dir.join(format!("{tag}-twin.snap"));
+            write_snapshot_v3(&path, &bad, 1).unwrap();
+            write_snapshot_v3(&twin_path, &twin, 1).unwrap();
+            let mut raw = std::fs::read(&path).unwrap();
+            let other = std::fs::read(&twin_path).unwrap();
+            let at = raw.iter().zip(&other).position(|(a, b)| a != b).unwrap();
+            raw[at] ^= 0x01;
+            std::fs::write(&path, &raw).unwrap();
+
+            let reader = SnapshotReader::open(&path).unwrap();
+            assert!(reader.section_reads()[section].chunks > 1, "{tag}");
+            let view = WorldView::stream(&reader).unwrap();
+            let walked = if tag == "edge" {
+                view.for_each_friendship(|_| {})
+            } else {
+                view.for_each_memberships(|_, _| {})
+            };
+            assert!(matches!(walked, Err(ModelError::Codec(_))), "{tag}: {walked:?}");
+            let shard = StreamSplitter::new(&reader, 1).unwrap().shard(0);
             assert!(matches!(shard, Err(ModelError::DanglingReference(_))), "{tag}: {shard:?}");
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -584,7 +661,7 @@ mod tests {
     #[test]
     fn shard_store_roundtrips_through_the_codec() {
         let snap = tiny_snapshot();
-        for store in split_snapshot(snap, 3).unwrap() {
+        for store in split(&snap, 3) {
             let decoded = decode_shard(encode_shard(&store)).unwrap();
             assert_eq!(decoded, store);
         }
@@ -604,7 +681,7 @@ mod tests {
             metacritic: None,
             achievements: Vec::new(),
         };
-        let mut store = split_snapshot(world(30, 20, 5), 1).unwrap().remove(0);
+        let mut store = ShardStore::try_from(world(30, 20, 5)).unwrap();
         store.catalog = vec![game; 3];
         assert_eq!(decode_shard(encode_shard(&store)).unwrap(), store);
     }
@@ -612,7 +689,7 @@ mod tests {
     #[test]
     fn corrupt_shard_bytes_fail_loudly() {
         let snap = world(30, 20, 5);
-        let store = &split_snapshot(snap, 2).unwrap()[0];
+        let store = &split(&snap, 2)[0];
         let bytes = encode_shard(store);
         // Flip one byte mid-payload: a section checksum must catch it.
         let mut corrupt = bytes.to_vec();
@@ -714,7 +791,7 @@ mod tests {
 
         let dir = temp_dir("trailing");
         let path = dir.join("shard.bin");
-        write_shard(&path, &split_snapshot(world(30, 20, 5), 2).unwrap()[0]).unwrap();
+        write_shard(&path, &split(&world(30, 20, 5), 2)[0]).unwrap();
         assert!(read_shard(&path).is_ok());
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(b"garbage");
@@ -759,8 +836,8 @@ mod tests {
     /// The served bytes, rebuilt from the snapshot with the wire builders
     /// alone: friend lists in ascending friend index, group lists in
     /// membership order, summaries in first-occurrence order. The service
-    /// over the 1-of-1 store and over each of 4 shards must serve exactly
-    /// these for every account, group and app.
+    /// over the 1-of-1 store and over each of 4 split shards must serve
+    /// exactly these for every account, group and app.
     #[test]
     fn every_store_serves_the_bytes_rebuilt_from_the_snapshot() {
         let snap = tiny_snapshot();
@@ -778,14 +855,13 @@ mod tests {
             list.into_iter().map(|(v, since)| (snap.accounts[v as usize].id, since)).collect()
         };
         let bogus = SteamId::from_index(snap.scanned_id_space + 7);
-        for n in [1, 4] {
+        let stores = [vec![ShardStore::try_from(snap.clone()).unwrap()], split(&snap, 4)];
+        for stores in stores {
+            let n = stores.len();
             // Thousands of requests on one key: the limiter is not under test.
             let unlimited = RateLimit { per_key_rps: 1e12, burst: 1e12 };
-            let services: Vec<ApiService> = split_snapshot(snap.clone(), n)
-                .unwrap()
-                .into_iter()
-                .map(|s| ApiService::new(s, unlimited))
-                .collect();
+            let services: Vec<ApiService> =
+                stores.into_iter().map(|s| ApiService::new(s, unlimited)).collect();
             let check = |shard: usize, target: &str, expected: Json| {
                 let resp = services[shard].handle(Request::get(target));
                 assert_eq!(resp.status, 200, "{target} on shard {shard}/{n}");

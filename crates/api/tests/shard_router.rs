@@ -17,10 +17,10 @@ use std::sync::Arc;
 
 use steam_api::{
     crawl_sharded, crawl_sharded_observed, serve_router_config, serve_service_config, shard_of,
-    split_snapshot, ApiService, CrawlProgress, Crawler, CrawlerConfig, RateLimit, RouterConfig,
-    RouterService,
+    ApiService, CrawlProgress, Crawler, CrawlerConfig, RateLimit, RouterConfig, RouterService,
+    StreamSplitter,
 };
-use steam_model::{codec, Snapshot, SteamId};
+use steam_model::{codec, Snapshot, SteamId, WorldView};
 use steam_net::http::{write_request, Request};
 use steam_net::{Backoff, FaultInjector, FaultPlan, HttpClient, NetError, ServerConfig};
 use steam_synth::{Generator, SynthConfig};
@@ -60,8 +60,9 @@ fn bind_fleet(
 ) -> (Vec<steam_net::HttpServer>, Vec<SocketAddr>) {
     let mut servers = Vec::with_capacity(shards);
     let mut addrs = Vec::with_capacity(shards);
-    for (i, store) in split_snapshot(original.clone(), shards).unwrap().into_iter().enumerate() {
-        let service = ApiService::new(store, RateLimit::default());
+    let splitter = StreamSplitter::from_world(WorldView::mem(original), shards).unwrap();
+    for i in 0..shards {
+        let service = ApiService::new(splitter.shard(i).unwrap(), RateLimit::default());
         let config = ServerConfig { workers: 4, ..Default::default() };
         let (server, _s) = serve_service_config(
             service,

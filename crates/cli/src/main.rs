@@ -35,11 +35,11 @@ use std::sync::Arc;
 use args::Args;
 use steam_analysis::{
     render_experiments_timed, render_full_report, render_full_report_timed, render_with_jobs,
-    Ctx, Experiment, ReportInput, WorldView,
+    Ctx, Experiment, ReportInput,
 };
 use steam_api::{ApiService, CrawlProgress, Crawler, CrawlerConfig, RateLimit};
 use steam_net::{FaultInjector, FaultPlan};
-use steam_model::codec;
+use steam_model::{codec, WorldView};
 use steam_obs::Registry;
 use steam_synth::{Generator, SynthConfig};
 
@@ -376,12 +376,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             }
             store
         }
-        // A whole snapshot is shard 0 of 1, split as `shard-split` does.
+        // A whole snapshot is shard 0 of 1: its records move into the store.
         None => {
             let snapshot = codec::read_snapshot(Path::new(path)).map_err(|e| e.to_string())?;
-            let mut stores =
-                steam_api::split_snapshot(snapshot, 1).map_err(|e| e.to_string())?;
-            stores.pop().expect("a 1-way split yields one store")
+            steam_api::ShardStore::try_from(snapshot).map_err(|e| e.to_string())?
         }
     };
     eprintln!(
@@ -422,23 +420,19 @@ fn cmd_shard_split(args: &Args) -> Result<(), String> {
         );
         Ok(())
     };
+    // v3 streams, one shard at a time: peak memory is one shard's store
+    // plus the id column, never the whole world. v1/v2 decode whole first.
     let version = codec::snapshot_file_version(p).map_err(|e| e.to_string())?;
-    if version == codec::VERSION_CHUNKED {
-        // v3: stream one shard at a time — peak memory is one shard's
-        // store plus the id column, never the whole world.
-        let reader = steam_model::SnapshotReader::open(p).map_err(|e| e.to_string())?;
-        let splitter =
-            steam_api::StreamSplitter::new(&reader, n).map_err(|e| e.to_string())?;
-        eprintln!("splitting {} users {n} ways (streaming)...", reader.n_users());
-        for i in 0..n {
-            write(&splitter.shard(i).map_err(|e| e.to_string())?)?;
-        }
-        return Ok(());
-    }
-    let snapshot = codec::read_snapshot(p).map_err(|e| e.to_string())?;
-    eprintln!("splitting {} users {n} ways...", snapshot.n_users());
-    for store in steam_api::split_snapshot(snapshot, n).map_err(|e| e.to_string())? {
-        write(&store)?;
+    let loaded = if version == codec::VERSION_CHUNKED {
+        Loaded::Stream(steam_model::SnapshotReader::open(p).map_err(|e| e.to_string())?)
+    } else {
+        Loaded::Mem(codec::read_snapshot(p).map_err(|e| e.to_string())?)
+    };
+    let world = loaded.world()?;
+    eprintln!("splitting {} users {n} ways...", world.n_users());
+    let splitter = steam_api::StreamSplitter::from_world(world, n).map_err(|e| e.to_string())?;
+    for i in 0..n {
+        write(&splitter.shard(i).map_err(|e| e.to_string())?)?;
     }
     Ok(())
 }
@@ -647,6 +641,17 @@ enum Loaded {
     Stream(steam_model::SnapshotReader),
 }
 
+impl Loaded {
+    /// The world to walk: the decoded snapshot, or a streaming view of the
+    /// file, which decodes its groups and catalog now.
+    fn world(&self) -> Result<WorldView<'_>, String> {
+        match self {
+            Loaded::Mem(s) => Ok(WorldView::mem(s)),
+            Loaded::Stream(r) => WorldView::stream(r).map_err(|e| e.to_string()),
+        }
+    }
+}
+
 /// Opens a snapshot for `report`. Chunked (v3) files stream by default —
 /// the report passes then decode one chunk at a time instead of
 /// materializing the world — unless `--in-memory` forces a full decode.
@@ -698,10 +703,7 @@ fn render_passes(files: &[(&str, &Loaded)]) -> String {
 }
 
 fn report_ctx<'a>(loaded: &'a Loaded, jobs: usize) -> Result<Ctx<'a>, String> {
-    match loaded {
-        Loaded::Mem(s) => Ctx::from_world(WorldView::mem(s), jobs).map_err(|e| e.to_string()),
-        Loaded::Stream(r) => Ctx::from_reader(r, jobs).map_err(|e| e.to_string()),
-    }
+    Ctx::from_world(loaded.world()?, jobs).map_err(|e| e.to_string())
 }
 
 fn cmd_report(args: &Args) -> Result<(), String> {

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `steam-cli` binary: generate → validate →
 //! report → export, and the serve/crawl loop over a real socket.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn bin() -> Command {
@@ -190,27 +190,57 @@ fn shard_split_and_serve_reject_a_dangling_group_reference() {
     assert!(stderr.contains("dangling reference"), "{stderr}");
 
     // `serve` fails before it binds; the deadline only guards the test.
-    let mut server = bin()
-        .args(["serve", "--snapshot", snap_arg, "--addr", "127.0.0.1:0"])
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
+    let mut server = Killed(
+        bin()
+            .args(["serve", "--snapshot", snap_arg, "--addr", "127.0.0.1:0"])
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     let status = loop {
-        if let Some(status) = server.try_wait().unwrap() {
+        if let Some(status) = server.0.try_wait().unwrap() {
             break status;
         }
-        if std::time::Instant::now() > deadline {
-            server.kill().ok();
-            server.wait().ok();
-            panic!("serve kept running on a dangling reference");
-        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "serve kept running on a dangling reference"
+        );
         std::thread::sleep(std::time::Duration::from_millis(20));
     };
     assert!(!status.success());
     let mut stderr = String::new();
-    std::io::Read::read_to_string(&mut server.stderr.take().unwrap(), &mut stderr).unwrap();
+    std::io::Read::read_to_string(&mut server.0.stderr.take().unwrap(), &mut stderr).unwrap();
     assert!(stderr.contains("dangling reference"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `shard-split` writes the same shard files from a v1, a v2 and a v3 file
+/// of one world: a decoded world and a streamed one go through the same
+/// splitter.
+#[test]
+fn shard_split_writes_the_same_files_from_every_container_version() {
+    let dir = temp_dir("versions");
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../model/tests/fixtures");
+    let v3 = dir.join("synthetic17.v3");
+    let world = steam_model::codec::read_snapshot(&fixtures.join("synthetic17.v2")).unwrap();
+    steam_model::codec::write_snapshot_v3(&v3, &world, 1).unwrap();
+    let split = |input: &Path, tag: &str| -> Vec<Vec<u8>> {
+        let prefix = dir.join(tag);
+        let out = bin()
+            .args(["shard-split", "--snapshot", input.to_str().unwrap(), "--shards", "3"])
+            .args(["--out", prefix.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{tag}: {}", String::from_utf8_lossy(&out.stderr));
+        (0..3)
+            .map(|i| std::fs::read(format!("{}-{i}-of-3.bin", prefix.display())).unwrap())
+            .collect()
+    };
+    let from_v1 = split(&fixtures.join("synthetic17.v1"), "v1");
+    assert!(from_v1.iter().all(|file| file.starts_with(b"CSHD")));
+    assert!(from_v1 == split(&fixtures.join("synthetic17.v2"), "v2"), "v2 split differs");
+    assert!(from_v1 == split(&v3, "v3"), "v3 split differs");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -310,20 +340,16 @@ fn serve_then_crawl_round_trips() {
     assert!(out.status.success());
 
     // Start the server on an OS-chosen free port, parse it from stderr.
-    let mut server = bin()
-        .args([
-            "serve",
-            "--snapshot",
-            snap.to_str().unwrap(),
-            "--addr",
-            "127.0.0.1:0",
-        ])
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
+    let mut server = Killed(
+        bin()
+            .args(["serve", "--snapshot", snap.to_str().unwrap(), "--addr", "127.0.0.1:0"])
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
     let addr = {
         use std::io::BufRead;
-        let stderr = server.stderr.take().unwrap();
+        let stderr = server.0.stderr.take().unwrap();
         let mut addr = None;
         for line in std::io::BufReader::new(stderr).lines() {
             let line = line.unwrap();
@@ -349,8 +375,7 @@ fn serve_then_crawl_round_trips() {
 
     // After the crawl, the server's metrics reflect the traffic it saw.
     let metrics = raw_http_get(&addr, "/metrics");
-    server.kill().ok();
-    server.wait().ok(); // reap so the server never lingers as a zombie
+    drop(server);
     assert!(out.status.success(), "{crawl_stderr}");
 
     // The crawl summary surfaces the progress counters.

@@ -5,9 +5,8 @@ use std::collections::HashMap;
 use steam_graph::{yearly_degrees_with, Csr, YearlyDegrees};
 use steam_model::{
     AppId, CountryCode, Friendship, ModelError, OwnedGame, SimTime, Snapshot, SnapshotReader,
+    WorldView,
 };
-
-use crate::world::WorldView;
 
 /// Visitor for [`Ctx::visit_membership_libs`]: receives the user index, that
 /// user's group indices, and their library.

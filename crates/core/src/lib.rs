@@ -41,7 +41,6 @@ pub mod report;
 pub mod sampling_bias;
 pub mod social;
 pub mod summary;
-pub mod world;
 
 #[cfg(test)]
 mod testworld;
@@ -52,4 +51,3 @@ pub use engine::{
     ExperimentTiming, ReportTimings,
 };
 pub use report::{render, render_with_jobs, Experiment, ReportInput};
-pub use world::WorldView;

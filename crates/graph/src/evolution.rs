@@ -20,29 +20,9 @@ pub struct YearPoint {
 }
 
 /// Computes Figure 1's series from account creation times and timestamped
-/// edges, for years `first..=last` inclusive.
-pub fn yearly_evolution(
-    account_created: &[SimTime],
-    friendships: &[Friendship],
-    first: i32,
-    last: i32,
-) -> Vec<YearPoint> {
-    yearly_evolution_with(
-        account_created,
-        |f| {
-            for e in friendships {
-                f(e);
-            }
-        },
-        first,
-        last,
-    )
-}
-
-/// [`yearly_evolution`] with edges supplied by a visitor instead of a slice,
-/// so the streaming snapshot path can feed chunks without materializing the
-/// edge list. The slice version delegates here — one counting loop, both
-/// paths, identical results.
+/// edges, for years `first..=last` inclusive. The edges come from a visitor
+/// instead of a slice, so a streamed world feeds them chunk by chunk
+/// without materializing the edge list.
 pub fn yearly_evolution_with<F>(
     account_created: &[SimTime],
     visit_edges: F,
@@ -196,13 +176,13 @@ mod tests {
     #[test]
     fn cumulative_counts() {
         let created = vec![t(2008), t(2009), t(2009), t(2011)];
-        let edges = vec![
+        let edges = [
             Friendship::new(0, 1, t(2009)),
             Friendship::new(0, 2, t(2010)),
             Friendship::new(1, 2, t(2010)),
             Friendship::new(0, 3, t(2011)),
         ];
-        let ev = yearly_evolution(&created, &edges, 2008, 2011);
+        let ev = yearly_evolution_with(&created, |f| edges.iter().for_each(f), 2008, 2011);
         assert_eq!(ev.len(), 4);
         assert_eq!(ev[0], YearPoint { year: 2008, cumulative_users: 1, cumulative_friendships: 0, new_friendships: 0 });
         assert_eq!(ev[1].cumulative_users, 3);
@@ -216,8 +196,8 @@ mod tests {
     #[test]
     fn pre_window_counts_roll_in() {
         let created = vec![t(2005), t(2010)];
-        let edges = vec![Friendship::new(0, 1, t(2006))];
-        let ev = yearly_evolution(&created, &edges, 2009, 2010);
+        let edges = [Friendship::new(0, 1, t(2006))];
+        let ev = yearly_evolution_with(&created, |f| edges.iter().for_each(f), 2009, 2010);
         assert_eq!(ev[0].cumulative_users, 1);
         assert_eq!(ev[0].cumulative_friendships, 1);
         assert_eq!(ev[0].new_friendships, 0);
@@ -272,7 +252,7 @@ mod tests {
         let edges: Vec<Friendship> = (0..40u32)
             .map(|i| Friendship::new(i, i + 1, t(2008 + (i as i32 % 6))))
             .collect();
-        let ev = yearly_evolution(&created, &edges, 2008, 2013);
+        let ev = yearly_evolution_with(&created, |f| edges.iter().for_each(f), 2008, 2013);
         for w in ev.windows(2) {
             assert!(w[1].cumulative_users >= w[0].cumulative_users);
             assert!(w[1].cumulative_friendships >= w[0].cumulative_friendships);

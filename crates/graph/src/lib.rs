@@ -26,7 +26,7 @@ pub mod smallworld;
 pub use components::{connected_components, Components};
 pub use csr::Csr;
 pub use evolution::{
-    degrees_in_years, yearly_degrees_with, yearly_evolution, yearly_evolution_with, YearPoint,
+    degrees_in_years, yearly_degrees_with, yearly_evolution_with, YearPoint,
     YearlyDegrees,
 };
 pub use neighbors::{degree_assortativity, homophily_pairs, neighbor_mean};

@@ -4,8 +4,9 @@
 //!
 //! This crate defines the entities the paper measures — accounts, friendships,
 //! games, genres, groups, ownership/playtime records — plus the [`Snapshot`]
-//! container that every other crate consumes, and a compact binary codec for
-//! persisting snapshots to disk.
+//! container that every other crate consumes, a compact binary codec for
+//! persisting snapshots to disk, and [`WorldView`], the one way to walk a
+//! world's per-user and edge sections, decoded or streamed from a v3 file.
 //!
 //! The types mirror what the Steam Web API exposes publicly (the paper used
 //! nothing else): 64-bit Steam IDs, per-account profile data, reciprocal
@@ -26,6 +27,7 @@ pub mod ownership;
 pub mod reader;
 pub mod snapshot;
 pub mod time;
+pub mod world;
 
 pub use account::{Account, Visibility};
 pub use country::CountryCode;
@@ -37,3 +39,4 @@ pub use ownership::{OwnedGame, MAX_TWO_WEEK_MINUTES};
 pub use reader::{SectionReads, SnapshotReader};
 pub use snapshot::{Friendship, Snapshot, WeekPanel};
 pub use time::SimTime;
+pub use world::WorldView;

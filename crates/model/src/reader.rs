@@ -16,6 +16,11 @@
 //! is bounded by one chunk, and the buffers go back to the pool for the next
 //! chunk instead of being reallocated.
 //!
+//! The per-user and edge sections are walked only through
+//! [`WorldView`](crate::WorldView)'s passes, which take their chunks from
+//! the reader inside this crate; the reader itself exposes the counts, the
+//! small sections (groups, catalog) and how often each section was read.
+//!
 //! A reader can also sit on bytes already in memory, which cannot change:
 //! their payloads decode in place, without the copy. That is how
 //! [`codec::decode_snapshot`] decodes v3 — the same header, directory and
@@ -29,13 +34,11 @@ use std::sync::{Mutex, MutexGuard};
 
 use bytes::{Buf, Bytes};
 
-use crate::account::Account;
 use crate::codec::{self, ChunkEntry, Section, SectionDir};
 use crate::error::ModelError;
 use crate::game::Game;
 use crate::group::Group;
-use crate::ownership::OwnedGame;
-use crate::snapshot::{Friendship, Snapshot};
+use crate::snapshot::Snapshot;
 use crate::time::SimTime;
 
 /// Where the bytes come from: positional reads of a file, or bytes already
@@ -215,7 +218,7 @@ impl SnapshotReader {
         self.scanned_id_space
     }
 
-    fn dir(&self, id: u8) -> &SectionDir {
+    pub(crate) fn dir(&self, id: u8) -> &SectionDir {
         &self.sections[id as usize]
     }
 
@@ -227,42 +230,6 @@ impl SnapshotReader {
     /// Number of friendship edges, from the directory — no scan needed.
     pub fn n_friendships(&self) -> u64 {
         self.dir(codec::SECTION_FRIENDSHIPS).total_records
-    }
-
-    pub fn n_account_chunks(&self) -> usize {
-        self.dir(codec::SECTION_ACCOUNTS).chunks.len()
-    }
-
-    pub fn n_friendship_chunks(&self) -> usize {
-        self.dir(codec::SECTION_FRIENDSHIPS).chunks.len()
-    }
-
-    pub fn n_library_chunks(&self) -> usize {
-        self.dir(codec::SECTION_OWNERSHIPS).chunks.len()
-    }
-
-    pub fn n_membership_chunks(&self) -> usize {
-        self.dir(codec::SECTION_MEMBERSHIPS).chunks.len()
-    }
-
-    /// Index of the first account in account chunk `k`.
-    pub fn account_chunk_start(&self, k: usize) -> usize {
-        (self.dir(codec::SECTION_ACCOUNTS).cap as usize) * k
-    }
-
-    /// Index of the first edge in friendship chunk `k`.
-    pub fn friendship_chunk_start(&self, k: usize) -> usize {
-        (self.dir(codec::SECTION_FRIENDSHIPS).cap as usize) * k
-    }
-
-    /// Index of the first user in library chunk `k`.
-    pub fn library_chunk_start(&self, k: usize) -> usize {
-        (self.dir(codec::SECTION_OWNERSHIPS).cap as usize) * k
-    }
-
-    /// Index of the first user in membership chunk `k`.
-    pub fn membership_chunk_start(&self, k: usize) -> usize {
-        (self.dir(codec::SECTION_MEMBERSHIPS).cap as usize) * k
     }
 
     /// Decode counts of every section since open, in section order.
@@ -283,7 +250,7 @@ impl SnapshotReader {
     /// checksum is computed over that buffer, and the decoder reads that same
     /// buffer, which then goes back to the pool. Each concurrent caller holds
     /// its own buffer, so passes never wait on each other's decoding.
-    fn chunk(&self, id: u8, k: usize) -> Result<Section, ModelError> {
+    pub(crate) fn chunk(&self, id: u8, k: usize) -> Result<Section, ModelError> {
         let d = self.dir(id);
         let e: ChunkEntry = *d.chunks.get(k).ok_or_else(|| {
             codec::err(format!("{} section has no chunk {k}", codec::section_name(id)))
@@ -320,38 +287,6 @@ impl SnapshotReader {
         // A poisoned pool is still a valid list of buffers: every update is
         // a single push or pop.
         self.pool.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Decodes account chunk `k` (accounts `start..start + len`, in order).
-    pub fn account_chunk(&self, k: usize) -> Result<Vec<Account>, ModelError> {
-        match self.chunk(codec::SECTION_ACCOUNTS, k)? {
-            Section::Accounts(v) => Ok(v),
-            _ => unreachable!("accounts chunk decoded to wrong section"),
-        }
-    }
-
-    /// Decodes friendship chunk `k` (edges in file order).
-    pub fn friendship_chunk(&self, k: usize) -> Result<Vec<Friendship>, ModelError> {
-        match self.chunk(codec::SECTION_FRIENDSHIPS, k)? {
-            Section::Friendships(v) => Ok(v),
-            _ => unreachable!("friendships chunk decoded to wrong section"),
-        }
-    }
-
-    /// Decodes library chunk `k`: one `Vec<OwnedGame>` per user.
-    pub fn library_chunk(&self, k: usize) -> Result<Vec<Vec<OwnedGame>>, ModelError> {
-        match self.chunk(codec::SECTION_OWNERSHIPS, k)? {
-            Section::Ownerships(v) => Ok(v),
-            _ => unreachable!("ownerships chunk decoded to wrong section"),
-        }
-    }
-
-    /// Decodes membership chunk `k`: one group-index list per user.
-    pub fn membership_chunk(&self, k: usize) -> Result<Vec<Vec<u32>>, ModelError> {
-        match self.chunk(codec::SECTION_MEMBERSHIPS, k)? {
-            Section::Memberships(v) => Ok(v),
-            _ => unreachable!("memberships chunk decoded to wrong section"),
-        }
     }
 
     /// Decodes the whole group universe (small next to the per-user data).
@@ -409,6 +344,7 @@ impl SnapshotReader {
 mod tests {
     use super::*;
     use crate::codec::{synthetic_snapshot, write_snapshot_v3};
+    use crate::WorldView;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("steam-model-reader-{}", std::process::id()));
@@ -423,29 +359,33 @@ mod tests {
         [SnapshotReader::open(path).unwrap(), SnapshotReader::from_bytes(bytes).unwrap()]
     }
 
-    fn reassemble(r: &SnapshotReader) -> crate::snapshot::Snapshot {
-        let mut s = crate::snapshot::Snapshot {
-            collected_at: r.collected_at(),
-            scanned_id_space: r.scanned_id_space(),
-            groups: r.groups().unwrap(),
-            catalog: r.catalog().unwrap(),
+    /// The whole snapshot, read back through the world's passes; each
+    /// per-user pass must hand out users in index order.
+    fn reassemble(r: &SnapshotReader) -> Snapshot {
+        let w = WorldView::stream(r).unwrap();
+        let mut s = Snapshot {
+            collected_at: w.collected_at(),
+            scanned_id_space: w.scanned_id_space(),
+            groups: w.groups().to_vec(),
+            catalog: w.catalog().to_vec(),
             ..Default::default()
         };
-        for k in 0..r.n_account_chunks() {
-            assert_eq!(r.account_chunk_start(k), s.accounts.len());
-            s.accounts.extend(r.account_chunk(k).unwrap());
-        }
-        for k in 0..r.n_friendship_chunks() {
-            s.friendships.extend(r.friendship_chunk(k).unwrap());
-        }
-        for k in 0..r.n_library_chunks() {
-            assert_eq!(r.library_chunk_start(k), s.ownerships.len());
-            s.ownerships.extend(r.library_chunk(k).unwrap());
-        }
-        for k in 0..r.n_membership_chunks() {
-            assert_eq!(r.membership_chunk_start(k), s.memberships.len());
-            s.memberships.extend(r.membership_chunk(k).unwrap());
-        }
+        w.for_each_account(|u, a| {
+            assert_eq!(u, s.accounts.len());
+            s.accounts.push(a.clone());
+        })
+        .unwrap();
+        w.for_each_friendship(|e| s.friendships.push(*e)).unwrap();
+        w.for_each_library(|u, lib| {
+            assert_eq!(u, s.ownerships.len());
+            s.ownerships.push(lib.to_vec());
+        })
+        .unwrap();
+        w.for_each_memberships(|u, ms| {
+            assert_eq!(u, s.memberships.len());
+            s.memberships.push(ms.to_vec());
+        })
+        .unwrap();
         s
     }
 
@@ -525,11 +465,19 @@ mod tests {
         let path = temp_path("shrink.v3");
         write_snapshot_v3(&path, &s, 1).unwrap();
         let r = SnapshotReader::open(&path).unwrap();
-        assert_eq!(r.account_chunk(0).unwrap()[0], s.accounts[0]);
+        let w = WorldView::stream(&r).unwrap();
+        let mut first = None;
+        w.for_each_account(|u, a| {
+            if u == 0 {
+                first = Some(a.clone());
+            }
+        })
+        .unwrap();
+        assert_eq!(first.as_ref(), Some(&s.accounts[0]));
         std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(0).unwrap();
-        let e = r.account_chunk(0).unwrap_err();
+        let e = w.for_each_account(|_, _| {}).unwrap_err();
         assert!(matches!(e, ModelError::Io(_)), "{e}");
-        assert!(r.friendship_chunk(0).is_err());
+        assert!(w.for_each_friendship(|_| {}).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -549,17 +497,20 @@ mod tests {
         // Directory still verifies, so open succeeds on both backings...
         for r in both_backings(&path) {
             assert_eq!(r.n_users(), s.n_users());
+            let w = WorldView::stream(&r).unwrap();
             // ...and the damaged chunk is caught at access time, by name,
             // every time (the pooled buffer it was read into is reused).
             for _ in 0..2 {
-                let msg = r.friendship_chunk(0).unwrap_err().to_string();
+                let msg = w.for_each_friendship(|_| {}).unwrap_err().to_string();
                 assert!(msg.contains("friendships") && msg.contains("chunk 0"), "{msg}");
             }
-            // Other sections remain readable; failed reads are not counted.
+            // Other sections remain readable through the same reader and its
+            // pool; failed reads are not counted (the view read the catalog
+            // once before the failures, and this is the second read).
             assert_eq!(r.catalog().unwrap(), s.catalog);
             let reads = r.section_reads();
             assert_eq!(reads[codec::SECTION_FRIENDSHIPS as usize].decoded, 0);
-            assert_eq!(reads[codec::SECTION_CATALOG as usize].decoded, 1);
+            assert_eq!(reads[codec::SECTION_CATALOG as usize].decoded, 2);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -594,7 +545,8 @@ mod tests {
         let path = temp_path("par.v3");
         write_snapshot_v3(&path, &s, 2).unwrap();
         let r = SnapshotReader::open(&path).unwrap();
-        let n = r.n_account_chunks();
+        let dir = r.dir(codec::SECTION_ACCOUNTS);
+        let n = dir.chunks.len();
         let cursor = AtomicUsize::new(0);
         let counted = std::sync::Mutex::new(0usize);
         std::thread::scope(|scope| {
@@ -604,8 +556,11 @@ mod tests {
                     if k >= n {
                         break;
                     }
-                    let chunk = r.account_chunk(k).unwrap();
-                    assert_eq!(chunk[0], s.accounts[r.account_chunk_start(k)]);
+                    let Section::Accounts(chunk) = r.chunk(codec::SECTION_ACCOUNTS, k).unwrap()
+                    else {
+                        unreachable!("accounts chunk decoded to wrong section")
+                    };
+                    assert_eq!(chunk[0], s.accounts[k * dir.cap as usize]);
                     *counted.lock().unwrap() += chunk.len();
                 });
             }

@@ -42,7 +42,7 @@ pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
 pub use http::{Request, Response};
 pub use json::Json;
 pub use lru::LruCache;
-pub use pool::{AddrStats, ConnectionPool};
+pub use pool::ConnectionPool;
 pub use ratelimit::{KeyedLimiter, TokenBucket};
 #[cfg(target_os = "linux")]
 pub use reactor::raise_nofile_limit;

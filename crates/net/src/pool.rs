@@ -40,29 +40,6 @@ pub struct Conn {
     pub(crate) addr: SocketAddr,
 }
 
-/// Per-address idle stack plus per-address counters.
-#[derive(Default)]
-struct Bucket {
-    idle: Vec<(Conn, Instant)>,
-    connects: u64,
-    reuses: u64,
-    expired: u64,
-}
-
-/// Per-address pool counters, as returned by
-/// [`ConnectionPool::addr_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AddrStats {
-    /// TCP connections opened to this address.
-    pub connects: u64,
-    /// Checkouts served from this address's idle stack.
-    pub reuses: u64,
-    /// Idle connections discarded for exceeding the idle-age cap.
-    pub expired: u64,
-    /// Idle connections currently parked for this address.
-    pub idle: usize,
-}
-
 /// A bounded pool of idle keep-alive connections, keyed by address.
 pub struct ConnectionPool {
     timeout: Duration,
@@ -73,7 +50,8 @@ pub struct ConnectionPool {
     /// own idle timeout, so a connection parked longer than that is dead on
     /// arrival. Kept below the server default (30 s) with margin.
     max_idle_age: Duration,
-    buckets: Mutex<HashMap<SocketAddr, Bucket>>,
+    /// One idle stack per address, each connection with its parking time.
+    idle: Mutex<HashMap<SocketAddr, Vec<(Conn, Instant)>>>,
     connects: AtomicU64,
     reuses: AtomicU64,
     expired: AtomicU64,
@@ -86,7 +64,7 @@ impl ConnectionPool {
             timeout: Duration::from_secs(30),
             max_idle: max_idle.max(1),
             max_idle_age: Duration::from_secs(20),
-            buckets: Mutex::new(HashMap::new()),
+            idle: Mutex::new(HashMap::new()),
             connects: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
             expired: AtomicU64::new(0),
@@ -119,7 +97,7 @@ impl ConnectionPool {
 
     /// Idle connections currently parked in the pool, all addresses.
     pub fn idle_len(&self) -> usize {
-        self.buckets.lock().values().map(|b| b.idle.len()).sum()
+        self.idle.lock().values().map(Vec::len).sum()
     }
 
     /// Parked connections discarded at checkout for exceeding
@@ -128,32 +106,19 @@ impl ConnectionPool {
         self.expired.load(Ordering::Relaxed)
     }
 
-    /// Per-address counters, or `None` if the pool has never touched `addr`.
-    pub fn addr_stats(&self, addr: SocketAddr) -> Option<AddrStats> {
-        let buckets = self.buckets.lock();
-        buckets.get(&addr).map(|b| AddrStats {
-            connects: b.connects,
-            reuses: b.reuses,
-            expired: b.expired,
-            idle: b.idle.len(),
-        })
-    }
-
     /// Takes an idle connection to `addr` if a fresh-enough one is parked.
     /// Entries older than the idle-age cap are dropped (closing the socket)
     /// rather than handed out — the server has likely reaped them already.
     /// Connections parked under other addresses are never considered.
     pub(crate) fn checkout(&self, addr: SocketAddr) -> Option<Conn> {
         let now = Instant::now();
-        let mut buckets = self.buckets.lock();
-        let bucket = buckets.get_mut(&addr)?;
-        while let Some((conn, parked_at)) = bucket.idle.pop() {
+        let mut idle = self.idle.lock();
+        let stack = idle.get_mut(&addr)?;
+        while let Some((conn, parked_at)) = stack.pop() {
             if now.duration_since(parked_at) > self.max_idle_age {
-                bucket.expired += 1;
                 self.expired.fetch_add(1, Ordering::Relaxed);
                 continue; // dropped: the socket closes here
             }
-            bucket.reuses += 1;
             self.reuses.fetch_add(1, Ordering::Relaxed);
             return Some(conn);
         }
@@ -168,7 +133,6 @@ impl ConnectionPool {
         stream.set_write_timeout(Some(self.timeout))?;
         let writer = stream.try_clone()?;
         self.connects.fetch_add(1, Ordering::Relaxed);
-        self.buckets.lock().entry(addr).or_default().connects += 1;
         Ok(Conn { writer, reader: BufReader::new(stream), addr })
     }
 
@@ -184,10 +148,10 @@ impl ConnectionPool {
         if !resp.keep_alive() {
             return; // server is closing this connection: never park it
         }
-        let mut buckets = self.buckets.lock();
-        let bucket = buckets.entry(conn.addr).or_default();
-        if bucket.idle.len() < self.max_idle {
-            bucket.idle.push((conn, Instant::now()));
+        let mut idle = self.idle.lock();
+        let stack = idle.entry(conn.addr).or_default();
+        if stack.len() < self.max_idle {
+            stack.push((conn, Instant::now()));
         }
     }
 
@@ -281,15 +245,9 @@ mod tests {
         );
         let reused = pool.checkout(shard_a.addr()).expect("shard A gets its own socket back");
         assert_eq!(reused.addr, shard_a.addr());
-        let a = pool.addr_stats(shard_a.addr()).unwrap();
-        assert_eq!((a.connects, a.reuses), (1, 1));
-        assert!(pool.addr_stats(shard_b.addr()).is_none(), "shard B was never dialed");
-    }
+        assert_eq!((pool.connects(), pool.reuses()), (1, 1));
 
-    #[test]
-    fn per_addr_counters_track_their_own_addr_only() {
-        let shard_a = echo_server();
-        let shard_b = echo_server();
+        // An expiry at A leaves B's parked socket alone.
         let pool = ConnectionPool::new(4).with_max_idle_age(Duration::from_millis(50));
         let a = pool.connect(shard_a.addr()).unwrap();
         let b = pool.connect(shard_b.addr()).unwrap();
@@ -297,10 +255,7 @@ mod tests {
         pool.checkin(b, &reusable());
         std::thread::sleep(Duration::from_millis(80));
         assert!(pool.checkout(shard_a.addr()).is_none(), "shard A entry aged out");
-        let a = pool.addr_stats(shard_a.addr()).unwrap();
-        let b = pool.addr_stats(shard_b.addr()).unwrap();
-        assert_eq!(a.expired, 1, "only shard A's checkout observed the expiry");
-        assert_eq!(b.expired, 0, "shard B's parked socket was not touched");
         assert_eq!(pool.expired(), 1);
+        assert_eq!(pool.idle_len(), 1, "shard B's parked socket was not touched");
     }
 }
