@@ -579,12 +579,6 @@ impl Crawler {
         }
     }
 
-    /// Phase 1: census of the ID space. Returns accounts sorted by ID and
-    /// the scanned ID-space size.
-    pub fn census(&mut self) -> Result<(Vec<Account>, u64), NetError> {
-        self.shard_census(0, 1, None, &Replay::default())
-    }
-
     /// Collects the week panel for the given snapshot's users, probing the
     /// `/reproduction/panel` endpoint for every account (the paper sampled
     /// 0.5% of users; only sampled accounts answer).

@@ -134,8 +134,9 @@ COMMANDS
              --out PREFIX      output prefix (default shard); writes
                                PREFIX-I-of-N.bin for each shard I
              v3 snapshots are split by streaming chunk passes, one shard
-             at a time, so peak memory stays near one shard's size; the
-             shard bytes are identical to an in-memory split
+             at a time, so peak memory stays near one shard's size; a
+             v1/v2 file is decoded whole and walked by the same splitter,
+             so its peak is the world plus one shard
   route      Scatter-gather router over a shard fleet
              --shards A,B,…    shard addresses in ring order (required;
                                order and count must match shard-split)

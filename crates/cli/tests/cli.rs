@@ -557,5 +557,26 @@ fn log_level_flag_is_validated_and_enables_tracing() {
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(out.stdout.is_empty(), "tracing leaked onto stdout");
+
+    // A debug event reaches the installed sink: the report engine's
+    // per-experiment timer logs to stderr at debug level only, and the
+    // report bytes do not depend on the level.
+    let report = |extra: &[&str]| {
+        let out = bin()
+            .args(["report", "--snapshot", snap.to_str().unwrap(), "--jobs", "2"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        out
+    };
+    let quiet = report(&[]);
+    let debug = report(&["--log-level", "debug"]);
+    assert_eq!(quiet.stdout, debug.stdout, "--log-level changed the report bytes");
+    let timer_line = "DEBUG report] table1 took";
+    let debug_err = String::from_utf8_lossy(&debug.stderr);
+    assert!(debug_err.contains(timer_line), "no debug event on stderr: {debug_err}");
+    let quiet_err = String::from_utf8_lossy(&quiet.stderr);
+    assert!(!quiet_err.contains(timer_line), "a debug event at the default level: {quiet_err}");
     std::fs::remove_dir_all(&dir).ok();
 }

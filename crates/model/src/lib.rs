@@ -14,8 +14,6 @@
 //! playtime in minutes, group memberships, and a storefront catalog with
 //! genres, prices, multiplayer flags, and achievement completion percentages.
 
-#![forbid(unsafe_code)]
-
 pub mod account;
 pub mod codec;
 pub mod country;

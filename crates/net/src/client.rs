@@ -80,11 +80,6 @@ impl HttpClient {
         self.trace = trace;
     }
 
-    /// The trace context currently stamped onto outgoing requests.
-    pub fn trace(&self) -> Option<TraceContext> {
-        self.trace
-    }
-
     /// Sets the connect/read/write timeout. Only valid before the client's
     /// pool is shared (it rebuilds the pool's timeout in place).
     pub fn with_timeout(mut self, timeout: Duration) -> Self {

@@ -512,9 +512,16 @@ impl Dispatcher {
         if operational {
             match req.path.as_str() {
                 "/debug/spans" => {
-                    let filter = req.query_param("trace").and_then(TraceId::from_hex);
-                    let resp =
-                        Response::json(spans_json("spans", &steam_obs::recent_spans(), filter));
+                    // A malformed id is refused: answering with the whole
+                    // ring would read like a match.
+                    let resp = match req.query_param("trace").map(TraceId::from_hex) {
+                        Some(None) => Response::error(400, "trace must be 16 hex digits"),
+                        filter => Response::json(spans_json(
+                            "spans",
+                            &steam_obs::recent_spans(),
+                            filter.flatten(),
+                        )),
+                    };
                     return Outcome::Respond { resp, close: !keep_alive, truncate: false, delay };
                 }
                 "/debug/slow" => {

@@ -31,6 +31,7 @@ pub mod lru;
 pub mod pool;
 pub mod ratelimit;
 #[cfg(target_os = "linux")]
+#[allow(unsafe_code)]
 pub(crate) mod reactor;
 pub mod server;
 pub mod url;

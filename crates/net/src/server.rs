@@ -745,6 +745,13 @@ mod tests {
                 mode.label(),
                 spans.body_text()
             );
+            // A malformed or empty trace id is refused, not read as "no filter".
+            for bad in ["not-a-trace", "", "00ff", "+00000000000000f"] {
+                let refused = raw_get(addr, &format!("/debug/spans?trace={bad}"), false);
+                assert_eq!(refused.status, 400, "{} trace={bad:?}", mode.label());
+            }
+            let one = raw_get(addr, "/debug/spans?trace=00000000000000ab", false);
+            assert_eq!(one.status, 200, "{}", mode.label());
             let slow = raw_get(addr, "/debug/slow", false);
             assert_eq!(slow.status, 200, "{}", mode.label());
             assert!(slow.body_text().starts_with("{\"slow\":["), "{}", mode.label());

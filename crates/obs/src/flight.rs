@@ -8,21 +8,20 @@
 //! yields a joinable client+server span tree.
 //!
 //! Completed hops are recorded as [`SpanRecord`]s into the process-global
-//! [`FlightRecorder`]: an atomic-cursor slotted ring (seqlock per slot, no
-//! locks and no allocation on the hot path) retaining the last
-//! [`FLIGHT_CAPACITY`] spans, plus a "slowest K requests" reservoir with an
-//! atomic duration floor so the fast path rejects ordinary requests without
-//! touching the reservoir lock.
+//! [`FlightRecorder`]: one lock over a ring retaining the last
+//! [`FLIGHT_CAPACITY`] spans and a reservoir of the [`SLOW_CAPACITY`]
+//! slowest. Recording a span copies one fixed-size record and allocates
+//! nothing.
 //!
 //! Span recording is *never* gated by the log level: the recorder exists to
 //! answer "what just happened" after the fact, and the spans you need most
-//! are the ones you did not know to enable beforehand. The per-thread event
-//! rings in [`crate::trace`] remain the log store; this module records
-//! structure, not text.
+//! are the ones you did not know to enable beforehand. It records
+//! structure, not text; log events go to the sink in [`crate::trace`].
 
-use std::cell::UnsafeCell;
+use std::cmp::Reverse;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::trace::epoch;
 
@@ -56,6 +55,14 @@ fn nonzero(v: u64) -> u64 {
     }
 }
 
+/// Exactly 16 hex digits; `from_str_radix` alone would also take a sign.
+fn hex16(s: &str) -> Option<u64> {
+    if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    u64::from_str_radix(s, 16).ok()
+}
+
 impl TraceId {
     /// The n-th id minted from `seed`. Deterministic: two processes (or two
     /// server modes) fed the same sequential request stream mint the same
@@ -69,10 +76,7 @@ impl TraceId {
     }
 
     pub fn from_hex(s: &str) -> Option<TraceId> {
-        if s.len() != 16 {
-            return None;
-        }
-        u64::from_str_radix(s, 16).ok().map(TraceId)
+        hex16(s).map(TraceId)
     }
 }
 
@@ -82,10 +86,7 @@ impl SpanId {
     }
 
     pub fn from_hex(s: &str) -> Option<SpanId> {
-        if s.len() != 16 {
-            return None;
-        }
-        u64::from_str_radix(s, 16).ok().map(SpanId)
+        hex16(s).map(SpanId)
     }
 }
 
@@ -138,8 +139,6 @@ pub enum SpanKind {
     Client,
     /// Server-side handling of one parsed request.
     Server,
-    /// Anything in-process (phase timers, event-loop work).
-    Internal,
 }
 
 impl SpanKind {
@@ -147,7 +146,6 @@ impl SpanKind {
         match self {
             SpanKind::Client => "client",
             SpanKind::Server => "server",
-            SpanKind::Internal => "internal",
         }
     }
 }
@@ -157,8 +155,8 @@ pub const SPAN_NAME_MAX: usize = 48;
 /// Inline annotation capacity of a [`SpanRecord`]; longer notes are clipped.
 pub const SPAN_ANNOT_MAX: usize = 48;
 
-/// One completed hop. `Copy` with inline fixed-size string storage so the
-/// recorder's hot path never allocates and slot writes are plain memcpys.
+/// One completed hop. `Copy` with inline fixed-size string storage, so
+/// recording one allocates nothing.
 #[derive(Clone, Copy, Debug)]
 pub struct SpanRecord {
     pub trace: TraceId,
@@ -220,10 +218,6 @@ impl SpanRecord {
         record
     }
 
-    fn blank() -> SpanRecord {
-        SpanRecord::new(TraceId(0), SpanId(0), SpanId(0), SpanKind::Internal, "", "")
-    }
-
     pub fn with_status(mut self, status: u16) -> Self {
         self.status = status;
         self
@@ -256,107 +250,74 @@ pub const FLIGHT_CAPACITY: usize = 4096;
 /// Slowest spans retained by the reservoir.
 pub const SLOW_CAPACITY: usize = 32;
 
-/// One seqlock-guarded slot: even seq = stable, odd = mid-write. The seq
-/// advances by 2 per overwrite so readers detect laps.
-struct Slot {
-    seq: AtomicU64,
-    record: UnsafeCell<SpanRecord>,
+/// What the recorder's one lock guards.
+struct Spans {
+    /// The most recent spans in recording order, oldest at the front.
+    ring: VecDeque<SpanRecord>,
+    /// The slowest spans seen so far, at most the reservoir's capacity.
+    slow: Vec<SpanRecord>,
+    /// The shortest duration in `slow` once it first fills, 0 before: a
+    /// faster span is not offered to the reservoir.
+    slow_floor: u64,
 }
 
-// Safety: `record` is only written under the slot's odd-seq window and only
-// read through `read_volatile` with a seq recheck; torn reads are detected
-// and discarded.
-unsafe impl Sync for Slot {}
-
-/// The always-on span store: a slotted ring ordered by an atomic write
-/// cursor, plus a slowest-K reservoir guarded by an atomic duration floor.
+/// The always-on span store: a ring of the most recent spans plus a
+/// slowest-K reservoir, both behind one lock.
 pub struct FlightRecorder {
-    cursor: AtomicU64,
-    slots: Box<[Slot]>,
-    slow: Mutex<Vec<SpanRecord>>,
+    spans: Mutex<Spans>,
+    ring_cap: usize,
     slow_cap: usize,
-    /// Smallest duration currently held by a full reservoir; the hot path
-    /// skips the lock entirely for spans at or below it.
-    slow_floor: AtomicU64,
 }
 
 impl FlightRecorder {
-    pub fn with_capacity(slots: usize, slow_cap: usize) -> FlightRecorder {
-        assert!(slots > 0 && slow_cap > 0);
+    pub fn with_capacity(ring_cap: usize, slow_cap: usize) -> FlightRecorder {
+        assert!(ring_cap > 0 && slow_cap > 0);
         FlightRecorder {
-            cursor: AtomicU64::new(0),
-            slots: (0..slots)
-                .map(|_| Slot { seq: AtomicU64::new(0), record: UnsafeCell::new(SpanRecord::blank()) })
-                .collect(),
-            slow: Mutex::new(Vec::with_capacity(slow_cap + 1)),
+            spans: Mutex::new(Spans {
+                ring: VecDeque::with_capacity(ring_cap),
+                slow: Vec::with_capacity(slow_cap + 1),
+                slow_floor: 0,
+            }),
+            ring_cap,
             slow_cap,
-            slow_floor: AtomicU64::new(0),
         }
     }
 
-    /// Records one completed span. Lock-free and allocation-free unless the
-    /// span is slow enough to enter the reservoir.
+    /// Every update leaves the ring and the reservoir valid, so a lock
+    /// poisoned by a panicking holder still guards usable spans.
+    fn lock(&self) -> MutexGuard<'_, Spans> {
+        self.spans.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Records one completed span, evicting the oldest at capacity.
     pub fn record(&self, record: SpanRecord) {
-        let idx = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(idx as usize) % self.slots.len()];
-        let seq = slot.seq.load(Ordering::Acquire);
-        // An odd seq means a lapped writer is mid-write in this slot; a
-        // failed CAS means we raced another lapped writer. Either way the
-        // ring is overwriting itself faster than one record matters — drop.
-        if seq & 1 == 0
-            && slot
-                .seq
-                .compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-        {
-            unsafe { std::ptr::write(slot.record.get(), record) };
-            slot.seq.store(seq + 2, Ordering::Release);
+        let mut guard = self.lock();
+        let spans = &mut *guard;
+        if spans.ring.len() == self.ring_cap {
+            spans.ring.pop_front();
         }
-
-        // Slowest-K reservoir: fast-reject below the floor without locking.
-        if record.duration_us >= self.slow_floor.load(Ordering::Relaxed) {
-            let mut slow = self.slow.lock().expect("slow reservoir poisoned");
-            slow.push(record);
-            if slow.len() > self.slow_cap {
-                slow.sort_unstable_by_key(|r| std::cmp::Reverse(r.duration_us));
-                slow.truncate(self.slow_cap);
-                self.slow_floor.store(
-                    slow.last().map_or(0, |r| r.duration_us),
-                    Ordering::Relaxed,
-                );
+        spans.ring.push_back(record);
+        if record.duration_us >= spans.slow_floor {
+            spans.slow.push(record);
+            if spans.slow.len() > self.slow_cap {
+                spans.slow.sort_unstable_by_key(|r| Reverse(r.duration_us));
+                spans.slow.truncate(self.slow_cap);
+                spans.slow_floor = spans.slow.last().map_or(0, |r| r.duration_us);
             }
         }
     }
 
-    /// Snapshot of the retained spans, oldest first. Torn slots (mid-write
-    /// during the read) are skipped rather than blocked on.
+    /// Snapshot of the retained spans, oldest first.
     pub fn recent(&self) -> Vec<SpanRecord> {
-        let end = self.cursor.load(Ordering::Acquire);
-        let len = self.slots.len() as u64;
-        let start = end.saturating_sub(len);
-        let mut out = Vec::with_capacity((end - start) as usize);
-        for idx in start..end {
-            let slot = &self.slots[(idx as usize) % self.slots.len()];
-            let before = slot.seq.load(Ordering::Acquire);
-            if before == 0 || before & 1 == 1 {
-                continue;
-            }
-            let record = unsafe { std::ptr::read_volatile(slot.record.get()) };
-            std::sync::atomic::fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) == before {
-                out.push(record);
-            }
-        }
+        let mut out: Vec<SpanRecord> = self.lock().ring.iter().copied().collect();
         out.sort_by_key(|r| (r.start_us, r.span.0));
-        out.dedup_by_key(|r| (r.span, r.start_us));
         out
     }
 
     /// The slowest spans seen so far, slowest first.
     pub fn slowest(&self) -> Vec<SpanRecord> {
-        let mut slow = self.slow.lock().expect("slow reservoir poisoned").clone();
-        slow.sort_unstable_by_key(|r| std::cmp::Reverse(r.duration_us));
-        slow.truncate(self.slow_cap);
+        let mut slow = self.lock().slow.clone();
+        slow.sort_unstable_by_key(|r| Reverse(r.duration_us));
         slow
     }
 }
@@ -393,6 +354,8 @@ mod tests {
         assert_eq!(TraceId::from_hex(&id.to_hex()), Some(id));
         assert_eq!(TraceId::from_hex("xyz"), None);
         assert_eq!(TraceId::from_hex("00ff"), None, "must be exactly 16 hex chars");
+        assert_eq!(TraceId::from_hex("+00000000000000f"), None, "a sign is not a hex digit");
+        assert_eq!(SpanId::from_hex("+00000000000000f"), None);
     }
 
     #[test]
@@ -439,13 +402,9 @@ mod tests {
                     .with_timing(i, 1),
             );
         }
-        let recent = rec.recent();
-        assert!(recent.len() <= 64);
-        assert!(!recent.is_empty());
-        // Oldest-first, and only the tail of the stream survives.
-        assert!(recent.windows(2).all(|w| w[0].start_us <= w[1].start_us));
-        assert_eq!(recent.last().unwrap().trace, TraceId(199));
-        assert!(recent.first().unwrap().trace.0 >= 200 - 64);
+        // Oldest first, and exactly the last 64 of the stream survive.
+        let traces: Vec<u64> = rec.recent().iter().map(|r| r.trace.0).collect();
+        assert_eq!(traces, (136..200).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -461,6 +420,27 @@ mod tests {
         assert_eq!(slow.len(), 3);
         let durations: Vec<u64> = slow.iter().map(|r| r.duration_us).collect();
         assert_eq!(durations, vec![990, 980, 970]);
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_records_and_reads() {
+        let rec = std::sync::Arc::new(FlightRecorder::with_capacity(4, 2));
+        let span = |i: u64| {
+            SpanRecord::new(TraceId(i), SpanId(i), SpanId(0), SpanKind::Server, "t", "r")
+                .with_timing(i, i)
+        };
+        rec.record(span(1));
+        let holder = std::sync::Arc::clone(&rec);
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.spans.lock().unwrap();
+            panic!("poison the recorder's lock");
+        })
+        .join();
+        assert!(panicked.is_err() && rec.spans.is_poisoned());
+        rec.record(span(2));
+        let traces: Vec<u64> = rec.recent().iter().map(|r| r.trace.0).collect();
+        assert_eq!(traces, vec![1, 2]);
+        assert_eq!(rec.slowest().iter().map(|r| r.duration_us).collect::<Vec<_>>(), vec![2, 1]);
     }
 
     #[test]
@@ -487,18 +467,24 @@ mod tests {
                 }
             }));
         }
+        let intact = |record: &SpanRecord| {
+            assert!(record.name().starts_with("worker-"), "torn name {:?}", record.name());
+            assert_eq!(record.name(), record.annotation());
+            assert_eq!(record.duration_us, record.trace.0);
+        };
         // Concurrent readers must only ever observe intact records.
         for _ in 0..50 {
-            for record in rec.recent() {
-                assert!(record.name().starts_with("worker-"), "torn name {:?}", record.name());
-                assert_eq!(record.name(), record.annotation());
-                assert_eq!(record.duration_us, record.trace.0);
-            }
+            rec.recent().iter().for_each(intact);
         }
         for handle in handles {
             handle.join().unwrap();
         }
+        // 8,000 records through a 128-slot ring: no writer lost a slot.
         let recent = rec.recent();
-        assert!(!recent.is_empty() && recent.len() <= 128);
+        assert_eq!(recent.len(), 128);
+        recent.iter().for_each(intact);
+        let slow = rec.slowest();
+        assert_eq!(slow.len(), 8);
+        slow.iter().for_each(intact);
     }
 }

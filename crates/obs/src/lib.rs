@@ -15,8 +15,9 @@
 //!   delivered to a pluggable [`Sink`] (stderr text formatter included,
 //!   honoring `--log-level`);
 //! * [`flight`] — request-scoped [`TraceId`]/[`SpanId`] propagation
-//!   (`X-Steam-Trace`) and the always-on, lock-free flight recorder behind
-//!   the server's `/debug/spans` and `/debug/slow` endpoints.
+//!   (`X-Steam-Trace`) and the always-on flight recorder, one lock over a
+//!   ring of recent spans and a reservoir of the slowest, behind the
+//!   server's `/debug/spans` and `/debug/slow` endpoints.
 //!
 //! ## Determinism contract
 //!

@@ -1,17 +1,16 @@
 //! Leveled, structured tracing: events, `span`-style RAII timers, and a
 //! pluggable sink.
 //!
-//! The hot path is two relaxed atomic loads (level check, sink-installed
-//! check); a disabled event costs nothing beyond that — message formatting
-//! is gated behind [`enabled`] by the logging macros. Enabled events are
-//! forwarded to the installed [`Sink`], if any, and otherwise dropped.
+//! A disabled event costs one relaxed atomic load, the level check; the
+//! logging macros gate message formatting behind [`enabled`]. An enabled
+//! event clones the installed [`Sink`] under one lock and emits outside
+//! it; with no sink installed it is dropped.
 //!
 //! Nothing here writes to stdout; the bundled [`StderrSink`] formats to
 //! stderr, keeping report output byte-identical with tracing enabled.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::metrics::Histogram;
@@ -131,23 +130,13 @@ impl Sink for StderrSink {
     }
 }
 
-static SINK_INSTALLED: AtomicBool = AtomicBool::new(false);
+/// The installed sink. Every write stores a whole `Option`, so a lock
+/// poisoned by a panicking holder still guards a valid value.
 static SINK: Mutex<Option<Arc<dyn Sink>>> = Mutex::new(None);
-/// Bumped on every [`set_sink`]; emitters revalidate their thread-local
-/// sink clone against it with one relaxed-cost atomic load, so the hot
-/// path never touches the `SINK` mutex after the first event per thread.
-static SINK_GEN: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// `(generation, sink)` cache; stale when the generation lags SINK_GEN.
-    static SINK_CACHE: RefCell<(u64, Option<Arc<dyn Sink>>)> = const { RefCell::new((0, None)) };
-}
 
 /// Installs (or replaces) the global sink.
 pub fn set_sink(sink: Arc<dyn Sink>) {
-    *SINK.lock().expect("sink poisoned") = Some(sink);
-    SINK_GEN.fetch_add(1, Ordering::Release);
-    SINK_INSTALLED.store(true, Ordering::Release);
+    *SINK.lock().unwrap_or_else(PoisonError::into_inner) = Some(sink);
 }
 
 /// Records one event (if `level` is enabled): forwarded to the sink, if one
@@ -158,24 +147,10 @@ pub fn event(level: Level, target: &'static str, message: String) {
         return;
     }
     let event = Event { elapsed: epoch().elapsed(), level, target, message };
-    if SINK_INSTALLED.load(Ordering::Acquire) {
-        let gen = SINK_GEN.load(Ordering::Acquire);
-        // `try_with`: events during thread teardown fall back to a one-off
-        // mutex read instead of panicking.
-        let cached = SINK_CACHE.try_with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if cache.0 != gen {
-                *cache = (gen, SINK.lock().expect("sink poisoned").clone());
-            }
-            if let Some(sink) = &cache.1 {
-                sink.emit(&event);
-            }
-        });
-        if cached.is_err() {
-            if let Some(sink) = SINK.lock().expect("sink poisoned").clone() {
-                sink.emit(&event);
-            }
-        }
+    // Emit outside the lock, so a sink that itself logs cannot deadlock.
+    let sink = SINK.lock().unwrap_or_else(PoisonError::into_inner).clone();
+    if let Some(sink) = sink {
+        sink.emit(&event);
     }
 }
 
@@ -252,6 +227,7 @@ macro_rules! obs_trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     /// Tests below mutate the global level; serialize them so the parallel
     /// test harness cannot interleave their level changes.
