@@ -3,7 +3,8 @@
 //! Emulation of the Steam Web API surface the paper crawled (§3.1), plus
 //! the crawler that reconstructs a [`steam_model::Snapshot`] from it.
 //!
-//! * [`wire`] — the JSON shapes of each endpoint, with parsers;
+//! * [`wire`] — the JSON shapes of each endpoint: one writer and one
+//!   typed parser per body, with no `Json` tree in between;
 //! * [`service`] — the one HTTP service, over a shard store (a whole
 //!   snapshot is shard 0 of 1), with per-key token-bucket rate limiting and
 //!   the batch-100 profile endpoint;

@@ -36,7 +36,7 @@ use std::time::Duration;
 use steam_model::{AppId, GroupId, SteamId};
 use steam_net::http::{Request, Response};
 use steam_net::server::{Handler, HttpServer};
-use steam_net::url::{build_query, encode_path};
+use steam_net::url::build_target;
 use steam_net::{Backoff, ConnectionPool, HttpClient, NetError};
 use steam_obs::{
     next_span_id, now_us, record_span, Counter, SpanKind, SpanRecord, TraceContext, TRACE_HEADER,
@@ -235,13 +235,9 @@ impl RouterService {
     /// layer decoded both; re-encoding round-trips through the shard's
     /// parser to the same decoded values.
     fn rebuild_target(req: &Request) -> String {
-        if req.query.is_empty() {
-            encode_path(&req.path)
-        } else {
-            let pairs: Vec<(&str, String)> =
-                req.query.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-            format!("{}?{}", encode_path(&req.path), build_query(&pairs))
-        }
+        let pairs: Vec<(&str, &str)> =
+            req.query.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        build_target(&req.path, &pairs)
     }
 
     /// Rebuilds the target with the `steamids` parameter replaced by
@@ -249,14 +245,12 @@ impl RouterService {
     fn subbatch_target(req: &Request, ids: &[SteamId]) -> String {
         let joined =
             ids.iter().map(|id| id.to_string()).collect::<Vec<_>>().join(",");
-        let pairs: Vec<(&str, String)> = req
+        let pairs: Vec<(&str, &str)> = req
             .query
             .iter()
-            .map(|(k, v)| {
-                (k.as_str(), if k == "steamids" { joined.clone() } else { v.clone() })
-            })
+            .map(|(k, v)| (k.as_str(), if k == "steamids" { joined.as_str() } else { v.as_str() }))
             .collect();
-        format!("{}?{}", encode_path(&req.path), build_query(&pairs))
+        build_target(&req.path, &pairs)
     }
 
     /// The shard that owns the entity a request names. Requests the shards
@@ -386,7 +380,7 @@ impl RouterService {
         }
         let found: Vec<&steam_model::Account> =
             ids.iter().filter_map(|id| by_id.get(id)).collect();
-        Response::json(wire::player_summaries_response(&found).to_text())
+        Response::json(wire::player_summaries_response(&found))
     }
 }
 

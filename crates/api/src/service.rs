@@ -175,8 +175,8 @@ impl ApiService {
         }
     }
 
-    /// Serves `key` from the wire cache, building (and caching) the body on
-    /// a miss. With the cache disabled, just serializes. Only reached after
+    /// Serves `key` from the wire cache, writing (and caching) the body on a
+    /// miss. With the cache disabled, just writes it. Only reached after
     /// request validation, so error responses are never cached.
     fn cached(&self, key: CacheKey, build: impl FnOnce() -> String) -> Response {
         match &self.cache {
@@ -240,7 +240,7 @@ impl ApiService {
                 .filter_map(|id| self.by_id.get(id))
                 .map(|&idx| &self.store.accounts[idx as usize])
                 .collect();
-            wire::player_summaries_response(&found).to_text()
+            wire::player_summaries_response(&found)
         })
     }
 
@@ -250,7 +250,7 @@ impl ApiService {
             Err(resp) => return resp,
         };
         self.cached(CacheKey::Friends(idx), || {
-            wire::friend_list_response(&self.store.friends[idx as usize]).to_text()
+            wire::friend_list_response(&self.store.friends[idx as usize])
         })
     }
 
@@ -260,7 +260,7 @@ impl ApiService {
             Err(resp) => return resp,
         };
         self.cached(CacheKey::Games(idx), || {
-            wire::owned_games_response(&self.store.games[idx as usize]).to_text()
+            wire::owned_games_response(&self.store.games[idx as usize])
         })
     }
 
@@ -270,12 +270,12 @@ impl ApiService {
             Err(resp) => return resp,
         };
         self.cached(CacheKey::Groups(idx), || {
-            wire::group_list_response(&self.store.member_gids[idx as usize]).to_text()
+            wire::group_list_response(&self.store.member_gids[idx as usize])
         })
     }
 
     fn get_app_list(&self) -> Response {
-        self.cached(CacheKey::AppList, || wire::app_list_response(&self.store.catalog).to_text())
+        self.cached(CacheKey::AppList, || wire::app_list_response(&self.store.catalog))
     }
 
     fn get_app_details(&self, req: &Request) -> Response {
@@ -285,7 +285,7 @@ impl ApiService {
         };
         match self.app_index.get(&app) {
             Some(&gi) => self.cached(CacheKey::AppDetails(gi), || {
-                wire::app_details_response(&self.store.catalog[gi as usize]).to_text()
+                wire::app_details_response(&self.store.catalog[gi as usize])
             }),
             None => Response::error(404, "unknown app"),
         }
@@ -301,7 +301,6 @@ impl ApiService {
                 wire::achievement_percentages_response(
                     &self.store.catalog[gi as usize].achievements,
                 )
-                .to_text()
             }),
             None => Response::error(404, "unknown app"),
         }
@@ -317,7 +316,7 @@ impl ApiService {
         };
         match index.get(&idx) {
             Some(&row) => self.cached(CacheKey::Panel(row as u32), || {
-                wire::panel_response(&panel.daily_minutes[row]).to_text()
+                wire::panel_response(&panel.daily_minutes[row])
             }),
             None => Response::error(404, "user not in the panel sample"),
         }
@@ -357,7 +356,7 @@ impl ApiService {
         };
         match self.group_index.get(&gid) {
             Some(&gi) => self.cached(CacheKey::GroupPage(gi), || {
-                wire::group_page_response(&self.store.groups[gi as usize]).to_text()
+                wire::group_page_response(&self.store.groups[gi as usize])
             }),
             None => Response::error(404, "unknown group"),
         }

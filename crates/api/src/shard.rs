@@ -468,7 +468,6 @@ mod tests {
     use steam_model::id::STEAM_ID_BASE;
     use steam_model::{AppType, GenreSet};
     use steam_net::http::Request;
-    use steam_net::json::Json;
     use steam_net::server::Handler;
     use steam_synth::{Generator, SynthConfig};
 
@@ -833,7 +832,7 @@ mod tests {
         }
     }
 
-    /// The served bytes, rebuilt from the snapshot with the wire builders
+    /// The served bytes, rebuilt from the snapshot with the wire writers
     /// alone: friend lists in ascending friend index, group lists in
     /// membership order, summaries in first-occurrence order. The service
     /// over the 1-of-1 store and over each of 4 split shards must serve
@@ -862,14 +861,10 @@ mod tests {
             let unlimited = RateLimit { per_key_rps: 1e12, burst: 1e12 };
             let services: Vec<ApiService> =
                 stores.into_iter().map(|s| ApiService::new(s, unlimited)).collect();
-            let check = |shard: usize, target: &str, expected: Json| {
+            let check = |shard: usize, target: &str, expected: String| {
                 let resp = services[shard].handle(Request::get(target));
                 assert_eq!(resp.status, 200, "{target} on shard {shard}/{n}");
-                assert_eq!(
-                    resp.body_text(),
-                    expected.to_text(),
-                    "{target} on shard {shard}/{n}"
-                );
+                assert_eq!(resp.body_text(), expected, "{target} on shard {shard}/{n}");
             };
             for (u, acct) in snap.accounts.iter().enumerate() {
                 let owner = shard_of(acct.id, n);

@@ -15,7 +15,9 @@
 //!
 //! * `epoll` — one reactor thread holding every connection; the bench opens
 //!   10k+ concurrent keep-alive connections by default and round-robins the
-//!   arrival schedule across them.
+//!   arrival schedule across them. Each connection holds three descriptors
+//!   in this one process, so the fleet is capped at what the descriptor
+//!   limit holds (and the output says so).
 //! * `threaded` — the blocking worker pool. A worker owns a connection for
 //!   its whole lifetime, so concurrency is **capped at the worker count**;
 //!   the bench caps the threaded fleet accordingly (and says so in the
@@ -217,16 +219,30 @@ fn run_mode(
             let my_conns = (conns + threads - 1 - t) / threads; // spread remainder
             let per_thread_rate = rate / threads as f64;
             std::thread::spawn(move || {
-                let mut fleet: Vec<BenchConn> =
-                    (0..my_conns).map(|_| connect(addr)).collect();
                 // Closed-loop warmup: every connection completes a few
                 // exchanges, so sockets, caches and metric paths are warm
-                // before the clock starts.
+                // before the clock starts. The first comes as soon as the
+                // connection opens, so the server has accepted it before
+                // the next connect. Opening the whole fleet first could
+                // take over 30 s at 6,496 connections, and the first ones
+                // then read EOF: the server closes a connection idle that
+                // long.
                 let mut warm_n = (t as u64) << 32;
-                for _ in 0..warmup_per_conn {
+                let mut warm = |conn: &mut BenchConn| {
+                    exchange(conn, mix.pick(warm_n), traced.then_some(warm_n));
+                    warm_n += 1;
+                };
+                let mut fleet = Vec::with_capacity(my_conns);
+                for _ in 0..my_conns {
+                    let mut conn = connect(addr);
+                    if warmup_per_conn > 0 {
+                        warm(&mut conn);
+                    }
+                    fleet.push(conn);
+                }
+                for _ in 1..warmup_per_conn {
                     for conn in fleet.iter_mut() {
-                        exchange(conn, mix.pick(warm_n), traced.then_some(warm_n));
-                        warm_n += 1;
+                        warm(conn);
                     }
                 }
                 // Open-loop measured run: arrivals on a fixed schedule,
@@ -288,6 +304,16 @@ fn run_mode(
     result
 }
 
+/// The largest epoll fleet, up to `conns`, that a descriptor limit of
+/// `limit` holds: every connection takes three descriptors in this process
+/// (the client stream, its `try_clone`, and the server's socket), and 512
+/// are left for everything else. `None` when that leaves no connection.
+fn epoll_fleet(conns: usize, limit: u64) -> Option<usize> {
+    let fits = limit.saturating_sub(512) / 3;
+    let fleet = conns.min(usize::try_from(fits).unwrap_or(usize::MAX));
+    (fleet > 0).then_some(fleet)
+}
+
 fn bind_server(
     snapshot: &Arc<Snapshot>,
     mode: ServerMode,
@@ -322,8 +348,8 @@ fn main() {
     let mode_arg = arg("--mode").unwrap_or_else(|| default_mode.into());
     let duration = Duration::from_secs_f64(duration_secs);
 
-    // Each connection is two fds on our side (bench socket + server socket
-    // lives in the same process); leave generous headroom.
+    // Each connection is three fds in this process (see `epoll_fleet`). The
+    // soft limit can rise only as far as the hard one.
     let limit = steam_net::raise_nofile_limit((conns as u64) * 3 + 512);
     eprintln!("# fd limit: {limit}");
 
@@ -354,12 +380,22 @@ fn main() {
     }
 
     let mut selected: Vec<(&'static str, &'static str, ServerMode, usize)> = Vec::new();
+    // BENCH_serve.json's `conns`: the epoll fleet when the fd limit caps it.
+    let mut report_conns = conns;
     if mode_arg == "both" || mode_arg == "epoll" {
         if !cfg!(target_os = "linux") {
             eprintln!("error: epoll mode requires Linux");
             std::process::exit(2);
         }
-        selected.push(("epoll", "epoll+trace", ServerMode::Epoll, conns));
+        let Some(epoll_conns) = epoll_fleet(conns, limit) else {
+            eprintln!("error: no epoll connection fits (--conns {conns}, fd limit {limit})");
+            std::process::exit(2);
+        };
+        if epoll_conns < conns {
+            eprintln!("# [epoll] fleet capped at {epoll_conns} connections (fd limit {limit})");
+            report_conns = epoll_conns;
+        }
+        selected.push(("epoll", "epoll+trace", ServerMode::Epoll, epoll_conns));
     }
     if mode_arg == "both" || mode_arg == "threaded" {
         // A threaded worker owns its connection until close, so only
@@ -426,7 +462,7 @@ fn main() {
     let mut report_fields = vec![
         ("bench", Json::Str("serve".into())),
         ("users", Json::Num(users as f64)),
-        ("conns", Json::Num(conns as f64)),
+        ("conns", Json::Num(report_conns as f64)),
         ("rate", Json::Num(rate)),
         ("duration_secs", Json::Num(duration_secs)),
         ("threads", Json::Num(threads as f64)),
@@ -443,4 +479,21 @@ fn main() {
     std::fs::write(&out, &text).expect("write BENCH_serve.json");
     println!("{text}");
     eprintln!("# wrote {out}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::epoll_fleet;
+
+    #[test]
+    fn epoll_fleet_fits_the_descriptor_limit() {
+        assert_eq!(epoll_fleet(10_000, 20_000), Some(6_496));
+        assert_eq!(epoll_fleet(10_000, 1 << 20), Some(10_000));
+        assert_eq!(epoll_fleet(256, 20_000), Some(256));
+        // A limit that holds no connection (or a failed `getrlimit`, which
+        // reads 0) stops the bench instead of dividing by an empty fleet.
+        assert_eq!(epoll_fleet(10_000, 514), None);
+        assert_eq!(epoll_fleet(10_000, 0), None);
+        assert_eq!(epoll_fleet(10_000, 515), Some(1));
+    }
 }

@@ -341,13 +341,9 @@ pub(crate) fn write_request_with<W: Write>(
 /// Appends a request's exact wire bytes, `extra` header included, to `out`
 /// (the client encodes every request of an exchange into one buffer).
 pub(crate) fn encode_request(out: &mut Vec<u8>, req: &Request, extra: Option<(&str, &str)>) {
-    let mut target = crate::url::encode_path(&req.path);
-    if !req.query.is_empty() {
-        let pairs: Vec<(&str, String)> =
-            req.query.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-        target.push('?');
-        target.push_str(&crate::url::build_query(&pairs));
-    }
+    let pairs: Vec<(&str, &str)> =
+        req.query.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+    let target = crate::url::build_target(&req.path, &pairs);
     encode_message(
         out,
         [&req.method, &target, req.version.as_str()],
@@ -729,6 +725,30 @@ mod tests {
              X-Steam-Trace: 00000000000000ab-00000000000000cd\r\n\
              Content-Length: 7\r\n\r\npayload"
         );
+    }
+
+    #[test]
+    fn census_request_wire_bytes_are_pinned() {
+        // A census batch: 100 ids joined by 99 commas, each sent as `%2C`.
+        let ids: Vec<String> =
+            (0..100u64).map(|i| (76_561_197_960_265_728 + 1_000 * i).to_string()).collect();
+        let target =
+            format!("/ISteamUser/GetPlayerSummaries/v2?key=crawler&steamids={}", ids.join(","));
+        let wire = one_write(|w| write_request(w, &Request::get(&target)));
+        assert_eq!(
+            wire,
+            format!(
+                "GET /ISteamUser/GetPlayerSummaries/v2?key=crawler&steamids={} HTTP/1.1\r\n\
+                 Content-Length: 0\r\n\r\n",
+                ids.join("%2C")
+            )
+        );
+        assert_eq!(wire.len(), 2088);
+        assert!(wire.starts_with(
+            "GET /ISteamUser/GetPlayerSummaries/v2?key=crawler&steamids=\
+             76561197960265728%2C76561197960266728%2C76561197960267728%2C"
+        ));
+        assert!(wire.ends_with("%2C76561197960364728 HTTP/1.1\r\nContent-Length: 0\r\n\r\n"));
     }
 
     #[test]

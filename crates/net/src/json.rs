@@ -1,11 +1,20 @@
-//! A minimal JSON value type, parser and writer.
+//! A minimal JSON value type, a pull reader, and writers.
 //!
 //! The Steam Web API speaks JSON; we hand-roll the codec rather than pull in
 //! a serde backend (see DESIGN.md's dependency policy). The implementation
 //! covers the full JSON grammar — objects, arrays, strings with escapes and
 //! `\uXXXX` (including surrogate pairs), numbers, literals — with a depth
 //! limit to bound recursion on hostile input.
+//!
+//! The grammar exists once, in [`Reader`]: a pull reader that walks the text
+//! once and hands each value to its caller, borrowing strings that need no
+//! unescaping. [`Json::parse`] is the reader building a tree; the API's
+//! typed wire parsers read their records straight off it with [`read`].
+//! [`write_number`] and [`write_string`] are the one place numbers and
+//! strings become text, for the tree's [`Json::to_text`] and for the API's
+//! body writers alike.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
@@ -48,12 +57,11 @@ impl Json {
         }
     }
 
-    /// The value as u64 if it is a non-negative integer-valued number.
+    /// The value as u64 if it is a non-negative integer-valued number (see
+    /// [`as_u64`]).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(63) => {
-                Some(*n as u64)
-            }
+            Json::Num(n) => as_u64(*n),
             _ => None,
         }
     }
@@ -89,14 +97,19 @@ impl Json {
     /// Parses JSON text (must be a single value with only trailing
     /// whitespace after it).
     pub fn parse(text: &str) -> Result<Json, NetError> {
-        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != text.len() {
-            return Err(p.err("trailing characters"));
-        }
+        let mut r = Reader::new(text);
+        let v = r.value()?;
+        r.finish()?;
         Ok(v)
+    }
+}
+
+/// A number as u64 if it is a non-negative integer no larger than 2^63.
+pub fn as_u64(n: f64) -> Option<u64> {
+    if n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(63) {
+        Some(n as u64)
+    } else {
+        None
     }
 }
 
@@ -183,9 +196,11 @@ fn write_value(v: &Json, out: &mut String) {
 // Numbers and `\u` escapes are formatted straight into `out`: writing to a
 // `String` cannot fail, so the `fmt::Result`s are dropped.
 
-fn write_number(n: f64, out: &mut String) {
+/// Appends a number: an integer-valued number below 2^63 in magnitude as an
+/// integer, any other finite number in Rust's shortest round-trip form, and
+/// `null` for NaN and the infinities (JSON has neither).
+pub fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
-        // JSON has no NaN/Inf; emit null like most encoders.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 2f64.powi(63) {
         let _ = write!(out, "{}", n as i64);
@@ -194,35 +209,121 @@ fn write_number(n: f64, out: &mut String) {
     }
 }
 
-pub(crate) fn write_string(s: &str, out: &mut String) {
+/// Appends a quoted string. `"`, `\`, newline, carriage return and tab get
+/// their short escapes, every other control character `\u00XX`; all else,
+/// non-ASCII included, is copied as it is, one run at a time.
+pub fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut rest = s;
+    // Every byte that needs an escape is ASCII, so each cut lands on a char
+    // boundary.
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{c:04x}");
             }
-            c => out.push(c),
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
-struct Parser<'a> {
+/// What the next value is, from its first byte.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    Null,
+    Bool,
+    Num,
+    Str,
+    Arr,
+    Obj,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Null => "null",
+            Kind::Bool => "a bool",
+            Kind::Num => "a number",
+            Kind::Str => "a string",
+            Kind::Arr => "an array",
+            Kind::Obj => "an object",
+        }
+    }
+}
+
+/// Reads one JSON document with `f` and requires that only whitespace
+/// follows it.
+///
+/// Two kinds of error come out. Text that breaks the grammar is
+/// [`NetError::Json`], with the offset and message [`Json::parse`] gives for
+/// the same text. Well-formed text of the wrong shape — a value of another
+/// [`Kind`] than `f` asked for, or any error `f` returns itself — is that
+/// error, normally [`NetError::Http`]. `f` stops at the first shape error,
+/// before the rest of the text has been read; the whole text is then checked,
+/// and a grammar error anywhere in it wins, as it did when every body was
+/// parsed to a tree before a field was looked at.
+pub fn read<'a, T>(
     text: &'a str,
-    /// `text` as bytes: every token boundary the parser stops at is ASCII,
+    f: impl FnOnce(&mut Reader<'a>) -> Result<T, NetError>,
+) -> Result<T, NetError> {
+    let mut r = Reader::new(text);
+    match f(&mut r).and_then(|v| r.finish().map(|()| v)) {
+        Err(shape) if !matches!(shape, NetError::Json { .. }) => {
+            let mut whole = Reader::new(text);
+            whole.skip()?;
+            whole.finish()?;
+            Err(shape)
+        }
+        done => done,
+    }
+}
+
+/// A pull reader over JSON text, driven through [`read`].
+///
+/// Each value method first skips whitespace and looks at the next value:
+/// [`obj`](Self::obj), [`arr`](Self::arr), [`str`](Self::str),
+/// [`num`](Self::num), [`bool`](Self::bool) and [`null`](Self::null) consume
+/// it if it is of their [`Kind`] and return a shape error
+/// ([`NetError::Http`]) without consuming anything if not;
+/// [`skip`](Self::skip) consumes any value. Grammar errors are
+/// [`NetError::Json`]. After any error the reader's position is
+/// unspecified; use [`read`] to get grammar errors ahead of shape errors.
+pub struct Reader<'a> {
+    text: &'a str,
+    /// `text` as bytes: every token boundary the reader stops at is ASCII,
     /// so byte positions are always char boundaries of `text`.
     bytes: &'a [u8],
     pos: usize,
+    /// Nesting depth of the next value (the document itself is depth 0).
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn err(&self, msg: &str) -> NetError {
-        NetError::Json { offset: self.pos, message: msg.to_string() }
+        NetError::Json {
+            offset: self.pos,
+            message: msg.to_string(),
+        }
     }
 
     fn skip_ws(&mut self) {
@@ -235,12 +336,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    fn byte(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), NetError> {
-        if self.peek() == Some(b) {
+        if self.byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -248,76 +349,234 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, NetError> {
-        if depth > MAX_DEPTH {
+    /// The kind of the next value, after any whitespace; a grammar error if
+    /// no value starts there or it would nest deeper than the limit.
+    pub fn peek(&mut self) -> Result<Kind, NetError> {
+        if self.depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
         self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+        match self.byte() {
+            Some(b'{') => Ok(Kind::Obj),
+            Some(b'[') => Ok(Kind::Arr),
+            Some(b'"') => Ok(Kind::Str),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'n') => Ok(Kind::Null),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Num),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn literal(&mut self, text: &str, v: Json) -> Result<Json, NetError> {
+    fn want(&mut self, kind: Kind) -> Result<(), NetError> {
+        match self.peek()? {
+            found if found == kind => Ok(()),
+            found => Err(NetError::Http(format!(
+                "expected {}, found {}",
+                kind.name(),
+                found.name()
+            ))),
+        }
+    }
+
+    /// Requires that only whitespace is left.
+    fn finish(&mut self) -> Result<(), NetError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters"));
+        }
+        Ok(())
+    }
+
+    /// Reads an object: `f` gets each key in text order, with the reader
+    /// positioned at its value, and must consume that value.
+    pub fn obj(
+        &mut self,
+        mut f: impl FnMut(&str, &mut Self) -> Result<(), NetError>,
+    ) -> Result<(), NetError> {
+        self.want(Kind::Obj)?;
+        self.pos += 1;
+        self.skip_ws();
+        if self.byte() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        self.depth += 1;
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            f(&key, self)?;
+            self.skip_ws();
+            match self.byte() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
+        }
+    }
+
+    /// Reads an array: `f` is called at each element and must consume it.
+    pub fn arr(
+        &mut self,
+        mut f: impl FnMut(&mut Self) -> Result<(), NetError>,
+    ) -> Result<(), NetError> {
+        self.want(Kind::Arr)?;
+        self.pos += 1;
+        self.skip_ws();
+        if self.byte() == Some(b']') {
+            self.pos += 1;
+            return Ok(());
+        }
+        self.depth += 1;
+        loop {
+            f(self)?;
+            self.skip_ws();
+            match self.byte() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    /// Reads a string, borrowed from the text unless it holds an escape.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, NetError> {
+        self.want(Kind::Str)?;
+        self.string()
+    }
+
+    /// Reads a number as the `f64` that `str::parse` gives for its text.
+    pub fn num(&mut self) -> Result<f64, NetError> {
+        self.want(Kind::Num)?;
+        self.number()
+    }
+
+    /// Reads `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool, NetError> {
+        self.want(Kind::Bool)?;
+        if self.byte() == Some(b't') {
+            self.literal("true").map(|()| true)
+        } else {
+            self.literal("false").map(|()| false)
+        }
+    }
+
+    /// Reads `null`.
+    pub fn null(&mut self) -> Result<(), NetError> {
+        self.want(Kind::Null)?;
+        self.literal("null")
+    }
+
+    /// Consumes the next value, whatever it is, checking its grammar.
+    pub fn skip(&mut self) -> Result<(), NetError> {
+        match self.peek()? {
+            Kind::Obj => self.obj(|_, r| r.skip()),
+            Kind::Arr => self.arr(Self::skip),
+            Kind::Str => self.string().map(drop),
+            Kind::Num => self.number().map(drop),
+            Kind::Bool => self.bool().map(drop),
+            Kind::Null => self.null(),
+        }
+    }
+
+    /// Reads the next value as a tree.
+    fn value(&mut self) -> Result<Json, NetError> {
+        Ok(match self.peek()? {
+            Kind::Obj => {
+                let mut map = BTreeMap::new();
+                self.obj(|key, r| {
+                    map.insert(key.to_string(), r.value()?);
+                    Ok(())
+                })?;
+                Json::Obj(map)
+            }
+            Kind::Arr => {
+                let mut items = Vec::new();
+                self.arr(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Json::Arr(items)
+            }
+            Kind::Str => Json::Str(self.string()?.into_owned()),
+            Kind::Num => Json::Num(self.number()?),
+            Kind::Bool => Json::Bool(self.bool()?),
+            Kind::Null => {
+                self.null()?;
+                Json::Null
+            }
+        })
+    }
+
+    fn literal(&mut self, text: &str) -> Result<(), NetError> {
         if self.bytes[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(self.err(&format!("expected {text}")))
         }
     }
 
-    fn number(&mut self) -> Result<Json, NetError> {
+    fn digits(&mut self) {
+        while matches!(self.byte(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+    }
+
+    fn number(&mut self) -> Result<f64, NetError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        if self.byte() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        self.digits();
+        if self.byte() == Some(b'.') {
             self.pos += 1;
+            self.digits();
         }
-        if self.peek() == Some(b'.') {
+        if matches!(self.byte(), Some(b'e' | b'E')) {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
+            if matches!(self.byte(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number bytes"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+        text.parse::<f64>().map_err(|_| self.err("invalid number"))
     }
 
-    fn string(&mut self) -> Result<String, NetError> {
+    fn string(&mut self) -> Result<Cow<'a, str>, NetError> {
         self.expect(b'"')?;
+        let start = self.pos;
+        // The common case: a run of plain bytes up to the closing quote.
+        let end = self.plain_run();
+        if self.bytes.get(end) == Some(&b'"') {
+            if let Some(run) = self.text.get(start..end) {
+                self.pos = end + 1;
+                return Ok(Cow::Borrowed(run));
+            }
+        }
         let mut out = String::new();
         loop {
-            match self.peek() {
+            match self.byte() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
+                    match self.byte() {
                         Some(b'"') => out.push('"'),
                         Some(b'\\') => out.push('\\'),
                         Some(b'/') => out.push('/'),
@@ -328,30 +587,7 @@ impl<'a> Parser<'a> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low surrogate.
-                                if self.peek() != Some(b'\\') {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                                self.pos += 1;
-                                if self.peek() != Some(b'u') {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                                self.pos += 1;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let code =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(code).ok_or_else(|| self.err("bad codepoint"))?
-                            } else if (0xDC00..0xE000).contains(&hi) {
-                                return Err(self.err("lone low surrogate"));
-                            } else {
-                                char::from_u32(hi).ok_or_else(|| self.err("bad codepoint"))?
-                            };
-                            out.push(c);
+                            out.push(self.unicode_escape()?);
                             continue; // hex4 already advanced past the digits
                         }
                         _ => return Err(self.err("invalid escape")),
@@ -364,16 +600,51 @@ impl<'a> Parser<'a> {
                     // quote, backslash or control byte at once. Those stop
                     // bytes are ASCII, so the run ends on a char boundary;
                     // `get` still fails instead of panicking if it did not.
-                    let end = self.bytes[self.pos..]
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                        .map_or(self.bytes.len(), |n| self.pos + n);
-                    let run =
-                        self.text.get(self.pos..end).ok_or_else(|| self.err("invalid utf-8"))?;
+                    let end = self.plain_run();
+                    let run = self
+                        .text
+                        .get(self.pos..end)
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
                     out.push_str(run);
                     self.pos = end;
                 }
             }
+        }
+    }
+
+    /// The end of the run of bytes from the current position that are not a
+    /// quote, a backslash or a control byte.
+    fn plain_run(&self) -> usize {
+        self.bytes[self.pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .map_or(self.bytes.len(), |n| self.pos + n)
+    }
+
+    /// The character of a `\u` escape whose `\u` has been consumed,
+    /// joining a surrogate pair.
+    fn unicode_escape(&mut self) -> Result<char, NetError> {
+        let hi = self.hex4()?;
+        if (0xD800..0xDC00).contains(&hi) {
+            // Surrogate pair: expect \uXXXX low surrogate.
+            if self.byte() != Some(b'\\') {
+                return Err(self.err("lone high surrogate"));
+            }
+            self.pos += 1;
+            if self.byte() != Some(b'u') {
+                return Err(self.err("lone high surrogate"));
+            }
+            self.pos += 1;
+            let lo = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err(self.err("invalid low surrogate"));
+            }
+            let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+            char::from_u32(code).ok_or_else(|| self.err("bad codepoint"))
+        } else if (0xDC00..0xE000).contains(&hi) {
+            Err(self.err("lone low surrogate"))
+        } else {
+            char::from_u32(hi).ok_or_else(|| self.err("bad codepoint"))
         }
     }
 
@@ -386,59 +657,6 @@ impl<'a> Parser<'a> {
         let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad hex"))?;
         self.pos += 4;
         Ok(v)
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, NetError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, NetError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let v = self.value(depth + 1)?;
-            map.insert(key, v);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
     }
 }
 
@@ -477,10 +695,7 @@ mod tests {
     fn unicode_escapes() {
         assert_eq!(Json::parse(r#""A""#).unwrap(), Json::Str("A".into()));
         // Surrogate pair for 😀 (U+1F600).
-        assert_eq!(
-            Json::parse(r#""😀""#).unwrap(),
-            Json::Str("😀".into())
-        );
+        assert_eq!(Json::parse(r#""😀""#).unwrap(), Json::Str("😀".into()));
         // Raw UTF-8 passes through.
         assert_eq!(Json::parse("\"héllo\"").unwrap(), Json::Str("héllo".into()));
     }
@@ -500,13 +715,20 @@ mod tests {
         let long = "é".repeat(5000); // 10,000 bytes of two-byte chars
         let body = 1 + long.len(); // the first byte after the run
         let cases = [
-            (format!("\"{long}\u{1}\""), body, "control character in string"),
+            (
+                format!("\"{long}\u{1}\""),
+                body,
+                "control character in string",
+            ),
             (format!("\"{long}\\x\""), body + 1, "invalid escape"),
             (format!("\"{long}"), body, "unterminated string"),
         ];
         for (text, offset, message) in cases {
             match Json::parse(&text) {
-                Err(NetError::Json { offset: o, message: m }) => {
+                Err(NetError::Json {
+                    offset: o,
+                    message: m,
+                }) => {
                     assert_eq!((o, m.as_str()), (offset, message));
                 }
                 other => panic!("expected {message:?} at {offset}, got {other:?}"),
@@ -532,14 +754,28 @@ mod tests {
         let parsed = Json::parse(&text).unwrap();
         let took = start.elapsed();
         assert_eq!(parsed, doc);
-        assert!(took < std::time::Duration::from_secs(5), "parsing took {took:?}");
+        assert!(
+            took < std::time::Duration::from_secs(5),
+            "parsing took {took:?}"
+        );
     }
 
     #[test]
     fn invalid_inputs_rejected() {
         for bad in [
-            "", "{", "[1,", "\"unterminated", "{\"a\"}", "nul", "tru", "01x",
-            "[1 2]", "{\"a\":1,}", r#""\ud83d""#, r#""\udc00""#, "1 2",
+            "",
+            "{",
+            "[1,",
+            "\"unterminated",
+            "{\"a\"}",
+            "nul",
+            "tru",
+            "01x",
+            "[1 2]",
+            "{\"a\":1,}",
+            r#""\ud83d""#,
+            r#""\udc00""#,
+            "1 2",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -586,8 +822,15 @@ mod tests {
     #[test]
     fn unterminated_escapes_error_not_panic() {
         for bad in [
-            "\"\\", "\"\\u", "\"\\u00", "\"\\ud83d", "\"\\ud83d\\", "\"\\ud83d\\u",
-            "\"\\ud83d\\u00", "\"abc\\", "\"\\x\"",
+            "\"\\",
+            "\"\\u",
+            "\"\\u00",
+            "\"\\ud83d",
+            "\"\\ud83d\\",
+            "\"\\ud83d\\u",
+            "\"\\ud83d\\u00",
+            "\"abc\\",
+            "\"\\x\"",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -647,6 +890,104 @@ mod tests {
         let a = Json::parse(r#"{"z":1,"a":2}"#).unwrap();
         let b = Json::parse(r#"{"a":2,"z":1}"#).unwrap();
         assert_eq!(a.to_text(), b.to_text());
+    }
+
+    #[test]
+    fn reader_borrows_plain_strings_and_skips_what_it_is_not_asked_for() {
+        let text = r#" {"a" : "plain", "b\u0021":"esc\"aped", "c":[1,{"d":null}], "e":true} "#;
+        let mut seen = Vec::new();
+        read(text, |r| {
+            r.obj(|key, r| {
+                match key {
+                    "a" | "b!" => {
+                        let s = r.str()?;
+                        seen.push((
+                            key.to_string(),
+                            s.to_string(),
+                            matches!(s, Cow::Borrowed(_)),
+                        ));
+                    }
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })
+        })
+        .unwrap();
+        assert_eq!(
+            seen,
+            [
+                ("a".to_string(), "plain".to_string(), true),
+                ("b!".to_string(), "esc\"aped".to_string(), false),
+            ]
+        );
+    }
+
+    #[test]
+    fn grammar_errors_keep_their_offsets_and_messages() {
+        // Each (text, offset, message) is what the tree parser this reader
+        // replaced returned for the text.
+        let deep = "[".repeat(200);
+        let cases = [
+            (deep.as_str(), 129, "nesting too deep"),
+            ("{} x", 3, "trailing characters"),
+            ("[1, 2] 3", 7, "trailing characters"),
+            (r#"{"a":1 "b":2}"#, 7, "expected ',' or '}'"),
+            (r#"{"a":1,}"#, 7, "expected '\"'"),
+            ("[1 2]", 3, "expected ',' or ']'"),
+            ("[1,", 3, "unexpected end of input"),
+            ("-", 1, "invalid number"),
+            ("[-x]", 2, "invalid number"),
+            ("1e", 2, "invalid number"),
+            (r#"{"a":"abc"#, 9, "unterminated string"),
+            (r#"{"a" 1}"#, 5, "expected ':'"),
+            ("tru", 0, "expected true"),
+            ("[nul]", 1, "expected null"),
+            (r#""\q""#, 2, "invalid escape"),
+            (r#""\ud800""#, 7, "lone high surrogate"),
+            (r#""\u12""#, 3, "truncated \\u escape"),
+            ("", 0, "unexpected end of input"),
+            ("@", 0, "unexpected character"),
+        ];
+        for (text, offset, message) in cases {
+            match Json::parse(text) {
+                Err(NetError::Json {
+                    offset: o,
+                    message: m,
+                }) => assert_eq!((o, m.as_str()), (offset, message), "{text:?}"),
+                other => panic!("{text:?}: expected {message:?} at {offset}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn shape_errors_yield_to_grammar_errors_anywhere_in_the_text() {
+        let shape = read("[1, 2]", |r| r.obj(|_, r| r.skip())).unwrap_err();
+        assert!(matches!(shape, NetError::Http(_)), "{shape}");
+        let grammar = read("[1, 2", |r| r.obj(|_, r| r.skip())).unwrap_err();
+        assert_eq!(
+            grammar.to_string(),
+            Json::parse("[1, 2").unwrap_err().to_string()
+        );
+        let trailing = read("{} x", |r| r.obj(|_, r| r.skip())).unwrap_err();
+        assert_eq!(
+            trailing.to_string(),
+            "json error at byte 3: trailing characters"
+        );
+        // An error the caller raises itself counts as a shape error too.
+        let own = read(r#"{"a":1} ]"#, |_| {
+            Err::<(), _>(NetError::Http("no".into()))
+        })
+        .unwrap_err();
+        assert!(matches!(own, NetError::Json { offset: 8, .. }), "{own}");
+    }
+
+    #[test]
+    fn write_string_copies_runs_and_escapes_the_rest() {
+        let mut out = String::new();
+        write_string("a\"b\\c\nd\re\tf\u{0}g\u{1f}h\u{7f}é😀", &mut out);
+        // DEL (0x7f) is not a control character to JSON: it passes as is.
+        let expected = concat!(r#""a\"b\\c\nd\re\tf\u0000g\u001fh"#, "\u{7f}é😀\"");
+        assert_eq!(out, expected);
     }
 
     #[test]

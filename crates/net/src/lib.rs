@@ -4,7 +4,8 @@
 //! everything needed to emulate and crawl a REST API, built directly on
 //! `std::net` (see DESIGN.md for why no async runtime):
 //!
-//! * [`json`] — a full JSON value type, parser and writer;
+//! * [`json`] — a JSON value type, the one pull reader its parser and the
+//!   API's typed parsers share, and the number and string writers;
 //! * [`url`] — percent-encoding and query strings;
 //! * [`http`] — HTTP/1.1 request/response framing with keep-alive;
 //! * [`server`] — an HTTP server with graceful shutdown, in two modes:

@@ -1,28 +1,30 @@
 //! Percent-encoding and query-string handling for the API's URL surface.
 
-/// Percent-encodes a string for use as a query key or value (RFC 3986
-/// unreserved characters pass through).
-pub fn encode(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+const HEX: &[u8; 16] = b"0123456789ABCDEF";
+
+/// Appends `s` percent-encoded: RFC 3986 unreserved characters pass
+/// through, every other byte becomes `%XX`.
+fn push_encoded(out: &mut String, s: &str) {
     for b in s.bytes() {
         match b {
             b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
                 out.push(b as char)
             }
-            _ => out.push_str(&format!("%{b:02X}")),
+            _ => {
+                out.push('%');
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xF)] as char);
+            }
         }
     }
-    out
-}
-
-/// Percent-encodes a URL path, leaving `/` separators intact.
-pub fn encode_path(path: &str) -> String {
-    path.split('/').map(encode).collect::<Vec<_>>().join("/")
 }
 
 /// Percent-decodes; invalid escapes are passed through literally ('+' decodes
 /// to space as in form encoding).
 pub fn decode(s: &str) -> String {
+    if !s.bytes().any(|b| b == b'%' || b == b'+') {
+        return s.to_string();
+    }
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -51,7 +53,10 @@ pub fn decode(s: &str) -> String {
             }
         }
     }
-    String::from_utf8_lossy(&out).into_owned()
+    match String::from_utf8(out) {
+        Ok(text) => text,
+        Err(e) => String::from_utf8_lossy(e.as_bytes()).into_owned(),
+    }
 }
 
 /// Splits a request target into `(path, query pairs)`.
@@ -74,13 +79,24 @@ pub fn parse_query(query: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Builds a query string from pairs, encoding both sides.
-pub fn build_query(pairs: &[(&str, String)]) -> String {
-    pairs
-        .iter()
-        .map(|(k, v)| format!("{}={}", encode(k), encode(v)))
-        .collect::<Vec<_>>()
-        .join("&")
+/// Builds a request target in one `String`: the path percent-encoded
+/// segment by segment (`/` separators kept), then `?` and the `k=v` pairs
+/// joined by `&`, both sides encoded, when there are pairs.
+pub fn build_target(path: &str, pairs: &[(&str, &str)]) -> String {
+    let mut out = String::with_capacity(path.len() + 16);
+    for (i, segment) in path.split('/').enumerate() {
+        if i > 0 {
+            out.push('/');
+        }
+        push_encoded(&mut out, segment);
+    }
+    for (i, (k, v)) in pairs.iter().enumerate() {
+        out.push(if i == 0 { '?' } else { '&' });
+        push_encoded(&mut out, k);
+        out.push('=');
+        push_encoded(&mut out, v);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -90,14 +106,17 @@ mod tests {
     #[test]
     fn encode_decode_round_trip() {
         for s in ["hello", "a b&c=d", "steam id/76561", "héllo😀", "100%"] {
-            assert_eq!(decode(&encode(s)), s, "{s}");
+            let built = build_target(&format!("/{s}"), &[(s, s)]);
+            let (path, query) = split_target(&built);
+            assert_eq!(path, format!("/{s}"), "{s}");
+            assert_eq!(query, vec![(s.to_string(), s.to_string())], "{s}");
         }
     }
 
     #[test]
     fn unreserved_untouched() {
-        assert_eq!(encode("AZaz09-_.~"), "AZaz09-_.~");
-        assert_eq!(encode(" "), "%20");
+        assert_eq!(build_target("AZaz09-_.~", &[]), "AZaz09-_.~");
+        assert_eq!(build_target(" ", &[]), "%20");
     }
 
     #[test]
@@ -138,12 +157,32 @@ mod tests {
     }
 
     #[test]
+    fn encoding_escapes_every_byte_outside_the_unreserved_set() {
+        assert_eq!(
+            build_target("/", &[("k", ",/?%é\u{7f}\u{0}")]),
+            "/?k=%2C%2F%3F%25%C3%A9%7F%00"
+        );
+        assert_eq!(build_target("/a b/c,d/", &[]), "/a%20b/c%2Cd/");
+        assert_eq!(build_target("/p q", &[]), "/p%20q");
+        assert_eq!(
+            build_target("/p", &[("k", "1,2"), ("x y", "")]),
+            "/p?k=1%2C2&x%20y="
+        );
+        assert_eq!(decode("plain"), "plain");
+        assert_eq!(decode("%ff%C3%A9"), "\u{fffd}é");
+    }
+
+    #[test]
     fn build_and_parse_round_trip() {
-        let built = build_query(&[("a b", "1&2".to_string()), ("c", "~".to_string())]);
-        let parsed = parse_query(&built);
+        let built = build_target("/p q", &[("a b", "1&2"), ("c", "~")]);
+        let (path, parsed) = split_target(&built);
+        assert_eq!(path, "/p q");
         assert_eq!(
             parsed,
-            vec![("a b".to_string(), "1&2".to_string()), ("c".to_string(), "~".to_string())]
+            vec![
+                ("a b".to_string(), "1&2".to_string()),
+                ("c".to_string(), "~".to_string())
+            ]
         );
     }
 }

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use steam_net::http::{read_request, write_request, Request};
 use steam_net::json::Json;
-use steam_net::url::{decode, encode, parse_query};
+use steam_net::url::{build_target, decode, parse_query, split_target};
 
 fn arb_json() -> impl Strategy<Value = Json> {
     let leaf = prop_oneof![
@@ -47,7 +47,10 @@ proptest! {
 
     #[test]
     fn url_encode_decode_round_trips(s in "\\PC{0,40}") {
-        prop_assert_eq!(decode(&encode(&s)), s);
+        let path = format!("/{s}");
+        let (back, query) = split_target(&build_target(&path, &[(&s, &s)]));
+        prop_assert_eq!(back, path);
+        prop_assert_eq!(query, vec![(s.clone(), s)]);
     }
 
     #[test]
