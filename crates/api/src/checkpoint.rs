@@ -4,19 +4,21 @@
 //! interrupted, and restarting from scratch is not an option. This module
 //! journals every unit of completed crawl work — phase-1 census batches,
 //! per-user phase-2 harvests, group pages, the phase-3 app list and per-app
-//! details — as tagged records in append-only segment files (the segment
-//! codec lives in `steam_model::codec`: length-prefixed records with FNV-1a
-//! per-record checksums).
+//! details — as tagged records in one append-only file, and it owns that
+//! file's format: length-prefixed records, each guarded by an FNV-1a
+//! checksum.
 //!
-//! Each [`CheckpointStore`] session ([`create`](CheckpointStore::create) or
-//! [`resume`](CheckpointStore::resume)) writes one segment, kept open from
-//! its first flush to the end of the session. A flush appends the buffered
-//! records after the last acknowledged byte with one write and one
+//! Every [`CheckpointStore`] session appends to the journal's one file.
+//! [`create`](CheckpointStore::create) starts it empty;
+//! [`resume`](CheckpointStore::resume) replays it into a [`Replay`] index,
+//! cuts a torn or damaged tail off in place, and appends after the last good
+//! record, so the crawl re-fetches only what is missing. A flush appends the
+//! buffered records after the last acknowledged byte with one write and one
 //! `fdatasync`; acknowledged bytes are never rewritten, so a crash can leave
-//! only a torn tail on the open segment.
+//! only a torn tail, which the next resume cuts. A session holds an advisory
+//! lock on the file for its whole life, so a second session on the same
+//! directory fails instead of interleaving its records with the first's.
 //!
-//! A resumed crawl replays the journal first ([`CheckpointStore::resume`]),
-//! turns it into a [`Replay`] index, and re-fetches only what is missing.
 //! Damage tolerance is strictly tail-shaped: a torn or corrupt record drops
 //! itself and everything after it (progress lost, correctness kept), never
 //! anything before it.
@@ -24,27 +26,34 @@
 //! ## On-disk layout
 //!
 //! ```text
-//! <dir>/seg-00000000.log     "CSEG" u8(version) record*   (session 0)
-//! <dir>/seg-00000001.log     record = varu64(len) u32le(fnv1a) payload
-//! ...                        (one segment per session)
+//! <dir>/seg-00000000.log     "CSEG" u8(version) record*
+//!                            record = varu64(len) u32le(fnv1a) payload
 //! ```
 //!
 //! Each record payload is a tag byte followed by tag-specific fields encoded
 //! with the snapshot codec's varint primitives.
+//!
+//! The file's name is kept for compatibility. Earlier builds wrote one file
+//! per session (`seg-00000000.log`, then `seg-00000001.log` for the first
+//! resumed session, and so on), so a journal such a build wrote in one
+//! session is exactly this file and resumes unchanged. Files past the first
+//! are neither read nor deleted: their records are fetched again, with the
+//! same bytes.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
-use std::fs::{File, OpenOptions};
+use std::fs::{File, OpenOptions, TryLockError};
+use std::io::{ErrorKind, Read};
 use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use steam_model::codec::{
-    append_record, decode_segment, get_account, get_friends, get_game, get_group, get_group_ids,
-    get_library, get_list, get_u32, get_varu64, new_segment, put_account, put_friends, put_game,
-    put_group, put_group_ids, put_library, put_list, put_varu64, write_atomic,
+    checksum32, get_account, get_friends, get_game, get_group, get_group_ids, get_library,
+    get_list, get_u32, get_varu64, put_account, put_friends, put_game, put_group, put_group_ids,
+    put_library, put_list, put_varu64,
 };
 use steam_model::{Account, AppId, Game, Group, GroupId, ModelError, OwnedGame, SimTime, SteamId};
 use steam_net::NetError;
@@ -52,7 +61,14 @@ use steam_obs::{obs_warn, Counter, Histogram};
 
 /// Records appended to the journal after a fsync would survive the number of
 /// in-memory records below; a crash loses at most this tail.
-const DEFAULT_FLUSH_EVERY: usize = 32;
+const FLUSH_EVERY: usize = 32;
+
+/// The journal's one file; the module doc gives the reason for its name.
+const JOURNAL_FILE: &str = "seg-00000000.log";
+/// Magic prefix of the journal file.
+const SEGMENT_MAGIC: &[u8; 4] = b"CSEG";
+/// Version byte following [`SEGMENT_MAGIC`].
+const SEGMENT_VERSION: u8 = 1;
 
 const TAG_CENSUS_BATCH: u8 = 1;
 const TAG_CENSUS_COMPLETE: u8 = 2;
@@ -81,7 +97,10 @@ pub struct UserRecord {
 pub enum Record<'a> {
     /// A phase-1 census batch (possibly empty — empty batches drive the
     /// stop condition, so they are progress too).
-    CensusBatch { start_index: u64, accounts: Cow<'a, [Account]> },
+    CensusBatch {
+        start_index: u64,
+        accounts: Cow<'a, [Account]>,
+    },
     /// The census finished; `scanned_id_space` is its result.
     CensusComplete { scanned_id_space: u64 },
     /// One account fully harvested (friends + games + groups all fetched).
@@ -102,7 +121,10 @@ impl Record<'_> {
     /// Appends the record's segment payload to `buf`.
     pub fn encode_into(&self, buf: &mut BytesMut) {
         match self {
-            Record::CensusBatch { start_index, accounts } => {
+            Record::CensusBatch {
+                start_index,
+                accounts,
+            } => {
                 buf.put_u8(TAG_CENSUS_BATCH);
                 put_varu64(buf, *start_index);
                 put_list(buf, accounts, put_account);
@@ -143,11 +165,14 @@ impl Record<'_> {
             TAG_CENSUS_BATCH => {
                 let start_index = get_varu64(&mut payload)?;
                 let accounts = get_list(&mut payload, 7, "account", get_account)?.into();
-                Record::CensusBatch { start_index, accounts }
+                Record::CensusBatch {
+                    start_index,
+                    accounts,
+                }
             }
-            TAG_CENSUS_COMPLETE => {
-                Record::CensusComplete { scanned_id_space: get_varu64(&mut payload)? }
-            }
+            TAG_CENSUS_COMPLETE => Record::CensusComplete {
+                scanned_id_space: get_varu64(&mut payload)?,
+            },
             TAG_USER => Record::User(Cow::Owned(UserRecord {
                 index: get_u32(&mut payload, "user index overflow")?,
                 friends: get_friends(&mut payload)?,
@@ -156,8 +181,10 @@ impl Record<'_> {
             })),
             TAG_GROUP_PAGE => Record::GroupPage(Cow::Owned(get_group(&mut payload)?)),
             TAG_APP_LIST => Record::AppList(
-                get_list(&mut payload, 1, "app", |buf| Ok(AppId(get_u32(buf, "app id")?)))?
-                    .into(),
+                get_list(&mut payload, 1, "app", |buf| {
+                    Ok(AppId(get_u32(buf, "app id")?))
+                })?
+                .into(),
             ),
             TAG_APP => Record::App(Cow::Owned(get_game(&mut payload)?)),
             other => return Err(err(format!("unknown checkpoint record tag {other}"))),
@@ -187,8 +214,12 @@ pub struct Replay {
 impl Replay {
     fn absorb(&mut self, rec: Record<'_>) {
         match rec {
-            Record::CensusBatch { start_index, accounts } => {
-                self.census_batches.insert(start_index, accounts.into_owned());
+            Record::CensusBatch {
+                start_index,
+                accounts,
+            } => {
+                self.census_batches
+                    .insert(start_index, accounts.into_owned());
             }
             Record::CensusComplete { scanned_id_space } => {
                 self.census_complete = Some(scanned_id_space);
@@ -206,7 +237,9 @@ impl Replay {
         }
     }
 
-    /// Total replayed records (drives `crawl_resume_skipped_total`).
+    /// Units of work replayed: one per census batch, harvested user, group
+    /// page and app, plus one each for the census result and the app list.
+    /// A unit journaled more than once counts once.
     pub fn len(&self) -> usize {
         self.census_batches.len()
             + usize::from(self.census_complete.is_some())
@@ -221,6 +254,67 @@ impl Replay {
     }
 }
 
+/// Starts a new, empty segment buffer (magic + version header).
+fn new_segment() -> BytesMut {
+    let mut buf = BytesMut::with_capacity(64);
+    buf.put_slice(SEGMENT_MAGIC);
+    buf.put_u8(SEGMENT_VERSION);
+    buf
+}
+
+/// Appends one record to a segment: varint payload length, `u32` LE FNV-1a
+/// checksum of the payload, then the payload bytes.
+fn append_record(seg: &mut BytesMut, payload: &[u8]) {
+    put_varu64(seg, payload.len() as u64);
+    seg.put_u32_le(checksum32(payload));
+    seg.put_slice(payload);
+}
+
+/// Decodes a segment, handing each record's payload to `each` in file
+/// order, and returns the byte length of its clean prefix: the header and
+/// every record before the first whose length or checksum does not hold or
+/// that `each` rejects.
+///
+/// A truncated or corrupt tail ends the scan instead of failing it — crash
+/// recovery must keep everything before the tear. A bad header is a hard
+/// error: nothing in the file can be trusted.
+fn decode_segment(
+    mut seg: Bytes,
+    mut each: impl FnMut(Bytes) -> Result<(), ModelError>,
+) -> Result<usize, ModelError> {
+    let total = seg.len();
+    if seg.remaining() < 5 || &seg.split_to(4)[..] != SEGMENT_MAGIC {
+        return Err(err("bad segment magic"));
+    }
+    let version = seg.get_u8();
+    if version != SEGMENT_VERSION {
+        return Err(err(format!("unsupported segment version {version}")));
+    }
+    while seg.has_remaining() {
+        // Probe on a clone: a torn record must not consume bytes from `seg`
+        // before we know it is whole.
+        let mut probe = seg.clone();
+        let Ok(len) = get_varu64(&mut probe) else {
+            break;
+        };
+        // `len` comes from the file: compare it without computing `4 + len`.
+        if probe
+            .remaining()
+            .checked_sub(4)
+            .is_none_or(|left| len > left as u64)
+        {
+            break;
+        }
+        let sum = probe.get_u32_le();
+        let payload = probe.split_to(len as usize);
+        if checksum32(&payload) != sum || each(payload).is_err() {
+            break;
+        }
+        seg = probe;
+    }
+    Ok(total - seg.remaining())
+}
+
 fn storage_err(context: &str, e: impl std::fmt::Display) -> NetError {
     NetError::Io(std::io::Error::new(
         std::io::ErrorKind::InvalidData,
@@ -229,159 +323,126 @@ fn storage_err(context: &str, e: impl std::fmt::Display) -> NetError {
 }
 
 /// The journal writer for one session. It encodes each appended record
-/// into a reused buffer and flushes the buffer every 32 records
-/// ([`with_flush_every`](Self::with_flush_every)) and on
+/// into a reused buffer and flushes the buffer every 32 records and on
 /// [`flush`](Self::flush), which the crawler calls on every exit path,
 /// success or error.
 ///
-/// A session writes one segment, the next in the sequence. Its first flush
-/// creates the file with `create_new` and syncs the directory, so the new
-/// entry is durable before that flush returns; the file then stays open.
-/// Every flush is one write at the last acknowledged byte plus one
-/// `sync_data`, and when it returns `Ok` every appended record is on disk.
-/// A failed write or sync cuts the segment back to the acknowledged length
-/// and keeps the records buffered, so the next flush writes them again at
-/// that offset.
+/// The session opens the journal's file when it starts and holds it open
+/// and locked until it is dropped. Every flush is one write at the last
+/// acknowledged byte plus one `sync_data`, and when it returns `Ok` every
+/// appended record is on disk. A failed write or sync cuts the file back to
+/// the acknowledged length and keeps the records buffered, so the next
+/// flush writes them again at that offset.
 pub struct CheckpointStore {
-    dir: PathBuf,
-    /// Sequence number of this session's segment.
-    seq: u64,
-    /// The session's segment, open from its first flush on.
-    file: Option<File>,
-    /// Length of the segment acknowledged by the last successful flush.
+    /// The journal's file, locked for the session's life.
+    file: File,
+    /// Length of the file acknowledged by the last successful flush, or
+    /// kept by resume.
     acked: u64,
-    /// Bytes not yet acknowledged: the segment header until the first
-    /// flush succeeds, then framed records.
+    /// Bytes not yet acknowledged: in an empty file, the segment header
+    /// until the first flush succeeds; then framed records.
     buf: BytesMut,
     /// One record's payload, encoded here before it is framed into `buf`.
     payload: BytesMut,
     pending: usize,
-    flush_every: usize,
     records_total: Option<Arc<Counter>>,
     flush_duration: Option<Arc<Histogram>>,
 }
 
-fn segment_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("seg-{seq:08}.log"))
-}
-
-/// Sorted sequence numbers of the segment files present in `dir`.
-fn segment_seqs(dir: &Path) -> Result<Vec<u64>, NetError> {
-    let mut seqs = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let name = name.to_string_lossy();
-        if let Some(seq) = name.strip_prefix("seg-").and_then(|r| r.strip_suffix(".log")) {
-            if let Ok(seq) = seq.parse::<u64>() {
-                seqs.push(seq);
-            }
-        }
-    }
-    seqs.sort_unstable();
-    Ok(seqs)
-}
-
-/// Creates segment `seq` in `dir` and syncs the directory, so the new entry
-/// survives a crash. If the sync fails the file is removed again, and the
-/// next flush creates it afresh.
-fn create_segment(dir: &Path, seq: u64) -> std::io::Result<File> {
-    let path = segment_path(dir, seq);
-    let file = OpenOptions::new().write(true).create_new(true).open(&path)?;
-    if let Err(e) = File::open(dir).and_then(|d| d.sync_all()) {
-        std::fs::remove_file(&path).ok();
-        return Err(e);
-    }
+/// Opens the journal's file in `dir`, creating both if absent, and locks it
+/// for the session. The lock is an advisory `flock`, held until the file is
+/// closed; while another session holds it, the open fails with
+/// [`ErrorKind::WouldBlock`] and touches nothing. The directory is then
+/// synced, so a new file's entry survives a crash.
+fn open_locked(dir: &Path) -> Result<File, NetError> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(JOURNAL_FILE);
+    let file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(&path)?;
+    file.try_lock().map_err(|e| match e {
+        TryLockError::WouldBlock => NetError::Io(std::io::Error::new(
+            ErrorKind::WouldBlock,
+            format!(
+                "checkpoint journal {} is in use by another session",
+                path.display()
+            ),
+        )),
+        TryLockError::Error(e) => e.into(),
+    })?;
+    File::open(dir)?.sync_all()?;
     Ok(file)
 }
 
 impl CheckpointStore {
-    /// A session that writes segment `seq` of the journal in `dir`.
-    fn session(dir: &Path, seq: u64) -> CheckpointStore {
-        CheckpointStore {
-            dir: dir.to_path_buf(),
-            seq,
-            file: None,
-            acked: 0,
-            buf: new_segment(),
+    /// A session that appends to `file` after its first `keep` bytes. A
+    /// longer file is cut to `keep` first, and the cut synced.
+    fn session(file: File, keep: u64) -> Result<CheckpointStore, NetError> {
+        if file.metadata()?.len() != keep {
+            file.set_len(keep)?;
+            file.sync_data()?;
+        }
+        Ok(CheckpointStore {
+            file,
+            acked: keep,
+            buf: if keep == 0 {
+                new_segment()
+            } else {
+                BytesMut::new()
+            },
             payload: BytesMut::with_capacity(64),
             pending: 0,
-            flush_every: DEFAULT_FLUSH_EVERY,
             records_total: None,
             flush_duration: None,
-        }
+        })
     }
 
-    /// Starts a fresh journal in `dir`, deleting any previous segments.
+    /// Starts a fresh journal in `dir`: its file, emptied.
     pub fn create(dir: &Path) -> Result<CheckpointStore, NetError> {
-        std::fs::create_dir_all(dir)?;
-        for seq in segment_seqs(dir)? {
-            std::fs::remove_file(segment_path(dir, seq))?;
-        }
-        Ok(CheckpointStore::session(dir, 0))
+        CheckpointStore::session(open_locked(dir)?, 0)
     }
 
-    /// Opens an existing journal in `dir` and replays it. Replay stops at
-    /// the first damaged record or segment (tail-tolerance): the records
-    /// before the damage are rewritten as that segment, segments after it
-    /// are discarded, and this session's segment continues the sequence.
+    /// Opens the journal in `dir` (an empty one if there is none) and
+    /// replays it. Replay stops at the first record whose length, checksum
+    /// or decode fails (tail tolerance): the file is cut in place to the
+    /// records before it, and this session appends after them. A file whose
+    /// header is damaged holds nothing to trust, so the journal starts
+    /// afresh.
     pub fn resume(dir: &Path) -> Result<(CheckpointStore, Replay), NetError> {
-        std::fs::create_dir_all(dir)?;
+        let mut file = open_locked(dir)?;
+        let mut raw = Vec::new();
+        file.read_to_end(&mut raw)?;
+        let len = raw.len();
         let mut replay = Replay::default();
-        let seqs = segment_seqs(dir)?;
-        let mut next_seq = 0;
-        let mut damaged = false;
-        for &seq in &seqs {
-            if damaged || seq != next_seq {
-                // Tail past damage (or a gap in the sequence, which can only
-                // mean damage): discard, it may reference lost state.
-                obs_warn!("checkpoint", "discarding orphaned segment {seq:08}");
-                std::fs::remove_file(segment_path(dir, seq))?;
-                continue;
-            }
-            let raw = std::fs::read(segment_path(dir, seq))?;
-            match decode_segment(Bytes::from(raw)) {
-                Ok((payloads, clean)) => {
-                    let mut good = 0;
-                    for payload in &payloads {
-                        match Record::decode(payload.clone()) {
-                            Ok(rec) => replay.absorb(rec),
-                            Err(e) => {
-                                obs_warn!(
-                                    "checkpoint",
-                                    "segment {seq:08}: undecodable record ({e}); dropping tail"
-                                );
-                                break;
-                            }
-                        }
-                        good += 1;
-                    }
-                    if !clean || good < payloads.len() {
-                        obs_warn!("checkpoint", "segment {seq:08} has a damaged tail");
-                        damaged = true;
-                        if good == 0 {
-                            std::fs::remove_file(segment_path(dir, seq))?;
-                            continue;
-                        }
-                        // Rewrite the records before the damage as segment
-                        // `seq`, so a second interruption cannot lose them.
-                        let mut salvaged = new_segment();
-                        for payload in &payloads[..good] {
-                            append_record(&mut salvaged, payload);
-                        }
-                        write_atomic(&segment_path(dir, seq), &salvaged)
-                            .map_err(|e| storage_err("salvage", e))?;
-                    }
+        let scanned = decode_segment(Bytes::from(raw), |payload| {
+            replay.absorb(Record::decode(payload)?);
+            Ok(())
+        });
+        let keep = match scanned {
+            Ok(clean) => {
+                if clean < len {
+                    obs_warn!(
+                        "checkpoint",
+                        "{JOURNAL_FILE} has a damaged tail; cutting its last {} bytes",
+                        len - clean
+                    );
                 }
-                Err(e) => {
-                    obs_warn!("checkpoint", "segment {seq:08} unreadable ({e}); dropping");
-                    damaged = true;
-                    std::fs::remove_file(segment_path(dir, seq))?;
-                    continue;
-                }
+                clean
             }
-            next_seq = seq + 1;
-        }
-        Ok((CheckpointStore::session(dir, next_seq), replay))
+            // No session has flushed to this journal yet.
+            Err(_) if len == 0 => 0,
+            Err(e) => {
+                obs_warn!(
+                    "checkpoint",
+                    "{JOURNAL_FILE} unreadable ({e}); starting afresh"
+                );
+                0
+            }
+        };
+        Ok((CheckpointStore::session(file, keep as u64)?, replay))
     }
 
     /// Attaches the `crawl_checkpoint_records_total` counter (one per
@@ -397,13 +458,7 @@ impl CheckpointStore {
         self
     }
 
-    /// Overrides how many buffered records trigger an automatic flush.
-    pub fn with_flush_every(mut self, n: usize) -> CheckpointStore {
-        self.flush_every = n.max(1);
-        self
-    }
-
-    /// Appends a record; flushes automatically every `flush_every` records.
+    /// Appends a record; flushes automatically every 32 records.
     pub fn append(&mut self, rec: &Record<'_>) -> Result<(), NetError> {
         self.payload.clear();
         rec.encode_into(&mut self.payload);
@@ -412,14 +467,14 @@ impl CheckpointStore {
         if let Some(c) = &self.records_total {
             c.inc();
         }
-        if self.pending >= self.flush_every {
+        if self.pending >= FLUSH_EVERY {
             self.flush()?;
         }
         Ok(())
     }
 
-    /// Appends the buffered records to the session's segment and syncs
-    /// them. No-op when nothing is buffered.
+    /// Appends the buffered records to the journal's file and syncs them.
+    /// No-op when nothing is buffered.
     pub fn flush(&mut self) -> Result<(), NetError> {
         if self.pending == 0 {
             return Ok(());
@@ -440,25 +495,21 @@ impl CheckpointStore {
     /// `sync_data`. The write goes to that offset, not to the file cursor:
     /// after a failure the records stay buffered, and the next flush writes
     /// them (and any appended since) over whatever part of them landed. A
-    /// failed flush also cuts the segment back to the acknowledged length;
-    /// if that cut fails as well, the segment holds what a crash mid-flush
-    /// would leave, whole records that resume replays and a torn tail it
-    /// drops.
-    fn write_buffered(&mut self) -> std::io::Result<()> {
-        if self.file.is_none() {
-            self.file = Some(create_segment(&self.dir, self.seq)?);
-        }
-        let file = self.file.as_ref().expect("segment opened above");
-        let written = file
+    /// failed flush also cuts the file back to the acknowledged length; if
+    /// that cut fails as well, the file holds what a crash mid-flush would
+    /// leave, whole records that resume replays and a torn tail it cuts.
+    fn write_buffered(&self) -> std::io::Result<()> {
+        let written = self
+            .file
             .write_all_at(&self.buf, self.acked)
-            .and_then(|()| file.sync_data());
+            .and_then(|()| self.file.sync_data());
         if written.is_err() {
-            file.set_len(self.acked).ok();
+            self.file.set_len(self.acked).ok();
         }
         written
     }
 
-    /// Records buffered in memory, not yet flushed to the segment.
+    /// Records buffered in memory, not yet flushed to the file.
     pub fn pending(&self) -> usize {
         self.pending
     }
@@ -473,7 +524,7 @@ mod tests {
     use steam_model::group::GroupKind;
     use steam_model::id::STEAM_ID_BASE;
 
-    fn dir(tag: &str) -> PathBuf {
+    fn dir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("steam-ckpt-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&d).ok();
         d
@@ -492,6 +543,38 @@ mod tests {
             append_record(&mut seg, &encode(rec));
         }
         seg.to_vec()
+    }
+
+    /// Decodes `seg`, collecting every record's payload, and returns them
+    /// with the length of the clean prefix.
+    fn decode_all(seg: Bytes) -> Result<(Vec<Bytes>, usize), ModelError> {
+        let mut records = Vec::new();
+        let clean = decode_segment(seg, |payload| {
+            records.push(payload);
+            Ok(())
+        })?;
+        Ok((records, clean))
+    }
+
+    /// The bytes of the journal's file in `dir`.
+    fn journal(dir: &Path) -> Vec<u8> {
+        std::fs::read(dir.join(JOURNAL_FILE)).unwrap()
+    }
+
+    /// Writes `records` to the journal in `dir`, each in a session of its
+    /// own: a fresh one for the first record, a resumed one for the rest.
+    fn one_session_each(dir: &Path, records: &[Record<'_>]) {
+        for (i, rec) in records.iter().enumerate() {
+            let mut store = if i == 0 {
+                CheckpointStore::create(dir).unwrap()
+            } else {
+                let (store, replay) = CheckpointStore::resume(dir).unwrap();
+                assert_eq!(replay.len(), i, "session {i} replays every earlier one");
+                store
+            };
+            store.append(rec).unwrap();
+            store.flush().unwrap();
+        }
     }
 
     /// The names of the files in `dir`, sorted.
@@ -530,8 +613,13 @@ mod tests {
                 start_index: 0,
                 accounts: vec![sample_account(0), sample_account(3)].into(),
             },
-            Record::CensusBatch { start_index: 100, accounts: Vec::new().into() },
-            Record::CensusComplete { scanned_id_space: 4 },
+            Record::CensusBatch {
+                start_index: 100,
+                accounts: Vec::new().into(),
+            },
+            Record::CensusComplete {
+                scanned_id_space: 4,
+            },
             Record::User(Cow::Owned(UserRecord {
                 index: 1,
                 friends: vec![(SteamId::from_index(0), SimTime::from_ymd(2012, 3, 4))],
@@ -601,59 +689,155 @@ mod tests {
         }
         for friend in [last + 1, u64::MAX] {
             let decoded = Record::decode(user(friend));
-            assert!(matches!(decoded, Err(ModelError::InvalidSteamId(_))), "{decoded:?}");
+            assert!(
+                matches!(decoded, Err(ModelError::InvalidSteamId(_))),
+                "{decoded:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn segment_round_trips() {
+        let mut seg = new_segment();
+        let payloads: Vec<&[u8]> = vec![b"", b"a", b"hello world", &[0xff; 300]];
+        for p in &payloads {
+            append_record(&mut seg, p);
+        }
+        let len = seg.len();
+        let (records, clean) = decode_all(seg.freeze()).unwrap();
+        assert_eq!(clean, len);
+        assert_eq!(records.len(), payloads.len());
+        for (r, p) in records.iter().zip(&payloads) {
+            assert_eq!(&r[..], *p);
+        }
+    }
+
+    #[test]
+    fn empty_segment_is_clean() {
+        let seg = new_segment();
+        assert_eq!(&seg[..], b"CSEG\x01");
+        let (records, clean) = decode_all(seg.freeze()).unwrap();
+        assert_eq!(clean, 5);
+        assert!(records.is_empty());
+    }
+
+    #[test]
+    fn segment_rejects_bad_header() {
+        assert!(decode_all(Bytes::from_static(b"NOPE\x01")).is_err());
+        assert!(decode_all(Bytes::from_static(b"CSE")).is_err());
+        assert!(decode_all(Bytes::new()).is_err());
+        let mut seg = BytesMut::new();
+        seg.put_slice(SEGMENT_MAGIC);
+        seg.put_u8(99);
+        assert!(decode_all(seg.freeze()).is_err());
+    }
+
+    #[test]
+    fn truncated_tail_salvages_whole_records() {
+        let mut seg = new_segment();
+        append_record(&mut seg, b"first");
+        append_record(&mut seg, b"second");
+        let full = seg.freeze();
+        // Chopping anywhere inside the second record must still yield the
+        // first, with the clean prefix ending where the second starts; never
+        // a panic or a hard error.
+        let second_start = 5 + 1 + 4 + 5; // header + len + sum + "first"
+        for cut in second_start + 1..full.len() {
+            let (records, clean) = decode_all(full.slice(..cut)).unwrap();
+            assert_eq!(records.len(), 1, "cut at {cut}");
+            assert_eq!(&records[0][..], b"first");
+            assert_eq!(clean, second_start, "cut at {cut}");
+        }
+        let (records, clean) = decode_all(full.clone()).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(clean, full.len());
+    }
+
+    #[test]
+    fn checksum_mismatch_stops_decode() {
+        let mut seg = new_segment();
+        append_record(&mut seg, b"good");
+        let flip_at = seg.len() - 1; // last payload byte of "good"
+        append_record(&mut seg, b"tail");
+        let mut raw = seg.freeze().to_vec();
+        raw[flip_at] ^= 0x40;
+        let (records, clean) = decode_all(Bytes::from(raw)).unwrap();
+        // The corrupted record and everything after it are dropped.
+        assert!(records.is_empty());
+        assert_eq!(clean, 5);
+    }
+
+    #[test]
+    fn crafted_record_lengths_end_the_segment() {
+        for len in [u64::MAX, u64::MAX - 1, u64::MAX - 3] {
+            let mut seg = new_segment();
+            append_record(&mut seg, b"good");
+            let good_end = seg.len();
+            put_varu64(&mut seg, len);
+            seg.put_u32_le(0);
+            seg.put_slice(b"tail");
+            let (records, clean) = decode_all(seg.freeze()).unwrap();
+            assert_eq!(records.len(), 1, "length {len}");
+            assert_eq!(&records[0][..], b"good");
+            assert_eq!(clean, good_end, "length {len}");
         }
     }
 
     #[test]
     fn crafted_record_length_ends_replay_at_the_records_before_it() {
+        let records = sample_records();
         for len in [u64::MAX, u64::MAX - 1, u64::MAX - 3] {
             let d = dir("crafted");
-            let mut store = CheckpointStore::create(&d).unwrap().with_flush_every(3);
-            for rec in sample_records() {
-                store.append(&rec).unwrap();
+            let mut store = CheckpointStore::create(&d).unwrap();
+            for rec in &records {
+                store.append(rec).unwrap();
             }
             store.flush().unwrap();
-            // The session's segment (holding all 7 records) ends in a
-            // record whose length runs past the end of any file.
-            let path = segment_path(&d, 0);
+            drop(store);
+            // The journal (holding all 7 records) ends in a record whose
+            // length runs past the end of any file.
             let mut raw = BytesMut::new();
-            raw.put_slice(&std::fs::read(&path).unwrap());
+            raw.put_slice(&journal(&d));
             put_varu64(&mut raw, len);
             raw.put_u32_le(0);
             raw.put_slice(b"tail");
-            std::fs::write(&path, &raw[..]).unwrap();
+            std::fs::write(d.join(JOURNAL_FILE), &raw[..]).unwrap();
 
             let (_store, replay) = CheckpointStore::resume(&d).unwrap();
             assert_eq!(replay.len(), 7, "length {len}");
             assert!(replay.apps.contains_key(&AppId(10)), "length {len}");
+            assert_eq!(journal(&d), segment_of(&records), "length {len}");
             std::fs::remove_dir_all(&d).ok();
         }
     }
 
     #[test]
-    fn store_round_trips_through_segments() {
+    fn store_round_trips_through_the_file() {
         let d = dir("roundtrip");
         let records_total = Arc::new(Counter::new());
         let flushes = Arc::new(Histogram::new());
         let mut store = CheckpointStore::create(&d)
             .unwrap()
-            .with_flush_every(3)
             .with_metrics(Arc::clone(&records_total), Arc::clone(&flushes));
         let records = sample_records();
-        for rec in &records {
+        for (i, rec) in records.iter().enumerate() {
             store.append(rec).unwrap();
+            if i % 3 == 2 {
+                store.flush().unwrap();
+            }
         }
         store.flush().unwrap();
         // An empty buffer writes nothing and records no flush.
         store.flush().unwrap();
         assert_eq!(store.pending(), 0);
-        // 7 records at flush-every-3 → 3 flushes into the session's one
-        // segment file, which holds the header and every record once.
+        // 7 records flushed after the 3rd, the 6th and the 7th → 3 flushes
+        // into the journal's one file, which holds the header and every
+        // record once.
         assert_eq!(records_total.get(), 7);
         assert_eq!(flushes.count(), 3);
         assert_eq!(file_names(&d), ["seg-00000000.log"]);
-        assert_eq!(std::fs::read(segment_path(&d, 0)).unwrap(), segment_of(&records));
+        assert_eq!(journal(&d), segment_of(&records));
+        drop(store);
 
         let (_store2, replay) = CheckpointStore::resume(&d).unwrap();
         assert_eq!(replay.len(), 7);
@@ -661,44 +845,50 @@ mod tests {
         assert_eq!(replay.census_batches.len(), 2);
         assert_eq!(replay.users[&1].games.len(), 1);
         assert_eq!(replay.groups[&GroupId(9)].name, "g");
-        assert_eq!(replay.app_list.as_deref(), Some(&[AppId(10), AppId(20)][..]));
+        assert_eq!(
+            replay.app_list.as_deref(),
+            Some(&[AppId(10), AppId(20)][..])
+        );
         assert!(replay.apps.contains_key(&AppId(10)));
         std::fs::remove_dir_all(&d).ok();
     }
 
     #[test]
-    fn resume_continues_the_sequence() {
-        let d = dir("continue");
-        let mut store = CheckpointStore::create(&d).unwrap();
-        store.append(&Record::CensusComplete { scanned_id_space: 1 }).unwrap();
-        store.flush().unwrap();
-        let (mut store2, replay) = CheckpointStore::resume(&d).unwrap();
-        assert_eq!(replay.len(), 1);
-        store2.append(&Record::AppList(vec![AppId(1)].into())).unwrap();
-        store2.flush().unwrap();
-        assert_eq!(segment_seqs(&d).unwrap(), vec![0, 1]);
-        let (_store3, replay) = CheckpointStore::resume(&d).unwrap();
-        assert_eq!(replay.len(), 2);
+    fn every_session_appends_to_the_one_file() {
+        let d = dir("sessions");
+        let records: Vec<Record<'static>> = (0..6).map(sample_group).collect();
+        one_session_each(&d, &records);
+        // Six sessions leave one file, byte for byte what one session
+        // appending all six records writes.
+        assert_eq!(file_names(&d), ["seg-00000000.log"]);
+        assert_eq!(journal(&d), segment_of(&records));
+        let (_store, replay) = CheckpointStore::resume(&d).unwrap();
+        assert_eq!(replay.len(), 6);
         std::fs::remove_dir_all(&d).ok();
     }
 
     #[test]
     fn torn_tail_loses_only_the_tail() {
-        // What a crash can leave at the end of the open segment: its last
-        // record cut short, or after the acknowledged bytes a record cut
-        // mid-payload or a run of zeros (a size update that reached the disk
-        // before the data did).
+        // What a crash can leave at the end of the file: its last record cut
+        // short, or after the acknowledged bytes a record cut mid-payload or
+        // a run of zeros (a size update that reached the disk before the
+        // data did). A whole record that does not decode is damage too.
         let mut cut_record = BytesMut::new();
         append_record(&mut cut_record, &encode(&sample_group(77)));
         let cut_record = cut_record[..cut_record.len() - 2].to_vec();
+        let mut unknown_tag = BytesMut::new();
+        append_record(&mut unknown_tag, &[99]);
         // (tear, flushes, bytes cut from the end, bytes appended, records kept)
         let tears = [
             ("last 3 bytes cut", 1, 3, Vec::new(), 6),
             ("last 3 bytes cut after two flushes", 2, 3, Vec::new(), 6),
             ("record cut mid-payload", 2, 0, cut_record, 7),
             ("run of zeros", 2, 0, vec![0u8; 64], 7),
+            ("record with an unknown tag", 2, 0, unknown_tag.to_vec(), 7),
         ];
         let records = sample_records();
+        let mut refetched = records.clone();
+        refetched.push(sample_group(78));
         for (tear, flushes, cut, tail, kept) in tears {
             let d = dir("torn");
             let mut store = CheckpointStore::create(&d).unwrap();
@@ -709,7 +899,8 @@ mod tests {
                 }
             }
             store.flush().unwrap();
-            let path = segment_path(&d, 0);
+            drop(store);
+            let path = d.join(JOURNAL_FILE);
             let mut raw = std::fs::read(&path).unwrap();
             raw.truncate(raw.len() - cut);
             raw.extend_from_slice(&tail);
@@ -721,15 +912,17 @@ mod tests {
             assert_eq!(replay.len(), kept, "{tear}");
             assert_eq!(replay.census_complete, Some(4), "{tear}");
             assert_eq!(replay.apps.contains_key(&AppId(10)), kept == 7, "{tear}");
-            // The damaged segment was rewritten as exactly the records kept.
-            assert_eq!(std::fs::read(&path).unwrap(), segment_of(&records[..kept]), "{tear}");
-            // The re-fetched records land in the next segment, and a second
-            // resume replays all of them.
-            for rec in records[kept..].iter().chain([&sample_group(78)]) {
+            // The tail was cut in place, to exactly the records kept.
+            assert_eq!(journal(&d), segment_of(&records[..kept]), "{tear}");
+            // The re-fetched records land in the same file after them, and
+            // a second resume replays all of them.
+            for rec in &refetched[kept..] {
                 store2.append(rec).unwrap();
             }
             store2.flush().unwrap();
-            assert_eq!(file_names(&d), ["seg-00000000.log", "seg-00000001.log"], "{tear}");
+            drop(store2);
+            assert_eq!(file_names(&d), ["seg-00000000.log"], "{tear}");
+            assert_eq!(journal(&d), segment_of(&refetched), "{tear}");
             let (_store3, replay) = CheckpointStore::resume(&d).unwrap();
             assert_eq!(replay.len(), 8, "{tear}");
             assert!(replay.apps.contains_key(&AppId(10)), "{tear}");
@@ -739,46 +932,97 @@ mod tests {
     }
 
     #[test]
-    fn damaged_middle_segment_discards_later_ones() {
+    fn damage_in_a_middle_session_drops_it_and_later_ones() {
         let d = dir("middle");
-        // Three sessions, one segment each.
-        let mut store = CheckpointStore::create(&d).unwrap();
-        store.append(&Record::CensusComplete { scanned_id_space: 1 }).unwrap();
-        store.flush().unwrap();
-        for rec in [Record::AppList(vec![AppId(1)].into()), sample_group(2)] {
-            let (mut store, _replay) = CheckpointStore::resume(&d).unwrap();
-            store.append(&rec).unwrap();
-            store.flush().unwrap();
-        }
-        assert_eq!(segment_seqs(&d).unwrap(), vec![0, 1, 2]);
-        // Corrupt the middle segment's body.
-        let path = segment_path(&d, 1);
-        let mut raw = std::fs::read(&path).unwrap();
-        let last = raw.len() - 1;
-        raw[last] ^= 0xff;
-        std::fs::write(&path, &raw).unwrap();
+        let records = [
+            Record::CensusComplete {
+                scanned_id_space: 1,
+            },
+            Record::AppList(vec![AppId(1)].into()),
+            sample_group(2),
+        ];
+        one_session_each(&d, &records);
+        // Flip the last byte of the second session's record.
+        let mut raw = journal(&d);
+        raw[segment_of(&records[..2]).len() - 1] ^= 0xff;
+        std::fs::write(d.join(JOURNAL_FILE), &raw).unwrap();
 
-        let (_store2, replay) = CheckpointStore::resume(&d).unwrap();
-        // Only the first segment survives; seg 1 (corrupt) and seg 2
-        // (after the damage) are discarded.
+        let (_store, replay) = CheckpointStore::resume(&d).unwrap();
+        // Only the first session's record survives; the second (corrupt)
+        // and the third (after the damage) are cut off.
         assert_eq!(replay.len(), 1);
         assert_eq!(replay.census_complete, Some(1));
         assert!(replay.app_list.is_none());
         assert!(replay.groups.is_empty());
-        assert_eq!(segment_seqs(&d).unwrap(), vec![0]);
+        assert_eq!(journal(&d), segment_of(&records[..1]));
         std::fs::remove_dir_all(&d).ok();
     }
 
     #[test]
     fn create_wipes_previous_journal() {
         let d = dir("wipe");
-        let mut store = CheckpointStore::create(&d).unwrap();
-        store.append(&Record::CensusComplete { scanned_id_space: 1 }).unwrap();
-        store.flush().unwrap();
-        let _store = CheckpointStore::create(&d).unwrap();
-        assert!(segment_seqs(&d).unwrap().is_empty());
+        one_session_each(
+            &d,
+            &[Record::CensusComplete {
+                scanned_id_space: 1,
+            }],
+        );
+        let store = CheckpointStore::create(&d).unwrap();
+        // A fresh journal's header goes out with its first flush.
+        assert_eq!(file_names(&d), ["seg-00000000.log"]);
+        assert!(journal(&d).is_empty());
+        drop(store);
         let (_s, replay) = CheckpointStore::resume(&d).unwrap();
         assert!(replay.is_empty());
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn a_second_live_session_is_refused_and_leaves_the_file_alone() {
+        let d = dir("lock");
+        let mut first = CheckpointStore::create(&d).unwrap();
+        first
+            .append(&Record::CensusComplete {
+                scanned_id_space: 1,
+            })
+            .unwrap();
+        first.flush().unwrap();
+        let before = journal(&d);
+        for second in [
+            CheckpointStore::create(&d).err(),
+            CheckpointStore::resume(&d).err(),
+        ] {
+            match second {
+                Some(NetError::Io(e)) => assert_eq!(e.kind(), ErrorKind::WouldBlock, "{e}"),
+                other => panic!("a second session opened the journal: {other:?}"),
+            }
+        }
+        assert_eq!(journal(&d), before);
+        // The first session goes on appending, and once it has ended the
+        // next session replays both records.
+        first.append(&sample_group(5)).unwrap();
+        first.flush().unwrap();
+        drop(first);
+        let (_store, replay) = CheckpointStore::resume(&d).unwrap();
+        assert_eq!(replay.len(), 2);
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn a_one_session_journal_of_an_older_build_resumes_whole() {
+        // Older builds wrote one file per session. A journal written in one
+        // session is this module's file, byte for byte; the files a resumed
+        // one has past it are neither read nor deleted.
+        let d = dir("older");
+        std::fs::create_dir_all(&d).unwrap();
+        let records = sample_records();
+        std::fs::write(d.join("seg-00000000.log"), segment_of(&records)).unwrap();
+        std::fs::write(d.join("seg-00000001.log"), segment_of(&[sample_group(3)])).unwrap();
+        let (_store, replay) = CheckpointStore::resume(&d).unwrap();
+        assert_eq!(replay.len(), 7);
+        assert!(!replay.groups.contains_key(&GroupId(3)));
+        assert_eq!(journal(&d), segment_of(&records));
+        assert_eq!(file_names(&d), ["seg-00000000.log", "seg-00000001.log"]);
         std::fs::remove_dir_all(&d).ok();
     }
 }

@@ -760,11 +760,12 @@ fn flush_journals(
 /// Crawls a sharded fleet into one merged snapshot, byte-identical to an
 /// unsharded crawl of the same world.
 ///
-/// One [`Crawler`] per shard address, all recording into a private shared
-/// registry (see [`crawl_sharded_observed`] to supply one). Phase 1 censuses
-/// every residue class concurrently; phase 2 harvests every shard
-/// concurrently ([`CrawlerConfig::workers`] worker threads *per shard*);
-/// groups and catalog fetches go to the shard that owns each gid/app id.
+/// One [`Crawler`] per shard address, all recording fleet-wide metrics into
+/// `registry` (attach a [`CrawlProgress`] to the same registry for a live
+/// progress line). Phase 1 censuses every residue class concurrently;
+/// phase 2 harvests every shard concurrently ([`CrawlerConfig::workers`]
+/// worker threads *per shard*); groups and catalog fetches go to the shard
+/// that owns each gid/app id.
 ///
 /// With [`CrawlerConfig::checkpoint_dir`] set, each shard journals into its
 /// own `shard-{i}-of-{n}` subdirectory, flushed on every exit path; with
@@ -775,16 +776,6 @@ fn flush_journals(
 /// Other knobs apply per shard: `self_throttle_rps` and `pool_size` bound
 /// each shard's crawlers separately (fleet-wide rate is `n ×` the knob).
 pub fn crawl_sharded(
-    addrs: &[SocketAddr],
-    config: &CrawlerConfig,
-    collected_at: SimTime,
-) -> Result<Snapshot, NetError> {
-    crawl_sharded_observed(addrs, config, collected_at, Arc::new(Registry::new()))
-}
-
-/// [`crawl_sharded`] recording fleet-wide metrics into `registry` (attach a
-/// [`CrawlProgress`] to the same registry for a live progress line).
-pub fn crawl_sharded_observed(
     addrs: &[SocketAddr],
     config: &CrawlerConfig,
     collected_at: SimTime,

@@ -30,9 +30,7 @@ pub mod wire;
 
 pub use cache::{CacheKey, WireCache};
 pub use checkpoint::{CheckpointStore, Record, Replay, UserRecord};
-pub use crawler::{
-    crawl_sharded, crawl_sharded_observed, CrawlProgress, CrawlStats, Crawler, CrawlerConfig,
-};
+pub use crawler::{crawl_sharded, CrawlProgress, CrawlStats, Crawler, CrawlerConfig};
 pub use router::{serve_router_config, RouterConfig, RouterService};
 pub use service::{serve, serve_service_config, ApiService, RateLimit, ShardService};
 pub use shard::{

@@ -16,8 +16,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 use steam_api::{
-    crawl_sharded, crawl_sharded_observed, serve_router_config, serve_service_config, shard_of,
-    ApiService, CrawlProgress, Crawler, CrawlerConfig, RateLimit, RouterConfig, RouterService,
+    crawl_sharded, serve_router_config, serve_service_config, shard_of, ApiService,
+    CrawlProgress, Crawler, CrawlerConfig, RateLimit, RouterConfig, RouterService,
     StreamSplitter,
 };
 use steam_model::{codec, Snapshot, SteamId, WorldView};
@@ -127,7 +127,8 @@ fn sharded_fleet_crawl_merges_byte_identical_snapshot() {
         workers: 2,
         ..CrawlerConfig::default()
     };
-    let merged = crawl_sharded(&addrs, &config, original.collected_at).unwrap();
+    let registry = Arc::new(steam_obs::Registry::new());
+    let merged = crawl_sharded(&addrs, &config, original.collected_at, registry).unwrap();
     assert_eq!(
         codec::encode_snapshot_v3(&merged, 1).to_vec(),
         baseline,
@@ -149,7 +150,7 @@ fn fleet_crawl_makes_one_exchange_per_journal_record_but_each_census_end() {
     };
     let registry = Arc::new(steam_obs::Registry::new());
     let progress = CrawlProgress::attach(&registry);
-    crawl_sharded_observed(&addrs, &config, original.collected_at, registry).unwrap();
+    crawl_sharded(&addrs, &config, original.collected_at, registry).unwrap();
     std::fs::remove_dir_all(&dir).ok();
     let stats = progress.stats();
     assert_eq!(stats.retries_observed, 0, "a fault-free crawl: {stats:?}");
@@ -336,7 +337,8 @@ fn killed_sharded_crawl_resumes_to_identical_snapshot() {
             resume: run > 0,
             ..CrawlerConfig::default()
         };
-        match crawl_sharded(&addrs, &config, original.collected_at) {
+        let registry = Arc::new(steam_obs::Registry::new());
+        match crawl_sharded(&addrs, &config, original.collected_at, registry) {
             Ok(snapshot) => {
                 finished = Some(snapshot);
                 break;
@@ -358,12 +360,14 @@ fn killed_sharded_crawl_resumes_to_identical_snapshot() {
         baseline,
         "resumed fleet crawl differs from the uninterrupted baseline"
     );
-    // Per-shard journals landed where the next session expects them.
+    // Per-shard journals landed where the next session expects them, one
+    // file each however many sessions appended to it.
     for i in 0..SHARDS {
-        assert!(
-            dir.join(format!("shard-{i}-of-{SHARDS}")).is_dir(),
-            "missing per-shard journal dir for shard {i}"
-        );
+        let files: Vec<_> = std::fs::read_dir(dir.join(format!("shard-{i}-of-{SHARDS}")))
+            .unwrap_or_else(|e| panic!("missing per-shard journal dir for shard {i}: {e}"))
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, ["seg-00000000.log"], "shard {i}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

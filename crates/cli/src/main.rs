@@ -353,10 +353,20 @@ fn serve_forever(server: &steam_net::HttpServer) -> ! {
     }
 }
 
+/// A token bucket needs a positive rate: refuse 0, a negative number and
+/// NaN before anything binds or connects. `inf` passes and lifts the limit.
+fn positive_rps(rps: f64) -> Result<f64, String> {
+    if rps > 0.0 {
+        Ok(rps)
+    } else {
+        Err("--rps must be a positive number".into())
+    }
+}
+
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let path = args.get_or("snapshot", "snapshot.bin");
     let addr = args.get_or("addr", "127.0.0.1:8571");
-    let rps = args.get_parse("rps", 100_000.0)?;
+    let rps = positive_rps(args.get_parse("rps", 100_000.0)?)?;
     let limits = RateLimit { per_key_rps: rps, burst: (rps / 10.0).max(10.0) };
     let registry = Arc::new(Registry::new());
     let config = server_config(args);
@@ -484,7 +494,7 @@ fn cmd_crawl(args: &Args) -> Result<(), String> {
     let mut config = CrawlerConfig::default();
     if let Some(rps) = args.get("rps") {
         config.self_throttle_rps =
-            Some(rps.parse().map_err(|_| format!("bad --rps {rps:?}"))?);
+            Some(positive_rps(rps.parse().map_err(|_| format!("bad --rps {rps:?}"))?)?);
     }
     config.workers = args.get_parse("workers", 4usize)?;
     if let Some(n) = args.get("pool") {
@@ -526,7 +536,7 @@ fn cmd_crawl(args: &Args) -> Result<(), String> {
     let collected_at = steam_model::SimTime::from_ymd(2013, 11, 5);
     let crawl_result = match &shard_addrs {
         Some(addrs) => {
-            steam_api::crawl_sharded_observed(addrs, &config, collected_at, Arc::clone(&registry))
+            steam_api::crawl_sharded(addrs, &config, collected_at, Arc::clone(&registry))
         }
         None => {
             let mut crawler = Crawler::with_registry(addr, config, Arc::clone(&registry));

@@ -293,8 +293,8 @@ fn report_and_export_refuse_a_damaged_or_dangling_world() {
 }
 
 /// Warnings reach stderr at the default level: `crawl --resume` says it
-/// dropped an unreadable journal segment before the crawl itself fails on
-/// an address nothing listens on; `--log-level error` hides the warning.
+/// starts an unreadable journal afresh before the crawl itself fails on an
+/// address nothing listens on; `--log-level error` hides the warning.
 #[test]
 fn crawl_resume_warns_about_an_unreadable_segment_by_default() {
     let dir = temp_dir("resume-warn");
@@ -313,8 +313,36 @@ fn crawl_resume_warns_about_an_unreadable_segment_by_default() {
         let out = cmd.output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "{stderr}");
-        let warned = stderr.contains("segment 00000000 unreadable");
+        let warned = stderr.lines().any(|l| {
+            l.contains("seg-00000000.log unreadable") && l.ends_with("; starting afresh")
+        });
         assert_eq!(warned, shown, "--log-level {level:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--rps` sets a token bucket's rate, which must be positive: 0, a
+/// negative number and NaN exit 1 with an error, never a panic, before
+/// `serve` reads its snapshot or `crawl` connects.
+#[test]
+fn rps_that_is_not_positive_exits_1() {
+    let dir = temp_dir("rps");
+    let missing = dir.join("missing.bin");
+    let out_path = dir.join("crawled.bin");
+    let runs: [&[&str]; 2] = [
+        &["serve", "--snapshot", missing.to_str().unwrap(), "--addr", "127.0.0.1:0"],
+        &["crawl", "--addr", "127.0.0.1:1", "--out", out_path.to_str().unwrap()],
+    ];
+    for args in runs {
+        for rps in ["0", "-5", "nan"] {
+            let out = bin().args(args).args(["--rps", rps]).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let case = format!("{} --rps {rps}: {stderr}", args[0]);
+            assert_eq!(out.status.code(), Some(1), "{case}");
+            let refused = stderr.lines().any(|l| l == "error: --rps must be a positive number");
+            assert!(refused, "{case}");
+            assert!(!stderr.contains("panicked"), "{case}");
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,4 +1,4 @@
-//! Compact binary codec for snapshots, plus the checkpoint segment codec.
+//! Compact binary codec for snapshots.
 //!
 //! The paper's dataset is hundreds of millions of records; persisting and
 //! reloading snapshots must not dominate experiment time. This module defines
@@ -14,13 +14,11 @@
 //! shard files and its checkpoint journal differ only in how they frame
 //! and count these records.
 //!
-//! Beyond the snapshot format, the module provides the building blocks the
-//! crawler's checkpoint journal is made of (see `steam-api`'s `checkpoint`
-//! module): [`write_atomic`] (sibling temp file + fsync + rename, so a crash
-//! can never leave a half-written file under the target name) and a segment
-//! codec — append-only files of length-prefixed records, each guarded by a
-//! [FNV-1a checksum](checksum32), decoded tolerantly so a torn tail loses
-//! only the damaged records, never the segment.
+//! Snapshot and shard files are written through [`write_atomic`] (sibling
+//! temp file + fsync + rename, so a crash can never leave a half-written
+//! file under the target name), and [`checksum32`] (FNV-1a) guards v2
+//! sections, v3 chunks and shard files. The crawler's checkpoint journal is
+//! an append-only file whose framing `steam-api`'s `checkpoint` module owns.
 //!
 //! The program writes only version 3. Versions 1 and 2 are read-only: older
 //! files stay readable through [`decode_snapshot`], which dispatches on the
@@ -588,20 +586,9 @@ pub(crate) fn assemble(mut s: Snapshot, sections: Vec<Section>) -> Result<Snapsh
     Ok(s)
 }
 
-// --- checkpoint segments ----------------------------------------------------
-//
-// A segment is an append-only file of length-prefixed records, each guarded by
-// a checksum. The crawler's checkpoint journal is a directory of these;
-// every flush rewrites one bounded segment atomically, so the failure mode of
-// a crash is losing at most the unflushed tail, never corrupting history.
-
-/// Magic prefix of a checkpoint segment file.
-pub const SEGMENT_MAGIC: &[u8; 4] = b"CSEG";
-/// Version byte following [`SEGMENT_MAGIC`].
-pub const SEGMENT_VERSION: u8 = 1;
-
-/// 32-bit FNV-1a, used as the per-record checksum in checkpoint segments.
-/// Not cryptographic: it guards against torn writes and bit rot, not malice.
+/// 32-bit FNV-1a: the checksum of v2 sections, v3 chunks and CSHD shard
+/// files, and of each record in `steam-api`'s checkpoint journal. Not
+/// cryptographic: it guards against torn writes and bit rot, not malice.
 pub fn checksum32(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
     for &b in bytes {
@@ -609,58 +596,6 @@ pub fn checksum32(bytes: &[u8]) -> u32 {
         h = h.wrapping_mul(0x0100_0193);
     }
     h
-}
-
-/// Starts a new, empty segment buffer (magic + version header).
-pub fn new_segment() -> BytesMut {
-    let mut buf = BytesMut::with_capacity(64);
-    buf.put_slice(SEGMENT_MAGIC);
-    buf.put_u8(SEGMENT_VERSION);
-    buf
-}
-
-/// Appends one record to a segment: varint payload length, `u32` LE FNV-1a
-/// checksum of the payload, then the payload bytes.
-pub fn append_record(seg: &mut BytesMut, payload: &[u8]) {
-    put_varu64(seg, payload.len() as u64);
-    seg.put_u32_le(checksum32(payload));
-    seg.put_slice(payload);
-}
-
-/// Decodes a segment into its record payloads.
-///
-/// Returns the records that decode cleanly plus a flag that is `true` when
-/// the whole segment was consumed without damage. A truncated or corrupt tail
-/// stops the scan at the last good record instead of failing the segment —
-/// crash recovery must salvage everything before the tear. A bad header is a
-/// hard error: nothing in the file can be trusted.
-pub fn decode_segment(mut seg: Bytes) -> Result<(Vec<Bytes>, bool), ModelError> {
-    if seg.remaining() < 5 || &seg.split_to(4)[..] != SEGMENT_MAGIC {
-        return Err(err("bad segment magic"));
-    }
-    let version = seg.get_u8();
-    if version != SEGMENT_VERSION {
-        return Err(err(format!("unsupported segment version {version}")));
-    }
-    let mut records = Vec::new();
-    while seg.has_remaining() {
-        // Probe on a clone: a torn record must not consume bytes from `seg`
-        // before we know it is whole.
-        let mut probe = seg.clone();
-        let Ok(len) = get_varu64(&mut probe) else { return Ok((records, false)) };
-        // `len` comes from the file: compare it without computing `4 + len`.
-        if probe.remaining().checked_sub(4).is_none_or(|left| len > left as u64) {
-            return Ok((records, false));
-        }
-        let sum = probe.get_u32_le();
-        let payload = probe.split_to(len as usize);
-        if checksum32(&payload) != sum {
-            return Ok((records, false));
-        }
-        records.push(payload);
-        seg = probe;
-    }
-    Ok((records, true))
 }
 
 /// Writes `bytes` to `path` atomically: sibling temp file, fsync, rename.
@@ -1748,72 +1683,6 @@ mod tests {
     }
 
     #[test]
-    fn segment_round_trips() {
-        let mut seg = new_segment();
-        let payloads: Vec<&[u8]> = vec![b"", b"a", b"hello world", &[0xff; 300]];
-        for p in &payloads {
-            append_record(&mut seg, p);
-        }
-        let (records, clean) = decode_segment(seg.freeze()).unwrap();
-        assert!(clean);
-        assert_eq!(records.len(), payloads.len());
-        for (r, p) in records.iter().zip(&payloads) {
-            assert_eq!(&r[..], *p);
-        }
-    }
-
-    #[test]
-    fn empty_segment_is_clean() {
-        let (records, clean) = decode_segment(new_segment().freeze()).unwrap();
-        assert!(clean);
-        assert!(records.is_empty());
-    }
-
-    #[test]
-    fn segment_rejects_bad_header() {
-        assert!(decode_segment(Bytes::from_static(b"NOPE\x01")).is_err());
-        assert!(decode_segment(Bytes::from_static(b"CSE")).is_err());
-        let mut seg = BytesMut::new();
-        seg.put_slice(SEGMENT_MAGIC);
-        seg.put_u8(99);
-        assert!(decode_segment(seg.freeze()).is_err());
-    }
-
-    #[test]
-    fn truncated_tail_salvages_whole_records() {
-        let mut seg = new_segment();
-        append_record(&mut seg, b"first");
-        append_record(&mut seg, b"second");
-        let full = seg.freeze();
-        // Chopping anywhere inside the second record must still yield the
-        // first, flagged unclean; never a panic or a hard error.
-        let second_start = 5 + 1 + 4 + 5; // header + len + sum + "first"
-        for cut in second_start + 1..full.len() {
-            let (records, clean) = decode_segment(full.slice(..cut)).unwrap();
-            assert_eq!(records.len(), 1, "cut at {cut}");
-            assert_eq!(&records[0][..], b"first");
-            assert!(!clean, "cut at {cut}");
-        }
-        let (records, clean) = decode_segment(full.clone()).unwrap();
-        assert_eq!(records.len(), 2);
-        assert!(clean);
-    }
-
-    #[test]
-    fn checksum_mismatch_stops_decode() {
-        let mut seg = new_segment();
-        append_record(&mut seg, b"good");
-        let flip_at = seg.len() - 1; // last payload byte of "good"
-        append_record(&mut seg, b"tail");
-        let mut raw = seg.freeze().to_vec();
-        raw[flip_at] ^= 0x40;
-        let (records, clean) = decode_segment(Bytes::from(raw)).unwrap();
-        // The corrupted record and everything after it are dropped.
-        assert!(records.is_empty());
-        assert!(!clean);
-    }
-
-    #[test]
     fn write_atomic_replaces_and_leaves_no_temp() {
         let dir = std::env::temp_dir().join(format!("steam-codec-atomic-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -2171,21 +2040,6 @@ mod tests {
         assert!(SnapshotReader::open(&path).is_err());
         assert!(SnapshotReader::from_bytes(raw.clone()).is_err());
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn crafted_record_lengths_end_the_segment() {
-        for len in [u64::MAX, u64::MAX - 1, u64::MAX - 3] {
-            let mut seg = new_segment();
-            append_record(&mut seg, b"good");
-            put_varu64(&mut seg, len);
-            seg.put_u32_le(0);
-            seg.put_slice(b"tail");
-            let (records, clean) = decode_segment(seg.freeze()).unwrap();
-            assert_eq!(records.len(), 1, "length {len}");
-            assert_eq!(&records[0][..], b"good");
-            assert!(!clean, "length {len}");
-        }
     }
 
     #[test]

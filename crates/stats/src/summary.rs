@@ -1,4 +1,4 @@
-//! Basic summary statistics: mean, variance, median, mode.
+//! Basic summary statistics: mean, median, mode.
 //!
 //! §9 of the paper reports achievement counts via mode / mean / median
 //! together, precisely because heavy-tailed data make any single summary
@@ -10,21 +10,6 @@ pub fn mean(data: &[f64]) -> Option<f64> {
         return None;
     }
     Some(data.iter().sum::<f64>() / data.len() as f64)
-}
-
-/// Unbiased sample variance; `None` for fewer than two points.
-pub fn variance(data: &[f64]) -> Option<f64> {
-    if data.len() < 2 {
-        return None;
-    }
-    let m = mean(data)?;
-    let ss: f64 = data.iter().map(|x| (x - m) * (x - m)).sum();
-    Some(ss / (data.len() - 1) as f64)
-}
-
-/// Sample standard deviation.
-pub fn std_dev(data: &[f64]) -> Option<f64> {
-    variance(data).map(f64::sqrt)
 }
 
 /// Median (averaging the two middle elements for even lengths).
@@ -68,12 +53,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_variance() {
+    fn mean_of_data_and_of_none() {
         let d = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&d), Some(5.0));
-        assert!((variance(&d).unwrap() - 32.0 / 7.0).abs() < 1e-12);
         assert!(mean(&[]).is_none());
-        assert!(variance(&[1.0]).is_none());
     }
 
     #[test]

@@ -14,11 +14,6 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Normal with the given mean and standard deviation.
-pub fn normal_with<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64) -> f64 {
-    mean + sd * normal(rng)
-}
-
 /// Lognormal: `exp(N(mu, sigma))`.
 pub fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
     (mu + sigma * normal(rng)).exp()
