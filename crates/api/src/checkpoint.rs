@@ -114,7 +114,7 @@ pub enum Record<'a> {
 }
 
 fn err(msg: impl Into<String>) -> ModelError {
-    ModelError::Codec(msg.into())
+    ModelError::Journal(msg.into())
 }
 
 impl Record<'_> {
@@ -156,7 +156,16 @@ impl Record<'_> {
     }
 
     /// Decodes a segment payload written by [`encode_into`](Self::encode_into).
-    pub fn decode(mut payload: Bytes) -> Result<Record<'static>, ModelError> {
+    pub fn decode(payload: Bytes) -> Result<Record<'static>, ModelError> {
+        // The fields are read with the snapshot codec's primitives, but a
+        // record that does not decode is damage to the journal.
+        Self::decode_fields(payload).map_err(|e| match e {
+            ModelError::Codec(msg) => err(msg),
+            e => e,
+        })
+    }
+
+    fn decode_fields(mut payload: Bytes) -> Result<Record<'static>, ModelError> {
         if !payload.has_remaining() {
             return Err(err("empty checkpoint record"));
         }
@@ -235,22 +244,6 @@ impl Replay {
                 self.apps.insert(game.app_id, game.into_owned());
             }
         }
-    }
-
-    /// Units of work replayed: one per census batch, harvested user, group
-    /// page and app, plus one each for the census result and the app list.
-    /// A unit journaled more than once counts once.
-    pub fn len(&self) -> usize {
-        self.census_batches.len()
-            + usize::from(self.census_complete.is_some())
-            + self.users.len()
-            + self.groups.len()
-            + usize::from(self.app_list.is_some())
-            + self.apps.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -508,11 +501,6 @@ impl CheckpointStore {
         }
         written
     }
-
-    /// Records buffered in memory, not yet flushed to the file.
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
 }
 
 #[cfg(test)]
@@ -523,6 +511,31 @@ mod tests {
     use steam_model::game::{Achievement, AppType, GenreSet};
     use steam_model::group::GroupKind;
     use steam_model::id::STEAM_ID_BASE;
+
+    impl Replay {
+        /// Units of work replayed: one per census batch, harvested user,
+        /// group page and app, plus one each for the census result and the
+        /// app list. A unit journaled more than once counts once.
+        fn len(&self) -> usize {
+            self.census_batches.len()
+                + usize::from(self.census_complete.is_some())
+                + self.users.len()
+                + self.groups.len()
+                + usize::from(self.app_list.is_some())
+                + self.apps.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+    }
+
+    impl CheckpointStore {
+        /// Records buffered in memory, not yet flushed to the file.
+        fn pending(&self) -> usize {
+            self.pending
+        }
+    }
 
     fn dir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("steam-ckpt-{tag}-{}", std::process::id()));
@@ -730,6 +743,19 @@ mod tests {
         seg.put_slice(SEGMENT_MAGIC);
         seg.put_u8(99);
         assert!(decode_all(seg.freeze()).is_err());
+    }
+
+    #[test]
+    fn journal_errors_name_the_journal() {
+        // A bad header, and a user record cut off inside the snapshot codec's
+        // varint reader.
+        let header = decode_all(Bytes::from_static(b"NOPE\x01")).unwrap_err();
+        let record = Record::decode(Bytes::from_static(&[TAG_USER])).unwrap_err();
+        for e in [header, record] {
+            let text = e.to_string();
+            assert!(text.starts_with("checkpoint journal error: "), "{text}");
+            assert!(!text.contains("snapshot"), "{text}");
+        }
     }
 
     #[test]

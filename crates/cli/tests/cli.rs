@@ -317,6 +317,9 @@ fn crawl_resume_warns_about_an_unreadable_segment_by_default() {
             l.contains("seg-00000000.log unreadable") && l.ends_with("; starting afresh")
         });
         assert_eq!(warned, shown, "--log-level {level:?}: {stderr}");
+        // A damaged journal is reported as one, not as a damaged snapshot.
+        let warning = stderr.lines().find(|l| l.contains("seg-00000000.log unreadable"));
+        assert!(warning.is_none_or(|l| !l.contains("snapshot")), "{stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

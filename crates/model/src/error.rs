@@ -11,6 +11,8 @@ pub enum ModelError {
     ParseSteam2(String),
     /// The snapshot codec met a malformed or truncated buffer.
     Codec(String),
+    /// A checkpoint journal's framing or one of its records does not decode.
+    Journal(String),
     /// Underlying I/O failure while reading or writing a snapshot.
     Io(std::io::Error),
     /// A snapshot referenced an entity that does not exist (dangling edge,
@@ -26,6 +28,7 @@ impl fmt::Display for ModelError {
             }
             ModelError::ParseSteam2(s) => write!(f, "cannot parse steam id from {s:?}"),
             ModelError::Codec(msg) => write!(f, "snapshot codec error: {msg}"),
+            ModelError::Journal(msg) => write!(f, "checkpoint journal error: {msg}"),
             ModelError::Io(e) => write!(f, "snapshot i/o error: {e}"),
             ModelError::DanglingReference(msg) => write!(f, "dangling reference: {msg}"),
         }

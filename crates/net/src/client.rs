@@ -519,7 +519,7 @@ mod tests {
             }
             let mut wire = Vec::new();
             for resp in &answers {
-                crate::http::write_response(&mut wire, resp).unwrap();
+                crate::http::encode_response(&mut wire, resp, false);
             }
             stream.write_all(&wire).unwrap();
             received

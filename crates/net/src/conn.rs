@@ -2,19 +2,52 @@
 //!
 //! The threaded server ([`server`](crate::server)) and the epoll reactor
 //! ([`reactor`](crate::reactor)) must serve byte-identical responses for the
-//! same request stream — `serve_bench` and the mode-parity suite assert it.
-//! The only way to guarantee that is to route both through one code path:
+//! same request stream — `serve_bench` and the mode-parity suite assert it —
+//! and must treat a slow, silent or pipelining peer alike. The only way to
+//! guarantee that is to route both through one code path:
 //!
-//! * [`try_parse_request`] — incremental request parsing over a byte buffer
-//!   (the reactor accumulates nonblocking reads and needs to distinguish
-//!   "not all bytes arrived yet" from "malformed"); it reuses the exact
-//!   [`read_request`] parser over the buffered bytes, so the two modes
-//!   cannot disagree on what constitutes a valid request.
+//! * [`Session`] — one connection's protocol, whichever server drives it:
+//!   the bytes received and not yet parsed, the responses encoded and not
+//!   yet sent, a parked stall response, and the decisions to close or to
+//!   answer 408. The two drivers differ only in how they wait for the
+//!   socket: the reactor reads and writes nonblocking on readiness edges, a
+//!   threaded worker blocks for at most
+//!   [`POLL_SLICE`](crate::server::POLL_SLICE) per read, write or stall
+//!   wait, so it sees shutdown within one slice.
+//! * [`try_parse_request`] — incremental request parsing over a byte buffer,
+//!   which distinguishes "not all bytes arrived yet" from "malformed"; it
+//!   reuses the exact [`read_request`] parser over the buffered bytes.
 //! * [`Dispatcher`] — everything that happens between a parsed request and
 //!   the serialized response: operational endpoints (`/metrics`,
 //!   `/healthz`), fault injection, per-endpoint metrics, the application
 //!   handler, and the close-intent decision. A panicking handler answers
 //!   500 and the connection and server keep serving.
+//!
+//! ## Per-connection state machine
+//!
+//! ```text
+//!            ┌────────────────────────────────────────────────┐
+//!            v                                                │
+//!  ┌──────────────────┐  header+body   ┌──────────┐  resp     │ keep-alive
+//!  │ READ (accumulate │ ─────────────> │ DISPATCH │ ────────┐ │
+//!  │ inbuf, try parse)│   complete     │          │         v │
+//!  └──────────────────┘                └──────────┘   ┌───────────────┐
+//!       │        │                          │ stall   │ WRITE (flush  │
+//!       │ bad    │ idle                     v         │ outbuf queue) │
+//!       v        v                     ┌─────────┐    └───────────────┘
+//!   400+close  close (or 408+close  ──>│ STALLED │──deadline──^    │close
+//!              if a request started)   └─────────┘                 v
+//!                                                               CLOSED
+//! ```
+//!
+//! Every complete request in `inbuf` is dispatched in order, and each
+//! response is encoded onto the tail of `outbuf`, which is flushed as far as
+//! the socket takes it. A `stall` fault parks the encoded response on a
+//! deadline; later pipelined requests wait behind it, so responses keep
+//! request order. A connection that goes
+//! [`ServerConfig::idle_timeout`](crate::server::ServerConfig::idle_timeout)
+//! without receiving request bytes or dispatching a request is answered 408
+//! and closed if a request has started, and closed silently otherwise.
 //!
 //! ## Close intent
 //!
@@ -27,9 +60,11 @@
 //! half-closed connections instead of discovering them later.
 
 use std::collections::HashMap;
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use steam_obs::{
@@ -39,7 +74,9 @@ use steam_obs::{
 
 use crate::error::NetError;
 use crate::fault::{FaultInjector, FaultKind};
-use crate::http::{read_request, Request, Response, MAX_HEADER_BYTES, MAX_LINE_BYTES};
+use crate::http::{
+    encode_response, read_request, Request, Response, MAX_HEADER_BYTES, MAX_LINE_BYTES,
+};
 use crate::json::write_string;
 use crate::server::{normalize_endpoint, Handler};
 
@@ -58,9 +95,14 @@ impl ServerObs {
             "http_requests_total",
             "HTTP requests served, by endpoint, method and status",
         );
-        registry
-            .describe("http_request_duration_seconds", "Request handling latency, by endpoint");
-        registry.describe("http_requests_in_flight", "Requests currently being handled");
+        registry.describe(
+            "http_request_duration_seconds",
+            "Request handling latency, by endpoint",
+        );
+        registry.describe(
+            "http_requests_in_flight",
+            "Requests currently being handled",
+        );
         registry.describe("http_connections_total", "TCP connections accepted");
         registry.describe(
             "http_handler_panics_total",
@@ -97,7 +139,8 @@ impl ObsCache {
         self.latency
             .entry(endpoint.to_string())
             .or_insert_with(|| {
-                obs.registry.histogram("http_request_duration_seconds", &[("endpoint", endpoint)])
+                obs.registry
+                    .histogram("http_request_duration_seconds", &[("endpoint", endpoint)])
             })
             .record_duration(elapsed);
         self.requests
@@ -124,12 +167,11 @@ impl ObsCache {
 /// Lifecycle stage of a live connection, as exposed by `/debug/conns`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
-pub(crate) enum ConnState {
+enum ConnState {
     Idle = 0,
     Reading = 1,
-    Dispatching = 2,
-    Writing = 3,
-    Stalled = 4,
+    Writing = 2,
+    Stalled = 3,
 }
 
 impl ConnState {
@@ -137,7 +179,6 @@ impl ConnState {
         match self {
             ConnState::Idle => "idle",
             ConnState::Reading => "reading",
-            ConnState::Dispatching => "dispatching",
             ConnState::Writing => "writing",
             ConnState::Stalled => "stalled",
         }
@@ -146,18 +187,17 @@ impl ConnState {
     fn from_u8(v: u8) -> ConnState {
         match v {
             1 => ConnState::Reading,
-            2 => ConnState::Dispatching,
-            3 => ConnState::Writing,
-            4 => ConnState::Stalled,
+            2 => ConnState::Writing,
+            3 => ConnState::Stalled,
             _ => ConnState::Idle,
         }
     }
 }
 
-/// Live state of one connection, updated with relaxed atomic stores by the
-/// owning driver (reactor thread or worker thread) and read by
+/// Live state of one connection, stored with relaxed atomic stores by its
+/// [`Session`] (on the reactor thread or a worker thread) and read by
 /// `/debug/conns` without coordination.
-pub(crate) struct ConnStat {
+struct ConnStat {
     fd: i32,
     state: AtomicU8,
     last_activity_us: AtomicU64,
@@ -165,36 +205,17 @@ pub(crate) struct ConnStat {
     outbuf: AtomicUsize,
 }
 
-impl ConnStat {
-    pub(crate) fn set_state(&self, state: ConnState) {
-        self.state.store(state as u8, Ordering::Relaxed);
-    }
-
-    pub(crate) fn touch(&self) {
-        self.last_activity_us.store(now_us(), Ordering::Relaxed);
-    }
-
-    pub(crate) fn set_last_activity(&self, us: u64) {
-        self.last_activity_us.store(us, Ordering::Relaxed);
-    }
-
-    pub(crate) fn set_buffers(&self, inbuf: usize, outbuf: usize) {
-        self.inbuf.store(inbuf, Ordering::Relaxed);
-        self.outbuf.store(outbuf, Ordering::Relaxed);
-    }
-}
-
 /// Registry of live connections behind `/debug/conns`, shared by both
 /// server modes through the [`Dispatcher`]. The mutex is touched only on
 /// accept, close, and introspection — never per request.
 #[derive(Default)]
-pub(crate) struct ConnTracker {
+struct ConnTracker {
     conns: Mutex<HashMap<u64, Arc<ConnStat>>>,
     next: AtomicU64,
 }
 
 impl ConnTracker {
-    pub(crate) fn register(&self, fd: i32) -> (u64, Arc<ConnStat>) {
+    fn register(&self, fd: i32) -> (u64, Arc<ConnStat>) {
         let id = self.next.fetch_add(1, Ordering::Relaxed);
         let stat = Arc::new(ConnStat {
             fd,
@@ -203,19 +224,30 @@ impl ConnTracker {
             inbuf: AtomicUsize::new(0),
             outbuf: AtomicUsize::new(0),
         });
-        self.conns.lock().expect("conn tracker poisoned").insert(id, Arc::clone(&stat));
+        self.conns
+            .lock()
+            .expect("conn tracker poisoned")
+            .insert(id, Arc::clone(&stat));
         (id, stat)
     }
 
-    pub(crate) fn deregister(&self, id: u64) {
-        self.conns.lock().expect("conn tracker poisoned").remove(&id);
+    /// Called from `Session::drop`, which must not panic: a map poisoned by
+    /// a panic elsewhere is still a valid map to remove from.
+    fn deregister(&self, id: u64) {
+        self.conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&id);
     }
 
     fn render_json(&self) -> String {
         let now = now_us();
         let mut entries: Vec<(u64, Arc<ConnStat>)> = {
             let conns = self.conns.lock().expect("conn tracker poisoned");
-            conns.iter().map(|(id, stat)| (*id, Arc::clone(stat))).collect()
+            conns
+                .iter()
+                .map(|(id, stat)| (*id, Arc::clone(stat)))
+                .collect()
         };
         entries.sort_by_key(|(id, _)| *id);
         let mut body = String::with_capacity(entries.len() * 96 + 16);
@@ -243,7 +275,7 @@ impl ConnTracker {
 }
 
 /// One step of incremental request parsing over accumulated bytes.
-pub(crate) enum ParseStep {
+enum ParseStep {
     /// Not enough bytes yet; keep reading.
     Incomplete,
     /// A complete request; `consumed` bytes of the buffer belong to it.
@@ -258,7 +290,7 @@ pub(crate) enum ParseStep {
 /// body (headers promise more `Content-Length` than has arrived) is
 /// `Incomplete`, not an error. Delegates to [`read_request`] for the actual
 /// parse — both server modes accept exactly the same byte streams.
-pub(crate) fn try_parse_request(buf: &[u8]) -> ParseStep {
+fn try_parse_request(buf: &[u8]) -> ParseStep {
     if find_header_end(buf).is_none() {
         // A header block that exceeds the limits can never become valid.
         return if buf.len() > MAX_HEADER_BYTES + MAX_LINE_BYTES {
@@ -269,7 +301,10 @@ pub(crate) fn try_parse_request(buf: &[u8]) -> ParseStep {
     }
     let mut cursor = std::io::Cursor::new(buf);
     match read_request(&mut cursor) {
-        Ok(Some(req)) => ParseStep::Request { req, consumed: cursor.position() as usize },
+        Ok(Some(req)) => ParseStep::Request {
+            req,
+            consumed: cursor.position() as usize,
+        },
         Ok(None) => ParseStep::Incomplete,
         Err(NetError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
             // Headers are complete, the body is still in flight.
@@ -297,20 +332,25 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
     None
 }
 
-/// What the connection driver should do with one parsed request.
-pub(crate) enum Outcome {
+/// What the session should do with one parsed request.
+enum Outcome {
     /// Write `resp` (after [`finalize_response`]); close afterwards if
     /// `close`. `truncate` damages the write on the wire (fault injection);
-    /// `delay` postpones the write (`stall` fault) — the threaded server
-    /// sleeps, the reactor parks the response on a deadline.
-    Respond { resp: Response, close: bool, truncate: bool, delay: Option<Duration> },
+    /// `delay` postpones the write (`stall` fault): the session parks the
+    /// encoded response until the delay has passed.
+    Respond {
+        resp: Response,
+        close: bool,
+        truncate: bool,
+        delay: Option<Duration>,
+    },
     /// Close the connection without writing anything (fault `drop`).
     Drop,
 }
 
 /// Stamps the server's close intent onto the response before it is
 /// serialized: a connection the server will close must say so.
-pub(crate) fn finalize_response(resp: &mut Response, close: bool) {
+fn finalize_response(resp: &mut Response, close: bool) {
     if close && resp.header("connection").is_none() {
         resp.headers.push(("Connection".into(), "close".into()));
     }
@@ -318,7 +358,7 @@ pub(crate) fn finalize_response(resp: &mut Response, close: bool) {
 
 /// The 400 answered to an unparsable request; the connection closes after
 /// it, and the response says so.
-pub(crate) fn bad_request_response(err: &NetError) -> Response {
+fn bad_request_response(err: &NetError) -> Response {
     let mut resp = Response::error(400, &err.to_string());
     finalize_response(&mut resp, true);
     resp
@@ -399,20 +439,25 @@ impl Dispatcher {
         obs: Option<Arc<ServerObs>>,
         faults: Option<Arc<FaultInjector>>,
     ) -> Self {
-        Dispatcher { handler, obs, faults, mint: AtomicU64::new(0), conns: ConnTracker::default() }
+        Dispatcher {
+            handler,
+            obs,
+            faults,
+            mint: AtomicU64::new(0),
+            conns: ConnTracker::default(),
+        }
     }
 
     pub(crate) fn obs(&self) -> Option<&Arc<ServerObs>> {
         self.obs.as_ref()
     }
 
-    pub(crate) fn conns(&self) -> &ConnTracker {
-        &self.conns
-    }
-
     fn extract_trace(&self, req: &Request) -> RequestTrace {
         match req.header(TRACE_HEADER).and_then(TraceContext::parse) {
-            Some(ctx) => RequestTrace { trace: ctx.trace, parent: ctx.span },
+            Some(ctx) => RequestTrace {
+                trace: ctx.trace,
+                parent: ctx.span,
+            },
             None => RequestTrace {
                 trace: TraceId::mint_seeded(
                     SERVER_MINT_SEED,
@@ -448,7 +493,7 @@ impl Dispatcher {
     }
 
     /// Decides the response (or lack of one) for a single request.
-    pub(crate) fn dispatch(&self, req: Request, cache: &mut ObsCache) -> Outcome {
+    fn dispatch(&self, req: Request, cache: &mut ObsCache) -> Outcome {
         let keep_alive = req.keep_alive();
         // Operational endpoints (`/metrics`, `/healthz`, `/debug/*`) are
         // never faulted, throttled, traced, or counted: the instruments
@@ -461,7 +506,11 @@ impl Dispatcher {
         // Every app request runs under a trace: extracted from the wire, or
         // minted deterministically so both server modes stamp identical ids
         // on identical request streams.
-        let trace = if operational { None } else { Some(self.extract_trace(&req)) };
+        let trace = if operational {
+            None
+        } else {
+            Some(self.extract_trace(&req))
+        };
         let mut delay = None;
         if let Some(inj) = self.faults.as_deref().filter(|_| !operational) {
             match inj.decide(&req.path) {
@@ -485,7 +534,12 @@ impl Dispatcher {
                     }
                     let mut resp = Response::error(status, "injected fault");
                     Self::stamp_trace(&mut resp, trace.as_ref());
-                    return Outcome::Respond { resp, close: !keep_alive, truncate: false, delay };
+                    return Outcome::Respond {
+                        resp,
+                        close: !keep_alive,
+                        truncate: false,
+                        delay,
+                    };
                 }
                 Some(k @ (FaultKind::Truncate | FaultKind::Corrupt)) => {
                     // Compute the real response, then damage it on the wire.
@@ -497,11 +551,21 @@ impl Dispatcher {
                             None => resp.body.push(b'#'),
                         }
                         let close = !keep_alive || !resp.keep_alive();
-                        return Outcome::Respond { resp, close, truncate: false, delay };
+                        return Outcome::Respond {
+                            resp,
+                            close,
+                            truncate: false,
+                            delay,
+                        };
                     }
                     // The declared Content-Length will not be honored; the
                     // only coherent next step is closing the connection.
-                    return Outcome::Respond { resp, close: true, truncate: true, delay };
+                    return Outcome::Respond {
+                        resp,
+                        close: true,
+                        truncate: true,
+                        delay,
+                    };
                 }
             }
         }
@@ -522,16 +586,31 @@ impl Dispatcher {
                             filter.flatten(),
                         )),
                     };
-                    return Outcome::Respond { resp, close: !keep_alive, truncate: false, delay };
+                    return Outcome::Respond {
+                        resp,
+                        close: !keep_alive,
+                        truncate: false,
+                        delay,
+                    };
                 }
                 "/debug/slow" => {
                     let resp =
                         Response::json(spans_json("slow", &steam_obs::slowest_spans(), None));
-                    return Outcome::Respond { resp, close: !keep_alive, truncate: false, delay };
+                    return Outcome::Respond {
+                        resp,
+                        close: !keep_alive,
+                        truncate: false,
+                        delay,
+                    };
                 }
                 "/debug/conns" => {
                     let resp = Response::json(self.conns.render_json());
-                    return Outcome::Respond { resp, close: !keep_alive, truncate: false, delay };
+                    return Outcome::Respond {
+                        resp,
+                        close: !keep_alive,
+                        truncate: false,
+                        delay,
+                    };
                 }
                 _ => {}
             }
@@ -543,11 +622,21 @@ impl Dispatcher {
                         obs.registry.gauge("peak_rss_bytes", &[]).set(peak as i64);
                     }
                     let resp = Response::text(obs.registry.render_prometheus());
-                    return Outcome::Respond { resp, close: !keep_alive, truncate: false, delay };
+                    return Outcome::Respond {
+                        resp,
+                        close: !keep_alive,
+                        truncate: false,
+                        delay,
+                    };
                 }
                 if req.path == "/healthz" {
                     let resp = Response::text("ok\n".into());
-                    return Outcome::Respond { resp, close: !keep_alive, truncate: false, delay };
+                    return Outcome::Respond {
+                        resp,
+                        close: !keep_alive,
+                        truncate: false,
+                        delay,
+                    };
                 }
             }
             // Remaining operational paths belong to the application layer
@@ -555,12 +644,22 @@ impl Dispatcher {
             // still uninstrumented, untraced, and unstamped.
             let resp = self.call_handler(req).unwrap_or_else(panic_response);
             let close = !keep_alive || !resp.keep_alive();
-            return Outcome::Respond { resp, close, truncate: false, delay };
+            return Outcome::Respond {
+                resp,
+                close,
+                truncate: false,
+                delay,
+            };
         }
         let mut resp = self.handle_app(req, cache, trace.as_ref());
         Self::stamp_trace(&mut resp, trace.as_ref());
         let close = !keep_alive || !resp.keep_alive();
-        Outcome::Respond { resp, close, truncate: false, delay }
+        Outcome::Respond {
+            resp,
+            close,
+            truncate: false,
+            delay,
+        }
     }
 
     /// The application handler's response, or `None` if it panicked. The
@@ -611,7 +710,11 @@ impl Dispatcher {
             )
             .with_timing(start_us, elapsed.as_micros() as u64)
             .with_status(resp.status);
-            record_span(if panicked { span.with_annotation("panic") } else { span });
+            record_span(if panicked {
+                span.with_annotation("panic")
+            } else {
+                span
+            });
         }
         resp
     }
@@ -620,6 +723,257 @@ impl Dispatcher {
 /// What a request whose handler panicked answers.
 fn panic_response() -> Response {
     Response::error(500, "handler panicked")
+}
+
+/// One connection's protocol state, driven by the reactor or by a threaded
+/// worker (module docs). The driver decides when to read, the session does
+/// everything else: it parses, dispatches, encodes, parks a stall response,
+/// applies the idle rule and decides when the connection closes.
+///
+/// A session is registered in `/debug/conns` from [`new`](Self::new) until
+/// it is dropped, and mirrors its state there after every
+/// [`advance`](Self::advance).
+pub(crate) struct Session {
+    stream: TcpStream,
+    dispatcher: Arc<Dispatcher>,
+    /// Accumulated unparsed request bytes.
+    inbuf: Vec<u8>,
+    /// Serialized responses not yet written; `written` bytes already sent.
+    outbuf: Vec<u8>,
+    written: usize,
+    /// Close once `outbuf` drains (close intent already on the wire).
+    close_after_flush: bool,
+    /// The peer closed its write side; serve what is buffered, then close.
+    peer_eof: bool,
+    /// A stall-fault response parked until its deadline, with its close
+    /// intent.
+    stalled: Option<(Instant, Vec<u8>, bool)>,
+    /// When request bytes last arrived or a request was last dispatched.
+    last_activity: Instant,
+    /// Registration in the dispatcher's `/debug/conns` tracker.
+    track_id: u64,
+    stat: Arc<ConnStat>,
+}
+
+/// A read or write that found the socket not ready: `WouldBlock` from a
+/// nonblocking socket, or a read or write timeout (`WouldBlock` on Unix,
+/// `TimedOut` elsewhere).
+fn not_ready(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+impl Session {
+    /// Adopts an accepted connection: counts it in `http_connections_total`
+    /// and registers it in `/debug/conns`.
+    pub(crate) fn new(stream: TcpStream, dispatcher: Arc<Dispatcher>) -> Session {
+        #[cfg(unix)]
+        let fd = std::os::fd::AsRawFd::as_raw_fd(&stream);
+        #[cfg(not(unix))]
+        let fd = -1;
+        if let Some(obs) = dispatcher.obs() {
+            obs.connections.inc();
+        }
+        let (track_id, stat) = dispatcher.conns.register(fd);
+        Session {
+            stream,
+            dispatcher,
+            inbuf: Vec::new(),
+            outbuf: Vec::new(),
+            written: 0,
+            close_after_flush: false,
+            peer_eof: false,
+            stalled: None,
+            last_activity: Instant::now(),
+            track_id,
+            stat,
+        }
+    }
+
+    pub(crate) fn stream(&self) -> &TcpStream {
+        &self.stream
+    }
+
+    /// Reads what the peer sent: one read, or, when `drain`, reads until the
+    /// socket has nothing more. A read that finds the socket not ready ends
+    /// the call. Returns `false` when the socket is broken.
+    pub(crate) fn receive(&mut self, drain: bool) -> bool {
+        let mut chunk = [0u8; 16 * 1024];
+        loop {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    self.peer_eof = true;
+                    return true;
+                }
+                Ok(n) => {
+                    self.inbuf.extend_from_slice(&chunk[..n]);
+                    self.last_activity = Instant::now();
+                    if !drain {
+                        return true;
+                    }
+                }
+                Err(ref e) if not_ready(e) => return true,
+                Err(ref e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+    }
+
+    /// Dispatches every complete request received, writes as much of
+    /// `outbuf` as the socket takes, and says whether the connection stays
+    /// open.
+    pub(crate) fn advance(&mut self, cache: &mut ObsCache) -> bool {
+        self.process(cache);
+        if !self.flush() {
+            return false;
+        }
+        // Everything written: close if a response said so, or if the peer
+        // finished sending and no stalled response is still to come.
+        if !self.sending() && (self.close_after_flush || self.peer_eof && self.stalled.is_none()) {
+            return false;
+        }
+        self.sync_stat();
+        true
+    }
+
+    /// Whether some of `outbuf` is still unsent.
+    pub(crate) fn sending(&self) -> bool {
+        self.written < self.outbuf.len()
+    }
+
+    /// When the parked stall response is due, if one is parked.
+    pub(crate) fn stalled_until(&self) -> Option<Instant> {
+        self.stalled.as_ref().map(|(deadline, _, _)| *deadline)
+    }
+
+    /// Queues the parked stall response if its deadline has passed, and
+    /// says whether it did; the next [`advance`](Self::advance) sends it and
+    /// goes on with the requests pipelined behind it.
+    pub(crate) fn release_stall(&mut self, now: Instant) -> bool {
+        if self.stalled_until().is_none_or(|deadline| deadline > now) {
+            return false;
+        }
+        let (_, wire, close) = self.stalled.take().expect("checked above");
+        self.outbuf.extend_from_slice(&wire);
+        self.close_after_flush |= close;
+        true
+    }
+
+    /// Whether `timeout` has passed without request bytes arriving or a
+    /// request being dispatched. A parked stall response is never idle.
+    pub(crate) fn idle(&self, now: Instant, timeout: Duration) -> bool {
+        self.stalled.is_none() && now.duration_since(self.last_activity) >= timeout
+    }
+
+    /// The idle rule, for a connection that has been [`idle`](Self::idle)
+    /// too long. A request that has started is answered 408, and the
+    /// connection stays open only to send it; a connection between requests,
+    /// or one already closing that had a full idle period to flush, closes
+    /// at once. Returns whether the connection stays open.
+    pub(crate) fn time_out(&mut self) -> bool {
+        if self.close_after_flush || self.inbuf.is_empty() {
+            return false;
+        }
+        let mut resp = Response::error(408, "request read timed out");
+        finalize_response(&mut resp, true);
+        encode_response(&mut self.outbuf, &resp, false);
+        self.close_after_flush = true;
+        true
+    }
+
+    /// Parses and dispatches every complete request in `inbuf`, in order.
+    /// Stops at a stalled response (ordering: later pipelined responses
+    /// must not overtake it) or once the connection is closing. Each
+    /// request is parsed where it starts in `inbuf`, and the consumed
+    /// prefix is drained once at the end, so a call costs time linear in
+    /// the bytes it consumes, however many requests are queued.
+    fn process(&mut self, cache: &mut ObsCache) {
+        let mut start = 0;
+        while self.stalled.is_none() && !self.close_after_flush {
+            match try_parse_request(&self.inbuf[start..]) {
+                ParseStep::Incomplete => break,
+                ParseStep::Bad(e) => {
+                    encode_response(&mut self.outbuf, &bad_request_response(&e), false);
+                    self.close_after_flush = true;
+                }
+                ParseStep::Request { req, consumed } => {
+                    start += consumed;
+                    self.last_activity = Instant::now();
+                    match self.dispatcher.dispatch(req, cache) {
+                        Outcome::Drop => {
+                            // Close without answering; earlier pipelined
+                            // responses still flush first.
+                            self.close_after_flush = true;
+                        }
+                        Outcome::Respond {
+                            mut resp,
+                            close,
+                            truncate,
+                            delay,
+                        } => {
+                            finalize_response(&mut resp, close);
+                            match delay {
+                                Some(d) => {
+                                    let mut wire = Vec::new();
+                                    encode_response(&mut wire, &resp, truncate);
+                                    self.stalled = Some((Instant::now() + d, wire, close));
+                                }
+                                None => {
+                                    encode_response(&mut self.outbuf, &resp, truncate);
+                                    self.close_after_flush |= close;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        self.inbuf.drain(..start);
+    }
+
+    /// Writes `outbuf` until it is empty or the socket takes no more for
+    /// now. `written` tracks the offset across calls, so a write cut short
+    /// by a timeout loses nothing. Returns `false` when the socket is broken.
+    fn flush(&mut self) -> bool {
+        while self.written < self.outbuf.len() {
+            match self.stream.write(&self.outbuf[self.written..]) {
+                Ok(0) => return false,
+                Ok(n) => self.written += n,
+                Err(ref e) if not_ready(e) => return true,
+                Err(ref e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+        self.outbuf.clear();
+        self.written = 0;
+        true
+    }
+
+    /// Mirrors the connection's state into its `/debug/conns` entry.
+    fn sync_stat(&self) {
+        let state = if self.stalled.is_some() {
+            ConnState::Stalled
+        } else if self.sending() {
+            ConnState::Writing
+        } else if !self.inbuf.is_empty() {
+            ConnState::Reading
+        } else {
+            ConnState::Idle
+        };
+        let stat = &self.stat;
+        stat.state.store(state as u8, Ordering::Relaxed);
+        stat.inbuf.store(self.inbuf.len(), Ordering::Relaxed);
+        stat.outbuf
+            .store(self.outbuf.len() - self.written, Ordering::Relaxed);
+        let idle_us = self.last_activity.elapsed().as_micros() as u64;
+        stat.last_activity_us
+            .store(now_us().saturating_sub(idle_us), Ordering::Relaxed);
+    }
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        self.dispatcher.conns.deregister(self.track_id);
+    }
 }
 
 #[cfg(test)]
@@ -639,14 +993,27 @@ mod tests {
         // Targets, names and annotations may carry request-path bytes: every
         // character JSON must escape reads back unchanged.
         const AWKWARD: &str = "q\"b\\s\nc\u{1}";
-        let span =
-            SpanRecord::new(TraceId(1), SpanId(2), SpanId(0), SpanKind::Server, AWKWARD, AWKWARD)
-                .with_annotation(AWKWARD);
+        let span = SpanRecord::new(
+            TraceId(1),
+            SpanId(2),
+            SpanId(0),
+            SpanKind::Server,
+            AWKWARD,
+            AWKWARD,
+        )
+        .with_annotation(AWKWARD);
         let body = spans_json("spans", &[span], None);
         let json = crate::json::Json::parse(&body).expect("span body must be valid JSON");
-        let spans = json.get("spans").and_then(|v| v.as_arr()).expect("span array");
+        let spans = json
+            .get("spans")
+            .and_then(|v| v.as_arr())
+            .expect("span array");
         for field in ["target", "name", "annotation"] {
-            assert_eq!(spans[0].get(field).and_then(|v| v.as_str()), Some(AWKWARD), "{body}");
+            assert_eq!(
+                spans[0].get(field).and_then(|v| v.as_str()),
+                Some(AWKWARD),
+                "{body}"
+            );
         }
     }
 
@@ -677,7 +1044,10 @@ mod tests {
                 ParseStep::Bad(e) => panic!("malformed at {cut}: {e}"),
             }
         }
-        assert!(matches!(try_parse_request(&bytes), ParseStep::Request { .. }));
+        assert!(matches!(
+            try_parse_request(&bytes),
+            ParseStep::Request { .. }
+        ));
     }
 
     /// The bytes the mutation suite writes over each input byte: the
@@ -783,7 +1153,10 @@ mod tests {
         let lf_then_crlf = b"GET /a HTTP/1.1\nHost: x\n\nGET /b HTTP/1.1\r\n\r\n";
         assert_eq!(find_header_end(lf_then_crlf), Some(25));
         // Mixed inside one block: a bare-LF line, then a CRLF blank line.
-        assert_eq!(find_header_end(b"GET / HTTP/1.1\nHost: x\n\r\nrest"), Some(25));
+        assert_eq!(
+            find_header_end(b"GET / HTTP/1.1\nHost: x\n\r\nrest"),
+            Some(25)
+        );
         assert_eq!(find_header_end(b"GET / HTTP/1.1\r\n\n"), Some(17));
         assert_eq!(find_header_end(b"GET / HTTP/1.1\r\nHost: x\r\n\r"), None);
         assert_eq!(find_header_end(b"\n"), None);
@@ -795,7 +1168,10 @@ mod tests {
         // instead of buffering unboundedly.
         let junk = vec![b'a'; MAX_HEADER_BYTES + MAX_LINE_BYTES + 1];
         assert!(matches!(try_parse_request(&junk), ParseStep::Bad(_)));
-        assert!(matches!(try_parse_request(&junk[..64]), ParseStep::Incomplete));
+        assert!(matches!(
+            try_parse_request(&junk[..64]),
+            ParseStep::Incomplete
+        ));
     }
 
     #[test]
@@ -807,30 +1183,16 @@ mod tests {
         // Already-present headers are not duplicated.
         let mut resp = Response::json("{}".into()).with_header("Connection", "close");
         finalize_response(&mut resp, true);
-        assert_eq!(resp.headers.iter().filter(|(k, _)| k == "Connection").count(), 1);
+        assert_eq!(
+            resp.headers
+                .iter()
+                .filter(|(k, _)| k == "Connection")
+                .count(),
+            1
+        );
         // No close intent, no header.
         let mut resp = Response::json("{}".into());
         finalize_response(&mut resp, false);
         assert_eq!(resp.header("connection"), None);
-    }
-
-    #[test]
-    fn serialized_bytes_match_the_streaming_writer() {
-        // The reactor encodes each response onto the tail of its write
-        // queue, behind earlier pipelined responses still unsent.
-        use crate::http::{encode_response, write_response, write_response_truncated};
-        let resp = Response::json("{\"ok\":true}".into());
-        let queued = b"HTTP/1.1 200 OK\r\n".to_vec();
-        for truncate in [false, true] {
-            let mut direct = queued.clone();
-            if truncate {
-                write_response_truncated(&mut direct, &resp).unwrap();
-            } else {
-                write_response(&mut direct, &resp).unwrap();
-            }
-            let mut outbuf = queued.clone();
-            encode_response(&mut outbuf, &resp, truncate);
-            assert_eq!(outbuf, direct, "truncate = {truncate}");
-        }
     }
 }

@@ -1,6 +1,7 @@
-//! Minimal HTTP/1.1 framing: request/response types, a reader for each, and
-//! writers. Enough protocol for a JSON REST API — `Content-Length` bodies,
-//! keep-alive, and nothing else (no chunked encoding, no TLS).
+//! Minimal HTTP/1.1 framing: request/response types, a reader for each, a
+//! request writer and the one encoder behind every sent message. Enough
+//! protocol for a JSON REST API — `Content-Length` bodies, keep-alive, and
+//! nothing else (no chunked encoding, no TLS).
 
 use std::io::{BufRead, Read, Write};
 
@@ -29,7 +30,9 @@ pub enum Version {
 /// x-foo` names two tokens). Comparing the whole value would miss `close`
 /// there and wrongly keep the connection alive.
 fn connection_has_token(value: &str, token: &str) -> bool {
-    value.split(',').any(|t| t.trim().eq_ignore_ascii_case(token))
+    value
+        .split(',')
+        .any(|t| t.trim().eq_ignore_ascii_case(token))
 }
 
 /// Keep-alive decision shared by requests and responses.
@@ -71,7 +74,10 @@ impl Request {
 
     /// First query value for a key.
     pub fn query_param(&self, key: &str) -> Option<&str> {
-        self.query.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+        self.query
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
     }
 
     /// Case-insensitive header lookup.
@@ -201,8 +207,7 @@ fn read_line_bounded<R: BufRead>(reader: &mut R) -> Result<Option<String>, NetEr
     let mut buf = Vec::new();
     // +1 so a line of exactly MAX_LINE_BYTES (newline included) still passes;
     // the limit also stops a never-terminated line from buffering unboundedly.
-    <&mut R as Read>::take(&mut *reader, MAX_LINE_BYTES as u64 + 1)
-        .read_until(b'\n', &mut buf)?;
+    <&mut R as Read>::take(&mut *reader, MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut buf)?;
     if buf.is_empty() {
         return Ok(None);
     }
@@ -223,8 +228,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, NetEr
     };
     let line = line.trim_end();
     let mut parts = line.split_whitespace();
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next())
-    {
+    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) => (m, t, v),
         _ => return Err(NetError::Http(format!("malformed request line: {line:?}"))),
     };
@@ -233,7 +237,14 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, NetEr
     let headers = read_headers(reader)?;
     let body = read_body(reader, &headers)?;
     let (path, query) = split_target(target);
-    Ok(Some(Request { method: method.to_string(), path, query, headers, body, version }))
+    Ok(Some(Request {
+        method: method.to_string(),
+        path,
+        query,
+        headers,
+        body,
+        version,
+    }))
 }
 
 /// Accepts exactly the HTTP/1.x versions this substrate speaks.
@@ -266,7 +277,12 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> Result<Response, NetError> {
         .ok_or_else(|| NetError::Http(format!("bad status line: {line:?}")))?;
     let headers = read_headers(reader)?;
     let body = read_body(reader, &headers)?;
-    Ok(Response { status, headers, body, version })
+    Ok(Response {
+        status,
+        headers,
+        body,
+        version,
+    })
 }
 
 fn read_headers<R: BufRead>(reader: &mut R) -> Result<Vec<(String, String)>, NetError> {
@@ -302,8 +318,9 @@ fn read_body<R: BufRead>(
         if !k.eq_ignore_ascii_case("content-length") {
             continue;
         }
-        let parsed: usize =
-            v.parse().map_err(|_| NetError::Http("bad content-length".into()))?;
+        let parsed: usize = v
+            .parse()
+            .map_err(|_| NetError::Http("bad content-length".into()))?;
         match len {
             Some(prev) if prev != parsed => {
                 return Err(NetError::Http("conflicting content-length headers".into()));
@@ -321,7 +338,8 @@ fn read_body<R: BufRead>(
 }
 
 /// Writes a request (always with an explicit `Content-Length`) in one
-/// `write_all`.
+/// `write_all`, so a `TCP_NODELAY` socket sends it without a segment per
+/// header.
 pub fn write_request<W: Write>(w: &mut W, req: &Request) -> Result<(), NetError> {
     write_request_with(w, req, None)
 }
@@ -335,14 +353,19 @@ pub(crate) fn write_request_with<W: Write>(
 ) -> Result<(), NetError> {
     let mut wire = Vec::new();
     encode_request(&mut wire, req, extra);
-    send(w, &wire)
+    w.write_all(&wire)?;
+    w.flush()?;
+    Ok(())
 }
 
 /// Appends a request's exact wire bytes, `extra` header included, to `out`
 /// (the client encodes every request of an exchange into one buffer).
 pub(crate) fn encode_request(out: &mut Vec<u8>, req: &Request, extra: Option<(&str, &str)>) {
-    let pairs: Vec<(&str, &str)> =
-        req.query.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+    let pairs: Vec<(&str, &str)> = req
+        .query
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .collect();
     let target = crate::url::build_target(&req.path, &pairs);
     encode_message(
         out,
@@ -354,32 +377,26 @@ pub(crate) fn encode_request(out: &mut Vec<u8>, req: &Request, extra: Option<(&s
     );
 }
 
-/// Writes a response (always with an explicit `Content-Length`) in one
-/// `write_all`.
-pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> Result<(), NetError> {
-    let mut wire = Vec::new();
-    encode_response(&mut wire, resp, false);
-    send(w, &wire)
-}
-
-/// Writes a response whose `Content-Length` promises the full body but whose
-/// wire carries only the first half — the fault injector's `truncate` mode.
-/// The caller must close the connection afterwards; the peer sees an
-/// unexpected EOF mid-body, exactly like a connection torn down mid-transfer.
-pub fn write_response_truncated<W: Write>(w: &mut W, resp: &Response) -> Result<(), NetError> {
-    let mut wire = Vec::new();
-    encode_response(&mut wire, resp, true);
-    send(w, &wire)
-}
-
-/// Appends a response's exact wire bytes to `out` (the reactor encodes
-/// straight into a connection's write queue). `truncate` keeps only the
-/// first half of the body, as [`write_response_truncated`] sends it.
+/// Appends a response's exact wire bytes, always with an explicit
+/// `Content-Length`, to `out` (the server encodes straight into a
+/// connection's write queue). `truncate` is the fault injector's mode: the
+/// `Content-Length` still promises the whole body, but only its first half
+/// follows. The server closes the connection after such a response, so the
+/// peer sees an unexpected EOF mid-body, exactly like a connection torn
+/// down mid-transfer.
 pub(crate) fn encode_response(out: &mut Vec<u8>, resp: &Response, truncate: bool) {
-    let sent = if truncate { resp.body.len() / 2 } else { resp.body.len() };
+    let sent = if truncate {
+        resp.body.len() / 2
+    } else {
+        resp.body.len()
+    };
     encode_message(
         out,
-        [resp.version.as_str(), &resp.status.to_string(), reason(resp.status)],
+        [
+            resp.version.as_str(),
+            &resp.status.to_string(),
+            reason(resp.status),
+        ],
         &resp.headers,
         None,
         &resp.body,
@@ -413,14 +430,6 @@ fn encode_message(
     out.extend_from_slice(body.len().to_string().as_bytes());
     out.extend_from_slice(b"\r\n\r\n");
     out.extend_from_slice(&body[..sent]);
-}
-
-/// Hands one encoded message to the writer: one `write_all`, so a
-/// `TCP_NODELAY` socket sends it without a segment per header.
-fn send<W: Write>(w: &mut W, wire: &[u8]) -> Result<(), NetError> {
-    w.write_all(wire)?;
-    w.flush()?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -466,11 +475,17 @@ mod tests {
         assert_eq!(back.query_param("q"), Some("a b&c=d,e"));
     }
 
+    /// A response's wire bytes, as the server sends them.
+    fn encoded(resp: &Response, truncate: bool) -> Vec<u8> {
+        let mut wire = Vec::new();
+        encode_response(&mut wire, resp, truncate);
+        wire
+    }
+
     #[test]
     fn response_round_trip() {
         let resp = Response::json("{\"ok\":true}".into());
-        let mut wire = Vec::new();
-        write_response(&mut wire, &resp).unwrap();
+        let wire = encoded(&resp, false);
         let text = String::from_utf8_lossy(&wire);
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         let mut reader = BufReader::new(&wire[..]);
@@ -484,8 +499,7 @@ mod tests {
     #[test]
     fn error_response() {
         let resp = Response::error(429, "rate limited");
-        let mut wire = Vec::new();
-        write_response(&mut wire, &resp).unwrap();
+        let wire = encoded(&resp, false);
         assert!(String::from_utf8_lossy(&wire).contains("429 Too Many Requests"));
     }
 
@@ -507,7 +521,8 @@ mod tests {
         }
         // Unrelated tokens alone do not close an HTTP/1.1 connection.
         let mut req = Request::get("/");
-        req.headers.push(("Connection".into(), "x-foo, upgrade".into()));
+        req.headers
+            .push(("Connection".into(), "x-foo, upgrade".into()));
         assert!(round_trip_request(&req).keep_alive());
     }
 
@@ -515,16 +530,22 @@ mod tests {
     fn http10_defaults_to_close_unless_keep_alive() {
         // Bare HTTP/1.0 request: no Connection header means close.
         let wire = b"GET / HTTP/1.0\r\n\r\n";
-        let req = read_request(&mut BufReader::new(&wire[..])).unwrap().unwrap();
+        let req = read_request(&mut BufReader::new(&wire[..]))
+            .unwrap()
+            .unwrap();
         assert_eq!(req.version, Version::Http10);
         assert!(!req.keep_alive(), "HTTP/1.0 without Connection must close");
         // Explicit keep-alive opts back in.
         let wire = b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n";
-        let req = read_request(&mut BufReader::new(&wire[..])).unwrap().unwrap();
+        let req = read_request(&mut BufReader::new(&wire[..]))
+            .unwrap()
+            .unwrap();
         assert!(req.keep_alive());
         // And HTTP/1.1 still persists by default.
         let wire = b"GET / HTTP/1.1\r\n\r\n";
-        let req = read_request(&mut BufReader::new(&wire[..])).unwrap().unwrap();
+        let req = read_request(&mut BufReader::new(&wire[..]))
+            .unwrap()
+            .unwrap();
         assert_eq!(req.version, Version::Http11);
         assert!(req.keep_alive());
     }
@@ -541,15 +562,14 @@ mod tests {
     #[test]
     fn response_connection_close_stops_reuse() {
         let resp = Response::json("{}".into()).with_header("Connection", "close, x-bar");
-        let mut wire = Vec::new();
-        write_response(&mut wire, &resp).unwrap();
+        let wire = encoded(&resp, false);
         let back = read_response(&mut BufReader::new(&wire[..])).unwrap();
         assert!(!back.keep_alive());
         // Plain responses stay reusable.
-        let resp = Response::json("{}".into());
-        let mut wire = Vec::new();
-        write_response(&mut wire, &resp).unwrap();
-        assert!(read_response(&mut BufReader::new(&wire[..])).unwrap().keep_alive());
+        let wire = encoded(&Response::json("{}".into()), false);
+        assert!(read_response(&mut BufReader::new(&wire[..]))
+            .unwrap()
+            .keep_alive());
     }
 
     #[test]
@@ -557,11 +577,17 @@ mod tests {
         // Request path.
         let wire = b"GET / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 7\r\n\r\nabc";
         let err = read_request(&mut BufReader::new(&wire[..])).unwrap_err();
-        assert!(matches!(err, NetError::Http(ref m) if m.contains("conflicting")), "{err}");
+        assert!(
+            matches!(err, NetError::Http(ref m) if m.contains("conflicting")),
+            "{err}"
+        );
         // Response path.
         let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 4\r\n\r\nab";
         let err = read_response(&mut BufReader::new(&wire[..])).unwrap_err();
-        assert!(matches!(err, NetError::Http(ref m) if m.contains("conflicting")), "{err}");
+        assert!(
+            matches!(err, NetError::Http(ref m) if m.contains("conflicting")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -569,7 +595,9 @@ mod tests {
         // Repeating the same value is redundant but unambiguous; the RFC
         // allows collapsing it.
         let wire = b"GET / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc";
-        let req = read_request(&mut BufReader::new(&wire[..])).unwrap().unwrap();
+        let req = read_request(&mut BufReader::new(&wire[..]))
+            .unwrap()
+            .unwrap();
         assert_eq!(req.body, b"abc");
     }
 
@@ -581,7 +609,12 @@ mod tests {
 
     #[test]
     fn malformed_request_line_rejected() {
-        for wire in ["GARBAGE\r\n\r\n", "GET /\r\n\r\n", "GET / HTTP/2.0\r\n\r\n", "GET / HTTP/1.1 X\r\n\r\n"] {
+        for wire in [
+            "GARBAGE\r\n\r\n",
+            "GET /\r\n\r\n",
+            "GET / HTTP/2.0\r\n\r\n",
+            "GET / HTTP/1.1 X\r\n\r\n",
+        ] {
             let mut reader = BufReader::new(wire.as_bytes());
             assert!(read_request(&mut reader).is_err(), "accepted {wire:?}");
         }
@@ -603,7 +636,10 @@ mod tests {
 
     #[test]
     fn oversized_body_rejected() {
-        let wire = format!("GET / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", usize::MAX / 2);
+        let wire = format!(
+            "GET / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            usize::MAX / 2
+        );
         let mut reader = BufReader::new(wire.as_bytes());
         assert!(read_request(&mut reader).is_err());
     }
@@ -618,10 +654,16 @@ mod tests {
 
     #[test]
     fn oversized_header_line_rejected() {
-        let wire = format!("GET / HTTP/1.1\r\nX-Junk: {}\r\n\r\n", "a".repeat(MAX_LINE_BYTES));
+        let wire = format!(
+            "GET / HTTP/1.1\r\nX-Junk: {}\r\n\r\n",
+            "a".repeat(MAX_LINE_BYTES)
+        );
         let mut reader = BufReader::new(wire.as_bytes());
         let err = read_request(&mut reader).unwrap_err();
-        assert!(matches!(err, NetError::Http(ref m) if m.contains("too long")), "{err}");
+        assert!(
+            matches!(err, NetError::Http(ref m) if m.contains("too long")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -631,7 +673,10 @@ mod tests {
         let wire = "G".repeat(MAX_LINE_BYTES * 4);
         let mut reader = BufReader::new(wire.as_bytes());
         let err = read_request(&mut reader).unwrap_err();
-        assert!(matches!(err, NetError::Http(ref m) if m.contains("too long")), "{err}");
+        assert!(
+            matches!(err, NetError::Http(ref m) if m.contains("too long")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -646,7 +691,10 @@ mod tests {
         for wire in wires {
             let mut reader = BufReader::new(wire);
             let err = read_request(&mut reader).unwrap_err();
-            assert!(matches!(err, NetError::Http(ref m) if m.contains("non-UTF-8")), "{err}");
+            assert!(
+                matches!(err, NetError::Http(ref m) if m.contains("non-UTF-8")),
+                "{err}"
+            );
         }
     }
 
@@ -660,10 +708,12 @@ mod tests {
     #[test]
     fn truncated_write_promises_more_than_it_sends() {
         let resp = Response::json("{\"ok\":true}".into());
-        let mut wire = Vec::new();
-        write_response_truncated(&mut wire, &resp).unwrap();
+        let wire = encoded(&resp, true);
         let text = String::from_utf8_lossy(&wire);
-        assert!(text.contains(&format!("Content-Length: {}", resp.body.len())), "{text}");
+        assert!(
+            text.contains(&format!("Content-Length: {}", resp.body.len())),
+            "{text}"
+        );
         // Reading it back hits EOF mid-body: an Io error, never a short body.
         let mut reader = BufReader::new(&wire[..]);
         assert!(matches!(read_response(&mut reader), Err(NetError::Io(_))));
@@ -730,10 +780,13 @@ mod tests {
     #[test]
     fn census_request_wire_bytes_are_pinned() {
         // A census batch: 100 ids joined by 99 commas, each sent as `%2C`.
-        let ids: Vec<String> =
-            (0..100u64).map(|i| (76_561_197_960_265_728 + 1_000 * i).to_string()).collect();
-        let target =
-            format!("/ISteamUser/GetPlayerSummaries/v2?key=crawler&steamids={}", ids.join(","));
+        let ids: Vec<String> = (0..100u64)
+            .map(|i| (76_561_197_960_265_728 + 1_000 * i).to_string())
+            .collect();
+        let target = format!(
+            "/ISteamUser/GetPlayerSummaries/v2?key=crawler&steamids={}",
+            ids.join(",")
+        );
         let wire = one_write(|w| write_request(w, &Request::get(&target)));
         assert_eq!(
             wire,
@@ -752,22 +805,30 @@ mod tests {
     }
 
     #[test]
-    fn responses_leave_in_one_write() {
+    fn response_wire_bytes_are_pinned() {
         let resp = Response::json("{\"ok\":true}".into())
             .with_header("X-Steam-Trace", "00000000000000ab")
             .with_header("Connection", "close");
         let head = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
                     X-Steam-Trace: 00000000000000ab\r\nConnection: close\r\n\
                     Content-Length: 11\r\n\r\n";
-        assert_eq!(one_write(|w| write_response(w, &resp)), format!("{head}{{\"ok\":true}}"));
+        let text = |wire: Vec<u8>| String::from_utf8(wire).unwrap();
+        assert_eq!(
+            text(encoded(&resp, false)),
+            format!("{head}{{\"ok\":true}}")
+        );
         // Truncated: the head promises all 11 bytes, the wire carries 5.
-        assert_eq!(one_write(|w| write_response_truncated(w, &resp)), format!("{head}{{\"ok\""));
+        assert_eq!(text(encoded(&resp, true)), format!("{head}{{\"ok\""));
         let error = Response::error(429, "rate limited");
         assert_eq!(
-            one_write(|w| write_response(w, &error)),
+            text(encoded(&error, false)),
             "HTTP/1.1 429 Too Many Requests\r\nContent-Type: text/plain\r\n\
              Content-Length: 12\r\n\r\nrate limited"
         );
+        // Encoding appends: a response queued behind unsent bytes keeps them.
+        let mut queue = b"HTTP/1.1 200 OK\r\n".to_vec();
+        encode_response(&mut queue, &error, false);
+        assert_eq!(queue[17..], encoded(&error, false)[..]);
     }
 
     #[test]

@@ -22,35 +22,17 @@
 //! level-triggered re-notifications would only be noise — and with both
 //! directions registered once, no `epoll_ctl` churn happens on the hot
 //! path at all. The cost is discipline: *every* wakeup must drain, which
-//! [`Conn::handle_events`] centralizes.
+//! [`EventLoop::pump`] centralizes.
 //!
-//! ## Per-connection state machine
+//! ## One session per connection
 //!
-//! ```text
-//!            ┌────────────────────────────────────────────────┐
-//!            v                                                │
-//!  ┌──────────────────┐  header+body   ┌──────────┐  resp     │ keep-alive
-//!  │ READ (accumulate │ ─────────────> │ DISPATCH │ ────────┐ │
-//!  │ inbuf, try parse)│   complete     │ (shared) │         v │
-//!  └──────────────────┘                └──────────┘   ┌───────────────┐
-//!       │        │                          │ stall   │ WRITE (flush  │
-//!       │ bad    │ idle sweep               v         │ outbuf queue) │
-//!       v        v                     ┌─────────┐    └───────────────┘
-//!   400+close  close (or 408+close  ──>│ STALLED │──deadline──^    │close
-//!              if a request started)   └─────────┘                 v
-//!                                                               CLOSED
-//! ```
-//!
-//! Parsing is incremental ([`try_parse_request`]) and pipelining-safe:
-//! every complete request in `inbuf` is dispatched in order, responses are
-//! appended to a small write-buffer queue (`outbuf`), and a response that
-//! cannot be written in one go waits for the next `EPOLLOUT` edge. A
-//! `stall` fault parks the serialized response on a deadline instead of
-//! sleeping — the loop never blocks on a fault.
-//!
-//! The request→response path is the same [`Dispatcher`] the threaded mode
-//! uses, so the two modes serve byte-identical responses; `/metrics`,
-//! `/healthz`, fault injection, and the wire cache all behave identically.
+//! Each connection is a [`Session`], the per-connection state machine the
+//! threaded server drives too (see the `conn` module): it parses, dispatches,
+//! encodes, parks stall responses and decides close or 408. The reactor
+//! only drives it. A readiness edge reads until `WouldBlock` and advances
+//! the session once, so a wake costs time linear in the bytes it brought. A
+//! timer releases due stall responses, so the loop never blocks on a fault,
+//! and a sweep every 500 ms applies the idle rule.
 //!
 //! ## Fallback policy
 //!
@@ -61,20 +43,16 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use steam_obs::{now_us, obs_debug, Counter, Gauge, Histogram, Registry};
+use steam_obs::{obs_debug, Counter, Gauge, Histogram, Registry};
 
-use crate::conn::{
-    bad_request_response, finalize_response, try_parse_request, ConnStat, ConnState, Dispatcher,
-    ObsCache, Outcome, ParseStep,
-};
+use crate::conn::{Dispatcher, ObsCache, Session};
 use crate::error::NetError;
-use crate::http::{encode_response, Response};
 use crate::server::{ServerConfig, POLL_SLICE};
 
 /// Minimal FFI shim over the epoll/eventfd syscall wrappers. These symbols
@@ -142,13 +120,19 @@ fn cvt(ret: i32) -> std::io::Result<i32> {
 /// sockets need more than the common 1024 default; `serve_bench` calls
 /// this before opening its connection fleet.
 pub fn raise_nofile_limit(want: u64) -> u64 {
-    let mut lim = sys::RLimit { rlim_cur: 0, rlim_max: 0 };
+    let mut lim = sys::RLimit {
+        rlim_cur: 0,
+        rlim_max: 0,
+    };
     // SAFETY: getrlimit writes the struct we hand it; no other state.
     if unsafe { sys::getrlimit(sys::RLIMIT_NOFILE, &mut lim) } != 0 {
         return 0;
     }
     if lim.rlim_cur < want {
-        let target = sys::RLimit { rlim_cur: want.min(lim.rlim_max), rlim_max: lim.rlim_max };
+        let target = sys::RLimit {
+            rlim_cur: want.min(lim.rlim_max),
+            rlim_max: lim.rlim_max,
+        };
         // SAFETY: setrlimit only reads the struct; failure leaves limits as-is.
         if unsafe { sys::setrlimit(sys::RLIMIT_NOFILE, &target) } == 0 {
             return target.rlim_cur;
@@ -167,11 +151,16 @@ impl Epoll {
         // SAFETY: epoll_create1 returns a fresh fd (or -1), which OwnedFd
         // then owns exclusively.
         let fd = cvt(unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) })?;
-        Ok(Epoll { fd: unsafe { OwnedFd::from_raw_fd(fd) } })
+        Ok(Epoll {
+            fd: unsafe { OwnedFd::from_raw_fd(fd) },
+        })
     }
 
     fn add(&self, fd: RawFd, events: u32, token: u64) -> std::io::Result<()> {
-        let mut ev = sys::EpollEvent { events, data: token };
+        let mut ev = sys::EpollEvent {
+            events,
+            data: token,
+        };
         // SAFETY: a valid epoll fd, a valid target fd, and a live event.
         cvt(unsafe { sys::epoll_ctl(self.fd.as_raw_fd(), sys::EPOLL_CTL_ADD, fd, &mut ev) })?;
         Ok(())
@@ -230,12 +219,26 @@ impl ReactorObs {
             "reactor_loop_iteration_duration_seconds",
             "Time the event loop spent processing one wake's events",
         );
-        registry.describe("reactor_events_per_wake", "Events returned by the last epoll_wait");
-        registry.describe("reactor_active_connections", "Connections currently registered");
-        registry.describe("reactor_accepts_total", "Connections accepted by the reactor");
-        registry.describe("reactor_sweeps_total", "Connections closed by the idle sweep");
-        registry
-            .describe("reactor_stall_parks_total", "Responses parked by the stall fault");
+        registry.describe(
+            "reactor_events_per_wake",
+            "Events returned by the last epoll_wait",
+        );
+        registry.describe(
+            "reactor_active_connections",
+            "Connections currently registered",
+        );
+        registry.describe(
+            "reactor_accepts_total",
+            "Connections accepted by the reactor",
+        );
+        registry.describe(
+            "reactor_sweeps_total",
+            "Connections closed by the idle sweep",
+        );
+        registry.describe(
+            "reactor_stall_parks_total",
+            "Responses parked by the stall fault",
+        );
         ReactorObs {
             wait_latency: registry.histogram("reactor_epoll_wait_duration_seconds", &[]),
             iter_latency: registry.histogram("reactor_loop_iteration_duration_seconds", &[]),
@@ -276,7 +279,11 @@ impl Reactor {
         let efd = cvt(unsafe { sys::eventfd(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK) })?;
         let waker_rx = unsafe { std::fs::File::from_raw_fd(efd) };
         let waker_tx = waker_rx.try_clone()?;
-        epoll.add(listener.as_raw_fd(), sys::EPOLLIN | sys::EPOLLET, TOK_LISTENER)?;
+        epoll.add(
+            listener.as_raw_fd(),
+            sys::EPOLLIN | sys::EPOLLET,
+            TOK_LISTENER,
+        )?;
         epoll.add(waker_rx.as_raw_fd(), sys::EPOLLIN, TOK_WAKER)?;
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {
@@ -284,8 +291,7 @@ impl Reactor {
             std::thread::Builder::new()
                 .name("http-reactor".into())
                 .spawn(move || {
-                    let obs =
-                        dispatcher.obs().map(|obs| ReactorObs::new(&obs.registry));
+                    let obs = dispatcher.obs().map(|obs| ReactorObs::new(&obs.registry));
                     EventLoop {
                         epoll,
                         listener,
@@ -304,7 +310,11 @@ impl Reactor {
                 })
                 .expect("spawn reactor")
         };
-        Ok(Reactor { stop, waker: waker_tx, thread: Some(thread) })
+        Ok(Reactor {
+            stop,
+            waker: waker_tx,
+            thread: Some(thread),
+        })
     }
 
     /// Stops the loop, closes every connection, joins the thread. Idempotent.
@@ -317,185 +327,6 @@ impl Reactor {
     }
 }
 
-/// One nonblocking connection and its state machine.
-struct Conn {
-    stream: TcpStream,
-    /// Accumulated unparsed request bytes.
-    inbuf: Vec<u8>,
-    /// Serialized responses not yet written; `written` bytes already sent.
-    outbuf: Vec<u8>,
-    written: usize,
-    /// Close once `outbuf` drains (close intent already on the wire).
-    close_after_flush: bool,
-    /// The peer closed its write side; serve what is buffered, then close.
-    peer_eof: bool,
-    /// A stall-fault response parked until its deadline.
-    stalled: Option<(Instant, Vec<u8>, bool)>,
-    last_activity: Instant,
-    /// Registration in the dispatcher's `/debug/conns` tracker.
-    track_id: u64,
-    stat: Arc<ConnStat>,
-}
-
-/// What `Conn::handle_events` decided about the connection's future.
-enum Keep {
-    Yes,
-    Close,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, track_id: u64, stat: Arc<ConnStat>) -> Conn {
-        Conn {
-            stream,
-            inbuf: Vec::new(),
-            outbuf: Vec::new(),
-            written: 0,
-            close_after_flush: false,
-            peer_eof: false,
-            stalled: None,
-            last_activity: Instant::now(),
-            track_id,
-            stat,
-        }
-    }
-
-    /// Mirrors the connection's state into its `/debug/conns` entry:
-    /// relaxed stores on the reactor thread, read lock-free by the
-    /// introspection endpoint.
-    fn sync_stat(&self) {
-        let state = if self.stalled.is_some() {
-            ConnState::Stalled
-        } else if self.written < self.outbuf.len() {
-            ConnState::Writing
-        } else if !self.inbuf.is_empty() {
-            ConnState::Reading
-        } else {
-            ConnState::Idle
-        };
-        self.stat.set_state(state);
-        self.stat.set_buffers(self.inbuf.len(), self.outbuf.len() - self.written);
-        let idle_us = self.last_activity.elapsed().as_micros() as u64;
-        self.stat.set_last_activity(now_us().saturating_sub(idle_us));
-    }
-
-    /// Drains a readiness edge: read everything, dispatch every complete
-    /// request, flush everything writable. `evmask = 0` re-pumps the state
-    /// machine without new readiness (stall release, idle sweep).
-    fn handle_events(
-        &mut self,
-        evmask: u32,
-        dispatcher: &Dispatcher,
-        cache: &mut ObsCache,
-        stall_count: &mut usize,
-    ) -> Keep {
-        if evmask & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
-            return Keep::Close;
-        }
-        if evmask & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 && !self.fill_inbuf() {
-            return Keep::Close;
-        }
-        self.process(dispatcher, cache, stall_count);
-        if self.flush().is_err() {
-            return Keep::Close;
-        }
-        let flushed = self.written >= self.outbuf.len();
-        if flushed && self.close_after_flush {
-            return Keep::Close;
-        }
-        // Peer finished sending, nothing buffered in either direction, and
-        // no stalled response pending: the exchange is over.
-        if self.peer_eof && flushed && self.stalled.is_none() {
-            return Keep::Close;
-        }
-        self.sync_stat();
-        Keep::Yes
-    }
-
-    /// Reads until `WouldBlock`/EOF. Returns `false` on a hard error.
-    fn fill_inbuf(&mut self) -> bool {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.peer_eof = true;
-                    return true;
-                }
-                Ok(n) => {
-                    self.inbuf.extend_from_slice(&chunk[..n]);
-                    self.last_activity = Instant::now();
-                }
-                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-                Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return false,
-            }
-        }
-    }
-
-    /// Parses and dispatches every complete request in `inbuf`, in order.
-    /// Stops at a stalled response (ordering: later pipelined responses
-    /// must not overtake it) or once the connection is closing. Each
-    /// request is parsed where it starts in `inbuf`, and the consumed
-    /// prefix is drained once at the end, so a wake costs time linear in
-    /// the bytes it consumes, however many requests are queued.
-    fn process(&mut self, dispatcher: &Dispatcher, cache: &mut ObsCache, stall_count: &mut usize) {
-        let mut start = 0;
-        while self.stalled.is_none() && !self.close_after_flush {
-            match try_parse_request(&self.inbuf[start..]) {
-                ParseStep::Incomplete => break,
-                ParseStep::Bad(e) => {
-                    encode_response(&mut self.outbuf, &bad_request_response(&e), false);
-                    self.close_after_flush = true;
-                }
-                ParseStep::Request { req, consumed } => {
-                    start += consumed;
-                    self.last_activity = Instant::now();
-                    match dispatcher.dispatch(req, cache) {
-                        Outcome::Drop => {
-                            // Close without answering; earlier pipelined
-                            // responses still flush first.
-                            self.close_after_flush = true;
-                        }
-                        Outcome::Respond { mut resp, close, truncate, delay } => {
-                            finalize_response(&mut resp, close);
-                            match delay {
-                                Some(d) => {
-                                    let mut wire = Vec::new();
-                                    encode_response(&mut wire, &resp, truncate);
-                                    self.stalled = Some((Instant::now() + d, wire, close));
-                                    *stall_count += 1;
-                                }
-                                None => {
-                                    encode_response(&mut self.outbuf, &resp, truncate);
-                                    if close {
-                                        self.close_after_flush = true;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.inbuf.drain(..start);
-    }
-
-    /// Writes until done or `WouldBlock`. `Err` means the socket is broken.
-    fn flush(&mut self) -> Result<(), ()> {
-        while self.written < self.outbuf.len() {
-            match self.stream.write(&self.outbuf[self.written..]) {
-                Ok(0) => return Err(()),
-                Ok(n) => self.written += n,
-                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
-                Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return Err(()),
-            }
-        }
-        self.outbuf.clear();
-        self.written = 0;
-        Ok(())
-    }
-}
-
 /// The event loop proper; lives on the reactor thread.
 struct EventLoop {
     epoll: Epoll,
@@ -504,7 +335,7 @@ struct EventLoop {
     dispatcher: Arc<Dispatcher>,
     idle_timeout: Duration,
     stop: Arc<AtomicBool>,
-    conns: HashMap<u64, Conn>,
+    conns: HashMap<u64, Session>,
     next_token: u64,
     /// One metric-handle cache for the whole loop (single-threaded).
     cache: ObsCache,
@@ -523,8 +354,11 @@ impl EventLoop {
         let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
         let mut last_sweep = Instant::now();
         while !self.stop.load(Ordering::Relaxed) {
-            let timeout =
-                if self.stall_count > 0 { Duration::from_millis(5) } else { POLL_SLICE };
+            let timeout = if self.stall_count > 0 {
+                Duration::from_millis(5)
+            } else {
+                POLL_SLICE
+            };
             let wait_start = Instant::now();
             let n = match self.epoll.wait(&mut events, timeout) {
                 Ok(n) => n,
@@ -535,7 +369,8 @@ impl EventLoop {
             };
             let iter_start = Instant::now();
             if let Some(obs) = &self.obs {
-                obs.wait_latency.record_duration(iter_start.duration_since(wait_start));
+                obs.wait_latency
+                    .record_duration(iter_start.duration_since(wait_start));
                 obs.events_per_wake.set(n as i64);
             }
             for ev in events.iter().take(n).copied() {
@@ -579,9 +414,6 @@ impl EventLoop {
                         continue;
                     }
                     stream.set_nodelay(true).ok();
-                    if let Some(obs) = self.dispatcher.obs() {
-                        obs.connections.inc();
-                    }
                     if let Some(obs) = &self.obs {
                         obs.accepts.inc();
                     }
@@ -591,9 +423,8 @@ impl EventLoop {
                     if self.epoll.add(stream.as_raw_fd(), flags, token).is_err() {
                         continue; // fd exhaustion: drop the connection
                     }
-                    let (track_id, stat) =
-                        self.dispatcher.conns().register(stream.as_raw_fd());
-                    self.conns.insert(token, Conn::new(stream, track_id, stat));
+                    self.conns
+                        .insert(token, Session::new(stream, Arc::clone(&self.dispatcher)));
                 }
                 Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     self.accept_pending = false;
@@ -611,36 +442,35 @@ impl EventLoop {
         }
     }
 
-    /// Drives one connection through `handle_events`, closing it if asked.
+    /// Drains one readiness edge of a connection (`evmask = 0` re-pumps it
+    /// without new readiness: stall release, idle sweep) and closes it if
+    /// the session says so.
     fn pump(&mut self, token: u64, evmask: u32) {
-        let parked_before = self.stall_count;
-        let keep = match self.conns.get_mut(&token) {
-            Some(conn) => conn.handle_events(
-                evmask,
-                &self.dispatcher,
-                &mut self.cache,
-                &mut self.stall_count,
-            ),
-            None => return,
+        let Some(session) = self.conns.get_mut(&token) else {
+            return;
         };
-        if self.stall_count > parked_before {
+        let parked_before = session.stalled_until().is_some();
+        let keep = evmask & (sys::EPOLLERR | sys::EPOLLHUP) == 0
+            && (evmask & (sys::EPOLLIN | sys::EPOLLRDHUP) == 0 || session.receive(true))
+            && session.advance(&mut self.cache);
+        if !parked_before && session.stalled_until().is_some() {
+            self.stall_count += 1;
             if let Some(obs) = &self.obs {
-                obs.stall_parks.add((self.stall_count - parked_before) as u64);
+                obs.stall_parks.inc();
             }
         }
-        if matches!(keep, Keep::Close) {
+        if !keep {
             self.close(token);
         }
     }
 
     fn close(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            if conn.stalled.is_some() {
+        if let Some(session) = self.conns.remove(&token) {
+            if session.stalled_until().is_some() {
                 self.stall_count -= 1;
             }
-            self.dispatcher.conns().deregister(conn.track_id);
-            self.epoll.del(conn.stream.as_raw_fd());
-            // Dropping the stream closes the socket.
+            self.epoll.del(session.stream().as_raw_fd());
+            // Dropping the session deregisters it and closes the socket.
         }
     }
 
@@ -653,14 +483,9 @@ impl EventLoop {
         }
         let now = Instant::now();
         let mut due = Vec::new();
-        for (&token, conn) in self.conns.iter_mut() {
-            if conn.stalled.as_ref().is_some_and(|(deadline, _, _)| *deadline <= now) {
-                let (_, wire, close) = conn.stalled.take().expect("checked above");
+        for (&token, session) in self.conns.iter_mut() {
+            if session.release_stall(now) {
                 self.stall_count -= 1;
-                conn.outbuf.extend_from_slice(&wire);
-                if close {
-                    conn.close_after_flush = true;
-                }
                 due.push(token);
             }
         }
@@ -669,38 +494,24 @@ impl EventLoop {
         }
     }
 
-    /// Closes connections idle past the deadline. A connection with a
-    /// half-received request gets a `408` (it is mid-request, so something
-    /// is listening); a silently idle keep-alive connection just closes.
+    /// Applies the idle rule to every connection idle past the deadline: a
+    /// connection mid-request gets its 408 flushed, any other closes.
     fn sweep_idle(&mut self) {
         let now = Instant::now();
         let expired: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, c)| {
-                c.stalled.is_none()
-                    && now.duration_since(c.last_activity) >= self.idle_timeout
-            })
+            .filter(|(_, s)| s.idle(now, self.idle_timeout))
             .map(|(&t, _)| t)
             .collect();
         for token in expired {
             if let Some(obs) = &self.obs {
                 obs.sweeps.inc();
             }
-            let conn = match self.conns.get_mut(&token) {
-                Some(c) => c,
-                None => continue,
-            };
-            if conn.close_after_flush || conn.inbuf.is_empty() {
-                // Already closing (it had a full idle period to flush) or
-                // idle between requests: close now.
-                self.close(token);
-            } else {
-                let mut resp = Response::error(408, "request read timed out");
-                finalize_response(&mut resp, true);
-                encode_response(&mut conn.outbuf, &resp, false);
-                conn.close_after_flush = true;
+            if self.conns.get_mut(&token).is_some_and(Session::time_out) {
                 self.pump(token, 0);
+            } else {
+                self.close(token);
             }
         }
     }

@@ -10,19 +10,25 @@
 //!   worker pool. Simple, portable, and still the right tool when the
 //!   client count is small; concurrency is capped at the worker count.
 //!
-//! Both modes route every request through the same dispatcher (`Dispatcher`
-//! in the private `conn` module), so responses are byte-identical across
-//! modes — `serve_bench` and the mode-parity suite assert it.
+//! Both modes drive the same per-connection session (`Session` in the
+//! private `conn` module), which parses, dispatches, encodes and decides
+//! when to close, so responses are byte-identical across modes —
+//! `serve_bench` and the mode-parity suite assert it — and a slow or silent
+//! peer is treated alike. They differ only in how they wait for the socket:
+//! the reactor waits for readiness, a worker blocks for at most 100 ms per
+//! read, write or stall wait.
 //!
 //! ## Connection lifecycle
 //!
-//! Idle keep-alive connections are closed after
-//! [`ServerConfig::idle_timeout`] (worker threads poll in short slices; the
-//! reactor sweeps on a timer), so an abandoned or slow-loris client cannot
-//! pin a worker forever. A connection that stalls *mid-request* is answered
-//! with `408 Request Timeout` and closed. Every response that precedes a
-//! server-side close carries `Connection: close`, so client pools can see
-//! the close intent instead of parking a half-closed socket.
+//! A connection that goes [`ServerConfig::idle_timeout`] without receiving
+//! request bytes or dispatching a request is closed, so an abandoned or
+//! slow-loris client cannot pin a worker forever; if a request had started
+//! arriving, it is answered `408 Request Timeout` first. A worker checks the
+//! rule after every slice, the reactor in a sweep every 500 ms. Every
+//! response that precedes a server-side close carries `Connection: close`,
+//! so client pools can see the close intent instead of parking a
+//! half-closed socket. Shutdown stops a worker within one slice, whatever
+//! its peer does.
 //!
 //! ## Observability
 //!
@@ -38,11 +44,8 @@
 //! limiting). Path segments that are purely numeric are normalized to `:id`
 //! in the `endpoint` label, keeping its cardinality bounded.
 
-use std::collections::HashMap;
-use std::io::BufRead;
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,13 +53,10 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use steam_obs::Registry;
 
-use crate::conn::{
-    bad_request_response, finalize_response, ConnStat, ConnState, Dispatcher, ObsCache, Outcome,
-    ServerObs,
-};
+use crate::conn::{Dispatcher, ObsCache, ServerObs, Session};
 use crate::error::NetError;
 use crate::fault::FaultInjector;
-use crate::http::{read_request, write_response, write_response_truncated, Request, Response};
+use crate::http::{Request, Response};
 
 /// A request handler. Must be cheap to share across worker threads.
 pub trait Handler: Send + Sync + 'static {
@@ -140,8 +140,9 @@ pub struct ServerConfig {
     /// Worker threads (threaded mode only; the reactor is one thread).
     pub workers: usize,
     pub mode: ServerMode,
-    /// Close a keep-alive connection after this long with no request, and
-    /// abort (408) a request that takes longer than this to arrive.
+    /// How long a connection may go without receiving request bytes or
+    /// dispatching a request. Then it is closed, after a `408` if a request
+    /// had started arriving. Both modes apply the same rule.
     pub idle_timeout: Duration,
 }
 
@@ -155,7 +156,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// How often blocked/idle paths re-check deadlines and the shutdown flag.
+/// The longest a worker's read, write or stall wait blocks, and the
+/// reactor's `epoll_wait` timeout: how often each re-checks deadlines and
+/// the shutdown flag.
 pub(crate) const POLL_SLICE: Duration = Duration::from_millis(100);
 
 /// A running HTTP server; dropping it (or calling [`shutdown`](Self::shutdown))
@@ -176,7 +179,10 @@ impl HttpServer {
     /// in the default mode, without metrics or faults. `n_workers` sizes the
     /// pool in threaded mode.
     pub fn bind(addr: &str, n_workers: usize, handler: Arc<dyn Handler>) -> Result<Self, NetError> {
-        let config = ServerConfig { workers: n_workers, ..ServerConfig::default() };
+        let config = ServerConfig {
+            workers: n_workers,
+            ..ServerConfig::default()
+        };
         Self::bind_config(addr, config, handler, None, None)
     }
 
@@ -204,9 +210,9 @@ impl HttpServer {
                 Inner::Threaded(ThreadedServer::start(listener, config, dispatcher)?)
             }
             #[cfg(target_os = "linux")]
-            ServerMode::Epoll => {
-                Inner::Epoll(crate::reactor::Reactor::start(listener, config, dispatcher)?)
-            }
+            ServerMode::Epoll => Inner::Epoll(crate::reactor::Reactor::start(
+                listener, config, dispatcher,
+            )?),
             #[cfg(not(target_os = "linux"))]
             ServerMode::Epoll => unreachable!("resolved() falls back to Threaded off Linux"),
         };
@@ -249,9 +255,6 @@ struct ThreadedServer {
     acceptor: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     conn_tx: Option<SyncSender<TcpStream>>,
-    /// Live connections, so shutdown can force-close sockets that workers
-    /// are blocked reading from.
-    conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
 }
 
 impl ThreadedServer {
@@ -264,16 +267,12 @@ impl ThreadedServer {
         let (tx, rx) = sync_channel::<TcpStream>(config.workers * 4);
         // Workers take turns waiting on the one receiver.
         let rx = Arc::new(Mutex::new(rx));
-        let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
-        let next_conn_id = Arc::new(AtomicU64::new(0));
 
         let mut workers = Vec::with_capacity(config.workers);
         for i in 0..config.workers {
             let rx = Arc::clone(&rx);
             let dispatcher = Arc::clone(&dispatcher);
             let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            let next_conn_id = Arc::clone(&next_conn_id);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("http-worker-{i}"))
@@ -284,17 +283,7 @@ impl ThreadedServer {
                         if stop.load(Ordering::Relaxed) {
                             break;
                         }
-                        let id = next_conn_id.fetch_add(1, Ordering::Relaxed);
-                        if let Ok(clone) = stream.try_clone() {
-                            conns.lock().insert(id, clone);
-                        }
-                        if let Some(obs) = dispatcher.obs() {
-                            obs.connections.inc();
-                        }
-                        // Individual connection failures must not kill the
-                        // worker.
-                        let _ = serve_connection(stream, &dispatcher, &stop, config.idle_timeout);
-                        conns.lock().remove(&id);
+                        serve_connection(stream, &dispatcher, &stop, config.idle_timeout);
                     })
                     .expect("spawn worker"),
             );
@@ -333,145 +322,59 @@ impl ThreadedServer {
             acceptor: Some(acceptor),
             workers,
             conn_tx: Some(tx),
-            conns,
         })
     }
 
-    /// Stops accepting, drains workers, joins threads. Idempotent.
+    /// Stops accepting, lets the workers finish, joins threads. Idempotent.
     ///
-    /// Three things unblock a worker, covering every race window: dropping
-    /// the sender wakes workers parked on `recv`; force-closing the tracked
-    /// sockets interrupts blocked reads; and workers that took a connection
-    /// before `stop` was visible (or whose socket missed the force-close
-    /// because it was not yet in the map) observe the flag within one
-    /// [`POLL_SLICE`], because every blocking read is sliced. A worker
-    /// mid-write when its socket is closed gets an I/O error, which
-    /// [`serve_connection`] returns (never panics) — the worker then exits
-    /// through the closed channel.
+    /// Dropping the sender wakes workers parked on `recv`. A worker serving
+    /// a connection sees `stop` within one [`POLL_SLICE`], because every
+    /// read, write and stall wait it makes is sliced, and then drops the
+    /// connection, which closes it.
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         self.conn_tx.take();
-        for (_, stream) in self.conns.lock().drain() {
-            stream.shutdown(std::net::Shutdown::Both).ok();
-        }
         if let Some(h) = self.acceptor.take() {
             h.join().ok();
         }
         for h in self.workers.drain(..) {
             h.join().ok();
         }
-        // Connections registered between the drain above and worker exit.
-        for (_, stream) in self.conns.lock().drain() {
-            stream.shutdown(std::net::Shutdown::Both).ok();
-        }
     }
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
-}
-
-/// Serves requests on one connection until close, error, idle timeout, or
-/// shutdown. Registers the connection in the dispatcher's `/debug/conns`
-/// tracker for its lifetime, mirroring what the reactor does.
+/// Drives one connection's session until it closes or the server stops.
+/// Every read, write and stall wait blocks for at most one [`POLL_SLICE`],
+/// so the worker sees `stop` soon after it is set. While output is pending
+/// the worker retries the write instead of reading; otherwise it reads once
+/// and hands the bytes to the session at once, without waiting for more.
 fn serve_connection(
     stream: TcpStream,
-    dispatcher: &Dispatcher,
+    dispatcher: &Arc<Dispatcher>,
     stop: &AtomicBool,
     idle_timeout: Duration,
-) -> Result<(), NetError> {
-    #[cfg(unix)]
-    let fd = {
-        use std::os::fd::AsRawFd;
-        stream.as_raw_fd()
-    };
-    #[cfg(not(unix))]
-    let fd = -1;
-    let (track_id, stat) = dispatcher.conns().register(fd);
-    let result = serve_connection_tracked(stream, dispatcher, stop, idle_timeout, &stat);
-    dispatcher.conns().deregister(track_id);
-    result
-}
-
-fn serve_connection_tracked(
-    stream: TcpStream,
-    dispatcher: &Dispatcher,
-    stop: &AtomicBool,
-    idle_timeout: Duration,
-    stat: &ConnStat,
-) -> Result<(), NetError> {
-    // Sliced read timeout: blocked reads wake every POLL_SLICE to check the
-    // idle deadline and the shutdown flag.
-    stream.set_read_timeout(Some(POLL_SLICE))?;
-    // Responses go out through `reader.get_ref()` (`&TcpStream` is
-    // `Write`), not a cloned socket, so serving a connection takes no
-    // descriptor beyond the accepted one, and a server out of descriptors
-    // still serves what it accepted.
-    let mut reader = BufReader::new(stream);
+) {
+    if stream.set_read_timeout(Some(POLL_SLICE)).is_err()
+        || stream.set_write_timeout(Some(POLL_SLICE)).is_err()
+    {
+        return;
+    }
+    let mut session = Session::new(stream, Arc::clone(dispatcher));
     let mut cache = ObsCache::default();
-    loop {
-        // Between requests: wait for the first byte of the next request.
-        // An idle keep-alive connection (slow-loris, abandoned crawler) is
-        // closed at the idle deadline instead of holding this worker
-        // forever.
-        let idle_start = Instant::now();
-        stat.set_state(ConnState::Idle);
-        loop {
-            if stop.load(Ordering::Relaxed) {
-                return Ok(());
-            }
-            match reader.fill_buf() {
-                Ok([]) => return Ok(()), // peer closed cleanly
-                Ok(_) => break,          // request bytes waiting
-                Err(ref e) if is_timeout(e) => {
-                    if idle_start.elapsed() >= idle_timeout {
-                        return Ok(()); // idle too long: close silently
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
+    while !stop.load(Ordering::Relaxed) {
+        if let Some(due) = session.stalled_until() {
+            std::thread::sleep(
+                due.saturating_duration_since(Instant::now())
+                    .min(POLL_SLICE),
+            );
+            session.release_stall(Instant::now());
+        } else if !session.sending() && !session.receive(false) {
+            return;
         }
-        stat.set_state(ConnState::Reading);
-        stat.touch();
-        let req = match read_request(&mut reader) {
-            Ok(Some(req)) => req,
-            Ok(None) => return Ok(()), // peer closed cleanly
-            Err(NetError::Io(ref e)) if is_timeout(e) => {
-                // A request started arriving but stalled mid-read (the
-                // sliced timeout expired inside the parse, whose state
-                // cannot be resumed). This is the slow-loris guard for the
-                // mid-request case: answer 408 with close intent and drop.
-                let mut resp = Response::error(408, "request read timed out");
-                finalize_response(&mut resp, true);
-                let _ = write_response(&mut reader.get_ref(), &resp);
-                return Ok(());
-            }
-            Err(e) => {
-                // Malformed request: answer 400 and drop the connection.
-                let _ = write_response(&mut reader.get_ref(), &bad_request_response(&e));
-                return Err(e);
-            }
-        };
-        stat.set_state(ConnState::Dispatching);
-        match dispatcher.dispatch(req, &mut cache) {
-            Outcome::Drop => return Ok(()),
-            Outcome::Respond { mut resp, close, truncate, delay } => {
-                if let Some(d) = delay {
-                    stat.set_state(ConnState::Stalled);
-                    std::thread::sleep(d);
-                }
-                stat.set_state(ConnState::Writing);
-                finalize_response(&mut resp, close);
-                if truncate {
-                    write_response_truncated(&mut reader.get_ref(), &resp)?;
-                } else {
-                    write_response(&mut reader.get_ref(), &resp)?;
-                }
-                stat.touch();
-                if close {
-                    return Ok(());
-                }
-            }
+        if session.idle(Instant::now(), idle_timeout) && !session.time_out()
+            || !session.advance(&mut cache)
+        {
+            return;
         }
     }
 }
@@ -480,7 +383,7 @@ fn serve_connection_tracked(
 mod tests {
     use super::*;
     use crate::http::{read_response, write_request, Request};
-    use std::io::{Read, Write};
+    use std::io::{BufReader, Read, Write};
 
     /// Every mode this platform can run; core tests loop over all of them so
     /// the reactor and the thread pool stay behaviorally interchangeable.
@@ -497,7 +400,11 @@ mod tests {
     }
 
     fn echo_server(mode: ServerMode) -> HttpServer {
-        let config = ServerConfig { workers: 2, mode, ..ServerConfig::default() };
+        let config = ServerConfig {
+            workers: 2,
+            mode,
+            ..ServerConfig::default()
+        };
         HttpServer::bind_config("127.0.0.1:0", config, echo_handler(), None, None).unwrap()
     }
 
@@ -610,7 +517,10 @@ mod tests {
             sender.join().unwrap();
             let elapsed = start.elapsed();
             let label = mode.label();
-            assert!(elapsed < Duration::from_secs(5), "{label}: {N} pipelined in {elapsed:?}");
+            assert!(
+                elapsed < Duration::from_secs(5),
+                "{label}: {N} pipelined in {elapsed:?}"
+            );
         }
     }
 
@@ -699,7 +609,11 @@ mod tests {
             ))
         });
         let server = |mode| {
-            let config = ServerConfig { workers: 2, mode, ..ServerConfig::default() };
+            let config = ServerConfig {
+                workers: 2,
+                mode,
+                ..ServerConfig::default()
+            };
             HttpServer::bind_config("127.0.0.1:0", config, Arc::clone(&handler), None, None)
                 .unwrap()
         };
@@ -724,11 +638,19 @@ mod tests {
                 // A fresh server per delivery, so each mints the same trace id.
                 let whole = send_in_pieces(server(mode).addr(), &[&wire]);
                 let split = send_in_pieces(server(mode).addr(), &pieces);
-                assert!(whole.starts_with(b"HTTP/1.1 200 OK\r\n"), "{}", mode.label());
+                assert!(
+                    whole.starts_with(b"HTTP/1.1 200 OK\r\n"),
+                    "{}",
+                    mode.label()
+                );
                 assert_eq!(split, whole, "{} {}", mode.label(), req.method);
                 answers.push(whole);
             }
-            assert!(answers.windows(2).all(|w| w[0] == w[1]), "modes disagree on {}", req.method);
+            assert!(
+                answers.windows(2).all(|w| w[0] == w[1]),
+                "modes disagree on {}",
+                req.method
+            );
         }
     }
 
@@ -754,7 +676,11 @@ mod tests {
             assert_eq!(one.status, 200, "{}", mode.label());
             let slow = raw_get(addr, "/debug/slow", false);
             assert_eq!(slow.status, 200, "{}", mode.label());
-            assert!(slow.body_text().starts_with("{\"slow\":["), "{}", mode.label());
+            assert!(
+                slow.body_text().starts_with("{\"slow\":["),
+                "{}",
+                mode.label()
+            );
             let conns = raw_get(addr, "/debug/conns", true);
             assert_eq!(conns.status, 200, "{}", mode.label());
             let body = conns.body_text();
@@ -772,8 +698,10 @@ mod tests {
             let stream = TcpStream::connect(server.addr()).unwrap();
             let mut writer = stream.try_clone().unwrap();
             let mut req = Request::get("/traced");
-            req.headers
-                .push(("X-Steam-Trace".into(), "00000000000000ab-00000000000000cd".into()));
+            req.headers.push((
+                "X-Steam-Trace".into(),
+                "00000000000000ab-00000000000000cd".into(),
+            ));
             req.headers.push(("Connection".into(), "close".into()));
             write_request(&mut writer, &req).unwrap();
             let mut reader = BufReader::new(stream);
@@ -787,7 +715,10 @@ mod tests {
             );
             echoed.push(resp.header("x-steam-trace").unwrap().to_string());
         }
-        assert!(echoed.windows(2).all(|w| w[0] == w[1]), "modes disagree on trace echo");
+        assert!(
+            echoed.windows(2).all(|w| w[0] == w[1]),
+            "modes disagree on trace echo"
+        );
     }
 
     #[test]
@@ -801,8 +732,7 @@ mod tests {
                 idle_timeout: Duration::from_millis(250),
             };
             let server =
-                HttpServer::bind_config("127.0.0.1:0", config, echo_handler(), None, None)
-                    .unwrap();
+                HttpServer::bind_config("127.0.0.1:0", config, echo_handler(), None, None).unwrap();
             let addr = server.addr();
             let mut silent = TcpStream::connect(addr).unwrap();
             // Let the worker adopt the silent connection before the real
@@ -817,7 +747,9 @@ mod tests {
                 mode.label()
             );
             // And the idle sweep actually closed the silent connection.
-            silent.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            silent
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
             let mut buf = [0u8; 16];
             assert!(
                 matches!(silent.read(&mut buf), Ok(0) | Err(_)),
@@ -836,13 +768,14 @@ mod tests {
                 idle_timeout: Duration::from_millis(200),
             };
             let server =
-                HttpServer::bind_config("127.0.0.1:0", config, echo_handler(), None, None)
-                    .unwrap();
+                HttpServer::bind_config("127.0.0.1:0", config, echo_handler(), None, None).unwrap();
             let stream = TcpStream::connect(server.addr()).unwrap();
             let mut writer = stream.try_clone().unwrap();
             // Half a request, then silence: the server must not wait
             // forever for the rest.
-            writer.write_all(b"GET /half HTTP/1.1\r\nHost: steam").unwrap();
+            writer
+                .write_all(b"GET /half HTTP/1.1\r\nHost: steam")
+                .unwrap();
             let mut reader = BufReader::new(stream);
             let resp = read_response(&mut reader).unwrap();
             assert_eq!(resp.status, 408, "{}", mode.label());
@@ -850,11 +783,69 @@ mod tests {
         }
     }
 
+    /// `GET /half HTTP/1.1\r\nHost: steam`: the first 31 bytes of a request.
+    const HALF_REQUEST: &[u8] = b"GET /half HTTP/1.1\r\nHost: steam";
+
+    #[test]
+    fn a_request_paused_mid_way_is_answered_in_both_modes() {
+        // A pause inside a request is not the end of it: only
+        // `idle_timeout` (30 s by default) without a byte ends a request.
+        for mode in modes() {
+            let server = echo_server(mode);
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream.set_nodelay(true).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            stream.write_all(HALF_REQUEST).unwrap();
+            std::thread::sleep(Duration::from_millis(300));
+            stream.write_all(b"\r\nConnection: close\r\n\r\n").unwrap();
+            let resp = read_response(&mut BufReader::new(stream)).unwrap();
+            assert_eq!(resp.status, 200, "{}", mode.label());
+            assert!(resp.body_text().contains("/half"), "{}", mode.label());
+        }
+    }
+
+    #[test]
+    fn debug_conns_shows_a_half_received_request_in_both_modes() {
+        for mode in modes() {
+            let server = echo_server(mode);
+            let mut half = TcpStream::connect(server.addr()).unwrap();
+            half.write_all(HALF_REQUEST).unwrap();
+            // The server reads on its own schedule: ask until it shows the
+            // bytes, on a second connection (a second worker when threaded).
+            let deadline = Instant::now() + Duration::from_secs(5);
+            loop {
+                let body = raw_get(server.addr(), "/debug/conns", true).body_text();
+                let json = crate::Json::parse(&body).unwrap();
+                let conns = json.get("conns").and_then(crate::Json::as_arr).unwrap();
+                let reading = conns.iter().any(|c| {
+                    c.get("inbuf").and_then(crate::Json::as_f64) == Some(31.0)
+                        && c.get("state").and_then(crate::Json::as_str) == Some("reading")
+                });
+                if reading {
+                    break;
+                }
+                assert!(Instant::now() < deadline, "{}: {body}", mode.label());
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+    }
+
     #[test]
     fn normalize_endpoint_replaces_numeric_segments() {
-        assert_eq!(normalize_endpoint("/community/group/12345"), "/community/group/:id");
-        assert_eq!(normalize_endpoint("/profiles/765/games"), "/profiles/:id/games");
-        assert_eq!(normalize_endpoint("/ISteamApps/GetAppList/v2"), "/ISteamApps/GetAppList/v2");
+        assert_eq!(
+            normalize_endpoint("/community/group/12345"),
+            "/community/group/:id"
+        );
+        assert_eq!(
+            normalize_endpoint("/profiles/765/games"),
+            "/profiles/:id/games"
+        );
+        assert_eq!(
+            normalize_endpoint("/ISteamApps/GetAppList/v2"),
+            "/ISteamApps/GetAppList/v2"
+        );
         assert_eq!(normalize_endpoint("/"), "/");
         assert_eq!(normalize_endpoint(""), "/");
     }
@@ -870,7 +861,11 @@ mod tests {
                     Response::json("{}".into())
                 }
             });
-            let config = ServerConfig { workers: 2, mode, ..ServerConfig::default() };
+            let config = ServerConfig {
+                workers: 2,
+                mode,
+                ..ServerConfig::default()
+            };
             let server = HttpServer::bind_config(
                 "127.0.0.1:0",
                 config,
@@ -886,7 +881,10 @@ mod tests {
 
             let resp = raw_get(server.addr(), "/metrics", true);
             assert_eq!(resp.status, 200);
-            assert!(resp.header("content-type").unwrap().starts_with("text/plain"));
+            assert!(resp
+                .header("content-type")
+                .unwrap()
+                .starts_with("text/plain"));
             let body = resp.body_text();
             assert!(
                 body.contains(
@@ -916,7 +914,11 @@ mod tests {
                 }
                 Response::json("{}".into())
             });
-            let config = ServerConfig { workers: 2, mode, ..ServerConfig::default() };
+            let config = ServerConfig {
+                workers: 2,
+                mode,
+                ..ServerConfig::default()
+            };
             let server = HttpServer::bind_config(
                 "127.0.0.1:0",
                 config,
@@ -928,13 +930,16 @@ mod tests {
             let trace = format!("00000000000000{:02x}", 0xe0 + i);
             let stream = TcpStream::connect(server.addr()).unwrap();
             // A server whose serving thread died must fail the test, not hang it.
-            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
             let mut writer = stream.try_clone().unwrap();
             let mut reader = BufReader::new(stream);
             // An app path under a trace, then an application-layer
             // operational path; each panics, and the connection serves on.
             let mut req = Request::get("/app/panic");
-            req.headers.push(("X-Steam-Trace".into(), format!("{trace}-0000000000000001")));
+            req.headers
+                .push(("X-Steam-Trace".into(), format!("{trace}-0000000000000001")));
             for req in [req, Request::get("/debug/panic")] {
                 write_request(&mut writer, &req).unwrap();
                 let resp = read_response(&mut reader).unwrap();
@@ -944,21 +949,68 @@ mod tests {
                 let resp = read_response(&mut reader).unwrap();
                 assert_eq!(resp.status, 200, "{} after {}", mode.label(), req.path);
             }
-            assert_eq!(raw_get(server.addr(), "/fine", true).status, 200, "{}", mode.label());
+            assert_eq!(
+                raw_get(server.addr(), "/fine", true).status,
+                200,
+                "{}",
+                mode.label()
+            );
             assert_eq!(registry.counter("http_handler_panics_total", &[]).get(), 2);
             let trace = steam_obs::TraceId::from_hex(&trace).unwrap();
             let span = steam_obs::recent_spans()
                 .into_iter()
                 .find(|s| s.trace == trace)
                 .unwrap_or_else(|| panic!("{}: no span for the panicked request", mode.label()));
-            assert_eq!((span.status, span.annotation()), (500, "panic"), "{}", mode.label());
+            assert_eq!(
+                (span.status, span.annotation()),
+                (500, "panic"),
+                "{}",
+                mode.label()
+            );
         }
     }
 
     fn faulty_server(spec: &str, mode: ServerMode) -> HttpServer {
-        let inj = Arc::new(FaultInjector::new(crate::FaultPlan::parse(spec, 11).unwrap(), None));
-        let config = ServerConfig { workers: 2, mode, ..ServerConfig::default() };
+        let inj = Arc::new(FaultInjector::new(
+            crate::FaultPlan::parse(spec, 11).unwrap(),
+            None,
+        ));
+        let config = ServerConfig {
+            workers: 2,
+            mode,
+            ..ServerConfig::default()
+        };
         HttpServer::bind_config("127.0.0.1:0", config, echo_handler(), None, Some(inj)).unwrap()
+    }
+
+    #[test]
+    fn stalled_responses_keep_request_order_in_both_modes() {
+        const PATHS: [&str; 3] = ["/s1", "/s2", "/s3"];
+        for mode in modes() {
+            let server = faulty_server("stall=1.0;stall-ms=50", mode);
+            let stream = TcpStream::connect(server.addr()).unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut wire = Vec::new();
+            for path in PATHS {
+                write_request(&mut wire, &Request::get(path)).unwrap();
+            }
+            let sent = Instant::now();
+            writer.write_all(&wire).unwrap();
+            let mut reader = BufReader::new(stream);
+            for (i, path) in PATHS.into_iter().enumerate() {
+                let resp = read_response(&mut reader).unwrap();
+                if i == 0 {
+                    let waited = sent.elapsed();
+                    assert!(
+                        waited >= Duration::from_millis(50),
+                        "{}: {waited:?}",
+                        mode.label()
+                    );
+                }
+                assert_eq!(resp.status, 200, "{} {path}", mode.label());
+                assert!(resp.body_text().contains(path), "{} {path}", mode.label());
+            }
+        }
     }
 
     #[test]
@@ -1021,7 +1073,11 @@ mod tests {
                 crate::FaultPlan::parse("drop=1.0", 1).unwrap(),
                 Some(&registry),
             ));
-            let config = ServerConfig { workers: 2, mode, ..ServerConfig::default() };
+            let config = ServerConfig {
+                workers: 2,
+                mode,
+                ..ServerConfig::default()
+            };
             let server = HttpServer::bind_config(
                 "127.0.0.1:0",
                 config,
@@ -1071,7 +1127,45 @@ mod tests {
                 let mut reader = BufReader::new(stream);
                 read_response(&mut reader).map_err(|_| ())
             });
-            assert!(result.is_err(), "server still answering after shutdown ({})", mode.label());
+            assert!(
+                result.is_err(),
+                "server still answering after shutdown ({})",
+                mode.label()
+            );
+        }
+    }
+
+    #[test]
+    fn shutdown_returns_while_a_peer_never_reads() {
+        // 16 responses of 1 MiB each: more than the two sockets' buffers
+        // hold, so the server is left with output it cannot send.
+        let body = "x".repeat(1 << 20);
+        let handler: Arc<dyn Handler> = Arc::new(move |_req: Request| Response::json(body.clone()));
+        for mode in modes() {
+            let config = ServerConfig {
+                workers: 2,
+                mode,
+                ..ServerConfig::default()
+            };
+            let mut server =
+                HttpServer::bind_config("127.0.0.1:0", config, Arc::clone(&handler), None, None)
+                    .unwrap();
+            let mut peer = TcpStream::connect(server.addr()).unwrap();
+            let mut wire = Vec::new();
+            for _ in 0..16 {
+                write_request(&mut wire, &Request::get("/big")).unwrap();
+            }
+            peer.write_all(&wire).unwrap();
+            std::thread::sleep(Duration::from_millis(300));
+            let start = Instant::now();
+            server.shutdown();
+            let took = start.elapsed();
+            assert!(
+                took < Duration::from_secs(2),
+                "{}: shutdown took {took:?}",
+                mode.label()
+            );
+            drop(peer);
         }
     }
 }
