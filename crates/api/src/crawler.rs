@@ -658,65 +658,56 @@ impl Crawler {
         let stride = MAX_BATCH_IDS as u64 * n;
         let key_of = |b: u64| shard + b * stride;
 
-        while let Some(batch) = replay.census_batches.get(&key_of(batch_no)) {
-            self.progress.resume_skipped.inc();
+        let scanned = loop {
+            let first = key_of(batch_no);
+            // Journaled batches replay first. Past them the census-complete
+            // marker ends the walk, or else the empty-batch rule does.
+            let batch = if let Some(batch) = replay.census_batches.get(&first) {
+                self.progress.resume_skipped.inc();
+                Cow::Borrowed(batch.as_slice())
+            } else if let Some(scanned) = replay.census_complete {
+                break scanned;
+            } else if empty_run >= self.config.empty_batches_to_stop {
+                let scanned = last_valid.map_or(0, |v| v + 1);
+                if let Some(j) = journal {
+                    j.lock().append(&Record::CensusComplete { scanned_id_space: scanned })?;
+                }
+                break scanned;
+            } else {
+                let ids: Vec<String> = (0..MAX_BATCH_IDS as u64)
+                    .map(|j| SteamId::from_index(first + j * n).to_string())
+                    .collect();
+                let players = self.fetcher.get_parsed(
+                    format!(
+                        "/ISteamUser/GetPlayerSummaries/v2?key={}&steamids={}",
+                        self.config.api_key,
+                        ids.join(",")
+                    ),
+                    wire::parse_player_summaries,
+                )?;
+                self.progress.census_batches.inc();
+                if let Some(j) = journal {
+                    j.lock().append(&Record::CensusBatch {
+                        start_index: first,
+                        accounts: Cow::Borrowed(&players),
+                    })?;
+                }
+                Cow::Owned(players)
+            };
             if batch.is_empty() {
                 empty_run += 1;
             } else {
                 empty_run = 0;
-                for p in batch {
-                    last_valid = Some(p.id.index().max(last_valid.unwrap_or(0)));
-                    self.progress.profiles_found.inc();
-                    accounts.push(p.clone());
-                }
-            }
-            batch_no += 1;
-            self.progress.ids_scanned.set_max(key_of(batch_no) as i64);
-        }
-
-        if let Some(scanned) = replay.census_complete {
-            accounts.sort_by_key(|a| a.id);
-            return Ok((accounts, scanned));
-        }
-
-        while empty_run < self.config.empty_batches_to_stop {
-            let first = key_of(batch_no);
-            let ids: Vec<String> = (0..MAX_BATCH_IDS as u64)
-                .map(|j| SteamId::from_index(first + j * n).to_string())
-                .collect();
-            let players = self.fetcher.get_parsed(
-                format!(
-                    "/ISteamUser/GetPlayerSummaries/v2?key={}&steamids={}",
-                    self.config.api_key,
-                    ids.join(",")
-                ),
-                wire::parse_player_summaries,
-            )?;
-            self.progress.census_batches.inc();
-            if let Some(j) = journal {
-                j.lock().append(&Record::CensusBatch {
-                    start_index: first,
-                    accounts: Cow::Borrowed(&players),
-                })?;
-            }
-            if players.is_empty() {
-                empty_run += 1;
-            } else {
-                empty_run = 0;
-                for p in players {
-                    last_valid = Some(p.id.index().max(last_valid.unwrap_or(0)));
+                for p in batch.into_owned() {
+                    last_valid = last_valid.max(Some(p.id.index()));
                     self.progress.profiles_found.inc();
                     accounts.push(p);
                 }
             }
             batch_no += 1;
             self.progress.ids_scanned.set_max(key_of(batch_no) as i64);
-        }
+        };
         accounts.sort_by_key(|a| a.id);
-        let scanned = last_valid.map_or(0, |v| v + 1);
-        if let Some(j) = journal {
-            j.lock().append(&Record::CensusComplete { scanned_id_space: scanned })?;
-        }
         Ok((accounts, scanned))
     }
 }

@@ -135,16 +135,18 @@ impl RouterService {
         incoming: Option<TraceContext>,
     ) -> Result<Response, NetError> {
         let mut client = HttpClient::with_pool(self.shards[shard], Arc::clone(&self.pool));
+        let req = Request::get(target);
         self.count(|m| &m.requests, shard);
         let mut attempt = 0u32;
         loop {
             attempt += 1;
+            // Each attempt is a span of its own in the incoming trace.
             let ctx =
                 incoming.map(|inc| TraceContext { trace: inc.trace, span: next_span_id() });
-            client.set_trace(ctx);
             let start_us = now_us();
             let t0 = std::time::Instant::now();
-            let outcome = client.send(&Request::get(target));
+            let mut replies = client.exchange(&[(&req, ctx)]);
+            let outcome = replies.pop().expect("one reply per request").result;
             if let (Some(inc), Some(ctx)) = (incoming, ctx) {
                 let status = match &outcome {
                     Ok(resp) => resp.status,

@@ -469,18 +469,17 @@ fn routed_request_joins_client_router_and_shard_spans() {
 
     let trace = steam_obs::mint_trace_id();
     let mut client = HttpClient::new(router.addr());
-    client.set_trace(Some(steam_obs::TraceContext {
+    let ctx = steam_obs::TraceContext {
         trace,
         span: steam_obs::next_span_id(),
-    }));
+    };
     let batch: Vec<String> =
         original.accounts.iter().take(8).map(|a| a.id.to_string()).collect();
-    let resp = client
-        .get(&format!(
-            "/ISteamUser/GetPlayerSummaries/v2?steamids={}",
-            batch.join(",")
-        ))
-        .unwrap();
+    let req = Request::get(&format!(
+        "/ISteamUser/GetPlayerSummaries/v2?steamids={}",
+        batch.join(",")
+    ));
+    let resp = client.exchange(&[(&req, Some(ctx))]).pop().unwrap().result.unwrap();
     assert_eq!(resp.status, 200);
 
     // Everything ran in-process, so the flight recorder holds every hop:

@@ -55,17 +55,9 @@ pub fn table4_attributes(ctx: &Ctx) -> Vec<(String, Vec<f64>)> {
     out
 }
 
-/// Classifies all Table 4 distributions for one snapshot; when `second` is
-/// given, the five §8 attributes get second-snapshot rows too.
-pub fn classify_all(
-    ctx: &Ctx,
-    second: Option<&Ctx>,
-    opts: &ClassifyOptions,
-) -> Vec<ClassifiedRow> {
-    classify_all_jobs(ctx, second, opts, 1)
-}
-
-/// [`classify_all`] with the Table 4 rows fanned out over `jobs` workers.
+/// Classifies all Table 4 distributions for one snapshot, with the rows
+/// fanned out over `jobs` workers; when `second` is given, the five §8
+/// attributes get second-snapshot rows too.
 ///
 /// Rows differ in cost by an order of magnitude (the yearly friendship
 /// sub-samples are tiny; account market values are not), so workers pull the
@@ -136,7 +128,7 @@ mod tests {
         let ctx = Ctx::new(&world.snapshot);
         // Cheap options: the test world is 30k users.
         let opts = ClassifyOptions { min_tail: 150, max_xmin_candidates: 25, max_tail_points: 30_000 };
-        classify_all(&ctx, None, &opts)
+        classify_all_jobs(&ctx, None, &opts, 1)
     }
 
     #[test]
@@ -211,7 +203,7 @@ mod tests {
         let c1 = Ctx::new(&world.snapshot);
         let c2 = Ctx::new(&world.second_snapshot);
         let opts = ClassifyOptions { min_tail: 150, max_xmin_candidates: 25, max_tail_points: 30_000 };
-        let rows = classify_all(&c1, Some(&c2), &opts);
+        let rows = classify_all_jobs(&c1, Some(&c2), &opts, 1);
         let mut compared = 0;
         for row in rows {
             if row.attribute.starts_with("Friendship") {
@@ -236,7 +228,7 @@ mod tests {
         // the structural property that every attribute produced fits at all.
         // The medium-scale repro run exercises the decisive comparisons.
         if compared == 0 {
-            let rows = classify_all(&c1, Some(&c2), &opts);
+            let rows = classify_all_jobs(&c1, Some(&c2), &opts, 1);
             for row in rows.iter().filter(|r| {
                 !r.attribute.starts_with("Friendship") && !r.attribute.starts_with("Group")
             }) {

@@ -31,16 +31,7 @@ impl Backoff {
 
     /// Runs `op` until it succeeds or the policy is exhausted, sleeping
     /// between attempts. `retryable` decides which errors warrant a retry
-    /// (e.g. 429/5xx yes, 404 no).
-    pub fn run<T>(
-        &self,
-        op: impl FnMut() -> Result<T, NetError>,
-        retryable: impl Fn(&NetError) -> bool,
-    ) -> Result<T, NetError> {
-        self.run_observed(op, retryable, |_, _| {})
-    }
-
-    /// Like [`run`](Self::run), with two additions for observability and
+    /// (e.g. 429/5xx yes, 404 no). Two more rules, for observability and
     /// politeness:
     ///
     /// * `on_retry(error, delay)` fires once per retryable failure, with
@@ -117,7 +108,7 @@ mod tests {
     #[test]
     fn succeeds_after_transient_failures() {
         let calls = AtomicU32::new(0);
-        let result = fast().run(
+        let result = fast().run_observed(
             || {
                 if calls.fetch_add(1, Ordering::Relaxed) < 2 {
                     Err(NetError::status(429, "slow"))
@@ -126,6 +117,7 @@ mod tests {
                 }
             },
             transient,
+            |_, _| {},
         );
         assert_eq!(result.unwrap(), 7);
         assert_eq!(calls.load(Ordering::Relaxed), 3);
@@ -134,12 +126,13 @@ mod tests {
     #[test]
     fn gives_up_after_max_attempts() {
         let calls = AtomicU32::new(0);
-        let result: Result<(), _> = fast().run(
+        let result: Result<(), _> = fast().run_observed(
             || {
                 calls.fetch_add(1, Ordering::Relaxed);
                 Err(NetError::status(500, "boom"))
             },
             transient,
+            |_, _| {},
         );
         assert!(matches!(result, Err(NetError::RetriesExhausted { attempts: 4, .. })));
         assert_eq!(calls.load(Ordering::Relaxed), 4);
@@ -148,12 +141,13 @@ mod tests {
     #[test]
     fn permanent_errors_fail_fast() {
         let calls = AtomicU32::new(0);
-        let result: Result<(), _> = fast().run(
+        let result: Result<(), _> = fast().run_observed(
             || {
                 calls.fetch_add(1, Ordering::Relaxed);
                 Err(NetError::status(404, "missing"))
             },
             transient,
+            |_, _| {},
         );
         assert!(matches!(result, Err(NetError::Status { code: 404, .. })));
         assert_eq!(calls.load(Ordering::Relaxed), 1);

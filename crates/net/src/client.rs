@@ -51,33 +51,32 @@ pub struct HttpClient {
     addr: SocketAddr,
     pool: Arc<ConnectionPool>,
     reconnects: u64,
-    trace: Option<TraceContext>,
 }
 
 impl HttpClient {
     /// A client with its own single-slot connection pool (the pre-pooling
     /// behavior: one keep-alive connection, reconnect when stale).
     pub fn new(addr: SocketAddr) -> Self {
-        HttpClient { addr, pool: Arc::new(ConnectionPool::new(1)), reconnects: 0, trace: None }
+        HttpClient {
+            addr,
+            pool: Arc::new(ConnectionPool::new(1)),
+            reconnects: 0,
+        }
     }
 
     /// A client for `addr` drawing connections from a shared (possibly
     /// multi-address) pool.
     pub fn with_pool(addr: SocketAddr, pool: Arc<ConnectionPool>) -> Self {
-        HttpClient { addr, pool, reconnects: 0, trace: None }
+        HttpClient {
+            addr,
+            pool,
+            reconnects: 0,
+        }
     }
 
     /// The server address this client talks to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Sets (or clears) the trace context stamped onto outgoing requests:
-    /// while set, every request carries `X-Steam-Trace` with this context.
-    /// Callers running a retry loop refresh the span id per attempt while
-    /// keeping the trace id, so all attempts of one logical request join.
-    pub fn set_trace(&mut self, trace: Option<TraceContext>) {
-        self.trace = trace;
     }
 
     /// Sets the connect/read/write timeout. Only valid before the client's
@@ -126,8 +125,9 @@ impl HttpClient {
             // The trace header rides after the request's own headers; a
             // request that already carries one (caller-stamped) is sent
             // untouched.
-            let value =
-                trace.filter(|_| req.header(TRACE_HEADER).is_none()).map(|ctx| ctx.header_value());
+            let value = trace
+                .filter(|_| req.header(TRACE_HEADER).is_none())
+                .map(|ctx| ctx.header_value());
             encode_request(&mut wire, req, value.as_deref().map(|v| (TRACE_HEADER, v)));
         }
         let mut reconnects_left = MAX_RECONNECTS_PER_REQUEST;
@@ -150,7 +150,10 @@ impl HttpClient {
             // every response arrived only the last can forbid reuse; the
             // pool checks it.
             if replies.iter().all(|r| r.result.is_ok()) {
-                if let Some(Reply { result: Ok(last), .. }) = replies.last() {
+                if let Some(Reply {
+                    result: Ok(last), ..
+                }) = replies.last()
+                {
                     self.pool.checkin(conn, last);
                 }
             }
@@ -170,7 +173,10 @@ impl HttpClient {
             if !result.as_ref().is_ok_and(Response::keep_alive) {
                 return Self::unanswered(replies, result, n);
             }
-            replies.push(Reply { result, at: Instant::now() });
+            replies.push(Reply {
+                result,
+                at: Instant::now(),
+            });
         }
         replies
     }
@@ -194,16 +200,21 @@ impl HttpClient {
                 std::io::ErrorKind::ConnectionAborted,
                 format!("no response: {cause}"),
             );
-            replies.push(Reply { result: Err(err.into()), at });
+            replies.push(Reply {
+                result: Err(err.into()),
+                at,
+            });
         }
         replies
     }
 
-    /// Sends one request under the client's trace context: the
-    /// one-request case of [`exchange`](Self::exchange).
+    /// Sends exactly `req`, untraced: the one-request case of
+    /// [`exchange`](Self::exchange), which stamps a trace context.
     pub fn send(&mut self, req: &Request) -> Result<Response, NetError> {
-        let trace = self.trace;
-        self.exchange(&[(req, trace)]).pop().expect("one reply per request").result
+        self.exchange(&[(req, None)])
+            .pop()
+            .expect("one reply per request")
+            .result
     }
 
     /// GET a target; non-2xx statuses become [`NetError::Status`] (see
@@ -227,7 +238,11 @@ pub fn check_status(resp: Response) -> Result<Response, NetError> {
         .header("retry-after")
         .and_then(|v| v.trim().parse::<u64>().ok())
         .map(|secs| Duration::from_secs(secs).min(MAX_RETRY_AFTER));
-    Err(NetError::Status { code: resp.status, body: resp.body_text(), retry_after })
+    Err(NetError::Status {
+        code: resp.status,
+        body: resp.body_text(),
+        retry_after,
+    })
 }
 
 #[cfg(test)]
@@ -270,7 +285,11 @@ mod tests {
         assert_eq!(hits.load(Ordering::Relaxed), 5);
         assert_eq!(client.pool().connects(), 1, "five requests over one socket");
         assert_eq!(client.pool().reuses(), 4);
-        assert_eq!(client.pool().idle_len(), 1, "connection should be parked again");
+        assert_eq!(
+            client.pool().idle_len(),
+            1,
+            "connection should be parked again"
+        );
     }
 
     #[test]
@@ -284,7 +303,11 @@ mod tests {
         b.get("/ok").unwrap();
         a.get("/ok").unwrap();
         assert_eq!(hits.load(Ordering::Relaxed), 3);
-        assert_eq!(pool.connects(), 1, "sequential clients must share the socket");
+        assert_eq!(
+            pool.connects(),
+            1,
+            "sequential clients must share the socket"
+        );
         assert_eq!(pool.reuses(), 2);
     }
 
@@ -296,9 +319,17 @@ mod tests {
         let server = HttpServer::bind("127.0.0.1:0", 2, handler).unwrap();
         let mut client = HttpClient::new(server.addr());
         client.get("/a").unwrap();
-        assert_eq!(client.pool().idle_len(), 0, "closed connection must not be parked");
+        assert_eq!(
+            client.pool().idle_len(),
+            0,
+            "closed connection must not be parked"
+        );
         client.get("/b").unwrap();
-        assert_eq!(client.pool().connects(), 2, "each close forces a fresh connection");
+        assert_eq!(
+            client.pool().connects(),
+            2,
+            "each close forces a fresh connection"
+        );
     }
 
     #[test]
@@ -322,8 +353,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let pool =
-            Arc::new(ConnectionPool::new(2).with_max_idle_age(Duration::from_millis(150)));
+        let pool = Arc::new(ConnectionPool::new(2).with_max_idle_age(Duration::from_millis(150)));
         let mut client = HttpClient::with_pool(server.addr(), Arc::clone(&pool));
         client.get("/a").unwrap();
         assert_eq!(pool.idle_len(), 1);
@@ -331,7 +361,11 @@ mod tests {
         // timeout: the server has closed its side of the parked socket.
         std::thread::sleep(Duration::from_millis(600));
         client.get("/b").unwrap();
-        assert_eq!(client.reconnects(), 0, "stale socket reached the wire before the TTL");
+        assert_eq!(
+            client.reconnects(),
+            0,
+            "stale socket reached the wire before the TTL"
+        );
         assert_eq!(pool.expired(), 1);
         // The server's own connection counter confirms the second request
         // rode a genuinely fresh connection.
@@ -371,7 +405,11 @@ mod tests {
         let server = HttpServer::bind("127.0.0.1:0", 2, handler).unwrap();
         let mut client = HttpClient::new(server.addr());
         match client.get("/limited") {
-            Err(NetError::Status { code: 429, retry_after, .. }) => {
+            Err(NetError::Status {
+                code: 429,
+                retry_after,
+                ..
+            }) => {
                 assert_eq!(retry_after, Some(MAX_RETRY_AFTER), "hint must be clamped");
             }
             other => panic!("expected 429, got {other:?}"),
@@ -409,18 +447,26 @@ mod tests {
         let server = HttpServer::bind("127.0.0.1:0", 2, handler).unwrap();
         let mut client = HttpClient::new(server.addr());
         match client.get("/flaky") {
-            Err(NetError::Status { code: 503, retry_after, .. }) => {
+            Err(NetError::Status {
+                code: 503,
+                retry_after,
+                ..
+            }) => {
                 assert_eq!(retry_after, None, "date form must not parse as seconds");
             }
             other => panic!("expected 503, got {other:?}"),
         }
         // Drive the same exchange through the backoff loop: one retry wins.
-        let backoff = Backoff { base: Duration::from_millis(1), ..Backoff::default() };
+        let backoff = Backoff {
+            base: Duration::from_millis(1),
+            ..Backoff::default()
+        };
         hits.store(0, Ordering::Relaxed);
         let resp = backoff
-            .run(
+            .run_observed(
                 || client.get("/flaky"),
                 |e| matches!(e, NetError::Status { code: 503, .. }),
+                |_, _| {},
             )
             .expect("retry must survive an unparseable Retry-After");
         assert!(resp.body_text().contains("ok"));
@@ -442,7 +488,11 @@ mod tests {
         assert_eq!(client.reconnects(), 0);
         let resp = client.get("/again").unwrap();
         assert!(resp.body_text().contains("fresh"));
-        assert_eq!(client.reconnects(), 1, "stale-connection reconnect must be counted");
+        assert_eq!(
+            client.reconnects(),
+            1,
+            "stale-connection reconnect must be counted"
+        );
     }
 
     #[test]
@@ -457,7 +507,10 @@ mod tests {
         client.get("/ok").unwrap();
         server.shutdown();
         let err = client.get("/gone").unwrap_err();
-        assert!(matches!(err, NetError::Io(_)), "expected connect failure, got {err:?}");
+        assert!(
+            matches!(err, NetError::Io(_)),
+            "expected connect failure, got {err:?}"
+        );
         assert!(
             client.reconnects() <= u64::from(super::MAX_RECONNECTS_PER_REQUEST),
             "reconnects = {}",
@@ -479,17 +532,36 @@ mod tests {
         // No context set: nothing injected, but the server mints a trace
         // and echoes its id on the response.
         let resp = client.get("/plain").unwrap();
-        assert!(resp.body_text().contains("\"trace\":\"none\""), "{}", resp.body_text());
-        let minted = resp.header("x-steam-trace").expect("server must stamp a minted trace id");
-        assert_eq!(minted.len(), 16, "echoed id must be 16 hex chars, got {minted:?}");
-        // Context set: the pair rides the wire; the trace id comes back.
-        let ctx = TraceContext { trace: TraceId(0xabcd), span: SpanId(0x1234) };
-        client.set_trace(Some(ctx));
-        let resp = client.get("/traced").unwrap();
-        assert!(resp.body_text().contains(&ctx.header_value()), "{}", resp.body_text());
-        assert_eq!(resp.header("x-steam-trace"), Some(ctx.trace.to_hex().as_str()));
-        // Cleared: no more injection.
-        client.set_trace(None);
+        assert!(
+            resp.body_text().contains("\"trace\":\"none\""),
+            "{}",
+            resp.body_text()
+        );
+        let minted = resp
+            .header("x-steam-trace")
+            .expect("server must stamp a minted trace id");
+        assert_eq!(
+            minted.len(),
+            16,
+            "echoed id must be 16 hex chars, got {minted:?}"
+        );
+        // Context given: the pair rides the wire; the trace id comes back.
+        let ctx = TraceContext {
+            trace: TraceId(0xabcd),
+            span: SpanId(0x1234),
+        };
+        let mut replies = client.exchange(&[(&Request::get("/traced"), Some(ctx))]);
+        let resp = replies.pop().unwrap().result.unwrap();
+        assert!(
+            resp.body_text().contains(&ctx.header_value()),
+            "{}",
+            resp.body_text()
+        );
+        assert_eq!(
+            resp.header("x-steam-trace"),
+            Some(ctx.trace.to_hex().as_str())
+        );
+        // The context was for that exchange only: no more injection.
         let resp = client.get("/plain").unwrap();
         assert!(resp.body_text().contains("\"trace\":\"none\""));
     }
@@ -508,12 +580,16 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
             // Every request is a body-less GET, so each ends at its blank line.
             let mut received = Vec::new();
             let mut buf = [0u8; 4096];
             while received.windows(4).filter(|w| w == b"\r\n\r\n").count() < n {
-                let k = stream.read(&mut buf).expect("all requests before any answer");
+                let k = stream
+                    .read(&mut buf)
+                    .expect("all requests before any answer");
                 assert!(k > 0, "client hung up before sending every request");
                 received.extend_from_slice(&buf[..k]);
             }
@@ -529,23 +605,43 @@ mod tests {
 
     fn traced(n: u64) -> Vec<Option<TraceContext>> {
         use steam_obs::{SpanId, TraceId};
-        (1..=n).map(|s| Some(TraceContext { trace: TraceId(0x7e), span: SpanId(s) })).collect()
+        (1..=n)
+            .map(|s| {
+                Some(TraceContext {
+                    trace: TraceId(0x7e),
+                    span: SpanId(s),
+                })
+            })
+            .collect()
     }
 
     #[test]
     fn exchange_writes_every_request_before_reading_a_response() {
-        let answers = (0..3).map(|i| Response::json(format!("{{\"i\":{i}}}"))).collect();
+        let answers = (0..3)
+            .map(|i| Response::json(format!("{{\"i\":{i}}}")))
+            .collect();
         let (addr, server) = read_all_then_answer(3, answers);
         let mut client = HttpClient::new(addr).with_timeout(Duration::from_secs(2));
-        let reqs = [Request::get("/a"), Request::get("/b?x=1"), Request::get("/c")];
+        let reqs = [
+            Request::get("/a"),
+            Request::get("/b?x=1"),
+            Request::get("/c"),
+        ];
         let slots: Vec<_> = reqs.iter().zip(traced(3)).collect();
         let replies = client.exchange(&slots);
         let received = server.join().unwrap();
         for (i, reply) in replies.iter().enumerate() {
             let resp = reply.result.as_ref().expect("every request answered");
-            assert_eq!(resp.body_text(), format!("{{\"i\":{i}}}"), "answers come back in order");
+            assert_eq!(
+                resp.body_text(),
+                format!("{{\"i\":{i}}}"),
+                "answers come back in order"
+            );
         }
-        assert!(replies.windows(2).all(|w| w[0].at <= w[1].at), "each ends at its own response");
+        assert!(
+            replies.windows(2).all(|w| w[0].at <= w[1].at),
+            "each ends at its own response"
+        );
         // The wire carried the single-request encodings, concatenated, each
         // with its own trace header.
         let mut expected = Vec::new();
@@ -554,8 +650,15 @@ mod tests {
             crate::http::write_request_with(&mut expected, req, Some((TRACE_HEADER, &value)))
                 .unwrap();
         }
-        assert_eq!(String::from_utf8(received).unwrap(), String::from_utf8(expected).unwrap());
-        assert_eq!(client.pool().idle_len(), 1, "a fully answered exchange parks its connection");
+        assert_eq!(
+            String::from_utf8(received).unwrap(),
+            String::from_utf8(expected).unwrap()
+        );
+        assert_eq!(
+            client.pool().idle_len(),
+            1,
+            "a fully answered exchange parks its connection"
+        );
     }
 
     #[test]
@@ -578,7 +681,11 @@ mod tests {
                     other => panic!("expected a retryable io error, got {other:?}"),
                 }
             }
-            assert_eq!(client.pool().idle_len(), 0, "a cut-short connection is never parked");
+            assert_eq!(
+                client.pool().idle_len(),
+                0,
+                "a cut-short connection is never parked"
+            );
             assert_eq!(client.reconnects(), 0, "a fresh connection is never resent");
         }
     }
@@ -601,17 +708,26 @@ mod tests {
         let slots: Vec<_> = reqs.iter().zip(traced(3)).collect();
         let replies = client.exchange(&slots);
         for (reply, req) in replies.iter().zip(&reqs) {
-            assert!(reply.result.as_ref().unwrap().body_text().contains(&req.path));
+            assert!(reply
+                .result
+                .as_ref()
+                .unwrap()
+                .body_text()
+                .contains(&req.path));
         }
         assert_eq!(client.reconnects(), 1, "one stale connection, one resend");
-        assert_eq!(hits.load(Ordering::Relaxed), 3, "the fresh connection saw each request once");
+        assert_eq!(
+            hits.load(Ordering::Relaxed),
+            3,
+            "the fresh connection saw each request once"
+        );
     }
 
     #[test]
     fn connect_failure_is_io_error() {
         // Port 1 is essentially never listening.
-        let mut client =
-            HttpClient::new("127.0.0.1:1".parse().unwrap()).with_timeout(Duration::from_millis(200));
+        let mut client = HttpClient::new("127.0.0.1:1".parse().unwrap())
+            .with_timeout(Duration::from_millis(200));
         assert!(matches!(client.get("/x"), Err(NetError::Io(_))));
     }
 }

@@ -18,10 +18,13 @@
 //!   which distinguishes "not all bytes arrived yet" from "malformed"; it
 //!   reuses the exact [`read_request`] parser over the buffered bytes.
 //! * [`Dispatcher`] — everything that happens between a parsed request and
-//!   the serialized response: operational endpoints (`/metrics`,
-//!   `/healthz`), fault injection, per-endpoint metrics, the application
-//!   handler, and the close-intent decision. A panicking handler answers
-//!   500 and the connection and server keep serving.
+//!   the response it queues. An operational request (`/metrics`,
+//!   `/healthz`, `/debug/*`) gets its answer from one helper and leaves
+//!   through one exit. An app request has its trace extracted, the fault
+//!   injector asked and the application handler called, and then its
+//!   damage, stall delay, trace stamp and close intent decided, each once.
+//!   A panicking handler answers 500 and the connection and server keep
+//!   serving.
 //!
 //! ## Per-connection state machine
 //!
@@ -40,11 +43,13 @@
 //!                                                               CLOSED
 //! ```
 //!
-//! Every complete request in `inbuf` is dispatched in order, and each
-//! response is encoded onto the tail of `outbuf`, which is flushed as far as
+//! Every complete request in `inbuf` is dispatched in order. Every response
+//! the session sends (a dispatched one, the 400 for an unparsable request,
+//! the idle rule's 408) goes through one queue method, which stamps its
+//! close intent and encodes it onto the tail of `outbuf`, flushed as far as
 //! the socket takes it. A `stall` fault parks the encoded response on a
-//! deadline; later pipelined requests wait behind it, so responses keep
-//! request order. A connection that goes
+//! deadline instead; later pipelined requests wait behind it, so responses
+//! keep request order. A connection that goes
 //! [`ServerConfig::idle_timeout`](crate::server::ServerConfig::idle_timeout)
 //! without receiving request bytes or dispatching a request is answered 408
 //! and closed if a request has started, and closed silently otherwise.
@@ -356,14 +361,6 @@ fn finalize_response(resp: &mut Response, close: bool) {
     }
 }
 
-/// The 400 answered to an unparsable request; the connection closes after
-/// it, and the response says so.
-fn bad_request_response(err: &NetError) -> Response {
-    let mut resp = Response::error(400, &err.to_string());
-    finalize_response(&mut resp, true);
-    resp
-}
-
 /// Seed of the server-side trace-id mint. Fixed so two fresh servers fed
 /// the same sequential request stream stamp identical ids — the cross-mode
 /// byte-identity suites depend on it.
@@ -372,9 +369,37 @@ const SERVER_MINT_SEED: u64 = 0x5354_4541_4d73_7276;
 /// The trace identity one request runs under on the server side: the trace
 /// extracted from `X-Steam-Trace` (parent = the client's span), or a
 /// server-minted root trace when the request carried none.
-pub(crate) struct RequestTrace {
+struct RequestTrace {
     trace: TraceId,
     parent: SpanId,
+}
+
+impl RequestTrace {
+    /// Records the request's server span, whether it was handled, panicked
+    /// or faulted, into the flight recorder. Span recording is not gated by
+    /// the log level or the presence of a registry.
+    fn record_span(
+        &self,
+        endpoint: &str,
+        start_us: u64,
+        duration_us: u64,
+        status: u16,
+        note: &str,
+    ) {
+        record_span(
+            SpanRecord::new(
+                self.trace,
+                next_span_id(),
+                self.parent,
+                SpanKind::Server,
+                "http",
+                endpoint,
+            )
+            .with_timing(start_us, duration_us)
+            .with_status(status)
+            .with_annotation(note),
+        );
+    }
 }
 
 /// One span as a JSON object. Span targets, names and annotations may carry
@@ -468,197 +493,110 @@ impl Dispatcher {
         }
     }
 
-    /// Echoes the request's trace id on the response so a client can join
-    /// its span to the server's without parsing `/debug/spans`.
-    fn stamp_trace(resp: &mut Response, trace: Option<&RequestTrace>) {
-        if let Some(t) = trace {
-            resp.headers.push((TRACE_HEADER.into(), t.trace.to_hex()));
-        }
-    }
-
-    fn record_fault_span(&self, req: &Request, trace: &RequestTrace, status: u16, note: &str) {
-        record_span(
-            SpanRecord::new(
-                trace.trace,
-                next_span_id(),
-                trace.parent,
-                SpanKind::Server,
-                "http",
-                &normalize_endpoint(&req.path),
-            )
-            .with_timing(now_us(), 0)
-            .with_status(status)
-            .with_annotation(note),
-        );
-    }
-
-    /// Decides the response (or lack of one) for a single request.
+    /// Decides the response (or lack of one) for a single request. An app
+    /// request's trace, fault, handler call, damage, stall, trace stamp and
+    /// close intent are each decided once, in that order.
     fn dispatch(&self, req: Request, cache: &mut ObsCache) -> Outcome {
         let keep_alive = req.keep_alive();
         // Operational endpoints (`/metrics`, `/healthz`, `/debug/*`) are
         // never faulted, throttled, traced, or counted: the instruments
         // watching a drill must not be blinded by it, and polling the
         // introspection endpoints must not pollute what they expose.
-        let operational = req.method == "GET"
-            && (req.path == "/metrics"
-                || req.path == "/healthz"
-                || req.path.starts_with("/debug/"));
-        // Every app request runs under a trace: extracted from the wire, or
-        // minted deterministically so both server modes stamp identical ids
-        // on identical request streams.
-        let trace = if operational {
-            None
-        } else {
-            Some(self.extract_trace(&req))
-        };
-        let mut delay = None;
-        if let Some(inj) = self.faults.as_deref().filter(|_| !operational) {
-            match inj.decide(&req.path) {
-                None => {}
-                // Stall injects latency, then the request proceeds normally.
-                Some(FaultKind::Stall) => delay = Some(inj.stall_duration()),
-                Some(FaultKind::Drop) => {
-                    if let Some(t) = &trace {
-                        self.record_fault_span(&req, t, 0, "fault=drop");
-                    }
-                    return Outcome::Drop;
-                }
-                Some(k @ (FaultKind::Status500 | FaultKind::Status503)) => {
-                    let status = if k == FaultKind::Status500 { 500 } else { 503 };
-                    if let Some(obs) = &self.obs {
-                        let endpoint = normalize_endpoint(&req.path);
-                        cache.record(obs, &req.method, &endpoint, status, Duration::ZERO);
-                    }
-                    if let Some(t) = &trace {
-                        self.record_fault_span(&req, t, status, "fault=status");
-                    }
-                    let mut resp = Response::error(status, "injected fault");
-                    Self::stamp_trace(&mut resp, trace.as_ref());
-                    return Outcome::Respond {
-                        resp,
-                        close: !keep_alive,
-                        truncate: false,
-                        delay,
-                    };
-                }
-                Some(k @ (FaultKind::Truncate | FaultKind::Corrupt)) => {
-                    // Compute the real response, then damage it on the wire.
-                    let mut resp = self.handle_app(req, cache, trace.as_ref());
-                    Self::stamp_trace(&mut resp, trace.as_ref());
-                    if k == FaultKind::Corrupt {
-                        match resp.body.first_mut() {
-                            Some(b) => *b = b'#',
-                            None => resp.body.push(b'#'),
-                        }
-                        let close = !keep_alive || !resp.keep_alive();
-                        return Outcome::Respond {
-                            resp,
-                            close,
-                            truncate: false,
-                            delay,
-                        };
-                    }
-                    // The declared Content-Length will not be honored; the
-                    // only coherent next step is closing the connection.
-                    return Outcome::Respond {
-                        resp,
-                        close: true,
-                        truncate: true,
-                        delay,
-                    };
-                }
-            }
-        }
-        // Operational endpoints answer before the application handler, so
-        // they are never subject to app-level rate limiting. The flight
-        // recorder is process-global, so `/debug/spans|slow|conns` answer
-        // whether or not a registry is attached — both modes identically.
-        if operational {
-            match req.path.as_str() {
-                "/debug/spans" => {
-                    // A malformed id is refused: answering with the whole
-                    // ring would read like a match.
-                    let resp = match req.query_param("trace").map(TraceId::from_hex) {
-                        Some(None) => Response::error(400, "trace must be 16 hex digits"),
-                        filter => Response::json(spans_json(
-                            "spans",
-                            &steam_obs::recent_spans(),
-                            filter.flatten(),
-                        )),
-                    };
-                    return Outcome::Respond {
-                        resp,
-                        close: !keep_alive,
-                        truncate: false,
-                        delay,
-                    };
-                }
-                "/debug/slow" => {
-                    let resp =
-                        Response::json(spans_json("slow", &steam_obs::slowest_spans(), None));
-                    return Outcome::Respond {
-                        resp,
-                        close: !keep_alive,
-                        truncate: false,
-                        delay,
-                    };
-                }
-                "/debug/conns" => {
-                    let resp = Response::json(self.conns.render_json());
-                    return Outcome::Respond {
-                        resp,
-                        close: !keep_alive,
-                        truncate: false,
-                        delay,
-                    };
-                }
-                _ => {}
-            }
-            if let Some(obs) = &self.obs {
-                if req.path == "/metrics" {
-                    // Refresh the process-wide peak-RSS gauge at scrape
-                    // time (kernel `VmHWM`; absent off Linux).
-                    if let Some(peak) = steam_obs::peak_rss_bytes() {
-                        obs.registry.gauge("peak_rss_bytes", &[]).set(peak as i64);
-                    }
-                    let resp = Response::text(obs.registry.render_prometheus());
-                    return Outcome::Respond {
-                        resp,
-                        close: !keep_alive,
-                        truncate: false,
-                        delay,
-                    };
-                }
-                if req.path == "/healthz" {
-                    let resp = Response::text("ok\n".into());
-                    return Outcome::Respond {
-                        resp,
-                        close: !keep_alive,
-                        truncate: false,
-                        delay,
-                    };
-                }
-            }
-            // Remaining operational paths belong to the application layer
-            // (e.g. the API service's `/debug/cache` and `/debug/limiter`):
-            // still uninstrumented, untraced, and unstamped.
-            let resp = self.call_handler(req).unwrap_or_else(panic_response);
+        if req.method == "GET"
+            && (req.path == "/metrics" || req.path == "/healthz" || req.path.starts_with("/debug/"))
+        {
+            let resp = self.operational(req);
             let close = !keep_alive || !resp.keep_alive();
             return Outcome::Respond {
                 resp,
                 close,
                 truncate: false,
-                delay,
+                delay: None,
             };
         }
-        let mut resp = self.handle_app(req, cache, trace.as_ref());
-        Self::stamp_trace(&mut resp, trace.as_ref());
-        let close = !keep_alive || !resp.keep_alive();
+        // Every app request runs under a trace: extracted from the wire, or
+        // minted deterministically so both server modes stamp identical ids
+        // on identical request streams.
+        let trace = self.extract_trace(&req);
+        let endpoint = normalize_endpoint(&req.path);
+        let (fault, stall) = match self.faults.as_deref() {
+            Some(inj) => (inj.decide(&req.path), inj.stall_duration()),
+            None => (None, Duration::ZERO),
+        };
+        let mut resp = match fault {
+            Some(FaultKind::Drop) => {
+                trace.record_span(&endpoint, now_us(), 0, 0, "fault=drop");
+                return Outcome::Drop;
+            }
+            Some(k @ (FaultKind::Status500 | FaultKind::Status503)) => {
+                let status = if k == FaultKind::Status500 { 500 } else { 503 };
+                if let Some(obs) = &self.obs {
+                    cache.record(obs, &req.method, &endpoint, status, Duration::ZERO);
+                }
+                trace.record_span(&endpoint, now_us(), 0, status, "fault=status");
+                Response::error(status, "injected fault")
+            }
+            // Truncate and corrupt damage the real response on the wire;
+            // stall delays it.
+            _ => self.handle_app(req, &endpoint, cache, &trace),
+        };
+        if fault == Some(FaultKind::Corrupt) {
+            match resp.body.first_mut() {
+                Some(b) => *b = b'#',
+                None => resp.body.push(b'#'),
+            }
+        }
+        // A truncated body will not honor its `Content-Length`; the only
+        // coherent next step is closing the connection.
+        let truncate = fault == Some(FaultKind::Truncate);
+        let delay = (fault == Some(FaultKind::Stall)).then_some(stall);
+        // Echo the trace id so a client can join its span to the server's
+        // without parsing `/debug/spans`.
+        resp.headers
+            .push((TRACE_HEADER.into(), trace.trace.to_hex()));
+        let close = truncate || !keep_alive || !resp.keep_alive();
         Outcome::Respond {
             resp,
             close,
-            truncate: false,
+            truncate,
             delay,
+        }
+    }
+
+    /// The answer to an operational request. It comes before the
+    /// application handler, so it is never subject to app-level rate
+    /// limiting. The flight recorder is process-global, so
+    /// `/debug/spans|slow|conns` answer whether or not a registry is
+    /// attached — both modes identically.
+    fn operational(&self, req: Request) -> Response {
+        match (req.path.as_str(), &self.obs) {
+            // A malformed id is refused: answering with the whole ring
+            // would read like a match.
+            ("/debug/spans", _) => match req.query_param("trace").map(TraceId::from_hex) {
+                Some(None) => Response::error(400, "trace must be 16 hex digits"),
+                filter => Response::json(spans_json(
+                    "spans",
+                    &steam_obs::recent_spans(),
+                    filter.flatten(),
+                )),
+            },
+            ("/debug/slow", _) => {
+                Response::json(spans_json("slow", &steam_obs::slowest_spans(), None))
+            }
+            ("/debug/conns", _) => Response::json(self.conns.render_json()),
+            ("/metrics", Some(obs)) => {
+                // Refresh the process-wide peak-RSS gauge at scrape time
+                // (kernel `VmHWM`; absent off Linux).
+                if let Some(peak) = steam_obs::peak_rss_bytes() {
+                    obs.registry.gauge("peak_rss_bytes", &[]).set(peak as i64);
+                }
+                Response::text(obs.registry.render_prometheus())
+            }
+            ("/healthz", Some(_)) => Response::text("ok\n".into()),
+            // Remaining operational paths belong to the application layer
+            // (e.g. the API service's `/debug/cache` and `/debug/limiter`):
+            // still uninstrumented, untraced, and unstamped.
+            _ => self.call_handler(req).unwrap_or_else(panic_response),
         }
     }
 
@@ -673,18 +611,16 @@ impl Dispatcher {
         resp
     }
 
-    /// Runs the application handler, instrumented when observed; the hop is
-    /// recorded into the flight recorder whenever it runs under a trace
-    /// (always, except operational endpoints) — span recording is not gated
-    /// by the log level or the presence of a registry. A panicking handler
-    /// answers 500, and its span is annotated `panic`.
+    /// Runs the application handler, instrumented when observed, and records
+    /// its server span. A panicking handler answers 500, and its span is
+    /// annotated `panic`.
     fn handle_app(
         &self,
         req: Request,
+        endpoint: &str,
         cache: &mut ObsCache,
-        trace: Option<&RequestTrace>,
+        trace: &RequestTrace,
     ) -> Response {
-        let endpoint = normalize_endpoint(&req.path);
         let method = req.method.clone();
         if let Some(obs) = &self.obs {
             obs.in_flight.inc();
@@ -693,29 +629,14 @@ impl Dispatcher {
         let start_us = now_us();
         let handled = self.call_handler(req);
         let elapsed = start.elapsed();
-        let panicked = handled.is_none();
+        let note = if handled.is_some() { "" } else { "panic" };
         let resp = handled.unwrap_or_else(panic_response);
         if let Some(obs) = &self.obs {
             obs.in_flight.dec();
-            cache.record(obs, &method, &endpoint, resp.status, elapsed);
+            cache.record(obs, &method, endpoint, resp.status, elapsed);
         }
-        if let Some(t) = trace {
-            let span = SpanRecord::new(
-                t.trace,
-                next_span_id(),
-                t.parent,
-                SpanKind::Server,
-                "http",
-                &endpoint,
-            )
-            .with_timing(start_us, elapsed.as_micros() as u64)
-            .with_status(resp.status);
-            record_span(if panicked {
-                span.with_annotation("panic")
-            } else {
-                span
-            });
-        }
+        let duration_us = elapsed.as_micros() as u64;
+        trace.record_span(endpoint, start_us, duration_us, resp.status, note);
         resp
     }
 }
@@ -873,11 +794,32 @@ impl Session {
         if self.close_after_flush || self.inbuf.is_empty() {
             return false;
         }
-        let mut resp = Response::error(408, "request read timed out");
-        finalize_response(&mut resp, true);
-        encode_response(&mut self.outbuf, &resp, false);
-        self.close_after_flush = true;
+        self.queue(
+            Response::error(408, "request read timed out"),
+            true,
+            false,
+            None,
+        );
         true
+    }
+
+    /// Queues one response: stamps its close intent, then encodes it onto
+    /// `outbuf`, or, with a `delay` (a `stall` fault), parks it encoded
+    /// until the delay has passed. Every response the session sends goes
+    /// through here. `truncate` damages the encoding (a `truncate` fault).
+    fn queue(&mut self, mut resp: Response, close: bool, truncate: bool, delay: Option<Duration>) {
+        finalize_response(&mut resp, close);
+        match delay {
+            Some(d) => {
+                let mut wire = Vec::new();
+                encode_response(&mut wire, &resp, truncate);
+                self.stalled = Some((Instant::now() + d, wire, close));
+            }
+            None => {
+                encode_response(&mut self.outbuf, &resp, truncate);
+                self.close_after_flush |= close;
+            }
+        }
     }
 
     /// Parses and dispatches every complete request in `inbuf`, in order.
@@ -892,37 +834,21 @@ impl Session {
             match try_parse_request(&self.inbuf[start..]) {
                 ParseStep::Incomplete => break,
                 ParseStep::Bad(e) => {
-                    encode_response(&mut self.outbuf, &bad_request_response(&e), false);
-                    self.close_after_flush = true;
+                    self.queue(Response::error(400, &e.to_string()), true, false, None)
                 }
                 ParseStep::Request { req, consumed } => {
                     start += consumed;
                     self.last_activity = Instant::now();
                     match self.dispatcher.dispatch(req, cache) {
-                        Outcome::Drop => {
-                            // Close without answering; earlier pipelined
-                            // responses still flush first.
-                            self.close_after_flush = true;
-                        }
+                        // Close without answering; earlier pipelined
+                        // responses still flush first.
+                        Outcome::Drop => self.close_after_flush = true,
                         Outcome::Respond {
-                            mut resp,
+                            resp,
                             close,
                             truncate,
                             delay,
-                        } => {
-                            finalize_response(&mut resp, close);
-                            match delay {
-                                Some(d) => {
-                                    let mut wire = Vec::new();
-                                    encode_response(&mut wire, &resp, truncate);
-                                    self.stalled = Some((Instant::now() + d, wire, close));
-                                }
-                                None => {
-                                    encode_response(&mut self.outbuf, &resp, truncate);
-                                    self.close_after_flush |= close;
-                                }
-                            }
-                        }
+                        } => self.queue(resp, close, truncate, delay),
                     }
                 }
             }
@@ -1172,6 +1098,169 @@ mod tests {
             try_parse_request(&junk[..64]),
             ParseStep::Incomplete
         ));
+    }
+
+    /// What `dispatch` decided for one request; `None` is a drop.
+    #[derive(Debug, PartialEq)]
+    struct Decision {
+        status: u16,
+        close: bool,
+        truncate: bool,
+        delay: Option<Duration>,
+        trace: Option<String>,
+        first_byte: Option<u8>,
+    }
+
+    fn decide(dispatcher: &Dispatcher, req: Request) -> Option<Decision> {
+        match dispatcher.dispatch(req, &mut ObsCache::default()) {
+            Outcome::Drop => None,
+            Outcome::Respond {
+                resp,
+                close,
+                truncate,
+                delay,
+            } => Some(Decision {
+                status: resp.status,
+                close,
+                truncate,
+                delay,
+                trace: resp.header(TRACE_HEADER).map(str::to_string),
+                first_byte: resp.body.first().copied(),
+            }),
+        }
+    }
+
+    #[test]
+    fn dispatch_decides_every_fault_for_every_request_form() {
+        use crate::fault::FaultPlan;
+        use crate::http::Version;
+        const APP: &str = "/ISteamApps/GetAppList/v2";
+        let handler: Arc<dyn Handler> =
+            Arc::new(|_req: Request| Response::json("{\"ok\":true}".into()));
+        let client = TraceContext {
+            trace: TraceId(0xabc),
+            span: SpanId(7),
+        };
+        // Each request form: its name, how a request takes that form, and
+        // whether it asks to keep the connection open.
+        type Shape = fn(&mut Request);
+        let forms: [(&str, Shape, bool); 3] = [
+            ("HTTP/1.1 keep-alive", |_| {}, true),
+            (
+                "HTTP/1.1 Connection: close",
+                |r| r.headers.push(("Connection".into(), "close".into())),
+                false,
+            ),
+            ("HTTP/1.0", |r| r.version = Version::Http10, false),
+        ];
+        // What an app request should get under a fault kind (`None`: no
+        // fault); a drop decides `None`.
+        let expect = |kind: Option<FaultKind>, keep_alive: bool, trace: String| {
+            let ok = Decision {
+                status: 200,
+                close: !keep_alive,
+                truncate: false,
+                delay: None,
+                trace: Some(trace),
+                first_byte: Some(b'{'),
+            };
+            let injected = Some(b'i');
+            match kind {
+                None => Some(ok),
+                Some(FaultKind::Drop) => None,
+                Some(FaultKind::Status500) => Some(Decision {
+                    status: 500,
+                    first_byte: injected,
+                    ..ok
+                }),
+                Some(FaultKind::Status503) => Some(Decision {
+                    status: 503,
+                    first_byte: injected,
+                    ..ok
+                }),
+                Some(FaultKind::Truncate) => Some(Decision {
+                    close: true,
+                    truncate: true,
+                    ..ok
+                }),
+                Some(FaultKind::Corrupt) => Some(Decision {
+                    first_byte: Some(b'#'),
+                    ..ok
+                }),
+                Some(FaultKind::Stall) => Some(Decision {
+                    delay: Some(Duration::from_millis(25)),
+                    ..ok
+                }),
+            }
+        };
+        for kind in std::iter::once(None).chain(FaultKind::ALL.map(Some)) {
+            for (form, shape, keep_alive) in forms {
+                let faults = kind.map(|k| {
+                    let plan = FaultPlan::parse(&format!("{}=1.0", k.label()), 1).unwrap();
+                    Arc::new(FaultInjector::new(plan, None))
+                });
+                let registry = Arc::new(Registry::new());
+                let obs = Arc::new(ServerObs::new(Arc::clone(&registry)));
+                let dispatcher = Dispatcher::new(Arc::clone(&handler), Some(obs), faults);
+                let request = |target: &str| {
+                    let mut req = Request::get(target);
+                    shape(&mut req);
+                    req
+                };
+                let case = format!("{form}, fault {kind:?}");
+                // Operational endpoints are never faulted or stamped, and
+                // they take no id from the mint.
+                for (target, first) in [("/healthz", b'o'), ("/debug/conns", b'{')] {
+                    let operational = Decision {
+                        status: 200,
+                        close: !keep_alive,
+                        truncate: false,
+                        delay: None,
+                        trace: None,
+                        first_byte: Some(first),
+                    };
+                    assert_eq!(
+                        decide(&dispatcher, request(target)),
+                        Some(operational),
+                        "{case}: {target}"
+                    );
+                }
+                let minted = TraceId::mint_seeded(SERVER_MINT_SEED, 0).to_hex();
+                assert_eq!(
+                    decide(&dispatcher, request(APP)),
+                    expect(kind, keep_alive, minted),
+                    "{case}: traceless"
+                );
+                let mut traced = request(APP);
+                traced
+                    .headers
+                    .push((TRACE_HEADER.into(), client.header_value()));
+                assert_eq!(
+                    decide(&dispatcher, traced),
+                    expect(kind, keep_alive, client.trace.to_hex()),
+                    "{case}: traced"
+                );
+                // A status fault is counted under its status; a drop is not
+                // counted at all.
+                let counted = match kind {
+                    Some(FaultKind::Drop) => None,
+                    Some(FaultKind::Status500) => Some("500"),
+                    Some(FaultKind::Status503) => Some("503"),
+                    _ => Some("200"),
+                };
+                let text = registry.render_prometheus();
+                let line = counted.map(|status| {
+                    format!(
+                        "http_requests_total{{endpoint=\"{APP}\",method=\"GET\",status=\"{status}\"}} 2"
+                    )
+                });
+                assert_eq!(
+                    text.lines().find(|l| l.starts_with("http_requests_total{")),
+                    line.as_deref(),
+                    "{case}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! (see [`crate::par`]), and the output is byte-identical for every
 //! `jobs >= 1`.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use steam_model::{Snapshot, WeekPanel};
@@ -94,7 +93,6 @@ impl GenTimings {
 /// Deterministic population generator.
 pub struct Generator {
     config: SynthConfig,
-    registry: Option<Arc<steam_obs::Registry>>,
 }
 
 impl Generator {
@@ -104,14 +102,7 @@ impl Generator {
         if let Err(e) = config.validate() {
             panic!("invalid SynthConfig: {e}");
         }
-        Generator { config, registry: None }
-    }
-
-    /// Records `synth_stage_duration_seconds{stage}` histograms into
-    /// `registry` on every generation run.
-    pub fn with_registry(mut self, registry: Arc<steam_obs::Registry>) -> Self {
-        self.registry = Some(registry);
-        self
+        Generator { config }
     }
 
     pub fn config(&self) -> &SynthConfig {
@@ -136,13 +127,6 @@ impl Generator {
         self.generate_world_timed(jobs).0
     }
 
-    fn observe(&self, stage: &'static str, wall: Duration) {
-        if let Some(reg) = &self.registry {
-            reg.histogram("synth_stage_duration_seconds", &[("stage", stage)])
-                .record_duration(wall);
-        }
-    }
-
     /// Generates the full world and reports per-stage wall times.
     pub fn generate_world_timed(&self, jobs: usize) -> (World, GenTimings) {
         let cfg = &self.config;
@@ -150,7 +134,6 @@ impl Generator {
         let run_start = Instant::now();
         let mut stages: Vec<StageTiming> = Vec::with_capacity(7);
         let mut stage = |name: &'static str, wall: Duration| {
-            self.observe(name, wall);
             stages.push(StageTiming { stage: name, wall });
         };
 
@@ -289,19 +272,6 @@ mod tests {
         assert_eq!(timings.jobs, 2);
         let table = timings.render_table();
         assert!(table.contains("stage") && table.contains("total"));
-    }
-
-    #[test]
-    fn registry_records_stage_histograms() {
-        let registry = Arc::new(steam_obs::Registry::new());
-        let _ = Generator::new(SynthConfig::small(5))
-            .with_registry(registry.clone())
-            .generate_world();
-        let text = registry.render_prometheus();
-        assert!(
-            text.contains("synth_stage_duration_seconds"),
-            "missing stage histogram in:\n{text}"
-        );
     }
 
     #[test]
