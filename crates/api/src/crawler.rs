@@ -48,8 +48,8 @@ use steam_net::pool::ConnectionPool;
 use steam_net::ratelimit::TokenBucket;
 use steam_net::NetError;
 use steam_obs::{
-    mint_trace_id, next_span_id, now_us, record_span, Counter, Gauge, Histogram, Registry,
-    SpanId, SpanKind, SpanRecord, TraceContext, TraceId,
+    mint_trace_id, next_span_id, Counter, Gauge, Histogram, Registry, SpanId, SpanKind, SpanRecord,
+    TraceId,
 };
 
 use crate::checkpoint::{CheckpointStore, Record, Replay, UserRecord};
@@ -451,9 +451,9 @@ impl Fetcher {
     }
 
     /// One exchange of GETs, attempt number `attempt` of each fetch. Each
-    /// request carries a fresh span id under its fetch's trace and records
-    /// a client span that ends when its own response has been read; non-2xx
-    /// statuses become [`NetError::Status`].
+    /// request goes out under a fresh span id in its fetch's trace, and the
+    /// client records its client span; non-2xx statuses become
+    /// [`NetError::Status`].
     fn exchange(
         client: &mut HttpClient,
         targets: &[String],
@@ -461,32 +461,28 @@ impl Fetcher {
         attempt: u32,
     ) -> Vec<Reply> {
         let requests: Vec<Request> = targets.iter().map(|t| Request::get(t)).collect();
-        let contexts: Vec<TraceContext> =
-            traces.iter().map(|&trace| TraceContext { trace, span: next_span_id() }).collect();
-        let slots: Vec<(&Request, Option<TraceContext>)> =
-            requests.iter().zip(contexts.iter().copied().map(Some)).collect();
-        let start_us = now_us();
-        let t0 = Instant::now();
-        let replies = client.exchange(&slots);
-        replies
-            .into_iter()
-            .zip(contexts)
-            .zip(targets)
-            .map(|((Reply { result, at }, ctx), target)| {
-                let result = result.and_then(check_status);
-                let status = match &result {
-                    Ok(resp) => resp.status,
-                    Err(NetError::Status { code, .. }) => *code,
-                    // Dropped connection, timeout: no status line arrived.
-                    Err(_) => 0,
-                };
-                record_span(
-                    SpanRecord::new(ctx.trace, ctx.span, SpanId(0), SpanKind::Client, "crawl", target)
-                        .with_timing(start_us, at.duration_since(t0).as_micros() as u64)
-                        .with_status(status)
-                        .with_annotation(&format!("attempt={attempt}")),
+        let note = format!("attempt={attempt}");
+        let slots: Vec<(&Request, Option<SpanRecord>)> = requests
+            .iter()
+            .zip(targets.iter().zip(traces))
+            .map(|(req, (target, &trace))| {
+                let span = SpanRecord::new(
+                    trace,
+                    next_span_id(),
+                    SpanId(0),
+                    SpanKind::Client,
+                    "crawl",
+                    target,
                 );
-                Reply { result, at }
+                (req, Some(span.with_annotation(&note)))
+            })
+            .collect();
+        client
+            .exchange(&slots)
+            .into_iter()
+            .map(|Reply { result, at }| Reply {
+                result: result.and_then(check_status),
+                at,
             })
             .collect()
     }
@@ -1003,6 +999,7 @@ mod tests {
     use crate::service::{serve, serve_service_config, ApiService, RateLimit};
     use std::sync::Arc;
     use steam_net::http::Response;
+    use steam_obs::TraceContext;
     use steam_synth::{Generator, SynthConfig};
 
     fn tiny_world() -> Arc<Snapshot> {

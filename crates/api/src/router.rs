@@ -12,37 +12,41 @@
 //! emits found players in (deduplicated) request order; each shard does the
 //! same for the subsequence it owns; re-emitting by walking the original
 //! deduplicated list and picking each id's account from whichever shard
-//! returned it reconstructs exactly that interleaving. A single-shard
-//! fleet (and the single-id endpoints) skip the scatter entirely and
-//! forward on the caller's thread: a per-request `thread::scope` spawn was
-//! a large slice of routing overhead (DESIGN.md, "Sharded serving").
+//! returned it reconstructs exactly that interleaving. A batch whose ids
+//! all live on one shard (every batch, in a one-shard fleet) and the
+//! single-id endpoints skip the scatter and forward on the caller's
+//! thread: a per-request `thread::scope` spawn was a large slice of routing
+//! overhead (DESIGN.md, "Sharded serving").
 //!
-//! Failure policy: a sub-request that keeps failing after bounded retries
-//! never yields a partially merged 200 — the client gets a clean 502
-//! (`shard unavailable`) or 503 (`shard busy`, `Retry-After` propagated),
-//! both transient for the crawler's backoff. A shard's 429 is the caller's
-//! own key being limited and is forwarded verbatim, `Retry-After` intact.
+//! Failure policy: the router retries with the crawler's policy,
+//! [`Backoff::run_observed`]. A transport failure or a shard 5xx goes
+//! again, after the shard's `Retry-After` as [`check_status`] read it
+//! (clamped to the policy's max) or the computed delay. A sub-request that
+//! keeps failing never yields a partially merged 200 — the client gets a
+//! clean 502 (`shard unavailable`) or 503 (`shard busy`, with the shard's
+//! hint in whole seconds), both transient for the crawler's backoff. A
+//! shard's 429 is the caller's own key being limited and is forwarded
+//! verbatim, `Retry-After` intact.
 //!
 //! Tracing: when a request arrives with `X-Steam-Trace`, every proxied
-//! attempt is stamped with a fresh span under the same trace id and records
-//! a `router`-component client span, so `/debug/spans?trace=` shows
-//! client → router → shard for one routed request.
+//! attempt goes out under a fresh span of the same trace, and the client
+//! records it as a `router`-component client span, so
+//! `/debug/spans?trace=` shows client → router → shard for one routed
+//! request.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use steam_model::{AppId, GroupId, SteamId};
+use steam_net::client::check_status;
 use steam_net::http::{Request, Response};
 use steam_net::server::{Handler, HttpServer};
 use steam_net::url::build_target;
 use steam_net::{Backoff, ConnectionPool, HttpClient, NetError};
-use steam_obs::{
-    next_span_id, now_us, record_span, Counter, SpanKind, SpanRecord, TraceContext, TRACE_HEADER,
-};
+use steam_obs::{next_span_id, Counter, SpanKind, SpanRecord, TraceContext, TRACE_HEADER};
 
-use crate::service::MAX_BATCH_IDS;
+use crate::service::batch_ids;
 use crate::shard::{shard_of, shard_of_app, shard_of_group};
 use crate::wire;
 
@@ -59,7 +63,10 @@ pub struct RouterConfig {
 
 impl Default for RouterConfig {
     fn default() -> Self {
-        RouterConfig { pool_size: 4, backoff: Backoff::default() }
+        RouterConfig {
+            pool_size: 4,
+            backoff: Backoff::default(),
+        }
     }
 }
 
@@ -123,11 +130,11 @@ impl RouterService {
         }
     }
 
-    /// One proxied exchange with bounded retries. Transport failures and
-    /// shard 5xx responses are retried on the backoff schedule (honoring a
-    /// clamped `Retry-After` when the shard sent one); everything else —
-    /// including 429 — returns to the caller as-is. Records one client span
-    /// per attempt when the incoming request carried a trace.
+    /// One proxied exchange, retried on the router's [`Backoff`]: a
+    /// transport failure or a shard 5xx ([`NetError::Status`] through
+    /// [`check_status`], with the shard's clamped hint) goes again; every
+    /// other response, 429 included, returns as it is. When the incoming
+    /// request carried a trace, each attempt is a client span of its own.
     fn exchange(
         &self,
         shard: usize,
@@ -138,98 +145,73 @@ impl RouterService {
         let req = Request::get(target);
         self.count(|m| &m.requests, shard);
         let mut attempt = 0u32;
-        loop {
+        let op = || {
             attempt += 1;
-            // Each attempt is a span of its own in the incoming trace.
-            let ctx =
-                incoming.map(|inc| TraceContext { trace: inc.trace, span: next_span_id() });
-            let start_us = now_us();
-            let t0 = std::time::Instant::now();
-            let mut replies = client.exchange(&[(&req, ctx)]);
-            let outcome = replies.pop().expect("one reply per request").result;
-            if let (Some(inc), Some(ctx)) = (incoming, ctx) {
-                let status = match &outcome {
-                    Ok(resp) => resp.status,
-                    Err(_) => 0,
-                };
-                record_span(
-                    SpanRecord::new(
-                        ctx.trace,
-                        ctx.span,
-                        inc.span,
-                        SpanKind::Client,
-                        "router",
-                        target,
-                    )
-                    .with_timing(start_us, t0.elapsed().as_micros() as u64)
-                    .with_status(status)
-                    .with_annotation(&format!("shard={shard} attempt={attempt}")),
-                );
+            if attempt > 1 {
+                self.count(|m| &m.retries, shard);
             }
-            let retryable = match &outcome {
-                Ok(resp) => resp.status >= 500,
-                Err(_) => true,
-            };
-            if !retryable || attempt >= self.backoff.attempts.max(1) {
-                return outcome;
+            let span = incoming.map(|inc| {
+                SpanRecord::new(
+                    inc.trace,
+                    next_span_id(),
+                    inc.span,
+                    SpanKind::Client,
+                    "router",
+                    target,
+                )
+                .with_annotation(&format!("shard={shard} attempt={attempt}"))
+            });
+            let reply = client.exchange(&[(&req, span)]).pop();
+            match reply.expect("one reply per request").result? {
+                resp if resp.status >= 500 => check_status(resp),
+                resp => Ok(resp),
             }
-            self.count(|m| &m.retries, shard);
-            // Prefer the shard's own (clamped) hint over the schedule.
-            let hinted = match &outcome {
-                Ok(resp) => resp
-                    .header("retry-after")
-                    .and_then(|v| v.trim().parse::<u64>().ok())
-                    .map(|s| Duration::from_secs(s).min(self.backoff.max)),
-                Err(_) => None,
-            };
-            std::thread::sleep(hinted.unwrap_or_else(|| self.backoff.delay(attempt - 1)));
-        }
+        };
+        // Every error `op` returns is a transport failure or a shard 5xx.
+        self.backoff.run_observed(op, |_| true, |_, _| {})
     }
 
-    /// A shard response (or transport error) the retry loop gave up on,
-    /// mapped to the router's clean failure surface.
-    fn give_up(&self, shard: usize, outcome: Result<Response, NetError>) -> Response {
+    /// The router's clean failure surface for an exchange that gave up: a
+    /// final 503 is `shard busy` with the shard's hint in whole seconds
+    /// (or 1), anything else `shard unavailable`.
+    fn give_up(&self, shard: usize, err: &NetError) -> Response {
         self.count(|m| &m.errors, shard);
-        match outcome {
-            Ok(resp) if resp.status == 503 => {
-                let retry_after =
-                    resp.header("retry-after").unwrap_or("1").to_string();
+        let last = match err {
+            NetError::RetriesExhausted { last, .. } => last,
+            other => other,
+        };
+        match last {
+            NetError::Status {
+                code: 503,
+                retry_after,
+                ..
+            } => {
+                let secs = retry_after.map_or(1, |hint| hint.as_secs());
                 Response::error(503, &format!("shard {shard} busy"))
-                    .with_header("Retry-After", &retry_after)
+                    .with_header("Retry-After", &secs.to_string())
             }
             _ => Response::error(502, &format!("shard {shard} unavailable"))
                 .with_header("Retry-After", "1"),
         }
     }
 
-    /// Forwards a shard response verbatim: status, body, content type, and
-    /// `Retry-After` survive; connection framing is re-synthesized by our
-    /// own dispatcher.
-    fn forwarded(resp: Response) -> Response {
-        let retry_after = resp.header("retry-after").map(str::to_string);
-        let content_type = resp
-            .headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case("content-type"))
-            .map(|(_, v)| v.clone());
-        let mut out = Response::json_bytes(resp.body);
-        out.status = resp.status;
-        if let Some(ct) = content_type {
-            out.headers[0].1 = ct;
-        }
-        if let Some(ra) = retry_after {
-            out = out.with_header("Retry-After", &ra);
-        }
-        out
+    /// Forwards a shard response verbatim: status, body and the headers the
+    /// shard's service set (its content type, a 429's `Retry-After`)
+    /// survive. The length, close intent and trace echo are our own
+    /// dispatcher's to write.
+    fn forwarded(mut resp: Response) -> Response {
+        let ours = ["content-length", "connection", TRACE_HEADER];
+        resp.headers
+            .retain(|(k, _)| !ours.iter().any(|h| k.eq_ignore_ascii_case(h)));
+        resp
     }
 
     /// Proxies one request to one shard, mapping terminal failures to the
     /// router's clean 502/503 surface.
     fn proxy(&self, shard: usize, target: &str, incoming: Option<TraceContext>) -> Response {
         match self.exchange(shard, target, incoming) {
-            Ok(resp) if resp.status >= 500 => self.give_up(shard, Ok(resp)),
             Ok(resp) => Self::forwarded(resp),
-            Err(e) => self.give_up(shard, Err(e)),
+            Err(e) => self.give_up(shard, &e),
         }
     }
 
@@ -237,20 +219,29 @@ impl RouterService {
     /// layer decoded both; re-encoding round-trips through the shard's
     /// parser to the same decoded values.
     fn rebuild_target(req: &Request) -> String {
-        let pairs: Vec<(&str, &str)> =
-            req.query.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        let pairs: Vec<(&str, &str)> = req
+            .query
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
         build_target(&req.path, &pairs)
     }
 
     /// Rebuilds the target with the `steamids` parameter replaced by
     /// `ids` (other parameters — notably `key` — survive in order).
     fn subbatch_target(req: &Request, ids: &[SteamId]) -> String {
-        let joined =
-            ids.iter().map(|id| id.to_string()).collect::<Vec<_>>().join(",");
+        let joined = ids
+            .iter()
+            .map(|id| id.to_string())
+            .collect::<Vec<_>>()
+            .join(",");
         let pairs: Vec<(&str, &str)> = req
             .query
             .iter()
-            .map(|(k, v)| (k.as_str(), if k == "steamids" { joined.as_str() } else { v.as_str() }))
+            .map(|(k, v)| match k.as_str() {
+                "steamids" => (k.as_str(), joined.as_str()),
+                _ => (k.as_str(), v.as_str()),
+            })
             .collect();
         build_target(&req.path, &pairs)
     }
@@ -290,39 +281,17 @@ impl RouterService {
     }
 
     /// The batch endpoint: split per shard, fan out, merge in request
-    /// order. Invalid batches (malformed id, too many ids, missing or
-    /// empty parameter) are forwarded whole to shard 0, whose validation
+    /// order. Invalid batches (malformed id, too many ids, missing
+    /// parameter) and empty ones are forwarded whole to shard 0, whose
     /// response is byte-identical to the unsharded service's.
     fn route_summaries(&self, req: &Request, incoming: Option<TraceContext>) -> Response {
         let n = self.shards.len();
-        let target = Self::rebuild_target(req);
-        // Single-shard fleet fast path: every id hashes to shard 0 by
-        // construction, so parsing, deduplicating, and re-encoding the id
-        // list can only reproduce the request we already have. The shard
-        // deduplicates in the same first-occurrence order, so forwarding
-        // the original target verbatim is byte-identical to the
-        // split/merge below — minus its parse and thread-scope cost.
-        if n == 1 {
-            return self.proxy(0, &target, incoming);
-        }
-        let Some(raw) = req.query_param("steamids") else {
-            return self.proxy(0, &target, incoming);
+        // The service's own parser: the merge below walks the ids in the
+        // shards' (and the unsharded service's) first-occurrence order.
+        let ids = match batch_ids(req) {
+            Ok(ids) if !ids.is_empty() => ids,
+            _ => return self.proxy(0, &Self::rebuild_target(req), incoming),
         };
-        let segments: Vec<&str> = raw.split(',').filter(|s| !s.is_empty()).collect();
-        if segments.len() > MAX_BATCH_IDS {
-            return self.proxy(0, &target, incoming);
-        }
-        // Deduplicate in first-occurrence order, exactly as the shards (and
-        // the unsharded service) do — the merge below walks this list.
-        let mut ids: Vec<SteamId> = Vec::with_capacity(segments.len());
-        for s in segments {
-            let Ok(id) = s.parse::<SteamId>() else {
-                return self.proxy(0, &target, incoming);
-            };
-            if !ids.contains(&id) {
-                ids.push(id);
-            }
-        }
         let mut per_shard: Vec<Vec<SteamId>> = vec![Vec::new(); n];
         for &id in &ids {
             per_shard[shard_of(id, n)].push(id);
@@ -333,10 +302,6 @@ impl RouterService {
             .filter(|(_, ids)| !ids.is_empty())
             .map(|(shard, ids)| (shard, Self::subbatch_target(req, ids)))
             .collect();
-        if parts.is_empty() {
-            // No ids at all: any shard serves the canonical empty response.
-            return self.proxy(0, &target, incoming);
-        }
         if parts.len() == 1 {
             return self.proxy(parts[0].0, &parts[0].1, incoming);
         }
@@ -345,43 +310,41 @@ impl RouterService {
         // two. Outcomes are collected in part order either way, so the
         // all-or-nothing merge below reports the same shard's failure the
         // all-spawned version would.
-        let outcomes: Vec<(usize, Result<Response, NetError>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = parts[1..]
-                    .iter()
-                    .map(|(shard, target)| {
-                        let shard = *shard;
-                        let target = target.as_str();
-                        scope.spawn(move || (shard, self.exchange(shard, target, incoming)))
-                    })
-                    .collect();
-                let first = (parts[0].0, self.exchange(parts[0].0, &parts[0].1, incoming));
-                std::iter::once(first)
-                    .chain(handles.into_iter().map(|h| h.join().expect("fan-out thread")))
-                    .collect()
-            });
+        let outcomes: Vec<(usize, Result<Response, NetError>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = parts[1..]
+                .iter()
+                .map(|(shard, target)| {
+                    let shard = *shard;
+                    let target = target.as_str();
+                    scope.spawn(move || (shard, self.exchange(shard, target, incoming)))
+                })
+                .collect();
+            let first = (parts[0].0, self.exchange(parts[0].0, &parts[0].1, incoming));
+            let rest = handles
+                .into_iter()
+                .map(|h| h.join().expect("fan-out thread"));
+            std::iter::once(first).chain(rest).collect()
+        });
         // All-or-nothing merge: any failed sub-request fails the whole
         // batch cleanly; a partially merged 200 would be silently wrong.
         let mut by_id: HashMap<SteamId, steam_model::Account> = HashMap::new();
         for (shard, outcome) in outcomes {
-            match outcome {
-                Ok(resp) if resp.status == 200 => {
-                    match wire::body_text(&resp.body).and_then(wire::parse_player_summaries) {
-                        Ok(players) => {
-                            for p in players {
-                                by_id.insert(p.id, p);
-                            }
-                        }
-                        // Corrupt body (e.g. an injected fault): transient.
-                        Err(e) => return self.give_up(shard, Err(e)),
-                    }
-                }
+            // A status other than 200 or 429, or a corrupt body (e.g. an
+            // injected fault), fails the batch as unavailable.
+            let players = match outcome {
                 Ok(resp) if resp.status == 429 => return Self::forwarded(resp),
-                other => return self.give_up(shard, other),
+                Ok(resp) if resp.status == 200 => {
+                    wire::body_text(&resp.body).and_then(wire::parse_player_summaries)
+                }
+                Ok(resp) => Err(NetError::status(resp.status, "")),
+                Err(e) => Err(e),
+            };
+            match players {
+                Ok(players) => by_id.extend(players.into_iter().map(|p| (p.id, p))),
+                Err(e) => return self.give_up(shard, &e),
             }
         }
-        let found: Vec<&steam_model::Account> =
-            ids.iter().filter_map(|id| by_id.get(id)).collect();
+        let found: Vec<&steam_model::Account> = ids.iter().filter_map(|id| by_id.get(id)).collect();
         Response::json(wire::player_summaries_response(&found))
     }
 }

@@ -33,6 +33,26 @@ use crate::wire;
 /// Maximum Steam IDs accepted by the batch profile endpoint.
 pub const MAX_BATCH_IDS: usize = 100;
 
+/// The batch endpoint's `steamids`, parsed and de-duplicated in
+/// first-occurrence order, or the message of the 400 the service answers.
+/// The router splits batches with the same parser, so it sends a shard
+/// exactly the ids the unsharded service would answer for.
+pub(crate) fn batch_ids(req: &Request) -> Result<Vec<SteamId>, &'static str> {
+    let raw = req.query_param("steamids").ok_or("missing steamids")?;
+    let segments: Vec<&str> = raw.split(',').filter(|s| !s.is_empty()).collect();
+    if segments.len() > MAX_BATCH_IDS {
+        return Err("too many steamids (max 100)");
+    }
+    let mut ids: Vec<SteamId> = Vec::with_capacity(segments.len());
+    for s in segments {
+        let id: SteamId = s.parse().map_err(|_| "malformed steamid")?;
+        if !ids.contains(&id) {
+            ids.push(id);
+        }
+    }
+    Ok(ids)
+}
+
 /// Rate-limit configuration for the service.
 #[derive(Clone, Copy, Debug)]
 pub struct RateLimit {
@@ -46,7 +66,10 @@ impl Default for RateLimit {
     fn default() -> Self {
         // Generous enough for tests; the crawler self-throttles to 85% of
         // whatever this is set to.
-        RateLimit { per_key_rps: 100_000.0, burst: 200.0 }
+        RateLimit {
+            per_key_rps: 100_000.0,
+            burst: 200.0,
+        }
     }
 }
 
@@ -85,12 +108,24 @@ impl ApiService {
     /// store (see `ShardStore`'s `From` impl).
     pub fn new(store: impl Into<ShardStore>, limits: RateLimit) -> Self {
         let store = store.into();
-        let by_id =
-            store.accounts.iter().enumerate().map(|(i, a)| (a.id, i as u32)).collect();
-        let app_index =
-            store.catalog.iter().enumerate().map(|(i, g)| (g.app_id, i as u32)).collect();
-        let group_index =
-            store.groups.iter().enumerate().map(|(i, g)| (g.id.0, i as u32)).collect();
+        let by_id = store
+            .accounts
+            .iter()
+            .enumerate()
+            .map(|(i, a)| (a.id, i as u32))
+            .collect();
+        let app_index = store
+            .catalog
+            .iter()
+            .enumerate()
+            .map(|(i, g)| (g.app_id, i as u32))
+            .collect();
+        let group_index = store
+            .groups
+            .iter()
+            .enumerate()
+            .map(|(i, g)| (g.id.0, i as u32))
+            .collect();
         ApiService {
             store,
             limiter: KeyedLimiter::new(limits.per_key_rps, limits.burst),
@@ -138,7 +173,10 @@ impl ApiService {
     /// Panel rows name global account indices, which are store slots only
     /// in a 1-of-1 store.
     pub fn with_panel(mut self, panel: WeekPanel) -> Self {
-        assert_eq!(self.store.shard_count, 1, "a week panel needs the 1-of-1 store");
+        assert_eq!(
+            self.store.shard_count, 1,
+            "a week panel needs the 1-of-1 store"
+        );
         let index = panel
             .users
             .iter()
@@ -208,29 +246,15 @@ impl ApiService {
     }
 
     fn get_player_summaries(&self, req: &Request) -> Response {
-        let raw = match req.query_param("steamids") {
-            Some(raw) => raw,
-            None => return Response::error(400, "missing steamids"),
-        };
-        let segments: Vec<&str> = raw.split(',').filter(|s| !s.is_empty()).collect();
-        if segments.len() > MAX_BATCH_IDS {
-            return Response::error(400, "too many steamids (max 100)");
-        }
         // Parse before keying: the cache key is the decoded, order-preserving
         // id list with duplicates collapsed, so equivalent batches that
         // differ only in percent-encoding, empty segments (`a,,b`), or
         // repeated ids share one entry — and the router's re-batched
         // sub-requests hit entries a direct crawl warmed.
-        let mut ids: Vec<SteamId> = Vec::with_capacity(segments.len());
-        for s in segments {
-            let id: SteamId = match s.parse() {
-                Ok(id) => id,
-                Err(_) => return Response::error(400, "malformed steamid"),
-            };
-            if !ids.contains(&id) {
-                ids.push(id);
-            }
-        }
+        let ids = match batch_ids(req) {
+            Ok(ids) => ids,
+            Err(message) => return Response::error(400, message),
+        };
         let key = CacheKey::Summaries(ids.iter().map(|id| id.as_u64()).collect());
         self.cached(key, || {
             // Unknown ids are silently absent from the response, exactly how
@@ -275,11 +299,16 @@ impl ApiService {
     }
 
     fn get_app_list(&self) -> Response {
-        self.cached(CacheKey::AppList, || wire::app_list_response(&self.store.catalog))
+        self.cached(CacheKey::AppList, || {
+            wire::app_list_response(&self.store.catalog)
+        })
     }
 
     fn get_app_details(&self, req: &Request) -> Response {
-        let app = match req.query_param("appids").and_then(|s| s.parse::<u32>().ok()) {
+        let app = match req
+            .query_param("appids")
+            .and_then(|s| s.parse::<u32>().ok())
+        {
             Some(a) => AppId(a),
             None => return Response::error(400, "missing or malformed appids"),
         };
@@ -292,7 +321,10 @@ impl ApiService {
     }
 
     fn get_achievements(&self, req: &Request) -> Response {
-        let app = match req.query_param("gameid").and_then(|s| s.parse::<u32>().ok()) {
+        let app = match req
+            .query_param("gameid")
+            .and_then(|s| s.parse::<u32>().ok())
+        {
             Some(a) => AppId(a),
             None => return Response::error(400, "missing or malformed gameid"),
         };
@@ -405,7 +437,10 @@ pub fn serve(
     workers: usize,
     limits: RateLimit,
 ) -> Result<(HttpServer, Arc<ApiService>), NetError> {
-    let config = steam_net::ServerConfig { workers, ..Default::default() };
+    let config = steam_net::ServerConfig {
+        workers,
+        ..Default::default()
+    };
     serve_service_config(ApiService::new(snapshot, limits), addr, config, None, None)
 }
 
@@ -497,22 +532,33 @@ mod tests {
         for v in &variants {
             let resp = request(&service, v);
             assert_eq!(resp.status, 200);
-            assert_eq!(resp.body, first.body, "variant {v} must serve identical bytes");
+            assert_eq!(
+                resp.body, first.body,
+                "variant {v} must serve identical bytes"
+            );
         }
         let cache = service.cache().unwrap();
         assert_eq!(cache.len(), 1, "all encoding variants must share one entry");
-        assert_eq!(cache.hits(), 4, "every variant after the first fill must hit");
+        assert_eq!(
+            cache.hits(),
+            4,
+            "every variant after the first fill must hit"
+        );
     }
 
     #[test]
     fn batch_limit_enforced() {
         let snap = tiny_snapshot();
         let service = ApiService::new(snap, RateLimit::default());
-        let ids: Vec<String> =
-            (0..101).map(|i| SteamId::from_index(i).to_string()).collect();
+        let ids: Vec<String> = (0..101)
+            .map(|i| SteamId::from_index(i).to_string())
+            .collect();
         let resp = request(
             &service,
-            &format!("/ISteamUser/GetPlayerSummaries/v2?steamids={}", ids.join(",")),
+            &format!(
+                "/ISteamUser/GetPlayerSummaries/v2?steamids={}",
+                ids.join(",")
+            ),
         );
         assert_eq!(resp.status, 400);
     }
@@ -523,9 +569,15 @@ mod tests {
         let service = ApiService::new(Arc::clone(&snap), RateLimit::default());
         // Find a user with friends.
         let deg = snap.degrees();
-        let u = deg.iter().position(|&d| d > 0).expect("someone has friends");
+        let u = deg
+            .iter()
+            .position(|&d| d > 0)
+            .expect("someone has friends");
         let id = snap.accounts[u].id;
-        let resp = request(&service, &format!("/ISteamUser/GetFriendList/v1?steamid={id}"));
+        let resp = request(
+            &service,
+            &format!("/ISteamUser/GetFriendList/v1?steamid={id}"),
+        );
         let friends = wire::parse_friend_list(&resp.body_text()).unwrap();
         assert_eq!(friends.len(), deg[u] as usize);
     }
@@ -536,7 +588,10 @@ mod tests {
         let service = ApiService::new(Arc::clone(&snap), RateLimit::default());
         let u = snap.ownerships.iter().position(|l| !l.is_empty()).unwrap();
         let id = snap.accounts[u].id;
-        let resp = request(&service, &format!("/IPlayerService/GetOwnedGames/v1?steamid={id}"));
+        let resp = request(
+            &service,
+            &format!("/IPlayerService/GetOwnedGames/v1?steamid={id}"),
+        );
         let games = wire::parse_owned_games(&resp.body_text()).unwrap();
         assert_eq!(games, snap.ownerships[u]);
     }
@@ -548,21 +603,33 @@ mod tests {
         assert_eq!(request(&service, "/nope").status, 404);
         let ghost = SteamId::from_index(987_654_321);
         assert_eq!(
-            request(&service, &format!("/ISteamUser/GetFriendList/v1?steamid={ghost}")).status,
+            request(
+                &service,
+                &format!("/ISteamUser/GetFriendList/v1?steamid={ghost}")
+            )
+            .status,
             404
         );
         assert_eq!(
             request(&service, "/ISteamUser/GetFriendList/v1?steamid=banana").status,
             400
         );
-        assert_eq!(request(&service, "/api/appdetails?appids=99999999").status, 404);
+        assert_eq!(
+            request(&service, "/api/appdetails?appids=99999999").status,
+            404
+        );
     }
 
     #[test]
     fn rate_limit_fires() {
         let snap = tiny_snapshot();
-        let service =
-            ApiService::new(snap, RateLimit { per_key_rps: 0.001, burst: 2.0 });
+        let service = ApiService::new(
+            snap,
+            RateLimit {
+                per_key_rps: 0.001,
+                burst: 2.0,
+            },
+        );
         let ok1 = request(&service, "/ISteamApps/GetAppList/v2");
         let ok2 = request(&service, "/ISteamApps/GetAppList/v2");
         let limited = request(&service, "/ISteamApps/GetAppList/v2");
@@ -604,7 +671,13 @@ mod tests {
         // At 100 req/s the next token is 10ms away: a whole-second hint
         // would park the client 100 times longer than needed.
         let snap = tiny_snapshot();
-        let service = ApiService::new(snap, RateLimit { per_key_rps: 100.0, burst: 1.0 });
+        let service = ApiService::new(
+            snap,
+            RateLimit {
+                per_key_rps: 100.0,
+                burst: 1.0,
+            },
+        );
         // Back-to-back requests outrun 100 req/s within a few tries, however
         // the test threads are scheduled.
         let limited = (0..1000)
@@ -634,7 +707,9 @@ mod tests {
             debug,
             format!("{{\"keys\":{DEFAULT_MAX_KEYS},\"max_keys\":{DEFAULT_MAX_KEYS}}}")
         );
-        let gauge = registry.gauge("api_rate_limiter_keys", &[("shard", "0")]).get();
+        let gauge = registry
+            .gauge("api_rate_limiter_keys", &[("shard", "0")])
+            .get();
         assert_eq!(gauge, DEFAULT_MAX_KEYS as i64);
     }
 
@@ -645,14 +720,19 @@ mod tests {
         // a client cycling ids fills the cache to exactly its cap.
         use crate::cache::DEFAULT_MAX_ENTRIES;
         let snap = tiny_snapshot();
-        let unlimited = RateLimit { per_key_rps: 1e12, burst: 1e12 };
+        let unlimited = RateLimit {
+            per_key_rps: 1e12,
+            burst: 1e12,
+        };
         let service = ApiService::new(snap, unlimited);
         let registry = steam_obs::Registry::new();
         service.attach_registry(&registry);
         for i in 0..10_000 {
             let ghost = SteamId::from_index(900_000_000 + i);
-            let resp =
-                request(&service, &format!("/ISteamUser/GetPlayerSummaries/v2?steamids={ghost}"));
+            let resp = request(
+                &service,
+                &format!("/ISteamUser/GetPlayerSummaries/v2?steamids={ghost}"),
+            );
             assert_eq!(resp.status, 200);
         }
         let cache = service.cache().unwrap();
@@ -674,11 +754,13 @@ mod tests {
     fn cached_body_is_byte_identical_to_fresh_serialization() {
         let snap = tiny_snapshot();
         let cached = ApiService::new(Arc::clone(&snap), RateLimit::default());
-        let uncached =
-            ApiService::new(Arc::clone(&snap), RateLimit::default()).without_cache();
+        let uncached = ApiService::new(Arc::clone(&snap), RateLimit::default()).without_cache();
         assert!(uncached.cache().is_none());
         let deg = snap.degrees();
-        let u = deg.iter().position(|&d| d > 0).expect("someone has friends");
+        let u = deg
+            .iter()
+            .position(|&d| d > 0)
+            .expect("someone has friends");
         let id = snap.accounts[u].id;
         let targets = [
             format!("/ISteamUser/GetFriendList/v1?steamid={id}"),
@@ -693,8 +775,14 @@ mod tests {
             let hit = request(&cached, target);
             let fresh = request(&uncached, target);
             assert_eq!(miss.status, 200, "{target}");
-            assert_eq!(miss.body, hit.body, "hit must replay the miss body: {target}");
-            assert_eq!(miss.body, fresh.body, "cache must not change bytes: {target}");
+            assert_eq!(
+                miss.body, hit.body,
+                "hit must replay the miss body: {target}"
+            );
+            assert_eq!(
+                miss.body, fresh.body,
+                "cache must not change bytes: {target}"
+            );
         }
         let cache = cached.cache().unwrap();
         assert_eq!(cache.misses(), targets.len() as u64);
@@ -707,13 +795,27 @@ mod tests {
         let snap = tiny_snapshot();
         let service = ApiService::new(snap, RateLimit::default());
         let before = service.cache().unwrap().len();
-        assert_eq!(request(&service, "/ISteamUser/GetFriendList/v1?steamid=zzz").status, 400);
-        assert_eq!(request(&service, "/api/appdetails?appids=99999999").status, 404);
         assert_eq!(
-            request(&service, "/ISteamUser/GetPlayerSummaries/v2?steamids=banana").status,
+            request(&service, "/ISteamUser/GetFriendList/v1?steamid=zzz").status,
             400
         );
-        assert_eq!(service.cache().unwrap().len(), before, "errors must not be cached");
+        assert_eq!(
+            request(&service, "/api/appdetails?appids=99999999").status,
+            404
+        );
+        assert_eq!(
+            request(
+                &service,
+                "/ISteamUser/GetPlayerSummaries/v2?steamids=banana"
+            )
+            .status,
+            400
+        );
+        assert_eq!(
+            service.cache().unwrap().len(),
+            before,
+            "errors must not be cached"
+        );
     }
 
     #[test]
@@ -728,29 +830,54 @@ mod tests {
         assert_eq!(request(&service, "/ISteamApps/GetAppList/v2").status, 200);
         assert_eq!(request(&service, "/ISteamApps/GetAppList/v2").status, 200);
         let after = request(&service, "/debug/cache");
-        assert!(after.body_text().contains("\"entries\":1"), "{}", after.body_text());
-        assert!(after.body_text().contains("\"hits\":1"), "{}", after.body_text());
-        assert!(after.body_text().contains("\"misses\":1"), "{}", after.body_text());
+        assert!(
+            after.body_text().contains("\"entries\":1"),
+            "{}",
+            after.body_text()
+        );
+        assert!(
+            after.body_text().contains("\"hits\":1"),
+            "{}",
+            after.body_text()
+        );
+        assert!(
+            after.body_text().contains("\"misses\":1"),
+            "{}",
+            after.body_text()
+        );
 
         let limiter = request(&service, "/debug/limiter");
         assert_eq!(limiter.status, 200);
-        assert!(limiter.body_text().contains("\"keys\":"), "{}", limiter.body_text());
         assert!(
-            limiter
-                .body_text()
-                .contains(&format!("\"max_keys\":{}", steam_net::ratelimit::DEFAULT_MAX_KEYS)),
+            limiter.body_text().contains("\"keys\":"),
+            "{}",
+            limiter.body_text()
+        );
+        assert!(
+            limiter.body_text().contains(&format!(
+                "\"max_keys\":{}",
+                steam_net::ratelimit::DEFAULT_MAX_KEYS
+            )),
             "{}",
             limiter.body_text()
         );
 
         let uncached = ApiService::new(tiny_snapshot(), RateLimit::default()).without_cache();
-        assert!(request(&uncached, "/debug/cache").body_text().contains("\"enabled\":false"));
+        assert!(request(&uncached, "/debug/cache")
+            .body_text()
+            .contains("\"enabled\":false"));
     }
 
     #[test]
     fn debug_endpoints_are_never_rate_limited() {
         let snap = tiny_snapshot();
-        let service = ApiService::new(snap, RateLimit { per_key_rps: 0.001, burst: 1.0 });
+        let service = ApiService::new(
+            snap,
+            RateLimit {
+                per_key_rps: 0.001,
+                burst: 1.0,
+            },
+        );
         assert_eq!(request(&service, "/ISteamApps/GetAppList/v2").status, 200);
         assert_eq!(request(&service, "/ISteamApps/GetAppList/v2").status, 429);
         // A throttled-out key can still introspect the throttle.

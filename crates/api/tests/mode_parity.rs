@@ -14,7 +14,7 @@ use steam_model::{codec, Snapshot};
 use steam_net::client::HttpClient;
 use steam_net::http::Request;
 use steam_net::{Backoff, FaultInjector, FaultPlan, ServerConfig, ServerMode};
-use steam_obs::{SpanId, SpanKind, TraceContext, TraceId};
+use steam_obs::{SpanId, SpanKind, SpanRecord, TraceId};
 use steam_synth::{Generator, SynthConfig};
 
 fn tiny_snapshot(seed: u64) -> Arc<Snapshot> {
@@ -139,9 +139,10 @@ fn debug_surface_and_trace_echo_are_identical_across_modes() {
             );
         }
         // And a client-supplied trace id comes back on the wire identically.
-        let ctx = TraceContext { trace: TraceId(0x5eed), span: SpanId(1) };
         let req = Request::get("/ISteamApps/GetAppList/v2");
-        let resp = client.exchange(&[(&req, Some(ctx))]).pop().unwrap().result.unwrap();
+        let (trace, kind) = (TraceId(0x5eed), SpanKind::Client);
+        let span = SpanRecord::new(trace, SpanId(1), SpanId(0), kind, "test", &req.path);
+        let resp = client.exchange(&[(&req, Some(span))]).pop().unwrap().result.unwrap();
         assert_eq!(resp.status, 200, "{}", mode.label());
         let echoed = resp.header("x-steam-trace").expect("app response must echo the trace");
         assert_eq!(echoed, TraceId(0x5eed).to_hex(), "{}", mode.label());

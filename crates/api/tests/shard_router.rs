@@ -13,7 +13,9 @@
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use steam_api::{
     crawl_sharded, serve_router_config, serve_service_config, shard_of, ApiService,
@@ -21,8 +23,10 @@ use steam_api::{
     StreamSplitter,
 };
 use steam_model::{codec, Snapshot, SteamId, WorldView};
-use steam_net::http::{write_request, Request};
-use steam_net::{Backoff, FaultInjector, FaultPlan, HttpClient, NetError, ServerConfig};
+use steam_net::http::{write_request, Request, Response};
+use steam_net::{
+    Backoff, FaultInjector, FaultPlan, Handler, HttpClient, HttpServer, NetError, ServerConfig,
+};
 use steam_synth::{Generator, SynthConfig};
 
 const SHARDS: usize = 4;
@@ -469,17 +473,21 @@ fn routed_request_joins_client_router_and_shard_spans() {
 
     let trace = steam_obs::mint_trace_id();
     let mut client = HttpClient::new(router.addr());
-    let ctx = steam_obs::TraceContext {
-        trace,
-        span: steam_obs::next_span_id(),
-    };
     let batch: Vec<String> =
         original.accounts.iter().take(8).map(|a| a.id.to_string()).collect();
     let req = Request::get(&format!(
         "/ISteamUser/GetPlayerSummaries/v2?steamids={}",
         batch.join(",")
     ));
-    let resp = client.exchange(&[(&req, Some(ctx))]).pop().unwrap().result.unwrap();
+    let span = steam_obs::SpanRecord::new(
+        trace,
+        steam_obs::next_span_id(),
+        steam_obs::SpanId(0),
+        steam_obs::SpanKind::Client,
+        "test",
+        &req.path,
+    );
+    let resp = client.exchange(&[(&req, Some(span))]).pop().unwrap().result.unwrap();
     assert_eq!(resp.status, 200);
 
     // Everything ran in-process, so the flight recorder holds every hop:
@@ -503,4 +511,94 @@ fn routed_request_joins_client_router_and_shard_spans() {
         servers >= 3,
         "expected router + shard server spans on one trace, got {servers}"
     );
+}
+
+/// A stand-in shard that answers every request with `resp`, counting them.
+fn canned_shard(resp: Response) -> (HttpServer, Arc<AtomicUsize>) {
+    let hits = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&hits);
+    let handler: Arc<dyn Handler> = Arc::new(move |_req: Request| {
+        seen.fetch_add(1, Ordering::Relaxed);
+        resp.clone()
+    });
+    (HttpServer::bind("127.0.0.1:0", 2, handler).unwrap(), hits)
+}
+
+fn router_with(addrs: Vec<SocketAddr>, backoff: Backoff) -> (HttpServer, Arc<steam_obs::Registry>) {
+    let registry = Arc::new(steam_obs::Registry::new());
+    let (router, _r) = serve_router_config(
+        RouterService::new(addrs, RouterConfig { backoff, ..RouterConfig::default() }),
+        "127.0.0.1:0",
+        ServerConfig { workers: 2, ..Default::default() },
+        Some(Arc::clone(&registry)),
+    )
+    .unwrap();
+    (router, registry)
+}
+
+/// `Retry-After: 0` is no hint: the router spaces its retries by its own
+/// schedule (10 + 20 ms here), as the crawler does, instead of retrying
+/// back to back.
+#[test]
+fn a_shard_503_saying_retry_now_is_retried_on_the_backoff_schedule() {
+    let busy = Response::error(503, "busy").with_header("Retry-After", "0");
+    let (shard, hits) = canned_shard(busy);
+    let backoff = Backoff { base: Duration::from_millis(10), attempts: 3, ..Backoff::default() };
+    let (router, registry) = router_with(vec![shard.addr()], backoff);
+    let mut client = HttpClient::new(router.addr());
+    let t0 = Instant::now();
+    let outcome = client.get("/ISteamApps/GetAppList/v2");
+    let took = t0.elapsed();
+    assert!(took >= Duration::from_millis(30), "three attempts took {took:?}");
+    assert_eq!(hits.load(Ordering::Relaxed), 3, "every attempt reached the shard");
+    match outcome {
+        Err(NetError::Status { code: 503, body, retry_after }) => {
+            assert!(body.contains("shard 0 busy"), "body: {body}");
+            assert_eq!(retry_after, Some(Duration::ZERO), "the shard's own hint");
+        }
+        other => panic!("expected the router's 503, got {other:?}"),
+    }
+    let retries = registry.counter("router_retries_total", &[("shard", "0")]).get();
+    assert_eq!(retries, 2, "retries made, not attempts");
+}
+
+/// The router forwards a busy shard's hint as `check_status` read it:
+/// clamped to the backoff policy's max, in whole seconds.
+#[test]
+fn a_shard_503_hint_is_clamped_before_the_router_forwards_it() {
+    let busy = Response::error(503, "busy").with_header("Retry-After", "99999");
+    let (shard, _hits) = canned_shard(busy);
+    let once = Backoff { attempts: 1, ..Backoff::default() };
+    let (router, _registry) = router_with(vec![shard.addr()], once);
+    let mut client = HttpClient::new(router.addr());
+    let resp = client.send(&Request::get("/ISteamApps/GetAppList/v2")).unwrap();
+    assert_eq!(resp.status, 503);
+    assert_eq!(resp.header("retry-after"), Some("5"));
+}
+
+/// A shard's 429 is the caller's own key being limited: it is never
+/// retried, and it reaches the caller verbatim — status, body, content
+/// type and `Retry-After` — from a single read or from a fanned-out batch.
+#[test]
+fn a_shard_429_is_forwarded_verbatim_and_never_retried() {
+    let limited = Response::error(429, "slow down").with_header("Retry-After", "7");
+    let (shard, hits) = canned_shard(limited);
+    let (ok_shard, _) = canned_shard(Response::json("{\"response\":{\"players\":[]}}".into()));
+    let backoff = Backoff { base: Duration::from_millis(1), attempts: 3, ..Backoff::default() };
+    let (router, registry) = router_with(vec![ok_shard.addr(), shard.addr()], backoff);
+    let batch = format!(
+        "/ISteamUser/GetPlayerSummaries/v2?steamids={},{}",
+        SteamId::from_index(0),
+        SteamId::from_index(1)
+    );
+    let read = format!("/ISteamUser/GetFriendList/v1?steamid={}", SteamId::from_index(1));
+    let mut client = HttpClient::new(router.addr());
+    for target in [batch, read] {
+        let resp = client.send(&Request::get(&target)).unwrap();
+        assert_eq!((resp.status, resp.body_text().as_str()), (429, "slow down"), "{target}");
+        assert_eq!(resp.header("content-type"), Some("text/plain"), "{target}");
+        assert_eq!(resp.header("retry-after"), Some("7"), "{target}");
+    }
+    assert_eq!(hits.load(Ordering::Relaxed), 2, "one attempt per request");
+    assert_eq!(registry.counter("router_retries_total", &[("shard", "1")]).get(), 0);
 }

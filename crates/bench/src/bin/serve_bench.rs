@@ -53,7 +53,7 @@ use steam_api::service::{serve_service_config, ApiService, RateLimit};
 use steam_model::Snapshot;
 use steam_net::http::{read_response, write_request, Request};
 use steam_net::{Json, ServerConfig, ServerMode};
-use steam_obs::{SpanId, TraceContext, TraceId, TRACE_HEADER};
+use steam_obs::{splitmix64, SpanId, TraceContext, TraceId, TRACE_HEADER};
 use steam_synth::{Generator, SynthConfig};
 
 fn arg(flag: &str) -> Option<String> {
@@ -63,14 +63,6 @@ fn arg(flag: &str) -> Option<String> {
 
 fn has(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
-}
-
-/// Deterministic splitmix64 — the target mix must not depend on platform RNG.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// The request-target universe: a small hot set that takes most of the

@@ -346,17 +346,21 @@ mod tests {
 
     #[test]
     fn every_byte_flip_fails_the_open_or_the_build() {
+        use std::os::unix::fs::FileExt;
         let clean = steam_model::codec::encode_snapshot_v3(&tiny_snapshot(), 1);
         let dir = std::env::temp_dir().join(format!("ctx-flip-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("world.snap");
-        for at in 0..clean.len() {
-            let mut raw = clean.to_vec();
-            raw[at] ^= 0x01;
-            std::fs::write(&path, &raw).unwrap();
+        // The clean file is written once; each flip is made, and undone,
+        // in place.
+        std::fs::write(&path, &clean).unwrap();
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        for (at, &byte) in clean.iter().enumerate() {
+            file.write_all_at(&[byte ^ 0x01], at as u64).unwrap();
             let built =
                 SnapshotReader::open(&path).and_then(|r| Ctx::from_reader(&r, 2).map(|_| ()));
             assert!(built.is_err(), "flip at {at} of {} built a context", clean.len());
+            file.write_all_at(&[byte], at as u64).unwrap();
         }
         std::fs::remove_dir_all(&dir).ok();
     }

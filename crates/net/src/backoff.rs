@@ -16,7 +16,11 @@ pub struct Backoff {
 
 impl Default for Backoff {
     fn default() -> Self {
-        Backoff { base: Duration::from_millis(50), max: Duration::from_secs(5), attempts: 6 }
+        Backoff {
+            base: Duration::from_millis(50),
+            max: Duration::from_secs(5),
+            attempts: 6,
+        }
     }
 }
 
@@ -42,38 +46,36 @@ impl Backoff {
     ///   the computed exponential delay (capped at `max`, like every
     ///   delay). A zero hint ("retry now") counts as no hint: the computed
     ///   delay still spaces the retries.
+    ///
+    /// At least one attempt is made, even with `attempts` of 0, so a
+    /// [`NetError::RetriesExhausted`] always carries a real last error.
     pub fn run_observed<T>(
         &self,
         mut op: impl FnMut() -> Result<T, NetError>,
         retryable: impl Fn(&NetError) -> bool,
         mut on_retry: impl FnMut(&NetError, Duration),
     ) -> Result<T, NetError> {
-        let mut last: Option<NetError> = None;
-        for attempt in 0..self.attempts {
-            match op() {
+        let attempts = self.attempts.max(1);
+        let mut attempt = 0;
+        loop {
+            let e = match op() {
                 Ok(v) => return Ok(v),
-                Err(e) if retryable(&e) => {
-                    let delay = if attempt + 1 < self.attempts {
-                        match e.retry_after() {
-                            Some(hint) if !hint.is_zero() => hint.min(self.max),
-                            _ => self.delay(attempt),
-                        }
-                    } else {
-                        Duration::ZERO
-                    };
-                    on_retry(&e, delay);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                    last = Some(e);
-                }
+                Err(e) if retryable(&e) => e,
                 Err(e) => return Err(e),
+            };
+            attempt += 1;
+            if attempt == attempts {
+                on_retry(&e, Duration::ZERO);
+                let last = Box::new(e);
+                return Err(NetError::RetriesExhausted { attempts, last });
             }
+            let delay = match e.retry_after() {
+                Some(hint) if !hint.is_zero() => hint.min(self.max),
+                _ => self.delay(attempt - 1),
+            };
+            on_retry(&e, delay);
+            std::thread::sleep(delay);
         }
-        Err(NetError::RetriesExhausted {
-            attempts: self.attempts,
-            last: last.map_or_else(|| "none".to_string(), |e| e.to_string()),
-        })
     }
 }
 
@@ -92,7 +94,11 @@ mod tests {
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn fast() -> Backoff {
-        Backoff { base: Duration::from_millis(1), max: Duration::from_millis(4), attempts: 4 }
+        Backoff {
+            base: Duration::from_millis(1),
+            max: Duration::from_millis(4),
+            attempts: 4,
+        }
     }
 
     #[test]
@@ -134,8 +140,39 @@ mod tests {
             transient,
             |_, _| {},
         );
-        assert!(matches!(result, Err(NetError::RetriesExhausted { attempts: 4, .. })));
+        match result {
+            Err(NetError::RetriesExhausted { attempts: 4, last }) => {
+                assert!(
+                    matches!(*last, NetError::Status { code: 500, .. }),
+                    "{last}"
+                );
+            }
+            other => panic!("expected exhaustion, got {other:?}"),
+        }
         assert_eq!(calls.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn zero_attempts_still_make_one() {
+        let calls = AtomicU32::new(0);
+        let b = Backoff {
+            attempts: 0,
+            ..fast()
+        };
+        let result: Result<(), _> = b.run_observed(
+            || {
+                calls.fetch_add(1, Ordering::Relaxed);
+                Err(NetError::status(503, "busy"))
+            },
+            transient,
+            |_, _| {},
+        );
+        let err = result.unwrap_err();
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            err.to_string(),
+            "gave up after 1 attempts; last error: http status 503: busy"
+        );
     }
 
     #[test]
@@ -155,7 +192,11 @@ mod tests {
 
     #[test]
     fn huge_base_saturates_instead_of_panicking() {
-        let b = Backoff { base: Duration::MAX, max: Duration::from_secs(60), attempts: 3 };
+        let b = Backoff {
+            base: Duration::MAX,
+            max: Duration::from_secs(60),
+            attempts: 3,
+        };
         // Duration::MAX * 2^20 would panic with plain multiplication.
         assert_eq!(b.delay(20), Duration::from_secs(60));
     }
@@ -186,7 +227,10 @@ mod tests {
         );
         result.unwrap();
         // The hinted 7ms wins over the computed 64ms first delay.
-        assert_eq!(delays, vec![(Some(Duration::from_millis(7)), Duration::from_millis(7))]);
+        assert_eq!(
+            delays,
+            vec![(Some(Duration::from_millis(7)), Duration::from_millis(7))]
+        );
     }
 
     #[test]

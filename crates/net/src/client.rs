@@ -1,12 +1,17 @@
 //! A blocking HTTP client with connection reuse — what the crawler uses to
-//! talk to the emulated Steam Web API.
+//! talk to the emulated Steam Web API, and the router to talk to its shards.
+//!
+//! Every outgoing request of either program goes through
+//! [`HttpClient::exchange`], which also records the client span of each
+//! traced request: the caller names the span, the client times it from the
+//! exchange's start to that request's own response.
 
 use std::io::Write;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use steam_obs::{TraceContext, TRACE_HEADER};
+use steam_obs::{now_us, record_span, SpanRecord, TRACE_HEADER};
 
 use crate::error::NetError;
 use crate::http::{encode_request, read_response, Request, Response};
@@ -79,15 +84,6 @@ impl HttpClient {
         self.addr
     }
 
-    /// Sets the connect/read/write timeout. Only valid before the client's
-    /// pool is shared (it rebuilds the pool's timeout in place).
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        Arc::get_mut(&mut self.pool)
-            .expect("with_timeout requires exclusive ownership of the pool");
-        self.pool = Arc::new(ConnectionPool::new(1).with_timeout(timeout));
-        self
-    }
-
     /// The pool this client draws from.
     pub fn pool(&self) -> &Arc<ConnectionPool> {
         &self.pool
@@ -100,8 +96,15 @@ impl HttpClient {
     }
 
     /// Sends `reqs` as one exchange on one connection: a single write of
-    /// every request, each stamped with its own trace context, then the
-    /// responses read back in order. Returns one [`Reply`] per request.
+    /// every request, then the responses read back in order. Returns one
+    /// [`Reply`] per request.
+    ///
+    /// A slot with a span is traced: its request carries the span's trace
+    /// and span id in `X-Steam-Trace` (unless the caller stamped one
+    /// already), and once its response has been read, or found missing,
+    /// the span is recorded. It starts when the exchange starts, lasts
+    /// until that slot's [`Reply::at`], and has the response's status, or
+    /// 0 when none arrived. The caller fills in every other field.
     ///
     /// A response that does not arrive — the connection broke, or an
     /// earlier response carried `Connection: close` — is a retryable
@@ -116,27 +119,29 @@ impl HttpClient {
     /// completes before the first response is read, so requests that
     /// outgrow the socket buffers while the server's answers fill the
     /// other direction would deadlock.
-    pub fn exchange(&mut self, reqs: &[(&Request, Option<TraceContext>)]) -> Vec<Reply> {
+    pub fn exchange(&mut self, reqs: &[(&Request, Option<SpanRecord>)]) -> Vec<Reply> {
         if reqs.is_empty() {
             return Vec::new();
         }
+        let start_us = now_us();
+        let t0 = Instant::now();
         let mut wire = Vec::new();
-        for (req, trace) in reqs {
+        for (req, span) in reqs {
             // The trace header rides after the request's own headers; a
             // request that already carries one (caller-stamped) is sent
             // untouched.
-            let value = trace
+            let value = span
                 .filter(|_| req.header(TRACE_HEADER).is_none())
-                .map(|ctx| ctx.header_value());
+                .map(|span| span.context().header_value());
             encode_request(&mut wire, req, value.as_deref().map(|v| (TRACE_HEADER, v)));
         }
         let mut reconnects_left = MAX_RECONNECTS_PER_REQUEST;
-        loop {
+        let replies = loop {
             let (mut conn, pooled) = match self.pool.checkout(self.addr) {
                 Some(conn) => (conn, true),
                 None => match self.pool.connect(self.addr) {
                     Ok(conn) => (conn, false),
-                    Err(e) => return Self::unanswered(Vec::new(), Err(e), reqs.len()),
+                    Err(e) => break Self::unanswered(Vec::new(), Err(e), reqs.len()),
                 },
             };
             let replies = Self::exchange_on(&mut conn, &wire, reqs.len());
@@ -157,8 +162,16 @@ impl HttpClient {
                     self.pool.checkin(conn, last);
                 }
             }
-            return replies;
+            break replies;
+        };
+        for ((_, span), reply) in reqs.iter().zip(&replies) {
+            if let Some(span) = span {
+                let status = reply.result.as_ref().map_or(0, |resp| resp.status);
+                let duration_us = reply.at.duration_since(t0).as_micros() as u64;
+                record_span(span.with_timing(start_us, duration_us).with_status(status));
+            }
         }
+        replies
     }
 
     /// Writes an encoded exchange and reads its `n` responses in order.
@@ -209,7 +222,7 @@ impl HttpClient {
     }
 
     /// Sends exactly `req`, untraced: the one-request case of
-    /// [`exchange`](Self::exchange), which stamps a trace context.
+    /// [`exchange`](Self::exchange), which traces the slots given a span.
     pub fn send(&mut self, req: &Request) -> Result<Response, NetError> {
         self.exchange(&[(req, None)])
             .pop()
@@ -251,6 +264,13 @@ mod tests {
     use crate::server::{Handler, HttpServer};
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
+    use steam_obs::{SpanId, SpanKind, TraceId};
+
+    /// A client on a private one-slot pool whose connections time out
+    /// after `timeout`.
+    fn client_with_timeout(addr: SocketAddr, timeout: Duration) -> HttpClient {
+        HttpClient::with_pool(addr, Arc::new(ConnectionPool::new(1).with_timeout(timeout)))
+    }
 
     fn counting_server() -> (HttpServer, Arc<AtomicU32>) {
         let hits = Arc::new(AtomicU32::new(0));
@@ -503,7 +523,7 @@ mod tests {
         // reconnect beyond the cap.
         let (mut server, _) = counting_server();
         let addr = server.addr();
-        let mut client = HttpClient::new(addr).with_timeout(Duration::from_millis(300));
+        let mut client = client_with_timeout(addr, Duration::from_millis(300));
         client.get("/ok").unwrap();
         server.shutdown();
         let err = client.get("/gone").unwrap_err();
@@ -520,7 +540,6 @@ mod tests {
 
     #[test]
     fn trace_context_is_injected_and_echoed() {
-        use steam_obs::{SpanId, TraceId};
         let handler: Arc<dyn Handler> = Arc::new(|req: Request| {
             Response::json(format!(
                 "{{\"trace\":\"{}\"}}",
@@ -545,12 +564,18 @@ mod tests {
             16,
             "echoed id must be 16 hex chars, got {minted:?}"
         );
-        // Context given: the pair rides the wire; the trace id comes back.
-        let ctx = TraceContext {
-            trace: TraceId(0xabcd),
-            span: SpanId(0x1234),
-        };
-        let mut replies = client.exchange(&[(&Request::get("/traced"), Some(ctx))]);
+        // Span given: its pair rides the wire; the trace id comes back.
+        let req = Request::get("/traced");
+        let span = SpanRecord::new(
+            TraceId(0xabcd),
+            SpanId(0x1234),
+            SpanId(0),
+            SpanKind::Client,
+            "test",
+            &req.path,
+        );
+        let ctx = span.context();
+        let mut replies = client.exchange(&[(&req, Some(span))]);
         let resp = replies.pop().unwrap().result.unwrap();
         assert!(
             resp.body_text().contains(&ctx.header_value()),
@@ -603,14 +628,21 @@ mod tests {
         (addr, server)
     }
 
-    fn traced(n: u64) -> Vec<Option<TraceContext>> {
-        use steam_obs::{SpanId, TraceId};
-        (1..=n)
-            .map(|s| {
-                Some(TraceContext {
-                    trace: TraceId(0x7e),
-                    span: SpanId(s),
-                })
+    /// One client span per request under `trace`, with span ids from 1,
+    /// parent `SpanId(0x99)` and the note `attempt=1`.
+    fn traced(trace: TraceId, reqs: &[Request]) -> Vec<Option<SpanRecord>> {
+        (1..)
+            .zip(reqs)
+            .map(|(s, req)| {
+                let span = SpanRecord::new(
+                    trace,
+                    SpanId(s),
+                    SpanId(0x99),
+                    SpanKind::Client,
+                    "test",
+                    &req.path,
+                );
+                Some(span.with_annotation("attempt=1"))
             })
             .collect()
     }
@@ -621,13 +653,13 @@ mod tests {
             .map(|i| Response::json(format!("{{\"i\":{i}}}")))
             .collect();
         let (addr, server) = read_all_then_answer(3, answers);
-        let mut client = HttpClient::new(addr).with_timeout(Duration::from_secs(2));
+        let mut client = client_with_timeout(addr, Duration::from_secs(2));
         let reqs = [
             Request::get("/a"),
             Request::get("/b?x=1"),
             Request::get("/c"),
         ];
-        let slots: Vec<_> = reqs.iter().zip(traced(3)).collect();
+        let slots: Vec<_> = reqs.iter().zip(traced(TraceId(0x7e), &reqs)).collect();
         let replies = client.exchange(&slots);
         let received = server.join().unwrap();
         for (i, reply) in replies.iter().enumerate() {
@@ -645,8 +677,8 @@ mod tests {
         // The wire carried the single-request encodings, concatenated, each
         // with its own trace header.
         let mut expected = Vec::new();
-        for (req, ctx) in &slots {
-            let value = ctx.expect("traced").header_value();
+        for (req, span) in &slots {
+            let value = span.expect("traced").context().header_value();
             crate::http::write_request_with(&mut expected, req, Some((TRACE_HEADER, &value)))
                 .unwrap();
         }
@@ -669,9 +701,9 @@ mod tests {
         let kept = Response::json("{\"i\":0}".into());
         for first in [closing, kept] {
             let (addr, server) = read_all_then_answer(3, vec![first]);
-            let mut client = HttpClient::new(addr).with_timeout(Duration::from_secs(2));
+            let mut client = client_with_timeout(addr, Duration::from_secs(2));
             let reqs = [Request::get("/a"), Request::get("/b"), Request::get("/c")];
-            let slots: Vec<_> = reqs.iter().zip(traced(3)).collect();
+            let slots: Vec<_> = reqs.iter().zip(traced(TraceId(0x7e), &reqs)).collect();
             let replies = client.exchange(&slots);
             server.join().unwrap();
             assert_eq!(replies[0].result.as_ref().unwrap().body_text(), "{\"i\":0}");
@@ -691,6 +723,36 @@ mod tests {
     }
 
     #[test]
+    fn every_traced_slot_records_its_client_span_answered_or_not() {
+        let (addr, server) = read_all_then_answer(3, vec![Response::json("{}".into())]);
+        let mut client = client_with_timeout(addr, Duration::from_secs(2));
+        let reqs = [Request::get("/a"), Request::get("/b"), Request::get("/c")];
+        let trace = steam_obs::mint_trace_id();
+        let slots: Vec<_> = reqs.iter().zip(traced(trace, &reqs)).collect();
+        client.exchange(&slots);
+        server.join().unwrap();
+        let spans: Vec<SpanRecord> = steam_obs::recent_spans()
+            .into_iter()
+            .filter(|s| s.trace == trace)
+            .collect();
+        assert_eq!(spans.len(), 3, "one client span per slot");
+        for (span, (req, _)) in spans.iter().zip(&slots) {
+            assert_eq!((span.kind, span.target), (SpanKind::Client, "test"));
+            assert_eq!(
+                (span.parent, span.name()),
+                (SpanId(0x99), req.path.as_str())
+            );
+            assert_eq!(span.annotation(), "attempt=1");
+        }
+        assert!(
+            spans.iter().all(|s| s.start_us == spans[0].start_us),
+            "one exchange, one start"
+        );
+        let statuses: Vec<u16> = spans.iter().map(|s| s.status).collect();
+        assert_eq!(statuses, [200, 0, 0], "a missing response records status 0");
+    }
+
+    #[test]
     fn stale_pooled_connection_resends_the_exchange_once_on_a_fresh_one() {
         let (mut server, _) = counting_server();
         let addr = server.addr();
@@ -705,7 +767,7 @@ mod tests {
         });
         let _server2 = HttpServer::bind(&addr.to_string(), 1, handler).unwrap();
         let reqs = [Request::get("/a"), Request::get("/b"), Request::get("/c")];
-        let slots: Vec<_> = reqs.iter().zip(traced(3)).collect();
+        let slots: Vec<_> = reqs.iter().zip(traced(TraceId(0x7e), &reqs)).collect();
         let replies = client.exchange(&slots);
         for (reply, req) in replies.iter().zip(&reqs) {
             assert!(reply
@@ -726,8 +788,8 @@ mod tests {
     #[test]
     fn connect_failure_is_io_error() {
         // Port 1 is essentially never listening.
-        let mut client = HttpClient::new("127.0.0.1:1".parse().unwrap())
-            .with_timeout(Duration::from_millis(200));
+        let mut client =
+            client_with_timeout("127.0.0.1:1".parse().unwrap(), Duration::from_millis(200));
         assert!(matches!(client.get("/x"), Err(NetError::Io(_))));
     }
 }

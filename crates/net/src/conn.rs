@@ -123,13 +123,20 @@ impl ServerObs {
 }
 
 /// Per-connection cache of metric handles, so keep-alive request streams
-/// touch only atomics after the first request to each endpoint. (The
+/// touch only atomics after the first request to each series. (The
 /// reactor keeps a single cache for all its connections — it is one
-/// thread, so the map warms even faster.)
+/// thread, so the map warms even faster.) It is looked up by `&str`, so a
+/// request allocates here only on a series' first use.
 #[derive(Default)]
 pub(crate) struct ObsCache {
-    latency: HashMap<String, Arc<Histogram>>,
-    requests: HashMap<(String, String, u16), Arc<Counter>>,
+    endpoints: HashMap<String, EndpointObs>,
+}
+
+/// One endpoint's latency histogram and its request counters, a short list
+/// keyed by method and status.
+struct EndpointObs {
+    latency: Arc<Histogram>,
+    requests: Vec<(String, u16, Arc<Counter>)>,
 }
 
 impl ObsCache {
@@ -141,26 +148,35 @@ impl ObsCache {
         status: u16,
         elapsed: Duration,
     ) {
-        self.latency
-            .entry(endpoint.to_string())
-            .or_insert_with(|| {
-                obs.registry
-                    .histogram("http_request_duration_seconds", &[("endpoint", endpoint)])
-            })
-            .record_duration(elapsed);
-        self.requests
-            .entry((endpoint.to_string(), req_method.to_string(), status))
-            .or_insert_with(|| {
-                obs.registry.counter(
-                    "http_requests_total",
-                    &[
-                        ("endpoint", endpoint),
-                        ("method", req_method),
-                        ("status", &status.to_string()),
-                    ],
-                )
-            })
-            .inc();
+        if !self.endpoints.contains_key(endpoint) {
+            let latency = obs
+                .registry
+                .histogram("http_request_duration_seconds", &[("endpoint", endpoint)]);
+            let series = EndpointObs {
+                latency,
+                requests: Vec::new(),
+            };
+            self.endpoints.insert(endpoint.to_string(), series);
+        }
+        let series = self.endpoints.get_mut(endpoint).expect("inserted above");
+        series.latency.record_duration(elapsed);
+        let requests = &mut series.requests;
+        let known = requests
+            .iter()
+            .position(|(method, code, _)| method == req_method && *code == status);
+        let i = known.unwrap_or_else(|| {
+            let counter = obs.registry.counter(
+                "http_requests_total",
+                &[
+                    ("endpoint", endpoint),
+                    ("method", req_method),
+                    ("status", &status.to_string()),
+                ],
+            );
+            requests.push((req_method.to_string(), status, counter));
+            requests.len() - 1
+        });
+        requests[i].2.inc();
         obs_trace!(
             "http",
             "{req_method} {endpoint} -> {status} in {:.3?}",
@@ -912,6 +928,44 @@ mod tests {
         let mut buf = Vec::new();
         write_request(&mut buf, req).unwrap();
         buf
+    }
+
+    #[test]
+    fn obs_cache_keeps_one_series_per_endpoint_method_and_status() {
+        let registry = Arc::new(Registry::new());
+        let obs = ServerObs::new(Arc::clone(&registry));
+        let mut cache = ObsCache::default();
+        let ms = Duration::from_millis(1);
+        for (method, endpoint, status) in [
+            ("GET", "/a", 200),
+            ("GET", "/a", 200),
+            ("GET", "/a", 404),
+            ("POST", "/a", 200),
+            ("GET", "/b", 200),
+        ] {
+            cache.record(&obs, method, endpoint, status, ms);
+        }
+        let count = |endpoint, method, status| {
+            let labels = [
+                ("endpoint", endpoint),
+                ("method", method),
+                ("status", status),
+            ];
+            registry.counter("http_requests_total", &labels).get()
+        };
+        assert_eq!(count("/a", "GET", "200"), 2);
+        assert_eq!(count("/a", "GET", "404"), 1);
+        assert_eq!(count("/a", "POST", "200"), 1);
+        assert_eq!(count("/b", "GET", "200"), 1);
+        let latency = |endpoint| {
+            let labels = [("endpoint", endpoint)];
+            registry
+                .histogram("http_request_duration_seconds", &labels)
+                .count()
+        };
+        assert_eq!((latency("/a"), latency("/b")), (4, 1));
+        assert_eq!(cache.endpoints.len(), 2);
+        assert_eq!(cache.endpoints["/a"].requests.len(), 3);
     }
 
     #[test]

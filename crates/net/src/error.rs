@@ -16,15 +16,24 @@ pub enum NetError {
     /// the parsed `Retry-After` header, when the server sent one (429s from
     /// the emulated API do) — the backoff path prefers it over the computed
     /// exponential delay.
-    Status { code: u16, body: String, retry_after: Option<Duration> },
-    /// A retryable operation exhausted its attempts.
-    RetriesExhausted { attempts: u32, last: String },
+    Status {
+        code: u16,
+        body: String,
+        retry_after: Option<Duration>,
+    },
+    /// A retryable operation exhausted its attempts; `last` is the final
+    /// attempt's error.
+    RetriesExhausted { attempts: u32, last: Box<NetError> },
 }
 
 impl NetError {
     /// A status error without a `Retry-After` hint.
     pub fn status(code: u16, body: impl Into<String>) -> NetError {
-        NetError::Status { code, body: body.into(), retry_after: None }
+        NetError::Status {
+            code,
+            body: body.into(),
+            retry_after: None,
+        }
     }
 
     /// The server's `Retry-After` hint, if this is a status error carrying
@@ -83,10 +92,15 @@ mod tests {
 
     #[test]
     fn display_variants() {
-        assert!(NetError::Json { offset: 3, message: "bad".into() }
+        assert!(NetError::Json {
+            offset: 3,
+            message: "bad".into()
+        }
+        .to_string()
+        .contains("byte 3"));
+        assert!(NetError::status(429, "slow down")
             .to_string()
-            .contains("byte 3"));
-        assert!(NetError::status(429, "slow down").to_string().contains("429"));
+            .contains("429"));
         let long = "x".repeat(500);
         let msg = NetError::status(500, long).to_string();
         assert!(msg.len() < 300);

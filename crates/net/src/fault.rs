@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use steam_obs::{Counter, Registry};
+use steam_obs::{splitmix64, Counter, Registry};
 
 use crate::error::NetError;
 
@@ -164,13 +164,6 @@ impl FaultPlan {
         }
         Ok(FaultPlan { seed, rules, stall })
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Turns a [`FaultPlan`] into per-request decisions.

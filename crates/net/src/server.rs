@@ -74,23 +74,20 @@ where
 
 /// Replaces purely numeric path segments with `:id`, so per-endpoint labels
 /// stay bounded (`/community/group/12345` → `/community/group/:id`).
+/// A path without a numeric segment comes back as a copy.
 pub fn normalize_endpoint(path: &str) -> String {
-    let normalized: Vec<&str> = path
-        .split('/')
-        .map(|seg| {
-            if !seg.is_empty() && seg.bytes().all(|b| b.is_ascii_digit()) {
-                ":id"
-            } else {
-                seg
-            }
-        })
-        .collect();
-    let joined = normalized.join("/");
-    if joined.is_empty() {
-        "/".to_string()
-    } else {
-        joined
+    let numeric = |seg: &str| !seg.is_empty() && seg.bytes().all(|b| b.is_ascii_digit());
+    if path.is_empty() {
+        return "/".to_string();
     }
+    if !path.split('/').any(numeric) {
+        return path.to_string();
+    }
+    let segments: Vec<&str> = path
+        .split('/')
+        .map(|seg| if numeric(seg) { ":id" } else { seg })
+        .collect();
+    segments.join("/")
 }
 
 /// How the server multiplexes connections.

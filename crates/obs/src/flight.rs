@@ -29,8 +29,9 @@ use crate::trace::epoch;
 /// the bare 16-hex trace id under the same name.
 pub const TRACE_HEADER: &str = "X-Steam-Trace";
 
-/// The splitmix64 finalizer — the workspace-standard cheap mixer (same as
-/// the jittered-backoff and bench harness PRNGs).
+/// The splitmix64 finalizer — the workspace's one cheap mixer: trace and
+/// span ids, the fault injector's draws, synthesis seeds and the serve
+/// bench's target mix are all drawn through it.
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -238,6 +239,11 @@ impl SpanRecord {
 
     pub fn name(&self) -> &str {
         std::str::from_utf8(&self.name_buf[..self.name_len as usize]).unwrap_or("")
+    }
+
+    /// The (trace, span) pair this hop ran under.
+    pub fn context(&self) -> TraceContext {
+        TraceContext { trace: self.trace, span: self.span }
     }
 
     pub fn annotation(&self) -> &str {

@@ -34,8 +34,8 @@ pub mod rss;
 pub mod trace;
 
 pub use flight::{
-    mint_trace_id, next_span_id, now_us, recent_spans, record_span, slowest_spans, FlightRecorder,
-    SpanId, SpanKind, SpanRecord, TraceContext, TraceId, TRACE_HEADER,
+    mint_trace_id, next_span_id, now_us, recent_spans, record_span, slowest_spans, splitmix64,
+    FlightRecorder, SpanId, SpanKind, SpanRecord, TraceContext, TraceId, TRACE_HEADER,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::Registry;

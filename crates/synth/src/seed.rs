@@ -26,6 +26,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use steam_obs::splitmix64;
 
 /// 64-bit FNV-1a over the stage tag.
 fn fnv1a64(tag: &str) -> u64 {
@@ -35,14 +36,6 @@ fn fnv1a64(tag: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// SplitMix64 finalizer (Steele et al.), the standard 64-bit avalanche mix.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Derives the seed for one `(stage, chunk)` stream of a master seed.
