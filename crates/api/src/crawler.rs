@@ -28,19 +28,21 @@
 //! [`CrawlerConfig::resume`] a crawl replays the journal first and
 //! re-fetches only what is missing, so a killed crawl loses at most the
 //! unflushed journal tail.
+//!
+//! A crawl talks to one address. A sharded fleet is crawled through its
+//! router (`steam-cli route`), which answers the same API with the same
+//! bytes, so the crawler never needs to know which shard owns an id.
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use steam_model::{
-    Account, AppId, Friendship, Game, Group, GroupId, SimTime, Snapshot, SteamId,
-};
+use steam_model::{Account, AppId, Friendship, Game, Group, GroupId, SimTime, Snapshot, SteamId};
 use steam_net::backoff::{transient, Backoff};
 use steam_net::client::{check_status, HttpClient, Reply};
 use steam_net::http::Request;
@@ -55,7 +57,6 @@ use steam_obs::{
 use crate::checkpoint::{CheckpointStore, Record, Replay, UserRecord};
 use crate::service::RateLimit;
 use crate::service::MAX_BATCH_IDS;
-use crate::shard::{shard_of, shard_of_app, shard_of_group};
 use crate::wire;
 
 /// The share of a server's allowed rate the crawler uses by default, as the
@@ -75,8 +76,9 @@ pub struct CrawlerConfig {
     pub empty_batches_to_stop: usize,
     /// Retry policy for transient failures.
     pub backoff: Backoff,
-    /// Worker threads for the per-user harvest (phase 2). The result is
-    /// byte-identical regardless of worker count; the throttle is shared.
+    /// Worker threads for the per-user harvest (phase 2); a lone worker
+    /// harvests on the caller's thread. The result is byte-identical
+    /// regardless of worker count; the throttle is shared.
     pub workers: usize,
     /// Directory for the crash-safe checkpoint journal. `None` disables
     /// checkpointing.
@@ -148,9 +150,10 @@ pub struct CrawlStats {
     pub backoff_wait: Duration,
 }
 
-/// Live, cloneable view of a crawl in flight: every instrument is an
-/// `Arc`'d atomic registered in the crawler's [`Registry`], so a clone
-/// handed to a display thread observes the crawl at zero cost to it.
+/// Live, cloneable view of a crawl in flight, from [`Crawler::progress`]:
+/// every instrument is an `Arc`'d atomic registered in the crawler's
+/// [`Registry`], so a clone handed to a display thread observes the crawl
+/// at zero cost to it.
 #[derive(Clone)]
 pub struct CrawlProgress {
     requests: Arc<Counter>,
@@ -187,11 +190,23 @@ impl CrawlProgress {
             "crawl_exchanges_total",
             "HTTP round trips: one write of one or more requests",
         );
-        registry.describe("crawl_retries_total", "Retries after transient failures, by cause");
+        registry.describe(
+            "crawl_retries_total",
+            "Retries after transient failures, by cause",
+        );
         registry.describe("crawl_census_batches_total", "Phase-1 ID batches fetched");
-        registry.describe("crawl_users_harvested_total", "Phase-2 accounts fully harvested");
-        registry.describe("crawl_groups_fetched_total", "Group community pages fetched");
-        registry.describe("crawl_apps_fetched_total", "Phase-3 catalog products fetched");
+        registry.describe(
+            "crawl_users_harvested_total",
+            "Phase-2 accounts fully harvested",
+        );
+        registry.describe(
+            "crawl_groups_fetched_total",
+            "Group community pages fetched",
+        );
+        registry.describe(
+            "crawl_apps_fetched_total",
+            "Phase-3 catalog products fetched",
+        );
         registry.describe("crawl_reconnects_total", "Stale-connection reconnects");
         registry.describe(
             "crawl_checkpoint_records_total",
@@ -252,14 +267,6 @@ impl CrawlProgress {
     /// The per-fetch latency histogram (see the crawl benchmark).
     pub fn request_latency(&self) -> &Histogram {
         &self.request_latency
-    }
-
-    /// A live view attached to `registry`. Instruments are shared with any
-    /// crawler recording there — with [`crawl_sharded`] every per-shard
-    /// crawler records into one registry, so this view observes the whole
-    /// fleet's aggregate progress.
-    pub fn attach(registry: &Registry) -> Self {
-        Self::new(registry)
     }
 
     fn record_retry(&self, err: &NetError, delay: Duration) {
@@ -385,7 +392,12 @@ impl Fetcher {
         started: Started,
         parse: impl Fn(&str) -> Result<T, NetError>,
     ) -> Result<T, NetError> {
-        let Started { target, trace, sent, first } = started;
+        let Started {
+            target,
+            trace,
+            sent,
+            first,
+        } = started;
         let mut first = Some(first);
         let mut attempt = 1u32;
         let mut end = sent;
@@ -406,7 +418,9 @@ impl Fetcher {
             |err, delay| progress.record_retry(err, delay),
         );
         self.progress.exchanges.add(u64::from(attempt - 1));
-        self.progress.request_latency.record_duration(end.duration_since(sent));
+        self.progress
+            .request_latency
+            .record_duration(end.duration_since(sent));
         self.sync_reconnects();
         result
     }
@@ -443,7 +457,10 @@ impl Fetcher {
     fn fetch_app(&mut self, app: AppId) -> Result<Game, NetError> {
         let [details, achievements] = self.start([
             format!("/api/appdetails?appids={}", app.0),
-            format!("/ISteamUserStats/GetGlobalAchievementPercentagesForApp/v2?gameid={}", app.0),
+            format!(
+                "/ISteamUserStats/GetGlobalAchievementPercentagesForApp/v2?gameid={}",
+                app.0
+            ),
         ]);
         let mut game = self.finish(details, |body| wire::parse_app_details(app, body))?;
         game.achievements = self.finish(achievements, wire::parse_achievement_percentages)?;
@@ -490,7 +507,9 @@ impl Fetcher {
     fn sync_reconnects(&mut self) {
         let reconnects = self.client.reconnects();
         if reconnects > self.synced_reconnects {
-            self.progress.reconnects.add(reconnects - self.synced_reconnects);
+            self.progress
+                .reconnects
+                .add(reconnects - self.synced_reconnects);
             self.synced_reconnects = reconnects;
         }
     }
@@ -536,7 +555,15 @@ impl Crawler {
             progress: progress.clone(),
             synced_reconnects: 0,
         };
-        Crawler { addr, fetcher, config, throttle, registry, progress, pool }
+        Crawler {
+            addr,
+            fetcher,
+            config,
+            throttle,
+            registry,
+            progress,
+            pool,
+        }
     }
 
     fn make_client(addr: SocketAddr, pool: Option<&Arc<ConnectionPool>>) -> HttpClient {
@@ -598,8 +625,7 @@ impl Crawler {
         Ok(panel)
     }
 
-    /// Runs all three phases and assembles the snapshot: the one-shard case
-    /// of [`crawl_sharded`].
+    /// Runs all three phases and assembles the snapshot.
     ///
     /// `collected_at` stamps the result (the crawler has no other way to
     /// know the nominal collection instant).
@@ -608,70 +634,73 @@ impl Crawler {
     /// journaled as it happens and the journal is flushed on *every* exit
     /// path — a crawl that dies mid-phase leaves a resumable journal behind.
     pub fn crawl(&mut self, collected_at: SimTime) -> Result<Snapshot, NetError> {
-        let dir = self.config.checkpoint_dir.clone();
-        let (journal, replay) = open_journal(dir.as_deref(), self.config.resume, &self.progress)?;
-        let journals = [journal];
-        let result = crawl_fleet(
-            std::slice::from_mut(self),
-            &journals,
-            std::slice::from_ref(&replay),
-            collected_at,
-        );
-        flush_journals(&journals, result)
+        let (journal, replay) = match &self.config.checkpoint_dir {
+            None => (None, Replay::default()),
+            Some(dir) => {
+                let (store, replay) = if self.config.resume {
+                    CheckpointStore::resume(dir)?
+                } else {
+                    (CheckpointStore::create(dir)?, Replay::default())
+                };
+                let store = store.with_metrics(
+                    Arc::clone(&self.progress.checkpoint_records),
+                    Arc::clone(&self.progress.checkpoint_flush),
+                );
+                (Some(Mutex::new(store)), replay)
+            }
+        };
+        let result = self.run(journal.as_ref(), replay, collected_at);
+        // A failed final flush matters only on success; on the error path
+        // the original failure is the story (the journal keeps whatever did
+        // make it to disk).
+        if let Some(journal) = journal {
+            let flushed = journal.into_inner().flush();
+            if result.is_ok() {
+                flushed?;
+            }
+        }
+        result
     }
 
-    /// Phase 1 against one shard of a mod-`n` fleet: walks the shard's
-    /// residue class (global indices `shard`, `shard + n`, `shard + 2n`, …)
-    /// in batches of up to [`MAX_BATCH_IDS`] *owned* IDs. An unsharded
-    /// census is shard 0 of 1.
+    /// Phase 1: walks the ID space from index 0 in batches of
+    /// [`MAX_BATCH_IDS`] consecutive IDs, and stops after
+    /// [`CrawlerConfig::empty_batches_to_stop`] empty batches in a row.
+    /// Returns the accounts sorted by ID and the scanned ID space, the last
+    /// valid index + 1.
     ///
-    /// The stop rule counts consecutive empty owned batches, so each stop
-    /// window spans `n×` the ID positions of the unsharded rule — a shard
-    /// can never give up before the unsharded census would have. Returned
-    /// accounts are sorted by ID; `scanned` is the shard's last valid
-    /// *global* index + 1, and the fleet's scanned space is the max over
-    /// shards.
-    ///
-    /// Journaled batches are keyed by the global index of their first owned
-    /// ID, so a resumed sharded crawl replays its own journal and an `n = 1`
-    /// "fleet" journal is record-compatible with an unsharded one. Batches
-    /// journaled before the census-complete marker all survived (damage
-    /// tolerance is strictly tail-shaped), so with the marker nothing is
-    /// re-fetched.
-    fn shard_census(
+    /// Journaled batches are keyed by their first index. Batches journaled
+    /// before the census-complete marker all survived (damage tolerance is
+    /// strictly tail-shaped), so with the marker nothing is re-fetched.
+    fn census(
         &mut self,
-        shard: u64,
-        n: u64,
         journal: Option<&Mutex<CheckpointStore>>,
-        replay: &Replay,
+        replay: &mut Replay,
     ) -> Result<(Vec<Account>, u64), NetError> {
         let _timer = steam_obs::span("crawl", "census")
             .with_histogram(Arc::clone(&self.progress.phase_census));
         let mut accounts = Vec::new();
-        let mut batch_no: u64 = 0; // walk position, in owned batches
+        let mut first = 0u64;
         let mut empty_run = 0usize;
         let mut last_valid: Option<u64> = None;
-        let stride = MAX_BATCH_IDS as u64 * n;
-        let key_of = |b: u64| shard + b * stride;
-
         let scanned = loop {
-            let first = key_of(batch_no);
             // Journaled batches replay first. Past them the census-complete
             // marker ends the walk, or else the empty-batch rule does.
-            let batch = if let Some(batch) = replay.census_batches.get(&first) {
+            let batch = if let Some(batch) = replay.census_batches.remove(&first) {
                 self.progress.resume_skipped.inc();
-                Cow::Borrowed(batch.as_slice())
+                batch
             } else if let Some(scanned) = replay.census_complete {
                 break scanned;
             } else if empty_run >= self.config.empty_batches_to_stop {
                 let scanned = last_valid.map_or(0, |v| v + 1);
                 if let Some(j) = journal {
-                    j.lock().append(&Record::CensusComplete { scanned_id_space: scanned })?;
+                    j.lock().append(&Record::CensusComplete {
+                        scanned_id_space: scanned,
+                    })?;
                 }
                 break scanned;
             } else {
-                let ids: Vec<String> = (0..MAX_BATCH_IDS as u64)
-                    .map(|j| SteamId::from_index(first + j * n).to_string())
+                let ids: Vec<String> = (first..first + MAX_BATCH_IDS as u64)
+                    .map(|i| SteamId::from_index(i).to_string())
                     .collect();
                 let players = self.fetcher.get_parsed(
                     format!(
@@ -688,309 +717,196 @@ impl Crawler {
                         accounts: Cow::Borrowed(&players),
                     })?;
                 }
-                Cow::Owned(players)
+                players
             };
             if batch.is_empty() {
                 empty_run += 1;
             } else {
                 empty_run = 0;
-                for p in batch.into_owned() {
+                for p in batch {
                     last_valid = last_valid.max(Some(p.id.index()));
                     self.progress.profiles_found.inc();
                     accounts.push(p);
                 }
             }
-            batch_no += 1;
-            self.progress.ids_scanned.set_max(key_of(batch_no) as i64);
+            first += MAX_BATCH_IDS as u64;
+            self.progress.ids_scanned.set(first as i64);
         };
         accounts.sort_by_key(|a| a.id);
         Ok((accounts, scanned))
     }
-}
 
-/// Opens the checkpoint journal in `dir` — replaying it first when `resume`
-/// is set — with appends counted in `progress`. No directory, no journal.
-fn open_journal(
-    dir: Option<&Path>,
-    resume: bool,
-    progress: &CrawlProgress,
-) -> Result<(Option<Mutex<CheckpointStore>>, Replay), NetError> {
-    let Some(dir) = dir else { return Ok((None, Replay::default())) };
-    let (store, replay) = if resume {
-        CheckpointStore::resume(dir)?
-    } else {
-        (CheckpointStore::create(dir)?, Replay::default())
-    };
-    let store = store.with_metrics(
-        Arc::clone(&progress.checkpoint_records),
-        Arc::clone(&progress.checkpoint_flush),
-    );
-    Ok((Some(Mutex::new(store)), replay))
-}
+    /// The three phases, taking each unit of work from `replay` when it
+    /// holds it and fetching and journaling it otherwise. Users, groups and
+    /// apps are assembled in index, gid and app-id order, so the snapshot
+    /// is the same bytes for any worker count and any resume point.
+    fn run(
+        &mut self,
+        journal: Option<&Mutex<CheckpointStore>>,
+        mut replay: Replay,
+        collected_at: SimTime,
+    ) -> Result<Snapshot, NetError> {
+        let (accounts, scanned_id_space) = self.census(journal, &mut replay)?;
 
-/// Flushes every journal, on every exit path. A failed final flush matters
-/// only on success; on the error path the original failure is the story
-/// (the journal keeps whatever did make it to disk).
-fn flush_journals(
-    journals: &[Option<Mutex<CheckpointStore>>],
-    result: Result<Snapshot, NetError>,
-) -> Result<Snapshot, NetError> {
-    for journal in journals.iter().flatten() {
-        let flushed = journal.lock().flush();
-        if result.is_ok() {
-            flushed?;
+        // --- phase 2: workers claim the next unharvested account from one
+        // shared cursor (no static chunking: a straggler can't strand the
+        // rest of its chunk), and results land in per-user slots.
+        let harvest_timer = steam_obs::span("crawl", "harvest")
+            .with_histogram(Arc::clone(&self.progress.phase_harvest));
+        let mut user_records: Vec<Option<UserRecord>> = (0..accounts.len() as u32)
+            .map(|u| replay.users.remove(&u))
+            .collect();
+        let todo: Vec<u32> = (0..accounts.len() as u32)
+            .filter(|&u| user_records[u as usize].is_none())
+            .collect();
+        self.progress
+            .resume_skipped
+            .add((accounts.len() - todo.len()) as u64);
+        let cursor = AtomicUsize::new(0);
+        let key = self.config.api_key.clone();
+        let harvest = |fetcher: &mut Fetcher| -> Result<Vec<UserRecord>, NetError> {
+            let mut out = Vec::new();
+            while let Some(&u) = todo.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                let rec = fetcher.harvest_user(&key, u, accounts[u as usize].id)?;
+                // Journal only fully harvested users: all three reads parsed,
+                // so resume can skip this account entirely.
+                if let Some(j) = journal {
+                    j.lock().append(&Record::User(Cow::Borrowed(&rec)))?;
+                }
+                fetcher.progress.users_harvested.inc();
+                out.push(rec);
+            }
+            Ok(out)
+        };
+        let workers = self.config.workers.clamp(1, todo.len().max(1));
+        let harvested: Vec<Result<Vec<UserRecord>, NetError>> = if workers == 1 {
+            // A lone worker harvests on the crawler's own fetcher.
+            vec![harvest(&mut self.fetcher)]
+        } else {
+            let fetchers: Vec<Fetcher> = (0..workers).map(|_| self.new_fetcher()).collect();
+            let harvest = &harvest;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = fetchers
+                    .into_iter()
+                    .map(|mut fetcher| scope.spawn(move || harvest(&mut fetcher)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("harvest worker panicked"))
+                    .collect()
+            })
+        };
+        for result in harvested {
+            for rec in result? {
+                let slot = rec.index as usize;
+                user_records[slot] = Some(rec);
+            }
         }
-    }
-    result
-}
 
-/// Crawls a sharded fleet into one merged snapshot, byte-identical to an
-/// unsharded crawl of the same world.
-///
-/// One [`Crawler`] per shard address, all recording fleet-wide metrics into
-/// `registry` (attach a [`CrawlProgress`] to the same registry for a live
-/// progress line). Phase 1 censuses every residue class concurrently;
-/// phase 2 harvests every shard concurrently ([`CrawlerConfig::workers`]
-/// worker threads *per shard*); groups and catalog fetches go to the shard
-/// that owns each gid/app id.
-///
-/// With [`CrawlerConfig::checkpoint_dir`] set, each shard journals into its
-/// own `shard-{i}-of-{n}` subdirectory, flushed on every exit path; with
-/// [`CrawlerConfig::resume`] each shard replays its own journal. Global user
-/// indices are stable across resume because the merged census is
-/// deterministic.
-///
-/// Other knobs apply per shard: `self_throttle_rps` and `pool_size` bound
-/// each shard's crawlers separately (fleet-wide rate is `n ×` the knob).
-pub fn crawl_sharded(
-    addrs: &[SocketAddr],
-    config: &CrawlerConfig,
-    collected_at: SimTime,
-    registry: Arc<Registry>,
-) -> Result<Snapshot, NetError> {
-    assert!(!addrs.is_empty(), "crawl_sharded needs at least one shard address");
-    let n = addrs.len();
-    let mut crawlers = Vec::with_capacity(n);
-    let mut journals = Vec::with_capacity(n);
-    let mut replays = Vec::with_capacity(n);
-    for (i, &addr) in addrs.iter().enumerate() {
-        // Journals are managed here (one per shard), not by Crawler::crawl.
-        let shard_config = CrawlerConfig { checkpoint_dir: None, ..config.clone() };
-        let crawler = Crawler::with_registry(addr, shard_config, Arc::clone(&registry));
-        let dir = config.checkpoint_dir.as_ref().map(|d| d.join(format!("shard-{i}-of-{n}")));
-        let (journal, replay) = open_journal(dir.as_deref(), config.resume, &crawler.progress)?;
-        crawlers.push(crawler);
-        journals.push(journal);
-        replays.push(replay);
-    }
-    let result = crawl_fleet(&mut crawlers, &journals, &replays, collected_at);
-    flush_journals(&journals, result)
-}
-
-/// The three phases over one crawler per shard, with each shard's journal
-/// and replay; a direct crawl is the one-shard fleet. Every fetch goes to
-/// the shard that owns its id, and users, groups and apps merge in global
-/// order, so the snapshot is the same bytes for any shard or worker count.
-fn crawl_fleet(
-    crawlers: &mut [Crawler],
-    journals: &[Option<Mutex<CheckpointStore>>],
-    replays: &[Replay],
-    collected_at: SimTime,
-) -> Result<Snapshot, NetError> {
-    let n = crawlers.len();
-
-    // --- phase 1: every shard censuses its residue class concurrently. The
-    // classes partition the ID space, so the union is exactly the unsharded
-    // census; sorting by ID reproduces its order, and the fleet's scanned
-    // space is the max of the per-shard last-valid watermarks.
-    let census: Vec<Result<(Vec<Account>, u64), NetError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = crawlers
-            .iter_mut()
-            .zip(journals)
-            .zip(replays)
+        // Merge in index order; replayed and freshly fetched users take the
+        // same path, including the friendship filter (each reciprocal edge
+        // is reported from both endpoints; keep it when reported by the
+        // lower-index side).
+        let index_of: HashMap<SteamId, u32> = accounts
+            .iter()
             .enumerate()
-            .map(|(i, ((crawler, journal), replay))| {
-                scope.spawn(move || {
-                    crawler.shard_census(i as u64, n as u64, journal.as_ref(), replay)
-                })
+            .map(|(i, a)| (a.id, i as u32))
+            .collect();
+        let mut friendships: Vec<Friendship> = Vec::new();
+        let mut ownerships = Vec::with_capacity(accounts.len());
+        let mut raw_memberships: Vec<Vec<GroupId>> = Vec::with_capacity(accounts.len());
+        for rec in user_records {
+            let rec = rec.expect("every user harvested or replayed");
+            for &(fid, since) in &rec.friends {
+                if let Some(&v) = index_of.get(&fid) {
+                    if rec.index < v {
+                        friendships.push(Friendship::new(rec.index, v, since));
+                    }
+                }
+            }
+            ownerships.push(rec.games);
+            raw_memberships.push(rec.groups);
+        }
+        let seen_groups: BTreeSet<GroupId> = raw_memberships.iter().flatten().copied().collect();
+
+        // Group metadata via the community-page analog. The BTreeSet gives
+        // the groups in ascending gid order, which becomes their dense index.
+        let mut groups: Vec<Group> = Vec::with_capacity(seen_groups.len());
+        let mut group_index: HashMap<GroupId, u32> = HashMap::with_capacity(seen_groups.len());
+        for gid in seen_groups {
+            let page = if let Some(page) = replay.groups.remove(&gid) {
+                self.progress.resume_skipped.inc();
+                page
+            } else {
+                let page = self.fetcher.get_parsed(
+                    format!("/community/group/{}", gid.0),
+                    wire::parse_group_page,
+                )?;
+                if let Some(j) = journal {
+                    j.lock().append(&Record::GroupPage(Cow::Borrowed(&page)))?;
+                }
+                self.progress.groups_fetched.inc();
+                page
+            };
+            group_index.insert(gid, groups.len() as u32);
+            groups.push(page);
+        }
+        let memberships: Vec<Vec<u32>> = raw_memberships
+            .into_iter()
+            .map(|gids| {
+                let mut m: Vec<u32> = gids.iter().map(|g| group_index[g]).collect();
+                m.sort_unstable();
+                m
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("census thread panicked")).collect()
-    });
-    let mut accounts: Vec<Account> = Vec::new();
-    let mut scanned_id_space = 0u64;
-    for result in census {
-        let (shard_accounts, shard_scanned) = result?;
-        accounts.extend(shard_accounts);
-        scanned_id_space = scanned_id_space.max(shard_scanned);
-    }
-    accounts.sort_by_key(|a| a.id);
-    let progress = crawlers[0].progress.clone();
-    progress.profiles_found.set(accounts.len() as i64);
-    let index_of: HashMap<SteamId, u32> =
-        accounts.iter().enumerate().map(|(i, a)| (a.id, i as u32)).collect();
 
-    // --- phase 2: per-shard harvest, all shards concurrent. Workers claim
-    // the next unharvested account of their shard from a shared atomic
-    // cursor (no static chunking: a straggler can't strand the rest of its
-    // chunk), and results land in per-user slots keyed by *global* index.
-    let harvest_timer =
-        steam_obs::span("crawl", "harvest").with_histogram(Arc::clone(&progress.phase_harvest));
-    let key = crawlers[0].config.api_key.clone();
-    let mut user_records: Vec<Option<UserRecord>> = (0..accounts.len() as u32)
-        .map(|u| replays.iter().find_map(|r| r.users.get(&u)).cloned())
-        .collect();
-    let replayed = user_records.iter().filter(|r| r.is_some()).count();
-    progress.resume_skipped.add(replayed as u64);
-    let mut todo: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for u in 0..accounts.len() as u32 {
-        if user_records[u as usize].is_none() {
-            todo[shard_of(accounts[u as usize].id, n)].push(u);
-        }
-    }
-    let cursors: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-    let harvest = |shard: usize, fetcher: &mut Fetcher| -> Result<Vec<UserRecord>, NetError> {
-        let mut out = Vec::new();
-        loop {
-            let k = cursors[shard].fetch_add(1, Ordering::Relaxed);
-            let Some(&u) = todo[shard].get(k) else { break };
-            let rec = fetcher.harvest_user(&key, u, accounts[u as usize].id)?;
-            // Journal only fully harvested users: all three reads parsed,
-            // so resume can skip this account entirely.
-            if let Some(j) = &journals[shard] {
-                j.lock().append(&Record::User(Cow::Borrowed(&rec)))?;
-            }
-            fetcher.progress.users_harvested.inc();
-            out.push(rec);
-        }
-        Ok(out)
-    };
-    let worker_results: Vec<Result<Vec<UserRecord>, NetError>> = std::thread::scope(|scope| {
-        let harvest = &harvest;
-        let mut handles = Vec::new();
-        for (shard, crawler) in crawlers.iter_mut().enumerate() {
-            let workers = crawler.config.workers.max(1).min(todo[shard].len().max(1));
-            if workers == 1 {
-                // A lone worker harvests on the crawler's own fetcher.
-                let fetcher = &mut crawler.fetcher;
-                handles.push(scope.spawn(move || harvest(shard, fetcher)));
-            } else {
-                for _ in 0..workers {
-                    let mut fetcher = crawler.new_fetcher();
-                    handles.push(scope.spawn(move || harvest(shard, &mut fetcher)));
-                }
-            }
-        }
-        handles.into_iter().map(|h| h.join().expect("harvest worker panicked")).collect()
-    });
-    for result in worker_results {
-        for rec in result? {
-            let slot = rec.index as usize;
-            user_records[slot] = Some(rec);
-        }
-    }
+        drop(harvest_timer);
 
-    // Merge in global index order; replayed and freshly fetched users take
-    // the same path, including the friendship filter (each reciprocal edge
-    // is reported from both endpoints; keep it when reported by the
-    // lower-index side).
-    let mut friendships: Vec<Friendship> = Vec::new();
-    let mut ownerships = Vec::with_capacity(accounts.len());
-    let mut raw_memberships: Vec<Vec<GroupId>> = Vec::with_capacity(accounts.len());
-    for rec in user_records {
-        let rec = rec.expect("every user harvested or replayed");
-        for &(fid, since) in &rec.friends {
-            if let Some(&v) = index_of.get(&fid) {
-                if rec.index < v {
-                    friendships.push(Friendship::new(rec.index, v, since));
-                }
-            }
-        }
-        ownerships.push(rec.games);
-        raw_memberships.push(rec.groups);
-    }
-    let seen_groups: BTreeSet<GroupId> = raw_memberships.iter().flatten().copied().collect();
-
-    // Group metadata via the community-page analog, each page from the
-    // shard that owns the gid. The BTreeSet gives the groups in ascending
-    // gid order, which becomes their dense index.
-    let mut groups: Vec<Group> = Vec::with_capacity(seen_groups.len());
-    let mut group_index: HashMap<GroupId, u32> = HashMap::with_capacity(seen_groups.len());
-    for gid in seen_groups {
-        let page = if let Some(g) = replays.iter().find_map(|r| r.groups.get(&gid)) {
-            progress.resume_skipped.inc();
-            g.clone()
+        // --- phase 3: the app list, then each app's two reads.
+        let catalog_timer = steam_obs::span("crawl", "catalog")
+            .with_histogram(Arc::clone(&self.progress.phase_catalog));
+        let app_ids = if let Some(list) = replay.app_list.take() {
+            self.progress.resume_skipped.inc();
+            list
         } else {
-            let s = shard_of_group(gid, n);
-            let page = crawlers[s]
+            let list = self
                 .fetcher
-                .get_parsed(format!("/community/group/{}", gid.0), wire::parse_group_page)?;
-            if let Some(j) = &journals[s] {
-                j.lock().append(&Record::GroupPage(Cow::Borrowed(&page)))?;
+                .get_parsed("/ISteamApps/GetAppList/v2".into(), wire::parse_app_list)?;
+            if let Some(j) = journal {
+                j.lock().append(&Record::AppList(Cow::Borrowed(&list)))?;
             }
-            progress.groups_fetched.inc();
-            page
+            list
         };
-        group_index.insert(gid, groups.len() as u32);
-        groups.push(page);
-    }
-    let memberships: Vec<Vec<u32>> = raw_memberships
-        .into_iter()
-        .map(|gids| {
-            let mut m: Vec<u32> = gids.iter().map(|g| group_index[g]).collect();
-            m.sort_unstable();
-            m
+        let mut catalog = Vec::with_capacity(app_ids.len());
+        for app in app_ids {
+            let game = if let Some(game) = replay.apps.remove(&app) {
+                self.progress.resume_skipped.inc();
+                game
+            } else {
+                let game = self.fetcher.fetch_app(app)?;
+                if let Some(j) = journal {
+                    j.lock().append(&Record::App(Cow::Borrowed(&game)))?;
+                }
+                self.progress.apps_fetched.inc();
+                game
+            };
+            catalog.push(game);
+        }
+        catalog.sort_by_key(|g| g.app_id);
+        drop(catalog_timer);
+
+        friendships.sort_by_key(|e| (e.a, e.b));
+        Ok(Snapshot {
+            collected_at,
+            scanned_id_space,
+            accounts,
+            friendships,
+            ownerships,
+            groups,
+            memberships,
+            catalog,
         })
-        .collect();
-
-    drop(harvest_timer);
-
-    // --- phase 3: the catalog is replicated to every shard; the app list
-    // comes from shard 0 and per-app reads from the shard that owns the
-    // app id (pure load spreading — any shard could answer).
-    let catalog_timer =
-        steam_obs::span("crawl", "catalog").with_histogram(Arc::clone(&progress.phase_catalog));
-    let app_ids = if let Some(list) = &replays[0].app_list {
-        progress.resume_skipped.inc();
-        list.clone()
-    } else {
-        let list = crawlers[0]
-            .fetcher
-            .get_parsed("/ISteamApps/GetAppList/v2".into(), wire::parse_app_list)?;
-        if let Some(j) = &journals[0] {
-            j.lock().append(&Record::AppList(Cow::Borrowed(&list)))?;
-        }
-        list
-    };
-    let mut catalog = Vec::with_capacity(app_ids.len());
-    for app in app_ids {
-        if let Some(game) = replays.iter().find_map(|r| r.apps.get(&app)) {
-            progress.resume_skipped.inc();
-            catalog.push(game.clone());
-            continue;
-        }
-        let s = shard_of_app(app, n);
-        let game = crawlers[s].fetcher.fetch_app(app)?;
-        if let Some(j) = &journals[s] {
-            j.lock().append(&Record::App(Cow::Borrowed(&game)))?;
-        }
-        progress.apps_fetched.inc();
-        catalog.push(game);
     }
-    catalog.sort_by_key(|g| g.app_id);
-    drop(catalog_timer);
-
-    friendships.sort_by_key(|e| (e.a, e.b));
-    Ok(Snapshot {
-        collected_at,
-        scanned_id_space,
-        accounts,
-        friendships,
-        ownerships,
-        groups,
-        memberships,
-        catalog,
-    })
 }
 
 #[cfg(test)]
@@ -1039,8 +955,13 @@ mod tests {
     #[test]
     fn crawl_reconstructs_snapshot() {
         let original = tiny_world();
-        let (server, _service) =
-            serve(Arc::clone(&original), "127.0.0.1:0", 2, RateLimit::default()).unwrap();
+        let (server, _service) = serve(
+            Arc::clone(&original),
+            "127.0.0.1:0",
+            2,
+            RateLimit::default(),
+        )
+        .unwrap();
         let mut crawler = Crawler::new(server.addr(), CrawlerConfig::default());
         let crawled = crawler.crawl(original.collected_at).unwrap();
         assert_reconstructs(&crawled, &original);
@@ -1056,13 +977,17 @@ mod tests {
     #[test]
     fn crawled_snapshot_round_trips_identically_through_the_v3_file() {
         let original = tiny_world();
-        let (server, _service) =
-            serve(Arc::clone(&original), "127.0.0.1:0", 2, RateLimit::default()).unwrap();
+        let (server, _service) = serve(
+            Arc::clone(&original),
+            "127.0.0.1:0",
+            2,
+            RateLimit::default(),
+        )
+        .unwrap();
         let mut crawler = Crawler::new(server.addr(), CrawlerConfig::default());
         let crawled = crawler.crawl(original.collected_at).unwrap();
 
-        let dir = std::env::temp_dir()
-            .join(format!("crawl-versions-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("crawl-versions-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let v3 = dir.join("crawl-v3.bin");
         steam_model::codec::write_snapshot_v3(&v3, &crawled, 2).unwrap();
@@ -1071,7 +996,11 @@ mod tests {
             steam_model::codec::VERSION_CHUNKED
         );
         let baseline = steam_model::codec::encode_snapshot_v3(&crawled, 1).to_vec();
-        assert_eq!(std::fs::read(&v3).unwrap(), baseline, "the file is the in-memory encoding");
+        assert_eq!(
+            std::fs::read(&v3).unwrap(),
+            baseline,
+            "the file is the in-memory encoding"
+        );
         let streamed = {
             let reader = steam_model::SnapshotReader::open(&v3).unwrap();
             let world = steam_model::WorldView::stream(&reader).unwrap();
@@ -1082,15 +1011,29 @@ mod tests {
                 catalog: world.catalog().to_vec(),
                 ..Default::default()
             };
-            world.for_each_account(|_, a| s.accounts.push(a.clone())).unwrap();
-            world.for_each_library(|_, lib| s.ownerships.push(lib.to_vec())).unwrap();
-            world.for_each_memberships(|_, ms| s.memberships.push(ms.to_vec())).unwrap();
-            world.for_each_friendship(|e| s.friendships.push(*e)).unwrap();
+            world
+                .for_each_account(|_, a| s.accounts.push(a.clone()))
+                .unwrap();
+            world
+                .for_each_library(|_, lib| s.ownerships.push(lib.to_vec()))
+                .unwrap();
+            world
+                .for_each_memberships(|_, ms| s.memberships.push(ms.to_vec()))
+                .unwrap();
+            world
+                .for_each_friendship(|e| s.friendships.push(*e))
+                .unwrap();
             s
         };
         let reads = [
-            ("read_snapshot", steam_model::codec::read_snapshot(&v3).unwrap()),
-            ("read_snapshot_jobs", steam_model::codec::read_snapshot_jobs(&v3, 4).unwrap()),
+            (
+                "read_snapshot",
+                steam_model::codec::read_snapshot(&v3).unwrap(),
+            ),
+            (
+                "read_snapshot_jobs",
+                steam_model::codec::read_snapshot_jobs(&v3, 4).unwrap(),
+            ),
             ("SnapshotReader", streamed),
         ];
         for (how, read) in reads {
@@ -1120,7 +1063,10 @@ mod tests {
             // Capped far below the crawl's natural rate even on a loaded
             // host running the whole suite in parallel, so 429s are
             // guaranteed regardless of server mode or CPU contention.
-            RateLimit { per_key_rps: 100.0, burst: 5.0 },
+            RateLimit {
+                per_key_rps: 100.0,
+                burst: 5.0,
+            },
         )
         .unwrap();
         let config = CrawlerConfig {
@@ -1148,12 +1094,12 @@ mod tests {
         // Panel rows index into the population; the service is keyed by the
         // second snapshot's accounts (same ids as the first).
         let snapshot = Arc::new(world.second_snapshot.clone());
-        let service = crate::service::ApiService::new(
-            Arc::clone(&snapshot),
-            RateLimit::default(),
-        )
-        .with_panel(world.panel.clone());
-        let config = steam_net::ServerConfig { workers: 2, ..Default::default() };
+        let service = crate::service::ApiService::new(Arc::clone(&snapshot), RateLimit::default())
+            .with_panel(world.panel.clone());
+        let config = steam_net::ServerConfig {
+            workers: 2,
+            ..Default::default()
+        };
         let (server, _service) =
             serve_service_config(service, "127.0.0.1:0", config, None, None).unwrap();
         let mut crawler = Crawler::new(server.addr(), CrawlerConfig::default());
@@ -1161,7 +1107,11 @@ mod tests {
         // The generated panel is ordered by day-one playtime, the crawl by
         // account id; compare as user → days maps.
         let as_map = |p: &steam_model::WeekPanel| -> HashMap<u32, [u32; 7]> {
-            p.users.iter().copied().zip(p.daily_minutes.iter().copied()).collect()
+            p.users
+                .iter()
+                .copied()
+                .zip(p.daily_minutes.iter().copied())
+                .collect()
         };
         assert_eq!(as_map(&crawled), as_map(&world.panel));
     }
@@ -1175,8 +1125,13 @@ mod tests {
             cfg.n_groups = 20;
             Arc::new(Generator::new(cfg).generate())
         };
-        let (server, _service) =
-            serve(Arc::clone(&original), "127.0.0.1:0", 4, RateLimit::default()).unwrap();
+        let (server, _service) = serve(
+            Arc::clone(&original),
+            "127.0.0.1:0",
+            4,
+            RateLimit::default(),
+        )
+        .unwrap();
         let crawl_with = |workers: usize| {
             let config = CrawlerConfig {
                 empty_batches_to_stop: 2,
@@ -1216,9 +1171,16 @@ mod tests {
             let registry = Arc::new(steam_obs::Registry::new());
             let service = ApiService::new(Arc::clone(&original), RateLimit::default());
             let (server, service) = serve_service_config(
-                if cached { service } else { service.without_cache() },
+                if cached {
+                    service
+                } else {
+                    service.without_cache()
+                },
                 "127.0.0.1:0",
-                steam_net::ServerConfig { workers: WORKERS + 1, ..Default::default() },
+                steam_net::ServerConfig {
+                    workers: WORKERS + 1,
+                    ..Default::default()
+                },
                 Some(Arc::clone(&registry)),
                 None,
             )
@@ -1256,7 +1218,11 @@ mod tests {
             "pooled crawl opened {pooled_conns} server connections (pool is {WORKERS})"
         );
         let pool = crawler.pool().expect("pooled crawl must expose its pool");
-        assert_eq!(pool.connects(), pooled_conns, "client and server disagree on sockets");
+        assert_eq!(
+            pool.connects(),
+            pooled_conns,
+            "client and server disagree on sockets"
+        );
         assert!(pool.reuses() > 0, "pooled crawl never reused a connection");
 
         // A re-crawl of the same server finds the bodies already cached.
@@ -1266,16 +1232,27 @@ mod tests {
         assert!(cache.hits() > cold_hits, "warm re-crawl got no cache hits");
 
         assert_eq!(cold, baseline, "pool and cache changed the crawled bytes");
-        assert_eq!(warm, baseline, "the warm re-crawl changed the crawled bytes");
+        assert_eq!(
+            warm, baseline,
+            "the warm re-crawl changed the crawled bytes"
+        );
     }
 
     #[test]
     fn crawl_metrics_mirror_the_crawl() {
         let original = tiny_world();
-        let (server, _service) =
-            serve(Arc::clone(&original), "127.0.0.1:0", 2, RateLimit::default()).unwrap();
+        let (server, _service) = serve(
+            Arc::clone(&original),
+            "127.0.0.1:0",
+            2,
+            RateLimit::default(),
+        )
+        .unwrap();
         let registry = Arc::new(steam_obs::Registry::new());
-        let config = CrawlerConfig { empty_batches_to_stop: 2, ..CrawlerConfig::default() };
+        let config = CrawlerConfig {
+            empty_batches_to_stop: 2,
+            ..CrawlerConfig::default()
+        };
         let mut crawler = Crawler::with_registry(server.addr(), config, Arc::clone(&registry));
         let progress = crawler.progress();
         let crawled = crawler.crawl(original.collected_at).unwrap();
@@ -1309,8 +1286,13 @@ mod tests {
     #[test]
     fn journaled_crawl_makes_one_exchange_per_record_but_census_complete() {
         let original = tiny_world();
-        let (server, _service) =
-            serve(Arc::clone(&original), "127.0.0.1:0", 2, RateLimit::default()).unwrap();
+        let (server, _service) = serve(
+            Arc::clone(&original),
+            "127.0.0.1:0",
+            2,
+            RateLimit::default(),
+        )
+        .unwrap();
         let dir = std::env::temp_dir().join(format!("crawl-exchanges-{}", std::process::id()));
         let config = CrawlerConfig {
             workers: 2,
@@ -1344,14 +1326,23 @@ mod tests {
     }
 
     fn fast_backoff(attempts: u32) -> Backoff {
-        Backoff { base: Duration::from_millis(1), max: Duration::from_millis(20), attempts }
+        Backoff {
+            base: Duration::from_millis(1),
+            max: Duration::from_millis(20),
+            attempts,
+        }
     }
 
     #[test]
     fn reads_behind_an_early_close_are_retried_alone_without_changing_bytes() {
         let original = tiny_world();
-        let (server, _service) =
-            serve(Arc::clone(&original), "127.0.0.1:0", 2, RateLimit::default()).unwrap();
+        let (server, _service) = serve(
+            Arc::clone(&original),
+            "127.0.0.1:0",
+            2,
+            RateLimit::default(),
+        )
+        .unwrap();
         let clean = Crawler::new(server.addr(), CrawlerConfig::default())
             .crawl(original.collected_at)
             .unwrap();
@@ -1366,7 +1357,10 @@ mod tests {
                 resp
             }
         });
-        let config = CrawlerConfig { backoff: fast_backoff(6), ..CrawlerConfig::default() };
+        let config = CrawlerConfig {
+            backoff: fast_backoff(6),
+            ..CrawlerConfig::default()
+        };
         let mut crawler = Crawler::new(server.addr(), config);
         let crawled = crawler.crawl(original.collected_at).unwrap();
         assert_eq!(
@@ -1375,9 +1369,15 @@ mod tests {
             "an early close must not change the crawled bytes"
         );
         let stats = crawler.stats();
-        assert_eq!(stats.retries_io, 10, "two reads behind each of five closes: {stats:?}");
+        assert_eq!(
+            stats.retries_io, 10,
+            "two reads behind each of five closes: {stats:?}"
+        );
         assert_eq!(stats.retries_observed, 10, "{stats:?}");
-        assert_eq!(stats.reconnects, 0, "a closed connection is not stale: {stats:?}");
+        assert_eq!(
+            stats.reconnects, 0,
+            "a closed connection is not stale: {stats:?}"
+        );
     }
 
     /// Harvests the tiny world's first account from a server whose n-th
@@ -1393,17 +1393,25 @@ mod tests {
         let server = serve_wrapped(&original, move |req, resp| {
             let mut log = log.lock();
             log.push(req.path.clone());
-            let n = log.iter().filter(|p| p.ends_with("/GetOwnedGames/v1")).count();
+            let n = log
+                .iter()
+                .filter(|p| p.ends_with("/GetOwnedGames/v1"))
+                .count();
             if req.path.ends_with("/GetOwnedGames/v1") {
                 games(n, resp)
             } else {
                 resp
             }
         });
-        let config = CrawlerConfig { backoff: fast_backoff(attempts), ..CrawlerConfig::default() };
+        let config = CrawlerConfig {
+            backoff: fast_backoff(attempts),
+            ..CrawlerConfig::default()
+        };
         let mut crawler = Crawler::new(server.addr(), config);
         let key = crawler.config.api_key.clone();
-        let outcome = crawler.fetcher.harvest_user(&key, 0, original.accounts[0].id);
+        let outcome = crawler
+            .fetcher
+            .harvest_user(&key, 0, original.accounts[0].id);
         let paths = seen.lock().clone();
         (outcome, paths, crawler.stats())
     }
@@ -1422,21 +1430,43 @@ mod tests {
             }
         });
         assert_eq!(outcome.unwrap().games, tiny_world().ownerships[0]);
-        assert_eq!(hits(&paths, "/GetFriendList/v1"), 1, "the friend list was kept");
-        assert_eq!(hits(&paths, "/GetUserGroupList/v1"), 1, "the group list was kept");
-        assert_eq!(hits(&paths, "/GetOwnedGames/v1"), 2, "only the 429 went again");
-        assert_eq!((stats.requests, stats.exchanges, stats.retries_429), (3, 2, 1), "{stats:?}");
+        assert_eq!(
+            hits(&paths, "/GetFriendList/v1"),
+            1,
+            "the friend list was kept"
+        );
+        assert_eq!(
+            hits(&paths, "/GetUserGroupList/v1"),
+            1,
+            "the group list was kept"
+        );
+        assert_eq!(
+            hits(&paths, "/GetOwnedGames/v1"),
+            2,
+            "only the 429 went again"
+        );
+        assert_eq!(
+            (stats.requests, stats.exchanges, stats.retries_429),
+            (3, 2, 1),
+            "{stats:?}"
+        );
         // The one-second hint was honored only up to the policy's max.
         assert!(stats.backoff_wait <= Duration::from_millis(20), "{stats:?}");
     }
 
     #[test]
     fn a_read_that_always_fails_reaches_the_server_attempts_times() {
-        let (outcome, paths, stats) =
-            harvest_first_user(3, |_, _| Response::error(503, "down"));
+        let (outcome, paths, stats) = harvest_first_user(3, |_, _| Response::error(503, "down"));
         let err = outcome.unwrap_err();
-        assert!(matches!(err, NetError::RetriesExhausted { attempts: 3, .. }), "{err}");
-        assert_eq!(hits(&paths, "/GetOwnedGames/v1"), 3, "the exchange is the first attempt");
+        assert!(
+            matches!(err, NetError::RetriesExhausted { attempts: 3, .. }),
+            "{err}"
+        );
+        assert_eq!(
+            hits(&paths, "/GetOwnedGames/v1"),
+            3,
+            "the exchange is the first attempt"
+        );
         assert_eq!(hits(&paths, "/GetFriendList/v1"), 1);
         assert_eq!(stats.exchanges, 3, "{stats:?}");
     }
@@ -1447,7 +1477,8 @@ mod tests {
         let seen: Arc<Mutex<Vec<String>>> = Arc::default();
         let log = Arc::clone(&seen);
         let server = serve_wrapped(&original, move |req, resp| {
-            log.lock().push(req.header("x-steam-trace").unwrap_or("none").to_string());
+            log.lock()
+                .push(req.header("x-steam-trace").unwrap_or("none").to_string());
             resp
         });
         let mut crawler = Crawler::new(server.addr(), CrawlerConfig::default());
@@ -1471,14 +1502,18 @@ mod tests {
         let mine: Vec<&SpanRecord> = traces
             .iter()
             .map(|t| {
-                let mut of_trace =
-                    spans.iter().filter(|s| s.kind == SpanKind::Client && s.trace == *t);
+                let mut of_trace = spans
+                    .iter()
+                    .filter(|s| s.kind == SpanKind::Client && s.trace == *t);
                 let span = of_trace.next().expect("a client span per request");
                 assert!(of_trace.next().is_none(), "one client span per request");
                 span
             })
             .collect();
-        assert!(mine.iter().all(|s| s.start_us == mine[0].start_us), "one exchange, one start");
+        assert!(
+            mine.iter().all(|s| s.start_us == mine[0].start_us),
+            "one exchange, one start"
+        );
         let ends: Vec<u64> = mine.iter().map(|s| s.start_us + s.duration_us).collect();
         assert!(ends.windows(2).all(|w| w[0] <= w[1]), "span ends {ends:?}");
     }
@@ -1509,12 +1544,19 @@ mod tests {
         });
         let server = HttpServer::bind("127.0.0.1:0", 2, handler).unwrap();
         let config = CrawlerConfig {
-            backoff: Backoff { base: Duration::from_millis(1), ..Backoff::default() },
+            backoff: Backoff {
+                base: Duration::from_millis(1),
+                ..Backoff::default()
+            },
             ..CrawlerConfig::default()
         };
         let mut crawler = Crawler::new(server.addr(), config);
         let crawled = crawler.crawl(original.collected_at).unwrap();
-        assert_eq!(crawler.stats().retries_corrupt, 1, "the bad body must be retried once");
+        assert_eq!(
+            crawler.stats().retries_corrupt,
+            1,
+            "the bad body must be retried once"
+        );
         assert!(!crawled.groups.is_empty());
         for group in &crawled.groups {
             let served = original.groups.iter().find(|g| g.id == group.id).unwrap();
@@ -1538,7 +1580,10 @@ mod tests {
             // Capped far below the crawl's natural rate even on a loaded
             // host running the whole suite in parallel, so 429s are
             // guaranteed regardless of server mode or CPU contention.
-            RateLimit { per_key_rps: 100.0, burst: 5.0 },
+            RateLimit {
+                per_key_rps: 100.0,
+                burst: 5.0,
+            },
         )
         .unwrap();
         let config = CrawlerConfig {
@@ -1573,10 +1618,20 @@ mod tests {
             cfg.n_groups = 6;
             Arc::new(Generator::new(cfg).generate())
         };
-        let (server, _service) =
-            serve(Arc::clone(&original), "127.0.0.1:0", 2, RateLimit::default()).unwrap();
-        let config = CrawlerConfig { empty_batches_to_stop: 2, ..CrawlerConfig::default() };
-        let traced = Crawler::new(server.addr(), config).crawl(original.collected_at).unwrap();
+        let (server, _service) = serve(
+            Arc::clone(&original),
+            "127.0.0.1:0",
+            2,
+            RateLimit::default(),
+        )
+        .unwrap();
+        let config = CrawlerConfig {
+            empty_batches_to_stop: 2,
+            ..CrawlerConfig::default()
+        };
+        let traced = Crawler::new(server.addr(), config)
+            .crawl(original.collected_at)
+            .unwrap();
         assert_reconstructs(&traced, &original);
         // The server ran in-process, so the flight recorder holds both sides
         // of every recent hop: find a crawl-issued client span whose trace id
@@ -1601,8 +1656,13 @@ mod tests {
             cfg.n_groups = 4;
             Arc::new(Generator::new(cfg).generate())
         };
-        let (server, _service) =
-            serve(Arc::clone(&original), "127.0.0.1:0", 2, RateLimit::default()).unwrap();
+        let (server, _service) = serve(
+            Arc::clone(&original),
+            "127.0.0.1:0",
+            2,
+            RateLimit::default(),
+        )
+        .unwrap();
         // The cap must sit well below the server's natural rate in *any*
         // mode, or the burst + refill could absorb this small crawl whole
         // and the throttle would never engage.
@@ -1643,11 +1703,18 @@ mod tests {
         // quarter second) spends the server's bucket in its first burst.
         let limit = RateLimit::default();
         let crawler = Crawler::new("127.0.0.1:9".parse().unwrap(), CrawlerConfig::default());
-        let throttle = crawler.throttle.as_ref().as_ref().expect("throttled by default");
+        let throttle = crawler
+            .throttle
+            .as_ref()
+            .as_ref()
+            .expect("throttled by default");
         let server = TokenBucket::new(limit.per_key_rps, limit.burst);
         for i in 0..5_000 {
             throttle.acquire();
-            assert!(server.try_acquire(), "request {i} outran the server's limit");
+            assert!(
+                server.try_acquire(),
+                "request {i} outran the server's limit"
+            );
         }
     }
 }

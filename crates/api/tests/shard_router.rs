@@ -4,10 +4,9 @@
 //! * Crawling *through the router* reconstructs the same bytes as crawling
 //!   the unsharded server — the census batches straddle every shard, so
 //!   this exercises the full split → fan-out → merge path thousands of
-//!   times.
-//! * `crawl_sharded` (the crawler talking to every shard directly) merges
-//!   the same bytes too, including under kill-and-resume with per-shard
-//!   checkpoint journals.
+//!   times. The router is the only way the crawler reaches a fleet, so it
+//!   also carries the fleet's journal tests: one exchange per journal
+//!   record, and kill-and-resume against fault-injected shards.
 //! * A dead or fault-injected shard yields a clean 502/503 with a
 //!   `Retry-After` hint — never a partially-merged 200.
 
@@ -18,9 +17,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use steam_api::{
-    crawl_sharded, serve_router_config, serve_service_config, shard_of, ApiService,
-    CrawlProgress, Crawler, CrawlerConfig, RateLimit, RouterConfig, RouterService,
-    StreamSplitter,
+    serve_router_config, serve_service_config, shard_of, ApiService, Crawler, CrawlerConfig,
+    RateLimit, RouterConfig, RouterService, StreamSplitter,
 };
 use steam_model::{codec, Snapshot, SteamId, WorldView};
 use steam_net::http::{write_request, Request, Response};
@@ -122,28 +120,10 @@ fn crawl_through_router_is_byte_identical_to_direct_crawl() {
 }
 
 #[test]
-fn sharded_fleet_crawl_merges_byte_identical_snapshot() {
-    let original = tiny_snapshot(602);
-    let baseline = baseline_bytes(&original);
-    let (_servers, addrs) = bind_fleet(&original, SHARDS, &[]);
-    let config = CrawlerConfig {
-        empty_batches_to_stop: 2,
-        workers: 2,
-        ..CrawlerConfig::default()
-    };
-    let registry = Arc::new(steam_obs::Registry::new());
-    let merged = crawl_sharded(&addrs, &config, original.collected_at, registry).unwrap();
-    assert_eq!(
-        codec::encode_snapshot_v3(&merged, 1).to_vec(),
-        baseline,
-        "direct fleet crawl produced different bytes"
-    );
-}
-
-#[test]
-fn fleet_crawl_makes_one_exchange_per_journal_record_but_each_census_end() {
+fn fleet_crawl_makes_one_exchange_per_journal_record_but_the_census_end() {
     let original = tiny_snapshot(609);
     let (_servers, addrs) = bind_fleet(&original, SHARDS, &[]);
+    let (router, _r) = bind_router(addrs, RouterConfig::default());
     let dir = std::env::temp_dir().join(format!("steam-shard-exchanges-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let config = CrawlerConfig {
@@ -152,15 +132,15 @@ fn fleet_crawl_makes_one_exchange_per_journal_record_but_each_census_end() {
         checkpoint_dir: Some(dir.clone()),
         ..CrawlerConfig::default()
     };
-    let registry = Arc::new(steam_obs::Registry::new());
-    let progress = CrawlProgress::attach(&registry);
-    crawl_sharded(&addrs, &config, original.collected_at, registry).unwrap();
+    let mut crawler = Crawler::new(router.addr(), config);
+    crawler.crawl(original.collected_at).unwrap();
     std::fs::remove_dir_all(&dir).ok();
-    let stats = progress.stats();
+    let stats = crawler.stats();
     assert_eq!(stats.retries_observed, 0, "a fault-free crawl: {stats:?}");
-    // Each shard journals one CensusComplete, the only record without a
-    // request; every other record was fetched in one exchange.
-    assert_eq!(stats.exchanges, stats.checkpoint_records - SHARDS as u64, "{stats:?}");
+    // The one CensusComplete is the only record without a request; every
+    // other record was fetched in one exchange with the router, however
+    // many shards it fanned out to.
+    assert_eq!(stats.exchanges, stats.checkpoint_records - 1, "{stats:?}");
 }
 
 #[test]
@@ -304,9 +284,9 @@ fn routed_crawl_survives_fault_injected_shard_byte_identical() {
 fn killed_sharded_crawl_resumes_to_identical_snapshot() {
     let original = tiny_snapshot(606);
     let baseline = baseline_bytes(&original);
-    // Every shard is fault-injected; the retry-less crawler below dies on
-    // the first fault any shard serves it — the deterministic analog of
-    // `kill -9` mid-fleet-crawl.
+    // Every shard is fault-injected. The router and the crawler below each
+    // make one attempt, so the crawl dies on the first fault any shard
+    // serves it — the deterministic analog of `kill -9` mid-fleet-crawl.
     let mut faults: Vec<Option<Arc<FaultInjector>>> = Vec::new();
     let mut injectors = Vec::new();
     for i in 0..SHARDS {
@@ -321,6 +301,13 @@ fn killed_sharded_crawl_resumes_to_identical_snapshot() {
         faults.push(Some(injector));
     }
     let (_servers, addrs) = bind_fleet(&original, SHARDS, &faults);
+    let one_attempt = Backoff {
+        base: std::time::Duration::from_millis(1),
+        max: std::time::Duration::from_millis(1),
+        attempts: 1,
+    };
+    let router_config = RouterConfig { backoff: one_attempt, ..RouterConfig::default() };
+    let (router, _r) = bind_router(addrs, router_config);
 
     let dir = std::env::temp_dir()
         .join(format!("steam-shard-resume-{}", std::process::id()));
@@ -331,18 +318,13 @@ fn killed_sharded_crawl_resumes_to_identical_snapshot() {
     for run in 0..1000 {
         let config = CrawlerConfig {
             empty_batches_to_stop: 2,
-            backoff: Backoff {
-                base: std::time::Duration::from_millis(1),
-                max: std::time::Duration::from_millis(1),
-                attempts: 1,
-            },
+            backoff: one_attempt,
             workers: 2,
             checkpoint_dir: Some(dir.clone()),
             resume: run > 0,
             ..CrawlerConfig::default()
         };
-        let registry = Arc::new(steam_obs::Registry::new());
-        match crawl_sharded(&addrs, &config, original.collected_at, registry) {
+        match Crawler::new(router.addr(), config).crawl(original.collected_at) {
             Ok(snapshot) => {
                 finished = Some(snapshot);
                 break;
@@ -364,15 +346,12 @@ fn killed_sharded_crawl_resumes_to_identical_snapshot() {
         baseline,
         "resumed fleet crawl differs from the uninterrupted baseline"
     );
-    // Per-shard journals landed where the next session expects them, one
-    // file each however many sessions appended to it.
-    for i in 0..SHARDS {
-        let files: Vec<_> = std::fs::read_dir(dir.join(format!("shard-{i}-of-{SHARDS}")))
-            .unwrap_or_else(|e| panic!("missing per-shard journal dir for shard {i}: {e}"))
-            .map(|e| e.unwrap().file_name())
-            .collect();
-        assert_eq!(files, ["seg-00000000.log"], "shard {i}");
-    }
+    // The journal is one file, however many sessions appended to it.
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(files, ["seg-00000000.log"]);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -55,6 +55,15 @@ impl Args {
         }
     }
 
+    /// A count of jobs, shards, workers or connections: as
+    /// [`get_parse`](Self::get_parse), but 0 is refused instead of run as 1.
+    pub fn get_count(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.get_parse(name, default)? {
+            0 => Err(format!("--{name} must be at least 1")),
+            n => Ok(n),
+        }
+    }
+
     /// Whether a boolean switch (e.g. `--timings`) was given.
     pub fn has(&self, name: &str) -> bool {
         self.flags.iter().any(|(n, _)| n == name)

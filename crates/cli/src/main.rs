@@ -11,8 +11,7 @@
 //! steam-cli route    --shards 127.0.0.1:9001,127.0.0.1:9002,…
 //!                    [--addr 127.0.0.1:8570] [--pool N] [--threaded]
 //! steam-cli crawl    --addr 127.0.0.1:8571 --out crawled.bin [--rps 1000]
-//!                    [--shards ADDR,ADDR,…] [--checkpoint-dir DIR [--resume]]
-//!                    [--trace-slow N]
+//!                    [--checkpoint-dir DIR [--resume]] [--trace-slow N]
 //! steam-cli trace    --id TRACE_ID [--addr 127.0.0.1:8571]
 //! steam-cli report   --snapshot snap.bin [--second snap2.bin]
 //!                    [--panel panel.bin] [--experiment table3|figure6|...|all]
@@ -37,7 +36,7 @@ use steam_analysis::{
     render_experiments_timed, render_full_report, render_full_report_timed, render_with_jobs,
     Ctx, Experiment, ReportInput,
 };
-use steam_api::{ApiService, CrawlProgress, Crawler, CrawlerConfig, RateLimit};
+use steam_api::{ApiService, Crawler, CrawlerConfig, RateLimit};
 use steam_net::{FaultInjector, FaultPlan};
 use steam_model::{codec, WorldView};
 use steam_obs::Registry;
@@ -150,12 +149,8 @@ COMMANDS
              request order. X-Steam-Trace propagates through, so a routed
              request shows client→router→shard spans in /debug/spans.
   crawl      Crawl a served API back into a snapshot file
-             --addr HOST:PORT  server address (default 127.0.0.1:8571)
-             --shards A,B,…    crawl a shard fleet directly (one crawler
-                               per shard, merged into one snapshot
-                               byte-identical to an unsharded crawl;
-                               --rps/--pool/--workers apply per shard,
-                               --checkpoint-dir journals per shard)
+             --addr HOST:PORT  server address (default 127.0.0.1:8571); a
+                               shard fleet is crawled through its router
              --out PATH        output snapshot (default crawled.bin)
              --rps N           self-throttle requests/sec (default 85000,
                                85% of serve's default limit)
@@ -213,17 +208,9 @@ fn command_flags(command: &str) -> Option<&'static [&'static str]> {
         }
         "shard-split" => &["snapshot", "shards", "out"],
         "route" => &["shards", "addr", "pool", "threaded"],
-        "crawl" => &[
-            "addr",
-            "shards",
-            "out",
-            "rps",
-            "workers",
-            "pool",
-            "checkpoint-dir",
-            "resume",
-            "trace-slow",
-        ],
+        "crawl" => {
+            &["addr", "out", "rps", "workers", "pool", "checkpoint-dir", "resume", "trace-slow"]
+        }
         "trace" => &["id", "addr"],
         "report" => &["snapshot", "second", "panel", "experiment", "jobs", "in-memory", "timings"],
         "export" => &["snapshot", "panel", "dir"],
@@ -275,10 +262,7 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     let cfg = scale_config(args)?;
     let out = args.get_or("out", "snapshot.bin");
     let default_jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let jobs = args.get_parse("jobs", default_jobs)?;
-    if jobs == 0 {
-        return Err("--jobs must be at least 1".into());
-    }
+    let jobs = args.get_count("jobs", default_jobs)?;
     eprintln!("generating {} users (seed {}, {jobs} jobs)...", cfg.n_users, cfg.seed);
     let (world, timings) = Generator::new(cfg).generate_world_timed(jobs);
     eprintln!(
@@ -414,10 +398,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
 fn cmd_shard_split(args: &Args) -> Result<(), String> {
     let path = args.get_or("snapshot", "snapshot.bin");
-    let n: usize = args.get_parse("shards", 4usize)?;
-    if n == 0 {
-        return Err("--shards must be at least 1".into());
-    }
+    let n = args.get_count("shards", 4)?;
     let prefix = args.get_or("out", "shard");
     let p = Path::new(path);
     let write = |store: &steam_api::ShardStore| -> Result<(), String> {
@@ -463,7 +444,7 @@ fn cmd_route(args: &Args) -> Result<(), String> {
     }
     let addr = args.get_or("addr", "127.0.0.1:8570");
     let config = steam_api::RouterConfig {
-        pool_size: args.get_parse("pool", 4usize)?,
+        pool_size: args.get_count("pool", 4)?,
         ..Default::default()
     };
     eprintln!("routing across {} shards: {raw}", shards.len());
@@ -476,16 +457,6 @@ fn cmd_route(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_crawl(args: &Args) -> Result<(), String> {
-    let shard_addrs = match args.get("shards") {
-        Some(raw) => {
-            let addrs = parse_shard_addrs(raw)?;
-            if addrs.is_empty() {
-                return Err("--shards needs at least one address".into());
-            }
-            Some(addrs)
-        }
-        None => None,
-    };
     let addr: std::net::SocketAddr = args
         .get_or("addr", "127.0.0.1:8571")
         .parse()
@@ -496,9 +467,9 @@ fn cmd_crawl(args: &Args) -> Result<(), String> {
         config.self_throttle_rps =
             Some(positive_rps(rps.parse().map_err(|_| format!("bad --rps {rps:?}"))?)?);
     }
-    config.workers = args.get_parse("workers", 4usize)?;
-    if let Some(n) = args.get("pool") {
-        config.pool_size = Some(n.parse().map_err(|_| format!("bad --pool {n:?}"))?);
+    config.workers = args.get_count("workers", 4)?;
+    if args.get("pool").is_some() {
+        config.pool_size = Some(args.get_count("pool", 0)?);
     }
     config.checkpoint_dir = args.get("checkpoint-dir").map(std::path::PathBuf::from);
     config.resume = args.has("resume");
@@ -507,18 +478,13 @@ fn cmd_crawl(args: &Args) -> Result<(), String> {
     }
     let trace_slow = args.get_parse("trace-slow", 0usize)?;
     let resuming = config.resume;
-    let registry = Arc::new(Registry::new());
-    let progress = CrawlProgress::attach(&registry);
-    let trace_addr = shard_addrs.as_ref().map_or(addr, |a| a[0]);
-    match &shard_addrs {
-        Some(addrs) => eprintln!("crawling {} shards...", addrs.len()),
-        None => eprintln!("crawling {addr}..."),
-    }
+    let mut crawler = Crawler::new(addr, config);
+    eprintln!("crawling {addr}...");
     let started = std::time::Instant::now();
 
     // Live progress line, repainted in place while the crawl runs. Only on
     // an interactive stderr: redirected logs get the final summary only.
-    let display_progress = progress.clone();
+    let display_progress = crawler.progress();
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let display = {
         use std::io::IsTerminal;
@@ -533,23 +499,14 @@ fn cmd_crawl(args: &Args) -> Result<(), String> {
             })
         })
     };
-    let collected_at = steam_model::SimTime::from_ymd(2013, 11, 5);
-    let crawl_result = match &shard_addrs {
-        Some(addrs) => {
-            steam_api::crawl_sharded(addrs, &config, collected_at, Arc::clone(&registry))
-        }
-        None => {
-            let mut crawler = Crawler::with_registry(addr, config, Arc::clone(&registry));
-            crawler.crawl(collected_at)
-        }
-    };
+    let crawl_result = crawler.crawl(steam_model::SimTime::from_ymd(2013, 11, 5));
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     if let Some(handle) = display {
         handle.join().ok();
     }
     let snapshot = crawl_result.map_err(|e| e.to_string())?;
 
-    let stats = progress.stats();
+    let stats = crawler.stats();
     eprintln!(
         "crawled {} users with {} requests in {} exchanges in {:.1?}",
         stats.profiles_found,
@@ -607,7 +564,7 @@ fn cmd_crawl(args: &Args) -> Result<(), String> {
                 },
             );
         }
-        eprintln!("  (inspect one with: steam-cli trace --id TRACE_ID --addr {trace_addr})");
+        eprintln!("  (inspect one with: steam-cli trace --id TRACE_ID --addr {addr})");
     }
     codec::write_snapshot_v3(Path::new(out), &snapshot, 1).map_err(|e| e.to_string())?;
     eprintln!("wrote {out}");
@@ -719,10 +676,7 @@ fn report_ctx<'a>(loaded: &'a Loaded, jobs: usize) -> Result<Ctx<'a>, String> {
 
 fn cmd_report(args: &Args) -> Result<(), String> {
     let default_jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let jobs = args.get_parse("jobs", default_jobs)?;
-    if jobs == 0 {
-        return Err("--jobs must be at least 1".into());
-    }
+    let jobs = args.get_count("jobs", default_jobs)?;
     let in_memory = args.has("in-memory");
 
     let path = args.get_or("snapshot", "snapshot.bin");

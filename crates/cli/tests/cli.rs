@@ -117,13 +117,16 @@ fn generate_rejects_bad_flags() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A retired flag is an error, not a no-op.
+/// A retired flag is an error, not a no-op: `--no-trace`, and `--shards`,
+/// since a fleet is crawled through its router.
 #[test]
 fn crawl_rejects_the_retired_no_trace_flag() {
-    let out = bin().args(["crawl", "--addr", "127.0.0.1:1", "--no-trace"]).output().unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("--no-trace"), "{stderr}");
+    for retired in [&["--no-trace"][..], &["--shards", "A"]] {
+        let out = bin().args(["crawl", "--addr", "127.0.0.1:1"]).args(retired).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains(&format!("unknown flag {}", retired[0])), "{stderr}");
+    }
 }
 
 #[test]
@@ -346,6 +349,38 @@ fn rps_that_is_not_positive_exits_1() {
             assert!(refused, "{case}");
             assert!(!stderr.contains("panicked"), "{case}");
         }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A count of 0 (jobs, shards, workers or pooled connections) exits 1
+/// before anything is read, bound or connected, instead of running as 1.
+#[test]
+fn counts_that_are_zero_exit_1() {
+    let dir = temp_dir("counts");
+    let missing = dir.join("missing.bin");
+    let missing = missing.to_str().unwrap();
+    let out_path = dir.join("out.bin");
+    let out_path = out_path.to_str().unwrap();
+    let crawl = ["crawl", "--addr", "127.0.0.1:1", "--out", out_path];
+    // An address that cannot be bound, so an unrefused route exits too.
+    let route = ["route", "--shards", "127.0.0.1:1", "--addr", "127.0.0.1:none"];
+    let runs: [(&[&str], &str); 6] = [
+        (&["generate", "--users", "600", "--out", out_path], "--jobs"),
+        (&["shard-split", "--snapshot", missing], "--shards"),
+        (&["report", "--snapshot", missing], "--jobs"),
+        (&crawl, "--workers"),
+        (&crawl, "--pool"),
+        (&route, "--pool"),
+    ];
+    for (args, flag) in runs {
+        let out = bin().args(args).args([flag, "0"]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let case = format!("{} {flag} 0: {stderr}", args[0]);
+        assert_eq!(out.status.code(), Some(1), "{case}");
+        let refused = stderr.lines().any(|l| l == format!("error: {flag} must be at least 1"));
+        assert!(refused, "{case}");
+        assert!(!Path::new(out_path).exists(), "{case}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
